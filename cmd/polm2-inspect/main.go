@@ -273,12 +273,15 @@ func showRollout(w io.Writer, dir string) error {
 	return nil
 }
 
-// showSync lists the replication view of a polm2d store: every stored
-// evidence document with its stamp, the logical version last-write-wins
-// anti-entropy resolves conflicts with (DESIGN.md §15). Comparing two
-// replicas' listings shows exactly which documents still differ;
-// identical listings mean the pair has converged. Documents written
-// before replication (or with -peer off) carry no stamp and show "-".
+// showSync lists the replication view of a polm2d store: first each key's
+// replicating document count and key sum — what the daemon advertises in
+// its GET /v1/sync summary, so two stores compare at the key level by eye
+// or diff — then every stored evidence document with its stamp, the
+// logical version last-write-wins anti-entropy resolves conflicts with
+// (DESIGN.md §15). Comparing two replicas' listings shows exactly which
+// documents still differ; identical listings mean the pair has converged.
+// Documents written before replication carry no stamp, show "-" and stay
+// out of the key sum.
 func showSync(w io.Writer, dir string) error {
 	store, err := profilestore.Open(dir)
 	if err != nil {
@@ -296,7 +299,22 @@ func showSync(w io.Writer, dir string) error {
 		fmt.Fprintln(w, "no evidence documents found")
 		return nil
 	}
-	fmt.Fprintf(w, "%-24s %-16s %-18s %-6s %-8s %s\n",
+	fmt.Fprintf(w, "%-24s %-6s %s\n", "app/workload", "docs", "key sum")
+	for _, k := range keys {
+		stamped, sum := 0, profilestore.KeySum{}
+		for id, doc := range all[k] {
+			if !doc.Stamp.IsZero() {
+				stamped++
+				sum.Toggle(id, doc.Stamp)
+			}
+		}
+		shown := sum.String()
+		if stamped == 0 {
+			shown = "-"
+		}
+		fmt.Fprintf(w, "%-24s %-6d %s\n", k.String(), stamped, shown)
+	}
+	fmt.Fprintf(w, "\n%-24s %-16s %-18s %-6s %-8s %s\n",
 		"app/workload", "instance", "stamp", "gens", "sites", "evidence")
 	docs, unstamped := 0, 0
 	for _, k := range keys {

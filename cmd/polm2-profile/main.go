@@ -5,12 +5,17 @@
 //
 //	polm2-profile -app Cassandra -workload WI -o profile.json
 //	polm2-profile -app Lucene -workload default -duration 15m -v
+//
+// The allocation records the profile was analyzed from are kept beside it,
+// in the -o path with its extension replaced by ".records".
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
+	"strings"
 	"time"
 
 	"polm2"
@@ -58,8 +63,11 @@ func run() int {
 		Scale:         *scale,
 		Seed:          *seed,
 		SnapshotEvery: *every,
-		SnapshotDir:   *snapDir,
-		Fault:         injector,
+		// The records are kept beside the profile they produced
+		// (wi.json -> wi.records/), where polm2-inspect can verify them.
+		RecordsDir:  strings.TrimSuffix(*out, filepath.Ext(*out)) + ".records",
+		SnapshotDir: *snapDir,
+		Fault:       injector,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "polm2-profile: %v\n", err)

@@ -27,7 +27,7 @@
 // decision rule; without -rollout the daemon's behaviour is unchanged.
 //
 // With -peer (repeatable), the daemon replicates: it stamps every accepted
-// evidence document with a logical version, serves GET /v1/sync digests to
+// evidence document with a logical version, serves GET /v1/sync summaries to
 // its peers, and pulls each peer on the -sync-interval cadence, applying
 // whichever document carries the higher stamp (DESIGN.md §15). -id names
 // this replica in the stamps; it defaults to the resolved listen address.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"os"
 	"testing"
 	"time"
 
@@ -143,6 +144,7 @@ func TestProfileAppPersistsSnapshots(t *testing.T) {
 	app := &stubApp{}
 	res, err := ProfileApp(app, "w", ProfileOptions{
 		Duration:    3 * time.Minute,
+		RecordsDir:  t.TempDir(),
 		SnapshotDir: dir,
 	})
 	if err != nil {
@@ -166,5 +168,29 @@ func TestProfileAppPersistsSnapshots(t *testing.T) {
 		t.Fatalf("off-line re-analysis diverged: %d/%d sites, %d/%d gens",
 			reanalyzed.InstrumentedSites(), res.Profile.InstrumentedSites(),
 			reanalyzed.Generations, res.Profile.Generations)
+	}
+}
+
+// A ProfileApp call that is given no RecordsDir owns the temporary one it
+// creates: os.TempDir() is left as it was found, and the result does not
+// name a directory that no longer exists.
+func TestProfileAppRemovesItsTempRecords(t *testing.T) {
+	t.Setenv("TMPDIR", t.TempDir()) // os.TempDir() for this test alone
+	res, err := ProfileApp(&stubApp{}, "w", ProfileOptions{Duration: 3 * time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RecordsDir != "" {
+		t.Errorf("RecordsDir = %q for a temporary records directory, want \"\"", res.RecordsDir)
+	}
+	left, err := os.ReadDir(os.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range left {
+		t.Errorf("ProfileApp left %s in os.TempDir()", e.Name())
+	}
+	if res.Profile == nil || len(res.Profile.Sites) == 0 {
+		t.Fatal("profile is empty: the records were removed before the analysis read them")
 	}
 }

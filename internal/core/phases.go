@@ -33,8 +33,8 @@ type ProfileOptions struct {
 	SnapshotEvery int
 	// Analyzer tunes the Analyzer.
 	Analyzer analyzer.Options
-	// RecordsDir receives the allocation records; a temporary directory
-	// is created when empty.
+	// RecordsDir receives the allocation records. When empty they go to a
+	// temporary directory that is removed once the analysis has read them.
 	RecordsDir string
 	// SnapshotDir, when set, persists every heap snapshot as a binary
 	// image (snap-NNNNNN.img) so the Analyzer can be re-run off-line
@@ -78,7 +78,9 @@ type ProfileResult struct {
 	Snapshots []*snapshot.Snapshot
 	// JmapSnapshots are the baseline dumps (when CompareJmap was set).
 	JmapSnapshots []*snapshot.Snapshot
-	// RecordsDir is where the allocation records were written.
+	// RecordsDir is where the allocation records were written: the
+	// caller's ProfileOptions.RecordsDir, "" when they went to a temporary
+	// directory that no longer exists.
 	RecordsDir string
 	// Salvage accounts for artifact loss when the analysis ran in
 	// salvage mode (fault injection); nil for a strict analysis.
@@ -109,6 +111,7 @@ func ProfileApp(app App, workloadName string, opts ProfileOptions) (*ProfileResu
 		if err != nil {
 			return nil, fmt.Errorf("core: profiling records dir: %w", err)
 		}
+		defer os.RemoveAll(recordsDir) //nolint:errcheck // best-effort cleanup of our own temp dir
 	} else if err := os.MkdirAll(recordsDir, 0o755); err != nil {
 		return nil, fmt.Errorf("core: profiling records dir: %w", err)
 	}
@@ -177,7 +180,7 @@ func ProfileApp(app App, workloadName string, opts ProfileOptions) (*ProfileResu
 	result := &ProfileResult{
 		Profile:     profile,
 		Snapshots:   criu.Snapshots(),
-		RecordsDir:  recordsDir,
+		RecordsDir:  opts.RecordsDir,
 		Salvage:     report,
 		GCCycles:    col.Cycles(),
 		SimDuration: clock.Now(),

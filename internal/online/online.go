@@ -57,8 +57,8 @@ type Options struct {
 	RecordCost time.Duration
 	// Analyzer tunes the Analyzer for every re-analysis.
 	Analyzer analyzer.Options
-	// RecordsDir receives allocation records; a temporary directory is
-	// created when empty.
+	// RecordsDir receives allocation records; when empty, a temporary
+	// directory that is removed when the run ends.
 	RecordsDir string
 	// Fault optionally injects I/O faults into the recorder's artifact
 	// writes, exercising the salvage path. Nil writes straight through.
@@ -223,6 +223,7 @@ func Run(app core.App, workloadName string, opts Options) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("online: records dir: %w", err)
 		}
+		defer os.RemoveAll(recordsDir) //nolint:errcheck // best-effort cleanup of our own temp dir
 	}
 	criu := dumper.New(vm.Heap(), clock, dumper.Config{
 		Cost:        core.ScaledDumpCostModel(opts.Scale),

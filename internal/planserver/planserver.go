@@ -16,9 +16,10 @@
 //	POST /v1/evidence                evidence upload (X-Polm2-Instance
 //	                                 header required); responds with the
 //	                                 current fleet plan (and its ETag)
-//	GET  /v1/sync                    replication digest (and, with
-//	                                 app/workload/instance parameters, one
-//	                                 stamped evidence document — sync.go)
+//	GET  /v1/sync                    replication summary, one entry per key
+//	                                 (with app/workload: that key's stamp
+//	                                 list; plus instance: one stamped
+//	                                 evidence document — sync.go)
 //	GET  /healthz                    liveness
 //	GET  /metricsz                   metric exposition (internal/metrics)
 //	GET  /tracez                     trace ring, newest window (internal/trace)
@@ -113,7 +114,7 @@ type Options struct {
 	Rollout *rollout.Config
 	// SelfID is this daemon's replication identity (DESIGN.md §15): the
 	// Origin written into evidence stamps and the name answered in sync
-	// digests. Empty (the default) disables stamping's visible surface —
+	// summaries. Empty (the default) disables stamping's visible surface —
 	// no stamp response header — keeping an unreplicated daemon
 	// byte-identical to a pre-replication build.
 	SelfID string
@@ -175,7 +176,7 @@ type Server struct {
 	peerDivergence  *metrics.Gauge   // documents the last pass had to pull
 
 	syncScanMu  sync.Mutex
-	syncScanned bool // one-time cold scan of the store into the digest
+	syncScanned bool // one-time cold scan of the store into the sync summary
 
 	shardMu sync.RWMutex
 	shards  map[profilestore.Key]*shard
@@ -638,7 +639,7 @@ func (s *Server) handleEvidence(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ev[instance] = &up
-	sh.stamps[instance] = stamp
+	sh.setStamp(instance, stamp)
 	sh.dirty++
 	myGen := sh.dirty
 	if sh.instGauge == nil {

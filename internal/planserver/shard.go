@@ -42,9 +42,12 @@ type shard struct {
 	// stamps holds each evidence document's replication stamp (sync.go),
 	// maintained in lockstep with evidence: advanced on every accepted
 	// upload, adopted verbatim on every peer pull, advertised in sync
-	// digests. Instances absent here (legacy documents) carry the zero
-	// stamp and lose every comparison.
+	// stamp lists. Instances absent here (legacy documents) carry the zero
+	// stamp and lose every comparison. sum is the running KeySum over
+	// stamps — what the sync summary advertises and the puller compares —
+	// which is why every write to stamps goes through setStamp.
 	stamps map[string]profilestore.Stamp
+	sum    profilestore.KeySum
 
 	// plan is the encoded, content-addressed fleet plan being served.
 	// gen counts installs, so a cold store load racing a merge publish
@@ -100,6 +103,14 @@ func newShard(k profilestore.Key) *shard {
 	return sh
 }
 
+// setStamp records instance's new stamp and moves the key sum with it:
+// the old pair out, the new pair in (caller holds sh.mu).
+func (sh *shard) setStamp(instance string, st profilestore.Stamp) {
+	sh.sum.Toggle(instance, sh.stamps[instance])
+	sh.sum.Toggle(instance, st)
+	sh.stamps[instance] = st
+}
+
 // shard returns the state for k, creating it on first touch.
 func (s *Server) shard(k profilestore.Key) *shard {
 	s.shardMu.RLock()
@@ -146,11 +157,11 @@ func (s *Server) loadEvidenceLocked(sh *shard) (map[string]*analyzer.Profile, er
 		return nil, err
 	}
 	ev := make(map[string]*analyzer.Profile, len(docs))
-	sh.stamps = make(map[string]profilestore.Stamp, len(docs))
+	sh.stamps, sh.sum = make(map[string]profilestore.Stamp, len(docs)), profilestore.KeySum{}
 	for inst, d := range docs {
 		ev[inst] = d.Profile
 		if !d.Stamp.IsZero() {
-			sh.stamps[inst] = d.Stamp
+			sh.setStamp(inst, d.Stamp)
 		}
 	}
 	if len(ev) == 0 {

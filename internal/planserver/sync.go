@@ -2,6 +2,7 @@ package planserver
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -16,14 +17,17 @@ import (
 
 // This file is the replication half of the daemon (DESIGN.md §15):
 // pull-based anti-entropy between polm2d peers. Every daemon exposes
-// GET /v1/sync in two modes — a per-key digest of (instance, stamp) pairs
-// plus the rollout quarantine set, and a single-document fetch — and
-// periodically pulls each configured peer's digest, fetching exactly the
-// documents whose stamp beats its own. Last-write-wins per (key, instance)
-// under the profilestore.Stamp total order makes the exchange commutative
-// and idempotent: however partitions interleave the pulls, both sides end
-// holding the per-instance winners, and MergeProfiles' own commutativity
-// turns identical winner sets into identical plans.
+// GET /v1/sync at three depths — a summary with one small entry per key
+// (document count, key sum, quarantine set), one key's (instance, stamp)
+// list, and a single-document fetch — and periodically pulls each
+// configured peer's summary, descending only into keys whose count or sum
+// differs from its own and fetching exactly the documents whose stamp
+// beats its own, so a round costs what changed, not what exists.
+// Last-write-wins per (key, instance) under the profilestore.Stamp total
+// order makes the exchange commutative and idempotent: however partitions
+// interleave the pulls, both sides end holding the per-instance winners,
+// and MergeProfiles' own commutativity turns identical winner sets into
+// identical plans.
 //
 // Pulled documents enter through the same coalescing merge pipeline as
 // uploads (dirty bump + ensureWorkerLocked), so replication inherits the
@@ -35,7 +39,7 @@ import (
 // Everything here is gated on configuration: without Peers the poller
 // never runs and no peer metrics are registered; without SelfID no stamp
 // header is exposed. A daemon with replication off behaves byte-for-byte
-// like a pre-replication build. The digest endpoint itself is always
+// like a pre-replication build. The sync endpoint itself is always
 // registered — answering a peer's read costs nothing and cannot diverge.
 
 // EvidenceSeqHeader carries the uploader's own upload sequence number on
@@ -50,18 +54,30 @@ const EvidenceSeqHeader = "X-Polm2-Evidence-Seq"
 // on), keeping unreplicated responses byte-identical.
 const EvidenceStampHeader = "X-Polm2-Evidence-Stamp"
 
-// syncDigest is the GET /v1/sync response: who is answering and, per key,
-// every evidence document's stamp plus the quarantined rollout ETags.
-type syncDigest struct {
-	Daemon string          `json:"daemon"`
-	Keys   []syncKeyDigest `json:"keys"`
+// syncSummary is the GET /v1/sync response: who is answering and one
+// fixed-size entry per key, so its size follows the key count and not the
+// number of instances that ever uploaded.
+type syncSummary struct {
+	Daemon string           `json:"daemon"`
+	Keys   []syncKeySummary `json:"keys"`
 }
 
-type syncKeyDigest struct {
-	App         string         `json:"app"`
-	Workload    string         `json:"workload"`
-	Docs        []syncDocStamp `json:"docs"`
-	Quarantined []string       `json:"quarantined,omitempty"`
+// syncKeySummary stands for one key's whole stamp set: equal Docs and Sum
+// on both sides mean equal sets (profilestore.KeySum), so the puller
+// descends only where they differ. The quarantined rollout ETags ride
+// inline — few and grow-only — so adopting them needs no descent.
+type syncKeySummary struct {
+	App         string              `json:"app"`
+	Workload    string              `json:"workload"`
+	Docs        int                 `json:"docs"`
+	Sum         profilestore.KeySum `json:"sum"`
+	Quarantined []string            `json:"quarantined,omitempty"`
+}
+
+// syncStamps is the GET /v1/sync?app=&workload= response: the stamp of
+// every replicating document the key holds, exactly the set Sum covers.
+type syncStamps struct {
+	Docs []syncDocStamp `json:"docs"`
 }
 
 type syncDocStamp struct {
@@ -126,45 +142,55 @@ func (s *Server) ensureSyncScan() error {
 	return nil
 }
 
-// handleSync serves both sync modes. With no query parameters: the full
-// digest. With app, workload and instance: that one evidence document,
-// 404 when absent.
+// handleSync serves the three sync depths. With no query parameters: the
+// per-key summary. With app and workload: that key's stamp list. With an
+// instance as well: that one evidence document, 404 when absent.
 func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 	raw := r.URL.RawQuery
 	app := queryParam(raw, "app")
 	workload := queryParam(raw, "workload")
 	instance := queryParam(raw, "instance")
 	if app == "" && workload == "" && instance == "" {
-		s.serveSyncDigest(w)
+		s.serveSyncSummary(w)
 		return
 	}
-	if app == "" || workload == "" || instance == "" {
-		http.Error(w, "planserver: sync document fetch requires app, workload and instance", http.StatusBadRequest)
+	if app == "" || workload == "" {
+		http.Error(w, "planserver: sync stamp-list and document fetches require app and workload", http.StatusBadRequest)
 		return
 	}
 	sh := s.shard(profilestore.Key{App: app, Workload: workload})
 	sh.mu.Lock()
 	ev, err := s.loadEvidenceLocked(sh)
-	var p *analyzer.Profile
-	var st profilestore.Stamp
-	if err == nil {
-		p, st = ev[instance], sh.stamps[instance]
+	var body any
+	switch {
+	case err != nil:
+	case instance == "":
+		list := syncStamps{Docs: make([]syncDocStamp, 0, len(sh.stamps))}
+		for inst, st := range sh.stamps {
+			list.Docs = append(list.Docs, syncDocStamp{Instance: inst, Stamp: st})
+		}
+		sort.Slice(list.Docs, func(i, j int) bool { return list.Docs[i].Instance < list.Docs[j].Instance })
+		body = list
+	case ev[instance] != nil:
+		body = syncDoc{Instance: instance, Stamp: sh.stamps[instance], Profile: ev[instance]}
 	}
 	sh.mu.Unlock()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	if p == nil {
+	if len(ev) == 0 {
 		s.dropIfEmpty(sh)
+	}
+	if body == nil {
 		http.Error(w, fmt.Sprintf("planserver: no evidence for %s/%s from %s", app, workload, instance), http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(syncDoc{Instance: instance, Stamp: st, Profile: p})
+	json.NewEncoder(w).Encode(body)
 }
 
-func (s *Server) serveSyncDigest(w http.ResponseWriter) {
+func (s *Server) serveSyncSummary(w http.ResponseWriter) {
 	if err := s.ensureSyncScan(); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -176,34 +202,30 @@ func (s *Server) serveSyncDigest(w http.ResponseWriter) {
 	}
 	s.shardMu.RUnlock()
 	sort.Slice(shards, func(i, j int) bool { return shards[i].key.String() < shards[j].key.String() })
-	d := syncDigest{Daemon: s.selfID, Keys: []syncKeyDigest{}}
+	sum := syncSummary{Daemon: s.selfID, Keys: make([]syncKeySummary, 0, len(shards))}
 	for _, sh := range shards {
 		sh.mu.Lock()
-		kd := syncKeyDigest{App: sh.key.App, Workload: sh.key.Workload}
-		for inst := range sh.evidence {
-			kd.Docs = append(kd.Docs, syncDocStamp{Instance: inst, Stamp: sh.stamps[inst]})
-		}
-		sort.Slice(kd.Docs, func(i, j int) bool { return kd.Docs[i].Instance < kd.Docs[j].Instance })
+		e := syncKeySummary{App: sh.key.App, Workload: sh.key.Workload, Docs: len(sh.stamps), Sum: sh.sum}
 		if s.ro != nil && sh.roll != nil {
-			kd.Quarantined = sh.roll.Snapshot().Quarantined
+			e.Quarantined = sh.roll.Snapshot().Quarantined
 		}
 		sh.mu.Unlock()
-		if len(kd.Docs) == 0 && len(kd.Quarantined) == 0 {
+		if e.Docs == 0 && len(e.Quarantined) == 0 {
 			continue
 		}
-		d.Keys = append(d.Keys, kd)
+		sum.Keys = append(sum.Keys, e)
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(d)
+	json.NewEncoder(w).Encode(sum)
 }
 
-// SyncPeers runs one anti-entropy pass: pull every peer's digest, fetch
-// and apply each document whose stamp beats the local one, and union the
-// peers' quarantine sets. Returns the number of documents applied. A peer
-// that cannot be reached (or answers garbage) counts one sync error and
-// is skipped — anti-entropy is retried forever, so a missed pass costs
-// only staleness. Safe to call concurrently with serving; a no-peer
-// server returns 0 immediately.
+// SyncPeers runs one anti-entropy pass: pull every peer's summary, descend
+// into the keys that differ, fetch and apply each document whose stamp
+// beats the local one, and union the peers' quarantine sets. Returns the
+// number of documents applied. A peer that cannot be reached (or answers
+// garbage) counts one sync error and is skipped — anti-entropy is retried
+// forever, so a missed pass costs only staleness. Safe to call
+// concurrently with serving; a no-peer server returns 0 immediately.
 func (s *Server) SyncPeers() int {
 	if len(s.peers) == 0 {
 		return 0
@@ -234,33 +256,38 @@ func (s *Server) SyncPeers() int {
 }
 
 func (s *Server) syncPeer(peer string) (pulled int, err error) {
-	digest, err := s.fetchDigest(peer)
-	if err != nil {
+	var sum syncSummary
+	if err := s.peerGet(peer, "", &sum); err != nil {
 		return 0, err
 	}
-	for _, kd := range digest.Keys {
-		k := profilestore.Key{App: kd.App, Workload: kd.Workload}
+	for _, e := range sum.Keys {
+		k := profilestore.Key{App: e.App, Workload: e.Workload}
 		if k.App == "" || k.Workload == "" {
-			return pulled, fmt.Errorf("planserver: peer digest names a key without labels")
+			return pulled, fmt.Errorf("planserver: peer summary names a key without labels")
 		}
-		if s.ro != nil && len(kd.Quarantined) > 0 {
-			if err := s.applyPeerQuarantine(k, kd.Quarantined); err != nil {
+		if s.ro != nil && len(e.Quarantined) > 0 {
+			if err := s.applyPeerQuarantine(k, e.Quarantined); err != nil {
 				return pulled, err
 			}
 		}
-		for _, ds := range kd.Docs {
-			if ds.Stamp.IsZero() {
-				continue // legacy (unstamped) documents never replicate
-			}
-			if !s.needDoc(k, ds) {
-				continue
-			}
-			doc, err := s.fetchDoc(peer, k, ds.Instance)
+		docs, own, err := s.localSum(k)
+		if err != nil {
+			return pulled, err
+		}
+		if docs == e.Docs && own == e.Sum {
+			continue // same stamp set on both sides: nothing to look at
+		}
+		var list syncStamps
+		if err := s.peerGet(peer, keyQuery(k), &list); err != nil {
+			return pulled, err
+		}
+		for _, instance := range s.newerThanLocal(k, list.Docs) {
+			doc, err := s.fetchDoc(peer, k, instance)
 			if err != nil {
 				return pulled, err
 			}
 			if doc == nil {
-				continue // the document vanished on the peer between digest and fetch
+				continue // the document vanished on the peer between list and fetch
 			}
 			n, err := s.applySyncDoc(k, doc)
 			if err != nil {
@@ -272,60 +299,84 @@ func (s *Server) syncPeer(peer string) (pulled int, err error) {
 	return pulled, nil
 }
 
-// needDoc reports whether the advertised stamp strictly beats the local
-// document's — the pull predicate. Equal stamps identify the same write
-// (stamps are unique per write: origin disambiguates daemons, and each
-// daemon's sequence strictly advances), so only strictly-greater pulls.
-func (s *Server) needDoc(k profilestore.Key, ds syncDocStamp) bool {
+// localSum reports this daemon's own document count and key sum for k —
+// the puller's side of the summary compare. It is stateless: nothing is
+// remembered per peer, so a replica that is ahead of a peer it pulls
+// one-way re-reads that key's stamp list every round until the peer
+// catches up by its own pulls.
+func (s *Server) localSum(k profilestore.Key) (int, profilestore.KeySum, error) {
 	sh := s.shard(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if _, err := s.loadEvidenceLocked(sh); err != nil {
-		return false // the apply path would fail too; skip this pass
+		return 0, profilestore.KeySum{}, err
 	}
-	return sh.stamps[ds.Instance].Less(ds.Stamp)
+	return len(sh.stamps), sh.sum, nil
 }
 
-func (s *Server) fetchDigest(peer string) (*syncDigest, error) {
-	resp, err := s.peerClient.Get(peer + "/v1/sync")
+// newerThanLocal returns the instances whose advertised stamp strictly
+// beats the local document's — the pull predicate. Equal stamps identify
+// the same write (stamps are unique per write: origin disambiguates
+// daemons, and each daemon's sequence strictly advances), so only
+// strictly-greater pulls; a zero stamp beats nothing, so legacy documents
+// never replicate. localSum has already loaded the shard's evidence.
+func (s *Server) newerThanLocal(k profilestore.Key, docs []syncDocStamp) []string {
+	sh := s.shard(k)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	var need []string
+	for _, ds := range docs {
+		if sh.stamps[ds.Instance].Less(ds.Stamp) {
+			need = append(need, ds.Instance)
+		}
+	}
+	return need
+}
+
+// keyQuery is the raw query naming one key on a peer's /v1/sync.
+func keyQuery(k profilestore.Key) string {
+	return "app=" + url.QueryEscape(k.App) + "&workload=" + url.QueryEscape(k.Workload)
+}
+
+// errPeerNotFound is peerGet's report of a 404: only a document fetch
+// expects one.
+var errPeerNotFound = errors.New("planserver: peer answered 404")
+
+// peerGet GETs the peer's /v1/sync with the given raw query and decodes
+// the JSON answer into v.
+func (s *Server) peerGet(peer, query string, v any) error {
+	u := peer + "/v1/sync"
+	if query != "" {
+		u += "?" + query
+	}
+	resp, err := s.peerClient.Get(u)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain for connection reuse
-		return nil, fmt.Errorf("planserver: peer digest status %d from %s", resp.StatusCode, peer)
+		if resp.StatusCode == http.StatusNotFound {
+			return errPeerNotFound
+		}
+		return fmt.Errorf("planserver: peer sync status %d from %s", resp.StatusCode, peer)
 	}
-	var d syncDigest
-	if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
-		return nil, fmt.Errorf("planserver: decoding peer digest from %s: %w", peer, err)
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		return fmt.Errorf("planserver: decoding peer sync answer from %s: %w", peer, err)
 	}
-	return &d, nil
+	return nil
 }
 
 // fetchDoc pulls one evidence document and validates it exactly as the
 // upload path would: a peer is trusted no further than a fleet instance.
 // A 404 returns (nil, nil) — the document moved on.
 func (s *Server) fetchDoc(peer string, k profilestore.Key, instance string) (*syncDoc, error) {
-	u := peer + "/v1/sync?app=" + url.QueryEscape(k.App) +
-		"&workload=" + url.QueryEscape(k.Workload) +
-		"&instance=" + url.QueryEscape(instance)
-	resp, err := s.peerClient.Get(u)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain for connection reuse
-		return nil, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain for connection reuse
-		return nil, fmt.Errorf("planserver: peer document status %d from %s", resp.StatusCode, peer)
-	}
 	var doc syncDoc
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("planserver: decoding peer document from %s: %w", peer, err)
+	if err := s.peerGet(peer, keyQuery(k)+"&instance="+url.QueryEscape(instance), &doc); err != nil {
+		if errors.Is(err, errPeerNotFound) {
+			return nil, nil
+		}
+		return nil, err
 	}
 	switch {
 	case doc.Instance != instance || doc.Instance == "" || len(doc.Instance) > 128:
@@ -347,7 +398,7 @@ func (s *Server) fetchDoc(peer string, k profilestore.Key, instance string) (*sy
 // applySyncDoc installs a pulled document through the normal merge
 // pipeline. The stamp comparison re-runs under the shard lock — a direct
 // upload or another pull may have advanced the local document since the
-// digest — and the remote stamp is adopted verbatim: replication moves
+// stamp list — and the remote stamp is adopted verbatim: replication moves
 // documents, it never re-versions them.
 func (s *Server) applySyncDoc(k profilestore.Key, doc *syncDoc) (int, error) {
 	sh := s.shard(k)
@@ -366,7 +417,7 @@ func (s *Server) applySyncDoc(k profilestore.Key, doc *syncDoc) (int, error) {
 		return 0, err
 	}
 	ev[doc.Instance] = doc.Profile
-	sh.stamps[doc.Instance] = doc.Stamp
+	sh.setStamp(doc.Instance, doc.Stamp)
 	sh.dirty++
 	if sh.instGauge == nil {
 		sh.instGauge = s.reg.Gauge(metrics.LabelName("evidence_instances",

@@ -3,8 +3,12 @@ package planserver
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -26,21 +30,46 @@ func newPeerServer(t *testing.T, id string, peers ...string) (*Server, *httptest
 	return srv, ts, store
 }
 
-func fetchDigestJSON(t *testing.T, url string) syncDigest {
+// getSyncJSON GETs /v1/sync with the given raw query and decodes a 200.
+func getSyncJSON(t *testing.T, url, query string, v any) {
 	t.Helper()
-	resp, err := http.Get(url + "/v1/sync")
+	if query != "" {
+		query = "?" + query
+	}
+	resp, err := http.Get(url + "/v1/sync" + query)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("digest fetch = %d, want 200", resp.StatusCode)
+		t.Fatalf("GET /v1/sync%s = %d, want 200", query, resp.StatusCode)
 	}
-	var d syncDigest
-	if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
 		t.Fatal(err)
 	}
-	return d
+}
+
+func fetchSummary(t *testing.T, url string) syncSummary {
+	t.Helper()
+	var sum syncSummary
+	getSyncJSON(t, url, "", &sum)
+	return sum
+}
+
+func fetchStamps(t *testing.T, url, app, workload string) []syncDocStamp {
+	t.Helper()
+	var list syncStamps
+	getSyncJSON(t, url, "app="+app+"&workload="+workload, &list)
+	return list.Docs
+}
+
+// sumOf recomputes a key sum from scratch.
+func sumOf(docs ...syncDocStamp) profilestore.KeySum {
+	var sum profilestore.KeySum
+	for _, d := range docs {
+		sum.Toggle(d.Instance, d.Stamp)
+	}
+	return sum
 }
 
 // Upload stamping: every accepted upload strictly advances the instance's
@@ -111,35 +140,63 @@ func TestUploadNoStampWithoutSelfID(t *testing.T) {
 	}
 }
 
-// The digest advertises every key and document with its stamp, sorted.
+// The summary advertises one entry per key, sorted, whose count and sum
+// stand for exactly the stamps the key's stamp list spells out.
 func TestSyncDigest(t *testing.T) {
 	_, ts, _ := newPeerServer(t, "daemon-0")
 	postEvidence(t, ts.URL, "inst-2", evidence("Cassandra", "WI", site("A.a:1", 5))).Body.Close()
 	postEvidence(t, ts.URL, "inst-1", evidence("Cassandra", "WI", site("A.a:1", 6))).Body.Close()
 	postEvidence(t, ts.URL, "inst-1", evidence("App0", "w", site("B.b:2", 7))).Body.Close()
 
-	d := fetchDigestJSON(t, ts.URL)
-	if d.Daemon != "daemon-0" {
-		t.Fatalf("digest daemon = %q, want daemon-0", d.Daemon)
+	sum := fetchSummary(t, ts.URL)
+	if sum.Daemon != "daemon-0" {
+		t.Fatalf("summary daemon = %q, want daemon-0", sum.Daemon)
 	}
-	if len(d.Keys) != 2 {
-		t.Fatalf("digest has %d keys, want 2: %+v", len(d.Keys), d.Keys)
+	if len(sum.Keys) != 2 {
+		t.Fatalf("summary has %d keys, want 2: %+v", len(sum.Keys), sum.Keys)
 	}
 	// Keys sort by String(): App0/w before Cassandra/WI.
-	if d.Keys[0].App != "App0" || d.Keys[1].App != "Cassandra" {
-		t.Fatalf("digest key order = %s, %s", d.Keys[0].App, d.Keys[1].App)
+	if sum.Keys[0].App != "App0" || sum.Keys[1].App != "Cassandra" {
+		t.Fatalf("summary key order = %s, %s", sum.Keys[0].App, sum.Keys[1].App)
 	}
-	cass := d.Keys[1]
-	if len(cass.Docs) != 2 || cass.Docs[0].Instance != "inst-1" || cass.Docs[1].Instance != "inst-2" {
-		t.Fatalf("Cassandra docs = %+v, want inst-1 then inst-2", cass.Docs)
+	docs := fetchStamps(t, ts.URL, "Cassandra", "WI")
+	if len(docs) != 2 || docs[0].Instance != "inst-1" || docs[1].Instance != "inst-2" {
+		t.Fatalf("Cassandra stamp list = %+v, want inst-1 then inst-2", docs)
 	}
-	if got := cass.Docs[0].Stamp.String(); got != "1@daemon-0" {
+	if got := docs[0].Stamp.String(); got != "1@daemon-0" {
 		t.Fatalf("inst-1 stamp = %s, want 1@daemon-0", got)
+	}
+	if cass := sum.Keys[1]; cass.Docs != 2 || cass.Sum != sumOf(docs...) {
+		t.Fatalf("Cassandra summary = %d docs, sum %s; stamp list hashes to %s", cass.Docs, cass.Sum, sumOf(docs...))
 	}
 }
 
-// The single-document mode returns the stored profile and stamp; partial
-// parameters are a client error and unknown documents are 404.
+// The summary's size follows the key count, not the fleet: at most 128
+// bytes per key whether 8 or 64 instances uploaded to each.
+func TestSyncSummarySizeIndependentOfFleet(t *testing.T) {
+	const keys = 6
+	for _, instances := range []int{8, 64} {
+		srv, ts, _ := newPeerServer(t, "daemon-0")
+		for k := 0; k < keys; k++ {
+			for i := 0; i < instances; i++ {
+				postEvidence(t, ts.URL, fmt.Sprintf("instance-%04d", i),
+					evidence(fmt.Sprintf("Application%02d", k), "workload", site("A.a:1", 5))).Body.Close()
+			}
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/sync", nil))
+		if got, limit := rec.Body.Len(), keys*128+64; got > limit {
+			t.Fatalf("%d instances per key: summary is %d bytes, want at most %d", instances, got, limit)
+		}
+		if sum := fetchSummary(t, ts.URL); len(sum.Keys) != keys || sum.Keys[0].Docs != instances {
+			t.Fatalf("%d instances per key: summary = %+v", instances, sum.Keys)
+		}
+	}
+}
+
+// The single-document mode returns the stored profile and stamp; app and
+// workload alone answer the key's stamp list (empty for an unknown key),
+// app alone is a client error and unknown documents are 404.
 func TestSyncDocFetch(t *testing.T) {
 	_, ts, _ := newPeerServer(t, "daemon-0")
 	postEvidence(t, ts.URL, "inst-1", evidence("Cassandra", "WI", site("A.a:1", 5))).Body.Close()
@@ -160,13 +217,22 @@ func TestSyncDocFetch(t *testing.T) {
 		t.Fatalf("sync doc profile = %+v", doc.Profile)
 	}
 
-	resp, err = http.Get(ts.URL + "/v1/sync?app=Cassandra&workload=WI")
-	if err != nil {
-		t.Fatal(err)
+	if docs := fetchStamps(t, ts.URL, "Cassandra", "WI"); len(docs) != 1 || docs[0] != (syncDocStamp{"inst-1", doc.Stamp}) {
+		t.Fatalf("stamp list = %+v, want inst-1 at %s", docs, doc.Stamp)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("partial params = %d, want 400", resp.StatusCode)
+	if docs := fetchStamps(t, ts.URL, "Ghost", "w"); docs == nil || len(docs) != 0 {
+		t.Fatalf("unknown key's stamp list = %#v, want an empty list", docs)
+	}
+
+	for _, partial := range []string{"app=Cassandra", "workload=WI", "app=Cassandra&instance=inst-1"} {
+		resp, err = http.Get(ts.URL + "/v1/sync?" + partial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("?%s = %d, want 400", partial, resp.StatusCode)
+		}
 	}
 
 	resp, err = http.Get(ts.URL + "/v1/sync?app=Cassandra&workload=WI&instance=ghost")
@@ -208,12 +274,16 @@ func TestSyncPeersConverge(t *testing.T) {
 	}
 
 	// B holds A's document under A's stamp, untouched by the pull.
-	d := fetchDigestJSON(t, tsB.URL)
-	if len(d.Keys) != 1 || len(d.Keys[0].Docs) != 2 {
-		t.Fatalf("B digest after sync = %+v", d.Keys)
+	docs := fetchStamps(t, tsB.URL, "Cassandra", "WI")
+	if len(docs) != 2 {
+		t.Fatalf("B stamp list after sync = %+v", docs)
 	}
-	if got := d.Keys[0].Docs[0].Stamp.String(); got != "1@daemon-0" {
+	if got := docs[0].Stamp.String(); got != "1@daemon-0" {
 		t.Fatalf("B's copy of inst-1 stamped %s, want 1@daemon-0", got)
+	}
+	// Same stamp set, different arrival order: the same advertised sum.
+	if a, b := fetchSummary(t, tsA.URL).Keys, fetchSummary(t, tsB.URL).Keys; len(a) != 1 || !reflect.DeepEqual(a, b) {
+		t.Fatalf("converged summaries differ: A=%+v B=%+v", a, b)
 	}
 
 	// Fixpoint: nothing left to pull, divergence gauge at zero.
@@ -254,14 +324,13 @@ func TestSyncPeersLastWriteWins(t *testing.T) {
 	if ea, eb := srvA.PlanETag("Cassandra", "WI"), srvB.PlanETag("Cassandra", "WI"); ea != eb || ea == "" {
 		t.Fatalf("winner plans diverge: A=%s B=%s", ea, eb)
 	}
-	d := fetchDigestJSON(t, tsA.URL)
-	if got := d.Keys[0].Docs[0].Stamp.String(); got != "2@daemon-1" {
+	if got := fetchStamps(t, tsA.URL, "Cassandra", "WI")[0].Stamp.String(); got != "2@daemon-1" {
 		t.Fatalf("A's winner stamp = %s, want 2@daemon-1", got)
 	}
 }
 
 // A freshly constructed server over an existing store advertises the
-// persisted evidence without having served a single request — the digest
+// persisted evidence without having served a single request — the summary
 // path performs the cold-restart store scan itself.
 func TestSyncDigestColdRestart(t *testing.T) {
 	store, err := profilestore.Open(t.TempDir())
@@ -276,28 +345,39 @@ func TestSyncDigestColdRestart(t *testing.T) {
 	second := New(store, Options{SyncMerges: true, SelfID: "daemon-0"})
 	ts2 := httptest.NewServer(second)
 	defer ts2.Close()
-	d := fetchDigestJSON(t, ts2.URL)
-	if len(d.Keys) != 1 || len(d.Keys[0].Docs) != 1 {
-		t.Fatalf("cold-restart digest = %+v, want the persisted key", d.Keys)
+	want := syncDocStamp{"inst-1", profilestore.Stamp{Seq: 1, Origin: "daemon-0"}}
+	sum := fetchSummary(t, ts2.URL)
+	if len(sum.Keys) != 1 || sum.Keys[0].Docs != 1 || sum.Keys[0].Sum != sumOf(want) {
+		t.Fatalf("cold-restart summary = %+v, want the persisted key at sum %s", sum.Keys, sumOf(want))
 	}
-	if got := d.Keys[0].Docs[0].Stamp.String(); got != "1@daemon-0" {
-		t.Fatalf("cold-restart stamp = %s, want 1@daemon-0 (persisted, not re-derived)", got)
+	if docs := fetchStamps(t, ts2.URL, "Cassandra", "WI"); len(docs) != 1 || docs[0] != want {
+		t.Fatalf("cold-restart stamp list = %+v, want 1@daemon-0 (persisted, not re-derived)", docs)
 	}
 }
 
-// Legacy (unstamped) documents appear in the digest with the zero stamp
-// and are never pulled by a peer.
+// Legacy (unstamped) documents stay out of the summary, the key sum and
+// the stamp list, and are never pulled by a peer.
 func TestSyncSkipsLegacyDocs(t *testing.T) {
-	srvA, tsA, storeA := newPeerServer(t, "daemon-0")
-	_ = srvA
+	_, tsA, storeA := newPeerServer(t, "daemon-0")
 	p := evidence("Cassandra", "WI", site("A.a:1", 5))
 	if err := storeA.PutEvidence("inst-legacy", p); err != nil {
 		t.Fatal(err)
 	}
+	if sum := fetchSummary(t, tsA.URL); len(sum.Keys) != 0 {
+		t.Fatalf("legacy-only key advertised: %+v", sum.Keys)
+	}
+	postEvidence(t, tsA.URL, "inst-1", p).Body.Close()
+	docs := fetchStamps(t, tsA.URL, "Cassandra", "WI")
+	if len(docs) != 1 || docs[0].Instance != "inst-1" {
+		t.Fatalf("stamp list = %+v, want inst-1 only", docs)
+	}
+	if sum := fetchSummary(t, tsA.URL); len(sum.Keys) != 1 || sum.Keys[0].Docs != 1 || sum.Keys[0].Sum != sumOf(docs...) {
+		t.Fatalf("summary = %+v, want the one stamped document", sum.Keys)
+	}
 
 	srvB, _, _ := newPeerServer(t, "daemon-1", tsA.URL)
-	if n := srvB.SyncPeers(); n != 0 {
-		t.Fatalf("B pulled %d legacy docs, want 0", n)
+	if n := srvB.SyncPeers(); n != 1 {
+		t.Fatalf("B pulled %d docs, want the 1 stamped one", n)
 	}
 	if v := srvB.Metrics().Counter("peer_sync_error_total").Value(); v != 0 {
 		t.Fatalf("legacy skip counted %d sync errors, want 0", v)
@@ -319,43 +399,183 @@ func TestSyncPeerUnreachable(t *testing.T) {
 	}
 }
 
-// A peer serving garbage digests is an error, and a peer serving a doc
-// that fails upload-grade validation is rejected without being applied.
+// hostilePeer is a fake daemon answering the three sync depths from
+// fixed values; doc nil answers 404.
+type hostilePeer struct {
+	summary syncSummary
+	stamps  syncStamps
+	doc     *syncDoc
+	hits    map[string]int // requests seen, by depth
+}
+
+func (h *hostilePeer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
+	switch {
+	case r.URL.RawQuery == "":
+		h.hits["summary"]++
+		json.NewEncoder(w).Encode(h.summary)
+	case !q.Has("instance"):
+		h.hits["stamps"]++
+		json.NewEncoder(w).Encode(h.stamps)
+	case h.doc == nil:
+		h.hits["doc"]++
+		http.NotFound(w, r)
+	default:
+		h.hits["doc"]++
+		json.NewEncoder(w).Encode(h.doc)
+	}
+}
+
+// A peer is trusted no further than a fleet instance: whatever it
+// advertises, a pass never panics and never applies a document that fails
+// upload-grade validation — it counts one sync error or skips.
 func TestSyncRejectsInvalidPeerDoc(t *testing.T) {
-	evil := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.RawQuery == "" {
-			// Digest advertising one stamped doc.
-			json.NewEncoder(w).Encode(syncDigest{Daemon: "evil", Keys: []syncKeyDigest{{
-				App: "Cassandra", Workload: "WI",
-				Docs: []syncDocStamp{{Instance: "inst-1", Stamp: profilestore.Stamp{Seq: 9, Origin: "evil"}}},
-			}}})
+	evilStamp := profilestore.Stamp{Seq: 9, Origin: "evil"}
+	listed := syncStamps{Docs: []syncDocStamp{{"inst-1", evilStamp}}}
+	advertised := syncSummary{Daemon: "evil", Keys: []syncKeySummary{{
+		App: "Cassandra", Workload: "WI", Docs: 1, Sum: sumOf(listed.Docs...),
+	}}}
+	cases := []struct {
+		name     string
+		peer     hostilePeer
+		wantErrs uint64
+		wantHits map[string]int
+	}{
+		{
+			// The doc itself claims a different key than advertised.
+			name: "doc for another key",
+			peer: hostilePeer{summary: advertised, stamps: listed, doc: &syncDoc{
+				Instance: "inst-1", Stamp: evilStamp, Profile: evidence("Other", "x", site("A.a:1", 5)),
+			}},
+			wantErrs: 1,
+			wantHits: map[string]int{"summary": 1, "stamps": 1, "doc": 1},
+		},
+		{
+			name: "doc without a stamp",
+			peer: hostilePeer{summary: advertised, stamps: listed, doc: &syncDoc{
+				Instance: "inst-1", Profile: evidence("Cassandra", "WI", site("A.a:1", 5)),
+			}},
+			wantErrs: 1,
+			wantHits: map[string]int{"summary": 1, "stamps": 1, "doc": 1},
+		},
+		{
+			// The listed document is gone by the time it is fetched: skipped.
+			name:     "listed doc 404s",
+			peer:     hostilePeer{summary: advertised, stamps: listed},
+			wantHits: map[string]int{"summary": 1, "stamps": 1, "doc": 1},
+		},
+		{
+			name: "key without labels",
+			peer: hostilePeer{summary: syncSummary{Daemon: "evil", Keys: []syncKeySummary{{
+				Workload: "WI", Docs: 1, Sum: sumOf(listed.Docs...),
+			}}}, stamps: listed},
+			wantErrs: 1,
+			wantHits: map[string]int{"summary": 1},
+		},
+		{
+			// The sum matches the local (empty) one but the count does not:
+			// the pair is compared as a whole, so the puller looks — and finds
+			// a stamp list with nothing it needs.
+			name: "matching sum, wrong count",
+			peer: hostilePeer{summary: syncSummary{Daemon: "evil", Keys: []syncKeySummary{{
+				App: "Cassandra", Workload: "WI", Docs: 7,
+			}}}},
+			wantHits: map[string]int{"summary": 1, "stamps": 1},
+		},
+		{
+			name:     "stamp list of zero stamps",
+			peer:     hostilePeer{summary: advertised, stamps: syncStamps{Docs: []syncDocStamp{{Instance: "inst-1"}}}},
+			wantHits: map[string]int{"summary": 1, "stamps": 1},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.peer.hits = make(map[string]int)
+			evil := httptest.NewServer(&tc.peer)
+			defer evil.Close()
+			srv, _, _ := newPeerServer(t, "daemon-1", evil.URL)
+			if n := srv.SyncPeers(); n != 0 {
+				t.Fatalf("hostile peer got %d documents applied, want 0", n)
+			}
+			if v := srv.Metrics().Counter("peer_sync_error_total").Value(); v != tc.wantErrs {
+				t.Fatalf("peer_sync_error_total = %d, want %d", v, tc.wantErrs)
+			}
+			if v := srv.Metrics().Counter("peer_docs_applied_total").Value(); v != 0 {
+				t.Fatalf("peer_docs_applied_total = %d, want 0", v)
+			}
+			if !reflect.DeepEqual(tc.peer.hits, tc.wantHits) {
+				t.Fatalf("requests by depth = %v, want %v", tc.peer.hits, tc.wantHits)
+			}
+		})
+	}
+
+	// A summary that is not a summary at all (here: a malformed sum).
+	garbage := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, `{"daemon":"evil","keys":[{"app":"Cassandra","workload":"WI","docs":1,"sum":"beef"}]}`)
+	}))
+	defer garbage.Close()
+	srv, _, _ := newPeerServer(t, "daemon-1", garbage.URL)
+	srv.SyncPeers()
+	if v := srv.Metrics().Counter("peer_sync_error_total").Value(); v != 1 {
+		t.Fatalf("malformed summary: peer_sync_error_total = %d, want 1", v)
+	}
+}
+
+// An idle round is one request: with equal stamp sets on both sides the
+// puller reads the summary and nothing else, and one differing key costs
+// exactly that key's stamp list and documents on top.
+func TestSyncIdleRoundIsOneRequest(t *testing.T) {
+	_, tsA, _ := newPeerServer(t, "daemon-0")
+	var paths []string
+	counting := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		paths = append(paths, r.URL.RawQuery)
+		resp, err := http.Get(tsA.URL + r.URL.String())
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
 			return
 		}
-		// The doc itself claims a different key than advertised.
-		json.NewEncoder(w).Encode(syncDoc{
-			Instance: "inst-1",
-			Stamp:    profilestore.Stamp{Seq: 9, Origin: "evil"},
-			Profile:  evidence("Other", "x", site("A.a:1", 5)),
-		})
+		defer resp.Body.Close()
+		w.WriteHeader(resp.StatusCode)
+		io.Copy(w, resp.Body)
 	}))
-	defer evil.Close()
+	defer counting.Close()
+	srvB, _, _ := newPeerServer(t, "daemon-1", counting.URL)
 
-	srv, _, _ := newPeerServer(t, "daemon-1", evil.URL)
-	if n := srv.SyncPeers(); n != 0 {
-		t.Fatalf("invalid peer doc applied %d, want 0", n)
+	for k := 0; k < 3; k++ {
+		for i := 0; i < 4; i++ {
+			postEvidence(t, tsA.URL, fmt.Sprintf("inst-%d", i), evidence(fmt.Sprintf("App%d", k), "w", site("A.a:1", 5))).Body.Close()
+		}
 	}
-	if v := srv.Metrics().Counter("peer_sync_error_total").Value(); v != 1 {
-		t.Fatalf("peer_sync_error_total = %d, want 1", v)
+	if n := srvB.SyncPeers(); n != 12 {
+		t.Fatalf("catch-up pulled %d, want 12", n)
 	}
-	if v := srv.Metrics().Counter("peer_docs_applied_total").Value(); v != 0 {
-		t.Fatalf("peer_docs_applied_total = %d, want 0", v)
+	if want := 1 + 3 + 12; len(paths) != want {
+		t.Fatalf("catch-up made %d requests, want %d (summary + 3 stamp lists + 12 documents)", len(paths), want)
+	}
+
+	paths = nil
+	if n := srvB.SyncPeers(); n != 0 {
+		t.Fatalf("idle round pulled %d, want 0", n)
+	}
+	if len(paths) != 1 || paths[0] != "" {
+		t.Fatalf("idle round requests = %q, want the summary alone", paths)
+	}
+
+	paths = nil
+	postEvidence(t, tsA.URL, "inst-2", evidence("App1", "w", site("A.a:1", 6))).Body.Close()
+	if n := srvB.SyncPeers(); n != 1 {
+		t.Fatalf("delta round pulled %d, want 1", n)
+	}
+	want := []string{"", "app=App1&workload=w", "app=App1&workload=w&instance=inst-2"}
+	if !reflect.DeepEqual(paths, want) {
+		t.Fatalf("delta round requests = %q, want %q", paths, want)
 	}
 }
 
 // A peer's quarantine set unions in during sync: a staged local candidate
 // matching a quarantined ETag is dropped with a peer_quarantine transition,
 // the local rollback counter stays untouched (the decision was counted on
-// the peer), and a stale repeat of the same digest changes nothing.
+// the peer), and a stale repeat of the same summary changes nothing.
 func TestSyncQuarantinePropagates(t *testing.T) {
 	store, err := profilestore.Open(t.TempDir())
 	if err != nil {
@@ -364,7 +584,13 @@ func TestSyncQuarantinePropagates(t *testing.T) {
 	cfg := rollout.Config{CanaryFraction: 0.5, MinReports: 1, RegressionPct: 10, Seed: 42}
 	quarantined := ""
 	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(syncDigest{Daemon: "daemon-0", Keys: []syncKeyDigest{{
+		if r.URL.RawQuery != "" {
+			// The local key holds documents this peer does not: the puller
+			// looks at the (empty) stamp list and needs nothing.
+			json.NewEncoder(w).Encode(syncStamps{Docs: []syncDocStamp{}})
+			return
+		}
+		json.NewEncoder(w).Encode(syncSummary{Daemon: "daemon-0", Keys: []syncKeySummary{{
 			App: "Cassandra", Workload: "WI", Quarantined: []string{quarantined},
 		}}})
 	}))
@@ -418,11 +644,11 @@ func TestSyncQuarantinePropagates(t *testing.T) {
 		t.Fatalf("last transition = %+v, want peer_quarantine of %s", last, candidate)
 	}
 
-	// Idempotent: the same stale digest neither transitions nor resurrects.
+	// Idempotent: the same stale summary neither transitions nor resurrects.
 	before := len(trs)
 	srv.SyncPeers()
 	if got := len(srv.RolloutTransitions()); got != before {
-		t.Fatalf("stale quarantine digest recorded %d new transitions", got-before)
+		t.Fatalf("stale quarantine summary recorded %d new transitions", got-before)
 	}
 }
 
@@ -461,4 +687,127 @@ func hasMetricLine(out, name string) bool {
 		}
 	}
 	return false
+}
+
+// replica is one daemon of the key-sum property test: a store that
+// outlives its server, so the server can be restarted under a stable URL.
+type replica struct {
+	id    string
+	store *profilestore.Store
+	srv   *Server
+	peer  string
+	url   string
+}
+
+func (r *replica) restart() {
+	r.srv = New(r.store, Options{SyncMerges: true, SelfID: r.id, Peers: []string{r.peer}})
+}
+
+// checkSums requires every loaded shard's incrementally maintained sum to
+// equal a from-scratch recompute over its stamps.
+func (r *replica) checkSums(t *testing.T, step int, what string) {
+	t.Helper()
+	r.srv.shardMu.RLock()
+	defer r.srv.shardMu.RUnlock()
+	for k, sh := range r.srv.shards {
+		sh.mu.Lock()
+		var want profilestore.KeySum
+		for inst, st := range sh.stamps {
+			want.Toggle(inst, st)
+		}
+		got := sh.sum
+		sh.mu.Unlock()
+		if got != want {
+			t.Fatalf("step %d (%s): %s key %s maintains sum %s, its stamps hash to %s", step, what, r.id, k, got, want)
+		}
+	}
+}
+
+// TestKeySumMatchesRecompute is the key sum's honesty property: under
+// arbitrary interleavings of uploads, replays, client-sequence jumps, peer
+// pulls and restarts from the store, each shard's running sum equals a
+// recompute over its stamps after every step — and once the pair has
+// converged, both replicas advertise identical summaries although every
+// document reached them in a different order.
+func TestKeySumMatchesRecompute(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			rnd := rand.New(rand.NewSource(seed))
+			var pair [2]*replica
+			for i := range pair {
+				store, err := profilestore.Open(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := &replica{id: fmt.Sprintf("daemon-%d", i), store: store}
+				ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) { r.srv.ServeHTTP(w, req) }))
+				t.Cleanup(ts.Close)
+				r.url = ts.URL
+				pair[i] = r
+			}
+			pair[0].peer, pair[1].peer = pair[1].url, pair[0].url
+			// One legacy document: it must stay out of every sum.
+			if err := pair[0].store.PutEvidence("inst-legacy", evidence("App0", "w", site("A.a:1", 1))); err != nil {
+				t.Fatal(err)
+			}
+			pair[0].restart()
+			pair[1].restart()
+
+			for step := 0; step < 120; step++ {
+				r := pair[rnd.Intn(2)]
+				var what string
+				switch op := rnd.Intn(10); {
+				case op < 6:
+					what = "upload"
+					app, inst := fmt.Sprintf("App%d", rnd.Intn(3)), fmt.Sprintf("inst-%d", rnd.Intn(5))
+					p := evidence(app, "w", site("A.a:1", uint64(1+rnd.Intn(9))))
+					if rnd.Intn(3) == 0 {
+						what = "upload with client seq"
+						body, _ := json.Marshal(p)
+						req, _ := http.NewRequest("POST", r.url+"/v1/evidence", bytes.NewReader(body))
+						req.Header.Set(InstanceHeader, inst)
+						req.Header.Set(EvidenceSeqHeader, fmt.Sprint(rnd.Intn(40)))
+						resp, err := http.DefaultClient.Do(req)
+						if err != nil {
+							t.Fatal(err)
+						}
+						resp.Body.Close()
+					} else {
+						postEvidence(t, r.url, inst, p).Body.Close()
+						if rnd.Intn(4) == 0 {
+							what = "upload and replay"
+							postEvidence(t, r.url, inst, p).Body.Close()
+						}
+					}
+				case op < 9:
+					what = "peer pull"
+					r.srv.SyncPeers()
+				default:
+					what = "restart"
+					r.srv.Flush()
+					r.restart()
+					fetchSummary(t, r.url) // the cold scan reloads every key
+				}
+				pair[0].checkSums(t, step, what)
+				pair[1].checkSums(t, step, what)
+			}
+
+			for round := 0; pair[0].srv.SyncPeers()+pair[1].srv.SyncPeers() > 0; round++ {
+				if round == 8 {
+					t.Fatal("pair never reached a sync fixpoint")
+				}
+			}
+			pair[0].checkSums(t, -1, "fixpoint")
+			pair[1].checkSums(t, -1, "fixpoint")
+			a, b := fetchSummary(t, pair[0].url).Keys, fetchSummary(t, pair[1].url).Keys
+			if len(a) == 0 || !reflect.DeepEqual(a, b) {
+				t.Fatalf("converged replicas advertise different summaries:\n a: %+v\n b: %+v", a, b)
+			}
+			for _, r := range pair {
+				if v := r.srv.Metrics().Counter("peer_sync_error_total").Value(); v != 0 {
+					t.Fatalf("%s counted %d sync errors after its last restart", r.id, v)
+				}
+			}
+		})
+	}
 }

@@ -8,6 +8,9 @@
 package profilestore
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"sort"
 
@@ -43,7 +46,7 @@ func (st Stamp) Less(other Stamp) bool {
 func (st Stamp) String() string { return fmt.Sprintf("%d@%s", st.Seq, st.Origin) }
 
 // EvidenceDoc is one instance's stored evidence with its stamp: what the
-// sync digest advertises and what a peer pulls.
+// sync stamp list advertises and what a peer pulls.
 type EvidenceDoc struct {
 	Profile *analyzer.Profile
 	Stamp   Stamp
@@ -75,7 +78,7 @@ func (s *Store) EvidenceDocs(app, workload string) (map[string]EvidenceDoc, erro
 }
 
 // EvidenceAll scans the whole evidence directory and returns every stored
-// document grouped by key — the cold-restart seed for the sync digest,
+// document grouped by key — the cold-restart seed for the sync summary,
 // which must advertise keys the daemon has not served since boot.
 func (s *Store) EvidenceAll() (map[Key]map[string]EvidenceDoc, error) {
 	s.mu.Lock()
@@ -84,7 +87,7 @@ func (s *Store) EvidenceAll() (map[Key]map[string]EvidenceDoc, error) {
 }
 
 // EvidenceKeys lists every key with at least one evidence document,
-// sorted — the deterministic iteration order for digests and inspectors.
+// sorted — the deterministic iteration order for inspectors.
 func (s *Store) EvidenceKeys() ([]Key, error) {
 	all, err := s.EvidenceAll()
 	if err != nil {
@@ -96,4 +99,50 @@ func (s *Store) EvidenceKeys() ([]Key, error) {
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
 	return keys, nil
+}
+
+// KeySum is the order-independent 128-bit summary of one key's replicating
+// (instance, stamp) pairs: the XOR of a truncated SHA-256 per pair. XOR
+// makes it incremental — replacing a document's stamp is Toggle(old) then
+// Toggle(new) — and independent of arrival order, so two replicas holding
+// the same winners advertise the same sum whatever path the documents
+// took. Zero-stamp (legacy) documents never replicate and stay out of the
+// sum. Two different stamp sets collide with probability 2^-128 per
+// compare; a collision only delays a pull until the key's next write.
+type KeySum [16]byte
+
+// Toggle adds the pair to the sum, or removes it if it is already in.
+// A zero stamp is a no-op, so callers need not special-case an absent or
+// legacy previous document.
+func (k *KeySum) Toggle(instance string, st Stamp) {
+	if st.IsZero() {
+		return
+	}
+	// Instance is length-prefixed, seq is self-delimiting and origin is the
+	// tail, so no two pairs share an encoding.
+	buf := make([]byte, 0, 64)
+	buf = binary.AppendUvarint(buf, uint64(len(instance)))
+	buf = append(buf, instance...)
+	buf = binary.AppendUvarint(buf, st.Seq)
+	buf = append(buf, st.Origin...)
+	h := sha256.Sum256(buf)
+	for i := range k {
+		k[i] ^= h[i]
+	}
+}
+
+// String renders the sum as 32 hex digits, the wire and display form.
+func (k KeySum) String() string { return hex.EncodeToString(k[:]) }
+
+// MarshalText implements encoding.TextMarshaler (the JSON form is String).
+func (k KeySum) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText implements encoding.TextUnmarshaler, refusing anything but
+// exactly 32 hex digits.
+func (k *KeySum) UnmarshalText(text []byte) error {
+	if len(text) != hex.EncodedLen(len(k)) {
+		return fmt.Errorf("profilestore: key sum %q is not %d hex digits", text, hex.EncodedLen(len(k)))
+	}
+	_, err := hex.Decode(k[:], text)
+	return err
 }

@@ -23,11 +23,11 @@ func TestStampOrder(t *testing.T) {
 		a, b Stamp
 		less bool
 	}{
-		{Stamp{}, Stamp{Seq: 1}, true},                                         // zero loses to any write
-		{Stamp{Seq: 1, Origin: "b"}, Stamp{Seq: 2, Origin: "a"}, true},         // seq dominates origin
-		{Stamp{Seq: 3, Origin: "a"}, Stamp{Seq: 3, Origin: "b"}, true},         // origin breaks ties
-		{Stamp{Seq: 3, Origin: "b"}, Stamp{Seq: 3, Origin: "a"}, false},        // ...in one direction only
-		{Stamp{Seq: 5, Origin: "x"}, Stamp{Seq: 5, Origin: "x"}, false},        // irreflexive
+		{Stamp{}, Stamp{Seq: 1}, true},                                  // zero loses to any write
+		{Stamp{Seq: 1, Origin: "b"}, Stamp{Seq: 2, Origin: "a"}, true},  // seq dominates origin
+		{Stamp{Seq: 3, Origin: "a"}, Stamp{Seq: 3, Origin: "b"}, true},  // origin breaks ties
+		{Stamp{Seq: 3, Origin: "b"}, Stamp{Seq: 3, Origin: "a"}, false}, // ...in one direction only
+		{Stamp{Seq: 5, Origin: "x"}, Stamp{Seq: 5, Origin: "x"}, false}, // irreflexive
 	}
 	for _, c := range cases {
 		if got := c.a.Less(c.b); got != c.less {
@@ -166,5 +166,58 @@ func TestEvidenceAllGroupsByKey(t *testing.T) {
 	}
 	if !sort.SliceIsSorted(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() }) {
 		t.Error("EvidenceKeys not sorted")
+	}
+}
+
+// A key sum is a set hash: order-independent, self-inverse per pair, blind
+// to zero stamps, sensitive to every field of a pair, and its text form
+// round-trips or refuses.
+func TestKeySum(t *testing.T) {
+	pairs := []struct {
+		instance string
+		stamp    Stamp
+	}{
+		{"inst-1", Stamp{Seq: 3, Origin: "a"}},
+		{"inst-2", Stamp{Seq: 3, Origin: "a"}},
+		{"inst-1", Stamp{Seq: 4, Origin: "a"}},
+		{"inst-1", Stamp{Seq: 3, Origin: "b"}},
+		{"inst-", Stamp{Seq: 3, Origin: "1a"}}, // no ambiguity across the field boundary
+	}
+	var fwd, rev KeySum
+	seen := make(map[KeySum]bool)
+	for i := range pairs {
+		var one KeySum
+		one.Toggle(pairs[i].instance, pairs[i].stamp)
+		if seen[one] || one == (KeySum{}) {
+			t.Fatalf("pair %d hashes to zero or to an earlier pair's value", i)
+		}
+		seen[one] = true
+		fwd.Toggle(pairs[i].instance, pairs[i].stamp)
+		j := len(pairs) - 1 - i
+		rev.Toggle(pairs[j].instance, pairs[j].stamp)
+	}
+	if fwd != rev {
+		t.Fatalf("sum depends on order: %s vs %s", fwd, rev)
+	}
+	fwd.Toggle("inst-legacy", Stamp{})
+	if fwd != rev {
+		t.Fatal("a zero stamp moved the sum")
+	}
+	for _, p := range pairs {
+		fwd.Toggle(p.instance, p.stamp)
+	}
+	if fwd != (KeySum{}) {
+		t.Fatalf("toggling every pair out leaves %s, want zero", fwd)
+	}
+
+	text, _ := rev.MarshalText()
+	var back KeySum
+	if err := back.UnmarshalText(text); err != nil || back != rev || len(text) != 32 {
+		t.Fatalf("text round trip of %s: %q, %v", rev, text, err)
+	}
+	for _, bad := range []string{"", "beef", string(text) + "00", "zz" + string(text[2:])} {
+		if err := back.UnmarshalText([]byte(bad)); err == nil {
+			t.Errorf("UnmarshalText(%q) accepted", bad)
+		}
 	}
 }

@@ -221,6 +221,10 @@ type deliveredModel struct {
 	evidence map[profilestore.Key]map[string]*analyzer.Profile
 	uploads  map[profilestore.Key]int
 	keys     []profilestore.Key
+	// stamps holds each evidence winner's stamp on a replicated run (nil
+	// otherwise): the set every daemon must hold, and advertise the key
+	// sum of, at the sync fixpoint.
+	stamps map[profilestore.Key]map[string]profilestore.Stamp
 }
 
 // checkDeliveries walks the log once: it builds the model, enforces the
@@ -248,9 +252,8 @@ func (s *sim) checkDeliveries(r *Report) *deliveredModel {
 	// daemon's sequence past the client's — so the fleet-wide winner for
 	// an instance's evidence is decided by the daemons' own contract, the
 	// highest stamp, not by delivery-log order.
-	var best map[profilestore.Key]map[string]profilestore.Stamp
 	if s.cfg.Daemons > 1 {
-		best = make(map[profilestore.Key]map[string]profilestore.Stamp)
+		m.stamps = make(map[profilestore.Key]map[string]profilestore.Stamp)
 	}
 	for i, d := range s.net.deliveries {
 		if !d.etagHonest {
@@ -293,16 +296,16 @@ func (s *sim) checkDeliveries(r *Report) *deliveredModel {
 				m.evidence[d.key] = ev
 				m.keys = append(m.keys, d.key)
 			}
-			if best == nil {
+			if m.stamps == nil {
 				ev[d.instance] = d.evidence
 			} else if st, ok := parseStamp(d.stamp); !ok {
 				s.violate(r, "replication: accepted upload delivery %d (%s on %s) carries no parseable stamp %q",
 					i, d.instance, d.daemon, d.stamp)
 			} else {
-				bk := best[d.key]
+				bk := m.stamps[d.key]
 				if bk == nil {
 					bk = make(map[string]profilestore.Stamp)
-					best[d.key] = bk
+					m.stamps[d.key] = bk
 				}
 				if cur, seen := bk[d.instance]; !seen || cur.Less(st) {
 					bk[d.instance] = st
@@ -633,13 +636,18 @@ func (s *sim) checkRollout(r *Report, m *deliveredModel) {
 //     double-counted by a duplicated or failed-over upload — and every
 //     daemon's evidence_instances gauge agrees with the log's distinct
 //     uploaders (the replicated documents all arrived).
+//   - Key-sum honesty: every daemon's advertised sync summary carries, for
+//     every key, the document count and key sum the checker recomputes
+//     from the log's stamp winners.
 //   - Stamp discipline (checkStamps) and per-daemon counter accounting
 //     (checkDaemonCounters).
-//   - Rollout mode: every daemon's controller reached a terminal state,
+//   - Rollout mode: every daemon's controller reached a terminal state and
 //     every rolled-back version is quarantined on every daemon
-//     (checkMultiRollout), and one more anti-entropy round changes
-//     nothing — a stale peer never resurrects a quarantined candidate
-//     (checkResurrection).
+//     (checkMultiRollout).
+//   - One more anti-entropy round is idle in the exact sense — one summary
+//     request per peer, nothing else — and in rollout mode changes
+//     nothing: a stale peer never resurrects a quarantined candidate
+//     (checkSettledRound).
 func (s *sim) checkMulti(r *Report, m *deliveredModel) {
 	members := make(map[profilestore.Key][]*instance)
 	for _, in := range s.instances {
@@ -652,6 +660,14 @@ func (s *sim) checkMulti(r *Report, m *deliveredModel) {
 	stables := make(map[profilestore.Key]map[string]bool)
 	if r.RolloutEnabled {
 		s.checkMultiRollout(r, m, stables)
+	}
+
+	advertised := make([]map[profilestore.Key]keySummary, len(s.srvs))
+	for i, srv := range s.srvs {
+		var err error
+		if advertised[i], err = advertisedSums(srv); err != nil {
+			s.violate(r, "key sums: %s sync summary unreadable: %v", daemonName(i), err)
+		}
 	}
 
 	for _, key := range m.keys {
@@ -680,8 +696,16 @@ func (s *sim) checkMulti(r *Report, m *deliveredModel) {
 			r.PerKey = append(r.PerKey, kr)
 			continue
 		}
+		want := keySummary{Docs: len(m.stamps[key])}
+		for inst, st := range m.stamps[key] {
+			want.Sum.Toggle(inst, st)
+		}
 
 		for i, srv := range s.srvs {
+			if got := advertised[i][key]; got != want {
+				s.violate(r, "key sums: %s advertises %d docs, sum %s for key %s; the log's stamp winners are %d docs, sum %s",
+					daemonName(i), got.Docs, got.Sum, key, want.Docs, want.Sum)
+			}
 			// Rollout mode skips the plan-identity check: a quarantined
 			// candidate is withheld by design, so a daemon's stable plan
 			// and the full merge of delivered evidence legitimately differ.
@@ -746,9 +770,43 @@ func (s *sim) checkMulti(r *Report, m *deliveredModel) {
 
 	s.checkStamps(r)
 	s.checkDaemonCounters(r)
-	if r.RolloutEnabled {
-		s.checkResurrection(r)
+	s.checkSettledRound(r)
+}
+
+// keySummary is one key's entry of a daemon's sync summary as the checker
+// reads it: how many replicating documents, and their key sum.
+type keySummary struct {
+	Docs int
+	Sum  profilestore.KeySum
+}
+
+// advertisedSums reads a daemon's GET /v1/sync summary straight off its
+// handler — the wire form a peer would compare, but not a network
+// delivery, so the log stays what the fleet did.
+func advertisedSums(srv http.Handler) (map[profilestore.Key]keySummary, error) {
+	req, err := http.NewRequest(http.MethodGet, "/v1/sync", nil)
+	if err != nil {
+		return nil, err
 	}
+	w := newMemWriter()
+	srv.ServeHTTP(w, req)
+	if w.code != http.StatusOK {
+		return nil, fmt.Errorf("status %d", w.code)
+	}
+	var doc struct {
+		Keys []struct {
+			App, Workload string
+			keySummary
+		}
+	}
+	if err := json.Unmarshal(w.body.Bytes(), &doc); err != nil {
+		return nil, err
+	}
+	sums := make(map[profilestore.Key]keySummary, len(doc.Keys))
+	for _, k := range doc.Keys {
+		sums[profilestore.Key{App: k.App, Workload: k.Workload}] = k.keySummary
+	}
+	return sums, nil
 }
 
 // checkMultiRollout pins every daemon's rollout controller end state on a
@@ -881,14 +939,19 @@ func (s *sim) checkDaemonCounters(r *Report) {
 	}
 }
 
-// checkResurrection is the anti-resurrection probe: after every other
-// check has read the settled end state, one more anti-entropy round runs,
-// and no daemon's controller state, stable version, or quarantine set may
-// move — a quarantined candidate stays dead no matter how late a peer's
-// copy of it arrives.
-func (s *sim) checkResurrection(r *Report) {
+// checkSettledRound runs one more anti-entropy round after every other
+// check has read the settled end state. Equal key sums everywhere make it
+// idle in the exact sense: each daemon asks each peer for its summary and
+// nothing else — no stamp list, no document. In rollout mode it doubles as
+// the anti-resurrection probe: no daemon's controller state, stable
+// version, or quarantine set may move — a quarantined candidate stays dead
+// no matter how late a peer's copy of it arrives.
+func (s *sim) checkSettledRound(r *Report) {
 	snapshot := func() map[string]string {
 		out := make(map[string]string)
+		if !r.RolloutEnabled {
+			return out
+		}
 		for i, srv := range s.srvs {
 			for k := 0; k < s.cfg.Keys; k++ {
 				app := "App" + strconv.Itoa(k)
@@ -904,10 +967,14 @@ func (s *sim) checkResurrection(r *Report) {
 		return out
 	}
 	before := snapshot()
+	sent := len(s.net.deliveries)
 	for _, srv := range s.srvs {
 		srv.SyncPeers()
 	}
 	s.flushAll()
+	if got, want := len(s.net.deliveries)-sent, len(s.srvs)*(len(s.srvs)-1); got != want {
+		s.violate(r, "settled sync round: %d requests reached the daemons, want %d (one summary per peer, no descent)", got, want)
+	}
 	after := snapshot()
 	ids := make([]string, 0, len(before))
 	for id := range before {

@@ -387,7 +387,7 @@ func (s *sim) flushAll() {
 // syncToFixpoint runs anti-entropy rounds across every daemon until a
 // full round pulls nothing: the replicated quiesce point at which no
 // daemon holds a document its peers haven't heard. Each round flushes,
-// so pulled evidence is merged and published before the next digest
+// so pulled evidence is merged and published before the next summary
 // comparison. Stamps are totally ordered and pulls only move forward, so
 // the fixpoint exists; the bound is a stall backstop, not a limit the
 // protocol can reach. No-op on a single-daemon run.

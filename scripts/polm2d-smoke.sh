@@ -12,8 +12,8 @@
 # A third phase boots a replicated pair with -peer pointed at each other:
 # each daemon gets one instance's evidence, anti-entropy must carry the
 # missing document both ways, and both daemons must publish the same
-# merged plan — proven again offline by polm2-inspect sync over the two
-# stores.
+# merged plan and advertise the same key sums on GET /v1/sync — proven
+# again offline by polm2-inspect sync over the two stores.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -248,6 +248,12 @@ for url in "$urlA" "$urlB"; do
 done
 curl -s "$urlA/metricsz" | grep -q '^peer_sync_total' \
   || { log=$logA; fail "daemon A exposes no peer sync counters"; }
+# Converged means both daemons advertise the same per-key document count
+# and key sum in their sync summaries (the daemon name aside).
+sumsA=$(curl -s "$urlA/v1/sync" | jq -c '[.keys[] | {app, workload, docs, sum}]')
+sumsB=$(curl -s "$urlB/v1/sync" | jq -c '[.keys[] | {app, workload, docs, sum}]')
+[ "$sumsA" = "$sumsB" ] && [ "$(jq '.[0].docs' <<<"$sumsA")" = "2" ] \
+  || { log=$logA; fail "converged replicas advertise different key sums: A=$sumsA B=$sumsB"; }
 
 kill -TERM "$pidA" "$pidB"
 wait "$pidA" || { log=$logA; fail "daemon A exited non-zero after SIGTERM"; }
