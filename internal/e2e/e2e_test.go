@@ -118,10 +118,10 @@ func newFixture(t *testing.T) *fixture {
 	var tick atomic.Int64
 	now := func() time.Duration { return time.Duration(tick.Add(1)) * time.Millisecond }
 	tracer := trace.New(trace.Options{Ring: trace.NewRing(256), Now: now})
-	// SyncMerges keeps the end-to-end metrics and trace assertions exact:
-	// every upload's merge lands before its response, so counters and the
-	// trace ring are byte-stable run to run.
-	srv := planserver.New(store, planserver.Options{Tracer: tracer, Now: now, SyncMerges: true})
+	// Inline merge workers keep the end-to-end metrics and trace
+	// assertions exact: every upload's merge lands before its response, so
+	// counters and the trace ring are byte-stable run to run.
+	srv := planserver.New(store, planserver.Options{Tracer: tracer, Now: now, Schedule: func(w func()) { w() }})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return &fixture{store: store, srv: srv, ts: ts, tracer: tracer}

@@ -75,27 +75,16 @@ func TestTransportFidelity(t *testing.T) {
 	})
 
 	// Harness two: the same daemon configuration behind the simulator's
-	// fabric, with merge workers on the simnet-style pump seam so nothing
-	// in the second run touches a socket or spawns a goroutine.
+	// fabric, with merge workers run inline on the handling call so
+	// nothing in the second run touches a socket or spawns a goroutine.
 	simStore, err := profilestore.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var tick atomic.Int64
-	var workers []func()
 	srv := planserver.New(simStore, planserver.Options{
-		Now:        func() time.Duration { return time.Duration(tick.Add(1)) * time.Millisecond },
-		SyncMerges: true,
-		Schedule:   func(w func()) { workers = append(workers, w) },
-		Pump: func() bool {
-			if len(workers) == 0 {
-				return false
-			}
-			w := workers[0]
-			workers = workers[1:]
-			w()
-			return true
-		},
+		Now:      func() time.Duration { return time.Duration(tick.Add(1)) * time.Millisecond },
+		Schedule: func(w func()) { w() },
 	})
 	fabric := simnet.NewFabric(srv, simclock.New(), nil)
 	overFabric := scenario(t, simStore, func(seed int64) *fleetclient.Client {

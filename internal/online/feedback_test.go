@@ -85,8 +85,8 @@ func TestOnlineFeedbackReachesDaemon(t *testing.T) {
 	}
 	f := &fleetFixture{store: store}
 	f.srv = planserver.New(store, planserver.Options{
-		SyncMerges: true,
-		Rollout:    &rollout.Config{},
+		Schedule: func(w func()) { w() },
+		Rollout:  &rollout.Config{},
 	})
 	f.ts = httptest.NewServer(f.srv)
 	t.Cleanup(f.ts.Close)

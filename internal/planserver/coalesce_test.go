@@ -432,7 +432,7 @@ func TestPlanRebuildFromEvidence(t *testing.T) {
 
 	// A fresh daemon over the plan-less store: the cold fetch must serve
 	// the merge of the surviving evidence, not a 404.
-	srv2 := New(store, Options{SyncMerges: true})
+	srv2 := New(store, Options{Schedule: inline})
 	ts2 := httptest.NewServer(srv2)
 	defer ts2.Close()
 	resp2, body := fetchPlan(t, ts2.URL, "Cassandra", "WI", "")
@@ -463,7 +463,7 @@ func TestPlanFetch304ZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(store, Options{SyncMerges: true})
+	srv := New(store, Options{Schedule: inline})
 	w := &benchWriter{h: make(http.Header)}
 	benchUpload(t, srv, w, "inst-0", benchEvidence(t, "inst-0", 8, 0))
 	req := httptest.NewRequest("GET", "/v1/plan?app=Bench&workload=hot", nil)

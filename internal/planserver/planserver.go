@@ -78,22 +78,14 @@ type Options struct {
 	// Default: wall-clock elapsed since New. Tests inject a deterministic
 	// clock to keep traces byte-stable.
 	Now func() time.Duration
-	// SyncMerges makes every evidence upload wait until the fleet plan
-	// covering it is published before responding, so the response body is
-	// the merge including the upload itself. The default (false) responds
-	// as soon as the evidence is durable, with the currently published
-	// plan — at most one merge batch stale — and only waits on a key's
-	// cold first batch, when no plan exists at all. Tests and fixtures
-	// that assert on upload responses turn this on; production fleets
-	// poll GET /v1/plan and should leave it off.
-	SyncMerges bool
 	// Schedule, when non-nil, launches shard merge workers instead of the
 	// default `go work()`. Tests inject schedulers to run workers inline
-	// or to gate them and observe coalescing deterministically, and the
-	// fleet simulator (internal/simnet) injects its virtual-time event
-	// queue so worker execution order is owned by the simulation. The
-	// worker must eventually run (or uploads waiting on it block), and
-	// Schedule is never called while shard or server locks are held.
+	// (an upload then responds with the plan covering it) or to gate them
+	// and observe coalescing deterministically, and the fleet simulator
+	// (internal/simnet) injects its virtual-time event queue so worker
+	// execution order is owned by the simulation. The worker must
+	// eventually run (or uploads waiting on it block), and Schedule is
+	// never called while shard or server locks are held.
 	Schedule func(work func())
 	// Pump, when non-nil, replaces every blocking wait on the merge
 	// pipeline: instead of parking on a condition variable until a worker
@@ -656,11 +648,10 @@ func (s *Server) handleEvidence(w http.ResponseWriter, r *http.Request) {
 	}
 
 	sh.mu.Lock()
-	if s.opts.SyncMerges || sh.plan == nil {
-		// Synchronous mode responds with the plan covering this very
-		// upload. Async mode responds with whatever plan is published —
-		// at most one merge batch behind — and waits only on the key's
-		// cold first batch, when there is no plan at all yet.
+	if sh.plan == nil {
+		// Respond with whatever plan is published — at most one merge
+		// batch behind — and wait only on the key's cold first batch,
+		// when there is no plan at all yet.
 		if err := s.awaitCovered(sh, myGen); err != nil {
 			sh.mu.Unlock()
 			s.storeErrs.Inc()

@@ -15,18 +15,21 @@ import (
 	"polm2/internal/profilestore"
 )
 
+// inline is a Schedule that runs the merge worker on the uploading
+// goroutine, so the drain finishes before the handler reads the plan.
+func inline(work func()) { work() }
+
 func newTestServer(t *testing.T) (*Server, *httptest.Server, *profilestore.Store) {
 	t.Helper()
 	store, err := profilestore.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// SyncMerges: these tests assert on upload responses (the returned
+	// Inline workers: these tests assert on upload responses (the returned
 	// ETag and body must be the merge including the upload itself) and on
-	// exact per-upload merge counts, which only the synchronous pipeline
-	// guarantees. The async default is exercised by the coalescing and
-	// fleet-load tests.
-	srv := New(store, Options{SyncMerges: true})
+	// exact per-upload merge counts. The async default is exercised by the
+	// coalescing and fleet-load tests.
+	srv := New(store, Options{Schedule: inline})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return srv, ts, store
@@ -243,7 +246,7 @@ func TestUploadReplacesPerInstance(t *testing.T) {
 
 	// The per-instance evidence is durable: a fresh server over the same
 	// store reloads it and keeps replacing, not adding.
-	srv2 := New(store, Options{SyncMerges: true})
+	srv2 := New(store, Options{Schedule: inline})
 	ts2 := httptest.NewServer(srv2)
 	defer ts2.Close()
 	resp = postEvidence(t, ts2.URL, "inst-1", evidence("Cassandra", "WI", site(trace, 75, 225)))

@@ -42,10 +42,10 @@ type shard struct {
 	// stamps holds each evidence document's replication stamp (sync.go),
 	// maintained in lockstep with evidence: advanced on every accepted
 	// upload, adopted verbatim on every peer pull, advertised in sync
-	// stamp lists. Instances absent here (legacy documents) carry the zero
-	// stamp and lose every comparison. sum is the running KeySum over
-	// stamps — what the sync summary advertises and the puller compares —
-	// which is why every write to stamps goes through setStamp.
+	// stamp lists. Instances absent here (the unstamped __seed__) carry
+	// the zero stamp and lose every comparison. sum is the running KeySum
+	// over stamps — what the sync summary advertises and the puller
+	// compares — which is why every write to stamps goes through setStamp.
 	stamps map[string]profilestore.Stamp
 	sum    profilestore.KeySum
 

@@ -318,7 +318,7 @@ func (s *Server) localSum(k profilestore.Key) (int, profilestore.KeySum, error) 
 // beats the local document's — the pull predicate. Equal stamps identify
 // the same write (stamps are unique per write: origin disambiguates
 // daemons, and each daemon's sequence strictly advances), so only
-// strictly-greater pulls; a zero stamp beats nothing, so legacy documents
+// strictly-greater pulls; a zero stamp beats nothing, so unstamped documents
 // never replicate. localSum has already loaded the shard's evidence.
 func (s *Server) newerThanLocal(k profilestore.Key, docs []syncDocStamp) []string {
 	sh := s.shard(k)

@@ -44,7 +44,7 @@ func (k Key) String() string { return k.App + "/" + k.Workload }
 // JSON files Profile.Save produces, named
 // <app>__<workload>-<hash>.profile.json, where <hash> fingerprints the raw
 // key so two keys that sanitize to the same text cannot overwrite each
-// other. Legacy entries without the hash suffix keep loading forever.
+// other. Each key has exactly one file name; no other name is read.
 type Store struct {
 	dir string
 
@@ -102,12 +102,6 @@ func (s *Store) path(k Key) string {
 	return filepath.Join(s.dir, name)
 }
 
-// legacyPath is the pre-hash file name, kept readable for stores written by
-// older builds.
-func (s *Store) legacyPath(k Key) string {
-	return filepath.Join(s.dir, sanitize(k.App)+"__"+sanitize(k.Workload)+".profile.json")
-}
-
 // Put stores a profile under its own App/Workload labels, replacing any
 // previous version.
 func (s *Store) Put(p *analyzer.Profile) error {
@@ -123,18 +117,7 @@ func (s *Store) putLocked(p *analyzer.Profile) error {
 	if err := p.Validate(); err != nil {
 		return fmt.Errorf("profilestore: %w", err)
 	}
-	k := Key{App: p.App, Workload: p.Workload}
-	if err := s.writeProfile(p, s.path(k)); err != nil {
-		return err
-	}
-	// Retire this key's legacy-named file so the store holds one entry per
-	// key. A colliding legacy file that belongs to a *different* raw key
-	// is left alone — that other key's data is not ours to delete.
-	legacy := s.legacyPath(k)
-	if old, err := analyzer.LoadProfile(legacy); err == nil && old.App == k.App && old.Workload == k.Workload {
-		os.Remove(legacy)
-	}
-	return nil
+	return s.writeProfile(p, s.path(Key{App: p.App, Workload: p.Workload}))
 }
 
 // writeProfile stages the JSON under a temporary name (through the fault
@@ -193,17 +176,7 @@ func (s *Store) Get(app, workload string) (*analyzer.Profile, error) {
 }
 
 func (s *Store) getLocked(app, workload string) (*analyzer.Profile, error) {
-	k := Key{App: app, Workload: workload}
-	p, err := analyzer.LoadProfile(s.path(k))
-	if errors.Is(err, os.ErrNotExist) {
-		// Fall back to the legacy (pre-hash) name — but only trust it when
-		// its labels match the requested raw key: a collision-victim file
-		// holds some other key's profile.
-		p, err = analyzer.LoadProfile(s.legacyPath(k))
-		if err == nil && (p.App != app || p.Workload != workload) {
-			return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, app, workload)
-		}
-	}
+	p, err := analyzer.LoadProfile(s.path(Key{App: app, Workload: workload}))
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, app, workload)
@@ -218,16 +191,11 @@ func (s *Store) getLocked(app, workload string) (*analyzer.Profile, error) {
 func (s *Store) Delete(app, workload string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	k := Key{App: app, Workload: workload}
-	err := os.Remove(s.path(k))
-	if !errors.Is(err, os.ErrNotExist) {
-		return err
+	err := os.Remove(s.path(Key{App: app, Workload: workload}))
+	if errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("%w: %s/%s", ErrNotFound, app, workload)
 	}
-	legacy := s.legacyPath(k)
-	if p, lerr := analyzer.LoadProfile(legacy); lerr == nil && p.App == app && p.Workload == workload {
-		return os.Remove(legacy)
-	}
-	return fmt.Errorf("%w: %s/%s", ErrNotFound, app, workload)
+	return err
 }
 
 // List returns the keys of every stored profile, sorted.
@@ -238,18 +206,13 @@ func (s *Store) List() ([]Key, error) {
 	if err != nil {
 		return nil, fmt.Errorf("profilestore: %w", err)
 	}
-	seen := make(map[Key]bool)
-	var keys []Key
+	keys := make([]Key, 0, len(paths))
 	for _, path := range paths {
 		p, err := analyzer.LoadProfile(path)
 		if err != nil {
 			return nil, fmt.Errorf("profilestore: corrupt entry %s: %w", filepath.Base(path), err)
 		}
-		k := Key{App: p.App, Workload: p.Workload}
-		if !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
-		}
+		keys = append(keys, Key{App: p.App, Workload: p.Workload})
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
 	return keys, nil
@@ -304,8 +267,8 @@ func (s *Store) auditLocked() (*AuditReport, error) {
 // evidenceEntry is the on-disk form of one instance's evidence: the
 // uploaded profile plus the instance id it replaces-per, which the
 // sanitized file name cannot carry losslessly. Stamp is the replication
-// version (see stamp.go); nil on documents written before replication
-// existed, which decode as the zero Stamp and lose every tiebreak.
+// version (see stamp.go); nil on unstamped PutEvidence documents, which
+// decode as the zero Stamp and lose every tiebreak.
 type evidenceEntry struct {
 	Instance string            `json:"instance"`
 	Stamp    *Stamp            `json:"stamp,omitempty"`
@@ -329,27 +292,11 @@ func evidenceHash(k Key, instance string) string {
 	return fmt.Sprintf("%08x", h.Sum32())
 }
 
-// evidenceKeyPrefix is the file-name prefix shared by every evidence
-// document of one (app, workload): the sanitized labels plus the raw-key
-// fingerprint, so the key can be matched exactly from names alone —
-// EvidenceInstances lists and counts a fleet without decoding a single
-// document. sanitize never emits glob metacharacters, so the prefix is
-// safe to embed in a pattern.
-func evidenceKeyPrefix(k Key) string {
-	return sanitize(k.App) + "__" + sanitize(k.Workload) + "-" + keyHash(k) + "__"
-}
-
+// evidencePath names one instance's evidence document: the key's plan
+// name stem, then the sanitized instance and the triple's fingerprint.
 func (s *Store) evidencePath(k Key, instance string) string {
-	name := evidenceKeyPrefix(k) + sanitize(instance) + "-" + evidenceHash(k, instance) + ".evidence.json"
-	return filepath.Join(s.evidenceDir(), name)
-}
-
-// legacyEvidencePath is the pre-keyhash evidence name (no key fingerprint
-// between the workload and instance segments), kept readable for stores
-// written by older builds and retired on the next PutEvidence.
-func (s *Store) legacyEvidencePath(k Key, instance string) string {
-	name := sanitize(k.App) + "__" + sanitize(k.Workload) + "__" + sanitize(instance) +
-		"-" + evidenceHash(k, instance) + ".evidence.json"
+	name := sanitize(k.App) + "__" + sanitize(k.Workload) + "-" + keyHash(k) + "__" +
+		sanitize(instance) + "-" + evidenceHash(k, instance) + ".evidence.json"
 	return filepath.Join(s.evidenceDir(), name)
 }
 
@@ -380,83 +327,7 @@ func (s *Store) putEvidence(instance string, stamp *Stamp, p *analyzer.Profile) 
 	if err != nil {
 		return fmt.Errorf("profilestore: encoding evidence: %w", err)
 	}
-	k := Key{App: p.App, Workload: p.Workload}
-	if err := s.writeFile(data, s.evidencePath(k, instance)); err != nil {
-		return err
-	}
-	// Retire this triple's legacy-named file so the store holds one entry
-	// per (key, instance). A colliding legacy file that belongs to a
-	// different raw triple is left alone — that other triple's data is not
-	// ours to delete.
-	legacy := s.legacyEvidencePath(k, instance)
-	if data, err := os.ReadFile(legacy); err == nil {
-		var e evidenceEntry
-		if json.Unmarshal(data, &e) == nil && e.Instance == instance &&
-			e.Profile != nil && e.Profile.App == k.App && e.Profile.Workload == k.Workload {
-			os.Remove(legacy)
-		}
-	}
-	return nil
-}
-
-// EvidenceInstances lists the instances holding evidence for (app,
-// workload) without decoding any document: modern evidence names embed
-// the raw-key fingerprint, so both the key match and the instance segment
-// come straight from the file names. The returned names are the sanitized
-// display forms (file-name-safe, not necessarily the raw ids); callers
-// that need the raw ids decode via Evidence. Legacy-named files (written
-// before the key fingerprint existed) cannot be attributed by name alone
-// and fall back to a decode, one per legacy file — a population that only
-// shrinks, since PutEvidence rewrites and retires them.
-func (s *Store) EvidenceInstances(app, workload string) ([]string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	k := Key{App: app, Workload: workload}
-	prefix := evidenceKeyPrefix(k)
-	paths, err := filepath.Glob(filepath.Join(s.evidenceDir(), prefix+"*.evidence.json"))
-	if err != nil {
-		return nil, fmt.Errorf("profilestore: %w", err)
-	}
-	seen := make(map[string]bool, len(paths))
-	names := make([]string, 0, len(paths))
-	for _, path := range paths {
-		base := filepath.Base(path)
-		name := strings.TrimSuffix(base[len(prefix):], ".evidence.json")
-		if i := strings.LastIndexByte(name, '-'); i >= 0 {
-			name = name[:i] // drop the triple fingerprint
-		}
-		if !seen[name] {
-			seen[name] = true
-			names = append(names, name)
-		}
-	}
-	// Legacy-named files: match by decoded labels, then dedupe against the
-	// modern entries through the same sanitized lens.
-	legacy, err := filepath.Glob(filepath.Join(s.evidenceDir(),
-		sanitize(app)+"__"+sanitize(workload)+"__*.evidence.json"))
-	if err != nil {
-		return nil, fmt.Errorf("profilestore: %w", err)
-	}
-	for _, path := range legacy {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("profilestore: reading evidence: %w", err)
-		}
-		var e evidenceEntry
-		if json.Unmarshal(data, &e) != nil || e.Profile == nil {
-			continue // corrupt entries are Audit's business, not a count's
-		}
-		if e.Profile.App != app || e.Profile.Workload != workload {
-			continue
-		}
-		name := sanitize(e.Instance)
-		if !seen[name] {
-			seen[name] = true
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	return names, nil
+	return s.writeFile(data, s.evidencePath(Key{App: p.App, Workload: p.Workload}, instance))
 }
 
 // Evidence loads every instance's latest evidence for (app, workload),
@@ -481,7 +352,6 @@ func (s *Store) evidenceAllLocked() (map[Key]map[string]EvidenceDoc, error) {
 		return nil, fmt.Errorf("profilestore: %w", err)
 	}
 	out := make(map[Key]map[string]EvidenceDoc)
-	modern := make(map[Key]map[string]bool)
 	for _, path := range paths {
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -498,18 +368,9 @@ func (s *Store) evidenceAllLocked() (map[Key]map[string]EvidenceDoc, error) {
 			return nil, fmt.Errorf("profilestore: corrupt evidence %s: %w", filepath.Base(path), err)
 		}
 		k := Key{App: e.Profile.App, Workload: e.Profile.Workload}
-		// A crash between PutEvidence's write and its legacy retirement can
-		// leave both names on disk; the modern (key-fingerprinted) file is
-		// the newer write and must win regardless of glob order.
-		isModern := path == s.evidencePath(k, e.Instance)
-		if modern[k][e.Instance] && !isModern {
-			continue
-		}
 		if out[k] == nil {
 			out[k] = make(map[string]EvidenceDoc)
-			modern[k] = make(map[string]bool)
 		}
-		modern[k][e.Instance] = isModern
 		var st Stamp
 		if e.Stamp != nil {
 			st = *e.Stamp
@@ -576,11 +437,9 @@ func (s *Store) Select(app, estimatedWorkload string) (*analyzer.Profile, error)
 	if auditErr != nil {
 		return nil, auditErr
 	}
-	seen := make(map[Key]bool)
 	var candidates []Key
 	for _, e := range audit.Entries {
-		if e.Err == "" && e.Key.App == app && !seen[e.Key] {
-			seen[e.Key] = true
+		if e.Err == "" && e.Key.App == app {
 			candidates = append(candidates, e.Key)
 		}
 	}

@@ -2,9 +2,7 @@ package profilestore
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
-	"os"
 	"sync"
 	"testing"
 
@@ -178,47 +176,6 @@ func TestSanitizeCollisionKeepsBothKeys(t *testing.T) {
 	}
 }
 
-// TestLegacyNameKeepsLoading checks stores written by pre-hash builds stay
-// readable: Get falls back to the unhashed file name, and a Put under the
-// same key retires the legacy file.
-func TestLegacyNameKeepsLoading(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := sampleProfile("Cassandra", "WI")
-	if err := legacy.Save(s.legacyPath(Key{App: "Cassandra", Workload: "WI"})); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Get("Cassandra", "WI")
-	if err != nil || got.App != "Cassandra" {
-		t.Fatalf("legacy Get = %+v, %v", got, err)
-	}
-	if p, err := s.Select("Cassandra", "WI"); err != nil || p.Workload != "WI" {
-		t.Fatalf("legacy Select = %+v, %v", p, err)
-	}
-	// A fresh Put migrates the entry to the hashed name.
-	if err := s.Put(sampleProfile("Cassandra", "WI")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(s.legacyPath(Key{App: "Cassandra", Workload: "WI"})); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("legacy file survived migration: %v", err)
-	}
-	if _, err := s.Get("Cassandra", "WI"); err != nil {
-		t.Fatal(err)
-	}
-	// Deleting a legacy-only entry works too.
-	if err := legacy.Save(s.legacyPath(Key{App: "Lucene", Workload: "default"})); err != nil {
-		t.Fatal(err)
-	}
-	// (The file carries Cassandra/WI labels, so deleting Lucene/default
-	// must refuse: the legacy file is not that key's profile.)
-	if err := s.Delete("Lucene", "default"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Delete of mislabeled legacy file = %v, want ErrNotFound", err)
-	}
-}
-
 // TestConcurrentPutGet exercises the store's mutex under the race detector:
 // many goroutines writing and reading disjoint and overlapping keys.
 func TestConcurrentPutGet(t *testing.T) {
@@ -388,144 +345,6 @@ func TestPutEvidenceValidates(t *testing.T) {
 	}
 	if err := s.PutEvidence("inst-1", &analyzer.Profile{Workload: "WI"}); err == nil {
 		t.Fatal("unlabeled evidence accepted")
-	}
-}
-
-// TestEvidenceInstances: the names-only listing matches the decoded
-// evidence set per key without reading any document — modern file names
-// embed the key fingerprint, so cross-key bleed (same sanitized labels,
-// different raw labels) is impossible.
-func TestEvidenceInstances(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, put := range []struct{ app, workload, instance string }{
-		{"Cassandra", "WI", "inst-2"},
-		{"Cassandra", "WI", "inst-1"},
-		{"Cassandra", "WI", "we ird/id"},
-		{"Cassandra", "RO", "inst-1"},
-		{"Lucene", "WI", "inst-9"},
-	} {
-		if err := s.PutEvidence(put.instance, sampleProfile(put.app, put.workload)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	names, err := s.EvidenceInstances("Cassandra", "WI")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"inst-1", "inst-2", sanitize("we ird/id")}
-	if len(names) != len(want) {
-		t.Fatalf("EvidenceInstances = %v, want %v", names, want)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("EvidenceInstances = %v, want %v (sorted, sanitized)", names, want)
-		}
-	}
-	// A re-upload replaces; the listing must not grow.
-	if err := s.PutEvidence("inst-1", sampleProfile("Cassandra", "WI")); err != nil {
-		t.Fatal(err)
-	}
-	names, err = s.EvidenceInstances("Cassandra", "WI")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 3 {
-		t.Fatalf("after re-upload EvidenceInstances = %v, want 3 entries", names)
-	}
-	// An unknown key lists empty, not an error.
-	names, err = s.EvidenceInstances("Nope", "W")
-	if err != nil || len(names) != 0 {
-		t.Fatalf("unknown key = %v, %v, want empty", names, err)
-	}
-}
-
-// TestEvidenceLegacyNameMigration: evidence written under the pre-
-// fingerprint file name keeps loading and listing, and the next
-// PutEvidence for the same (key, instance) rewrites it under the modern
-// name and retires the legacy file.
-func TestEvidenceLegacyNameMigration(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := Key{App: "Cassandra", Workload: "WI"}
-	old := sampleProfile("Cassandra", "WI")
-	data, err := json.MarshalIndent(evidenceEntry{Instance: "inst-1", Profile: old}, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(s.evidenceDir(), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	legacy := s.legacyEvidencePath(k, "inst-1")
-	if err := os.WriteFile(legacy, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Legacy-only: both the decode and the names-only listing see it.
-	ev, err := s.Evidence("Cassandra", "WI")
-	if err != nil || len(ev) != 1 || ev["inst-1"] == nil {
-		t.Fatalf("legacy evidence load = %v, %v", ev, err)
-	}
-	names, err := s.EvidenceInstances("Cassandra", "WI")
-	if err != nil || len(names) != 1 || names[0] != "inst-1" {
-		t.Fatalf("legacy EvidenceInstances = %v, %v", names, err)
-	}
-
-	// Rewrite through PutEvidence: the modern name appears, the legacy
-	// file is retired, and the entry still counts exactly once.
-	fresh := sampleProfile("Cassandra", "WI")
-	fresh.Generations = 3
-	if err := s.PutEvidence("inst-1", fresh); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(legacy); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("legacy evidence file not retired: %v", err)
-	}
-	ev, err = s.Evidence("Cassandra", "WI")
-	if err != nil || len(ev) != 1 {
-		t.Fatalf("post-migration evidence = %v, %v", ev, err)
-	}
-	if ev["inst-1"].Generations != 3 {
-		t.Fatalf("post-migration evidence Generations = %d, want the rewritten 3", ev["inst-1"].Generations)
-	}
-}
-
-// TestEvidenceModernWinsOverLegacyLeftover: a crash between PutEvidence's
-// modern write and its legacy retirement leaves both names on disk; the
-// modern file is the newer write and must win whatever order the
-// directory lists in.
-func TestEvidenceModernWinsOverLegacyLeftover(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := Key{App: "Cassandra", Workload: "WI"}
-	fresh := sampleProfile("Cassandra", "WI")
-	fresh.Generations = 3
-	if err := s.PutEvidence("inst-1", fresh); err != nil {
-		t.Fatal(err)
-	}
-	stale := sampleProfile("Cassandra", "WI")
-	data, err := json.MarshalIndent(evidenceEntry{Instance: "inst-1", Profile: stale}, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(s.legacyEvidencePath(k, "inst-1"), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ev, err := s.Evidence("Cassandra", "WI")
-	if err != nil || len(ev) != 1 {
-		t.Fatalf("crash-window evidence = %v, %v", ev, err)
-	}
-	if ev["inst-1"].Generations != 3 {
-		t.Fatalf("crash-window evidence Generations = %d, want the modern file's 3", ev["inst-1"].Generations)
-	}
-	if names, err := s.EvidenceInstances("Cassandra", "WI"); err != nil || len(names) != 1 {
-		t.Fatalf("crash-window EvidenceInstances = %v, %v, want one deduped entry", names, err)
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 )
 
 // Stamp is the logical version of one evidence document. The zero Stamp
-// marks a legacy (pre-replication) document and orders before every
-// stamped write.
+// marks an unstamped document (PutEvidence — the planserver's __seed__
+// baseline), which never replicates and orders before every stamped write.
 type Stamp struct {
 	// Seq is the daemon-assigned sequence. Every accepted direct upload
 	// strictly advances it past the previous document's stamp, so the
@@ -30,7 +30,7 @@ type Stamp struct {
 	Origin string `json:"origin"`
 }
 
-// IsZero reports whether the stamp is the legacy zero value.
+// IsZero reports whether the stamp is the unstamped zero value.
 func (st Stamp) IsZero() bool { return st.Seq == 0 && st.Origin == "" }
 
 // Less orders stamps by sequence, then origin — the total order the
@@ -53,7 +53,7 @@ type EvidenceDoc struct {
 }
 
 // PutEvidenceStamped stores one instance's evidence together with its
-// replication stamp. PutEvidence is the unstamped (legacy) form.
+// replication stamp. PutEvidence is the unstamped form.
 func (s *Store) PutEvidenceStamped(instance string, stamp Stamp, p *analyzer.Profile) error {
 	var st *Stamp
 	if !stamp.IsZero() {
@@ -63,8 +63,8 @@ func (s *Store) PutEvidenceStamped(instance string, stamp Stamp, p *analyzer.Pro
 }
 
 // EvidenceDocs loads every instance's latest evidence for (app, workload)
-// with stamps, keyed by instance id. Documents written before replication
-// existed carry the zero stamp.
+// with stamps, keyed by instance id. Unstamped documents carry the zero
+// stamp.
 func (s *Store) EvidenceDocs(app, workload string) (map[string]EvidenceDoc, error) {
 	all, err := s.EvidenceAll()
 	if err != nil {
@@ -106,14 +106,14 @@ func (s *Store) EvidenceKeys() ([]Key, error) {
 // makes it incremental — replacing a document's stamp is Toggle(old) then
 // Toggle(new) — and independent of arrival order, so two replicas holding
 // the same winners advertise the same sum whatever path the documents
-// took. Zero-stamp (legacy) documents never replicate and stay out of the
+// took. Zero-stamp (unstamped) documents never replicate and stay out of the
 // sum. Two different stamp sets collide with probability 2^-128 per
 // compare; a collision only delays a pull until the key's next write.
 type KeySum [16]byte
 
 // Toggle adds the pair to the sum, or removes it if it is already in.
 // A zero stamp is a no-op, so callers need not special-case an absent or
-// legacy previous document.
+// unstamped previous document.
 func (k *KeySum) Toggle(instance string, st Stamp) {
 	if st.IsZero() {
 		return

@@ -11,8 +11,8 @@ import (
 // FuzzDecodeStream drives the id-stream decoder with arbitrary bytes: it
 // must never panic and never allocate unboundedly, only return ids or a
 // typed error, and the salvage decode must recover a prefix of whatever
-// the strict decode would accept. The seed corpus holds both format
-// versions, including real v1 streams from a pre-PR profiling run.
+// the strict decode would accept. The seed corpus holds synthetic streams
+// and real ones from the checked-in profiling run.
 func FuzzDecodeStream(f *testing.F) {
 	// v2 seeds: an empty committed stream, a small one, and a multi-frame
 	// one, plus the same multi-frame stream left live (no trailer).
@@ -54,8 +54,8 @@ func FuzzDecodeStream(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	// Real v1 streams recorded before the framed format existed.
-	paths, err := filepath.Glob(filepath.Join(v1RecDir, "site-*.bin"))
+	// Real streams from the checked-in profiling run.
+	paths, err := filepath.Glob(filepath.Join(v2RecDir, "site-*.bin"))
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -40,8 +40,8 @@ import (
 const SiteTableFile = "sites.tsv"
 
 // siteTableHeader and siteTableFooter frame a version-2 site table. A
-// table without the header is a pre-framing v1 table and is accepted as-is;
-// a table with the header but no matching footer was cut short.
+// table without the header is not one we wrote and is refused; a table
+// with the header but no matching footer was cut short.
 const (
 	siteTableHeader = "# polm2 sites v2"
 	siteTableFooter = "# end sites="
@@ -268,12 +268,9 @@ func (r *Recorder) writeSiteTable() error {
 
 // TableSalvage describes how much of a site table a decode recovered.
 type TableSalvage struct {
-	// Version is the detected table version (1 or 2).
-	Version int
 	// Sites is the number of entries recovered.
 	Sites int
-	// Complete reports a verified count footer (v2) or an undamaged v1
-	// table.
+	// Complete reports a verified header and count footer.
 	Complete bool
 	// BadLines counts malformed lines that were skipped.
 	BadLines int
@@ -282,9 +279,9 @@ type TableSalvage struct {
 }
 
 // LoadSiteTable reads a persisted stack-trace table back, strictly: any
-// malformed line or a missing v2 footer is refused with an error wrapping
-// ErrCorrupt or ErrTruncated. The Analyzer uses it as the first step of
-// §3.3's algorithm.
+// malformed line or a missing v2 header or footer is refused with an
+// error wrapping ErrCorrupt or ErrTruncated. The Analyzer uses it as the
+// first step of §3.3's algorithm.
 func LoadSiteTable(dir string) (map[heap.SiteID]jvm.StackTrace, error) {
 	out, _, err := loadSiteTable(dir, true)
 	return out, err
@@ -302,17 +299,21 @@ func loadSiteTable(dir string, strict bool) (map[heap.SiteID]jvm.StackTrace, *Ta
 	if err != nil {
 		return nil, nil, fmt.Errorf("recorder: reading site table: %w", err)
 	}
-	sal := &TableSalvage{Version: 1}
+	const noHeader = "site table lacks its v2 header"
+	sal := &TableSalvage{}
 	out := make(map[heap.SiteID]jvm.StackTrace)
-	footerCount := -1
-	lines := strings.Split(string(data), "\n")
-	// Any leading comment marks a v2 table: v1 tables are headerless, so a
-	// "#" first line can only be our header — possibly cut short by a torn
-	// write, which the footer check below then catches.
-	if len(lines) > 0 && strings.HasPrefix(lines[0], "#") {
-		sal.Version = 2
+	text := string(data)
+	headed := strings.HasPrefix(text, siteTableHeader+"\n")
+	if !headed && strict {
+		typed := ErrCorrupt
+		if strings.HasPrefix(siteTableHeader+"\n", text) {
+			typed = ErrTruncated // empty, or cut inside the header line
+		}
+		sal.Reason = noHeader
+		return nil, sal, fmt.Errorf("%w: %s", typed, noHeader)
 	}
-	for lineNo, line := range lines {
+	footerCount := -1
+	for lineNo, line := range strings.Split(text, "\n") {
 		if line == "" {
 			continue
 		}
@@ -336,9 +337,11 @@ func loadSiteTable(dir string, strict bool) (map[heap.SiteID]jvm.StackTrace, *Ta
 	}
 	sal.Sites = len(out)
 	switch {
-	case sal.Version == 2 && footerCount < 0:
+	case !headed:
+		sal.Reason = noHeader
+	case footerCount < 0:
 		sal.Reason = "site table ends without its count footer"
-	case sal.Version == 2 && footerCount != len(out)+sal.BadLines:
+	case footerCount != len(out)+sal.BadLines:
 		sal.Reason = fmt.Sprintf("site table footer promises %d sites, found %d", footerCount, len(out)+sal.BadLines)
 	case sal.BadLines > 0:
 		sal.Reason = fmt.Sprintf("%d malformed site table lines skipped", sal.BadLines)

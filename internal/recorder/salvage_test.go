@@ -1,6 +1,7 @@
 package recorder
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -11,73 +12,72 @@ import (
 	"polm2/internal/heap"
 )
 
-// Checked-in artifact directories: v1 was recorded before the framed
-// format existed, v2 by the identical run after it.
-const (
-	v1RecDir = "../../testdata/artifacts/v1/records"
-	v2RecDir = "../../testdata/artifacts/v2/records"
-)
+// v2RecDir holds the checked-in recordings of the current format.
+const v2RecDir = "../../testdata/artifacts/v2/records"
 
-func TestReadV1Artifacts(t *testing.T) {
-	table, err := LoadSiteTable(v1RecDir)
+// TestMagicBitFlipsRefused flips each bit of byte 0 of every checked-in
+// stream: a damaged magic must be refused as corrupt, never reinterpreted
+// as some other encoding of plausible ids. An empty stream is a tear
+// before the header.
+func TestMagicBitFlipsRefused(t *testing.T) {
+	sites, err := Streams(v2RecDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(table) == 0 {
-		t.Fatal("v1 site table decoded empty")
-	}
-	var total int
-	for sid := range table {
-		ids, err := ReadIDs(v1RecDir, sid)
-		if err != nil {
-			t.Fatalf("site %d: %v", sid, err)
-		}
-		total += len(ids)
-	}
-	if total == 0 {
-		t.Fatal("v1 streams decoded no ids")
-	}
-}
-
-func TestV1AndV2ArtifactsCarrySameRecords(t *testing.T) {
-	// The v2 artifacts were produced by re-running the exact v1 profiling
-	// configuration after the format bump: every stream must decode to
-	// the same id sequence, and every v2 stream must actually be framed.
-	tableV1, err := LoadSiteTable(v1RecDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tableV2, err := LoadSiteTable(v2RecDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tableV1) != len(tableV2) {
-		t.Fatalf("site counts differ: v1=%d v2=%d", len(tableV1), len(tableV2))
-	}
-	for sid := range tableV1 {
-		a, err := ReadIDs(v1RecDir, sid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := ReadIDs(v2RecDir, sid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a) != len(b) {
-			t.Fatalf("site %d: id counts differ (v1=%d v2=%d)", sid, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("site %d id %d differs", sid, i)
-			}
-		}
+	cases := 0
+	for _, sid := range sites {
 		data, err := os.ReadFile(filepath.Join(v2RecDir, streamFile(sid)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(data[:4]) != streamMagic {
-			t.Fatalf("site %d v2 stream is not framed", sid)
+		if _, _, err := decodeStream(data, true); err != nil {
+			t.Fatalf("site %d: pristine stream refused: %v", sid, err)
 		}
+		for bit := 0; bit < 8; bit++ {
+			flipped := append([]byte(nil), data...)
+			flipped[0] ^= 1 << bit
+			if _, _, err := decodeStream(flipped, true); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("site %d, byte 0 bit %d flipped: err = %v, want ErrCorrupt", sid, bit, err)
+			}
+			cases++
+		}
+	}
+	if cases != 136 {
+		t.Fatalf("swept %d flips, want 136 (17 streams x 8 bits)", cases)
+	}
+	if _, _, err := decodeStream(nil, true); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("empty stream: err = %v, want ErrTruncated", err)
+	}
+}
+
+// TestV1ArtifactsRefused: the pre-framing formats — a stream of bare
+// uvarints, a site table without the version header — are refused with
+// typed errors, and salvage recovers nothing from them.
+func TestV1ArtifactsRefused(t *testing.T) {
+	dir := t.TempDir()
+	var v1 []byte
+	for id := uint64(1); id <= 100; id++ {
+		v1 = binary.AppendUvarint(v1, id*7)
+	}
+	if err := writeBytes(filepath.Join(dir, streamFile(1)), v1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadIDs(dir, 1); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("v1 stream: err = %v, want ErrCorrupt", err)
+	}
+	ids, sal, err := SalvageIDs(dir, 1)
+	if err != nil || len(ids) != 0 || sal.LostBytes != int64(len(v1)) {
+		t.Fatalf("v1 stream salvage: %d ids, %+v, %v", len(ids), sal, err)
+	}
+
+	if err := writeBytes(filepath.Join(dir, SiteTableFile), []byte("1\tMain.run:10\n")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSiteTable(dir); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("v1 site table: err = %v, want ErrCorrupt", err)
+	}
+	if _, tsal, err := SalvageSiteTable(dir); err != nil || tsal.Complete {
+		t.Fatalf("v1 site table salvage: %+v, %v", tsal, err)
 	}
 }
 
@@ -242,14 +242,14 @@ func TestSiteTableFooterDetectsTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tsal.Complete || tsal.Version != 2 || len(got) != len(lines)-4 {
+	if tsal.Complete || len(got) != len(lines)-4 {
 		t.Fatalf("footerless salvage: %d sites, %+v", len(got), tsal)
 	}
 }
 
 func TestSiteTableSalvageSkipsMalformedLines(t *testing.T) {
 	dir := t.TempDir()
-	table := "1\tMain.run:10\ngarbage-without-tab\n2\tMain.run:11\n"
+	table := siteTableHeader + "\n1\tMain.run:10\ngarbage-without-tab\n2\tMain.run:11\n" + siteTableFooter + "3\n"
 	if err := writeBytes(filepath.Join(dir, SiteTableFile), []byte(table)); err != nil {
 		t.Fatal(err)
 	}

@@ -28,8 +28,8 @@ import (
 // writer seals a frame on every Flush and whenever ~4 KiB accumulate, so a
 // torn stream loses at most the unsealed tail. The commit trailer is
 // written by Close: its presence distinguishes a cleanly ended recording
-// from one cut short. Version 1 streams — bare uvarints, no magic, no
-// checksums — still decode.
+// from one cut short. Only version 2 decodes: a stream that does not
+// open with the magic is refused, never reinterpreted.
 const (
 	streamMagic   = "PREC"
 	streamVersion = 2
@@ -147,13 +147,9 @@ func (w *streamWriter) Close() error {
 
 // StreamSalvage describes how much of one id stream a decode recovered.
 type StreamSalvage struct {
-	// Version is the detected format version (1 or 2).
-	Version int
-	// Frames is the number of verified frames (v2 only).
+	// Frames is the number of verified frames.
 	Frames int
-	// Complete reports a verified commit trailer (v2) or a stream that
-	// decoded to EOF without damage (v1, which cannot tell a clean end
-	// from a tear at a record boundary).
+	// Complete reports a verified commit trailer.
 	Complete bool
 	// LostBytes counts bytes past the last decodable point.
 	LostBytes int64
@@ -176,55 +172,8 @@ func (s *StreamSalvage) Confidence() float64 {
 // including a missing commit trailer — is an error; in salvage mode the
 // valid prefix is returned along with an account of the loss.
 func decodeStream(data []byte, strict bool) ([]heap.ObjectID, *StreamSalvage, error) {
-	ids, sal, err := decodeStreamAny(data, strict)
-	sal.TotalBytes = int64(len(data))
-	return ids, sal, err
-}
-
-func decodeStreamAny(data []byte, strict bool) ([]heap.ObjectID, *StreamSalvage, error) {
-	if len(data) >= len(streamMagic)+1 && string(data[:len(streamMagic)]) == streamMagic {
-		return decodeStreamV2(data, strict)
-	}
-	if len(data) > 0 && len(data) <= len(streamMagic) && streamMagic[:len(data)] == string(data) {
-		// A proper prefix of the v2 magic: a v2 stream torn inside its
-		// header, not a v1 stream — without this check the magic bytes
-		// would decode as plausible v1 varints.
-		sal := &StreamSalvage{Version: 2, LostBytes: int64(len(data)),
-			Reason: "stream torn inside the v2 header"}
-		if strict {
-			return nil, sal, fmt.Errorf("%w: %s", ErrTruncated, sal.Reason)
-		}
-		return nil, sal, nil
-	}
-	return decodeStreamV1(data, strict)
-}
-
-func decodeStreamV1(data []byte, strict bool) ([]heap.ObjectID, *StreamSalvage, error) {
-	sal := &StreamSalvage{Version: 1}
+	sal := &StreamSalvage{TotalBytes: int64(len(data))}
 	br := bytes.NewReader(data)
-	var out []heap.ObjectID
-	for {
-		before := br.Len()
-		v, err := binary.ReadUvarint(br)
-		if err == io.EOF && before == 0 {
-			sal.Complete = true
-			return out, sal, nil
-		}
-		if err != nil {
-			sal.LostBytes = int64(before)
-			sal.Reason = fmt.Sprintf("v1 stream damaged %d bytes from the end: %v", before, err)
-			if strict {
-				return nil, sal, fmt.Errorf("%w: %s", ErrTruncated, sal.Reason)
-			}
-			return out, sal, nil
-		}
-		out = append(out, heap.ObjectID(v))
-	}
-}
-
-func decodeStreamV2(data []byte, strict bool) ([]heap.ObjectID, *StreamSalvage, error) {
-	sal := &StreamSalvage{Version: 2}
-	br := bytes.NewReader(data[len(streamMagic)+1:])
 	stream := crc32.New(castagnoli)
 	var out []heap.ObjectID
 
@@ -236,6 +185,16 @@ func decodeStreamV2(data []byte, strict bool) ([]heap.ObjectID, *StreamSalvage, 
 		}
 		return out, sal, nil
 	}
+
+	switch {
+	case len(data) < len(streamMagic)+1:
+		return fail("stream ends inside its header", ErrTruncated)
+	case string(data[:len(streamMagic)]) != streamMagic:
+		return fail(fmt.Sprintf("bad magic %q", data[:len(streamMagic)]), ErrCorrupt)
+	case data[len(streamMagic)] != streamVersion:
+		return fail(fmt.Sprintf("unsupported stream version %d", data[len(streamMagic)]), ErrCorrupt)
+	}
+	br.Reset(data[len(streamMagic)+1:])
 
 	for frame := 1; ; frame++ {
 		n, err := binary.ReadUvarint(br)
@@ -325,8 +284,8 @@ func Streams(dir string) ([]heap.SiteID, error) {
 }
 
 // SalvageIDs decodes as much of one site's stream as survives: every
-// checksum-verified frame (v2) or the longest decodable prefix (v1). The
-// error is non-nil only when the file cannot be read at all.
+// checksum-verified frame before the first damage. The error is non-nil
+// only when the file cannot be read at all.
 func SalvageIDs(dir string, site heap.SiteID) ([]heap.ObjectID, *StreamSalvage, error) {
 	data, err := os.ReadFile(filepath.Join(dir, streamFile(site)))
 	if err != nil {

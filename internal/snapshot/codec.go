@@ -34,19 +34,18 @@ import (
 //	section 4 (pages):   uvarint len | payload | crc32c(payload) LE
 //	trailer: uvarint 0 | crc32c(all section payloads, in order) LE
 //
-// Section payloads use the same varint encoding version 1 used for the
-// whole body (all integers varint, ids and keys delta-encoded):
+// Section payloads are varint-encoded (all integers varint, ids and keys
+// delta-encoded):
 //
 //	header:  seq | cycle | takenAtNs | incremental byte | durationNs | sizeBytes
 //	regions: nRegions | region ids (delta-encoded)
 //	no-need: nNoNeed | page keys (region delta + index)
 //	pages:   nPages | per page: region delta + index + nIDs + ids (delta)
 //
-// Version 1 images (the same fields, unframed, no checksums) still decode.
+// Only version 2 decodes; any other version byte is refused as corrupt.
 const (
-	imageMagic     = "PSNP"
-	imageVersion   = 2
-	imageVersionV1 = 1
+	imageMagic   = "PSNP"
+	imageVersion = 2
 	// maxSection caps a v2 section payload so a corrupted length field
 	// cannot make the decoder allocate unbounded memory.
 	maxSection = 64 << 20
@@ -210,8 +209,8 @@ func putUvarint(b *bytes.Buffer, v uint64) {
 	b.Write(buf[:n])
 }
 
-// Read decodes a snapshot written by Write — either format version. Damage
-// is reported as an error wrapping ErrCorrupt or ErrTruncated.
+// Read decodes a snapshot written by Write. Damage is reported as an error
+// wrapping ErrCorrupt or ErrTruncated.
 func Read(r io.Reader) (*Snapshot, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(imageMagic))
@@ -225,19 +224,11 @@ func Read(r io.Reader) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: reading version: %v", ErrTruncated, err)
 	}
-	switch version {
-	case imageVersionV1:
-		return readV1(br)
-	case imageVersion:
-		return readV2(br)
-	default:
+	if version != imageVersion {
 		return nil, fmt.Errorf("%w: unsupported image version %d", ErrCorrupt, version)
 	}
-}
 
-// readV2 decodes the framed sections and verifies every CRC plus the
-// commit trailer.
-func readV2(br *bufio.Reader) (*Snapshot, error) {
+	// The framed sections, every CRC verified, then the commit trailer.
 	stream := crc32.New(castagnoli)
 	readSection := func(name string) ([]byte, error) {
 		n, err := binary.ReadUvarint(br)
@@ -458,111 +449,6 @@ func (s *Snapshot) decodePages(payload []byte) error {
 		s.Pages = append(s.Pages, pr)
 	}
 	return nil
-}
-
-// readV1 decodes the legacy unframed format. Any decode failure is
-// truncation as far as v1 can tell — it carries no checksums.
-func readV1(br *bufio.Reader) (*Snapshot, error) {
-	var s Snapshot
-	read := func(field string) (uint64, error) {
-		v, err := binary.ReadUvarint(br)
-		if err != nil {
-			return 0, fmt.Errorf("%w: v1 %s: %v", ErrTruncated, field, err)
-		}
-		return v, nil
-	}
-
-	seq, err := read("seq")
-	if err != nil {
-		return nil, err
-	}
-	s.Seq = int(seq)
-	if s.Cycle, err = read("cycle"); err != nil {
-		return nil, err
-	}
-	takenAt, err := read("instant")
-	if err != nil {
-		return nil, err
-	}
-	s.TakenAt = time.Duration(takenAt)
-	inc, err := br.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("%w: v1 flags: %v", ErrTruncated, err)
-	}
-	s.Incremental = inc == 1
-	dur, err := read("duration")
-	if err != nil {
-		return nil, err
-	}
-	s.Duration = time.Duration(dur)
-	if s.SizeBytes, err = read("size"); err != nil {
-		return nil, err
-	}
-
-	nRegions, err := read("region count")
-	if err != nil {
-		return nil, err
-	}
-	prev := uint64(0)
-	for i := uint64(0); i < nRegions; i++ {
-		delta, err := read("region")
-		if err != nil {
-			return nil, err
-		}
-		prev += delta
-		s.Regions = append(s.Regions, heap.RegionID(prev))
-	}
-
-	nNoNeed, err := read("no-need count")
-	if err != nil {
-		return nil, err
-	}
-	prev = 0
-	for i := uint64(0); i < nNoNeed; i++ {
-		delta, err := read("no-need region")
-		if err != nil {
-			return nil, err
-		}
-		prev += delta
-		idx, err := read("no-need index")
-		if err != nil {
-			return nil, err
-		}
-		s.NoNeed = append(s.NoNeed, heap.PageKey{Region: heap.RegionID(prev), Index: uint32(idx)})
-	}
-
-	nPages, err := read("page count")
-	if err != nil {
-		return nil, err
-	}
-	prev = 0
-	for i := uint64(0); i < nPages; i++ {
-		delta, err := read("page region")
-		if err != nil {
-			return nil, err
-		}
-		prev += delta
-		idx, err := read("page index")
-		if err != nil {
-			return nil, err
-		}
-		pr := PageRecord{Key: heap.PageKey{Region: heap.RegionID(prev), Index: uint32(idx)}}
-		nIDs, err := read("id count")
-		if err != nil {
-			return nil, err
-		}
-		prevID := uint64(0)
-		for j := uint64(0); j < nIDs; j++ {
-			d, err := read("id")
-			if err != nil {
-				return nil, err
-			}
-			prevID += d
-			pr.HeaderIDs = append(pr.HeaderIDs, heap.ObjectID(prevID))
-		}
-		s.Pages = append(s.Pages, pr)
-	}
-	return &s, nil
 }
 
 // WriteDir persists a snapshot sequence as an image directory. Each image

@@ -12,8 +12,8 @@ import (
 
 // FuzzRead drives the image decoder with arbitrary bytes: it must never
 // panic and never allocate unboundedly, only return a snapshot or a typed
-// error. The seed corpus holds both format versions, including real v1
-// images from a pre-PR profiling run.
+// error. The seed corpus holds synthetic images and real ones from the
+// checked-in profiling run.
 func FuzzRead(f *testing.F) {
 	// v2 seeds from the canonical sample and an empty snapshot.
 	for _, s := range []*Snapshot{
@@ -27,8 +27,8 @@ func FuzzRead(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
-	// Real v1 images recorded before the framed format existed.
-	paths, err := filepath.Glob(filepath.Join(v1Dir, "snap-*.img"))
+	// Real images from the checked-in profiling run.
+	paths, err := filepath.Glob(filepath.Join(v2Dir, "snap-*.img"))
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -11,67 +11,27 @@ import (
 	"polm2/internal/faultio"
 )
 
-// v1Dir points at the checked-in pre-PR artifact directory: images written
-// by the version-1 codec before CRC framing existed.
-const v1Dir = "../../testdata/artifacts/v1/snaps"
+// v2Dir holds the checked-in images of the current format.
+const v2Dir = "../../testdata/artifacts/v2/snaps"
 
-func TestReadV1Artifacts(t *testing.T) {
-	snaps, err := ReadDir(v1Dir)
+// TestV1ImageRefused: an image whose version byte says 1 — the unframed
+// pre-CRC format — is refused as corrupt rather than decoded, and an empty
+// image is a tear before the header.
+func TestV1ImageRefused(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join(v2Dir, FileName(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snaps) == 0 {
-		t.Fatal("no v1 images decoded")
+	if _, err := Read(bytes.NewReader(data)); err != nil {
+		t.Fatalf("pristine image refused: %v", err)
 	}
-	for i, s := range snaps {
-		if s.Seq != i+1 {
-			t.Fatalf("image %d has seq %d", i, s.Seq)
-		}
-		if !s.Incremental || len(s.Regions) == 0 {
-			t.Fatalf("image %d implausible: %+v", i, s)
-		}
+	v1 := append([]byte(nil), data...)
+	v1[len(imageMagic)] = 1
+	if _, err := Read(bytes.NewReader(v1)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("version-1 image: err = %v, want ErrCorrupt", err)
 	}
-	// The replayed store view must be non-empty: the images carry data.
-	store := NewStore()
-	for _, s := range snaps {
-		if err := store.Apply(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(store.LiveIDs()) == 0 {
-		t.Fatal("v1 replay reconstructed an empty heap")
-	}
-}
-
-func TestV1RoundTripsThroughV2(t *testing.T) {
-	snaps, err := ReadDir(v1Dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := snaps[len(snaps)-1]
-	var buf bytes.Buffer
-	if err := src.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := NewStore(), NewStore()
-	if err := a.Apply(src); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Apply(got); err != nil {
-		t.Fatal(err)
-	}
-	av, bv := a.LiveIDs(), b.LiveIDs()
-	if len(av) == 0 || len(av) != len(bv) {
-		t.Fatalf("views differ: %d vs %d ids", len(av), len(bv))
-	}
-	for i := range av {
-		if av[i] != bv[i] {
-			t.Fatalf("id %d differs", i)
-		}
+	if _, err := Read(bytes.NewReader(nil)); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("empty image: err = %v, want ErrTruncated", err)
 	}
 }
 
