@@ -121,7 +121,7 @@ func newFixture(t *testing.T) *fixture {
 	// Inline merge workers keep the end-to-end metrics and trace
 	// assertions exact: every upload's merge lands before its response, so
 	// counters and the trace ring are byte-stable run to run.
-	srv := planserver.New(store, planserver.Options{Tracer: tracer, Now: now, Schedule: func(w func()) { w() }})
+	srv := planserver.New(store, planserver.Options{Tracer: tracer, Now: now, Executor: planserver.ExecutorFunc(func(w func()) { w() })})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return &fixture{store: store, srv: srv, ts: ts, tracer: tracer}

@@ -84,7 +84,7 @@ func TestTransportFidelity(t *testing.T) {
 	var tick atomic.Int64
 	srv := planserver.New(simStore, planserver.Options{
 		Now:      func() time.Duration { return time.Duration(tick.Add(1)) * time.Millisecond },
-		Schedule: func(w func()) { w() },
+		Executor: planserver.ExecutorFunc(func(w func()) { w() }),
 	})
 	fabric := simnet.NewFabric(srv, simclock.New(), nil)
 	overFabric := scenario(t, simStore, func(seed int64) *fleetclient.Client {

@@ -85,7 +85,7 @@ func TestOnlineFeedbackReachesDaemon(t *testing.T) {
 	}
 	f := &fleetFixture{store: store}
 	f.srv = planserver.New(store, planserver.Options{
-		Schedule: func(w func()) { w() },
+		Executor: planserver.ExecutorFunc(func(w func()) { w() }),
 		Rollout:  &rollout.Config{},
 	})
 	f.ts = httptest.NewServer(f.srv)

@@ -23,7 +23,7 @@ func newFleetFixture(t *testing.T) *fleetFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := planserver.New(store, planserver.Options{Schedule: func(w func()) { w() }})
+	srv := planserver.New(store, planserver.Options{Executor: planserver.ExecutorFunc(func(w func()) { w() })})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return &fleetFixture{store: store, srv: srv, ts: ts}

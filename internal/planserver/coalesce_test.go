@@ -17,17 +17,17 @@ import (
 	"polm2/internal/profilestore"
 )
 
-// gateScheduler is a planserver.Options.Schedule that can hold scheduled
-// merge workers back and release them later, making batching observable:
-// uploads accepted while the gate is closed are all covered by the single
-// drain that runs on release.
+// gateScheduler is an Executor that can hold handed-over merge workers
+// back and release them later, making batching observable: uploads
+// accepted while the gate is closed are all covered by the single drain
+// that runs on release.
 type gateScheduler struct {
 	mu      sync.Mutex
 	closed  bool
 	pending []func()
 }
 
-func (g *gateScheduler) schedule(work func()) {
+func (g *gateScheduler) Go(work func()) {
 	g.mu.Lock()
 	if g.closed {
 		g.pending = append(g.pending, work)
@@ -67,7 +67,7 @@ func TestCoalescingConcurrentUploads(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate := &gateScheduler{}
-	srv := New(store, Options{Schedule: gate.schedule})
+	srv := New(store, Options{Executor: gate})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -244,7 +244,7 @@ func TestCrossKeyIndependence(t *testing.T) {
 		}
 		go work()
 	}
-	srv := New(store, Options{Schedule: sched})
+	srv := New(store, Options{Executor: ExecutorFunc(sched)})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -363,7 +363,7 @@ func TestSteadyStateNoDiskReads(t *testing.T) {
 		}
 	}
 	if got := srv.Metrics().Counter("evidence_load_total").Value(); got != 1 {
-		t.Fatalf("evidence_load_total after warmup = %d, want 1 (the first upload's cold rebuild)", got)
+		t.Fatalf("evidence_load_total after warmup = %d, want 1 (the one scan of the log)", got)
 	}
 
 	// Wipe the evidence log. Only the in-memory cache can merge now.
@@ -432,7 +432,7 @@ func TestPlanRebuildFromEvidence(t *testing.T) {
 
 	// A fresh daemon over the plan-less store: the cold fetch must serve
 	// the merge of the surviving evidence, not a 404.
-	srv2 := New(store, Options{Schedule: inline})
+	srv2 := New(store, Options{Executor: inline})
 	ts2 := httptest.NewServer(srv2)
 	defer ts2.Close()
 	resp2, body := fetchPlan(t, ts2.URL, "Cassandra", "WI", "")
@@ -463,7 +463,7 @@ func TestPlanFetch304ZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(store, Options{Schedule: inline})
+	srv := New(store, Options{Executor: inline})
 	w := &benchWriter{h: make(http.Header)}
 	benchUpload(t, srv, w, "inst-0", benchEvidence(t, "inst-0", 8, 0))
 	req := httptest.NewRequest("GET", "/v1/plan?app=Bench&workload=hot", nil)

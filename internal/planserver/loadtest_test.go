@@ -22,8 +22,8 @@ import (
 // instance's evidence exactly once, whatever the arrival order and
 // despite the replays — the end-to-end form of MergeProfiles'
 // order-independence plus the daemon's replace-per-instance model — and
-// the run doubles as the data race stress for the cache, single-flight
-// and store paths under -race.
+// the run doubles as the data race stress for the cache, cold-load and
+// store paths under -race.
 func TestFleetLoad(t *testing.T) {
 	store, err := profilestore.Open(t.TempDir())
 	if err != nil {

@@ -52,6 +52,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"polm2/internal/analyzer"
@@ -78,26 +79,13 @@ type Options struct {
 	// Default: wall-clock elapsed since New. Tests inject a deterministic
 	// clock to keep traces byte-stable.
 	Now func() time.Duration
-	// Schedule, when non-nil, launches shard merge workers instead of the
-	// default `go work()`. Tests inject schedulers to run workers inline
-	// (an upload then responds with the plan covering it) or to gate them
-	// and observe coalescing deterministically, and the fleet simulator
-	// (internal/simnet) injects its virtual-time event queue so worker
-	// execution order is owned by the simulation. The worker must
-	// eventually run (or uploads waiting on it block), and Schedule is
-	// never called while shard or server locks are held.
-	Schedule func(work func())
-	// Pump, when non-nil, replaces every blocking wait on the merge
-	// pipeline: instead of parking on a condition variable until a worker
-	// catches up, the waiter repeatedly calls Pump, which must execute
-	// scheduled work (typically one deferred Schedule callback) and
-	// report whether anything ran. This is what lets a single-threaded
-	// deterministic scheduler own the drain workers without deadlock —
-	// the goroutine that would have waited drives the pipeline itself. A
-	// Pump that reports no work while the waiter is still uncovered turns
-	// the wait into a pipeline-stalled error instead of hanging. Pump is
-	// called with no locks held.
-	Pump func() bool
+	// Executor, when non-nil, runs the shard merge workers instead of one
+	// goroutine each. Tests run them inline (an upload then responds with
+	// the plan covering it) or gate them to observe coalescing
+	// deterministically; the fleet simulator (internal/simnet) defers them
+	// into its virtual-time FIFO as a Stepper, so worker execution order
+	// is owned by the simulation.
+	Executor Executor
 	// Rollout, when non-nil, enables the canary rollout controller
 	// (DESIGN.md §14): newly merged plans are staged to a deterministic
 	// canary cohort and promoted or rolled back on POST /v1/feedback
@@ -123,18 +111,47 @@ type Options struct {
 	PeerClient *http.Client
 }
 
+// Executor runs the merge workers a server hands it (Options.Executor).
+type Executor interface {
+	// Go hands over one worker. It must run exactly once, eventually (a
+	// handler waiting on it blocks until it does). Go is never called
+	// with a lock held, so it may run work on the calling goroutine.
+	Go(work func())
+}
+
+// Stepper is an Executor that runs nothing until stepped — a
+// single-threaded scheduler such as the fleet simulator's event queue. A
+// handler that cannot answer before a worker has run (a key's first
+// upload, a plan rebuild, Flush) steps it instead of parking: Step runs
+// one handed-over worker on the calling goroutine and reports whether
+// there was one. Running dry while the wait is still uncovered is a
+// stalled pipeline, reported as an error rather than a hang. Step is
+// called with no lock held.
+type Stepper interface {
+	Executor
+	Step() bool
+}
+
+// ExecutorFunc adapts a function to an Executor.
+// ExecutorFunc(func(w func()) { w() }) runs every worker inline.
+type ExecutorFunc func(work func())
+
+// Go calls f(work).
+func (f ExecutorFunc) Go(work func()) { f(work) }
+
 // Server is the plan-distribution HTTP service. It is an http.Handler.
 type Server struct {
-	store *profilestore.Store
-	opts  Options
-	mux   *http.ServeMux
+	store   *profilestore.Store
+	opts    Options
+	stepper Stepper // opts.Executor when it is a Stepper, else nil
+	mux     *http.ServeMux
 
 	reg           *metrics.Registry
 	fetches       *metrics.Counter          // every GET /v1/plan
 	notModified   *metrics.Counter          // ... answered 304
 	misses        *metrics.Counter          // ... answered 404
 	loads         *metrics.Counter          // plan loads from the store (cold-cache fetches)
-	evidenceLoads *metrics.Counter          // evidence-log loads from the store (cold-cache rebuilds)
+	evidenceLoads *metrics.Counter          // scans of the whole evidence log (one per lifetime, plus failed retries)
 	uploads       *metrics.Counter          // accepted evidence uploads
 	merges        *metrics.Counter          // fleet merges performed (≤ uploads; batching coalesces)
 	coalesced     *metrics.Counter          // uploads covered by a batch merge beyond its first
@@ -167,15 +184,13 @@ type Server struct {
 	peerDocsApplied *metrics.Counter // evidence documents pulled and applied
 	peerDivergence  *metrics.Gauge   // documents the last pass had to pull
 
-	syncScanMu  sync.Mutex
-	syncScanned bool // one-time cold scan of the store into the sync summary
+	// loadMu serializes the one scan of the evidence log (loadEvidence);
+	// loaded is set once it has filled the shards.
+	loadMu sync.Mutex
+	loaded atomic.Bool
 
 	shardMu sync.RWMutex
 	shards  map[profilestore.Key]*shard
-
-	// testHookAfterLoad, when non-nil, runs between a flight's store read
-	// and its cache write — test-only, to interleave a merge install.
-	testHookAfterLoad func()
 }
 
 // cachedPlan is one encoded, content-addressed plan. The header value
@@ -191,13 +206,6 @@ type cachedPlan struct {
 // jsonContentType is the shared Content-Type header value for plan
 // responses; assigned directly (not via Header.Set) on the fetch path.
 var jsonContentType = []string{"application/json"}
-
-// flight is one in-progress store load other fetchers wait on.
-type flight struct {
-	done chan struct{}
-	plan *cachedPlan
-	err  error
-}
 
 // New builds a server fronting the store.
 func New(store *profilestore.Store, opts Options) *Server {
@@ -228,6 +236,7 @@ func New(store *profilestore.Store, opts Options) *Server {
 		mergeLatency:  reg.Histogram("evidence_merge_latency", nil),
 		shards:        make(map[profilestore.Key]*shard),
 	}
+	s.stepper, _ = opts.Executor.(Stepper)
 	if opts.Rollout != nil {
 		cfg := opts.Rollout.Normalize()
 		s.ro = &cfg
@@ -345,101 +354,66 @@ func (s *Server) finishPlan(start time.Duration, app, workload, outcome string) 
 	}
 }
 
-// loadPlan returns the published plan for the shard, loading it from the
-// store at most once however many fetchers arrive concurrently
-// (single-flight). A store with no plan file but surviving evidence — the
-// async publish lost a race with a crash, or an operator copied only the
-// evidence log — rebuilds the plan through the merge pipeline instead of
-// reporting a miss: the evidence log is authoritative, the plan file is a
-// convenience copy.
-func (s *Server) loadPlan(sh *shard) (*cachedPlan, error) {
-	sh.mu.Lock()
-	if c := sh.plan; c != nil {
-		sh.mu.Unlock()
-		return c, nil
-	}
-	if f := sh.flight; f != nil {
-		sh.mu.Unlock()
-		<-f.done
-		return f.plan, f.err
-	}
-	f := &flight{done: make(chan struct{})}
-	sh.flight = f
-	startGen := sh.gen
-	sh.mu.Unlock()
-
+// loadPlanLocked fills the shard's empty plan cache from the store (caller
+// holds sh.mu, so concurrent cold fetches share one load and no merge can
+// publish between the read and the install). A store with no plan file
+// but surviving evidence — the async publish lost a race with a crash, or
+// an operator copied only the evidence log — rebuilds the plan through the
+// merge pipeline instead of reporting a miss: the evidence log is
+// authoritative, the plan file is a convenience copy.
+func (s *Server) loadPlanLocked(sh *shard) error {
 	s.loads.Inc()
 	p, err := s.store.Get(sh.key.App, sh.key.Workload)
-	var c *cachedPlan
-	if err == nil {
-		c, err = encodePlan(p)
-	} else if errors.Is(err, profilestore.ErrNotFound) {
-		c, err = s.rebuildFromEvidence(sh, err)
+	if errors.Is(err, profilestore.ErrNotFound) {
+		return s.rebuildLocked(sh, err)
 	}
-	if s.testHookAfterLoad != nil {
-		s.testHookAfterLoad()
+	if err != nil {
+		return err
 	}
-
-	sh.mu.Lock()
-	sh.flight = nil
-	if sh.gen != startGen && sh.plan != nil {
-		// A merge published a newer plan while this flight was reading the
-		// store; writing the pre-merge read back would serve a stale plan
-		// (and stale ETag) until the next merge. Serve the installed plan.
-		c, err = sh.plan, nil
-	} else if err == nil {
-		sh.plan = c
-		if s.ro != nil && p != nil && sh.roll != nil && sh.roll.StableETag() == "" {
-			// Rollout mode, no prior rollout history: adopt the stored
-			// plan as the stable baseline so the next merge canaries
-			// against it rather than replacing it fleet-wide.
-			sh.roll.Observe(c.etag)
-			sh.stableProf = p
-			s.persistRolloutLocked(sh) //nolint:errcheck // healed by the next merge's persist
-			s.recordTransition(sh, RolloutTransition{
-				Kind: "adopt", From: rollout.StateStable, To: sh.roll.State(), ETag: c.etag,
-			})
-		}
+	c, err := encodePlan(p)
+	if err != nil {
+		return err
 	}
-	sh.mu.Unlock()
-	f.plan, f.err = c, err
-	close(f.done)
-	return c, err
+	sh.plan = c
+	if s.ro != nil && sh.roll.StableETag() == "" {
+		// Rollout mode, no prior rollout history: adopt the stored plan as
+		// the stable baseline so the next merge canaries against it rather
+		// than replacing it fleet-wide.
+		sh.roll.Observe(c.etag)
+		sh.stableProf = p
+		s.persistRolloutLocked(sh) //nolint:errcheck // healed by the next merge's persist
+		s.recordTransition(sh, RolloutTransition{
+			Kind: "adopt", From: rollout.StateStable, To: sh.roll.State(), ETag: c.etag,
+		})
+	}
+	return nil
 }
 
-// rebuildFromEvidence recomputes a missing plan from the evidence log by
-// pushing a synthetic generation through the shard's merge pipeline and
-// waiting for it to publish. notFound is returned unchanged when the log
-// is empty too — the key genuinely has no plan.
-func (s *Server) rebuildFromEvidence(sh *shard, notFound error) (*cachedPlan, error) {
-	sh.mu.Lock()
-	ev, err := s.loadEvidenceLocked(sh)
-	if err != nil {
-		sh.mu.Unlock()
-		return nil, err
-	}
-	if len(ev) == 0 {
-		sh.mu.Unlock()
-		return nil, notFound
+// rebuildLocked recomputes a missing plan from the evidence cache by
+// pushing a synthetic generation through the merge pipeline and waiting
+// for it to publish (caller holds sh.mu, held again on return). notFound
+// is returned unchanged when there is no evidence either — the key
+// genuinely has no plan.
+func (s *Server) rebuildLocked(sh *shard, notFound error) error {
+	if len(sh.evidence) == 0 {
+		return notFound
 	}
 	if sh.dirty == sh.mergedGen {
 		sh.dirty++
 	}
 	target := sh.dirty
-	launch := s.ensureWorkerLocked(sh)
-	sh.mu.Unlock()
-	if launch != nil {
+	if launch := s.ensureWorkerLocked(sh); launch != nil {
+		sh.mu.Unlock()
 		launch()
+		sh.mu.Lock()
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	if err := s.awaitCovered(sh, target); err != nil {
-		return nil, err
+		return err
 	}
 	if sh.plan == nil {
-		return nil, notFound
+		return notFound
 	}
-	return sh.plan, nil
+	return nil
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
@@ -452,44 +426,34 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		s.finishPlan(start, app, workload, "bad_request")
 		return
 	}
-	sh := s.shard(profilestore.Key{App: app, Workload: workload})
-	sh.mu.Lock()
-	c := sh.plan
-	if s.ro != nil {
-		if err := s.restoreRolloutLocked(sh); err != nil {
-			sh.mu.Unlock()
-			s.storeErrs.Inc()
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			s.finishPlan(start, app, workload, "store_error")
-			return
-		}
-		c = s.rolloutPlanLocked(sh, r.Header.Get(InstanceHeader))
-	}
-	sh.mu.Unlock()
-	if c == nil {
-		var err error
-		if c, err = s.loadPlan(sh); err != nil {
-			if errors.Is(err, profilestore.ErrNotFound) {
-				s.misses.Inc()
-				s.dropIfEmpty(sh)
-				http.Error(w, err.Error(), http.StatusNotFound)
-				s.finishPlan(start, app, workload, "miss")
-				return
-			}
-			s.storeErrs.Inc()
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			s.finishPlan(start, app, workload, "store_error")
-			return
-		}
+	err := s.loadEvidence()
+	var c *cachedPlan
+	if err == nil {
+		sh := s.lockShard(profilestore.Key{App: app, Workload: workload})
 		if s.ro != nil {
-			// A cold load may have restored an open canary alongside the
-			// stable plan; route cohort members to the candidate.
-			sh.mu.Lock()
-			if rc := s.rolloutPlanLocked(sh, r.Header.Get(InstanceHeader)); rc != nil {
-				c = rc
-			}
-			sh.mu.Unlock()
+			err = s.restoreRolloutLocked(sh)
 		}
+		if err == nil && sh.plan == nil {
+			err = s.loadPlanLocked(sh)
+		}
+		c = sh.plan
+		if err == nil && s.ro != nil {
+			c = s.rolloutPlanLocked(sh, r.Header.Get(InstanceHeader))
+		}
+		sh.mu.Unlock()
+		if errors.Is(err, profilestore.ErrNotFound) {
+			s.misses.Inc()
+			s.dropIfEmpty(sh)
+			http.Error(w, err.Error(), http.StatusNotFound)
+			s.finishPlan(start, app, workload, "miss")
+			return
+		}
+	}
+	if err != nil {
+		s.storeErrs.Inc()
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		s.finishPlan(start, app, workload, "store_error")
+		return
 	}
 	h := w.Header()
 	h["Etag"] = c.etagHeader
@@ -536,8 +500,8 @@ func checkEvidence(p *analyzer.Profile) error {
 }
 
 // seedInstance is the reserved instance id under which a pre-fleet plan
-// (seeded offline by polm2-profile) is adopted as baseline evidence the
-// first time a key sees an upload.
+// (seeded offline by polm2-profile) is adopted as baseline evidence when
+// the key's first document is accepted (acceptLocked).
 const seedInstance = "__seed__"
 
 // InstanceHeader names the request header carrying the uploader's stable
@@ -597,22 +561,13 @@ func (s *Server) handleEvidence(w http.ResponseWriter, r *http.Request) {
 			clientSeq = n
 		}
 	}
-	sh := s.shard(profilestore.Key{App: up.App, Workload: up.Workload})
-
-	sh.mu.Lock()
-	ev, err := s.loadEvidenceLocked(sh)
-	if err != nil {
-		sh.mu.Unlock()
+	if err := s.loadEvidence(); err != nil {
 		s.storeErrs.Inc()
 		outcome = "store_error"
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	// The evidence file is the durable write-ahead record: persist before
-	// acknowledging anything, then replace the instance's prior
-	// contribution in the cache so n cumulative re-profiles count once,
-	// not n times, and a retry of a lost response replays harmlessly.
-	//
+	sh := s.lockShard(profilestore.Key{App: up.App, Workload: up.Workload})
 	// The stamp strictly advances past whatever this daemon holds — even a
 	// replayed or reordered upload gets a fresh, winning stamp, so the
 	// locally accepted write always replaces locally and replication
@@ -623,24 +578,15 @@ func (s *Server) handleEvidence(w http.ResponseWriter, r *http.Request) {
 	if clientSeq > stamp.Seq {
 		stamp.Seq = clientSeq
 	}
-	if err := s.store.PutEvidenceStamped(instance, stamp, &up); err != nil {
+	launch, err := s.acceptLocked(sh, instance, stamp, &up)
+	if err != nil {
 		sh.mu.Unlock()
 		s.storeErrs.Inc()
 		outcome = "store_error"
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	ev[instance] = &up
-	sh.setStamp(instance, stamp)
-	sh.dirty++
 	myGen := sh.dirty
-	if sh.instGauge == nil {
-		sh.instGauge = s.reg.Gauge(metrics.LabelName("evidence_instances",
-			metrics.Label{Key: "app", Value: up.App},
-			metrics.Label{Key: "workload", Value: up.Workload}))
-	}
-	sh.instGauge.Set(int64(len(ev)))
-	launch := s.ensureWorkerLocked(sh)
 	sh.mu.Unlock()
 	s.uploads.Inc()
 	if launch != nil {

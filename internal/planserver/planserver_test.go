@@ -3,21 +3,28 @@ package planserver
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"polm2/internal/analyzer"
 	"polm2/internal/profilestore"
+	"polm2/internal/rollout"
 )
 
-// inline is a Schedule that runs the merge worker on the uploading
+// inline is an Executor that runs the merge worker on the uploading
 // goroutine, so the drain finishes before the handler reads the plan.
-func inline(work func()) { work() }
+var inline = ExecutorFunc(func(work func()) { work() })
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server, *profilestore.Store) {
 	t.Helper()
@@ -29,7 +36,7 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server, *profilestore.Store
 	// ETag and body must be the merge including the upload itself) and on
 	// exact per-upload merge counts. The async default is exercised by the
 	// coalescing and fleet-load tests.
-	srv := New(store, Options{Schedule: inline})
+	srv := New(store, Options{Executor: inline})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return srv, ts, store
@@ -246,7 +253,7 @@ func TestUploadReplacesPerInstance(t *testing.T) {
 
 	// The per-instance evidence is durable: a fresh server over the same
 	// store reloads it and keeps replacing, not adding.
-	srv2 := New(store, Options{Schedule: inline})
+	srv2 := New(store, Options{Executor: inline})
 	ts2 := httptest.NewServer(srv2)
 	defer ts2.Close()
 	resp = postEvidence(t, ts2.URL, "inst-1", evidence("Cassandra", "WI", site(trace, 75, 225)))
@@ -309,6 +316,144 @@ func TestSeedPlanCountsOnce(t *testing.T) {
 	}
 }
 
+// evidenceFiles snapshots the store's evidence log: file name to bytes,
+// empty when the directory does not exist.
+func evidenceFiles(t *testing.T, store *profilestore.Store) map[string]string {
+	t.Helper()
+	dir := filepath.Join(store.Dir(), "evidence")
+	entries, err := os.ReadDir(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return map[string]string{}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(data)
+	}
+	return out
+}
+
+// TestReadsNeverWriteSeed: a key whose store holds a plan (and a rollout
+// document mid-canary) but no evidence is only ever *read* by plan
+// fetches, feedback, sync stamp lists and a peer pull's summary compare —
+// none of them may write the __seed__ baseline into the evidence log. The
+// key's first accepted upload is what adopts it.
+func TestReadsNeverWriteSeed(t *testing.T) {
+	dir := t.TempDir()
+	cfg := rollout.Config{CanaryFraction: 0.5, MinReports: 4, Seed: 42}
+	store, err := profilestore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := rolloutServer(t, store, cfg)
+	postEvidence(t, ts.URL, "inst-1", evidence("Cassandra", "WI", site("A.a:1", 5))).Body.Close()
+	postEvidence(t, ts.URL, "inst-2", evidence("Cassandra", "WI", site("B.b:2", 9))).Body.Close()
+	canary, outside := splitCohort(cfg, "inst-1", "inst-2")
+	candidate := planETagFor(t, ts.URL, canary)
+	if stable := planETagFor(t, ts.URL, outside); candidate == stable {
+		t.Fatalf("no canary staged: both instances see %s", stable)
+	}
+	// Lose the evidence log: the key is now plan-only (the plan file, plus
+	// the rollout document holding the open canary).
+	if err := os.RemoveAll(filepath.Join(dir, "evidence")); err != nil {
+		t.Fatal(err)
+	}
+
+	// The peer advertises the key with a sum this daemon cannot match, so
+	// the pull compares the local sum and reads the peer's stamp list.
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.RawQuery != "" {
+			json.NewEncoder(w).Encode(syncStamps{Docs: []syncDocStamp{}})
+			return
+		}
+		json.NewEncoder(w).Encode(syncSummary{Daemon: "daemon-0", Keys: []syncKeySummary{{
+			App: "Cassandra", Workload: "WI", Docs: 1,
+		}}})
+	}))
+	defer peer.Close()
+	store2, err := profilestore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv2 := New(store2, Options{Executor: inline, Rollout: &cfg, SelfID: "daemon-1", Peers: []string{peer.URL}})
+	ts2 := httptest.NewServer(srv2)
+	defer ts2.Close()
+
+	before := evidenceFiles(t, store2)
+	planETagFor(t, ts2.URL, canary)
+	planETagFor(t, ts2.URL, outside)
+	if resp := postFeedback(t, ts2.URL, canary, feedbackReport(candidate, 10*time.Millisecond)); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("feedback = %d, want 204", resp.StatusCode)
+	}
+	if docs := fetchStamps(t, ts2.URL, "Cassandra", "WI"); len(docs) != 0 {
+		t.Fatalf("plan-only key lists stamps %+v", docs)
+	}
+	fetchSummary(t, ts2.URL)
+	srv2.SyncPeers()
+	if v := srv2.Metrics().Counter("peer_sync_error_total").Value(); v != 0 {
+		t.Fatalf("peer pull failed %d times", v)
+	}
+	if after := evidenceFiles(t, store2); !reflect.DeepEqual(after, before) {
+		t.Fatalf("reads changed the evidence log: %d files before, %d after", len(before), len(after))
+	}
+
+	// The first write adopts the stored plan as baseline evidence.
+	postEvidence(t, ts2.URL, "inst-3", evidence("Cassandra", "WI", site("C.c:3", 4))).Body.Close()
+	ev, err := store2.Evidence("Cassandra", "WI")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ev) != 2 || ev[seedInstance] == nil || ev["inst-3"] == nil {
+		t.Fatalf("after the first upload the log holds %d documents, want __seed__ and inst-3", len(ev))
+	}
+}
+
+// TestEvidenceLogReadOnce: a restarted daemon reads its evidence log in
+// one scan, however many keys it then serves — uploads to every key, the
+// sync summary and every key's stamp list all come from that scan.
+func TestEvidenceLogReadOnce(t *testing.T) {
+	const keys, instances = 4, 8
+	store, err := profilestore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := httptest.NewServer(New(store, Options{Executor: inline, SelfID: "daemon-0"}))
+	for k := 0; k < keys; k++ {
+		for i := 0; i < instances; i++ {
+			postEvidence(t, first.URL, fmt.Sprintf("inst-%d", i), evidence(fmt.Sprintf("App%d", k), "w", site("A.a:1", 5))).Body.Close()
+		}
+	}
+	first.Close()
+
+	srv := New(store, Options{Executor: inline, SelfID: "daemon-0"})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	for k := 0; k < keys; k++ {
+		resp := postEvidence(t, ts.URL, "inst-new", evidence(fmt.Sprintf("App%d", k), "w", site("A.a:1", 6)))
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("upload to App%d = %d", k, resp.StatusCode)
+		}
+	}
+	if sum := fetchSummary(t, ts.URL); len(sum.Keys) != keys {
+		t.Fatalf("summary lists %d keys, want %d", len(sum.Keys), keys)
+	}
+	for k := 0; k < keys; k++ {
+		if docs := fetchStamps(t, ts.URL, fmt.Sprintf("App%d", k), "w"); len(docs) != instances+1 {
+			t.Fatalf("App%d stamp list has %d documents, want %d", k, len(docs), instances+1)
+		}
+	}
+	if got := srv.Metrics().Counter("evidence_load_total").Value(); got != 1 {
+		t.Fatalf("evidence_load_total = %d, want 1 (one scan of the log per daemon lifetime)", got)
+	}
+}
+
 func TestUploadRejections(t *testing.T) {
 	srv, ts, _ := newTestServer(t)
 	valid := `{"app":"A","workload":"W","generations":0,"sites":[{"trace":"A.m:1","allocated":1,"buckets":[1],"gen":0}]}`
@@ -366,81 +511,6 @@ func TestHealthzAndMetricsz(t *testing.T) {
 	}
 }
 
-// TestMergeDuringLoadWins: a plan fetch whose store read races a
-// concurrent evidence merge must not overwrite the freshly installed
-// merged plan with its pre-merge read — that would serve a stale plan
-// (and stale ETag) until the next merge. The test-only hook interleaves
-// a full evidence upload between the flight's store read and its cache
-// write, deterministically reproducing the race.
-func TestMergeDuringLoadWins(t *testing.T) {
-	srv, ts, store := newTestServer(t)
-	seeded, err := analyzer.MergeProfiles(analyzer.Options{},
-		evidence("Cassandra", "WI", site("Main.run:10;Db.put:5", 20, 80)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Put(seeded); err != nil {
-		t.Fatal(err)
-	}
-
-	var mergedTag string
-	var once sync.Once
-	srv.testHookAfterLoad = func() {
-		// Runs on the GET handler's goroutine: only t.Error here.
-		once.Do(func() {
-			up, err := json.Marshal(evidence("Cassandra", "WI",
-				site("Main.run:10;Db.put:5", 10, 40)))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			req, err := http.NewRequest("POST", ts.URL+"/v1/evidence", bytes.NewReader(up))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			req.Header.Set("Content-Type", "application/json")
-			req.Header.Set(InstanceHeader, "inst-1")
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer resp.Body.Close()
-			io.Copy(io.Discard, resp.Body)
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("mid-load upload = %d", resp.StatusCode)
-				return
-			}
-			mergedTag = resp.Header.Get("ETag")
-		})
-	}
-
-	resp, body := fetchPlan(t, ts.URL, "Cassandra", "WI", "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("racing fetch = %d", resp.StatusCode)
-	}
-	if mergedTag == "" {
-		t.Fatal("hook never merged")
-	}
-	if got := resp.Header.Get("ETag"); got != mergedTag {
-		t.Fatalf("racing fetch served ETag %s, want the merged plan's %s", got, mergedTag)
-	}
-	var p analyzer.Profile
-	if err := json.Unmarshal(body, &p); err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Sites) != 1 || p.Sites[0].Allocated != 150 {
-		t.Fatalf("racing fetch served %+v, want the merged evidence (150)", p.Sites)
-	}
-	// The cache must hold the merged plan too: a conditional fetch with
-	// its ETag is a 304, not a stale 200.
-	resp, _ = fetchPlan(t, ts.URL, "Cassandra", "WI", mergedTag)
-	if resp.StatusCode != http.StatusNotModified {
-		t.Fatalf("conditional fetch after race = %d, want 304", resp.StatusCode)
-	}
-}
-
 // TestSingleFlightLoads checks that concurrent cold fetches of one key
 // produce exactly one store load.
 func TestSingleFlightLoads(t *testing.T) {
@@ -480,12 +550,10 @@ func TestSingleFlightLoads(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	// All fetchers served; the store was loaded at most a handful of times
-	// (exactly once unless the HTTP server admitted requests before the
-	// first completed — single-flight makes concurrent ones share).
-	loads := srv.Metrics().Counter("plan_load_total").Value()
-	if loads == 0 || loads > 2 {
-		t.Fatalf("plan_load_total = %d, want 1 (single-flight)", loads)
+	// All fetchers served from one store load: the cold load runs under
+	// the shard lock, so every other fetcher finds the plan it installed.
+	if loads := srv.Metrics().Counter("plan_load_total").Value(); loads != 1 {
+		t.Fatalf("plan_load_total = %d, want exactly 1", loads)
 	}
 	if got := srv.Metrics().Counter("plan_fetch_total").Value(); got != fetchers {
 		t.Fatalf("plan_fetch_total = %d, want %d", got, fetchers)

@@ -142,7 +142,6 @@ func (s *Server) restoreRolloutLocked(sh *shard) error {
 		if c, err := encodePlan(doc.Stable); err == nil && c.etag == sh.roll.StableETag() {
 			sh.stableProf = doc.Stable
 			sh.plan = c
-			sh.gen++
 		}
 	}
 	if doc.Candidate != nil && sh.roll.State() == rollout.StateCanary {
@@ -208,12 +207,6 @@ func (s *Server) rolloutPlanLocked(sh *shard, instance string) *cachedPlan {
 	if sh.cand == nil || instance == "" || sh.roll == nil || sh.roll.State() != rollout.StateCanary {
 		return sh.plan
 	}
-	if sh.evidence == nil {
-		// Restart mid-canary: membership needs the instance set.
-		if _, err := s.loadEvidenceLocked(sh); err != nil {
-			return sh.plan // non-canary on doubt; stable is always safe
-		}
-	}
 	if s.cohortLocked(sh)[instance] {
 		return sh.cand
 	}
@@ -269,9 +262,6 @@ func (s *Server) observeMergeLocked(sh *shard, merged *analyzer.Profile, c *cach
 		sh.candProf = merged
 		sh.cand = c
 	}
-	// Any install or staging obsoletes what a concurrent cold-load flight
-	// read from the store; bump the generation so it discards its read.
-	sh.gen++
 
 	if err := s.persistRolloutLocked(sh); err != nil {
 		return err
@@ -283,10 +273,7 @@ func (s *Server) observeMergeLocked(sh *shard, merged *analyzer.Profile, c *cach
 		})
 	case rollout.EventCanary:
 		s.canaries.Inc()
-		cohort := 0
-		if sh.evidence != nil {
-			cohort = len(s.cohortLocked(sh))
-		}
+		cohort := len(s.cohortLocked(sh))
 		s.recordTransition(sh, RolloutTransition{
 			Kind: "canary_start", From: from, To: sh.roll.State(), ETag: c.etag, CohortSize: cohort,
 		}, trace.Int64("cohort", int64(cohort)))
@@ -322,7 +309,6 @@ func (s *Server) decideLocked(sh *shard, out rollout.Outcome) error {
 		if candidate != nil {
 			sh.stableProf = sh.candProf
 			sh.plan = candidate
-			sh.gen++
 		}
 		sh.cand, sh.candProf = nil, nil
 		s.recordTransition(sh, RolloutTransition{
@@ -406,8 +392,13 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.feedbackReports.Inc()
-	sh := s.shard(profilestore.Key{App: rep.App, Workload: rep.Workload})
-	sh.mu.Lock()
+	if err := s.loadEvidence(); err != nil {
+		s.storeErrs.Inc()
+		outcome = "store_error"
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	sh := s.lockShard(profilestore.Key{App: rep.App, Workload: rep.Workload})
 	if err := s.restoreRolloutLocked(sh); err != nil {
 		sh.mu.Unlock()
 		s.storeErrs.Inc()
@@ -415,15 +406,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	inCohort := false
-	if sh.roll.State() == rollout.StateCanary {
-		if sh.evidence == nil {
-			s.loadEvidenceLocked(sh) //nolint:errcheck // membership on doubt is non-canary
-		}
-		if sh.evidence != nil {
-			inCohort = s.cohortLocked(sh)[instance]
-		}
-	}
+	inCohort := sh.roll.State() == rollout.StateCanary && s.cohortLocked(sh)[instance]
 	out := sh.roll.Record(&rep, inCohort)
 	err := s.decideLocked(sh, out)
 	sh.mu.Unlock()

@@ -19,7 +19,7 @@ import (
 // decides; the gate itself is pinned by the rollout package's table test.
 func rolloutServer(t *testing.T, store *profilestore.Store, cfg rollout.Config) (*Server, *httptest.Server) {
 	t.Helper()
-	srv := New(store, Options{Schedule: inline, Rollout: &cfg})
+	srv := New(store, Options{Executor: inline, Rollout: &cfg})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return srv, ts
@@ -304,7 +304,7 @@ func TestRolloutAdoptsLegacyPlanFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, ts, _ := func() (*Server, *httptest.Server, *profilestore.Store) {
-		srv := New(store, Options{Schedule: inline})
+		srv := New(store, Options{Executor: inline})
 		ts := httptest.NewServer(srv)
 		t.Cleanup(ts.Close)
 		return srv, ts, store

@@ -14,29 +14,35 @@ import (
 // shard is the per-(app, workload) slice of the daemon's state: the
 // in-memory evidence cache, the encoded fleet plan, and the coalescing
 // merge pipeline's bookkeeping. Uploads and fetches for different keys
-// touch different shards and never contend; everything inside one shard
-// is guarded by its own mutex.
+// touch different shards and never contend; everything inside one shard —
+// the evidence cache, the cold plan load, the published plan — is guarded
+// by its own mutex.
 //
-// The write path is a coalescing pipeline: an accepted upload persists
-// its evidence document (the durable log), updates the cache in place,
-// bumps dirty, and makes sure a merge worker is scheduled. The worker
-// drains: as long as dirty is ahead of mergedGen it snapshots the full
-// evidence set, recomputes the fleet plan once for the whole backlog,
-// persists and publishes it, then re-checks. However many uploads land
-// while one merge is in flight, they are all covered by the next pass —
-// a batch of N concurrent uploads costs at most two merges (one in
-// flight when the batch starts, one covering the batch), not N.
+// The write path is a coalescing pipeline: an accepted document
+// (acceptLocked — a direct upload or a pulled peer document) is persisted
+// to the durable log, updates the cache in place, bumps dirty, and makes
+// sure a merge worker is scheduled. The worker drains: as long as dirty is
+// ahead of mergedGen it snapshots the full evidence set, recomputes the
+// fleet plan once for the whole backlog, persists and publishes it, then
+// re-checks. However many uploads land while one merge is in flight, they
+// are all covered by the next pass — a batch of N concurrent uploads costs
+// at most two merges (one in flight when the batch starts, one covering
+// the batch), not N.
 type shard struct {
 	key profilestore.Key
 
 	mu   sync.Mutex
 	cond *sync.Cond // broadcast when mergedGen, plan or lastErr move
 
+	// retired is set when dropIfEmpty removes the shard from the map; a
+	// locker that finds it set retries (lockShard).
+	retired bool
+
 	// evidence is the in-memory image of the store's per-instance
-	// evidence log: each instance's latest validated upload. nil until
-	// first use; populated from disk exactly once per daemon lifetime
-	// (the lazy rebuild after a restart), then maintained in place —
-	// steady-state uploads and merges never read the store.
+	// evidence log: each instance's latest validated document. The
+	// daemon's one scan of the log fills it (Server.loadEvidence); from
+	// then on accepted documents maintain it in place — uploads, merges
+	// and sync reads never read the store's evidence again.
 	evidence map[string]*analyzer.Profile
 
 	// stamps holds each evidence document's replication stamp (sync.go),
@@ -49,14 +55,12 @@ type shard struct {
 	stamps map[string]profilestore.Stamp
 	sum    profilestore.KeySum
 
-	// plan is the encoded, content-addressed fleet plan being served.
-	// gen counts installs, so a cold store load racing a merge publish
-	// can detect that it lost and must not overwrite the newer plan.
-	plan   *cachedPlan
-	gen    uint64
-	flight *flight
+	// plan is the encoded, content-addressed fleet plan being served. A
+	// cold cache is filled from the store under mu (loadPlanLocked), so a
+	// merge publish can never interleave with a load.
+	plan *cachedPlan
 
-	// dirty counts accepted uploads; mergedGen the uploads covered by
+	// dirty counts accepted documents; mergedGen the documents covered by
 	// the published plan (or by a recorded failure). merging is true
 	// while a worker is scheduled or draining.
 	dirty     uint64
@@ -76,7 +80,7 @@ type shard struct {
 	inputs []*analyzer.Profile
 
 	// instGauge is this key's evidence_instances gauge, resolved lazily on
-	// the first accepted upload (so plan probes for unknown keys never
+	// the first accepted document (so plan probes for unknown keys never
 	// register metrics) and cached so the upload path never rebuilds the
 	// labeled metric name.
 	instGauge *metrics.Gauge
@@ -98,7 +102,11 @@ type shard struct {
 }
 
 func newShard(k profilestore.Key) *shard {
-	sh := &shard{key: k}
+	sh := &shard{
+		key:      k,
+		evidence: make(map[string]*analyzer.Profile),
+		stamps:   make(map[string]profilestore.Stamp),
+	}
 	sh.cond = sync.NewCond(&sh.mu)
 	return sh
 }
@@ -111,60 +119,94 @@ func (sh *shard) setStamp(instance string, st profilestore.Stamp) {
 	sh.stamps[instance] = st
 }
 
-// shard returns the state for k, creating it on first touch.
-func (s *Server) shard(k profilestore.Key) *shard {
-	s.shardMu.RLock()
-	sh := s.shards[k]
-	s.shardMu.RUnlock()
-	if sh != nil {
-		return sh
+// lockShard returns the state for k, created on first touch, with its
+// lock held. dropIfEmpty may retire an empty shard between the map lookup
+// and the lock; the retry then finds or creates its successor, so nothing
+// is ever written into a shard the map has forgotten.
+func (s *Server) lockShard(k profilestore.Key) *shard {
+	for {
+		s.shardMu.RLock()
+		sh := s.shards[k]
+		s.shardMu.RUnlock()
+		if sh == nil {
+			s.shardMu.Lock()
+			if sh = s.shards[k]; sh == nil {
+				sh = newShard(k)
+				s.shards[k] = sh
+			}
+			s.shardMu.Unlock()
+		}
+		sh.mu.Lock()
+		if !sh.retired {
+			return sh
+		}
+		sh.mu.Unlock()
 	}
-	s.shardMu.Lock()
-	defer s.shardMu.Unlock()
-	if sh = s.shards[k]; sh == nil {
-		sh = newShard(k)
-		s.shards[k] = sh
-	}
-	return sh
 }
 
 // dropIfEmpty removes a shard that never came to hold anything — created
 // by a plan fetch for a key the store has never seen — so probing random
 // keys cannot grow the shard map without bound. A shard with evidence, a
-// plan, pending work or an in-flight load stays.
+// plan or pending work stays.
 func (s *Server) dropIfEmpty(sh *shard) {
 	s.shardMu.Lock()
 	sh.mu.Lock()
-	if len(sh.evidence) == 0 && sh.plan == nil && sh.dirty == 0 && sh.flight == nil && !sh.merging {
+	if !sh.retired && len(sh.evidence) == 0 && sh.plan == nil && sh.dirty == 0 && !sh.merging {
 		delete(s.shards, sh.key)
+		sh.retired = true
 	}
 	sh.mu.Unlock()
 	s.shardMu.Unlock()
 }
 
-// loadEvidenceLocked returns the shard's evidence cache, populating it
-// from the store on first touch (caller holds sh.mu). A store holding a
-// plan but no evidence — seeded offline, or written by a pre-evidence
-// build — contributes that plan once, as baseline evidence under
-// seedInstance.
-func (s *Server) loadEvidenceLocked(sh *shard) (map[string]*analyzer.Profile, error) {
-	if sh.evidence != nil {
-		return sh.evidence, nil
+// loadEvidence fills the shards from the evidence log, once per daemon
+// lifetime: the first request that touches a shard scans the whole log in
+// one pass (EvidenceAll), and every later request finds it loaded. A
+// failed scan installs nothing and is retried by the next request. Called
+// with no shard lock held.
+func (s *Server) loadEvidence() error {
+	if s.loaded.Load() {
+		return nil
+	}
+	s.loadMu.Lock()
+	defer s.loadMu.Unlock()
+	if s.loaded.Load() {
+		return nil
 	}
 	s.evidenceLoads.Inc()
-	docs, err := s.store.EvidenceDocs(sh.key.App, sh.key.Workload)
+	all, err := s.store.EvidenceAll()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ev := make(map[string]*analyzer.Profile, len(docs))
-	sh.stamps, sh.sum = make(map[string]profilestore.Stamp, len(docs)), profilestore.KeySum{}
-	for inst, d := range docs {
-		ev[inst] = d.Profile
-		if !d.Stamp.IsZero() {
-			sh.setStamp(inst, d.Stamp)
+	for k, docs := range all {
+		sh := s.lockShard(k)
+		for inst, d := range docs {
+			sh.evidence[inst] = d.Profile
+			if !d.Stamp.IsZero() {
+				sh.setStamp(inst, d.Stamp)
+			}
 		}
+		sh.mu.Unlock()
 	}
-	if len(ev) == 0 {
+	s.loaded.Store(true)
+	return nil
+}
+
+// acceptLocked makes one validated evidence document part of the shard —
+// the single write path shared by direct uploads and pulled peer documents
+// (caller holds sh.mu). The document is persisted to the durable log
+// before anything else moves, then replaces the instance's prior
+// contribution in the cache (so n cumulative re-profiles count once, and
+// a replayed write is harmless), takes its stamp, and is covered by a
+// scheduled merge. The returned launch, when non-nil, must run after the
+// lock is released.
+//
+// A key's first accepted document also adopts a plan the store holds
+// without any evidence — seeded offline by polm2-profile — as baseline
+// evidence under seedInstance, exactly once. Only writes adopt it: reads
+// of a plan-only key leave the evidence log untouched.
+func (s *Server) acceptLocked(sh *shard, instance string, stamp profilestore.Stamp, p *analyzer.Profile) (launch func(), err error) {
+	if len(sh.evidence) == 0 {
 		seed, err := s.store.Get(sh.key.App, sh.key.Workload)
 		if err != nil && !errors.Is(err, profilestore.ErrNotFound) {
 			return nil, err
@@ -173,48 +215,59 @@ func (s *Server) loadEvidenceLocked(sh *shard) (map[string]*analyzer.Profile, er
 			if err := s.store.PutEvidence(seedInstance, seed); err != nil {
 				return nil, err
 			}
-			ev[seedInstance] = seed
+			sh.evidence[seedInstance] = seed
 		}
 	}
-	sh.evidence = ev
-	return ev, nil
+	if err := s.store.PutEvidenceStamped(instance, stamp, p); err != nil {
+		return nil, err
+	}
+	sh.evidence[instance] = p
+	sh.setStamp(instance, stamp)
+	sh.dirty++
+	if sh.instGauge == nil {
+		sh.instGauge = s.reg.Gauge(metrics.LabelName("evidence_instances",
+			metrics.Label{Key: "app", Value: sh.key.App},
+			metrics.Label{Key: "workload", Value: sh.key.Workload}))
+	}
+	sh.instGauge.Set(int64(len(sh.evidence)))
+	return s.ensureWorkerLocked(sh), nil
 }
 
 // ensureWorkerLocked guarantees a merge worker is scheduled for the shard
 // (caller holds sh.mu). The returned func, when non-nil, must be invoked
-// after releasing the lock — scheduling happens outside the lock so an
-// inline scheduler (tests) can run the worker on the caller's goroutine.
+// after releasing the lock — handing over happens outside the lock so an
+// inline executor (tests) can run the worker on the caller's goroutine.
 func (s *Server) ensureWorkerLocked(sh *shard) func() {
 	if sh.merging {
 		return nil
 	}
 	sh.merging = true
 	work := func() { sh.drain(s) }
-	if s.opts.Schedule != nil {
-		sched := s.opts.Schedule
-		return func() { sched(work) }
+	if exec := s.opts.Executor; exec != nil {
+		return func() { exec.Go(work) }
 	}
 	return func() { go work() }
 }
 
 // awaitCovered blocks until the pipeline has covered backlog generation
 // gen (caller holds sh.mu, which is held again on return) and returns the
-// failure that covered it, if any. Without an injected Pump the wait parks
-// on the shard's condition variable until a worker goroutine catches up;
-// with one (single-threaded simulations) the waiter drives the scheduled
-// work itself, and a pump that runs dry while the generation is still
-// uncovered is a stalled pipeline — reported, never deadlocked.
+// failure that covered it, if any. Workers that run on their own (the
+// goroutine default, an inline or gating Executor) are waited for on the
+// shard's condition variable; a Stepper executor runs nothing on its own,
+// so the waiter steps it — and a Stepper that runs dry while the
+// generation is still uncovered is a stalled pipeline, reported, never
+// deadlocked.
 func (s *Server) awaitCovered(sh *shard, gen uint64) error {
 	for sh.mergedGen < gen {
-		if s.opts.Pump == nil {
+		if s.stepper == nil {
 			sh.cond.Wait()
 			continue
 		}
 		sh.mu.Unlock()
-		progressed := s.opts.Pump()
+		ran := s.stepper.Step()
 		sh.mu.Lock()
-		if !progressed && sh.mergedGen < gen {
-			return fmt.Errorf("planserver: merge pipeline stalled waiting for generation %d of %s (nothing scheduled left to pump)", gen, sh.key)
+		if !ran && sh.mergedGen < gen {
+			return fmt.Errorf("planserver: merge pipeline stalled waiting for generation %d of %s (the executor has nothing left to step)", gen, sh.key)
 		}
 	}
 	if sh.lastErr != nil && sh.errGen >= gen {
@@ -293,7 +346,6 @@ func (sh *shard) drain(s *Server) {
 			sh.lastErr = nil
 			if s.ro == nil {
 				sh.plan = c
-				sh.gen++
 			}
 			s.merges.Inc()
 			if covered > 1 {

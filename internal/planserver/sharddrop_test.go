@@ -13,8 +13,8 @@ import (
 // the probe traffic a daemon on an open port actually receives — from many
 // goroutines, mixing distinct keys with contended repeats of the same key,
 // and then asserts the probes left no trace: no shards surviving in the
-// shard map (dropIfEmpty must win every interleaving with the in-flight
-// loads) and no labeled evidence_instances gauges registered (the gauge is
+// shard map (dropIfEmpty must win every interleaving with the concurrent
+// cold loads) and no labeled evidence_instances gauges registered (the gauge is
 // resolved lazily on the first accepted upload precisely so probes cannot
 // mint metrics). Runs under -race in CI's planserver job.
 func TestUnknownKeyProbesLeakNothing(t *testing.T) {
@@ -30,7 +30,7 @@ func TestUnknownKeyProbesLeakNothing(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < probesPerWorker; i++ {
 				// Half the probes contend on one shared unknown key, half
-				// spread over per-worker keys, so both the flight-sharing
+				// spread over per-worker keys, so both the shared-shard
 				// and the independent-shard paths race with dropIfEmpty.
 				app := "ghost"
 				if i%2 == 0 {

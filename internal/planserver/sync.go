@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"polm2/internal/analyzer"
-	"polm2/internal/metrics"
 	"polm2/internal/profilestore"
 	"polm2/internal/trace"
 )
@@ -29,10 +28,10 @@ import (
 // and MergeProfiles' own commutativity turns identical winner sets into
 // identical plans.
 //
-// Pulled documents enter through the same coalescing merge pipeline as
-// uploads (dirty bump + ensureWorkerLocked), so replication inherits the
-// pipeline's batching, publication and rollout semantics instead of
-// growing a second write path. The rollout quarantine set replicates as a
+// Pulled documents enter through the same accept path as uploads
+// (acceptLocked: persist, cache, stamp, dirty bump, worker), so replication
+// inherits the pipeline's batching, publication and rollout semantics
+// instead of growing a second write path. The rollout quarantine set replicates as a
 // grow-only union — a rollback decision anywhere propagates everywhere
 // and no stale peer can resurrect a quarantined plan.
 //
@@ -115,41 +114,20 @@ func (s *Server) PlanETag(app, workload string) string {
 	return sh.plan.etag
 }
 
-// ensureSyncScan folds every key the store holds into the shard caches,
-// once per daemon lifetime: a freshly restarted daemon must advertise
-// evidence it persisted before the restart, not just keys it has served
-// since boot.
-func (s *Server) ensureSyncScan() error {
-	s.syncScanMu.Lock()
-	defer s.syncScanMu.Unlock()
-	if s.syncScanned {
-		return nil
-	}
-	all, err := s.store.EvidenceAll()
-	if err != nil {
-		return err
-	}
-	for k := range all {
-		sh := s.shard(k)
-		sh.mu.Lock()
-		_, err := s.loadEvidenceLocked(sh)
-		sh.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	s.syncScanned = true
-	return nil
-}
-
 // handleSync serves the three sync depths. With no query parameters: the
-// per-key summary. With app and workload: that key's stamp list. With an
-// instance as well: that one evidence document, 404 when absent.
+// per-key summary — a freshly restarted daemon advertises everything its
+// one evidence scan loaded, not just keys it has served since boot. With
+// app and workload: that key's stamp list. With an instance as well: that
+// one evidence document, 404 when absent.
 func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 	raw := r.URL.RawQuery
 	app := queryParam(raw, "app")
 	workload := queryParam(raw, "workload")
 	instance := queryParam(raw, "instance")
+	if err := s.loadEvidence(); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	if app == "" && workload == "" && instance == "" {
 		s.serveSyncSummary(w)
 		return
@@ -158,12 +136,9 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "planserver: sync stamp-list and document fetches require app and workload", http.StatusBadRequest)
 		return
 	}
-	sh := s.shard(profilestore.Key{App: app, Workload: workload})
-	sh.mu.Lock()
-	ev, err := s.loadEvidenceLocked(sh)
+	sh := s.lockShard(profilestore.Key{App: app, Workload: workload})
 	var body any
 	switch {
-	case err != nil:
 	case instance == "":
 		list := syncStamps{Docs: make([]syncDocStamp, 0, len(sh.stamps))}
 		for inst, st := range sh.stamps {
@@ -171,15 +146,12 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 		}
 		sort.Slice(list.Docs, func(i, j int) bool { return list.Docs[i].Instance < list.Docs[j].Instance })
 		body = list
-	case ev[instance] != nil:
-		body = syncDoc{Instance: instance, Stamp: sh.stamps[instance], Profile: ev[instance]}
+	case sh.evidence[instance] != nil:
+		body = syncDoc{Instance: instance, Stamp: sh.stamps[instance], Profile: sh.evidence[instance]}
 	}
+	empty := len(sh.evidence) == 0
 	sh.mu.Unlock()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	if len(ev) == 0 {
+	if empty {
 		s.dropIfEmpty(sh)
 	}
 	if body == nil {
@@ -191,10 +163,6 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) serveSyncSummary(w http.ResponseWriter) {
-	if err := s.ensureSyncScan(); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
 	s.shardMu.RLock()
 	shards := make([]*shard, 0, len(s.shards))
 	for _, sh := range s.shards {
@@ -256,6 +224,9 @@ func (s *Server) SyncPeers() int {
 }
 
 func (s *Server) syncPeer(peer string) (pulled int, err error) {
+	if err := s.loadEvidence(); err != nil {
+		return 0, err
+	}
 	var sum syncSummary
 	if err := s.peerGet(peer, "", &sum); err != nil {
 		return 0, err
@@ -270,10 +241,7 @@ func (s *Server) syncPeer(peer string) (pulled int, err error) {
 				return pulled, err
 			}
 		}
-		docs, own, err := s.localSum(k)
-		if err != nil {
-			return pulled, err
-		}
+		docs, own := s.localSum(k)
 		if docs == e.Docs && own == e.Sum {
 			continue // same stamp set on both sides: nothing to look at
 		}
@@ -304,14 +272,10 @@ func (s *Server) syncPeer(peer string) (pulled int, err error) {
 // remembered per peer, so a replica that is ahead of a peer it pulls
 // one-way re-reads that key's stamp list every round until the peer
 // catches up by its own pulls.
-func (s *Server) localSum(k profilestore.Key) (int, profilestore.KeySum, error) {
-	sh := s.shard(k)
-	sh.mu.Lock()
+func (s *Server) localSum(k profilestore.Key) (int, profilestore.KeySum) {
+	sh := s.lockShard(k)
 	defer sh.mu.Unlock()
-	if _, err := s.loadEvidenceLocked(sh); err != nil {
-		return 0, profilestore.KeySum{}, err
-	}
-	return len(sh.stamps), sh.sum, nil
+	return len(sh.stamps), sh.sum
 }
 
 // newerThanLocal returns the instances whose advertised stamp strictly
@@ -319,10 +283,9 @@ func (s *Server) localSum(k profilestore.Key) (int, profilestore.KeySum, error) 
 // the same write (stamps are unique per write: origin disambiguates
 // daemons, and each daemon's sequence strictly advances), so only
 // strictly-greater pulls; a zero stamp beats nothing, so unstamped documents
-// never replicate. localSum has already loaded the shard's evidence.
+// never replicate.
 func (s *Server) newerThanLocal(k profilestore.Key, docs []syncDocStamp) []string {
-	sh := s.shard(k)
-	sh.mu.Lock()
+	sh := s.lockShard(k)
 	defer sh.mu.Unlock()
 	var need []string
 	for _, ds := range docs {
@@ -395,38 +358,22 @@ func (s *Server) fetchDoc(peer string, k profilestore.Key, instance string) (*sy
 	return &doc, nil
 }
 
-// applySyncDoc installs a pulled document through the normal merge
-// pipeline. The stamp comparison re-runs under the shard lock — a direct
-// upload or another pull may have advanced the local document since the
-// stamp list — and the remote stamp is adopted verbatim: replication moves
-// documents, it never re-versions them.
+// applySyncDoc accepts a pulled document through the upload write path
+// (acceptLocked). The stamp comparison re-runs under the shard lock — a
+// direct upload or another pull may have advanced the local document since
+// the stamp list — and the remote stamp is adopted verbatim: replication
+// moves documents, it never re-versions them.
 func (s *Server) applySyncDoc(k profilestore.Key, doc *syncDoc) (int, error) {
-	sh := s.shard(k)
-	sh.mu.Lock()
-	ev, err := s.loadEvidenceLocked(sh)
-	if err != nil {
-		sh.mu.Unlock()
-		return 0, err
-	}
+	sh := s.lockShard(k)
 	if !sh.stamps[doc.Instance].Less(doc.Stamp) {
 		sh.mu.Unlock()
 		return 0, nil
 	}
-	if err := s.store.PutEvidenceStamped(doc.Instance, doc.Stamp, doc.Profile); err != nil {
-		sh.mu.Unlock()
+	launch, err := s.acceptLocked(sh, doc.Instance, doc.Stamp, doc.Profile)
+	sh.mu.Unlock()
+	if err != nil {
 		return 0, err
 	}
-	ev[doc.Instance] = doc.Profile
-	sh.setStamp(doc.Instance, doc.Stamp)
-	sh.dirty++
-	if sh.instGauge == nil {
-		sh.instGauge = s.reg.Gauge(metrics.LabelName("evidence_instances",
-			metrics.Label{Key: "app", Value: k.App},
-			metrics.Label{Key: "workload", Value: k.Workload}))
-	}
-	sh.instGauge.Set(int64(len(ev)))
-	launch := s.ensureWorkerLocked(sh)
-	sh.mu.Unlock()
 	s.peerDocsApplied.Inc()
 	if launch != nil {
 		launch()
@@ -440,8 +387,7 @@ func (s *Server) applySyncDoc(k profilestore.Key, doc *syncDoc) (int, error) {
 // Dropping a locally staged candidate records a "peer_quarantine"
 // transition (the rollback was decided — and counted — on the peer).
 func (s *Server) applyPeerQuarantine(k profilestore.Key, etags []string) error {
-	sh := s.shard(k)
-	sh.mu.Lock()
+	sh := s.lockShard(k)
 	defer sh.mu.Unlock()
 	if err := s.restoreRolloutLocked(sh); err != nil {
 		return err

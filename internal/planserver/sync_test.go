@@ -24,7 +24,7 @@ func newPeerServer(t *testing.T, id string, peers ...string) (*Server, *httptest
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(store, Options{Schedule: inline, SelfID: id, Peers: peers})
+	srv := New(store, Options{Executor: inline, SelfID: id, Peers: peers})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return srv, ts, store
@@ -337,12 +337,12 @@ func TestSyncDigestColdRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := New(store, Options{Schedule: inline, SelfID: "daemon-0"})
+	first := New(store, Options{Executor: inline, SelfID: "daemon-0"})
 	ts := httptest.NewServer(first)
 	postEvidence(t, ts.URL, "inst-1", evidence("Cassandra", "WI", site("A.a:1", 5))).Body.Close()
 	ts.Close()
 
-	second := New(store, Options{Schedule: inline, SelfID: "daemon-0"})
+	second := New(store, Options{Executor: inline, SelfID: "daemon-0"})
 	ts2 := httptest.NewServer(second)
 	defer ts2.Close()
 	want := syncDocStamp{"inst-1", profilestore.Stamp{Seq: 1, Origin: "daemon-0"}}
@@ -596,7 +596,7 @@ func TestSyncQuarantinePropagates(t *testing.T) {
 	}))
 	defer peer.Close()
 
-	srv := New(store, Options{Schedule: inline, Rollout: &cfg, SelfID: "daemon-1", Peers: []string{peer.URL}})
+	srv := New(store, Options{Executor: inline, Rollout: &cfg, SelfID: "daemon-1", Peers: []string{peer.URL}})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -700,7 +700,7 @@ type replica struct {
 }
 
 func (r *replica) restart() {
-	r.srv = New(r.store, Options{Schedule: inline, SelfID: r.id, Peers: []string{r.peer}})
+	r.srv = New(r.store, Options{Executor: inline, SelfID: r.id, Peers: []string{r.peer}})
 }
 
 // checkSums requires every loaded shard's incrementally maintained sum to

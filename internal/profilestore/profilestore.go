@@ -333,10 +333,11 @@ func (s *Store) putEvidence(instance string, stamp *Stamp, p *analyzer.Profile) 
 // Evidence loads every instance's latest evidence for (app, workload),
 // keyed by instance id. A key with no evidence returns an empty map.
 func (s *Store) Evidence(app, workload string) (map[string]*analyzer.Profile, error) {
-	docs, err := s.EvidenceDocs(app, workload)
+	all, err := s.EvidenceAll()
 	if err != nil {
 		return nil, err
 	}
+	docs := all[Key{App: app, Workload: workload}]
 	out := make(map[string]*analyzer.Profile, len(docs))
 	for instance, d := range docs {
 		out[instance] = d.Profile

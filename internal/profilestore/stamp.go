@@ -62,24 +62,9 @@ func (s *Store) PutEvidenceStamped(instance string, stamp Stamp, p *analyzer.Pro
 	return s.putEvidence(instance, st, p)
 }
 
-// EvidenceDocs loads every instance's latest evidence for (app, workload)
-// with stamps, keyed by instance id. Unstamped documents carry the zero
-// stamp.
-func (s *Store) EvidenceDocs(app, workload string) (map[string]EvidenceDoc, error) {
-	all, err := s.EvidenceAll()
-	if err != nil {
-		return nil, err
-	}
-	docs := all[Key{App: app, Workload: workload}]
-	if docs == nil {
-		docs = make(map[string]EvidenceDoc)
-	}
-	return docs, nil
-}
-
 // EvidenceAll scans the whole evidence directory and returns every stored
-// document grouped by key — the cold-restart seed for the sync summary,
-// which must advertise keys the daemon has not served since boot.
+// document grouped by key, with stamps (unstamped documents carry the zero
+// stamp) — the planserver's one read of its evidence log per lifetime.
 func (s *Store) EvidenceAll() (map[Key]map[string]EvidenceDoc, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

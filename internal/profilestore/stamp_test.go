@@ -55,12 +55,13 @@ func TestPutEvidenceStampedRoundTrip(t *testing.T) {
 	if err := s.PutEvidence("inst-2", evProfile("App", "w", 20)); err != nil {
 		t.Fatal(err)
 	}
-	docs, err := s.EvidenceDocs("App", "w")
+	all, err := s.EvidenceAll()
 	if err != nil {
 		t.Fatal(err)
 	}
+	docs := all[Key{App: "App", Workload: "w"}]
 	if len(docs) != 2 {
-		t.Fatalf("EvidenceDocs returned %d docs, want 2", len(docs))
+		t.Fatalf("EvidenceAll holds %d docs for App/w, want 2", len(docs))
 	}
 	if got := docs["inst-1"].Stamp; got != st {
 		t.Errorf("stamped doc round-tripped stamp %v, want %v", got, st)
@@ -114,14 +115,14 @@ func TestEvidenceAllGroupsByKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Before any evidence: empty map, no error; EvidenceDocs empty non-nil.
+	// Before any evidence: empty maps, no error.
 	all, err := s.EvidenceAll()
 	if err != nil || len(all) != 0 {
 		t.Fatalf("empty store EvidenceAll = %v, %v", all, err)
 	}
-	docs, err := s.EvidenceDocs("App0", "w")
-	if err != nil || docs == nil || len(docs) != 0 {
-		t.Fatalf("empty store EvidenceDocs = %v, %v", docs, err)
+	ev, err := s.Evidence("App0", "w")
+	if err != nil || ev == nil || len(ev) != 0 {
+		t.Fatalf("empty store Evidence = %v, %v", ev, err)
 	}
 	puts := []struct {
 		app, inst string

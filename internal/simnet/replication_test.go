@@ -15,11 +15,11 @@ import (
 // The replication scenarios run a pair (or trio) of planserver daemons on
 // the simulated fabric: instances home on daemon (idx mod Daemons) and
 // fail over to the others, daemons pull each other by anti-entropy, and a
-// fault spec can partition a daemon by name. The layer-3 checker switches
-// to the multi-daemon suite (checkMulti): post-heal convergence of every
-// daemon to the stamp-winner merge, per-daemon accounting, stamp
-// discipline, and — in rollout mode — quarantine propagation with the
-// anti-resurrection probe.
+// fault spec can partition a daemon by name. The layer-3 checker runs its
+// per-key pass over every daemon (checkKeys) — post-heal convergence of
+// every daemon to the stamp-winner merge, key sums, and in rollout mode
+// quarantine propagation — plus per-daemon accounting, stamp discipline
+// and the anti-resurrection probe.
 
 // TestReplicationCleanConverges: two daemons, clean network. Anti-entropy
 // alone must give both daemons the whole fleet's evidence and identical

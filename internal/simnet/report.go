@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"polm2/internal/analyzer"
-	"polm2/internal/faultio"
 	"polm2/internal/fleetclient"
 	"polm2/internal/metrics"
 	"polm2/internal/profilestore"
@@ -162,11 +161,11 @@ func (s *sim) violate(r *Report, format string, args ...any) {
 }
 
 // report evaluates every invariant against the delivery log and the
-// daemon's own accounting.
-func (s *sim) report(plan *faultio.NetPlan) *Report {
+// daemons' own accounting.
+func (s *sim) report() *Report {
 	r := &Report{
 		Seed:       s.cfg.Seed,
-		FaultSpec:  plan.String(),
+		FaultSpec:  s.plan.String(),
 		Instances:  s.cfg.Instances,
 		KeyCount:   s.cfg.Keys,
 		Rounds:     s.cfg.Rounds,
@@ -199,13 +198,15 @@ func (s *sim) report(plan *faultio.NetPlan) *Report {
 
 	model := s.checkDeliveries(r)
 	s.checkCounters(r, model)
+	regressed := s.rolledBack()
+	s.checkKeys(r, model, regressed)
+	if r.RolloutEnabled {
+		s.checkRollout(r, regressed)
+	}
 	if s.cfg.Daemons > 1 {
-		s.checkMulti(r, model)
-	} else {
-		s.checkKeys(r, model)
-		if r.RolloutEnabled {
-			s.checkRollout(r, model)
-		}
+		s.checkStamps(r)
+		s.checkDaemonCounters(r)
+		s.checkSettledRound(r)
 	}
 
 	if s.tracer.Enabled() && len(r.Violations) == 0 {
@@ -356,16 +357,73 @@ func (s *sim) checkCounters(r *Report, m *deliveredModel) {
 	}
 }
 
-// checkKeys evaluates the per-key invariants: the daemon's final plan is
-// byte-equal (via content-addressed version) to the checker's independent
-// merge of delivered evidence, every instance of the key converged to it,
-// its evidence_instances gauge matches the distinct uploaders, and no
-// degradation outlived the tainted evidence that caused it.
-func (s *sim) checkKeys(r *Report, m *deliveredModel) {
+// daemonLabel names daemon i in violations: its fabric host name, which
+// is "polm2d" on a single-daemon run.
+func (s *sim) daemonLabel(i int) string {
+	if s.cfg.Daemons == 1 {
+		return "polm2d"
+	}
+	return daemonName(i)
+}
+
+// rolledBack collects every version any daemon rolled back, per key, with
+// the instant of its (first) rollback.
+func (s *sim) rolledBack() map[profilestore.Key]map[string]time.Duration {
+	regressed := make(map[profilestore.Key]map[string]time.Duration)
+	for _, srv := range s.srvs {
+		for _, tr := range srv.RolloutTransitions() {
+			if tr.Kind != "rollback" {
+				continue
+			}
+			if regressed[tr.Key] == nil {
+				regressed[tr.Key] = make(map[string]time.Duration)
+			}
+			if _, seen := regressed[tr.Key][tr.ETag]; !seen {
+				regressed[tr.Key][tr.ETag] = tr.At
+			}
+		}
+	}
+	return regressed
+}
+
+// checkKeys evaluates the per-key invariants after the fleet quiesced, on
+// every daemon — a single-daemon run is the one-replica case:
+//
+//   - Plan identity: with rollout off, each daemon publishes exactly the
+//     content-addressed version of the checker's independent merge of
+//     delivered evidence (the stamp winners, on a replicated run) — no
+//     document lost to a partition, none double-counted by a duplicated
+//     or failed-over upload.
+//   - Gauge accounting: each daemon's evidence_instances gauge equals the
+//     key's distinct uploaders (on a replicated run: every replicated
+//     document arrived).
+//   - Key-sum honesty (replicated runs): each daemon's sync summary
+//     carries the document count and key sum of the log's stamp winners.
+//   - Rollout end state: each daemon's controller is terminal with a
+//     stable plan that is never a rolled-back version, and quarantines
+//     every version any daemon rolled back — the grow-only union the
+//     quarantine anti-entropy promises. One r.Rollout row per daemon.
+//   - Convergence: every member's final poll installed the target — the
+//     model merge, or in rollout mode some daemon's stable version (sticky
+//     failover lands a poll on any replica) that carries no regression
+//     site — and no degradation outlived the tainted evidence that caused
+//     it. Keys with no delivered evidence answer no-plan.
+func (s *sim) checkKeys(r *Report, m *deliveredModel, regressed map[profilestore.Key]map[string]time.Duration) {
 	members := make(map[profilestore.Key][]*instance)
 	for _, in := range s.instances {
 		members[in.key] = append(members[in.key], in)
 	}
+	var advertised []map[profilestore.Key]keySummary
+	if m.stamps != nil {
+		advertised = make([]map[profilestore.Key]keySummary, len(s.srvs))
+		for i, srv := range s.srvs {
+			var err error
+			if advertised[i], err = advertisedSums(srv); err != nil {
+				s.violate(r, "key sums: %s sync summary unreadable: %v", daemonName(i), err)
+			}
+		}
+	}
+
 	for _, key := range m.keys {
 		kr := KeyReport{Key: key, Uploads: m.uploads[key], Members: len(members[key])}
 		ev := m.evidence[key]
@@ -377,8 +435,12 @@ func (s *sim) checkKeys(r *Report, m *deliveredModel) {
 		}
 		sort.Strings(ids)
 		inputs := make([]*analyzer.Profile, 0, len(ids))
+		var modelTainted uint64
 		for _, id := range ids {
 			inputs = append(inputs, ev[id])
+			for _, site := range ev[id].Sites {
+				modelTainted += site.Tainted
+			}
 		}
 		expected, err := analyzer.MergeProfiles(analyzer.Options{App: key.App, Workload: key.Workload}, inputs...)
 		if err != nil {
@@ -392,50 +454,44 @@ func (s *sim) checkKeys(r *Report, m *deliveredModel) {
 			r.PerKey = append(r.PerKey, kr)
 			continue
 		}
-
-		gauge := s.srv.Metrics().Gauge(metrics.LabelName("evidence_instances",
-			metrics.Label{Key: "app", Value: key.App},
-			metrics.Label{Key: "workload", Value: key.Workload}))
-		if got := gauge.Value(); got != int64(len(ev)) {
-			s.violate(r, "gauge accounting: evidence_instances for %s = %d, delivery log has %d distinct uploaders",
-				key, got, len(ev))
-		}
-
-		// The convergence target: the independent model merge normally; the
-		// daemon's stable version in rollout mode — a quarantined candidate
-		// is deliberately withheld, so the full merge of delivered evidence
-		// is exactly what the fleet must NOT converge to after a rollback.
-		want := kr.ExpectedETag
-		if r.RolloutEnabled {
-			snap, ok := s.srv.RolloutSnapshot(key.App, key.Workload)
-			if !ok {
-				s.violate(r, "rollout: no controller state for key %s with delivered evidence", key)
-				r.PerKey = append(r.PerKey, kr)
-				continue
-			}
-			if snap.State == rollout.StateCanary.String() || snap.State == rollout.StatePromoting.String() {
-				s.violate(r, "rollout: key %s still mid-canary (%s) after the settle phase", key, snap.State)
-			}
-			if snap.StableETag == "" {
-				s.violate(r, "rollout: key %s has delivered evidence but no stable plan", key)
-			}
-			want = snap.StableETag
-			r.Rollout = append(r.Rollout, RolloutKeyReport{
-				Key:         key,
-				State:       snap.State,
-				StableETag:  snap.StableETag,
-				Quarantined: len(snap.Quarantined),
-				Promotions:  snap.Promotions,
-				Rollbacks:   snap.Rollbacks,
-			})
-		}
-
-		var modelTainted uint64
-		for _, p := range inputs {
-			for _, site := range p.Sites {
-				modelTainted += site.Tainted
+		var want keySummary
+		if advertised != nil {
+			want.Docs = len(m.stamps[key])
+			for inst, st := range m.stamps[key] {
+				want.Sum.Toggle(inst, st)
 			}
 		}
+
+		stables := make(map[string]bool)
+		for i, srv := range s.srvs {
+			name := s.daemonLabel(i)
+			if advertised != nil {
+				if got := advertised[i][key]; got != want {
+					s.violate(r, "key sums: %s advertises %d docs, sum %s for key %s; the log's stamp winners are %d docs, sum %s",
+						name, got.Docs, got.Sum, key, want.Docs, want.Sum)
+				}
+			}
+			// Rollout mode skips the plan-identity check: a quarantined
+			// candidate is withheld by design, so a daemon's stable plan
+			// and the full merge of delivered evidence legitimately differ.
+			if !r.RolloutEnabled {
+				if got := srv.PlanETag(key.App, key.Workload); got != kr.ExpectedETag {
+					s.violate(r, "plan identity: %s serves %s for key %s, fleet merge of delivered evidence is %s",
+						name, shortETag(got), key, shortETag(kr.ExpectedETag))
+				}
+			}
+			gauge := srv.Metrics().Gauge(metrics.LabelName("evidence_instances",
+				metrics.Label{Key: "app", Value: key.App},
+				metrics.Label{Key: "workload", Value: key.Workload}))
+			if got := gauge.Value(); got != int64(len(ev)) {
+				s.violate(r, "gauge accounting: evidence_instances for %s on %s = %d, delivery log has %d distinct uploaders",
+					key, name, got, len(ev))
+			}
+			if r.RolloutEnabled {
+				s.checkRolloutEnd(r, i, key, regressed[key], stables)
+			}
+		}
+
 		for _, in := range members[key] {
 			if in.finalErr != nil {
 				s.violate(r, "convergence: %s final poll failed on a quiet network: %v", in.id, in.finalErr)
@@ -445,40 +501,42 @@ func (s *sim) checkKeys(r *Report, m *deliveredModel) {
 				s.violate(r, "convergence: %s final poll outcome %s, want a daemon-served plan", in.id, in.finalOutcome)
 				continue
 			}
-			if in.finalETag != want {
-				if r.RolloutEnabled {
-					s.violate(r, "rollout convergence: %s installed %s, daemon stable is %s",
-						in.id, shortETag(in.finalETag), shortETag(want))
-				} else {
-					s.violate(r, "convergence: %s installed %s, fleet merge of delivered evidence is %s",
-						in.id, shortETag(in.finalETag), shortETag(want))
+			if r.RolloutEnabled {
+				if !stables[in.finalETag] {
+					s.violate(r, "rollout convergence: %s installed %s, not any daemon's stable version",
+						in.id, shortETag(in.finalETag))
+					continue
 				}
-				continue
-			}
-			if r.RolloutEnabled && poisoned(in.finalPlan) {
-				s.violate(r, "rollout convergence: %s ends the run on a plan carrying the regression site", in.id)
+				if poisoned(in.finalPlan) {
+					s.violate(r, "rollout convergence: %s ends the run on a plan carrying the regression site", in.id)
+					continue
+				}
+			} else if in.finalETag != kr.ExpectedETag {
+				s.violate(r, "convergence: %s installed %s, fleet merge of delivered evidence is %s",
+					in.id, shortETag(in.finalETag), shortETag(kr.ExpectedETag))
 				continue
 			}
 			kr.Converged++
-			if kr.ETag == "" {
-				kr.ETag = in.finalETag
-				if r.RolloutEnabled {
-					continue
-				}
-				// No sticky degradation: tainted counts are pure sums
-				// under the merge, so the published plan must carry
-				// exactly what the delivered evidence carries — in
-				// particular, zero once every instance's latest upload
-				// is clean again. (Rollout mode skips this: the stable
-				// plan legitimately predates the newest evidence.)
-				var planTainted uint64
-				for _, site := range in.finalPlan.Sites {
-					planTainted += site.Tainted
-				}
-				if planTainted != modelTainted {
-					s.violate(r, "sticky degradation: key %s plan carries tainted=%d, delivered evidence sums to %d",
-						key, planTainted, modelTainted)
-				}
+			if kr.ETag != "" {
+				continue
+			}
+			kr.ETag = in.finalETag
+			if r.RolloutEnabled {
+				continue
+			}
+			// No sticky degradation: tainted counts are pure sums under the
+			// merge, so the published plan must carry exactly what the
+			// delivered evidence carries — in particular, zero once every
+			// instance's latest upload is clean again. (Rollout mode skips
+			// this: the stable plan legitimately predates the newest
+			// evidence.)
+			var planTainted uint64
+			for _, site := range in.finalPlan.Sites {
+				planTainted += site.Tainted
+			}
+			if planTainted != modelTainted {
+				s.violate(r, "sticky degradation: key %s plan carries tainted=%d, delivered evidence sums to %d",
+					key, planTainted, modelTainted)
 			}
 		}
 		r.PerKey = append(r.PerKey, kr)
@@ -500,44 +558,90 @@ func (s *sim) checkKeys(r *Report, m *deliveredModel) {
 	}
 }
 
-// checkRollout evaluates the rollout-mode invariants against the delivery
-// log and the daemon's recorded transitions:
-//
-//   - Containment: a candidate that regressed its canary window (a
-//     "rollback" transition's ETag) was never served to — and never ran
-//     on, per the feedback log — an instance outside the canary cohort;
-//     and never served at all after its rollback. The cohort is replayed
-//     independently: rollout.Cohort over the instances whose evidence the
-//     log shows delivered by that moment, exactly the daemon's promise.
-//   - Rollback convergence: the final stable version is never a regressed
-//     ETag, and every regressed ETag is quarantined in the controller's
-//     end state. (checkKeys already pinned every instance's final plan to
-//     the stable version.)
-//   - Accounting: feedback_reports_total equals the accepted feedback
-//     deliveries, and the canary/promote/rollback counters equal the
-//     recorded transitions of each kind.
-//   - Scenario effectiveness: a run that injected a regression
-//     (Config.RegressAt) must have rolled something back, or the
-//     containment invariants above were vacuous.
-func (s *sim) checkRollout(r *Report, m *deliveredModel) {
-	trans := s.srv.RolloutTransitions()
-	var canaryStarts, promotes, rollbacks uint64
-	regressed := make(map[profilestore.Key]map[string]time.Duration)
-	for _, tr := range trans {
-		switch tr.Kind {
-		case "canary_start":
-			canaryStarts++
-		case "promote":
-			promotes++
-		case "rollback":
-			rollbacks++
-			if regressed[tr.Key] == nil {
-				regressed[tr.Key] = make(map[string]time.Duration)
-			}
-			regressed[tr.Key][tr.ETag] = tr.At
+// checkRolloutEnd pins daemon i's rollout controller end state for key and
+// adds its stable version to stables: terminal, holding a stable plan,
+// never stable on a rolled-back version, and quarantining every version
+// in bad. It appends the key's r.Rollout row for the daemon (Daemon ""
+// on a single-daemon run, which keeps that log byte-identical).
+func (s *sim) checkRolloutEnd(r *Report, i int, key profilestore.Key, bad map[string]time.Duration, stables map[string]bool) {
+	name := s.daemonLabel(i)
+	snap, ok := s.srvs[i].RolloutSnapshot(key.App, key.Workload)
+	if !ok {
+		s.violate(r, "rollout: no controller state for key %s on %s", key, name)
+		return
+	}
+	if snap.State == rollout.StateCanary.String() || snap.State == rollout.StatePromoting.String() {
+		s.violate(r, "rollout: key %s on %s still mid-canary (%s) after the settle phase", key, name, snap.State)
+	}
+	if snap.StableETag == "" {
+		s.violate(r, "rollout: key %s on %s has delivered evidence but no stable plan", key, name)
+	}
+	stables[snap.StableETag] = true
+	if _, ok := bad[snap.StableETag]; ok {
+		s.violate(r, "rollout convergence: key %s on %s ends stable on rolled-back version %s",
+			key, name, shortETag(snap.StableETag))
+	}
+	quarantined := make(map[string]bool, len(snap.Quarantined))
+	for _, etag := range snap.Quarantined {
+		quarantined[etag] = true
+	}
+	etags := make([]string, 0, len(bad))
+	for etag := range bad {
+		etags = append(etags, etag)
+	}
+	sort.Strings(etags)
+	for _, etag := range etags {
+		if !quarantined[etag] {
+			s.violate(r, "rollout quarantine: version %s was rolled back but %s does not quarantine it (key %s)",
+				shortETag(etag), name, key)
 		}
 	}
+	row := RolloutKeyReport{
+		Key:         key,
+		State:       snap.State,
+		StableETag:  snap.StableETag,
+		Quarantined: len(snap.Quarantined),
+		Promotions:  snap.Promotions,
+		Rollbacks:   snap.Rollbacks,
+	}
+	if s.cfg.Daemons > 1 {
+		row.Daemon = daemonName(i)
+	}
+	r.Rollout = append(r.Rollout, row)
+}
 
+// checkRollout evaluates the rollout-mode invariants that read the
+// delivery log and the daemons' recorded transitions (the controllers'
+// end state is checkKeys'):
+//
+//   - Accounting: feedback_reports_total equals the accepted feedback
+//     deliveries, and the canary/promote/rollback counters equal the
+//     recorded transitions of each kind, summed over the daemons.
+//   - Scenario effectiveness: a run that injected a regression
+//     (Config.RegressAt) must have rolled something back, or the
+//     containment invariants were vacuous.
+//   - Containment (single-daemon runs): a candidate that regressed its
+//     canary window was never served to — and never ran on, per the
+//     feedback log — an instance outside the canary cohort, and never
+//     served at all after its rollback. The cohort is replayed
+//     independently: rollout.Cohort over the instances whose evidence the
+//     log shows delivered by that moment, exactly the daemon's promise. A
+//     replicated daemon's cohort also counts documents it pulled, which
+//     the delivery log does not order against its fetches.
+func (s *sim) checkRollout(r *Report, regressed map[profilestore.Key]map[string]time.Duration) {
+	var canaryStarts, promotes, rollbacks uint64
+	for _, srv := range s.srvs {
+		for _, tr := range srv.RolloutTransitions() {
+			switch tr.Kind {
+			case "canary_start":
+				canaryStarts++
+			case "promote":
+				promotes++
+			case "rollback":
+				rollbacks++
+			}
+		}
+	}
 	if r.Canaries != canaryStarts {
 		s.violate(r, "rollout accounting: rollout_canary_total=%d, %d canary_start transitions recorded", r.Canaries, canaryStarts)
 	}
@@ -558,6 +662,9 @@ func (s *sim) checkRollout(r *Report, m *deliveredModel) {
 	}
 	if s.cfg.RegressAt > 0 && rollbacks == 0 {
 		s.violate(r, "rollout: regression injected at %s but nothing was ever rolled back", s.cfg.RegressAt)
+	}
+	if s.cfg.Daemons > 1 {
+		return
 	}
 
 	// Containment replay. known accrues each key's delivered uploader set
@@ -600,177 +707,6 @@ func (s *sim) checkRollout(r *Report, m *deliveredModel) {
 				shortETag(ranETag), d.instance, d.at, at)
 		}
 	}
-
-	// Rollback convergence: last-good means never a regressed version, and
-	// every regressed version is quarantined in the end state.
-	for _, kr := range r.Rollout {
-		bad := regressed[kr.Key]
-		if len(bad) == 0 {
-			continue
-		}
-		if _, ok := bad[kr.StableETag]; ok {
-			s.violate(r, "rollout convergence: key %s ends stable on regressed version %s", kr.Key, shortETag(kr.StableETag))
-		}
-		snap, ok := s.srv.RolloutSnapshot(kr.Key.App, kr.Key.Workload)
-		if !ok {
-			continue
-		}
-		quarantined := make(map[string]bool, len(snap.Quarantined))
-		for _, etag := range snap.Quarantined {
-			quarantined[etag] = true
-		}
-		for etag := range bad {
-			if !quarantined[etag] {
-				s.violate(r, "rollout quarantine: key %s rolled back %s but does not quarantine it", kr.Key, shortETag(etag))
-			}
-		}
-	}
-}
-
-// checkMulti evaluates the replicated-run invariants after the quiesce
-// sync fixpoint:
-//
-//   - Post-heal convergence: every daemon independently recomputed the
-//     same content-addressed plan as the checker's stamp-winner merge of
-//     the delivery log — no evidence document lost to a partition, none
-//     double-counted by a duplicated or failed-over upload — and every
-//     daemon's evidence_instances gauge agrees with the log's distinct
-//     uploaders (the replicated documents all arrived).
-//   - Key-sum honesty: every daemon's advertised sync summary carries, for
-//     every key, the document count and key sum the checker recomputes
-//     from the log's stamp winners.
-//   - Stamp discipline (checkStamps) and per-daemon counter accounting
-//     (checkDaemonCounters).
-//   - Rollout mode: every daemon's controller reached a terminal state and
-//     every rolled-back version is quarantined on every daemon
-//     (checkMultiRollout).
-//   - One more anti-entropy round is idle in the exact sense — one summary
-//     request per peer, nothing else — and in rollout mode changes
-//     nothing: a stale peer never resurrects a quarantined candidate
-//     (checkSettledRound).
-func (s *sim) checkMulti(r *Report, m *deliveredModel) {
-	members := make(map[profilestore.Key][]*instance)
-	for _, in := range s.instances {
-		members[in.key] = append(members[in.key], in)
-	}
-
-	// Rollout end state first: it yields each key's set of per-daemon
-	// stable versions, the convergence targets below — sticky failover
-	// means an instance's final poll may land on any replica.
-	stables := make(map[profilestore.Key]map[string]bool)
-	if r.RolloutEnabled {
-		s.checkMultiRollout(r, m, stables)
-	}
-
-	advertised := make([]map[profilestore.Key]keySummary, len(s.srvs))
-	for i, srv := range s.srvs {
-		var err error
-		if advertised[i], err = advertisedSums(srv); err != nil {
-			s.violate(r, "key sums: %s sync summary unreadable: %v", daemonName(i), err)
-		}
-	}
-
-	for _, key := range m.keys {
-		kr := KeyReport{Key: key, Uploads: m.uploads[key], Members: len(members[key])}
-		ev := m.evidence[key]
-		kr.DistinctInstances = len(ev)
-
-		ids := make([]string, 0, len(ev))
-		for id := range ev {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		inputs := make([]*analyzer.Profile, 0, len(ids))
-		for _, id := range ids {
-			inputs = append(inputs, ev[id])
-		}
-		expected, err := analyzer.MergeProfiles(analyzer.Options{App: key.App, Workload: key.Workload}, inputs...)
-		if err != nil {
-			s.violate(r, "model merge for key %s failed: %v", key, err)
-			r.PerKey = append(r.PerKey, kr)
-			continue
-		}
-		kr.ExpectedETag, err = etagOf(expected)
-		if err != nil {
-			s.violate(r, "model encode for key %s failed: %v", key, err)
-			r.PerKey = append(r.PerKey, kr)
-			continue
-		}
-		want := keySummary{Docs: len(m.stamps[key])}
-		for inst, st := range m.stamps[key] {
-			want.Sum.Toggle(inst, st)
-		}
-
-		for i, srv := range s.srvs {
-			if got := advertised[i][key]; got != want {
-				s.violate(r, "key sums: %s advertises %d docs, sum %s for key %s; the log's stamp winners are %d docs, sum %s",
-					daemonName(i), got.Docs, got.Sum, key, want.Docs, want.Sum)
-			}
-			// Rollout mode skips the plan-identity check: a quarantined
-			// candidate is withheld by design, so a daemon's stable plan
-			// and the full merge of delivered evidence legitimately differ.
-			if !r.RolloutEnabled {
-				if got := srv.PlanETag(key.App, key.Workload); got != kr.ExpectedETag {
-					s.violate(r, "replication convergence: %s serves %s for key %s, stamp-winner merge is %s",
-						daemonName(i), shortETag(got), key, shortETag(kr.ExpectedETag))
-				}
-			}
-			gauge := srv.Metrics().Gauge(metrics.LabelName("evidence_instances",
-				metrics.Label{Key: "app", Value: key.App},
-				metrics.Label{Key: "workload", Value: key.Workload}))
-			if got := gauge.Value(); got != int64(len(ev)) {
-				s.violate(r, "gauge accounting: evidence_instances for %s on %s = %d, delivery log has %d distinct uploaders",
-					key, daemonName(i), got, len(ev))
-			}
-		}
-
-		for _, in := range members[key] {
-			if in.finalErr != nil {
-				s.violate(r, "convergence: %s final poll failed on a quiet network: %v", in.id, in.finalErr)
-				continue
-			}
-			if in.finalOutcome != fleetclient.OutcomeFresh && in.finalOutcome != fleetclient.OutcomeNotModified {
-				s.violate(r, "convergence: %s final poll outcome %s, want a daemon-served plan", in.id, in.finalOutcome)
-				continue
-			}
-			if r.RolloutEnabled {
-				if !stables[key][in.finalETag] {
-					s.violate(r, "rollout convergence: %s installed %s, not any daemon's stable version",
-						in.id, shortETag(in.finalETag))
-					continue
-				}
-				if poisoned(in.finalPlan) {
-					s.violate(r, "rollout convergence: %s ends the run on a plan carrying the regression site", in.id)
-					continue
-				}
-			} else if in.finalETag != kr.ExpectedETag {
-				s.violate(r, "convergence: %s installed %s, fleet merge of delivered evidence is %s",
-					in.id, shortETag(in.finalETag), shortETag(kr.ExpectedETag))
-				continue
-			}
-			kr.Converged++
-			if kr.ETag == "" {
-				kr.ETag = in.finalETag
-			}
-		}
-		r.PerKey = append(r.PerKey, kr)
-	}
-
-	for key, ins := range members {
-		if m.evidence[key] != nil {
-			continue
-		}
-		for _, in := range ins {
-			if in.finalErr != nil || in.finalOutcome != fleetclient.OutcomeNoPlan {
-				s.violate(r, "convergence: %s got outcome %s for key %s with no delivered evidence, want no-plan",
-					in.id, outcomeString(in.finalOutcome, in.finalErr), key)
-			}
-		}
-	}
-
-	s.checkStamps(r)
-	s.checkDaemonCounters(r)
-	s.checkSettledRound(r)
 }
 
 // keySummary is one key's entry of a daemon's sync summary as the checker
@@ -807,79 +743,6 @@ func advertisedSums(srv http.Handler) (map[profilestore.Key]keySummary, error) {
 		sums[profilestore.Key{App: k.App, Workload: k.Workload}] = k.keySummary
 	}
 	return sums, nil
-}
-
-// checkMultiRollout pins every daemon's rollout controller end state on a
-// replicated run: terminal everywhere, never stable on a rolled-back
-// version, and every version any daemon ever rolled back quarantined on
-// every daemon — the grow-only union the quarantine anti-entropy
-// promises. It fills stables with each key's per-daemon stable set and
-// appends one r.Rollout row per (key, daemon).
-func (s *sim) checkMultiRollout(r *Report, m *deliveredModel, stables map[profilestore.Key]map[string]bool) {
-	regressed := make(map[profilestore.Key]map[string]bool)
-	var rollbacks uint64
-	for _, srv := range s.srvs {
-		for _, tr := range srv.RolloutTransitions() {
-			if tr.Kind == "rollback" {
-				rollbacks++
-				if regressed[tr.Key] == nil {
-					regressed[tr.Key] = make(map[string]bool)
-				}
-				regressed[tr.Key][tr.ETag] = true
-			}
-		}
-	}
-	if s.cfg.RegressAt > 0 && rollbacks == 0 {
-		s.violate(r, "rollout: regression injected at %s but no daemon ever rolled back", s.cfg.RegressAt)
-	}
-
-	for _, key := range m.keys {
-		bad := make([]string, 0, len(regressed[key]))
-		for etag := range regressed[key] {
-			bad = append(bad, etag)
-		}
-		sort.Strings(bad)
-		set := make(map[string]bool)
-		stables[key] = set
-		for i, srv := range s.srvs {
-			name := daemonName(i)
-			snap, ok := srv.RolloutSnapshot(key.App, key.Workload)
-			if !ok {
-				s.violate(r, "rollout: no controller state for key %s on %s", key, name)
-				continue
-			}
-			if snap.State == rollout.StateCanary.String() || snap.State == rollout.StatePromoting.String() {
-				s.violate(r, "rollout: key %s on %s still mid-canary (%s) after the settle phase", key, name, snap.State)
-			}
-			if snap.StableETag == "" {
-				s.violate(r, "rollout: key %s on %s has delivered evidence but no stable plan", key, name)
-			}
-			set[snap.StableETag] = true
-			if regressed[key][snap.StableETag] {
-				s.violate(r, "rollout convergence: key %s on %s ends stable on rolled-back version %s",
-					key, name, shortETag(snap.StableETag))
-			}
-			quarantined := make(map[string]bool, len(snap.Quarantined))
-			for _, etag := range snap.Quarantined {
-				quarantined[etag] = true
-			}
-			for _, etag := range bad {
-				if !quarantined[etag] {
-					s.violate(r, "rollout quarantine: version %s was rolled back but %s does not quarantine it (key %s)",
-						shortETag(etag), name, key)
-				}
-			}
-			r.Rollout = append(r.Rollout, RolloutKeyReport{
-				Key:         key,
-				Daemon:      name,
-				State:       snap.State,
-				StableETag:  snap.StableETag,
-				Quarantined: len(snap.Quarantined),
-				Promotions:  snap.Promotions,
-				Rollbacks:   snap.Rollbacks,
-			})
-		}
-	}
 }
 
 // checkStamps audits the stamp discipline on the delivery log: each

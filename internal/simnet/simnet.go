@@ -1,7 +1,8 @@
 // Package simnet is a deterministic in-memory fleet simulator for the
-// polm2d plan-distribution stack: one planserver instance and a fleet of
-// fleetclient-driven instances run under a single seed with no real
-// sockets, no real time, and no goroutine scheduling on any decision path.
+// polm2d plan-distribution stack: one or more planserver daemons and a
+// fleet of fleetclient-driven instances run under a single seed with no
+// real sockets, no real time, and no goroutine scheduling on any decision
+// path.
 //
 // The simulator is three layers:
 //
@@ -13,15 +14,19 @@
 //  2. A virtual-time event loop built on internal/simclock's Queue. It
 //     owns every timer in the stack: instance boot and re-profile
 //     cadences, fleetclient retry backoff (Sleep advances the virtual
-//     clock), and the daemon's deferred merge workers (Schedule enqueues
-//     them; planserver.Options.Pump lets a waiting handler drive them).
-//     Events at one instant tie-break on seeded priorities, so a seed
-//     replays byte-identically — same trace, same invariant log.
+//     clock), and the daemons' merge workers — the simulation is every
+//     daemon's planserver.Stepper executor: Go defers a worker into one
+//     FIFO released after DrainDelay, and a handler that must wait steps
+//     the FIFO's head itself. Events at one instant tie-break on seeded
+//     priorities, so a seed replays byte-identically — same trace, same
+//     invariant log.
 //  3. An invariant checker (report.go) evaluated after the fleet
 //     quiesces, built on an independent replay of the transport's
-//     delivery log: fleet convergence, counter accounting, ETag
-//     monotonicity and content-address honesty, idempotent duplicate
-//     delivery, and no sticky degradation once tainted evidence clears.
+//     delivery log: one per-key pass over every daemon (a single-daemon
+//     run is the one-replica case) for plan identity, convergence and
+//     gauge accounting, plus counter accounting, ETag monotonicity and
+//     content-address honesty, idempotent duplicate delivery, and no
+//     sticky degradation once tainted evidence clears.
 //
 // With Config.Rollout set, the simulated daemon runs its canary rollout
 // controller: instances report per-window plan health after every fetch,
@@ -203,14 +208,14 @@ type sim struct {
 	clock  *simclock.Clock
 	q      *simclock.Queue
 	net    *network
-	srv    *planserver.Server   // srvs[0]; the only daemon when Daemons is 1
+	plan   *faultio.NetPlan
 	srvs   []*planserver.Server // every daemon, index order
 	tracer *trace.Tracer
 
 	instances []*instance
-	// workers is the daemon's deferred merge-worker FIFO: Schedule
-	// appends here and enqueues a release event; Pump (and the release
-	// event) each run the next pending worker, so every worker runs
+	// workers is the daemons' deferred merge-worker FIFO: Go appends here
+	// and enqueues a release event; Step (called by the release event or
+	// by a handler that must wait) runs the head, so every worker runs
 	// exactly once whether the clock or a blocked handler gets there
 	// first.
 	workers []func()
@@ -223,6 +228,17 @@ type sim struct {
 // unusable store); invariant violations are reported in Report.Violations,
 // not as errors.
 func Run(cfg Config) (*Report, error) {
+	s, err := build(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.run()
+	return s.report(), nil
+}
+
+// build assembles one simulation — fabric, daemons, fleet — without
+// running any of it.
+func build(cfg Config) (*sim, error) {
 	cfg = cfg.withDefaults()
 	if cfg.StoreDir == "" {
 		return nil, fmt.Errorf("simnet: Config.StoreDir is required")
@@ -244,6 +260,7 @@ func Run(cfg Config) (*Report, error) {
 		cfg:   cfg,
 		clock: clock,
 		q:     simclock.NewQueue(clock),
+		plan:  plan,
 		pri:   prng{state: uint64(cfg.Seed)},
 	}
 	if cfg.TraceWriter != nil {
@@ -258,8 +275,7 @@ func Run(cfg Config) (*Report, error) {
 		opts := planserver.Options{
 			Now:      clock.Now,
 			Tracer:   s.tracer,
-			Schedule: s.schedule,
-			Pump:     s.runWorker,
+			Executor: s,
 			Rollout:  cfg.Rollout,
 		}
 		if cfg.Daemons > 1 {
@@ -282,8 +298,7 @@ func Run(cfg Config) (*Report, error) {
 		s.srvs = append(s.srvs, srv)
 		s.net.route(host, srv)
 	}
-	s.srv = s.srvs[0]
-	s.net.handler = s.srv
+	s.net.handler = s.srvs[0]
 
 	for i := 0; i < cfg.Instances; i++ {
 		id := "inst-" + strconv.Itoa(i)
@@ -353,23 +368,26 @@ func Run(cfg Config) (*Report, error) {
 		}
 	}
 
-	s.scheduleFleet(plan)
+	return s, nil
+}
+
+// run drives the event queue dry, then quiesces: publish every accepted
+// upload (Flush steps any still-parked merge workers), run anti-entropy to
+// fixpoint so every daemon has heard everything (replicated runs), settle
+// any canary still open (rollout mode), sync once more so the settle
+// decisions propagate, then poll the whole fleet on the now-quiet network.
+func (s *sim) run() {
+	s.scheduleFleet()
 	for s.q.RunNext() {
 		s.events++
 	}
-	// Quiesce: publish every accepted upload (Flush pumps any still-
-	// parked merge workers), run anti-entropy to fixpoint so every daemon
-	// has heard everything (replicated runs), settle any canary still
-	// open (rollout mode), sync once more so the settle decisions
-	// propagate, then poll the whole fleet on the now-quiet network.
 	s.flushAll()
 	s.syncToFixpoint()
-	if cfg.Rollout != nil {
+	if s.cfg.Rollout != nil {
 		s.settleRollouts()
 	}
 	s.syncToFixpoint()
 	s.finalPolls()
-	return s.report(plan), nil
 }
 
 // daemonName and daemonURL name the replicas of a multi-daemon run; a
@@ -413,7 +431,7 @@ func (s *sim) syncToFixpoint() {
 // scheduleFleet lays out the whole run on the event queue: jittered boots,
 // Rounds re-profile rounds with a mid-cadence poll each, the quiet point
 // at which every fault has cleared, and one clean recovery round.
-func (s *sim) scheduleFleet(plan *faultio.NetPlan) {
+func (s *sim) scheduleFleet() {
 	cadence := s.cfg.Cadence
 	var chaosEnd time.Duration
 	for _, in := range s.instances {
@@ -430,7 +448,7 @@ func (s *sim) scheduleFleet(plan *faultio.NetPlan) {
 			chaosEnd = end
 		}
 	}
-	if clear := plan.PartitionsClearBy(); clear+cadence/2 > chaosEnd {
+	if clear := s.plan.PartitionsClearBy(); clear+cadence/2 > chaosEnd {
 		chaosEnd = clear + cadence/2
 	}
 	if s.cfg.Daemons > 1 {
@@ -724,16 +742,16 @@ func (s *sim) evidence(in *instance, r int) *analyzer.Profile {
 	return p
 }
 
-// schedule is planserver.Options.Schedule: defer the merge worker into the
+// Go is the daemons' planserver.Executor: defer the merge worker into the
 // FIFO and release it after the drain delay.
-func (s *sim) schedule(work func()) {
+func (s *sim) Go(work func()) {
 	s.workers = append(s.workers, work)
-	s.q.After(s.cfg.DrainDelay, s.pri.next(), func() { s.runWorker() })
+	s.q.After(s.cfg.DrainDelay, s.pri.next(), func() { s.Step() })
 }
 
-// runWorker is planserver.Options.Pump and the release events' body: run
-// the next pending merge worker, if any.
-func (s *sim) runWorker() bool {
+// Step makes the sim a planserver.Stepper and is the release events'
+// body: run the FIFO's head, if any.
+func (s *sim) Step() bool {
 	if len(s.workers) == 0 {
 		return false
 	}

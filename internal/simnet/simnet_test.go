@@ -2,10 +2,15 @@ package simnet
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
+
+	"polm2/internal/analyzer"
+	"polm2/internal/planserver"
 )
 
 // runOnce executes one simulation into fresh temp storage, capturing the
@@ -192,5 +197,48 @@ func TestVirtualTimeOnly(t *testing.T) {
 	}
 	if wall := time.Since(start); wall > 30*time.Second {
 		t.Errorf("run took %v of wall time for %v of simulated time", wall, rep.SimTime)
+	}
+}
+
+// TestCheckerCatchesOutOfBandUpload keeps the invariant checker honest:
+// the pinned hashes cover clean runs only, so a checker gone vacuous would
+// still pass them. After the fleet quiesces, one upload is handed straight
+// to daemon-0's handler — past the fabric, so the delivery log never sees
+// it — and merged. The per-key checker must flag daemon-0's plan as no
+// longer the merge of delivered evidence, on one daemon and on two alike.
+func TestCheckerCatchesOutOfBandUpload(t *testing.T) {
+	for _, daemons := range []int{1, 2} {
+		t.Run(fmt.Sprintf("daemons=%d", daemons), func(t *testing.T) {
+			s, err := build(Config{Seed: 3, Instances: 6, Daemons: daemons, StoreDir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.run()
+			body, err := json.Marshal(&analyzer.Profile{App: "App0", Workload: "w", Sites: []analyzer.SiteStat{
+				{Trace: "App0.serve:1;Intruder.run:9", Allocated: 8, Buckets: []uint64{2, 6}},
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			req, err := http.NewRequest(http.MethodPost, "/v1/evidence", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set(planserver.InstanceHeader, "intruder")
+			w := newMemWriter()
+			s.srvs[0].ServeHTTP(w, req)
+			if w.code != http.StatusOK {
+				t.Fatalf("out-of-band upload = %d: %s", w.code, w.body.String())
+			}
+			s.flushAll()
+			rep := s.report()
+			if rep.OK() {
+				t.Fatalf("checker accepted a plan built from evidence the fabric never delivered:\n%s", rep.Log())
+			}
+			want := "plan identity: " + s.daemonLabel(0) + " serves"
+			if !strings.Contains(rep.Log(), want) {
+				t.Fatalf("no per-key %q violation:\n%s", want, rep.Log())
+			}
+		})
 	}
 }

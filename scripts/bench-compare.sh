@@ -3,8 +3,11 @@
 # checkout and on this one, one run per workload at a fixed seed, and fail
 # when a number that repeats exactly got worse: the exact end-to-end metrics
 # (sync_idle_bytes, artifact_mb, paper_err_pp — all lower-is-better), the
-# failed-operation count, or the output check. Everything else — timings and
-# memory, which move by a quarter between hours on a shared runner
+# failed-operation count, or the output check — or when a workload's
+# outputs_sha256 differs from the base's ("outputs: differ"). The outputs are
+# seeded and deterministic, so a PR that means to change them changes them
+# visibly: the job fails, and the review decides. Everything else — timings
+# and memory, which move by a quarter between hours on a shared runner
 # (benchmark/README.md, Noise) — is printed for reviewers and never judged.
 # A claimed gain still needs alternated pairs and quartiles; this only keeps
 # a regression nobody looked for from landing.
@@ -40,6 +43,8 @@ for w in paper-quick profile-pipeline fleet-steady replica-sync fleet-sim; do
   done
   jq -e '.h.correct and (.h.failed * .b.attempted <= .b.failed * .h.attempted)' <<<"$pair" >/dev/null \
     || { echo "bench-compare: FAIL: $w: output check failed or a larger share of operations failed" >&2; rc=1; }
+  jq -e '.bs.outputs_sha256 == .hs.outputs_sha256' <<<"$pair" >/dev/null \
+    || { echo "bench-compare: FAIL: $w: outputs differ from the base (outputs_sha256)" >&2; rc=1; }
 done
 [ "$rc" = 0 ] && echo "bench-compare: PASS"
 exit "$rc"
