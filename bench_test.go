@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"polm2/internal/bench"
-	"polm2/internal/gc/g1"
+	"polm2/internal/gc/ng2c"
 	"polm2/internal/heap"
 	"polm2/internal/jvm"
 	"polm2/internal/simclock"
@@ -79,7 +79,7 @@ func BenchmarkAblationHoist(b *testing.B) { runExperiment(b, "ablation-hoist") }
 
 func newBenchEngine(b *testing.B) *jvm.VM {
 	b.Helper()
-	col, err := g1.New(simclock.New(), g1.Config{
+	col, err := ng2c.NewG1(simclock.New(), ng2c.Config{
 		Heap: heap.Config{
 			RegionSize: 256 << 10,
 			PageSize:   4096,

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"polm2/internal/dumper"
-	"polm2/internal/gc/g1"
+	"polm2/internal/gc/ng2c"
 	"polm2/internal/heap"
 	"polm2/internal/jvm"
 	"polm2/internal/recorder"
@@ -22,7 +22,7 @@ import (
 func profileRun(t *testing.T, iterations int) (string, []func() error, *dumper.Dumper) {
 	t.Helper()
 	clk := simclock.New()
-	col, err := g1.New(clk, g1.Config{
+	col, err := ng2c.NewG1(clk, ng2c.Config{
 		Heap: heap.Config{
 			RegionSize: 16 * 1024,
 			PageSize:   4096,

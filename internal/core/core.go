@@ -16,7 +16,6 @@ import (
 	"polm2/internal/dumper"
 	"polm2/internal/gc"
 	"polm2/internal/gc/c4"
-	"polm2/internal/gc/g1"
 	"polm2/internal/gc/ng2c"
 	"polm2/internal/heap"
 	"polm2/internal/simclock"
@@ -150,23 +149,18 @@ func NewCollector(name string, clock *simclock.Clock, geom Geometry, cost gc.Cos
 		mixedRegions = 8
 	}
 	const ihop = 0.25
+	cfg := ng2c.Config{
+		Heap:            heapCfg,
+		Cost:            cost,
+		YoungBytes:      geom.YoungBytes,
+		IHOP:            ihop,
+		MaxMixedRegions: mixedRegions,
+	}
 	switch name {
 	case CollectorG1:
-		return g1.New(clock, g1.Config{
-			Heap:            heapCfg,
-			Cost:            cost,
-			YoungBytes:      geom.YoungBytes,
-			IHOP:            ihop,
-			MaxMixedRegions: mixedRegions,
-		})
+		return ng2c.NewG1(clock, cfg)
 	case CollectorNG2C:
-		return ng2c.New(clock, ng2c.Config{
-			Heap:            heapCfg,
-			Cost:            cost,
-			YoungBytes:      geom.YoungBytes,
-			IHOP:            ihop,
-			MaxMixedRegions: mixedRegions,
-		})
+		return ng2c.New(clock, cfg)
 	case CollectorC4:
 		return c4.New(clock, c4.Config{Heap: heapCfg, Cost: cost})
 	default:

@@ -168,6 +168,7 @@ func (c *Collector) cycle() error {
 	cursor := gc.NewCursor(c.h, heap.Young)
 	// In-place filter: c.regions is rebuilt into its own backing array,
 	// so steady-state cycles allocate nothing for region bookkeeping.
+	examined := len(c.regions)
 	kept := c.regions[:0]
 	freed := 0
 	for _, r := range c.regions {
@@ -205,7 +206,7 @@ func (c *Collector) cycle() error {
 		Cycle:            c.cycles,
 		BytesCopied:      cursor.Bytes(),
 		ObjectsCopied:    cursor.Objects(),
-		RegionsCollected: len(c.regions) + freed,
+		RegionsCollected: examined,
 		RegionsFreed:     freed,
 	})
 	for _, fn := range c.listeners {

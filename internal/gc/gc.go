@@ -5,10 +5,10 @@
 // evacuated) into simulated pause time.
 //
 // Three collectors implement the interface, matching the paper's
-// evaluation: a G1-like two-generation baseline (internal/gc/g1), the NG2C
-// multi-generation pretenuring collector POLM2 drives (internal/gc/ng2c),
-// and a C4-like concurrent collector used for the throughput and memory
-// comparisons (internal/gc/c4).
+// evaluation: the NG2C multi-generation pretenuring collector POLM2 drives
+// and, as the same code with pretenuring off, the G1-like two-generation
+// baseline (both internal/gc/ng2c), and a C4-like concurrent collector used
+// for the throughput and memory comparisons (internal/gc/c4).
 package gc
 
 import (
@@ -65,8 +65,9 @@ type Pause struct {
 	// BytesCopied and ObjectsCopied describe evacuation work.
 	BytesCopied   uint64
 	ObjectsCopied int
-	// RegionsCollected is the collection-set size; RegionsFreed counts
-	// regions returned to the free pool.
+	// RegionsCollected is the collection-set size (for a concurrent
+	// cycle, every region it examined); RegionsFreed counts regions
+	// returned to the free pool.
 	RegionsCollected int
 	RegionsFreed     int
 	// PromotedBytes counts bytes moved into an older generation —

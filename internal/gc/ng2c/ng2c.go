@@ -15,6 +15,16 @@
 // cleanup phase without any copying. That is the entire mechanism behind
 // the paper's pause-time reductions, and it emerges here from the cost
 // model rather than being scripted.
+//
+// The G1 baseline the paper compares against (Detlefs et al., ISMM '04) is
+// this collector with pretenuring off (NewG1): no dynamic generations and
+// every allocation young, so both sides of the comparison run the same
+// young, promotion, mixed and full-GC code. One placement difference stays:
+// a G1 mixed collection compacts the Old objects it evacuates into the
+// promotion cursor, as two-generation G1 does, while NG2C compacts each
+// generation apart from promotion to keep lifetimes segregated. Each side's
+// pinned outputs depend on its choice: sharing the cursor in both modes
+// changes NG2C's numbers, splitting it in both changes G1's.
 package ng2c
 
 import (
@@ -33,9 +43,7 @@ const Old heap.GenID = 1
 // firstDynamicGen is the id of the first generation NewGeneration hands out.
 const firstDynamicGen heap.GenID = 2
 
-// Config parameterizes the collector. The young-generation machinery is
-// identical to the G1 baseline by construction, so that the only difference
-// measured by the evaluation is pretenuring itself.
+// Config parameterizes the collector, in both modes.
 type Config struct {
 	// Heap sizes the underlying simulated heap.
 	Heap heap.Config
@@ -93,11 +101,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Collector is the NG2C-like pretenuring collector.
+// Collector is the NG2C-like pretenuring collector, or with pretenuring
+// off the G1 baseline.
 type Collector struct {
 	h     *heap.Heap
 	clock *simclock.Clock
 	cfg   Config
+	// pretenuring is false for the G1 baseline: allocation targets are
+	// ignored and mixed collections compact Old into the promotion cursor.
+	pretenuring bool
 
 	edenCur   *heap.Region
 	eden      []*heap.Region
@@ -138,6 +150,21 @@ var (
 
 // New builds an NG2C-like collector over a fresh heap.
 func New(clock *simclock.Clock, cfg Config) (*Collector, error) {
+	return build(clock, cfg, true)
+}
+
+// NewG1 builds the G1 baseline: this collector with pretenuring off. The
+// result does not implement gc.Pretenuring, which is how callers tell the
+// collectors that can take a pretenuring plan.
+func NewG1(clock *simclock.Clock, cfg Config) (gc.Collector, error) {
+	c, err := build(clock, cfg, false)
+	if err != nil {
+		return nil, err
+	}
+	return struct{ gc.Collector }{c}, nil
+}
+
+func build(clock *simclock.Clock, cfg Config, pretenuring bool) (*Collector, error) {
 	cfg = cfg.withDefaults()
 	h, err := heap.New(cfg.Heap)
 	if err != nil {
@@ -150,17 +177,23 @@ func New(clock *simclock.Clock, cfg Config) (*Collector, error) {
 		return nil, fmt.Errorf("ng2c: YoungBytes %d must hold at least two regions", cfg.YoungBytes)
 	}
 	return &Collector{
-		h:         h,
-		clock:     clock,
-		cfg:       cfg,
-		allocCur:  make(map[heap.GenID]*heap.Region),
-		nextGen:   firstDynamicGen,
-		humongous: make(map[heap.RegionID]bool),
+		h:           h,
+		clock:       clock,
+		cfg:         cfg,
+		pretenuring: pretenuring,
+		allocCur:    make(map[heap.GenID]*heap.Region),
+		nextGen:     firstDynamicGen,
+		humongous:   make(map[heap.RegionID]bool),
 	}, nil
 }
 
 // Name implements gc.Collector.
-func (c *Collector) Name() string { return "NG2C" }
+func (c *Collector) Name() string {
+	if !c.pretenuring {
+		return "G1"
+	}
+	return "NG2C"
+}
 
 // Heap implements gc.Collector.
 func (c *Collector) Heap() *heap.Heap { return c.h }
@@ -205,10 +238,14 @@ func (c *Collector) youngBytes() uint64 {
 	return uint64(len(c.eden)+len(c.survivors)) * uint64(c.h.Config().RegionSize)
 }
 
-// Allocate implements gc.Collector. A zero target allocates young exactly
-// like the G1 baseline; a non-zero target pretenures the object directly
-// into that generation (the @Gen + setGeneration path of §3.4).
+// Allocate implements gc.Collector. A zero target allocates young; a
+// non-zero target pretenures the object directly into that generation (the
+// @Gen + setGeneration path of §3.4). The G1 baseline ignores the target:
+// it has no pretenuring, which is precisely why the paper needs NG2C.
 func (c *Collector) Allocate(size uint32, site heap.SiteID, target heap.GenID) (*heap.Object, error) {
+	if !c.pretenuring {
+		target = heap.Young
+	}
 	regionSize := c.h.Config().RegionSize
 	if uint64(size) > uint64(regionSize) {
 		return nil, fmt.Errorf("ng2c: allocation of %d bytes exceeds the region size (%d)", size, regionSize)
@@ -372,9 +409,14 @@ func (c *Collector) collect() error {
 	survivorCap := uint64(float64(c.cfg.YoungBytes) * c.cfg.SurvivorFraction)
 	survivorCursor := gc.NewCursor(c.h, heap.Young)
 	promoCursor := gc.NewCursor(c.h, Old)
-	// Mixed-evacuated mature regions compact within their own
-	// generation, preserving lifetime segregation.
-	genCursors := make(map[heap.GenID]*gc.Cursor)
+	// compact[gen] receives what a mixed collection evacuates from
+	// generation gen: each generation compacts within itself, preserving
+	// lifetime segregation. G1 has none to preserve and compacts Old into
+	// the promotion cursor (see the package comment).
+	compact := make([]*gc.Cursor, c.nextGen)
+	if !c.pretenuring {
+		compact[Old] = promoCursor
+	}
 
 	if c.inOldCS == nil {
 		c.inOldCS = make(map[heap.RegionID]heap.GenID, len(oldCS))
@@ -389,10 +431,10 @@ func (c *Collector) collect() error {
 	var promotedBytes uint64
 	place := func(obj *heap.Object) error {
 		if gen, ok := inOldCS[obj.Region]; ok {
-			cur := genCursors[gen]
+			cur := compact[gen]
 			if cur == nil {
 				cur = gc.NewCursor(c.h, gen)
-				genCursors[gen] = cur
+				compact[gen] = cur
 			}
 			return cur.Place(obj)
 		}
@@ -441,7 +483,10 @@ func (c *Collector) collect() error {
 	c.mature = append(c.mature, promoCursor.Regions()...)
 	copiedBytes := survivorCursor.Bytes() + promoCursor.Bytes()
 	copiedObjects := survivorCursor.Objects() + promoCursor.Objects()
-	for _, cur := range genCursors {
+	for _, cur := range compact {
+		if cur == nil || cur == promoCursor {
+			continue
+		}
 		c.mature = append(c.mature, cur.Regions()...)
 		copiedBytes += cur.Bytes()
 		copiedObjects += cur.Objects()
@@ -483,7 +528,7 @@ func (c *Collector) fullCollect() error {
 	for _, r := range regions {
 		remset += r.RemsetEntries()
 	}
-	cursors := make(map[heap.GenID]*gc.Cursor)
+	cursors := make([]*gc.Cursor, c.nextGen)
 	var copiedBytes uint64
 	var copiedObjects int
 	place := func(obj *heap.Object) error {
@@ -520,6 +565,9 @@ func (c *Collector) fullCollect() error {
 	c.mature = keptHumongous
 	c.allocCur = make(map[heap.GenID]*heap.Region)
 	for _, cur := range cursors {
+		if cur == nil {
+			continue
+		}
 		c.mature = append(c.mature, cur.Regions()...)
 		copiedBytes += cur.Bytes()
 		copiedObjects += cur.Objects()

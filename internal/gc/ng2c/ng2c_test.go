@@ -1,6 +1,8 @@
 package ng2c
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"polm2/internal/gc"
@@ -316,5 +318,125 @@ func TestHumongousAllocationYoungAndPretenured(t *testing.T) {
 	// a was unrooted: its region must be reclaimed whole.
 	if h.Object(a.ID) != nil {
 		t.Fatal("dead humongous object not reclaimed")
+	}
+}
+
+// TestMixedCollectionMatureOrderDeterministic pins the order in which a
+// mixed collection that compacts several dynamic generations appends their
+// regions to the mature list: generation order, the same on every run.
+func TestMixedCollectionMatureOrderDeterministic(t *testing.T) {
+	run := func() []heap.RegionID {
+		cfg := testConfig()
+		cfg.IHOP = 0.01 // the first collection is mixed
+		c, err := New(simclock.New(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := c.Heap()
+		gens := []heap.GenID{c.NewGeneration(), c.NewGeneration(), c.NewGeneration()}
+		// One region per generation, each mostly garbage but not empty.
+		var kept []*heap.Object
+		for i := 0; i < 30*len(gens); i++ {
+			obj, err := c.Allocate(512, 1, gens[i%len(gens)])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i%8 == 0 {
+				if err := h.AddRoot(obj.ID); err != nil {
+					t.Fatal(err)
+				}
+				kept = append(kept, obj)
+			}
+		}
+		before := make([]heap.RegionID, len(kept))
+		for i, obj := range kept {
+			before[i] = obj.Region
+		}
+		if err := c.ForceCollect(); err != nil {
+			t.Fatal(err)
+		}
+		if k := c.Pauses()[0].Kind; k != gc.PauseMixed {
+			t.Fatalf("first collection is %s, want mixed", k)
+		}
+		compacted := map[heap.GenID]bool{}
+		for i, obj := range kept {
+			if obj.Region != before[i] {
+				compacted[obj.Gen] = true
+			}
+		}
+		if len(compacted) < 2 {
+			t.Fatalf("mixed collection compacted %d dynamic generations, want >= 2", len(compacted))
+		}
+		ids := make([]heap.RegionID, len(c.mature))
+		for i, r := range c.mature {
+			ids[i] = r.ID()
+		}
+		return ids
+	}
+	want := run()
+	for i := 1; i < 32; i++ {
+		if got := run(); !slices.Equal(got, want) {
+			t.Fatalf("run %d: mature regions %v, run 0 %v", i, got, want)
+		}
+	}
+}
+
+// TestG1IsNG2CWithoutGenerations: with mixed collections disabled (IHOP
+// 1.0), the G1 baseline and NG2C without dynamic generations produce the
+// same pauses — the mixed-collection cursor set-up is the only place the
+// two differ.
+func TestG1IsNG2CWithoutGenerations(t *testing.T) {
+	cfg := testConfig()
+	cfg.IHOP = 1.0
+	pauses := func(c gc.Collector) []gc.Pause {
+		rng := rand.New(rand.NewSource(3))
+		h := c.Heap()
+		var roots []heap.ObjectID
+		for i := 0; i < 6000; i++ {
+			size := uint32(32 + rng.Intn(1024))
+			if rng.Intn(300) == 0 {
+				size = 10 * 1024 // humongous
+			}
+			obj, err := c.Allocate(size, heap.SiteID(rng.Intn(8)+1), heap.Young)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rng.Intn(6) == 0 {
+				if err := h.AddRoot(obj.ID); err != nil {
+					t.Fatal(err)
+				}
+				roots = append(roots, obj.ID)
+			}
+			if len(roots) > 150 {
+				j := rng.Intn(len(roots))
+				if err := h.RemoveRoot(roots[j]); err != nil {
+					t.Fatal(err)
+				}
+				roots = append(roots[:j], roots[j+1:]...)
+			}
+		}
+		return c.Pauses()
+	}
+	g1, err := NewG1(simclock.New(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ng, err := New(simclock.New(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := pauses(g1), pauses(ng)
+	var promoted uint64
+	for _, p := range want {
+		promoted += p.PromotedBytes
+		if p.Kind == gc.PauseMixed {
+			t.Fatal("mixed collection at IHOP 1.0")
+		}
+	}
+	if promoted == 0 {
+		t.Fatal("script never promoted: nothing reaches the mature space")
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("NG2C without generations paused differently from G1: %d vs %d pauses", len(got), len(want))
 	}
 }

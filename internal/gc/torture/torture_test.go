@@ -11,7 +11,6 @@ import (
 
 	"polm2/internal/gc"
 	"polm2/internal/gc/c4"
-	"polm2/internal/gc/g1"
 	"polm2/internal/gc/ng2c"
 	"polm2/internal/heap"
 	"polm2/internal/simclock"
@@ -24,7 +23,7 @@ func collectors(t *testing.T) map[string]gc.Collector {
 		PageSize:   4096,
 		MaxBytes:   256 * 32 * 1024,
 	}
-	g1Col, err := g1.New(simclock.New(), g1.Config{Heap: heapCfg, YoungBytes: 8 * 32 * 1024})
+	g1Col, err := ng2c.NewG1(simclock.New(), ng2c.Config{Heap: heapCfg, YoungBytes: 8 * 32 * 1024})
 	if err != nil {
 		t.Fatal(err)
 	}

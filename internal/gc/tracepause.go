@@ -29,11 +29,18 @@ type PhaseCost struct {
 // phases sum exactly to p.Duration: the first three are recomputed from
 // the pause's work counters, and "scan" is the remainder (clamped at zero
 // against a mismatched cost model).
+//
+// A PauseConcurrent pause is entirely safepoint: its cycle copied and
+// freed regions beside the running mutator, so its work counters describe
+// concurrent work the checkpoint pause never paid for.
 func (m CostModel) PhaseBreakdown(p Pause) [4]PhaseCost {
 	safepoint := m.Base
 	region := time.Duration(p.RegionsCollected) * m.PerRegion
 	evacuate := time.Duration(p.BytesCopied)*m.PerCopiedByte +
 		time.Duration(p.ObjectsCopied)*m.PerCopiedObject
+	if p.Kind == PauseConcurrent {
+		safepoint, region, evacuate = p.Duration, 0, 0
+	}
 	scan := p.Duration - safepoint - region - evacuate
 	if scan < 0 {
 		scan = 0

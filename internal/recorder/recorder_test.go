@@ -4,7 +4,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"polm2/internal/gc/g1"
+	"polm2/internal/gc/ng2c"
 	"polm2/internal/heap"
 	"polm2/internal/jvm"
 	"polm2/internal/simclock"
@@ -12,7 +12,7 @@ import (
 
 func newEngine(t *testing.T) *jvm.VM {
 	t.Helper()
-	col, err := g1.New(simclock.New(), g1.Config{
+	col, err := ng2c.NewG1(simclock.New(), ng2c.Config{
 		Heap: heap.Config{
 			RegionSize: 16 * 1024,
 			PageSize:   4096,
