@@ -146,7 +146,7 @@ func synthesize(evidence map[heap.SiteID]*siteEvidence, opts Options, degraded m
 				continue
 			}
 			taken[r.Anchor.Loc] = r.Leaf.Gen
-			p.Calls = append(p.Calls, CallDirective{Loc: r.Anchor.Loc.String(), Gen: r.Leaf.Gen})
+			p.Calls = append(p.Calls, CallDirective{Loc: r.Anchor.key, Gen: r.Leaf.Gen})
 			annotated[r.Leaf.Loc] = true
 		}
 	}
@@ -164,7 +164,7 @@ func synthesize(evidence map[heap.SiteID]*siteEvidence, opts Options, degraded m
 			}
 			if existing, ok := taken[n.Loc]; !ok || existing == g {
 				taken[n.Loc] = g
-				p.Calls = append(p.Calls, CallDirective{Loc: n.Loc.String(), Gen: g})
+				p.Calls = append(p.Calls, CallDirective{Loc: n.key, Gen: g})
 				markAnnotated(n, conflictedLeaf, annotated)
 				return
 			}
@@ -216,7 +216,7 @@ func synthesize(evidence map[heap.SiteID]*siteEvidence, opts Options, degraded m
 	for _, id := range ids {
 		ev := evidence[id]
 		p.Sites = append(p.Sites, SiteStat{
-			Trace:     ev.trace.String(),
+			Trace:     ev.traceString,
 			Allocated: ev.total,
 			Buckets:   trimBuckets(ev.survived),
 			Gen:       gens[id],

@@ -27,6 +27,9 @@ const (
 type siteEvidence struct {
 	id    heap.SiteID
 	trace jvm.StackTrace
+	// traceString is trace.String(), rendered once when the site is first
+	// seen; it becomes SiteStat.Trace.
+	traceString string
 	// survived[k] counts objects seen live in exactly k snapshots.
 	survived []uint64
 	total    uint64
@@ -77,7 +80,7 @@ func sortedSites(table map[heap.SiteID]jvm.StackTrace) []heap.SiteID {
 
 // addSiteEvidence registers one site's recorded ids.
 func addSiteEvidence(evidence map[heap.SiteID]*siteEvidence, idSite map[heap.ObjectID]heap.SiteID, sid heap.SiteID, trace jvm.StackTrace, ids []heap.ObjectID) {
-	evidence[sid] = &siteEvidence{id: sid, trace: trace, total: uint64(len(ids))}
+	evidence[sid] = &siteEvidence{id: sid, trace: trace, traceString: trace.String(), total: uint64(len(ids))}
 	for _, oid := range ids {
 		idSite[oid] = sid
 	}

@@ -76,9 +76,9 @@ func MergeProfiles(opts Options, profiles ...*Profile) (*Profile, error) {
 }
 
 // mergeSite is one allocation site's fold state inside a MergeAccumulator.
-// The parsed trace is kept across Reset calls (parsing dominates the fold
-// cost for a steady fleet whose site set barely moves); the sums are
-// re-zeroed lazily via the epoch stamp.
+// The parsed trace and its canonical rendering are kept across Reset calls
+// (parsing dominates the fold cost for a steady fleet whose site set barely
+// moves); the sums are re-zeroed lazily via the epoch stamp.
 type mergeSite struct {
 	epoch uint64
 	ev    siteEvidence
@@ -158,7 +158,7 @@ func (m *MergeAccumulator) Add(p *Profile) error {
 			if err != nil {
 				return fmt.Errorf("analyzer: merging site evidence: %w", err)
 			}
-			ms = &mergeSite{ev: siteEvidence{trace: trace}}
+			ms = &mergeSite{ev: siteEvidence{trace: trace, traceString: trace.String()}}
 			m.sites[s.Trace] = ms
 		}
 		if ms.epoch != m.epoch {

@@ -1,7 +1,9 @@
 package analyzer
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"testing"
 )
 
@@ -291,3 +293,82 @@ func TestAccumulatorMergeIsRepeatable(t *testing.T) {
 		t.Fatal("repeated Merge over the same fold differs")
 	}
 }
+
+// fleetEvidence builds a deterministic fleet shaped like a steady fleet's
+// uploads: instances profiles of sites sites each. Site 0 is shared
+// fleet-wide; every other site is private to its instance, allocating at
+// the instance's own Worker.run line below one Handler.call line per site.
+// Lifetimes vary by site and instance across three clusters and young, so
+// each Worker.run line is a conflict group that Algorithm 1 has to push up
+// the stack, and some instances report tainted evidence.
+func fleetEvidence(instances, sites int) []*Profile {
+	fleet := make([]*Profile, instances)
+	for i := range fleet {
+		p := evidenceProfile("Fleet", "steady")
+		for j := 0; j < sites; j++ {
+			trace := fmt.Sprintf("app.Main.main:1;app.Handler.call:%d", 10+j)
+			if j > 0 {
+				trace = fmt.Sprintf("%s;app.Worker.run:%d", trace, 100+i)
+			}
+			n := uint64(32 + (i*13+j*7)%64 + 3*j)
+			young := n / uint64(2+(i+j)%3)
+			if (i*j)%5 == 0 {
+				young = n * 3 / 4
+			}
+			life := 1 + 6*((i+j)%3)
+			buckets := make([]uint64, life+1)
+			buckets[0], buckets[life] = young, n-young
+			var tainted uint64
+			if i%4 == 0 {
+				tainted = n / 10
+			}
+			p.Sites = append(p.Sites, SiteStat{Trace: trace, Allocated: n, Buckets: buckets, Tainted: tainted})
+		}
+		fleet[i] = p
+	}
+	return fleet
+}
+
+// mergeFleetSHA256 pins the merged plan of a 16 x 64 fleetEvidence: the
+// bytes a fleet merge produces must not move under host-side work on the
+// STTree or the accumulator.
+const mergeFleetSHA256 = "4018427a8da815a0a067f4a1764d4589e547a7a2a0e003ffbc3edbacd3061934"
+
+func TestMergeFleetPinned(t *testing.T) {
+	merged := mustMerge(t, Options{}, fleetEvidence(16, 64)...)
+	if merged.Conflicts == 0 || len(merged.Calls) == 0 {
+		t.Fatalf("fleet merge resolved no conflicts (%d conflicts, %d calls): the pin guards too little", merged.Conflicts, len(merged.Calls))
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(profileJSON(t, merged))); got != mergeFleetSHA256 {
+		t.Fatalf("fleet merge hash = %s, pinned %s", got, mergeFleetSHA256)
+	}
+}
+
+// BenchmarkMergeFleet times one steady-state fleet merge the way the plan
+// daemon runs it: a reused accumulator, Reset, every instance's evidence
+// added, one synthesis.
+func BenchmarkMergeFleet(b *testing.B) {
+	for _, c := range []struct{ instances, sites int }{{16, 64}, {32, 24}, {64, 64}} {
+		b.Run(fmt.Sprintf("%dx%d", c.instances, c.sites), func(b *testing.B) {
+			fleet := fleetEvidence(c.instances, c.sites)
+			acc := NewMergeAccumulator(Options{App: "Fleet", Workload: "steady"})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				acc.Reset()
+				for _, p := range fleet {
+					if err := acc.Add(p); err != nil {
+						b.Fatal(err)
+					}
+				}
+				var err error
+				if mergedSink, err = acc.Merge(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// mergedSink keeps BenchmarkMergeFleet's result live.
+var mergedSink *Profile

@@ -16,6 +16,11 @@ type Node struct {
 	Parent *Node
 	// children is keyed by the child's code location.
 	children map[jvm.CodeLoc]*Node
+	// key is Loc rendered once, when the node is created; path is a leaf's
+	// root path rendered once, when the node becomes a leaf. Every sort of
+	// nodes compares these instead of rendering locations per comparison.
+	key  string
+	path string
 	// IsLeaf marks allocation sites. A node can be both an interior
 	// call site and a leaf if a method allocates and calls on the same
 	// line; the engine never produces that, but the tree tolerates it.
@@ -28,14 +33,19 @@ type Node struct {
 	Sites []heap.SiteID
 }
 
-// Children returns the node's children ordered by code location.
+// Children returns the node's children ordered by rendered code location.
 func (n *Node) Children() []*Node {
 	out := make([]*Node, 0, len(n.children))
 	for _, c := range n.children {
 		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Loc.String() < out[j].Loc.String() })
+	sortByKey(out)
 	return out
+}
+
+// sortByKey orders nodes by rendered code location.
+func sortByKey(nodes []*Node) {
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i].key < nodes[j].key })
 }
 
 // Tree is the stack-trace tree (STTree) of §3.3.
@@ -62,7 +72,10 @@ func BuildTree(traces map[heap.SiteID]jvm.StackTrace, gens map[heap.SiteID]int) 
 		for _, loc := range trace[1:] {
 			node = node.child(loc)
 		}
-		node.IsLeaf = true
+		if !node.IsLeaf {
+			node.IsLeaf = true
+			node.path = pathString(node)
+		}
 		node.Gen = gens[id]
 		node.Sites = append(node.Sites, id)
 		t.leaves = append(t.leaves, node)
@@ -73,7 +86,7 @@ func BuildTree(traces map[heap.SiteID]jvm.StackTrace, gens map[heap.SiteID]int) 
 func (t *Tree) root(loc jvm.CodeLoc) *Node {
 	n, ok := t.roots[loc]
 	if !ok {
-		n = &Node{Loc: loc, children: make(map[jvm.CodeLoc]*Node)}
+		n = &Node{Loc: loc, key: loc.String(), children: make(map[jvm.CodeLoc]*Node)}
 		t.roots[loc] = n
 	}
 	return n
@@ -82,46 +95,51 @@ func (t *Tree) root(loc jvm.CodeLoc) *Node {
 func (n *Node) child(loc jvm.CodeLoc) *Node {
 	c, ok := n.children[loc]
 	if !ok {
-		c = &Node{Loc: loc, Parent: n, children: make(map[jvm.CodeLoc]*Node)}
+		c = &Node{Loc: loc, key: loc.String(), Parent: n, children: make(map[jvm.CodeLoc]*Node)}
 		n.children[loc] = c
 	}
 	return c
 }
 
-// Leaves returns all leaf nodes in deterministic order.
+// Leaves returns all leaf nodes in deterministic order: by rendered code
+// location, then by rendered root path.
 func (t *Tree) Leaves() []*Node {
 	out := make([]*Node, len(t.leaves))
 	copy(out, t.leaves)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Loc != out[j].Loc {
-			return out[i].Loc.String() < out[j].Loc.String()
+			return out[i].key < out[j].key
 		}
-		return pathString(out[i]) < pathString(out[j])
+		return out[i].path < out[j].path
 	})
 	return out
 }
 
-// Roots returns the root nodes in deterministic order.
+// Roots returns the root nodes ordered by rendered code location.
 func (t *Tree) Roots() []*Node {
 	out := make([]*Node, 0, len(t.roots))
 	for _, n := range t.roots {
 		out = append(out, n)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Loc.String() < out[j].Loc.String() })
+	sortByKey(out)
 	return out
 }
 
+// pathString renders n's root path as "root;...;n;", each location in its
+// Class.Method:Line form.
 func pathString(n *Node) string {
-	var rev []string
+	size := 0
 	for cur := n; cur != nil; cur = cur.Parent {
-		rev = append(rev, cur.Loc.String())
+		size += len(cur.key) + 1
 	}
-	var sb []byte
-	for i := len(rev) - 1; i >= 0; i-- {
-		sb = append(sb, rev[i]...)
-		sb = append(sb, ';')
+	b := make([]byte, size)
+	for cur := n; cur != nil; cur = cur.Parent {
+		size--
+		b[size] = ';'
+		size -= len(cur.key)
+		copy(b[size:], cur.key)
 	}
-	return string(sb)
+	return string(b)
 }
 
 // ConflictGroup is a set of leaves sharing one code location but carrying
@@ -143,15 +161,14 @@ func (t *Tree) DetectConflicts() []ConflictGroup {
 	}
 	var groups []ConflictGroup
 	for loc, leaves := range byLoc {
-		distinct := make(map[int]struct{})
-		for _, l := range leaves {
-			distinct[l.Gen] = struct{}{}
-		}
-		if len(distinct) > 1 {
-			groups = append(groups, ConflictGroup{Loc: loc, Leaves: leaves})
+		for _, l := range leaves[1:] {
+			if l.Gen != leaves[0].Gen {
+				groups = append(groups, ConflictGroup{Loc: loc, Leaves: leaves})
+				break
+			}
 		}
 	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i].Loc.String() < groups[j].Loc.String() })
+	sort.Slice(groups, func(i, j int) bool { return groups[i].Leaves[0].key < groups[j].Leaves[0].key })
 	return groups
 }
 

@@ -1,6 +1,8 @@
 package analyzer
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 
 	"polm2/internal/heap"
@@ -148,5 +150,113 @@ func TestResolveConflictsThreeWay(t *testing.T) {
 			t.Fatalf("anchor %v reused", r.Anchor.Loc)
 		}
 		seen[r.Anchor.Loc] = true
+	}
+}
+
+// TestTreeOrderMatchesRenderedOrder pins the STTree's orders to the
+// rendered Class.Method:Line strings, computed here per comparison the
+// slow way, over random trees whose locations make numeric and rendered
+// order disagree: lines 9, 10 and 100 ("100" < "9"), class a beside a.B,
+// methods sharing a prefix. Nodes cache their rendered keys; this is the
+// check that the caches order exactly what rendering would.
+func TestTreeOrderMatchesRenderedOrder(t *testing.T) {
+	classes := []string{"a", "a.B", "a.Bc", "ab"}
+	methods := []string{"ru", "run", "run2", "runner"}
+	lines := []int{1, 9, 10, 11, 19, 100}
+	renderedPath := func(n *Node) string {
+		var s string
+		for cur := n; cur != nil; cur = cur.Parent {
+			s = cur.Loc.String() + ";" + s
+		}
+		return s
+	}
+	sortRendered := func(nodes []*Node) []*Node {
+		out := append([]*Node(nil), nodes...)
+		sort.Slice(out, func(i, j int) bool { return out[i].Loc.String() < out[j].Loc.String() })
+		return out
+	}
+	samePointers := func(what string, got, want []*Node) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d nodes, want %d", what, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: position %d holds %s, rendered order wants %s", what, i, renderedPath(got[i]), renderedPath(want[i]))
+			}
+		}
+	}
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		traces := make(map[heap.SiteID]jvm.StackTrace)
+		gens := make(map[heap.SiteID]int)
+		n := 1 + rng.Intn(40)
+		for id := heap.SiteID(1); id <= heap.SiteID(n); id++ {
+			trace := make(jvm.StackTrace, 1+rng.Intn(5))
+			for i := range trace {
+				trace[i] = jvm.CodeLoc{
+					Class:  classes[rng.Intn(len(classes))],
+					Method: methods[rng.Intn(len(methods))],
+					Line:   lines[rng.Intn(len(lines))],
+				}
+			}
+			traces[id], gens[id] = trace, rng.Intn(4)
+		}
+		tree := BuildTree(traces, gens)
+
+		roots := make([]*Node, 0, len(tree.roots))
+		for _, n := range tree.roots {
+			roots = append(roots, n)
+		}
+		samePointers("Roots", tree.Roots(), sortRendered(roots))
+		var walk func(n *Node)
+		walk = func(n *Node) {
+			children := make([]*Node, 0, len(n.children))
+			for _, c := range n.children {
+				children = append(children, c)
+			}
+			samePointers("Children of "+renderedPath(n), n.Children(), sortRendered(children))
+			for _, c := range children {
+				walk(c)
+			}
+		}
+		for _, r := range roots {
+			walk(r)
+		}
+
+		want := append([]*Node(nil), tree.leaves...)
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].Loc != want[j].Loc {
+				return want[i].Loc.String() < want[j].Loc.String()
+			}
+			return renderedPath(want[i]) < renderedPath(want[j])
+		})
+		samePointers("Leaves", tree.Leaves(), want)
+
+		byLoc := make(map[jvm.CodeLoc][]*Node)
+		for _, l := range want {
+			byLoc[l.Loc] = append(byLoc[l.Loc], l)
+		}
+		var wantGroups []ConflictGroup
+		for loc, leaves := range byLoc {
+			distinct := make(map[int]bool)
+			for _, l := range leaves {
+				distinct[l.Gen] = true
+			}
+			if len(distinct) > 1 {
+				wantGroups = append(wantGroups, ConflictGroup{Loc: loc, Leaves: leaves})
+			}
+		}
+		sort.Slice(wantGroups, func(i, j int) bool { return wantGroups[i].Loc.String() < wantGroups[j].Loc.String() })
+		groups := tree.DetectConflicts()
+		if len(groups) != len(wantGroups) {
+			t.Fatalf("seed %d: %d conflict groups, want %d", seed, len(groups), len(wantGroups))
+		}
+		for i := range groups {
+			if groups[i].Loc != wantGroups[i].Loc {
+				t.Fatalf("seed %d: conflict group %d at %v, rendered order wants %v", seed, i, groups[i].Loc, wantGroups[i].Loc)
+			}
+			samePointers("conflict group "+groups[i].Loc.String(), groups[i].Leaves, wantGroups[i].Leaves)
+		}
 	}
 }

@@ -283,6 +283,8 @@ func TestFleetEndToEnd(t *testing.T) {
 		"plan_fetch_total ",
 		"plan_fetch_latency_bucket{le=\"+Inf\"} ",
 		"evidence_merge_latency_count ",
+		"plan_merge_latency_bucket{le=\"+Inf\"} ",
+		"plan_merge_latency_count ",
 		"trace_ring_records ",
 		`evidence_instances{app="churn",workload="w"} 2` + "\n",
 	} {

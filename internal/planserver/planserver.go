@@ -5,7 +5,7 @@
 // evidence and folding it into one fleet-wide plan per (application,
 // workload).
 //
-// The wire format is the profile JSON analyzer.Profile.Save writes; plan
+// The wire format is the compact profile JSON the store writes; plan
 // versions are content-addressed ETags (SHA-256 of the response body), so
 // clients poll cheaply with If-None-Match and a fleet of N instances
 // converges on one plan without the daemon tracking any per-client state.
@@ -158,7 +158,8 @@ type Server struct {
 	rejected      *metrics.Counter          // rejected evidence uploads
 	storeErrs     *metrics.Counter          // store I/O and merge failures surfaced as 500s
 	fetchLatency  *metrics.LatencyHistogram // GET /v1/plan handling time
-	mergeLatency  *metrics.LatencyHistogram // POST /v1/evidence handling time
+	uploadLatency *metrics.LatencyHistogram // POST /v1/evidence handling time (a merge only on a key's cold first batch)
+	mergeLatency  *metrics.LatencyHistogram // one merge worker pass: fold, synthesize, persist, encode
 
 	// ro is the normalized rollout config; nil when rollout is disabled,
 	// which gates every rollout branch off the serving paths. The rollout
@@ -233,7 +234,8 @@ func New(store *profilestore.Store, opts Options) *Server {
 		rejected:      reg.Counter("evidence_reject_total"),
 		storeErrs:     reg.Counter("store_error_total"),
 		fetchLatency:  reg.Histogram("plan_fetch_latency", nil),
-		mergeLatency:  reg.Histogram("evidence_merge_latency", nil),
+		uploadLatency: reg.Histogram("evidence_merge_latency", nil),
+		mergeLatency:  reg.Histogram("plan_merge_latency", nil),
 		shards:        make(map[profilestore.Key]*shard),
 	}
 	s.stepper, _ = opts.Executor.(Stepper)
@@ -298,7 +300,13 @@ func encodePlan(p *analyzer.Profile) (*cachedPlan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("planserver: encoding plan: %w", err)
 	}
-	body = append(body, '\n')
+	return newCachedPlan(append(body, '\n')), nil
+}
+
+// newCachedPlan content-addresses an encoded plan body: the profile's
+// compact JSON and a newline, as encodePlan and profilestore.PutBytes both
+// write it.
+func newCachedPlan(body []byte) *cachedPlan {
 	sum := sha256.Sum256(body)
 	etag := fmt.Sprintf("%q", fmt.Sprintf("%x", sum))
 	return &cachedPlan{
@@ -306,7 +314,7 @@ func encodePlan(p *analyzer.Profile) (*cachedPlan, error) {
 		body:       body,
 		etagHeader: []string{etag},
 		lenHeader:  []string{strconv.Itoa(len(body))},
-	}, nil
+	}
 }
 
 // queryParam extracts the first value of key from a raw query string
@@ -515,7 +523,7 @@ func (s *Server) handleEvidence(w http.ResponseWriter, r *http.Request) {
 	var app, workload string
 	defer func() {
 		d := s.opts.Now() - start
-		s.mergeLatency.Observe(d)
+		s.uploadLatency.Observe(d)
 		if s.opts.Tracer.Enabled() {
 			s.opts.Tracer.EventAt(start, "planserver", "evidence_upload",
 				trace.String("app", app),

@@ -14,6 +14,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -177,6 +178,14 @@ func TestUploadFetchRoundTrip(t *testing.T) {
 	stored, err := store.Get("Cassandra", "WI")
 	if err != nil || stored.Sites[0].Allocated != 150 {
 		t.Fatalf("stored plan = %+v, %v", stored, err)
+	}
+	// The merge encodes once: the plan file's bytes are the served body.
+	files, err := filepath.Glob(filepath.Join(store.Dir(), "*.profile.json"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("plan files = %v, %v", files, err)
+	}
+	if raw, err := os.ReadFile(files[0]); err != nil || !bytes.Equal(raw, body) {
+		t.Fatalf("plan file differs from the served body (%v):\n%s\nvs\n%s", err, raw, body)
 	}
 
 	if got := srv.Metrics().Counter("evidence_merge_total").Value(); got != 2 {
@@ -508,6 +517,37 @@ func TestHealthzAndMetricsz(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("metricsz missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestPlanMergeLatencyCountsPasses: plan_merge_latency observes every merge
+// worker pass once, timed on Options.Now, and nothing else — so its count
+// is evidence_merge_total on a daemon without store errors.
+func TestPlanMergeLatencyCountsPasses(t *testing.T) {
+	store, err := profilestore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every clock read advances one millisecond: a pass reads it twice.
+	var now atomic.Int64
+	srv := New(store, Options{Executor: inline, Now: func() time.Duration { return time.Duration(now.Add(int64(time.Millisecond))) }})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	for i, inst := range []string{"inst-1", "inst-2", "inst-1"} {
+		resp := postEvidence(t, ts.URL, inst, evidence("Cassandra", "WI", site("Main.run:10;Db.put:5", 5, uint64(95+i))))
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("upload %d = %d", i, resp.StatusCode)
+		}
+	}
+	fetchPlan(t, ts.URL, "Cassandra", "WI", "")
+	hist := srv.Metrics().Histogram("plan_merge_latency", nil)
+	merges := srv.Metrics().Counter("evidence_merge_total").Value()
+	if merges != 3 || hist.Count() != merges {
+		t.Fatalf("plan_merge_latency counts %d passes, evidence_merge_total %d, want 3 and 3", hist.Count(), merges)
+	}
+	if hist.Sum() != 3*time.Millisecond {
+		t.Fatalf("plan_merge_latency sum = %v, want 3 passes of 1ms", hist.Sum())
 	}
 }
 

@@ -299,6 +299,7 @@ func (sh *shard) drain(s *Server) {
 		inputs := sh.inputs
 		sh.mu.Unlock()
 
+		start := s.opts.Now()
 		acc.Reset()
 		var err error
 		for _, p := range inputs {
@@ -315,14 +316,13 @@ func (sh *shard) drain(s *Server) {
 			// The plan file is a convenience copy — the evidence log is
 			// the durable truth — but keeping it fresh per batch means a
 			// restarted daemon (or polm2-inspect) sees the fleet plan
-			// without a rebuild.
-			if perr := s.store.Put(merged); perr != nil {
-				err = perr
+			// without a rebuild. Its bytes are the body served.
+			var body []byte
+			if body, err = s.store.PutBytes(merged); err == nil {
+				c = newCachedPlan(body)
 			}
 		}
-		if err == nil {
-			c, err = encodePlan(merged)
-		}
+		s.mergeLatency.Observe(s.opts.Now() - start)
 
 		sh.mu.Lock()
 		if err == nil && s.ro != nil {

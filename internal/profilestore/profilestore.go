@@ -40,8 +40,8 @@ type Key struct {
 
 func (k Key) String() string { return k.App + "/" + k.Workload }
 
-// Store is an on-disk profile repository. Profiles are stored as the same
-// JSON files Profile.Save produces, named
+// Store is an on-disk profile repository. Profiles are stored as compact
+// JSON that analyzer.LoadProfile reads like Profile.Save's output, named
 // <app>__<workload>-<hash>.profile.json, where <hash> fingerprints the raw
 // key so two keys that sanitize to the same text cannot overwrite each
 // other. Each key has exactly one file name; no other name is read.
@@ -105,35 +105,44 @@ func (s *Store) path(k Key) string {
 // Put stores a profile under its own App/Workload labels, replacing any
 // previous version.
 func (s *Store) Put(p *analyzer.Profile) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.putLocked(p)
+	_, err := s.PutBytes(p)
+	return err
 }
 
-func (s *Store) putLocked(p *analyzer.Profile) error {
+// PutBytes is Put returning the bytes it wrote: the profile's compact JSON
+// and a newline. That is exactly the plan body the daemon serves and hashes
+// into its ETag, so one encode serves the file and the wire.
+func (s *Store) PutBytes(p *analyzer.Profile) ([]byte, error) {
 	if p.App == "" || p.Workload == "" {
-		return fmt.Errorf("profilestore: profile must carry App and Workload labels")
+		return nil, fmt.Errorf("profilestore: profile must carry App and Workload labels")
 	}
 	if err := p.Validate(); err != nil {
-		return fmt.Errorf("profilestore: %w", err)
+		return nil, fmt.Errorf("profilestore: %w", err)
 	}
-	return s.writeProfile(p, s.path(Key{App: p.App, Workload: p.Workload}))
+	data, err := encode(p)
+	if err != nil {
+		return nil, fmt.Errorf("profilestore: encoding profile: %w", err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.writeFile(data, s.path(Key{App: p.App, Workload: p.Workload})); err != nil {
+		return nil, err
+	}
+	return data, nil
 }
 
-// writeProfile stages the JSON under a temporary name (through the fault
-// injector, when one is set) and renames it into place.
-func (s *Store) writeProfile(p *analyzer.Profile, path string) error {
-	data, err := json.MarshalIndent(p, "", "  ")
+// encode renders v in the store's on-disk form: compact JSON and a newline.
+func encode(v any) ([]byte, error) {
+	data, err := json.Marshal(v)
 	if err != nil {
-		return fmt.Errorf("profilestore: encoding profile: %w", err)
+		return nil, err
 	}
-	return s.writeFile(data, path)
+	return append(data, '\n'), nil
 }
 
 // writeFile stages data under a temporary name (through the fault
 // injector, when one is set) and renames it into place.
 func (s *Store) writeFile(data []byte, path string) error {
-	data = append(data, '\n')
 	tmp := path + ".tmp"
 	var err error
 	var w io.WriteCloser
@@ -323,7 +332,7 @@ func (s *Store) putEvidence(instance string, stamp *Stamp, p *analyzer.Profile) 
 	if err := os.MkdirAll(s.evidenceDir(), 0o755); err != nil {
 		return fmt.Errorf("profilestore: %w", err)
 	}
-	data, err := json.MarshalIndent(evidenceEntry{Instance: instance, Stamp: stamp, Profile: p}, "", "  ")
+	data, err := encode(evidenceEntry{Instance: instance, Stamp: stamp, Profile: p})
 	if err != nil {
 		return fmt.Errorf("profilestore: encoding evidence: %w", err)
 	}
@@ -401,7 +410,7 @@ func (s *Store) PutRollout(app, workload string, doc []byte) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.writeFile(bytes.TrimRight(doc, "\n"), s.rolloutPath(Key{App: app, Workload: workload}))
+	return s.writeFile(append(bytes.TrimRight(doc, "\n"), '\n'), s.rolloutPath(Key{App: app, Workload: workload}))
 }
 
 // Rollout loads the rollout document for (app, workload); ErrNotFound when

@@ -2,7 +2,9 @@ package profilestore
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"os"
 	"sync"
 	"testing"
 
@@ -37,6 +39,32 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 	if got.App != "Cassandra" || got.Workload != "WI" || len(got.Allocs) != 1 {
 		t.Fatalf("round trip lost data: %+v", got)
+	}
+}
+
+// TestPutBytesIsTheFile: PutBytes returns exactly the bytes it stored —
+// the profile's compact JSON and a newline, which the daemon serves as the
+// plan body without encoding again.
+func TestPutBytesIsTheFile(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := sampleProfile("Cassandra", "WI")
+	data, err := s.PutBytes(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compact, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append(compact, '\n'); !bytes.Equal(data, want) {
+		t.Fatalf("PutBytes = %s, want compact JSON and a newline %s", data, want)
+	}
+	onDisk, err := os.ReadFile(s.path(Key{App: "Cassandra", Workload: "WI"}))
+	if err != nil || !bytes.Equal(onDisk, data) {
+		t.Fatalf("stored file %q (%v) differs from the returned bytes %q", onDisk, err, data)
 	}
 }
 
