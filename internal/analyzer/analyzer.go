@@ -9,26 +9,30 @@ import (
 	"polm2/internal/snapshot"
 )
 
-// Options tunes the Analyzer. The zero value selects the paper's behaviour.
-type Options struct {
-	// MinSamples is the minimum number of recorded allocations before a
-	// site is considered for instrumentation. Default 12.
-	MinSamples uint64
-	// MinOldFraction is the fraction of a site's objects that must
-	// survive at least one snapshot before the site is pretenured.
-	// Default 0.5: if most objects die young, the weak generational
-	// hypothesis already serves the site well.
-	MinOldFraction float64
-	// MaxGen caps the target generation. Default 32.
-	MaxGen int
-	// ClusterGap merges estimated target generations whose survival
+// The estimation thresholds of §3.3.
+const (
+	// minSamples is the minimum number of recorded allocations before a
+	// site is considered for instrumentation.
+	minSamples = 12
+	// minOldFraction is the fraction of a site's objects that must
+	// survive at least one snapshot before the site is pretenured: if
+	// most objects die young, the weak generational hypothesis already
+	// serves the site well.
+	minOldFraction = 0.5
+	// maxGen caps the target generation.
+	maxGen = 32
+	// clusterGap merges estimated target generations whose survival
 	// counts differ by at most this amount before the STTree is built,
 	// then renumbers the clusters densely from 1. Two sites whose
 	// objects die three and four snapshots in belong together: NG2C
 	// generations are lifetime groups, not ordered ages, so dense
 	// renumbering is safe and keeps the generation count meaningful
-	// (Table 1). Default 4; negative disables clustering.
-	ClusterGap int
+	// (Table 1).
+	clusterGap = 4
+)
+
+// Options tunes the Analyzer. The zero value selects the paper's behaviour.
+type Options struct {
 	// Estimator selects the lifetime estimator. Default EstimatorMode
 	// (the paper's).
 	Estimator Estimator
@@ -53,18 +57,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.MinSamples == 0 {
-		o.MinSamples = 12
-	}
-	if o.MinOldFraction == 0 {
-		o.MinOldFraction = 0.5
-	}
-	if o.MaxGen == 0 {
-		o.MaxGen = 32
-	}
-	if o.ClusterGap == 0 {
-		o.ClusterGap = 4
-	}
 	if o.Estimator == 0 {
 		o.Estimator = EstimatorMode
 	}
@@ -99,9 +91,9 @@ func synthesize(evidence map[heap.SiteID]*siteEvidence, opts Options, degraded m
 			gens[id] = 0
 			continue
 		}
-		gens[id] = ev.targetGen(opts.Estimator, opts.MinSamples, opts.MinOldFraction, opts.MaxGen)
+		gens[id] = ev.targetGen(opts.Estimator)
 	}
-	clusterGenerations(gens, opts.ClusterGap)
+	clusterGenerations(gens)
 
 	tree := BuildTree(traces, gens)
 	groups := tree.DetectConflicts()
@@ -278,11 +270,9 @@ func mergeDirect(directGens map[jvm.CodeLoc]int, loc jvm.CodeLoc, gen int) {
 }
 
 // clusterGenerations merges raw survival-count generations separated by at
-// most gap and renumbers the resulting lifetime clusters densely from 1.
-func clusterGenerations(gens map[heap.SiteID]int, gap int) {
-	if gap < 0 {
-		return
-	}
+// most clusterGap and renumbers the resulting lifetime clusters densely
+// from 1.
+func clusterGenerations(gens map[heap.SiteID]int) {
 	distinct := make(map[int]struct{})
 	for _, g := range gens {
 		if g > 0 {
@@ -301,7 +291,7 @@ func clusterGenerations(gens map[heap.SiteID]int, gap int) {
 	cluster := 1
 	remap[sorted[0]] = cluster
 	for i := 1; i < len(sorted); i++ {
-		if sorted[i]-sorted[i-1] > gap {
+		if sorted[i]-sorted[i-1] > clusterGap {
 			cluster++
 		}
 		remap[sorted[i]] = cluster

@@ -270,7 +270,7 @@ func TestUsedGenerationsAndInstrumentedSites(t *testing.T) {
 
 func TestClusterGenerations(t *testing.T) {
 	gens := map[heap.SiteID]int{1: 0, 2: 3, 3: 4, 4: 9, 5: 10, 6: 20}
-	clusterGenerations(gens, 1)
+	clusterGenerations(gens)
 	if gens[1] != 0 {
 		t.Fatal("young site must stay young")
 	}
@@ -282,13 +282,5 @@ func TestClusterGenerations(t *testing.T) {
 	}
 	if gens[6] != 3 {
 		t.Fatalf("20 should be cluster 3: %v", gens)
-	}
-}
-
-func TestClusterGenerationsDisabled(t *testing.T) {
-	gens := map[heap.SiteID]int{1: 3, 2: 4}
-	clusterGenerations(gens, -1)
-	if gens[1] != 3 || gens[2] != 4 {
-		t.Fatalf("negative gap should disable clustering: %v", gens)
 	}
 }

@@ -118,7 +118,7 @@ func replaySnapshots(evidence map[heap.SiteID]*siteEvidence, idSite map[heap.Obj
 
 // targetGen estimates the site's target generation from its survival
 // distribution: zero keeps the site young (uninstrumented).
-func (ev *siteEvidence) targetGen(est Estimator, minSamples uint64, minOldFraction float64, maxGen int) int {
+func (ev *siteEvidence) targetGen(est Estimator) int {
 	if ev.total < minSamples {
 		return 0
 	}

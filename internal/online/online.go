@@ -51,10 +51,6 @@ type Options struct {
 	Reprofile time.Duration
 	// Seed drives the workload randomness. Default 1.
 	Seed int64
-	// RecordCost is the mutator cost of one allocation-logging callback.
-	// Default 2µs per simulated allocation (one simulated allocation
-	// stands for Scale real ones).
-	RecordCost time.Duration
 	// Analyzer tunes the Analyzer for every re-analysis.
 	Analyzer analyzer.Options
 	// RecordsDir receives allocation records; when empty, a temporary
@@ -90,6 +86,11 @@ type Options struct {
 	// when Run starts.
 	Clock *simclock.Clock
 }
+
+// recordCost is the mutator cost of one allocation-logging callback per
+// simulated allocation (one simulated allocation stands for Scale real
+// ones).
+const recordCost = 2 * time.Microsecond
 
 // PlanService is the fleet-coordination seam: upload evidence, get back
 // the merged fleet plan. fresh reports whether the plan came from the
@@ -128,9 +129,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.RecordCost == 0 {
-		o.RecordCost = 2 * time.Microsecond
 	}
 	return o
 }
@@ -237,7 +235,7 @@ func Run(app core.App, workloadName string, opts Options) (*Result, error) {
 	// The logging callback costs mutator time on every allocation — the
 	// overhead off-line profiling avoids (§6.1).
 	vm.AddAllocHook(func(heap.SiteID, *heap.Object) {
-		clock.Advance(opts.RecordCost)
+		clock.Advance(recordCost)
 	})
 
 	result := &Result{WarmPauses: &metrics.Sample{}}

@@ -65,12 +65,6 @@ import (
 
 // Options tunes the server. The zero value is ready.
 type Options struct {
-	// Merge tunes the analyzer pass re-run over merged fleet evidence
-	// (estimators, thresholds, ConfidenceFloor). Labels are taken from
-	// the uploads, not from here.
-	Merge analyzer.Options
-	// MaxBodyBytes caps an evidence upload. Default 32 MiB.
-	MaxBodyBytes int64
 	// Tracer, when non-nil, receives one "planserver" event per plan
 	// fetch and evidence upload, stamped via Now. Its ring (when it has
 	// one) backs GET /tracez. Nil traces nothing at zero cost.
@@ -210,9 +204,6 @@ var jsonContentType = []string{"application/json"}
 
 // New builds a server fronting the store.
 func New(store *profilestore.Store, opts Options) *Server {
-	if opts.MaxBodyBytes == 0 {
-		opts.MaxBodyBytes = 32 << 20
-	}
 	if opts.Now == nil {
 		start := time.Now()
 		opts.Now = func() time.Duration { return time.Since(start) }
@@ -388,7 +379,6 @@ func (s *Server) loadPlanLocked(sh *shard) error {
 		// the stable baseline so the next merge canaries against it rather
 		// than replacing it fleet-wide.
 		sh.roll.Observe(c.etag)
-		sh.stableProf = p
 		s.persistRolloutLocked(sh) //nolint:errcheck // healed by the next merge's persist
 		s.recordTransition(sh, RolloutTransition{
 			Kind: "adopt", From: rollout.StateStable, To: sh.roll.State(), ETag: c.etag,
@@ -533,7 +523,7 @@ func (s *Server) handleEvidence(w http.ResponseWriter, r *http.Request) {
 				trace.Dur("latency", d))
 		}
 	}()
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, EvidenceBodyLimit)
 	var up analyzer.Profile
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()

@@ -1,13 +1,13 @@
 package planserver
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"time"
 
-	"polm2/internal/analyzer"
 	"polm2/internal/metrics"
 	"polm2/internal/profilestore"
 	"polm2/internal/rollout"
@@ -30,26 +30,30 @@ import (
 //   - POST /v1/feedback records plan-health reports; the tracker's
 //     decision promotes the candidate fleet-wide or rolls back to stable
 //     and quarantines the candidate ETag.
-//   - Tracker state plus the stable and candidate profiles persist as one
-//     rollout document per key through the store's atomic-rename path, so
-//     a restarted daemon resumes serving last-good — never a plan that
-//     regressed its canary.
+//   - Tracker state plus the stable and candidate plan bodies persist as
+//     one rollout document per key through the store's atomic-rename
+//     path, so a restarted daemon resumes serving last-good — never a plan
+//     that regressed its canary.
 //
 // Every rollout branch is gated on s.ro != nil: with rollout disabled
 // (the default) the daemon's behavior is byte-for-byte today's.
 
-// FeedbackBodyLimit caps a POST /v1/feedback body; reports are a few
-// hundred bytes, so anything near the limit is garbage.
-const FeedbackBodyLimit = 1 << 20
+// Request body caps. FeedbackBodyLimit caps a POST /v1/feedback body;
+// reports are a few hundred bytes, so anything near the limit is garbage.
+// EvidenceBodyLimit caps a POST /v1/evidence upload.
+const (
+	FeedbackBodyLimit = 1 << 20
+	EvidenceBodyLimit = 32 << 20
+)
 
 // rolloutDoc is the per-key persisted controller state: the tracker
-// snapshot plus the plan contents the ETags refer to, so a restart can
+// snapshot plus the served bodies the ETags refer to, so a restart can
 // re-serve stable (and resume a canary) without trusting the plan file —
 // which always holds the *latest* merge, candidate or not.
 type rolloutDoc struct {
-	Snapshot  rollout.Snapshot  `json:"snapshot"`
-	Stable    *analyzer.Profile `json:"stable,omitempty"`
-	Candidate *analyzer.Profile `json:"candidate,omitempty"`
+	Snapshot  rollout.Snapshot `json:"snapshot"`
+	Stable    json.RawMessage  `json:"stable,omitempty"`
+	Candidate json.RawMessage  `json:"candidate,omitempty"`
 }
 
 // RolloutTransition is one recorded state-machine move, exposed for
@@ -123,7 +127,7 @@ func shortETag(etag string) string {
 // stable by the next merge or cold load. A corrupt document degrades the
 // same way rather than taking the key down.
 func (s *Server) restoreRolloutLocked(sh *shard) error {
-	if sh.rollLoaded {
+	if sh.roll != nil {
 		return nil
 	}
 	cfg := *s.ro
@@ -134,32 +138,43 @@ func (s *Server) restoreRolloutLocked(sh *shard) error {
 	var doc rolloutDoc
 	if err != nil || json.Unmarshal(data, &doc) != nil {
 		sh.roll = rollout.NewTracker(cfg)
-		sh.rollLoaded = true
 		return nil
 	}
 	sh.roll = rollout.Restore(cfg, doc.Snapshot)
-	if doc.Stable != nil {
-		if c, err := encodePlan(doc.Stable); err == nil && c.etag == sh.roll.StableETag() {
-			sh.stableProf = doc.Stable
-			sh.plan = c
-		}
+	if c := restoredPlan(doc.Stable); c != nil && c.etag == sh.roll.StableETag() {
+		sh.plan = c
 	}
-	if doc.Candidate != nil && sh.roll.State() == rollout.StateCanary {
-		if c, err := encodePlan(doc.Candidate); err == nil && c.etag == sh.roll.CandidateETag() {
-			sh.candProf = doc.Candidate
-			sh.cand = c
-		}
+	if c := restoredPlan(doc.Candidate); c != nil && sh.roll.State() == rollout.StateCanary && c.etag == sh.roll.CandidateETag() {
+		sh.cand = c
 	}
-	sh.rollLoaded = true
 	s.setStateGaugeLocked(sh)
 	return nil
 }
 
+// restoredPlan rebuilds a served plan from a body embedded in the rollout
+// document, which indents it: the served body is its compact form plus a
+// newline. Nil when the document holds no such body.
+func restoredPlan(raw json.RawMessage) *cachedPlan {
+	var body bytes.Buffer
+	if len(raw) == 0 || json.Compact(&body, raw) != nil {
+		return nil
+	}
+	body.WriteByte('\n')
+	return newCachedPlan(body.Bytes())
+}
+
 // persistRolloutLocked writes the shard's rollout document (caller holds
 // sh.mu); the store's staged-write-and-rename keeps the previous document
-// intact across a crash mid-write.
+// intact across a crash mid-write. A served body is embedded only under
+// the ETag the tracker names for it.
 func (s *Server) persistRolloutLocked(sh *shard) error {
-	doc := rolloutDoc{Snapshot: sh.roll.Snapshot(), Stable: sh.stableProf, Candidate: sh.candProf}
+	doc := rolloutDoc{Snapshot: sh.roll.Snapshot()}
+	if sh.plan != nil && sh.plan.etag == sh.roll.StableETag() {
+		doc.Stable = sh.plan.body
+	}
+	if sh.cand != nil && sh.cand.etag == sh.roll.CandidateETag() {
+		doc.Candidate = sh.cand.body
+	}
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return fmt.Errorf("planserver: encoding rollout state: %w", err)
@@ -241,7 +256,7 @@ func (s *Server) recordTransition(sh *shard, tr RolloutTransition, attrs ...trac
 // tracker's verdict (caller holds sh.mu). Called from drain in place of
 // the direct fleet-wide install; a persistence failure is returned and
 // surfaces as a merge failure, leaving the previous plan standing.
-func (s *Server) observeMergeLocked(sh *shard, merged *analyzer.Profile, c *cachedPlan) error {
+func (s *Server) observeMergeLocked(sh *shard, c *cachedPlan) error {
 	if err := s.restoreRolloutLocked(sh); err != nil {
 		return err
 	}
@@ -254,12 +269,8 @@ func (s *Server) observeMergeLocked(sh *shard, merged *analyzer.Profile, c *cach
 	// advanced.
 	switch c.etag {
 	case sh.roll.StableETag():
-		if sh.plan == nil || sh.plan.etag != c.etag {
-			sh.stableProf = merged
-			sh.plan = c
-		}
+		sh.plan = c
 	case sh.roll.CandidateETag():
-		sh.candProf = merged
 		sh.cand = c
 	}
 
@@ -307,10 +318,9 @@ func (s *Server) decideLocked(sh *shard, out rollout.Outcome) error {
 			trace.Int64("canary_n", int64(out.CanaryN)),
 			trace.Int64("baseline_n", int64(out.BaselineN)))
 		if candidate != nil {
-			sh.stableProf = sh.candProf
 			sh.plan = candidate
 		}
-		sh.cand, sh.candProf = nil, nil
+		sh.cand = nil
 		s.recordTransition(sh, RolloutTransition{
 			Kind: "publish", From: rollout.StatePromoting, To: rollout.StateStable,
 			ETag: candidateETag(candidate),
@@ -326,7 +336,7 @@ func (s *Server) decideLocked(sh *shard, out rollout.Outcome) error {
 			trace.Dur("baseline_p99", out.Baseline99),
 			trace.Int64("canary_n", int64(out.CanaryN)),
 			trace.Int64("baseline_n", int64(out.BaselineN)))
-		sh.cand, sh.candProf = nil, nil
+		sh.cand = nil
 	default:
 		return nil
 	}
@@ -410,6 +420,11 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	out := sh.roll.Record(&rep, inCohort)
 	err := s.decideLocked(sh, out)
 	sh.mu.Unlock()
+	if out.Decision == rollout.DecisionNone {
+		// A report for a key with no evidence and no plan — a probe of an
+		// unknown key — must not leave its fresh tracker behind.
+		s.dropIfEmpty(sh)
+	}
 	if err != nil {
 		s.storeErrs.Inc()
 		outcome = "store_error"

@@ -88,14 +88,11 @@ type shard struct {
 	// Canary rollout state (rollout.go); all nil/zero with rollout off.
 	// In rollout mode, plan above is the *stable* (last-good) plan and
 	// cand is the staged candidate a canary cohort is testing; roll is
-	// the key's state machine, restored from the persisted rollout
-	// document once (rollLoaded). stableProf/candProf retain the decoded
-	// profiles so the document can embed both plan bodies.
+	// the key's state machine, nil until restored from the persisted
+	// rollout document on first use. The document embeds the served
+	// bodies of both plans.
 	roll       *rollout.Tracker
-	rollLoaded bool
 	cand       *cachedPlan
-	stableProf *analyzer.Profile
-	candProf   *analyzer.Profile
 	cohort     map[string]bool // cached canary cohort over evidence instances
 	cohortN    int             // instance count the cohort was computed for
 	stateGauge *metrics.Gauge  // this key's rollout_state gauge
@@ -145,9 +142,9 @@ func (s *Server) lockShard(k profilestore.Key) *shard {
 }
 
 // dropIfEmpty removes a shard that never came to hold anything — created
-// by a plan fetch for a key the store has never seen — so probing random
-// keys cannot grow the shard map without bound. A shard with evidence, a
-// plan or pending work stays.
+// by a plan fetch or a feedback report for a key the store has never
+// seen — so probing random keys cannot grow the shard map without bound.
+// A shard with evidence, a plan or pending work stays.
 func (s *Server) dropIfEmpty(sh *shard) {
 	s.shardMu.Lock()
 	sh.mu.Lock()
@@ -284,9 +281,7 @@ func (sh *shard) drain(s *Server) {
 	for sh.mergedGen < sh.dirty {
 		target := sh.dirty
 		if sh.acc == nil {
-			opts := s.opts.Merge
-			opts.App, opts.Workload = sh.key.App, sh.key.Workload
-			sh.acc = analyzer.NewMergeAccumulator(opts)
+			sh.acc = analyzer.NewMergeAccumulator(analyzer.Options{App: sh.key.App, Workload: sh.key.Workload})
 		}
 		acc := sh.acc
 		// Snapshot the inputs: profiles are immutable once accepted, so
@@ -329,7 +324,7 @@ func (sh *shard) drain(s *Server) {
 			// Rollout mode: the merged plan is staged through the canary
 			// state machine instead of installed fleet-wide; a persistence
 			// failure is a merge failure (the previous plan stands).
-			err = s.observeMergeLocked(sh, merged, c)
+			err = s.observeMergeLocked(sh, c)
 		}
 		covered := target - sh.mergedGen
 		sh.mergedGen = target

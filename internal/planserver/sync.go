@@ -399,7 +399,7 @@ func (s *Server) applyPeerQuarantine(k profilestore.Key, etags []string) error {
 		return nil
 	}
 	if dropped {
-		sh.cand, sh.candProf = nil, nil
+		sh.cand = nil
 	} else {
 		cand = ""
 	}

@@ -16,7 +16,7 @@
 //     cadences, fleetclient retry backoff (Sleep advances the virtual
 //     clock), and the daemons' merge workers — the simulation is every
 //     daemon's planserver.Stepper executor: Go defers a worker into one
-//     FIFO released after DrainDelay, and a handler that must wait steps
+//     FIFO released after drainDelay, and a handler that must wait steps
 //     the FIFO's head itself. Events at one instant tie-break on seeded
 //     priorities, so a seed replays byte-identically — same trace, same
 //     invariant log.
@@ -86,19 +86,8 @@ type Config struct {
 	// SyncInterval is each daemon's anti-entropy cadence in a replicated
 	// run. Default Cadence/2.
 	SyncInterval time.Duration
-	// TaintRounds: during the first TaintRounds rounds, every third
-	// instance uploads evidence whose per-instance site is mostly
-	// tainted — enough to push it under the analyzer's confidence floor
-	// and degrade it to generation zero. Later rounds upload clean
-	// evidence, so the no-sticky-degradation invariant has something to
-	// bite on. Default 1; negative disables tainting.
-	TaintRounds int
 	// Cadence is the simulated re-profile interval. Default 30s.
 	Cadence time.Duration
-	// DrainDelay is the virtual-time deferral of the daemon's merge
-	// workers — the window in which concurrent uploads coalesce into one
-	// merge. Default 200ms.
-	DrainDelay time.Duration
 	// FaultSpec is a faultio.ParseNetSpec network fault plan, e.g.
 	// "partition:inst-3..7@t=40s/20s;drop:upload%5". Empty runs a clean
 	// network.
@@ -143,11 +132,6 @@ func (c Config) withDefaults() Config {
 	if c.Rounds == 0 {
 		c.Rounds = 3
 	}
-	if c.TaintRounds == 0 {
-		c.TaintRounds = 1
-	} else if c.TaintRounds < 0 {
-		c.TaintRounds = 0
-	}
 	if c.Cadence == 0 {
 		c.Cadence = 30 * time.Second
 	}
@@ -157,15 +141,25 @@ func (c Config) withDefaults() Config {
 	if c.SyncInterval == 0 {
 		c.SyncInterval = c.Cadence / 2
 	}
-	if c.DrainDelay == 0 {
-		c.DrainDelay = 200 * time.Millisecond
-	}
 	if c.Rollout != nil {
 		n := c.Rollout.Normalize()
 		c.Rollout = &n
 	}
 	return c
 }
+
+const (
+	// taintRounds: during the first taintRounds rounds, every third
+	// instance uploads evidence whose per-instance site is mostly tainted —
+	// enough to push it under the analyzer's confidence floor and degrade
+	// it to generation zero. Later rounds upload clean evidence, so the
+	// no-sticky-degradation invariant has something to bite on.
+	taintRounds = 1
+	// drainDelay is the virtual-time deferral of the daemons' merge
+	// workers — the window in which concurrent uploads coalesce into one
+	// merge.
+	drainDelay = 200 * time.Millisecond
+)
 
 // instance is one simulated production instance.
 type instance struct {
@@ -333,7 +327,7 @@ func build(cfg Config) (*sim, error) {
 			id:     id,
 			key:    profilestore.Key{App: "App" + strconv.Itoa(i%cfg.Keys), Workload: "w"},
 			client: client,
-			taints: cfg.TaintRounds > 0 && i%3 == 0,
+			taints: i%3 == 0,
 		}
 		if cfg.Daemons > 1 && cfg.Rollout != nil {
 			for j := 0; j < cfg.Daemons; j++ {
@@ -549,34 +543,39 @@ func poisoned(p *analyzer.Profile) bool {
 	return false
 }
 
-// feedback reports the instance's window since its previous report — the
-// synthetic equivalent of online.Run's per-window health report. The
-// pause percentiles are a pure function of the installed plan's content:
-// baseline numbers normally, badly regressed ones when the plan is
-// poisoned. fleetclient stamps the ETag (the plan version the window ran
-// under) and skips entirely while no plan is installed.
-func (s *sim) feedback(in *instance) {
-	if s.cfg.Rollout == nil {
-		return
-	}
-	start := in.lastFeedback
-	in.lastFeedback = s.clock.Now()
+// healthReport is the synthetic equivalent of online.Run's per-window
+// health report for a window [start, end) run under plan. The pause
+// percentiles are a pure function of the plan's content: baseline numbers
+// normally, badly regressed ones when the plan is poisoned.
+func healthReport(key profilestore.Key, start, end time.Duration, plan *analyzer.Profile) *rollout.Report {
 	r := &rollout.Report{
-		App:           in.key.App,
-		Workload:      in.key.Workload,
+		App:           key.App,
+		Workload:      key.Workload,
 		WindowStart:   start,
-		WindowEnd:     s.clock.Now(),
+		WindowEnd:     end,
 		Pauses:        8,
 		PauseP50:      6 * time.Millisecond,
 		PauseP99:      15 * time.Millisecond,
 		PromotionRate: 0.2,
 		SurvivorRate:  0.8,
 	}
-	if poisoned(in.cur) {
+	if poisoned(plan) {
 		r.PauseP50, r.PauseP99 = 9*time.Millisecond, 40*time.Millisecond
 		r.PromotionRate, r.SurvivorRate = 0.7, 0.3
 	}
-	sent, err := in.client.ReportFeedback(r)
+	return r
+}
+
+// feedback reports the instance's window since its previous report, run
+// under its installed plan. fleetclient stamps the ETag (the plan version
+// the window ran under) and skips entirely while no plan is installed.
+func (s *sim) feedback(in *instance) {
+	if s.cfg.Rollout == nil {
+		return
+	}
+	start := in.lastFeedback
+	in.lastFeedback = s.clock.Now()
+	sent, err := in.client.ReportFeedback(healthReport(in.key, start, in.lastFeedback, in.cur))
 	outcome := "reported"
 	switch {
 	case err != nil:
@@ -648,22 +647,7 @@ func (s *sim) altSweep() {
 			}
 			start := in.altLast[j]
 			in.altLast[j] = s.clock.Now()
-			r := &rollout.Report{
-				App:           in.key.App,
-				Workload:      in.key.Workload,
-				WindowStart:   start,
-				WindowEnd:     s.clock.Now(),
-				Pauses:        8,
-				PauseP50:      6 * time.Millisecond,
-				PauseP99:      15 * time.Millisecond,
-				PromotionRate: 0.2,
-				SurvivorRate:  0.8,
-			}
-			if poisoned(plan) {
-				r.PauseP50, r.PauseP99 = 9*time.Millisecond, 40*time.Millisecond
-				r.PromotionRate, r.SurvivorRate = 0.7, 0.3
-			}
-			if sent, err := alt.ReportFeedback(r); err == nil && sent {
+			if sent, err := alt.ReportFeedback(healthReport(in.key, start, in.altLast[j], plan)); err == nil && sent {
 				in.feedbacks++
 			}
 		}
@@ -704,14 +688,14 @@ func (s *sim) traceInstance(name string, in *instance, outcome string, attrs ...
 // growing with r (re-profiles report cumulative counts, which is what
 // makes last-write-wins aggregation count each instance once). Tainting
 // instances report a mostly-tainted per-instance site during the first
-// TaintRounds rounds — under the confidence floor — and clean counts
+// taintRounds rounds — under the confidence floor — and clean counts
 // afterwards.
 func (s *sim) evidence(in *instance, r int) *analyzer.Profile {
 	round := uint64(r) + 1
 	shared := 40 * round
 	n := round * uint64(16+in.idx%7)
 	var tainted uint64
-	if in.taints && r < s.cfg.TaintRounds {
+	if in.taints && r < taintRounds {
 		tainted = n - n/4
 	}
 	p := &analyzer.Profile{
@@ -746,7 +730,7 @@ func (s *sim) evidence(in *instance, r int) *analyzer.Profile {
 // FIFO and release it after the drain delay.
 func (s *sim) Go(work func()) {
 	s.workers = append(s.workers, work)
-	s.q.After(s.cfg.DrainDelay, s.pri.next(), func() { s.Step() })
+	s.q.After(drainDelay, s.pri.next(), func() { s.Step() })
 }
 
 // Step makes the sim a planserver.Stepper and is the release events'

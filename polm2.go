@@ -52,7 +52,7 @@ type (
 	// directives.
 	AllocDirective = analyzer.AllocDirective
 	CallDirective  = analyzer.CallDirective
-	// AnalyzerOptions tunes the Analyzer (estimators, thresholds,
+	// AnalyzerOptions tunes the Analyzer (estimator, confidence floor,
 	// ablation toggles).
 	AnalyzerOptions = analyzer.Options
 	// App is a simulated application with evaluation workloads.

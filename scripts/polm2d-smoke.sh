@@ -5,7 +5,9 @@
 # Scenario: start the daemon on a random port, confirm there is no plan,
 # upload profiling evidence from two simulated fleet instances, check the
 # re-fetched plan carries the merged evidence and a stable ETag (304 on a
-# conditional re-fetch), then shut down cleanly with SIGTERM. A second
+# conditional re-fetch) and that /metricsz accounts for every upload
+# (merges + coalesced, no rejects or store errors), then shut down
+# cleanly with SIGTERM. A second
 # phase restarts against a fresh store with -rollout: the first merged
 # plan is adopted as stable (rollout_state 0), a plan-health report lands
 # on POST /v1/feedback, and fresh evidence opens a canary (rollout_state 1).
@@ -67,12 +69,6 @@ code=$(curl -s -o /tmp/polm2d-smoke-merge.json -w '%{http_code}' \
   -d "$evidence2" "$url/v1/evidence")
 [ "$code" = "200" ] || fail "replayed upload status $code: $(cat /tmp/polm2d-smoke-merge.json)"
 
-# An upload without an instance id is rejected: the daemon cannot know
-# whose evidence to replace.
-code=$(curl -s -o /dev/null -w '%{http_code}' \
-  -H 'Content-Type: application/json' -d "$evidence2" "$url/v1/evidence")
-[ "$code" = "400" ] || fail "anonymous upload status $code, want 400"
-
 # The merged plan must sum the shared site's evidence — each instance
 # counted exactly once despite the replay — and keep both
 # instance-unique sites. The daemon merges asynchronously behind the
@@ -96,6 +92,31 @@ etag=$(tr -d '\r' </tmp/polm2d-smoke-headers.txt | sed -n 's/^[Ee][Tt][Aa][Gg]: 
 code=$(curl -s -o /dev/null -w '%{http_code}' \
   -H "If-None-Match: $etag" "$url/v1/plan?app=Cassandra&workload=WI")
 [ "$code" = "304" ] || fail "conditional re-fetch status $code, want 304"
+
+# The daemon's counters account for every accepted upload: each one is
+# covered by a merge or coalesced into one (evidence_upload_total ==
+# evidence_merge_total + evidence_coalesced_total), with nothing rejected
+# and no store errors. The replayed upload may still be merging behind
+# the converged plan, so poll until the counters settle.
+metric() { sed -n "s/^$1 //p" /tmp/polm2d-smoke-metrics.txt; }
+uploads= covered=
+for _ in $(seq 100); do
+  curl -s -o /tmp/polm2d-smoke-metrics.txt "$url/metricsz"
+  uploads=$(metric evidence_upload_total)
+  covered=$(( $(metric evidence_merge_total) + $(metric evidence_coalesced_total) ))
+  [ "$uploads" = "3" ] && [ "$covered" = "3" ] && break
+  sleep 0.1
+done
+[ "$uploads" = "3" ] || fail "evidence_upload_total $uploads, want 3"
+[ "$covered" = "$uploads" ] || fail "merges + coalesced = $covered, want $uploads uploads"
+[ "$(metric evidence_reject_total)" = "0" ] || fail "daemon rejected an upload: $(cat /tmp/polm2d-smoke-metrics.txt)"
+[ "$(metric store_error_total)" = "0" ] || fail "daemon reported store errors: $(cat /tmp/polm2d-smoke-metrics.txt)"
+
+# An upload without an instance id is rejected: the daemon cannot know
+# whose evidence to replace.
+code=$(curl -s -o /dev/null -w '%{http_code}' \
+  -H 'Content-Type: application/json' -d "$evidence2" "$url/v1/evidence")
+[ "$code" = "400" ] || fail "anonymous upload status $code, want 400"
 
 # Internally inconsistent evidence (buckets exceed the allocation total)
 # must be rejected and must not disturb the stored plan.
