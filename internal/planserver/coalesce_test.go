@@ -250,6 +250,7 @@ func TestCrossKeyIndependence(t *testing.T) {
 
 	// Seed both keys and warm their plan caches so async uploads answer
 	// without waiting for a first merge.
+	warm := make(map[string]string)
 	for _, key := range []string{"alpha", "beta"} {
 		seeded, err := analyzer.MergeProfiles(analyzer.Options{},
 			evidence(key, "w", site("Main.run:1;Init.go:2", 5, 15)))
@@ -263,6 +264,7 @@ func TestCrossKeyIndependence(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("warm fetch %s = %d", key, resp.StatusCode)
 		}
+		warm[key] = resp.Header.Get("ETag")
 	}
 
 	done := make(chan struct{})
@@ -302,25 +304,20 @@ func TestCrossKeyIndependence(t *testing.T) {
 	// alpha's never does while the gate holds.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		resp, body := fetchPlan(t, ts.URL, "beta", "w", "")
+		resp, _ := fetchPlan(t, ts.URL, "beta", "w", "")
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("beta fetch = %d", resp.StatusCode)
 		}
-		var p analyzer.Profile
-		if err := json.Unmarshal(body, &p); err != nil {
-			t.Fatal(err)
-		}
-		var total uint64
-		for _, s := range p.Sites {
-			total += s.Allocated
-		}
-		if total == 20+32 { // adopted seed evidence + b-0
+		if resp.Header.Get("ETag") != warm["beta"] {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("beta plan never merged b-0 (allocated %d)", total)
+			t.Fatal("beta plan never moved past its warm version")
 		}
 		time.Sleep(time.Millisecond)
+	}
+	if total := storedAllocated(t, store, "beta", "w"); total != 20+32 { // adopted seed evidence + b-0
+		t.Fatalf("beta plan allocated = %d, want 52", total)
 	}
 	if got := srv.Metrics().Counter("evidence_merge_total").Value(); got != 1 {
 		t.Fatalf("evidence_merge_total = %d, want 1 (beta only; alpha is gated)", got)
@@ -329,19 +326,11 @@ func TestCrossKeyIndependence(t *testing.T) {
 	// Release alpha; its backlog (two uploads) drains in one batch.
 	close(gate)
 	srv.Flush()
-	resp, body := fetchPlan(t, ts.URL, "alpha", "w", "")
+	resp, _ := fetchPlan(t, ts.URL, "alpha", "w", "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("alpha fetch after release = %d", resp.StatusCode)
 	}
-	var p analyzer.Profile
-	if err := json.Unmarshal(body, &p); err != nil {
-		t.Fatal(err)
-	}
-	var total uint64
-	for _, s := range p.Sites {
-		total += s.Allocated
-	}
-	if total != 20+40+40 { // adopted seed + a-0 + a-1
+	if total := storedAllocated(t, store, "alpha", "w"); total != 20+40+40 { // adopted seed + a-0 + a-1
 		t.Fatalf("alpha plan allocated = %d, want 100", total)
 	}
 }
@@ -383,19 +372,10 @@ func TestSteadyStateNoDiskReads(t *testing.T) {
 		t.Fatalf("steady-state new instance = %d", resp.StatusCode)
 	}
 
-	resp2, body := fetchPlan(t, ts.URL, "Cassandra", "WI", "")
-	if resp2.StatusCode != http.StatusOK {
+	if resp2, _ := fetchPlan(t, ts.URL, "Cassandra", "WI", ""); resp2.StatusCode != http.StatusOK {
 		t.Fatalf("fetch = %d", resp2.StatusCode)
 	}
-	var p analyzer.Profile
-	if err := json.Unmarshal(body, &p); err != nil {
-		t.Fatal(err)
-	}
-	var total uint64
-	for _, s := range p.Sites {
-		total += s.Allocated
-	}
-	if total != 300+200+50 {
+	if total := storedAllocated(t, store, "Cassandra", "WI"); total != 300+200+50 {
 		t.Fatalf("merged allocated = %d, want 550 (inst-0 replaced + inst-1 cached + inst-2 new)", total)
 	}
 	if got := srv.Metrics().Counter("evidence_load_total").Value(); got != 1 {
@@ -435,23 +415,16 @@ func TestPlanRebuildFromEvidence(t *testing.T) {
 	srv2 := New(store, Options{Executor: inline})
 	ts2 := httptest.NewServer(srv2)
 	defer ts2.Close()
-	resp2, body := fetchPlan(t, ts2.URL, "Cassandra", "WI", "")
+	resp2, _ := fetchPlan(t, ts2.URL, "Cassandra", "WI", "")
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("cold fetch after plan loss = %d, want 200 (rebuild from evidence)", resp2.StatusCode)
 	}
 	if got := resp2.Header.Get("ETag"); got != wantTag {
 		t.Fatalf("rebuilt plan ETag %s, want %s", got, wantTag)
 	}
-	var p analyzer.Profile
-	if err := json.Unmarshal(body, &p); err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Sites) != 1 || p.Sites[0].Allocated != 150 {
-		t.Fatalf("rebuilt plan = %+v, want the 150-allocation merge", p.Sites)
-	}
-	// The rebuild re-persisted the plan file.
-	if _, err := store.Get("Cassandra", "WI"); err != nil {
-		t.Fatalf("plan file not re-persisted: %v", err)
+	// The rebuild re-persisted the plan file, evidence and all.
+	if got := storedSites(t, store, "Cassandra", "WI"); len(got) != 1 || got[0].Allocated != 150 {
+		t.Fatalf("rebuilt plan = %+v, want the 150-allocation merge", got)
 	}
 }
 

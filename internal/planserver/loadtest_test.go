@@ -69,22 +69,13 @@ func TestFleetLoad(t *testing.T) {
 	srv.Flush()
 
 	// The converged plan accounts for every client exactly once.
-	resp, err := client.Get(ts.URL + "/v1/plan?app=Fleet&workload=steady")
+	stored, err := store.Get("Fleet", "steady")
 	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("final fetch = %d, %v", resp.StatusCode, err)
-	}
-	var p analyzer.Profile
-	if err := json.Unmarshal(body, &p); err != nil {
 		t.Fatal(err)
 	}
 	var gotShared uint64
 	perClient := 0
-	for _, s := range p.Sites {
+	for _, s := range stored.Sites {
 		if s.Trace == sharedTrace {
 			gotShared = s.Allocated
 		} else {
@@ -98,13 +89,23 @@ func TestFleetLoad(t *testing.T) {
 		t.Fatalf("per-client sites = %d, want %d", perClient, clients)
 	}
 
-	// The stored (durable) plan matches the served one.
-	stored, err := store.Get("Fleet", "steady")
+	// The served plan is the stored (durable) plan's directives.
+	resp, err := client.Get(ts.URL + "/v1/plan?app=Fleet&workload=steady")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stored.Sites) != len(p.Sites) {
-		t.Fatalf("stored plan has %d sites, served %d", len(stored.Sites), len(p.Sites))
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("final fetch = %d, %v", resp.StatusCode, err)
+	}
+	var p analyzer.Profile
+	if err := json.Unmarshal(body, &p); err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Sites) != 0 || p.InstrumentedSites() != stored.InstrumentedSites() {
+		t.Fatalf("served plan has %d sites and %d directives, want 0 and the stored plan's %d",
+			len(p.Sites), p.InstrumentedSites(), stored.InstrumentedSites())
 	}
 
 	if got := srv.Metrics().Counter("evidence_upload_total").Value(); got != 2*clients {

@@ -5,10 +5,13 @@
 // evidence and folding it into one fleet-wide plan per (application,
 // workload).
 //
-// The wire format is the compact profile JSON the store writes; plan
-// versions are content-addressed ETags (SHA-256 of the response body), so
-// clients poll cheaply with If-None-Match and a fleet of N instances
-// converges on one plan without the daemon tracking any per-client state.
+// The store's plan file is the full merged profile, per-site evidence
+// included; the wire format is that profile's compact JSON without the
+// evidence (Sites), which is all an instance installs (§3.5). Plan
+// versions are content-addressed ETags — SHA-256 of the plan file, so one
+// version names one merge and one served body — and clients poll cheaply
+// with If-None-Match: a fleet of N instances converges on one plan without
+// the daemon tracking any per-client state.
 //
 // Endpoints:
 //
@@ -188,12 +191,13 @@ type Server struct {
 	shards  map[profilestore.Key]*shard
 }
 
-// cachedPlan is one encoded, content-addressed plan. The header value
-// slices are precomputed so the conditional-fetch fast path can assign
-// them into the response header map without allocating.
+// cachedPlan is one published plan version. The header value slices are
+// precomputed so the conditional-fetch fast path can assign them into the
+// response header map without allocating.
 type cachedPlan struct {
-	etag       string
-	body       []byte
+	etag       string   // quoted SHA-256 of file
+	file       []byte   // the plan file's bytes; a rollout document embeds them
+	body       []byte   // the served projection: file's profile without Sites
 	etagHeader []string // {etag}
 	lenHeader  []string // {strconv.Itoa(len(body))}
 }
@@ -285,27 +289,44 @@ func (s *Server) Flush() {
 	}
 }
 
-// encodePlan renders a profile to its canonical wire body and ETag.
+// encodePlan renders a profile to its plan file bytes, as
+// profilestore.PutBytes writes them, and caches it.
 func encodePlan(p *analyzer.Profile) (*cachedPlan, error) {
-	body, err := json.Marshal(p)
+	file, err := encodeJSON(p)
 	if err != nil {
-		return nil, fmt.Errorf("planserver: encoding plan: %w", err)
+		return nil, err
 	}
-	return newCachedPlan(append(body, '\n')), nil
+	return newCachedPlan(p, file)
 }
 
-// newCachedPlan content-addresses an encoded plan body: the profile's
-// compact JSON and a newline, as encodePlan and profilestore.PutBytes both
-// write it.
-func newCachedPlan(body []byte) *cachedPlan {
-	sum := sha256.Sum256(body)
+// newCachedPlan caches profile p, whose plan file bytes are file: the ETag
+// content-addresses the file, and the served body is p without its
+// per-site evidence, in the same compact-JSON-and-newline form.
+func newCachedPlan(p *analyzer.Profile, file []byte) (*cachedPlan, error) {
+	wire := *p
+	wire.Sites = nil
+	body, err := encodeJSON(&wire)
+	if err != nil {
+		return nil, err
+	}
+	sum := sha256.Sum256(file)
 	etag := fmt.Sprintf("%q", fmt.Sprintf("%x", sum))
 	return &cachedPlan{
 		etag:       etag,
+		file:       file,
 		body:       body,
 		etagHeader: []string{etag},
 		lenHeader:  []string{strconv.Itoa(len(body))},
+	}, nil
+}
+
+// encodeJSON renders a plan as compact JSON and a newline.
+func encodeJSON(p *analyzer.Profile) ([]byte, error) {
+	data, err := json.Marshal(p)
+	if err != nil {
+		return nil, fmt.Errorf("planserver: encoding plan: %w", err)
 	}
+	return append(data, '\n'), nil
 }
 
 // queryParam extracts the first value of key from a raw query string

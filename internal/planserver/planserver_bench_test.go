@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"polm2/internal/analyzer"
+	"polm2/internal/fleetclient"
 	"polm2/internal/profilestore"
 )
 
@@ -137,4 +138,63 @@ func BenchmarkPlanFetch304(b *testing.B) {
 			b.Fatalf("fetch status %d, want 304", w.code)
 		}
 	}
+}
+
+// handlerTransport delivers a client's requests straight to a handler, so
+// a benchmark measures the daemon and the client, not loopback sockets.
+type handlerTransport struct{ h http.Handler }
+
+func (t handlerTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	rec := httptest.NewRecorder()
+	t.h.ServeHTTP(rec, r)
+	return rec.Result(), nil
+}
+
+// BenchmarkPlanFetch200 measures an unconditional plan fetch of a 16 × 64
+// key (16 instances' evidence, 64 sites each): the handler's answer and
+// the instance's decode and validation through fleetclient, each
+// iteration a fresh client so no If-None-Match turns it into a 304.
+// body_B/op is the served body; file_B/op is the plan file it projects,
+// whose SHA-256 is the ETag.
+func BenchmarkPlanFetch200(b *testing.B) {
+	store, err := profilestore.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := New(store, Options{Executor: ExecutorFunc(func(w func()) { w() })})
+	w := &benchWriter{h: make(http.Header)}
+	for i := 0; i < 16; i++ {
+		name := fmt.Sprintf("inst-%02d", i)
+		benchUpload(b, srv, w, name, benchEvidence(b, name, 64, i))
+	}
+	w.reset()
+	srv.handlePlan(w, httptest.NewRequest("GET", "/v1/plan?app=Bench&workload=hot", nil))
+	if w.code != http.StatusOK {
+		b.Fatalf("warmup fetch = %d", w.code)
+	}
+	body := w.n
+	stored, err := store.Get("Bench", "hot")
+	if err != nil {
+		b.Fatal(err)
+	}
+	file, err := json.Marshal(stored)
+	if err != nil {
+		b.Fatal(err)
+	}
+	hc := &http.Client{Transport: handlerTransport{srv}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := fleetclient.New(fleetclient.Options{BaseURL: "http://polm2d.bench", InstanceID: "reader", HTTPClient: hc})
+		if err != nil {
+			b.Fatal(err)
+		}
+		plan, outcome, err := c.FetchPlan("Bench", "hot")
+		if err != nil || outcome != fleetclient.OutcomeFresh || plan.InstrumentedSites() != stored.InstrumentedSites() {
+			b.Fatalf("fetch = %v, %v", outcome, err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(body), "body_B/op")
+	b.ReportMetric(float64(len(file)+1), "file_B/op")
 }

@@ -2,6 +2,7 @@ package planserver
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -104,6 +105,27 @@ func fetchPlan(t *testing.T, url, app, workload, etag string) (*http.Response, [
 	return resp, body
 }
 
+// storedSites reads the merged per-site evidence off the key's plan file:
+// served plans carry only the directives.
+func storedSites(t *testing.T, store *profilestore.Store, app, workload string) []analyzer.SiteStat {
+	t.Helper()
+	p, err := store.Get(app, workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.Sites
+}
+
+// storedAllocated sums the plan file's per-site allocation counts.
+func storedAllocated(t *testing.T, store *profilestore.Store, app, workload string) uint64 {
+	t.Helper()
+	var total uint64
+	for _, s := range storedSites(t, store, app, workload) {
+		total += s.Allocated
+	}
+	return total
+}
+
 func TestPlanFetchNotFound(t *testing.T) {
 	_, ts, _ := newTestServer(t)
 	resp, _ := fetchPlan(t, ts.URL, "Cassandra", "WI", "")
@@ -141,8 +163,11 @@ func TestUploadFetchRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(body, &p); err != nil {
 		t.Fatal(err)
 	}
-	if p.App != "Cassandra" || p.Workload != "WI" || len(p.Sites) != 1 || p.Sites[0].Allocated != 100 {
-		t.Fatalf("served plan = %+v", p)
+	if p.App != "Cassandra" || p.Workload != "WI" || len(p.Sites) != 0 {
+		t.Fatalf("served plan = %+v, want the labels and no per-site evidence", p)
+	}
+	if got := storedSites(t, store, "Cassandra", "WI"); len(got) != 1 || got[0].Allocated != 100 {
+		t.Fatalf("stored evidence = %+v, want one site with 100", got)
 	}
 
 	// Conditional refetch with the current ETag is a 304.
@@ -167,25 +192,10 @@ func TestUploadFetchRoundTrip(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("refetch after merge = %d, want 200 (stale ETag)", resp.StatusCode)
 	}
-	if err := json.Unmarshal(body, &p); err != nil {
-		t.Fatal(err)
-	}
-	if p.Sites[0].Allocated != 150 {
-		t.Fatalf("merged evidence = %d, want 150", p.Sites[0].Allocated)
-	}
-
-	// The store holds the merged plan too (durability, not just cache).
-	stored, err := store.Get("Cassandra", "WI")
-	if err != nil || stored.Sites[0].Allocated != 150 {
-		t.Fatalf("stored plan = %+v, %v", stored, err)
-	}
-	// The merge encodes once: the plan file's bytes are the served body.
-	files, err := filepath.Glob(filepath.Join(store.Dir(), "*.profile.json"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("plan files = %v, %v", files, err)
-	}
-	if raw, err := os.ReadFile(files[0]); err != nil || !bytes.Equal(raw, body) {
-		t.Fatalf("plan file differs from the served body (%v):\n%s\nvs\n%s", err, raw, body)
+	// The plan file holds the merged evidence (the served body is its
+	// projection: TestServedPlanIsProjection).
+	if got := storedSites(t, store, "Cassandra", "WI"); got[0].Allocated != 150 {
+		t.Fatalf("merged evidence = %d, want 150", got[0].Allocated)
 	}
 
 	if got := srv.Metrics().Counter("evidence_merge_total").Value(); got != 2 {
@@ -206,19 +216,10 @@ func TestUploadReplacesPerInstance(t *testing.T) {
 
 	fetchAllocated := func() uint64 {
 		t.Helper()
-		resp, body := fetchPlan(t, ts.URL, "Cassandra", "WI", "")
-		if resp.StatusCode != http.StatusOK {
+		if resp, _ := fetchPlan(t, ts.URL, "Cassandra", "WI", ""); resp.StatusCode != http.StatusOK {
 			t.Fatalf("fetch = %d", resp.StatusCode)
 		}
-		var p analyzer.Profile
-		if err := json.Unmarshal(body, &p); err != nil {
-			t.Fatal(err)
-		}
-		var total uint64
-		for _, s := range p.Sites {
-			total += s.Allocated
-		}
-		return total
+		return storedAllocated(t, store, "Cassandra", "WI")
 	}
 
 	// Instance 1 re-profiles three times, each upload cumulative over the
@@ -270,19 +271,10 @@ func TestUploadReplacesPerInstance(t *testing.T) {
 		t.Fatalf("post-restart upload = %d", resp.StatusCode)
 	}
 	resp.Body.Close()
-	resp, body := fetchPlan(t, ts2.URL, "Cassandra", "WI", "")
-	if resp.StatusCode != http.StatusOK {
+	if resp, _ := fetchPlan(t, ts2.URL, "Cassandra", "WI", ""); resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-restart fetch = %d", resp.StatusCode)
 	}
-	var p analyzer.Profile
-	if err := json.Unmarshal(body, &p); err != nil {
-		t.Fatal(err)
-	}
-	var total uint64
-	for _, s := range p.Sites {
-		total += s.Allocated
-	}
-	if total != 350 {
+	if total := storedAllocated(t, store, "Cassandra", "WI"); total != 350 {
 		t.Fatalf("post-restart allocated = %d, want 350 (inst-1 replaced, inst-2 kept)", total)
 	}
 	// Every accepted upload is a merge, replacement or not.
@@ -312,16 +304,11 @@ func TestSeedPlanCountsOnce(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	resp, body := fetchPlan(t, ts.URL, "Cassandra", "WI", "")
-	if resp.StatusCode != http.StatusOK {
+	if resp, _ := fetchPlan(t, ts.URL, "Cassandra", "WI", ""); resp.StatusCode != http.StatusOK {
 		t.Fatalf("fetch = %d", resp.StatusCode)
 	}
-	var p analyzer.Profile
-	if err := json.Unmarshal(body, &p); err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Sites) != 1 || p.Sites[0].Allocated != 150 {
-		t.Fatalf("seeded+uploaded evidence = %+v, want one site with 100+50=150", p.Sites)
+	if got := storedSites(t, store, "Cassandra", "WI"); len(got) != 1 || got[0].Allocated != 150 {
+		t.Fatalf("seeded+uploaded evidence = %+v, want one site with 100+50=150", got)
 	}
 }
 
@@ -597,5 +584,128 @@ func TestSingleFlightLoads(t *testing.T) {
 	}
 	if got := srv.Metrics().Counter("plan_fetch_total").Value(); got != fetchers {
 		t.Fatalf("plan_fetch_total = %d, want %d", got, fetchers)
+	}
+}
+
+// rolloutDocSHA256 pins the rollout document TestServedPlanIsProjection
+// writes. It embeds plan files, whose bytes do not depend on what the
+// daemon serves, so the document must not move with the wire format.
+const rolloutDocSHA256 = "83b8ecfbb28e4d69b93195c2e29a68d6bcba7b36bfe65b875055bd439363a3be"
+
+// TestServedPlanIsProjection pins the wire plan: on every path that
+// publishes a plan — an upload's 200, a fetch's 200, a cold load from the
+// plan file, a restore from the rollout document — the body is the plan
+// file's profile without its per-site evidence (compact JSON and a
+// newline), and the ETag is the SHA-256 of the plan file itself.
+func TestServedPlanIsProjection(t *testing.T) {
+	store, err := profilestore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	withRollout := Options{Executor: inline, Rollout: &rollout.Config{}}
+	srv := New(store, withRollout)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	planFile := func() []byte {
+		t.Helper()
+		files, err := filepath.Glob(filepath.Join(store.Dir(), "*.profile.json"))
+		if err != nil || len(files) != 1 {
+			t.Fatalf("plan files = %v, %v", files, err)
+		}
+		data, err := os.ReadFile(files[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	check := func(what string, file []byte, resp *http.Response, body []byte) {
+		t.Helper()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s = %d, want 200", what, resp.StatusCode)
+		}
+		var p analyzer.Profile
+		if err := json.Unmarshal(file, &p); err != nil {
+			t.Fatal(err)
+		}
+		if len(p.Sites) == 0 {
+			t.Fatalf("%s: the plan file carries no per-site evidence; the check is vacuous", what)
+		}
+		p.Sites = nil
+		want, err := json.Marshal(&p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want = append(want, '\n'); !bytes.Equal(body, want) {
+			t.Fatalf("%s body is not the plan file's projection:\n%s\nwant\n%s", what, body, want)
+		}
+		if tag, want := resp.Header.Get("ETag"), fmt.Sprintf("%q", fmt.Sprintf("%x", sha256.Sum256(file))); tag != want {
+			t.Fatalf("%s ETag %s, want the plan file's %s", what, tag, want)
+		}
+	}
+	upload := func(instance string, p *analyzer.Profile) (*http.Response, []byte) {
+		t.Helper()
+		resp := postEvidence(t, ts.URL, instance, p)
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, body
+	}
+
+	// The key's first merge is adopted as the stable plan: the upload and
+	// a fetch both serve it.
+	resp, body := upload("inst-1", evidence("Cassandra", "WI",
+		site("Main.run:10;Db.put:5", 5, 95), site("Main.run:10;Log.add:7", 90, 10)))
+	check("upload", planFile(), resp, body)
+	resp, body = fetchPlan(t, ts.URL, "Cassandra", "WI", "")
+	check("fetch", planFile(), resp, body)
+
+	// A second merge opens a canary: the rollout document now embeds both
+	// plan files, and the plan file on disk is the candidate's.
+	resp, _ = upload("inst-2", evidence("Cassandra", "WI", site("Main.run:10;Db.put:5", 1, 9)))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("second upload = %d", resp.StatusCode)
+	}
+	docBytes, err := store.Rollout("Cassandra", "WI")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(docBytes)); got != rolloutDocSHA256 {
+		t.Errorf("rollout document sha256 = %s, want %s:\n%s", got, rolloutDocSHA256, docBytes)
+	}
+	var doc rolloutDoc
+	if err := json.Unmarshal(docBytes, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var stableFile bytes.Buffer
+	if err := json.Compact(&stableFile, doc.Stable); err != nil {
+		t.Fatal(err)
+	}
+	stableFile.WriteByte('\n')
+	if len(doc.Candidate) == 0 {
+		t.Fatal("rollout document embeds no candidate; the second merge opened no canary")
+	}
+
+	// A restarted rollout daemon serves stable from the rollout document,
+	// without loading the plan file (which holds the candidate).
+	restored := New(store, withRollout)
+	ts2 := httptest.NewServer(restored)
+	defer ts2.Close()
+	resp, body = fetchPlan(t, ts2.URL, "Cassandra", "WI", "")
+	check("restored fetch", stableFile.Bytes(), resp, body)
+	if got := restored.Metrics().Counter("plan_load_total").Value(); got != 0 {
+		t.Fatalf("plan_load_total = %d after a rollout restore, want 0", got)
+	}
+
+	// A restarted daemon without rollout loads the plan file cold.
+	cold := New(store, Options{Executor: inline})
+	ts3 := httptest.NewServer(cold)
+	defer ts3.Close()
+	resp, body = fetchPlan(t, ts3.URL, "Cassandra", "WI", "")
+	check("cold fetch", planFile(), resp, body)
+	if got := cold.Metrics().Counter("plan_load_total").Value(); got != 1 {
+		t.Fatalf("plan_load_total = %d after a cold fetch, want 1", got)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"time"
 
+	"polm2/internal/analyzer"
 	"polm2/internal/metrics"
 	"polm2/internal/profilestore"
 	"polm2/internal/rollout"
@@ -30,7 +31,7 @@ import (
 //   - POST /v1/feedback records plan-health reports; the tracker's
 //     decision promotes the candidate fleet-wide or rolls back to stable
 //     and quarantines the candidate ETag.
-//   - Tracker state plus the stable and candidate plan bodies persist as
+//   - Tracker state plus the stable and candidate plan files persist as
 //     one rollout document per key through the store's atomic-rename
 //     path, so a restarted daemon resumes serving last-good — never a plan
 //     that regressed its canary.
@@ -47,7 +48,7 @@ const (
 )
 
 // rolloutDoc is the per-key persisted controller state: the tracker
-// snapshot plus the served bodies the ETags refer to, so a restart can
+// snapshot plus the plan files the ETags address, so a restart can
 // re-serve stable (and resume a canary) without trusting the plan file —
 // which always holds the *latest* merge, candidate or not.
 type rolloutDoc struct {
@@ -151,29 +152,34 @@ func (s *Server) restoreRolloutLocked(sh *shard) error {
 	return nil
 }
 
-// restoredPlan rebuilds a served plan from a body embedded in the rollout
-// document, which indents it: the served body is its compact form plus a
-// newline. Nil when the document holds no such body.
+// restoredPlan rebuilds a published plan from the plan file bytes embedded
+// in the rollout document, which indents them: the file is their compact
+// form plus a newline. Nil when the document holds no such plan.
 func restoredPlan(raw json.RawMessage) *cachedPlan {
-	var body bytes.Buffer
-	if len(raw) == 0 || json.Compact(&body, raw) != nil {
+	var file bytes.Buffer
+	if len(raw) == 0 || json.Compact(&file, raw) != nil {
 		return nil
 	}
-	body.WriteByte('\n')
-	return newCachedPlan(body.Bytes())
+	file.WriteByte('\n')
+	var p analyzer.Profile
+	if json.Unmarshal(file.Bytes(), &p) != nil {
+		return nil
+	}
+	c, _ := newCachedPlan(&p, file.Bytes())
+	return c
 }
 
 // persistRolloutLocked writes the shard's rollout document (caller holds
 // sh.mu); the store's staged-write-and-rename keeps the previous document
-// intact across a crash mid-write. A served body is embedded only under
-// the ETag the tracker names for it.
+// intact across a crash mid-write. A plan is embedded only under the ETag
+// the tracker names for it.
 func (s *Server) persistRolloutLocked(sh *shard) error {
 	doc := rolloutDoc{Snapshot: sh.roll.Snapshot()}
 	if sh.plan != nil && sh.plan.etag == sh.roll.StableETag() {
-		doc.Stable = sh.plan.body
+		doc.Stable = sh.plan.file
 	}
 	if sh.cand != nil && sh.cand.etag == sh.roll.CandidateETag() {
-		doc.Candidate = sh.cand.body
+		doc.Candidate = sh.cand.file
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {

@@ -89,8 +89,8 @@ type shard struct {
 	// In rollout mode, plan above is the *stable* (last-good) plan and
 	// cand is the staged candidate a canary cohort is testing; roll is
 	// the key's state machine, nil until restored from the persisted
-	// rollout document on first use. The document embeds the served
-	// bodies of both plans.
+	// rollout document on first use. The document embeds the plan files
+	// of both.
 	roll       *rollout.Tracker
 	cand       *cachedPlan
 	cohort     map[string]bool // cached canary cohort over evidence instances
@@ -311,10 +311,10 @@ func (sh *shard) drain(s *Server) {
 			// The plan file is a convenience copy — the evidence log is
 			// the durable truth — but keeping it fresh per batch means a
 			// restarted daemon (or polm2-inspect) sees the fleet plan
-			// without a rebuild. Its bytes are the body served.
-			var body []byte
-			if body, err = s.store.PutBytes(merged); err == nil {
-				c = newCachedPlan(body)
+			// without a rebuild. Its bytes are what the ETag addresses.
+			var file []byte
+			if file, err = s.store.PutBytes(merged); err == nil {
+				c, err = newCachedPlan(merged, file)
 			}
 		}
 		s.mergeLatency.Observe(s.opts.Now() - start)

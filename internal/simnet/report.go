@@ -222,21 +222,28 @@ type deliveredModel struct {
 	evidence map[profilestore.Key]map[string]*analyzer.Profile
 	uploads  map[profilestore.Key]int
 	keys     []profilestore.Key
+	// bodies holds the digest of the one body each daemon serves under
+	// each ETag.
+	bodies map[servedVersion][32]byte
 	// stamps holds each evidence winner's stamp on a replicated run (nil
 	// otherwise): the set every daemon must hold, and advertise the key
 	// sum of, at the sync fixpoint.
 	stamps map[profilestore.Key]map[string]profilestore.Stamp
 }
 
+// servedVersion names one plan version as one daemon serves it.
+type servedVersion struct{ daemon, etag string }
+
 // checkDeliveries walks the log once: it builds the model, enforces the
-// per-delivery invariants (content-address honesty; duplicate deliveries
-// answered identically — the observable face of idempotent replay), and
-// enforces per-key ETag monotonicity (a published version, once replaced,
-// never comes back).
+// per-delivery invariants (one body per daemon and ETag — a version names
+// one plan; duplicate deliveries answered identically — the observable
+// face of idempotent replay), and enforces per-key ETag monotonicity (a
+// published version, once replaced, never comes back).
 func (s *sim) checkDeliveries(r *Report) *deliveredModel {
 	m := &deliveredModel{
 		evidence: make(map[profilestore.Key]map[string]*analyzer.Profile),
 		uploads:  make(map[profilestore.Key]int),
+		bodies:   make(map[servedVersion][32]byte),
 	}
 	// Version histories are per daemon: replicas converge through sync but
 	// never promise lockstep publication. On a single-daemon run the
@@ -257,9 +264,14 @@ func (s *sim) checkDeliveries(r *Report) *deliveredModel {
 		m.stamps = make(map[profilestore.Key]map[string]profilestore.Stamp)
 	}
 	for i, d := range s.net.deliveries {
-		if !d.etagHonest {
-			s.violate(r, "content addressing: delivery %d (%s %s) body does not hash to its ETag %s",
-				i, d.instance, d.op, d.etag)
+		if d.bodySum != ([32]byte{}) {
+			v := servedVersion{d.daemon, d.etag}
+			if first, seen := m.bodies[v]; !seen {
+				m.bodies[v] = d.bodySum
+			} else if first != d.bodySum {
+				s.violate(r, "content addressing: delivery %d (%s %s) serves a second body under %s's ETag %s",
+					i, d.instance, d.op, d.daemon, shortETag(d.etag))
+			}
 		}
 		if d.dup && i > 0 {
 			prev := s.net.deliveries[i-1]
@@ -393,7 +405,9 @@ func (s *sim) rolledBack() map[profilestore.Key]map[string]time.Duration {
 //     content-addressed version of the checker's independent merge of
 //     delivered evidence (the stamp winners, on a replicated run) — no
 //     document lost to a partition, none double-counted by a duplicated
-//     or failed-over upload.
+//     or failed-over upload — serves under it the merge's directives
+//     without its per-site evidence, and keeps in its plan file exactly
+//     the tainted evidence delivered (no sticky degradation).
 //   - Gauge accounting: each daemon's evidence_instances gauge equals the
 //     key's distinct uploaders (on a replicated run: every replicated
 //     document arrived).
@@ -405,9 +419,8 @@ func (s *sim) rolledBack() map[profilestore.Key]map[string]time.Duration {
 //     quarantine anti-entropy promises. One r.Rollout row per daemon.
 //   - Convergence: every member's final poll installed the target — the
 //     model merge, or in rollout mode some daemon's stable version (sticky
-//     failover lands a poll on any replica) that carries no regression
-//     site — and no degradation outlived the tainted evidence that caused
-//     it. Keys with no delivered evidence answer no-plan.
+//     failover lands a poll on any replica) that does not instrument the
+//     regression site. Keys with no delivered evidence answer no-plan.
 func (s *sim) checkKeys(r *Report, m *deliveredModel, regressed map[profilestore.Key]map[string]time.Duration) {
 	members := make(map[profilestore.Key][]*instance)
 	for _, in := range s.instances {
@@ -449,6 +462,10 @@ func (s *sim) checkKeys(r *Report, m *deliveredModel, regressed map[profilestore
 			continue
 		}
 		kr.ExpectedETag, err = etagOf(expected)
+		var wantBody [32]byte
+		if err == nil {
+			wantBody, err = servedSum(expected)
+		}
 		if err != nil {
 			s.violate(r, "model encode for key %s failed: %v", key, err)
 			r.PerKey = append(r.PerKey, kr)
@@ -463,6 +480,7 @@ func (s *sim) checkKeys(r *Report, m *deliveredModel, regressed map[profilestore
 		}
 
 		stables := make(map[string]bool)
+		served := 0
 		for i, srv := range s.srvs {
 			name := s.daemonLabel(i)
 			if advertised != nil {
@@ -479,6 +497,14 @@ func (s *sim) checkKeys(r *Report, m *deliveredModel, regressed map[profilestore
 					s.violate(r, "plan identity: %s serves %s for key %s, fleet merge of delivered evidence is %s",
 						name, shortETag(got), key, shortETag(kr.ExpectedETag))
 				}
+				if got, ok := m.bodies[servedVersion{name, kr.ExpectedETag}]; ok {
+					served++
+					if got != wantBody {
+						s.violate(r, "served projection: %s serves a body under %s (key %s) that is not the fleet merge's directives",
+							name, shortETag(kr.ExpectedETag), key)
+					}
+				}
+				s.checkStoredTaint(r, i, key, modelTainted)
 			}
 			gauge := srv.Metrics().Gauge(metrics.LabelName("evidence_instances",
 				metrics.Label{Key: "app", Value: key.App},
@@ -517,27 +543,13 @@ func (s *sim) checkKeys(r *Report, m *deliveredModel, regressed map[profilestore
 				continue
 			}
 			kr.Converged++
-			if kr.ETag != "" {
-				continue
+			if kr.ETag == "" {
+				kr.ETag = in.finalETag
 			}
-			kr.ETag = in.finalETag
-			if r.RolloutEnabled {
-				continue
-			}
-			// No sticky degradation: tainted counts are pure sums under the
-			// merge, so the published plan must carry exactly what the
-			// delivered evidence carries — in particular, zero once every
-			// instance's latest upload is clean again. (Rollout mode skips
-			// this: the stable plan legitimately predates the newest
-			// evidence.)
-			var planTainted uint64
-			for _, site := range in.finalPlan.Sites {
-				planTainted += site.Tainted
-			}
-			if planTainted != modelTainted {
-				s.violate(r, "sticky degradation: key %s plan carries tainted=%d, delivered evidence sums to %d",
-					key, planTainted, modelTainted)
-			}
+		}
+		if !r.RolloutEnabled && kr.Converged > 0 && served == 0 {
+			s.violate(r, "served projection: key %s converged on %s, but the log holds no body served under it",
+				key, shortETag(kr.ExpectedETag))
 		}
 		r.PerKey = append(r.PerKey, kr)
 	}
@@ -555,6 +567,30 @@ func (s *sim) checkKeys(r *Report, m *deliveredModel, regressed map[profilestore
 					in.id, outcomeString(in.finalOutcome, in.finalErr), key)
 			}
 		}
+	}
+}
+
+// checkStoredTaint is the no-sticky-degradation invariant on daemon i's
+// plan file for key: tainted counts are pure sums under the merge, so the
+// merged plan must carry exactly what the delivered evidence carries — in
+// particular, zero once every instance's latest upload is clean again.
+// The served plan carries no per-site evidence, so the stored plan is where
+// the sum is read. (Rollout mode skips this: the stable plan legitimately
+// predates the newest evidence.)
+func (s *sim) checkStoredTaint(r *Report, i int, key profilestore.Key, want uint64) {
+	name := s.daemonLabel(i)
+	p, err := s.stores[i].Get(key.App, key.Workload)
+	if err != nil {
+		s.violate(r, "sticky degradation: %s plan file for key %s unreadable: %v", name, key, err)
+		return
+	}
+	var got uint64
+	for _, site := range p.Sites {
+		got += site.Tainted
+	}
+	if got != want {
+		s.violate(r, "sticky degradation: key %s plan on %s carries tainted=%d, delivered evidence sums to %d",
+			key, name, got, want)
 	}
 }
 
@@ -869,9 +905,10 @@ func parseStamp(s string) (profilestore.Stamp, bool) {
 }
 
 // etagOf computes the content-addressed version the daemon would assign a
-// plan: SHA-256 over the canonical JSON body, newline-terminated — the
-// same derivation planserver's encoder uses, reproduced here so the
-// checker never asks the daemon to version its own expectation.
+// plan: SHA-256 over the plan file's bytes, the canonical JSON,
+// newline-terminated — the same derivation planserver's encoder uses,
+// reproduced here so the checker never asks the daemon to version its own
+// expectation.
 func etagOf(p *analyzer.Profile) (string, error) {
 	body, err := json.Marshal(p)
 	if err != nil {
@@ -880,4 +917,16 @@ func etagOf(p *analyzer.Profile) (string, error) {
 	body = append(body, '\n')
 	sum := sha256.Sum256(body)
 	return fmt.Sprintf("%q", fmt.Sprintf("%x", sum)), nil
+}
+
+// servedSum is the digest of the body a daemon serves for plan p: p's
+// canonical JSON without the per-site evidence, newline-terminated.
+func servedSum(p *analyzer.Profile) ([32]byte, error) {
+	wire := *p
+	wire.Sites = nil
+	body, err := json.Marshal(&wire)
+	if err != nil {
+		return [32]byte{}, fmt.Errorf("simnet: encoding expected plan: %w", err)
+	}
+	return sha256.Sum256(append(body, '\n')), nil
 }

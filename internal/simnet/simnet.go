@@ -24,9 +24,10 @@
 //     quiesces, built on an independent replay of the transport's
 //     delivery log: one per-key pass over every daemon (a single-daemon
 //     run is the one-replica case) for plan identity, convergence and
-//     gauge accounting, plus counter accounting, ETag monotonicity and
-//     content-address honesty, idempotent duplicate delivery, and no
-//     sticky degradation once tainted evidence clears.
+//     gauge accounting, plus counter accounting, ETag monotonicity, one
+//     served body per ETag (the model merge's directives, once converged),
+//     idempotent duplicate delivery, and no sticky degradation once
+//     tainted evidence clears.
 //
 // With Config.Rollout set, the simulated daemon runs its canary rollout
 // controller: instances report per-window plan health after every fetch,
@@ -203,7 +204,8 @@ type sim struct {
 	q      *simclock.Queue
 	net    *network
 	plan   *faultio.NetPlan
-	srvs   []*planserver.Server // every daemon, index order
+	srvs   []*planserver.Server  // every daemon, index order
+	stores []*profilestore.Store // each daemon's store, index order
 	tracer *trace.Tracer
 
 	instances []*instance
@@ -290,6 +292,7 @@ func build(cfg Config) (*sim, error) {
 		}
 		srv := planserver.New(store, opts)
 		s.srvs = append(s.srvs, srv)
+		s.stores = append(s.stores, store)
 		s.net.route(host, srv)
 	}
 	s.net.handler = s.srvs[0]
@@ -524,19 +527,20 @@ func (s *sim) poll(in *instance) {
 }
 
 // poisonFrame is the pathological allocation site the designated
-// regression source starts reporting at Config.RegressAt. A plan is
-// "poisoned" — and regresses whoever runs it — when its profile carries
-// the site; since merges fold in every instance's latest evidence, every
-// candidate staged after the injection is poisoned until the source is
-// fixed, which in this scenario never happens.
+// regression source starts reporting at Config.RegressAt. Its objects
+// survive, so the merge instruments it: a plan is "poisoned" — and
+// regresses whoever runs it — when it pretenures the site. Since merges
+// fold in every instance's latest evidence, every candidate staged after
+// the injection is poisoned until the source is fixed, which in this
+// scenario never happens.
 const poisonFrame = "Hot.regress:666"
 
 func poisoned(p *analyzer.Profile) bool {
 	if p == nil {
 		return false
 	}
-	for _, site := range p.Sites {
-		if strings.Contains(site.Trace, poisonFrame) {
+	for _, d := range p.Allocs {
+		if d.Loc == poisonFrame {
 			return true
 		}
 	}

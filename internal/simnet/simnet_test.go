@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"polm2/internal/analyzer"
 	"polm2/internal/planserver"
+	"polm2/internal/profilestore"
 )
 
 // runOnce executes one simulation into fresh temp storage, capturing the
@@ -240,5 +242,97 @@ func TestCheckerCatchesOutOfBandUpload(t *testing.T) {
 				t.Fatalf("no per-key %q violation:\n%s", want, rep.Log())
 			}
 		})
+	}
+}
+
+// rewriteBodies wraps a daemon so every 200 it answers under an ETag
+// carries the body rewrite returns in place of the daemon's own.
+type rewriteBodies struct {
+	srv     http.Handler
+	rewrite func(body []byte) []byte
+}
+
+func (h rewriteBodies) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	rec := newMemWriter()
+	h.srv.ServeHTTP(rec, r)
+	body := rec.body.Bytes()
+	if rec.code == http.StatusOK && rec.header.Get("ETag") != "" {
+		body = h.rewrite(body)
+	}
+	for k, v := range rec.header {
+		w.Header()[k] = v
+	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(rec.code)
+	w.Write(body)
+}
+
+// TestCheckerCatchesWrongServedBody keeps the served-body invariants from
+// going vacuous: the ETag addresses the daemon's plan file, so nothing on
+// the wire ties a body to its tag. A daemon that ships its whole plan file
+// (per-site evidence included) under the right ETags, or two different
+// bodies under one ETag, must be flagged on one daemon and on two alike.
+func TestCheckerCatchesWrongServedBody(t *testing.T) {
+	fullPlan := func(t *testing.T, store *profilestore.Store) func([]byte) []byte {
+		return func(body []byte) []byte {
+			var p analyzer.Profile
+			if err := json.Unmarshal(body, &p); err != nil {
+				t.Errorf("served body does not decode: %v", err)
+				return body
+			}
+			full, err := store.Get(p.App, p.Workload)
+			if err != nil {
+				t.Errorf("plan file: %v", err)
+				return body
+			}
+			out, err := json.Marshal(full)
+			if err != nil {
+				t.Errorf("encoding the plan file: %v", err)
+				return body
+			}
+			return append(out, '\n')
+		}
+	}
+	alternating := func(*testing.T, *profilestore.Store) func([]byte) []byte {
+		n := 0
+		return func(body []byte) []byte {
+			if n++; n%2 == 0 {
+				return append(bytes.TrimSuffix(body, []byte("\n")), " \n"...)
+			}
+			return body
+		}
+	}
+	cases := []struct {
+		name    string
+		rewrite func(*testing.T, *profilestore.Store) func([]byte) []byte
+		want    string
+	}{
+		{"plan-file", fullPlan, "served projection: "},
+		{"two-bodies", alternating, "serves a second body under"},
+	}
+	for _, tc := range cases {
+		for _, daemons := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/daemons=%d", tc.name, daemons), func(t *testing.T) {
+				s, err := build(Config{Seed: 3, Instances: 6, Daemons: daemons, StoreDir: t.TempDir()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, srv := range s.srvs {
+					host := "polm2d.simnet"
+					if daemons > 1 {
+						host = daemonName(i) + ".simnet"
+					}
+					s.net.route(host, rewriteBodies{srv: srv, rewrite: tc.rewrite(t, s.stores[i])})
+				}
+				s.run()
+				rep := s.report()
+				if rep.OK() {
+					t.Fatalf("checker accepted a daemon serving the wrong bodies:\n%s", rep.Log())
+				}
+				if !strings.Contains(rep.Log(), tc.want) {
+					t.Fatalf("no %q violation:\n%s", tc.want, rep.Log())
+				}
+			})
+		}
 	}
 }

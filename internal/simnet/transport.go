@@ -60,10 +60,12 @@ type delivery struct {
 	// feedback posts; nil otherwise. A feedback delivery naming an ETag is
 	// the checker's proof the instance ran that plan version.
 	feedback *rollout.Report
-	// etagHonest reports that the response body's SHA-256 matches the
-	// content-addressed ETag the daemon claimed (vacuously true without a
-	// body or tag).
-	etagHonest bool
+	// bodySum is the SHA-256 of a 200 response's body served under an
+	// ETag (zero without a body or tag). The ETag addresses the daemon's
+	// plan file, not the body, so the checker holds each daemon to one body
+	// per ETag and the converged version's body to the projection of the
+	// model merge.
+	bodySum [32]byte
 }
 
 // netStats counts fault firings, for the report.
@@ -287,19 +289,11 @@ func (n *network) deliver(req *http.Request, body []byte, instance, op string, s
 			}
 		}
 	}
-	d.etagHonest = etagHonest(d.etag, d.status, w.body.Bytes())
+	if d.etag != "" && d.status == http.StatusOK && w.body.Len() > 0 {
+		d.bodySum = sha256.Sum256(w.body.Bytes())
+	}
 	n.deliveries = append(n.deliveries, d)
 	return resp
-}
-
-// etagHonest checks the content-addressing contract on one response: a 200
-// with an ETag must carry a body whose SHA-256 is the tag.
-func etagHonest(etag string, status int, body []byte) bool {
-	if etag == "" || status != http.StatusOK || len(body) == 0 {
-		return true
-	}
-	sum := sha256.Sum256(body)
-	return etag == fmt.Sprintf("%q", fmt.Sprintf("%x", sum))
 }
 
 // synthesize5xx fabricates the gateway 503 a NetErr5xx fault answers with;

@@ -4,8 +4,10 @@
 #
 # Scenario: start the daemon on a random port, confirm there is no plan,
 # upload profiling evidence from two simulated fleet instances, check the
-# re-fetched plan carries the merged evidence and a stable ETag (304 on a
-# conditional re-fetch) and that /metricsz accounts for every upload
+# store's plan file carries the merged evidence, that the served plan is
+# that file without its per-site evidence under the file's SHA-256 as a
+# stable ETag (304 on a conditional re-fetch), and that /metricsz accounts
+# for every upload
 # (merges + coalesced, no rejects or store errors), then shut down
 # cleanly with SIGTERM. A second
 # phase restarts against a fresh store with -rollout: the first merged
@@ -22,6 +24,39 @@ cd "$(dirname "$0")/.."
 fail() { echo "polm2d-smoke: FAIL: $*" >&2; [ -f "${log:-}" ] && cat "$log" >&2; exit 1; }
 
 go build -o /tmp/polm2d-smoke-bin ./cmd/polm2d
+
+# await_merged URL STORE polls until the daemon at URL publishes the merge
+# of both smoke instances' evidence. The evidence lives in STORE's plan
+# file: the shared site summed (each instance counted exactly once, replays
+# included) and both instance-unique sites kept. The daemon serves that
+# file's profile without "sites", under the file's SHA-256 as the ETag.
+# The daemon merges asynchronously behind the uploads (coalescing
+# pipeline), so a first fetch may predate the merge. Leaves the response in
+# /tmp/polm2d-smoke-headers.txt and /tmp/polm2d-smoke-plan.json.
+await_merged() {
+  local shared= nsites= etag= filetag= pf=
+  for _ in $(seq 150); do
+    curl -s -D /tmp/polm2d-smoke-headers.txt -o /tmp/polm2d-smoke-plan.json \
+      "$1/v1/plan?app=Cassandra&workload=WI"
+    etag=$(tr -d '\r' </tmp/polm2d-smoke-headers.txt | sed -n 's/^[Ee][Tt][Aa][Gg]: //p')
+    pf=$(compgen -G "$2/Cassandra__WI-*.profile.json" || true)
+    if [ -n "$pf" ]; then
+      shared=$(jq '[.sites[]? | select(.trace=="S.serve:1;Memtable.put:10") | .allocated] | add' "$pf")
+      nsites=$(jq '.sites | length' "$pf")
+      filetag="\"$(sha256sum "$pf" | cut -d' ' -f1)\""
+    fi
+    [ "$shared" = "150" ] && [ "$nsites" = "3" ] && [ "$etag" = "$filetag" ] && break
+    sleep 0.1
+  done
+  [ "$shared" = "150" ] || fail "$1: plan file's shared site evidence $shared, want 100+50=150"
+  [ "$nsites" = "3" ] || fail "$1: plan file has $nsites sites, want 3"
+  [ -n "$etag" ] || fail "$1: plan response carried no ETag"
+  [ "$etag" = "$filetag" ] || fail "$1: served ETag $etag is not the plan file's SHA-256 $filetag"
+  [ "$(jq 'has("sites")' /tmp/polm2d-smoke-plan.json)" = "false" ] \
+    || fail "$1: served plan carries per-site evidence"
+  [ "$(jq -c 'del(.sites)' "$pf")" = "$(jq -c . /tmp/polm2d-smoke-plan.json)" ] \
+    || fail "$1: served plan is not the plan file without its sites: $(cat /tmp/polm2d-smoke-plan.json)"
+}
 
 store=$(mktemp -d)
 log=$(mktemp)
@@ -69,26 +104,9 @@ code=$(curl -s -o /tmp/polm2d-smoke-merge.json -w '%{http_code}' \
   -d "$evidence2" "$url/v1/evidence")
 [ "$code" = "200" ] || fail "replayed upload status $code: $(cat /tmp/polm2d-smoke-merge.json)"
 
-# The merged plan must sum the shared site's evidence — each instance
-# counted exactly once despite the replay — and keep both
-# instance-unique sites. The daemon merges asynchronously behind the
-# uploads (coalescing pipeline), so poll until the published plan covers
-# them rather than asserting on the first fetch.
-shared= nsites=
-for _ in $(seq 100); do
-  curl -s -D /tmp/polm2d-smoke-headers.txt -o /tmp/polm2d-smoke-plan.json \
-    "$url/v1/plan?app=Cassandra&workload=WI"
-  shared=$(jq '[.sites[] | select(.trace=="S.serve:1;Memtable.put:10") | .allocated] | add' \
-    /tmp/polm2d-smoke-plan.json)
-  nsites=$(jq '.sites | length' /tmp/polm2d-smoke-plan.json)
-  [ "$shared" = "150" ] && [ "$nsites" = "3" ] && break
-  sleep 0.1
-done
-[ "$shared" = "150" ] || fail "shared site evidence $shared, want 100+50=150"
-[ "$nsites" = "3" ] || fail "merged plan has $nsites sites, want 3"
-
+# The merged plan counts each instance exactly once despite the replay.
+await_merged "$url" "$store"
 etag=$(tr -d '\r' </tmp/polm2d-smoke-headers.txt | sed -n 's/^[Ee][Tt][Aa][Gg]: //p')
-[ -n "$etag" ] || fail "plan response carried no ETag"
 code=$(curl -s -o /dev/null -w '%{http_code}' \
   -H "If-None-Match: $etag" "$url/v1/plan?app=Cassandra&workload=WI")
 [ "$code" = "304" ] || fail "conditional re-fetch status $code, want 304"
@@ -254,19 +272,10 @@ code=$(curl -s -o /dev/null -w '%{http_code}' \
   -d "$evidence2" "$urlB/v1/evidence")
 [ "$code" = "200" ] || { log=$logB; fail "replication-phase upload to B status $code"; }
 
-for url in "$urlA" "$urlB"; do
-  shared= nsites=
-  for _ in $(seq 150); do
-    curl -s -o /tmp/polm2d-smoke-plan.json "$url/v1/plan?app=Cassandra&workload=WI"
-    shared=$(jq '[.sites[]? | select(.trace=="S.serve:1;Memtable.put:10") | .allocated] | add' \
-      /tmp/polm2d-smoke-plan.json 2>/dev/null)
-    nsites=$(jq '.sites | length' /tmp/polm2d-smoke-plan.json 2>/dev/null)
-    [ "$shared" = "150" ] && [ "$nsites" = "3" ] && break
-    sleep 0.1
-  done
-  [ "$shared" = "150" ] && [ "$nsites" = "3" ] \
-    || { log=$logA; fail "replica $url never converged (shared=$shared nsites=$nsites)"; }
-done
+log=$logA
+await_merged "$urlA" "$storeA"
+log=$logB
+await_merged "$urlB" "$storeB"
 curl -s "$urlA/metricsz" | grep -q '^peer_sync_total' \
   || { log=$logA; fail "daemon A exposes no peer sync counters"; }
 # Converged means both daemons advertise the same per-key document count
