@@ -172,7 +172,7 @@ func (c *Collector) cycle() error {
 	kept := c.regions[:0]
 	freed := 0
 	for _, r := range c.regions {
-		rl := live.Region(r.ID())
+		rl := live.Region(r)
 		liveFrac := float64(rl.Bytes) / float64(regionSize)
 		if rl.Objects == 0 {
 			gc.SweepRegion(c.h, r, live)

@@ -119,7 +119,7 @@ func TestCompactionPreservesLiveObjects(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, obj := range keep {
-		if h.Object(obj.ID) == nil {
+		if obj.Region() == nil {
 			t.Fatal("cycle lost a live object")
 		}
 	}

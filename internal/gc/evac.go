@@ -68,11 +68,11 @@ func (c *Cursor) Gen() heap.GenID { return c.gen }
 func LiveResidents(h *heap.Heap, r *heap.Region, live *heap.LiveSet) []*heap.Object {
 	scratch := h.ObjectScratch()
 	out := (*scratch)[:0]
-	r.EachResident(func(obj *heap.Object) {
+	for obj := r.FirstResident(); obj != nil; obj = obj.NextResident() {
 		if live.Marked(obj) {
 			out = append(out, obj)
 		}
-	})
+	}
 	slices.SortFunc(out, func(a, b *heap.Object) int {
 		switch {
 		case a.ID < b.ID:
@@ -127,7 +127,7 @@ func EvacuateAndFree(h *heap.Heap, r *heap.Region, live *heap.LiveSet, place fun
 // Ties break on region id for determinism.
 func SortRegionsByGarbage(regions []*heap.Region, live *heap.LiveSet) {
 	garbage := func(r *heap.Region) uint64 {
-		return uint64(r.Used()) - live.Region(r.ID()).Bytes
+		return uint64(r.Used()) - live.Region(r).Bytes
 	}
 	sort.Slice(regions, func(i, j int) bool {
 		gi, gj := garbage(regions[i]), garbage(regions[j])

@@ -89,7 +89,7 @@ func TestCursorSpillsAcrossRegions(t *testing.T) {
 		t.Fatalf("cursor gen = %d, want 2", cur.Gen())
 	}
 	for _, obj := range objs {
-		if obj.Gen != 2 {
+		if obj.Gen() != 2 {
 			t.Fatalf("object not regenerated: %v", obj)
 		}
 	}
@@ -122,10 +122,10 @@ func TestSweepAndEvacuateAndFree(t *testing.T) {
 	if !r.Freed() {
 		t.Fatal("source region not freed")
 	}
-	if h.Object(liveObj.ID) == nil {
+	if liveObj.Region() == nil {
 		t.Fatal("live object lost")
 	}
-	if liveObj.Gen != 1 {
+	if liveObj.Gen() != 1 {
 		t.Fatal("live object not evacuated")
 	}
 }

@@ -73,8 +73,8 @@ func TestSurvivorAgingAndPromotion(t *testing.T) {
 	if err := c.ForceCollect(); err != nil {
 		t.Fatal(err)
 	}
-	if obj.Gen != heap.Young || obj.Age != 1 {
-		t.Fatalf("after 1 GC: gen=%d age=%d, want young/1", obj.Gen, obj.Age)
+	if obj.Gen() != heap.Young || obj.Age != 1 {
+		t.Fatalf("after 1 GC: gen=%d age=%d, want young/1", obj.Gen(), obj.Age)
 	}
 	if len(c.survivors) == 0 {
 		t.Fatal("survivor space empty after collection of live object")
@@ -84,8 +84,8 @@ func TestSurvivorAgingAndPromotion(t *testing.T) {
 	if err := c.ForceCollect(); err != nil {
 		t.Fatal(err)
 	}
-	if obj.Gen != Old {
-		t.Fatalf("after 2 GCs: gen=%d, want old", obj.Gen)
+	if obj.Gen() != Old {
+		t.Fatalf("after 2 GCs: gen=%d, want old", obj.Gen())
 	}
 	if c.MatureRegions() == 0 {
 		t.Fatal("no old regions after promotion")
@@ -157,7 +157,7 @@ func TestMixedCollectionCompactsOld(t *testing.T) {
 		t.Fatal("mixed collection never ran despite IHOP pressure")
 	}
 	for _, obj := range objs {
-		if h.Object(obj.ID) != nil && obj.Gen != Old && obj.Age < 1 {
+		if obj.Region() != nil && obj.Gen() != Old && obj.Age < 1 {
 			t.Fatalf("object in unexpected state: %v", obj)
 		}
 	}
@@ -186,7 +186,7 @@ func TestFullGCOnExhaustion(t *testing.T) {
 		}
 	}
 	for _, obj := range keep {
-		if h.Object(obj.ID) == nil {
+		if obj.Region() == nil {
 			t.Fatal("full GC lost a live object")
 		}
 	}
@@ -255,7 +255,7 @@ func TestRemsetInvariantAfterCollections(t *testing.T) {
 		}
 		if i%3 == 0 {
 			h.PinRoot(obj)
-			if prev != nil && h.Object(prev.ID) != nil {
+			if prev != nil {
 				if err := h.Link(obj.ID, prev.ID); err != nil {
 					t.Fatal(err)
 				}
@@ -279,10 +279,10 @@ func TestHumongousAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if obj.Gen != Old {
-		t.Fatalf("humongous object in gen %d, want old", obj.Gen)
+	if obj.Gen() != Old {
+		t.Fatalf("humongous object in gen %d, want old", obj.Gen())
 	}
-	region := h.Region(obj.Region)
+	region := obj.Region()
 	if region.ResidentCount() != 1 {
 		t.Fatalf("humongous region holds %d objects, want 1", region.ResidentCount())
 	}
@@ -294,7 +294,7 @@ func TestHumongousAllocation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if obj.Offset != offset || obj.Gen != Old {
+	if obj.Offset != offset || obj.Gen() != Old {
 		t.Fatalf("humongous object was moved: %v", obj)
 	}
 	var copied uint64
@@ -305,15 +305,16 @@ func TestHumongousAllocation(t *testing.T) {
 		t.Fatalf("humongous object was copied (%d bytes)", copied)
 	}
 	// Death reclaims the whole region at cleanup.
+	stamp := obj.Stamp()
 	h.UnpinRoot(obj)
 	if err := c.ForceCollect(); err != nil {
 		t.Fatal(err)
 	}
-	if h.Object(obj.ID) != nil {
+	if obj.Stamp() == stamp {
 		t.Fatal("dead humongous object not reclaimed")
 	}
-	if got := h.Region(region.ID()); got != nil {
-		t.Fatalf("humongous region not freed: %v", got)
+	if !region.Freed() {
+		t.Fatalf("humongous region not freed: %v", region)
 	}
 }
 
@@ -333,10 +334,10 @@ func TestHumongousSurvivesFullGC(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if h.Object(obj.ID) == nil {
+	if obj.Region() == nil {
 		t.Fatal("humongous object lost under pressure")
 	}
-	if obj.Gen != Old {
-		t.Fatalf("humongous object moved to gen %d", obj.Gen)
+	if obj.Gen() != Old {
+		t.Fatalf("humongous object moved to gen %d", obj.Gen())
 	}
 }

@@ -140,7 +140,7 @@ type Collector struct {
 	csScratch    []*heap.Region
 	emptyScratch []*heap.Region
 	candScratch  []*heap.Region
-	inOldCS      map[heap.RegionID]heap.GenID
+	inOldCS      map[*heap.Region]struct{}
 }
 
 var (
@@ -367,7 +367,7 @@ func (c *Collector) collect() error {
 	emptyCS := c.emptyScratch[:0]
 	keptMature := c.mature[:0]
 	for _, r := range c.mature {
-		if live.Region(r.ID()).Objects == 0 {
+		if live.Region(r).Objects == 0 {
 			emptyCS = append(emptyCS, r)
 		} else {
 			keptMature = append(keptMature, r)
@@ -387,7 +387,7 @@ func (c *Collector) collect() error {
 			if c.humongous[r.ID()] {
 				continue // humongous objects are never copied
 			}
-			garbage := float64(r.Used()) - float64(live.Region(r.ID()).Bytes)
+			garbage := float64(r.Used()) - float64(live.Region(r).Bytes)
 			if garbage >= c.cfg.MinMixedGarbage*regionSize {
 				candidates = append(candidates, r)
 			}
@@ -419,18 +419,19 @@ func (c *Collector) collect() error {
 	}
 
 	if c.inOldCS == nil {
-		c.inOldCS = make(map[heap.RegionID]heap.GenID, len(oldCS))
+		c.inOldCS = make(map[*heap.Region]struct{}, len(oldCS))
 	} else {
 		clear(c.inOldCS)
 	}
 	inOldCS := c.inOldCS
 	for _, r := range oldCS {
-		inOldCS[r.ID()] = r.Gen()
+		inOldCS[r] = struct{}{}
 	}
 
 	var promotedBytes uint64
 	place := func(obj *heap.Object) error {
-		if gen, ok := inOldCS[obj.Region]; ok {
+		if _, ok := inOldCS[obj.Region()]; ok {
+			gen := obj.Gen()
 			cur := compact[gen]
 			if cur == nil {
 				cur = gc.NewCursor(c.h, gen)
@@ -473,7 +474,7 @@ func (c *Collector) collect() error {
 	if len(oldCS) > 0 {
 		kept := c.mature[:0]
 		for _, r := range c.mature {
-			if _, ok := inOldCS[r.ID()]; !ok {
+			if _, ok := inOldCS[r]; !ok {
 				kept = append(kept, r)
 			}
 		}
@@ -532,7 +533,7 @@ func (c *Collector) fullCollect() error {
 	var copiedBytes uint64
 	var copiedObjects int
 	place := func(obj *heap.Object) error {
-		gen := obj.Gen
+		gen := obj.Gen()
 		if gen == heap.Young {
 			gen = Old // full GC tenures everything, as in HotSpot
 		}

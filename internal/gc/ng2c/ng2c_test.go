@@ -56,8 +56,8 @@ func TestPretenuredAllocationBypassesYoung(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if obj.Gen != gen {
-		t.Fatalf("pretenured object in gen %d, want %d", obj.Gen, gen)
+	if obj.Gen() != gen {
+		t.Fatalf("pretenured object in gen %d, want %d", obj.Gen(), gen)
 	}
 	c.Heap().PinRoot(obj)
 	if err := c.ForceCollect(); err != nil {
@@ -66,7 +66,7 @@ func TestPretenuredAllocationBypassesYoung(t *testing.T) {
 	if obj.Age != 0 {
 		t.Fatal("pretenured object was aged by a young collection")
 	}
-	if obj.Gen != gen {
+	if obj.Gen() != gen {
 		t.Fatal("pretenured object moved by a young collection")
 	}
 }
@@ -199,7 +199,7 @@ func TestMixedCollectionCompactsWithinGeneration(t *testing.T) {
 	}
 	// Survivors of mixed compaction stay in their generation.
 	for _, obj := range objs {
-		if h.Object(obj.ID) != nil && obj.Gen != gen {
+		if obj.Region() != nil && obj.Gen() != gen {
 			t.Fatalf("mixed compaction changed generation: %v", obj)
 		}
 	}
@@ -238,8 +238,8 @@ func TestFullCollectPreservesGenerations(t *testing.T) {
 	if !sawFull {
 		t.Skip("heap pressure did not force a full collection at this geometry")
 	}
-	if pre.Gen != gen {
-		t.Fatalf("full GC moved pretenured object to gen %d, want %d", pre.Gen, gen)
+	if pre.Gen() != gen {
+		t.Fatalf("full GC moved pretenured object to gen %d, want %d", pre.Gen(), gen)
 	}
 }
 
@@ -254,13 +254,13 @@ func TestYoungPathMatchesG1Semantics(t *testing.T) {
 	if err := c.ForceCollect(); err != nil {
 		t.Fatal(err)
 	}
-	if obj.Age != 1 || obj.Gen != heap.Young {
+	if obj.Age != 1 || obj.Gen() != heap.Young {
 		t.Fatalf("young object after 1 GC: %v", obj)
 	}
 	if err := c.ForceCollect(); err != nil {
 		t.Fatal(err)
 	}
-	if obj.Gen != Old {
+	if obj.Gen() != Old {
 		t.Fatalf("young object not promoted at threshold: %v", obj)
 	}
 }
@@ -273,17 +273,18 @@ func TestHumongousAllocationYoungAndPretenured(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Gen != Old {
-		t.Fatalf("young-path humongous in gen %d, want old", a.Gen)
+	if a.Gen() != Old {
+		t.Fatalf("young-path humongous in gen %d, want old", a.Gen())
 	}
+	aStamp := a.Stamp()
 	// Pretenured humongous goes to its target generation.
 	gen := c.NewGeneration()
 	b, err := c.Allocate(10*1024, 1, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Gen != gen {
-		t.Fatalf("pretenured humongous in gen %d, want %d", b.Gen, gen)
+	if b.Gen() != gen {
+		t.Fatalf("pretenured humongous in gen %d, want %d", b.Gen(), gen)
 	}
 	h.PinRoot(b)
 	offset := b.Offset
@@ -292,11 +293,11 @@ func TestHumongousAllocationYoungAndPretenured(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if b.Offset != offset || b.Gen != gen {
+	if b.Offset != offset || b.Gen() != gen {
 		t.Fatalf("humongous object was moved: %v", b)
 	}
 	// a was unrooted: its region must be reclaimed whole.
-	if h.Object(a.ID) != nil {
+	if a.Stamp() == aStamp {
 		t.Fatal("dead humongous object not reclaimed")
 	}
 }
@@ -326,9 +327,9 @@ func TestMixedCollectionMatureOrderDeterministic(t *testing.T) {
 				kept = append(kept, obj)
 			}
 		}
-		before := make([]heap.RegionID, len(kept))
+		before := make([]*heap.Region, len(kept))
 		for i, obj := range kept {
-			before[i] = obj.Region
+			before[i] = obj.Region()
 		}
 		if err := c.ForceCollect(); err != nil {
 			t.Fatal(err)
@@ -338,8 +339,8 @@ func TestMixedCollectionMatureOrderDeterministic(t *testing.T) {
 		}
 		compacted := map[heap.GenID]bool{}
 		for i, obj := range kept {
-			if obj.Region != before[i] {
-				compacted[obj.Gen] = true
+			if obj.Region() != before[i] {
+				compacted[obj.Gen()] = true
 			}
 		}
 		if len(compacted) < 2 {

@@ -76,7 +76,9 @@ func replay(t *testing.T, col gc.Collector, seed int64, gens []heap.GenID) [][]h
 		if _, ok := col.(*c4.Collector); ok {
 			var residents []heap.ObjectID
 			for _, r := range h.ActiveRegions() {
-				residents = append(residents, r.Residents()...)
+				for obj := r.FirstResident(); obj != nil; obj = obj.NextResident() {
+					residents = append(residents, obj.ID)
+				}
 			}
 			slices.Sort(residents)
 			if !slices.Equal(residents, ids) {

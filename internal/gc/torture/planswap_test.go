@@ -88,11 +88,8 @@ func tortureWithPlanSwaps(t *testing.T, name string, col gc.Collector, seed int6
 
 	th := vm.NewThread("torture")
 	th.Enter("Main", "run")
+	checked := checkEveryCycle(t, name, col)
 
-	type tracked struct {
-		obj *heap.Object
-		ttl int
-	}
 	var live []tracked
 
 	const steps = 20000
@@ -126,13 +123,11 @@ func tortureWithPlanSwaps(t *testing.T, name string, col gc.Collector, seed int6
 		}
 		if rng.Intn(5) == 0 {
 			h.PinRoot(obj)
-			live = append(live, tracked{obj: obj, ttl: 10 + rng.Intn(3000)})
+			live = append(live, tracked{obj: obj, stamp: obj.Stamp(), ttl: 10 + rng.Intn(3000)})
 			if len(live) > 1 && rng.Intn(2) == 0 {
 				other := live[rng.Intn(len(live))]
-				if h.Object(other.obj.ID) != nil {
-					if err := h.Link(obj.ID, other.obj.ID); err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
+				if err := h.Link(obj.ID, other.obj.ID); err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
 			}
 		}
@@ -158,10 +153,14 @@ func tortureWithPlanSwaps(t *testing.T, name string, col gc.Collector, seed int6
 	}
 
 	for _, tr := range live {
-		if h.Object(tr.obj.ID) == nil {
-			t.Fatalf("%s: live object %#x lost across plan swaps", name, uint64(tr.obj.ID))
+		if tr.lost() {
+			t.Fatalf("%s: live object %v lost across plan swaps", name, tr.obj)
 		}
 	}
+	if *checked == 0 {
+		t.Fatalf("%s: no collection ran", name)
+	}
+	// The mutations since the last collection kept the invariants too.
 	if bad := h.CheckRemsetInvariant(); len(bad) != 0 {
 		t.Fatalf("%s: remset invariant broken in %v", name, bad)
 	}

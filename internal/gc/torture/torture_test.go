@@ -38,16 +38,46 @@ func collectors(t *testing.T) map[string]gc.Collector {
 	return map[string]gc.Collector{"G1": g1Col, "NG2C": ng2cCol, "C4": c4Col}
 }
 
+// checkEveryCycle runs the heap's remembered-set and page-table checkers
+// after every collection of col and returns the number of collections
+// checked so far.
+func checkEveryCycle(t *testing.T, name string, col gc.Collector) *int {
+	t.Helper()
+	h := col.Heap()
+	checked := new(int)
+	col.OnCycleEnd(func(cycle uint64, _ *heap.LiveSet) {
+		if bad := h.CheckRemsetInvariant(); len(bad) != 0 {
+			t.Fatalf("%s: cycle %d: remset invariant broken in %v", name, cycle, bad)
+		}
+		if bad := h.CheckPageInvariant(); len(bad) != 0 {
+			t.Fatalf("%s: cycle %d: page invariant broken in %v", name, cycle, bad)
+		}
+		*checked++
+	})
+	return checked
+}
+
+// tracked is a rooted object and the recycling stamp it had when pinned:
+// while it stays pinned it must keep both its stamp and a region.
+type tracked struct {
+	obj   *heap.Object
+	stamp uint32
+	ttl   int // steps until unrooted
+}
+
+// lost reports whether the tracked object was collected or its struct
+// recycled.
+func (tr tracked) lost() bool {
+	return tr.obj.Stamp() != tr.stamp || tr.obj.Region() == nil
+}
+
 // torture runs the randomized mutator against one collector.
 func torture(t *testing.T, name string, col gc.Collector, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	h := col.Heap()
+	checked := checkEveryCycle(t, name, col)
 
-	type tracked struct {
-		obj *heap.Object
-		ttl int // steps until unrooted
-	}
 	var live []tracked
 	var dynamicGens []heap.GenID
 	if pret, ok := col.(gc.Pretenuring); ok {
@@ -74,14 +104,12 @@ func torture(t *testing.T, name string, col gc.Collector, seed int64) {
 		// die immediately.
 		if rng.Intn(5) == 0 {
 			h.PinRoot(obj)
-			live = append(live, tracked{obj: obj, ttl: 10 + rng.Intn(4000)})
-			// Random edges between retained objects.
+			live = append(live, tracked{obj: obj, stamp: obj.Stamp(), ttl: 10 + rng.Intn(4000)})
+			// Random edges between retained (so pinned) objects.
 			if len(live) > 1 && rng.Intn(2) == 0 {
 				other := live[rng.Intn(len(live))]
-				if h.Object(other.obj.ID) != nil {
-					if err := h.Link(obj.ID, other.obj.ID); err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
+				if err := h.Link(obj.ID, other.obj.ID); err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
 			}
 		}
@@ -107,11 +135,14 @@ func torture(t *testing.T, name string, col gc.Collector, seed int64) {
 
 	// Every rooted object must have survived.
 	for _, tr := range live {
-		if h.Object(tr.obj.ID) == nil {
-			t.Fatalf("%s: live object %#x lost", name, uint64(tr.obj.ID))
+		if tr.lost() {
+			t.Fatalf("%s: live object %v lost", name, tr.obj)
 		}
 	}
-	// Invariants hold.
+	if *checked == 0 {
+		t.Fatalf("%s: no collection ran", name)
+	}
+	// The mutations since the last collection kept the invariants too.
 	if bad := h.CheckRemsetInvariant(); len(bad) != 0 {
 		t.Fatalf("%s: remset invariant broken in %v", name, bad)
 	}

@@ -56,8 +56,9 @@ func (g *shadowGraph) remove(id ObjectID) {
 	delete(g.in, id)
 }
 
-// checkObject compares one object's edge stores against the shadow model.
-func checkObject(t *testing.T, obj *Object, g *shadowGraph) {
+// checkObject compares one object's edge stores against the shadow model;
+// byID resolves the model's ids to the heap's objects.
+func checkObject(t *testing.T, obj *Object, g *shadowGraph, byID map[ObjectID]*Object) {
 	t.Helper()
 	wantOut := g.refs[obj.ID]
 	wantIn := g.in[obj.ID]
@@ -79,11 +80,11 @@ func checkObject(t *testing.T, obj *Object, g *shadowGraph) {
 		t.Fatalf("%v: EachRef visited %d edges, shadow %d", obj, seen, len(wantOut))
 	}
 	for child, n := range wantOut {
-		if got := obj.RefCount(child); got != n {
+		if got := obj.RefCount(byID[child]); got != n {
 			t.Fatalf("%v: RefCount(%#x) = %d, shadow %d", obj, uint64(child), got, n)
 		}
 	}
-	if got := obj.RefCount(ObjectID(0xdeadbeef)); got != 0 {
+	if got := obj.RefCount(&Object{}); got != 0 {
 		t.Fatalf("%v: RefCount of absent edge = %d", obj, got)
 	}
 }
@@ -103,6 +104,7 @@ func TestEdgeStorePropertyVsShadow(t *testing.T) {
 	g := newShadowGraph()
 
 	var objs []*Object
+	byID := make(map[ObjectID]*Object)
 	regions := []*Region{}
 	regionWithSpace := func(size uint32, not *Region) *Region {
 		for _, r := range regions {
@@ -137,6 +139,7 @@ func TestEdgeStorePropertyVsShadow(t *testing.T) {
 				t.Fatal(err)
 			}
 			objs = append(objs, obj)
+			byID[obj.ID] = obj
 		case op < 60: // link
 			p, c := pick(), pick()
 			if err := h.Link(p.ID, c.ID); err != nil {
@@ -163,17 +166,18 @@ func TestEdgeStorePropertyVsShadow(t *testing.T) {
 			idx := rng.Intn(len(objs))
 			obj := objs[idx]
 			g.remove(obj.ID)
+			delete(byID, obj.ID)
 			h.Remove(obj)
 			objs[idx] = objs[len(objs)-1]
 			objs = objs[:len(objs)-1]
 		}
 		if i%64 == 0 {
-			checkObject(t, objs[rng.Intn(len(objs))], g)
+			checkObject(t, objs[rng.Intn(len(objs))], g, byID)
 		}
 	}
 
 	for _, obj := range objs {
-		checkObject(t, obj, g)
+		checkObject(t, obj, g, byID)
 	}
 	if bad := h.CheckRemsetInvariant(); len(bad) != 0 {
 		t.Fatalf("remset invariant violated in regions %v", bad)

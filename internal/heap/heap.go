@@ -1,10 +1,10 @@
 package heap
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // DefaultRegionSize is the default region size: 1 MiB, the G1 default for
@@ -92,18 +92,19 @@ type Stats struct {
 type Heap struct {
 	cfg Config
 
+	// objects indexes resident objects by identity hash. Allocate and
+	// Remove maintain it; only the callers that hold an id and not a
+	// pointer read it: Link/Unlink, LiveSet.Contains and Stats.
 	objects map[ObjectID]*Object
-	regions map[RegionID]*Region
+	// active lists every non-freed region in ascending id order. Region
+	// ids are assigned monotonically, so commits append and frees splice
+	// by binary search; it is the heap's only region table.
+	active []*Region
 	// roots lists every object with a nonzero root pin count, each once;
 	// an object's rootIdx is its position, so unpinning swap-deletes in
 	// O(1). The order is a pure function of the pin history, which makes
 	// the tracer's walk deterministic.
 	roots []*Object
-
-	// activeIDs is the ascending list of non-freed region ids, maintained
-	// incrementally: region ids are assigned monotonically, so commits
-	// append and frees splice — no per-call rebuild-and-sort.
-	activeIDs []RegionID
 
 	nextRegion RegionID
 	idCounter  uint64
@@ -139,7 +140,6 @@ func New(cfg Config) (*Heap, error) {
 	return &Heap{
 		cfg:     cfg,
 		objects: make(map[ObjectID]*Object),
-		regions: make(map[RegionID]*Region),
 	}, nil
 }
 
@@ -149,27 +149,20 @@ func (h *Heap) Config() Config { return h.cfg }
 // Stats returns a snapshot of heap occupancy.
 func (h *Heap) Stats() Stats {
 	var used uint64
-	for _, id := range h.activeIDs {
-		used += uint64(h.regions[id].used)
+	for _, r := range h.active {
+		used += uint64(r.used)
 	}
 	return Stats{
 		CommittedBytes:        h.committed,
 		MaxCommittedBytes:     h.maxCommitted,
 		UsedBytes:             used,
-		LiveRegions:           len(h.activeIDs),
+		LiveRegions:           len(h.active),
 		Objects:               len(h.objects),
 		TotalAllocatedObjects: h.totalObjects,
 		TotalAllocatedBytes:   h.totalBytes,
 		FreeObjects:           h.freeObjects,
 	}
 }
-
-// Object returns the object with the given id, or nil if it does not exist
-// (was never allocated, or has been collected).
-func (h *Heap) Object(id ObjectID) *Object { return h.objects[id] }
-
-// Region returns the region with the given id, or nil.
-func (h *Heap) Region(id RegionID) *Region { return h.regions[id] }
 
 // ObjectScratch exposes the heap's reusable object staging buffer. Callers
 // (the collectors' per-region evacuation staging) truncate, fill and
@@ -200,9 +193,8 @@ func (h *Heap) NewRegion(gen GenID) (*Region, error) {
 		pages: rp,
 	}
 	h.nextRegion++
-	h.regions[r.id] = r
-	// Region ids grow monotonically, so appending keeps activeIDs sorted.
-	h.activeIDs = append(h.activeIDs, r.id)
+	// Region ids grow monotonically, so appending keeps active sorted.
+	h.active = append(h.active, r)
 	h.committed += uint64(h.cfg.RegionSize)
 	if h.committed > h.maxCommitted {
 		h.maxCommitted = h.committed
@@ -223,7 +215,7 @@ func (h *Heap) FreeRegion(r *Region) {
 	r.freed = true
 	r.used = 0
 	h.committed -= uint64(h.cfg.RegionSize)
-	// The region's memory is unmapped: drop it from the heap's tables
+	// The region's memory is unmapped: drop it from the heap's region list
 	// entirely (region ids are never reused; the Region struct is never
 	// recycled because collectors hold *Region across collections and
 	// check Freed). The page table's backing arrays are donated to the
@@ -231,17 +223,13 @@ func (h *Heap) FreeRegion(r *Region) {
 	// through their active-region list.
 	h.rpFree = append(h.rpFree, r.pages)
 	r.pages = nil
-	delete(h.regions, r.id)
-	h.removeActiveID(r.id)
-}
-
-// removeActiveID splices one id out of the sorted active-region list.
-func (h *Heap) removeActiveID(id RegionID) {
-	i, ok := slices.BinarySearch(h.activeIDs, id)
-	if !ok {
-		panic(fmt.Sprintf("heap: region %d missing from active list", id))
+	i, ok := slices.BinarySearchFunc(h.active, r.id, func(a *Region, id RegionID) int {
+		return cmp.Compare(a.id, id)
+	})
+	if !ok || h.active[i] != r {
+		panic(fmt.Sprintf("heap: %v missing from the active list", r))
 	}
-	h.activeIDs = append(h.activeIDs[:i], h.activeIDs[i+1:]...)
+	h.active = slices.Delete(h.active, i, i+1)
 }
 
 // Allocate places a new object of the given size into region r on behalf of
@@ -268,9 +256,7 @@ func (h *Heap) Allocate(r *Region, size uint32, site SiteID) (*Object, error) {
 		obj.ID = ObjectID(mix64(h.idCounter))
 		obj.Size = size
 		obj.Site = site
-		obj.Gen = r.gen
 		obj.Age = 0
-		obj.Region = r.id
 		obj.Offset = r.used
 		obj.region = r
 	} else {
@@ -278,8 +264,6 @@ func (h *Heap) Allocate(r *Region, size uint32, site SiteID) (*Object, error) {
 			ID:     ObjectID(mix64(h.idCounter)),
 			Size:   size,
 			Site:   site,
-			Gen:    r.gen,
-			Region: r.id,
 			Offset: r.used,
 			region: r,
 		}
@@ -349,7 +333,7 @@ func (h *Heap) Link(parent, child ObjectID) error {
 	}
 	p.refs.inc(c)
 	c.in.inc(p)
-	if p.Region != c.Region {
+	if p.region != c.region {
 		c.region.remsetEntries++
 	}
 	hp := p.headerPage(h.cfg.PageSize)
@@ -368,7 +352,7 @@ func (h *Heap) Unlink(parent, child ObjectID) error {
 		return fmt.Errorf("heap: Unlink of absent edge %v -> %v", p, c)
 	}
 	c.in.dec(p)
-	if p.Region != c.Region {
+	if p.region != c.region {
 		c.region.remsetEntries--
 	}
 	hp := p.headerPage(h.cfg.PageSize)
@@ -397,11 +381,11 @@ func (h *Heap) Evacuate(obj *Object, dst *Region) error {
 		if parent == obj {
 			return
 		}
-		pr := parent.Region
-		if pr != src.id {
+		pr := parent.region
+		if pr != src {
 			src.remsetEntries -= int(n)
 		}
-		if pr != dst.id {
+		if pr != dst {
 			dst.remsetEntries += int(n)
 		}
 	})
@@ -409,10 +393,10 @@ func (h *Heap) Evacuate(obj *Object, dst *Region) error {
 		if child == obj {
 			return
 		}
-		if child.Region != src.id {
+		if child.region != src {
 			// Was cross-region; still cross-region unless the child
 			// lives in dst.
-			if child.Region == dst.id {
+			if child.region == dst {
 				child.region.remsetEntries -= int(n)
 			}
 		} else {
@@ -423,9 +407,7 @@ func (h *Heap) Evacuate(obj *Object, dst *Region) error {
 
 	src.removeResident(obj)
 	src.pages.displace(obj, h.cfg.PageSize)
-	obj.Region = dst.id
 	obj.Offset = dst.used
-	obj.Gen = dst.gen
 	obj.region = dst
 	dst.used += obj.Size
 	dst.pushResident(obj)
@@ -455,7 +437,7 @@ func (h *Heap) Remove(obj *Object) {
 			return
 		}
 		parent.refs.drop(obj)
-		if parent.Region != obj.Region {
+		if parent.region != myRegion {
 			myRegion.remsetEntries -= int(n)
 		}
 	})
@@ -464,7 +446,7 @@ func (h *Heap) Remove(obj *Object) {
 			return
 		}
 		child.in.drop(obj)
-		if child.Region != obj.Region {
+		if child.region != myRegion {
 			child.region.remsetEntries -= int(n)
 		}
 	})
@@ -487,17 +469,6 @@ func (h *Heap) Remove(obj *Object) {
 	h.freeObjects++
 }
 
-// ActiveRegions returns all non-freed regions in ascending id order.
-func (h *Heap) ActiveRegions() []*Region {
-	out := make([]*Region, 0, len(h.activeIDs))
-	for _, id := range h.activeIDs {
-		out = append(out, h.regions[id])
-	}
-	return out
-}
-
-// sortObjectsByID orders objects by ascending identity hash (ids are
-// unique, so the order is total).
-func sortObjectsByID(objs []*Object) {
-	sort.Slice(objs, func(i, j int) bool { return objs[i].ID < objs[j].ID })
-}
+// ActiveRegions returns all non-freed regions in ascending id order. The
+// slice is a copy that callers may keep across heap mutations.
+func (h *Heap) ActiveRegions() []*Region { return slices.Clone(h.active) }

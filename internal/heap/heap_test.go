@@ -3,7 +3,9 @@ package heap
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -134,6 +136,61 @@ func TestFreeRegionPanicsOnResidents(t *testing.T) {
 	h.FreeRegion(r)
 }
 
+// The heap's one region list matches a model set of committed regions
+// through a random sequence of commits and frees: ascending by id, the
+// same *Region values, and the same occupancy totals. Freeing a freed
+// region panics.
+func TestRegionListMatchesCommits(t *testing.T) {
+	h := testHeap(t)
+	const regionSize, maxRegions = 64 * 1024, 16
+	rng := rand.New(rand.NewSource(3))
+	model := make(map[RegionID]*Region)
+	var freed []*Region
+	for step := 0; step < 2000; step++ {
+		if len(model) == 0 || rng.Intn(2) == 0 {
+			r, err := h.NewRegion(GenID(rng.Intn(3)))
+			if len(model) == maxRegions {
+				if !errors.Is(err, ErrOutOfMemory) {
+					t.Fatalf("step %d: commit past the cap: err = %v", step, err)
+				}
+			} else if err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			} else {
+				model[r.ID()] = r
+			}
+		} else {
+			ids := slices.Sorted(maps.Keys(model))
+			r := model[ids[rng.Intn(len(ids))]]
+			h.FreeRegion(r)
+			delete(model, r.ID())
+			freed = append(freed, r)
+		}
+
+		want := slices.Sorted(maps.Keys(model))
+		if got := h.ActiveRegionIDs(); !slices.Equal(got, want) {
+			t.Fatalf("step %d: ActiveRegionIDs = %v, want %v", step, got, want)
+		}
+		active := h.ActiveRegions()
+		if len(active) != len(want) {
+			t.Fatalf("step %d: %d active regions, want %d", step, len(active), len(want))
+		}
+		for i, r := range active {
+			if r != model[want[i]] {
+				t.Fatalf("step %d: ActiveRegions()[%d] = %v, want %v", step, i, r, model[want[i]])
+			}
+		}
+		st := h.Stats()
+		if st.LiveRegions != len(model) || st.CommittedBytes != uint64(len(model))*regionSize {
+			t.Fatalf("step %d: stats %+v, model holds %d regions", step, st, len(model))
+		}
+	}
+	if len(freed) == 0 {
+		t.Fatal("the sequence freed no region")
+	}
+	r := freed[rng.Intn(len(freed))]
+	mustPanic(t, "double free", func() { h.FreeRegion(r) })
+}
+
 func TestRootsAndTrace(t *testing.T) {
 	h := testHeap(t)
 	r := mustRegion(t, h, Young)
@@ -160,7 +217,7 @@ func TestRootsAndTrace(t *testing.T) {
 	if ls.Bytes != 3*64 {
 		t.Fatalf("live bytes = %d, want 192", ls.Bytes)
 	}
-	if got := ls.Region(r.ID()); got.Objects != 3 || got.Bytes != 192 {
+	if got := ls.Region(r); got.Objects != 3 || got.Bytes != 192 {
 		t.Fatalf("region liveness = %+v", got)
 	}
 
@@ -290,8 +347,8 @@ func TestEdgeMultiplicity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if a.RefCount(b.ID) != 3 {
-		t.Fatalf("RefCount = %d, want 3", a.RefCount(b.ID))
+	if a.RefCount(b) != 3 {
+		t.Fatalf("RefCount = %d, want 3", a.RefCount(b))
 	}
 	if err := h.Unlink(a.ID, b.ID); err != nil {
 		t.Fatal(err)
@@ -348,7 +405,7 @@ func TestEvacuatePreservesIdentityAndGraph(t *testing.T) {
 	if b.ID != id {
 		t.Fatal("evacuation changed identity hash")
 	}
-	if b.Region != dst.ID() || b.Gen != 1 {
+	if b.Region() != dst || b.Gen() != 1 {
 		t.Fatalf("evacuated object location wrong: %v", b)
 	}
 	if !h.Trace().Contains(b.ID) {
@@ -391,10 +448,10 @@ func TestRemoveTearsDownEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.Remove(b)
-	if h.Object(b.ID) != nil {
+	if b.Region() != nil {
 		t.Fatal("removed object still present")
 	}
-	if a.RefCount(b.ID) != 0 {
+	if a.RefCount(b) != 0 {
 		t.Fatal("parent still references removed object")
 	}
 	if c.InDegree() != 0 {

@@ -193,18 +193,13 @@ func (s *edgeSet) removeSpillAt(i int) {
 	}
 }
 
-// countByID returns the multiplicity of the edge to the object with the
-// given identity hash.
-func (s *edgeSet) countByID(id ObjectID) int32 {
-	for i := int32(0); i < s.inlineLen; i++ {
-		if s.inline[i].obj.ID == id {
-			return s.inline[i].n
-		}
+// count returns the multiplicity of the edge to o (zero if absent).
+func (s *edgeSet) count(o *Object) int32 {
+	if i := s.findInline(o); i >= 0 {
+		return s.inline[i].n
 	}
-	for i := range s.spill {
-		if s.spill[i].obj.ID == id {
-			return s.spill[i].n
-		}
+	if i := s.spillFind(o); i >= 0 {
+		return s.spill[i].n
 	}
 	return 0
 }
@@ -248,13 +243,10 @@ type Object struct {
 	// Site is the allocation site (interned stack trace) that produced
 	// the object.
 	Site SiteID
-	// Gen is the generation the object currently resides in.
-	Gen GenID
 	// Age counts the young collections the object has survived; the
 	// 2-generation collector promotes at a configured tenuring threshold.
 	Age uint8
-	// Region and Offset locate the object's current storage.
-	Region RegionID
+	// Offset locates the object's storage within its region.
 	Offset uint32
 
 	// refs holds outgoing reference edges with multiplicity; in holds the
@@ -266,8 +258,9 @@ type Object struct {
 	refs edgeSet
 	in   edgeSet
 
-	// region is the object's current region, kept in sync with the
-	// exported Region id so hot paths skip the region-table lookup.
+	// region is the object's current region and the only record of its
+	// location: the generation is the region's (Gen), and the storage is
+	// region plus Offset. A removed object has no region.
 	region *Region
 	// rootPins counts how many times the object has been pinned as a GC
 	// root; while it is nonzero, rootIdx is the object's position in the
@@ -305,9 +298,17 @@ func (o *Object) pageSpan(pageSize uint32) (first, last uint32) {
 	return first, last
 }
 
+// Region returns the region the object resides in, or nil once the object
+// has been removed.
+func (o *Object) Region() *Region { return o.region }
+
+// Gen returns the generation the object resides in: its region's. It must
+// not be called on a removed object.
+func (o *Object) Gen() GenID { return o.region.gen }
+
 // RefCount returns the multiplicity of the edge from o to child.
-func (o *Object) RefCount(child ObjectID) int {
-	return int(o.refs.countByID(child))
+func (o *Object) RefCount(child *Object) int {
+	return int(o.refs.count(child))
 }
 
 // EachRef calls f for every distinct outgoing reference edge with its
@@ -338,6 +339,9 @@ func (o *Object) NextResident() *Object { return o.next }
 func (o *Object) Stamp() uint32 { return o.stamp }
 
 func (o *Object) String() string {
+	if o.region == nil {
+		return fmt.Sprintf("obj{id=%#x size=%d site=%d removed}", uint64(o.ID), o.Size, o.Site)
+	}
 	return fmt.Sprintf("obj{id=%#x size=%d site=%d gen=%d age=%d r%d+%d}",
-		uint64(o.ID), o.Size, o.Site, o.Gen, o.Age, o.Region, o.Offset)
+		uint64(o.ID), o.Size, o.Site, o.region.gen, o.Age, o.region.id, o.Offset)
 }

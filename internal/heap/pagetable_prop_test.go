@@ -59,7 +59,7 @@ func TestDirtyNoNeedSurviveInterleavingsProperty(t *testing.T) {
 		alive := func() []*Object {
 			out := objs[:0]
 			for _, o := range objs {
-				if h.Object(o.ID) != nil {
+				if o.Region() != nil {
 					out = append(out, o)
 				}
 			}
@@ -76,25 +76,25 @@ func TestDirtyNoNeedSurviveInterleavingsProperty(t *testing.T) {
 				}
 				objs = append(objs, obj)
 				first, last := obj.pageSpan(h.cfg.PageSize)
-				shadow.write(obj.Region, first, last)
+				shadow.write(obj.Region().ID(), first, last)
 			case op == 1: // link
 				a, b := objs[rng.Intn(len(objs))], objs[rng.Intn(len(objs))]
 				if h.Link(a.ID, b.ID) == nil {
 					hp := a.headerPage(h.cfg.PageSize)
-					shadow.write(a.Region, hp, hp)
+					shadow.write(a.Region().ID(), hp, hp)
 				}
 			case op == 2: // unlink
 				a, b := objs[rng.Intn(len(objs))], objs[rng.Intn(len(objs))]
 				if h.Unlink(a.ID, b.ID) == nil {
 					hp := a.headerPage(h.cfg.PageSize)
-					shadow.write(a.Region, hp, hp)
+					shadow.write(a.Region().ID(), hp, hp)
 				}
 			case op == 3: // evacuate
 				o := objs[rng.Intn(len(objs))]
 				r := regions[rng.Intn(len(regions))]
-				if o.Region != r.ID() && h.Evacuate(o, r) == nil {
+				if o.Region() != r && h.Evacuate(o, r) == nil {
 					first, last := o.pageSpan(h.cfg.PageSize)
-					shadow.write(o.Region, first, last)
+					shadow.write(o.Region().ID(), first, last)
 				}
 			case op == 4: // root churn
 				o := objs[rng.Intn(len(objs))]
@@ -150,12 +150,12 @@ func TestDirtyNoNeedSurviveInterleavingsProperty(t *testing.T) {
 			// the page".
 			covered := make(map[PageKey]bool)
 			for _, r := range regions {
-				r.EachResident(func(o *Object) {
+				for o := r.FirstResident(); o != nil; o = o.NextResident() {
 					first, last := o.pageSpan(h.cfg.PageSize)
 					for i := first; i <= last; i++ {
 						covered[PageKey{Region: r.ID(), Index: i}] = true
 					}
-				})
+				}
 			}
 			ok := true
 			h.Pages(func(ps PageState) {

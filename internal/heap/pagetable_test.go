@@ -170,23 +170,23 @@ func TestRandomOpsRemsetInvariantProperty(t *testing.T) {
 				}
 			case op == 1: // link
 				a, b := objs[rng.Intn(len(objs))], objs[rng.Intn(len(objs))]
-				if h.Object(a.ID) != nil && h.Object(b.ID) != nil {
+				if a.Region() != nil && b.Region() != nil {
 					_ = h.Link(a.ID, b.ID)
 				}
 			case op == 2: // unlink (may fail; fine)
 				a, b := objs[rng.Intn(len(objs))], objs[rng.Intn(len(objs))]
-				if h.Object(a.ID) != nil && h.Object(b.ID) != nil {
+				if a.Region() != nil && b.Region() != nil {
 					_ = h.Unlink(a.ID, b.ID)
 				}
 			case op == 3: // evacuate
 				o := objs[rng.Intn(len(objs))]
 				r := regions[rng.Intn(len(regions))]
-				if h.Object(o.ID) != nil && o.Region != r.ID() {
+				if o.Region() != nil && o.Region() != r {
 					_ = h.Evacuate(o, r)
 				}
 			case op == 4: // root toggle
 				o := objs[rng.Intn(len(objs))]
-				if h.Object(o.ID) == nil {
+				if o.Region() == nil {
 					continue
 				}
 				if o.IsRoot() {
@@ -196,7 +196,7 @@ func TestRandomOpsRemsetInvariantProperty(t *testing.T) {
 				}
 			case op == 5: // remove an unrooted object
 				o := objs[rng.Intn(len(objs))]
-				if h.Object(o.ID) != nil && !o.IsRoot() {
+				if o.Region() != nil && !o.IsRoot() {
 					h.Remove(o)
 				}
 			}
@@ -209,12 +209,20 @@ func TestRandomOpsRemsetInvariantProperty(t *testing.T) {
 			t.Logf("seed %d: page invariant broken in %v", seed, bad)
 			return false
 		}
+		// Every object the trace reached is a resident: the marked
+		// residents of the active regions account for the whole live set.
 		ls := h.Trace()
-		for _, id := range ls.IDs() {
-			if h.Object(id) == nil {
-				t.Logf("seed %d: trace returned removed object", seed)
-				return false
+		marked := 0
+		for _, r := range h.ActiveRegions() {
+			for o := r.FirstResident(); o != nil; o = o.NextResident() {
+				if ls.Marked(o) {
+					marked++
+				}
 			}
+		}
+		if marked != ls.Objects {
+			t.Logf("seed %d: trace reached %d objects, %d of them resident", seed, ls.Objects, marked)
+			return false
 		}
 		return true
 	}

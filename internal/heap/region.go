@@ -91,29 +91,11 @@ func (r *Region) removeResident(obj *Object) {
 }
 
 // FirstResident returns the oldest resident (insertion order), or nil for
-// an empty region. Together with Object.NextResident it lets collectors
-// walk — and sweep — the region without allocating: read NextResident
-// before removing the current object.
+// an empty region. Together with Object.NextResident it is the one way to
+// walk — and sweep — the region's residents, allocation-free and with no
+// callback per object: read NextResident before removing the current
+// object.
 func (r *Region) FirstResident() *Object { return r.head }
-
-// Residents returns the ids of all objects stored in the region, in
-// insertion order. The slice is freshly allocated; callers may keep it
-// across heap mutations.
-func (r *Region) Residents() []ObjectID {
-	out := make([]ObjectID, 0, r.residents)
-	for obj := r.head; obj != nil; obj = obj.next {
-		out = append(out, obj.ID)
-	}
-	return out
-}
-
-// EachResident calls f for every object currently stored in the region, in
-// insertion order. The callback must not mutate the heap.
-func (r *Region) EachResident(f func(*Object)) {
-	for obj := r.head; obj != nil; obj = obj.next {
-		f(obj)
-	}
-}
 
 // fits reports whether size more bytes fit in the region.
 func (r *Region) fits(size, regionSize uint32) bool {

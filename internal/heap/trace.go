@@ -1,9 +1,6 @@
 package heap
 
-import (
-	"slices"
-	"sort"
-)
+import "slices"
 
 // RegionLiveness summarizes what a trace found live inside one region.
 type RegionLiveness struct {
@@ -43,9 +40,8 @@ func (ls *LiveSet) Marked(obj *Object) bool { return obj.mark == ls.epoch }
 // Region returns the liveness summary for one region. The summary is stored
 // on the region itself, stamped with the trace epoch, so tracing allocates
 // no per-region map.
-func (ls *LiveSet) Region(id RegionID) RegionLiveness {
-	r := ls.h.regions[id]
-	if r == nil || r.traceEpoch != ls.epoch {
+func (ls *LiveSet) Region(r *Region) RegionLiveness {
+	if r.traceEpoch != ls.epoch {
 		return RegionLiveness{}
 	}
 	return RegionLiveness{Objects: r.liveObjects, Bytes: r.liveBytes}
@@ -58,7 +54,7 @@ func (ls *LiveSet) IDs() []ObjectID {
 	for i, obj := range ls.objs {
 		out[i] = obj.ID
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -120,8 +116,7 @@ func (h *Heap) Trace() *LiveSet {
 // §4.2 madvise pass the Recorder triggers before asking the Dumper for a
 // snapshot; the Dumper skips no-need pages entirely.
 func (h *Heap) MarkNoNeedPages(live *LiveSet) {
-	for _, rid := range h.activeIDs {
-		r := h.regions[rid]
+	for _, r := range h.active {
 		rp := r.pages
 		words := (rp.n + 63) / 64
 		cv := h.noNeedCov
@@ -157,11 +152,11 @@ func (h *Heap) MarkNoNeedPages(live *LiveSet) {
 // dumpers) must copy the slice. Ids appear in placement order, which is
 // deterministic because the whole simulation is.
 func (h *Heap) Pages(f func(PageState)) {
-	for _, rid := range h.activeIDs {
-		rp := h.regions[rid].pages
+	for _, r := range h.active {
+		rp := r.pages
 		for i := uint32(0); i < rp.n; i++ {
 			f(PageState{
-				Key:       PageKey{Region: rid, Index: i},
+				Key:       PageKey{Region: r.id, Index: i},
 				Dirty:     rp.flags.dirty.get(i),
 				NoNeed:    rp.flags.noNeed.get(i),
 				HeaderIDs: rp.headers[i],
@@ -175,50 +170,56 @@ func (h *Heap) Pages(f func(PageState)) {
 // region. The Dumper calls this after completing a snapshot, exactly as
 // CRIU resets the kernel soft-dirty bit (§4.2).
 func (h *Heap) ClearDirtyPages() {
-	for _, rid := range h.activeIDs {
-		h.regions[rid].pages.flags.dirty.clearAll()
+	for _, r := range h.active {
+		r.pages.flags.dirty.clearAll()
 	}
 }
 
 // ActiveRegionIDs returns the ids of all non-freed regions in ascending
-// order. The heap maintains the order incrementally; the returned slice is
-// a copy that callers (the dumpers' snapshots) may keep indefinitely.
+// order. The returned slice is freshly allocated; callers (the dumpers'
+// snapshots) may keep it indefinitely.
 func (h *Heap) ActiveRegionIDs() []RegionID {
-	return slices.Clone(h.activeIDs)
+	out := make([]RegionID, len(h.active))
+	for i, r := range h.active {
+		out[i] = r.id
+	}
+	return out
 }
 
 // CheckRemsetInvariant recomputes every active region's remembered-set size
-// from scratch and compares it with the incrementally maintained counter.
-// It returns the ids of regions whose counters disagree; an empty result
+// from scratch, walking the residents of every active region, and compares
+// it with the incrementally maintained counter. It returns the ids of
+// regions whose counters disagree, in ascending order; an empty result
 // means the invariant holds. Tests use this to validate the incremental
 // maintenance in Link/Unlink/Evacuate/Remove.
 func (h *Heap) CheckRemsetInvariant() []RegionID {
-	want := make(map[RegionID]int)
-	for _, obj := range h.objects {
-		objRegion := obj.Region
-		obj.refs.each(func(child *Object, n int32) {
-			if child.Region != objRegion {
-				want[child.Region] += int(n)
-			}
-		})
-	}
-	var bad []RegionID
-	for id, r := range h.regions {
-		if r.remsetEntries != want[id] {
-			bad = append(bad, id)
+	want := make(map[*Region]int)
+	for _, r := range h.active {
+		for obj := r.head; obj != nil; obj = obj.next {
+			obj.refs.each(func(child *Object, n int32) {
+				if child.region != r {
+					want[child.region] += int(n)
+				}
+			})
 		}
 	}
-	sort.Slice(bad, func(i, j int) bool { return bad[i] < bad[j] })
+	var bad []RegionID
+	for _, r := range h.active {
+		if r.remsetEntries != want[r] {
+			bad = append(bad, r.id)
+		}
+	}
 	return bad
 }
 
 // CheckPageInvariant recomputes every active region's page coverage and
 // header lists from its residents and compares them with the incrementally
-// maintained page tables, returning the regions that disagree. Tests use
-// it to validate the bookkeeping in Allocate/Evacuate/Remove.
+// maintained page tables, returning the regions that disagree in ascending
+// order. Tests use it to validate the bookkeeping in
+// Allocate/Evacuate/Remove.
 func (h *Heap) CheckPageInvariant() []RegionID {
 	var bad []RegionID
-	for id, r := range h.regions {
+	for _, r := range h.active {
 		rp := r.pages
 		coverage := make([]uint16, rp.n)
 		headers := make(map[uint32]map[ObjectID]struct{})
@@ -248,9 +249,8 @@ func (h *Heap) CheckPageInvariant() []RegionID {
 			}
 		}
 		if !ok {
-			bad = append(bad, id)
+			bad = append(bad, r.id)
 		}
 	}
-	sort.Slice(bad, func(i, j int) bool { return bad[i] < bad[j] })
 	return bad
 }

@@ -143,10 +143,10 @@ func TestProductionRunPretenures(t *testing.T) {
 	}
 	th.Return()
 
-	if kept.Gen != gen {
-		t.Fatalf("keep-path object in gen %d, want %d", kept.Gen, gen)
+	if kept.Gen() != gen {
+		t.Fatalf("keep-path object in gen %d, want %d", kept.Gen(), gen)
 	}
-	if dropped.Gen != heap.Young {
-		t.Fatalf("drop-path object in gen %d, want young", dropped.Gen)
+	if dropped.Gen() != heap.Young {
+		t.Fatalf("drop-path object in gen %d, want young", dropped.Gen())
 	}
 }

@@ -246,14 +246,14 @@ func TestInstrumentationPlanSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if obj1.Gen != gen2 {
-		t.Fatalf("path-one object in gen %d, want %d", obj1.Gen, gen2)
+	if obj1.Gen() != gen2 {
+		t.Fatalf("path-one object in gen %d, want %d", obj1.Gen(), gen2)
 	}
-	if obj2.Gen != gen3 {
-		t.Fatalf("path-two object in gen %d, want %d", obj2.Gen, gen3)
+	if obj2.Gen() != gen3 {
+		t.Fatalf("path-two object in gen %d, want %d", obj2.Gen(), gen3)
 	}
-	if obj3.Gen != heap.Young {
-		t.Fatalf("unannotated object in gen %d, want young", obj3.Gen)
+	if obj3.Gen() != heap.Young {
+		t.Fatalf("unannotated object in gen %d, want young", obj3.Gen())
 	}
 }
 
@@ -314,8 +314,8 @@ func TestDirectAllocDirectiveAndSwitchCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if obj.Gen != gen {
-		t.Fatalf("direct-directive object in gen %d, want %d", obj.Gen, gen)
+	if obj.Gen() != gen {
+		t.Fatalf("direct-directive object in gen %d, want %d", obj.Gen(), gen)
 	}
 	if vm.GenSwitches() != 1 {
 		t.Fatalf("GenSwitches = %d, want 1", vm.GenSwitches())

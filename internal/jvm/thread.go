@@ -124,7 +124,7 @@ func (t *Thread) Call(line int, class, method string) {
 			f.hasRestoreGen = true
 			t.targetGen = gen
 			t.vm.genSwitches++
-			t.vm.collector.Clock().Advance(t.vm.switchCost)
+			t.vm.collector.Clock().Advance(switchCost)
 		}
 	}
 	t.stack = append(t.stack, f)
@@ -202,7 +202,7 @@ func (t *Thread) Alloc(line int, size uint32) (*heap.Object, error) {
 				// The site carries its own switch/restore pair.
 				target = gen
 				t.vm.genSwitches++
-				t.vm.collector.Clock().Advance(t.vm.switchCost)
+				t.vm.collector.Clock().Advance(switchCost)
 			} else {
 				target = t.targetGen
 			}
@@ -233,7 +233,7 @@ func (t *Thread) Alloc(line int, size uint32) (*heap.Object, error) {
 // collector's mutator factor (barrier tax). Workload drivers call this to
 // model computation between allocations.
 func (t *Thread) Work(n int) {
-	d := time.Duration(float64(n) * float64(t.vm.opCost) * t.vm.collector.MutatorFactor())
+	d := time.Duration(float64(n) * float64(opCost) * t.vm.collector.MutatorFactor())
 	t.vm.collector.Clock().Advance(d)
 }
 

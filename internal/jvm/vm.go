@@ -24,6 +24,17 @@ type Plan interface {
 	AllocGen(loc CodeLoc) (gen heap.GenID, explicit, annotated bool)
 }
 
+const (
+	// opCost is the baseline simulated cost of one workload operation
+	// unit, scaled by the collector's mutator factor when threads call
+	// Work.
+	opCost = time.Microsecond
+	// switchCost is the simulated mutator cost of one dynamic generation
+	// switch (a setGeneration call pair); §4.4's hoisting optimization
+	// exists precisely to reduce how often it is paid.
+	switchCost = 150 * time.Nanosecond
+)
+
 // AllocHook observes every allocation the engine performs. The Recorder
 // registers one to log (site, identity hash) pairs (§3.2).
 type AllocHook func(site heap.SiteID, obj *heap.Object)
@@ -36,16 +47,10 @@ type VM struct {
 	sites     *SiteTable
 	plan      Plan
 	hooks     []AllocHook
-	// opCost is the baseline simulated cost of one workload operation
-	// unit, scaled by the collector's mutator factor when threads call
-	// Work.
-	opCost time.Duration
 	// genSwitches counts dynamic setGeneration calls performed by the
 	// installed plan — the overhead metric §4.4's hoisting optimization
 	// reduces.
 	genSwitches uint64
-	// switchCost is the simulated mutator cost of one generation switch.
-	switchCost time.Duration
 	// pretenureCostPerByte is the mutator cost of pretenured allocation
 	// per byte: NG2C's pretenured allocations bypass the TLAB fast path,
 	// paying a synchronized slow path per object. Charged on every
@@ -56,10 +61,8 @@ type VM struct {
 // New builds an engine over the given collector.
 func New(collector gc.Collector) *VM {
 	return &VM{
-		collector:  collector,
-		sites:      NewSiteTable(),
-		opCost:     time.Microsecond,
-		switchCost: 150 * time.Nanosecond,
+		collector: collector,
+		sites:     NewSiteTable(),
 	}
 }
 
@@ -80,9 +83,6 @@ func (vm *VM) Heap() *heap.Heap { return vm.collector.Heap() }
 // Sites returns the engine's site table.
 func (vm *VM) Sites() *SiteTable { return vm.sites }
 
-// SetOpCost overrides the simulated cost of one Work unit.
-func (vm *VM) SetOpCost(d time.Duration) { vm.opCost = d }
-
 // GenSwitches returns the number of dynamic generation switches the
 // installed plan has performed so far.
 func (vm *VM) GenSwitches() uint64 { return vm.genSwitches }
@@ -93,15 +93,7 @@ func (vm *VM) NewThread(name string) *Thread {
 	return &Thread{vm: vm, name: name, targetGen: heap.Young}
 }
 
-// SwitchCost returns the simulated cost of one dynamic generation switch.
-func (vm *VM) SwitchCost() time.Duration { return vm.switchCost }
-
 // SetPretenureCostPerByte sets the mutator tax charged per byte of
 // pretenured allocation (the TLAB-bypass slow path of NG2C). Zero disables
 // the tax.
 func (vm *VM) SetPretenureCostPerByte(d time.Duration) { vm.pretenureCostPerByte = d }
-
-// SetSwitchCost overrides the simulated cost of one dynamic generation
-// switch (a setGeneration call pair). The default is 150ns; §4.4's hoisting
-// optimization exists precisely to reduce how often this cost is paid.
-func (vm *VM) SetSwitchCost(d time.Duration) { vm.switchCost = d }

@@ -198,9 +198,6 @@ func (ts *TimeSeries) Buckets() []int64 {
 	return out
 }
 
-// Width returns the bucket width.
-func (ts *TimeSeries) Width() time.Duration { return ts.width }
-
 // Slice returns the bucket totals covering [from, to), padding with zeros if
 // the series ends before to.
 func (ts *TimeSeries) Slice(from, to time.Duration) []int64 {

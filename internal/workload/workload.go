@@ -104,6 +104,3 @@ func (p *Pacer) Await() {
 	}
 	p.next = now + p.period
 }
-
-// Period returns the pacing period.
-func (p *Pacer) Period() time.Duration { return p.period }
