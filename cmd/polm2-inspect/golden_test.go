@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -9,12 +10,13 @@ import (
 
 	"polm2/internal/analyzer"
 	"polm2/internal/profilestore"
+	"polm2/internal/snapshot"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files from current output")
 
-// artifacts points at the checked-in v2 profiling artifacts.
-const artifacts = "../../testdata/artifacts/v2"
+// artifacts points at the checked-in v3 profiling artifacts.
+const artifacts = "../../testdata/artifacts/v3"
 
 func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
@@ -37,7 +39,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // TestVerifyGolden pins polm2-inspect verify's output on the checked-in
 // artifacts, which must be reported fully intact.
 func TestVerifyGolden(t *testing.T) {
-	t.Run("v2", func(t *testing.T) {
+	t.Run("v3", func(t *testing.T) {
 		var buf bytes.Buffer
 		clean, err := verifyArtifacts(&buf, artifacts)
 		if err != nil {
@@ -46,8 +48,93 @@ func TestVerifyGolden(t *testing.T) {
 		if !clean {
 			t.Fatalf("pristine artifacts reported damaged:\n%s", buf.String())
 		}
+		checkGolden(t, "verify-v3.golden", buf.Bytes())
+	})
+	// The same artifacts stamped with the retired version 2: every stream
+	// and image is refused, none is reinterpreted as the current format.
+	t.Run("v2", func(t *testing.T) {
+		dir := copyArtifacts(t)
+		streams, _ := filepath.Glob(filepath.Join(dir, "records", "site-*.bin"))
+		images, _ := filepath.Glob(filepath.Join(dir, "snaps", "snap-*.img"))
+		if len(streams) == 0 || len(images) == 0 {
+			t.Fatalf("%d streams and %d images to stamp", len(streams), len(images))
+		}
+		for _, f := range append(streams, images...) {
+			data, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[4] = 2 // the version byte after the 4-byte magic
+			if err := os.WriteFile(f, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
+		clean, err := verifyArtifacts(&buf, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if clean {
+			t.Fatalf("version-2 artifacts reported intact:\n%s", buf.String())
+		}
 		checkGolden(t, "verify-v2.golden", buf.Bytes())
 	})
+}
+
+// copyArtifacts copies the reference artifacts into a fresh directory.
+func copyArtifacts(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	for _, sub := range []string{"records", "snaps"} {
+		src := filepath.Join(artifacts, sub)
+		dst := filepath.Join(dir, sub)
+		if err := os.MkdirAll(dst, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		entries, err := os.ReadDir(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(src, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return dir
+}
+
+// TestReferenceRunProfile pins the checked-in reference run to the profile
+// it was saved with: strictly analyzing its records and images must
+// reproduce profile.json byte for byte. A codec that decodes different ids
+// from the same bytes drifts the profile even where listing and salvage
+// goldens still pass.
+func TestReferenceRunProfile(t *testing.T) {
+	snaps, err := snapshot.ReadDir(filepath.Join(artifacts, "snaps"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := analyzer.Analyze(filepath.Join(artifacts, "records"), snaps,
+		analyzer.Options{App: "Cassandra", Workload: "WI"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.MarshalIndent(p, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n') // Profile.Save's trailing newline
+	want, err := os.ReadFile(filepath.Join(artifacts, "profile.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("reference run re-analyzes to a different profile (%d bytes, want %d):\n%s", len(got), len(want), got)
+	}
 }
 
 // TestSnapshotsGolden pins the snapshot listing of the checked-in images.
@@ -56,7 +143,7 @@ func TestSnapshotsGolden(t *testing.T) {
 	if err := showSnapshots(&buf, filepath.Join(artifacts, "snaps")); err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "snapshots-v2.golden", buf.Bytes())
+	checkGolden(t, "snapshots-v3.golden", buf.Bytes())
 }
 
 // TestProfilesGolden pins the repository listing. The store is rebuilt in
@@ -217,30 +304,10 @@ func TestRolloutEmptyStore(t *testing.T) {
 	}
 }
 
-// TestVerifyReportsDamage corrupts a copy of the v2 artifacts and checks
+// TestVerifyReportsDamage corrupts a copy of the reference artifacts and checks
 // verify flags it without failing hard.
 func TestVerifyReportsDamage(t *testing.T) {
-	dir := t.TempDir()
-	for _, sub := range []string{"records", "snaps"} {
-		src := filepath.Join(artifacts, sub)
-		dst := filepath.Join(dir, sub)
-		if err := os.MkdirAll(dst, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		entries, err := os.ReadDir(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
-			data, err := os.ReadFile(filepath.Join(src, e.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	dir := copyArtifacts(t)
 	streams, err := filepath.Glob(filepath.Join(dir, "records", "site-*.bin"))
 	if err != nil || len(streams) == 0 {
 		t.Fatalf("no streams copied: %v", err)

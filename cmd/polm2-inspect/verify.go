@@ -78,10 +78,10 @@ func verifyRecords(w io.Writer, dir string) (bool, error) {
 			return false, err
 		}
 		if tsal.Complete {
-			fmt.Fprintf(w, "site table: v2 complete, %d sites\n", tsal.Sites)
+			fmt.Fprintf(w, "site table: v%d complete, %d sites\n", recorder.SiteTableVersion, tsal.Sites)
 		} else {
 			clean = false
-			fmt.Fprintf(w, "site table: v2 DAMAGED, %d sites recovered (%s)\n", tsal.Sites, tsal.Reason)
+			fmt.Fprintf(w, "site table: v%d DAMAGED, %d sites recovered (%s)\n", recorder.SiteTableVersion, tsal.Sites, tsal.Reason)
 		}
 	} else {
 		clean = false
@@ -103,8 +103,8 @@ func verifyRecords(w io.Writer, dir string) (bool, error) {
 		switch {
 		case sal.LostBytes > 0:
 			damaged++
-			fmt.Fprintf(w, "stream site-%06d.bin: v2 DAMAGED, %d ids salvaged, %d of %d bytes lost (%s)\n",
-				site, len(ids), sal.LostBytes, sal.TotalBytes, sal.Reason)
+			fmt.Fprintf(w, "stream site-%06d.bin: v%d DAMAGED, %d ids salvaged, %d of %d bytes lost (%s)\n",
+				site, recorder.StreamVersion, len(ids), sal.LostBytes, sal.TotalBytes, sal.Reason)
 		case sal.Complete:
 			committed++
 		default:
@@ -114,7 +114,8 @@ func verifyRecords(w io.Writer, dir string) (bool, error) {
 	if damaged > 0 {
 		clean = false
 	}
-	fmt.Fprintf(w, "streams: %d committed, %d live (no trailer), %d damaged\n", committed, live, damaged)
+	fmt.Fprintf(w, "streams: v%d, %d committed, %d live (no trailer), %d damaged\n",
+		recorder.StreamVersion, committed, live, damaged)
 	return clean, nil
 }
 
@@ -126,7 +127,7 @@ func verifySnapshots(w io.Writer, dir string) (bool, error) {
 	for _, name := range sal.Dropped {
 		fmt.Fprintf(w, "image %s: DROPPED\n", name)
 	}
-	fmt.Fprintf(w, "snapshots: %d/%d usable\n", sal.Usable, sal.Total)
+	fmt.Fprintf(w, "snapshots: v%d, %d/%d usable\n", snapshot.ImageVersion, sal.Usable, sal.Total)
 	if len(snaps) > 0 {
 		// The usable chain must replay; a replay failure is real damage
 		// the per-image checks cannot see.

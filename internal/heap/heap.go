@@ -253,7 +253,7 @@ func (h *Heap) Allocate(r *Region, size uint32, site SiteID) (*Object, error) {
 		h.objFree = obj.next
 		h.freeObjects--
 		obj.next = nil
-		obj.ID = ObjectID(mix64(h.idCounter))
+		obj.ID = IDOf(h.idCounter)
 		obj.Size = size
 		obj.Site = site
 		obj.Age = 0
@@ -261,7 +261,7 @@ func (h *Heap) Allocate(r *Region, size uint32, site SiteID) (*Object, error) {
 		obj.region = r
 	} else {
 		obj = &Object{
-			ID:     ObjectID(mix64(h.idCounter)),
+			ID:     IDOf(h.idCounter),
 			Size:   size,
 			Site:   site,
 			Offset: r.used,
@@ -279,14 +279,31 @@ func (h *Heap) Allocate(r *Region, size uint32, site SiteID) (*Object, error) {
 	return obj, nil
 }
 
-// mix64 is the SplitMix64 finalizer: a bijection on uint64 that turns the
-// sequential allocation counter into hash-looking identity values while
-// guaranteeing uniqueness.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
+// IDOf returns the identity hash of the serial-th allocation: the
+// SplitMix64 finalizer of the allocation counter. The finalizer is a
+// bijection on uint64, so ids look like hashes yet never collide, and
+// ObjectID.Serial recovers the counter.
+func IDOf(serial uint64) ObjectID {
+	x := serial + 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return ObjectID(x ^ (x >> 31))
+}
+
+// Serial inverts IDOf: it returns the allocation counter an id was hashed
+// from. The artifact codecs store serials, not hashes, because objects of
+// one site or one page were allocated close together and their serials
+// delta-encode into a byte or two. Each step undoes one step of IDOf: an
+// xor-shift by s is undone by xoring in the shifts by s, 2s, ... below 64,
+// and a multiply by its inverse modulo 2^64.
+func (id ObjectID) Serial() uint64 {
+	x := uint64(id)
+	x ^= x>>31 ^ x>>62
+	x *= 0x319642b2d24d8ec3 // inverse of 0x94d049bb133111eb
+	x ^= x>>27 ^ x>>54
+	x *= 0x96de1b173f119089 // inverse of 0xbf58476d1ce4e5b9
+	x ^= x>>30 ^ x>>60
+	return x - 0x9e3779b97f4a7c15
 }
 
 // PinRoot pins obj as a GC root. Pins are counted: an object pinned twice

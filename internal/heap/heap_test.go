@@ -75,6 +75,51 @@ func TestAllocateAssignsUniqueStableIDs(t *testing.T) {
 	}
 }
 
+// TestSerialInvertsIDOf pins the identity hash (the artifacts of earlier
+// runs and every profile depend on its values) and checks that Serial is
+// its exact inverse over edge values, a counter sweep and random ids.
+func TestSerialInvertsIDOf(t *testing.T) {
+	for serial, want := range map[uint64]ObjectID{
+		0:       0xe220a8397b1dcdaf, // SplitMix64's first output from seed 0
+		1:       0x910a2dec89025cc1,
+		2:       0x975835de1c9756ce,
+		1 << 40: 0x1fdd7128f310c389,
+	} {
+		if got := IDOf(serial); got != want {
+			t.Errorf("IDOf(%d) = %#x, want %#x", serial, uint64(got), uint64(want))
+		}
+	}
+	check := func(serial uint64) {
+		t.Helper()
+		if got := IDOf(serial).Serial(); got != serial {
+			t.Fatalf("IDOf(%#x).Serial() = %#x", serial, got)
+		}
+		if got := IDOf(ObjectID(serial).Serial()); got != ObjectID(serial) {
+			t.Fatalf("IDOf(ObjectID(%#x).Serial()) = %#x", serial, uint64(got))
+		}
+	}
+	for _, v := range []uint64{0, 1, ^uint64(0), 1 << 63, 1<<63 - 1} {
+		check(v)
+	}
+	for v := uint64(0); v < 1<<16; v++ {
+		check(v)
+	}
+	rng := rand.New(rand.NewSource(25))
+	for i := 0; i < 1<<16; i++ {
+		check(rng.Uint64())
+	}
+
+	// The heap numbers its allocations 1, 2, 3, ...: an object's serial is
+	// its allocation order.
+	h := testHeap(t)
+	r := mustRegion(t, h, Young)
+	for i := uint64(1); i <= 10; i++ {
+		if got := mustAlloc(t, h, r, 64).ID.Serial(); got != i {
+			t.Fatalf("allocation %d has serial %d", i, got)
+		}
+	}
+}
+
 func TestAllocateBumpPointerAndFit(t *testing.T) {
 	h := testHeap(t)
 	r := mustRegion(t, h, Young)

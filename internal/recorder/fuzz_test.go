@@ -14,8 +14,9 @@ import (
 // the strict decode would accept. The seed corpus holds synthetic streams
 // and real ones from the checked-in profiling run.
 func FuzzDecodeStream(f *testing.F) {
-	// v2 seeds: an empty committed stream, a small one, and a multi-frame
-	// one, plus the same multi-frame stream left live (no trailer).
+	// Current-format seeds over allocation-ordered ids: an empty committed
+	// stream, a small one, and a multi-frame one, plus the same multi-frame
+	// stream left live (no trailer).
 	dir := f.TempDir()
 	for _, c := range []struct {
 		site   uint32
@@ -33,7 +34,7 @@ func FuzzDecodeStream(f *testing.F) {
 				f.Fatal(err)
 			}
 			for i := 1; i <= c.n; i++ {
-				if err := w.appendID(uint64(i * 7)); err != nil {
+				if err := w.appendID(heap.IDOf(uint64(i * 7))); err != nil {
 					f.Fatal(err)
 				}
 			}
@@ -55,7 +56,7 @@ func FuzzDecodeStream(f *testing.F) {
 		f.Add(data)
 	}
 	// Real streams from the checked-in profiling run.
-	paths, err := filepath.Glob(filepath.Join(v2RecDir, "site-*.bin"))
+	paths, err := filepath.Glob(filepath.Join(refRecDir, "site-*.bin"))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -70,6 +71,7 @@ func FuzzDecodeStream(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add([]byte(streamMagic + "\x02"))
+	f.Add([]byte(streamMagic + "\x03"))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -15,9 +15,10 @@
 //     as no-need (the paper's madvise pass, §4.2) and asks the Dumper to
 //     create a new incremental snapshot.
 //
-// On-disk artifacts are version 2: id streams are CRC32C-framed with a
-// commit trailer (see stream.go) and the site table carries a line count
-// footer and is published by atomic rename, so a profiling run killed
+// Id streams (version 3) are CRC32C-framed with a commit trailer and store
+// each identity hash as its allocation serial's delta from the previous
+// record's (see stream.go); the site table (version 2) carries a line
+// count footer and is published by atomic rename. A profiling run killed
 // mid-write never leaves an ambiguous artifact — only a shorter one.
 package recorder
 
@@ -39,13 +40,15 @@ import (
 // recording directory.
 const SiteTableFile = "sites.tsv"
 
-// siteTableHeader and siteTableFooter frame a version-2 site table. A
-// table without the header is not one we wrote and is refused; a table
-// with the header but no matching footer was cut short.
-const (
-	siteTableHeader = "# polm2 sites v2"
-	siteTableFooter = "# end sites="
-)
+// SiteTableVersion is the site table format this package writes and reads.
+const SiteTableVersion = 2
+
+// siteTableHeader and siteTableFooter frame a site table. A table without
+// the header is not one we wrote and is refused; a table with the header
+// but no matching footer was cut short.
+var siteTableHeader = fmt.Sprintf("# polm2 sites v%d", SiteTableVersion)
+
+const siteTableFooter = "# end sites="
 
 // streamFile names the identity-hash stream for one allocation site.
 func streamFile(site heap.SiteID) string {
@@ -140,7 +143,7 @@ func (r *Recorder) RecordAlloc(site heap.SiteID, obj *heap.Object) {
 		}
 		r.streams[site] = s
 	}
-	if err := s.appendID(uint64(obj.ID)); err != nil {
+	if err := s.appendID(obj.ID); err != nil {
 		r.firstErr = fmt.Errorf("recorder: writing id for site %d: %w", site, err)
 		return
 	}

@@ -12,21 +12,21 @@ import (
 	"polm2/internal/heap"
 )
 
-// v2RecDir holds the checked-in recordings of the current format.
-const v2RecDir = "../../testdata/artifacts/v2/records"
+// refRecDir holds the checked-in recordings of the current format.
+const refRecDir = "../../testdata/artifacts/v3/records"
 
 // TestMagicBitFlipsRefused flips each bit of byte 0 of every checked-in
 // stream: a damaged magic must be refused as corrupt, never reinterpreted
 // as some other encoding of plausible ids. An empty stream is a tear
 // before the header.
 func TestMagicBitFlipsRefused(t *testing.T) {
-	sites, err := Streams(v2RecDir)
+	sites, err := Streams(refRecDir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cases := 0
 	for _, sid := range sites {
-		data, err := os.ReadFile(filepath.Join(v2RecDir, streamFile(sid)))
+		data, err := os.ReadFile(filepath.Join(refRecDir, streamFile(sid)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,24 +50,36 @@ func TestMagicBitFlipsRefused(t *testing.T) {
 	}
 }
 
-// TestV1ArtifactsRefused: the pre-framing formats — a stream of bare
-// uvarints, a site table without the version header — are refused with
-// typed errors, and salvage recovers nothing from them.
+// TestV1ArtifactsRefused: streams of earlier versions are refused with
+// typed errors and salvage recovers nothing from them — version 1 is a
+// stream of bare uvarints, version 2 framed raw ids where version 3 frames
+// serial deltas, so its frames would decode into plausible but wrong ids.
+// A site table without the version header is refused too.
 func TestV1ArtifactsRefused(t *testing.T) {
 	dir := t.TempDir()
 	var v1 []byte
 	for id := uint64(1); id <= 100; id++ {
 		v1 = binary.AppendUvarint(v1, id*7)
 	}
-	if err := writeBytes(filepath.Join(dir, streamFile(1)), v1); err != nil {
+	v2, err := os.ReadFile(recordStream(t, dir, 2, 100, true))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadIDs(dir, 1); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("v1 stream: err = %v, want ErrCorrupt", err)
-	}
-	ids, sal, err := SalvageIDs(dir, 1)
-	if err != nil || len(ids) != 0 || sal.LostBytes != int64(len(v1)) {
-		t.Fatalf("v1 stream salvage: %d ids, %+v, %v", len(ids), sal, err)
+	v2[len(streamMagic)] = 2
+	for _, c := range []struct {
+		version int
+		data    []byte
+	}{{1, v1}, {2, v2}} {
+		if err := writeBytes(filepath.Join(dir, streamFile(1)), c.data); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadIDs(dir, 1); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("v%d stream: err = %v, want ErrCorrupt", c.version, err)
+		}
+		ids, sal, err := SalvageIDs(dir, 1)
+		if err != nil || len(ids) != 0 || sal.LostBytes != int64(len(c.data)) {
+			t.Errorf("v%d stream salvage: %d ids, %+v, %v", c.version, len(ids), sal, err)
+		}
 	}
 
 	if err := writeBytes(filepath.Join(dir, SiteTableFile), []byte("1\tMain.run:10\n")); err != nil {
@@ -95,7 +107,7 @@ func recordStream(t *testing.T, dir string, site heap.SiteID, n int, commit bool
 		t.Fatal(err)
 	}
 	for i := 1; i <= n; i++ {
-		if err := w.appendID(uint64(i)); err != nil {
+		if err := w.appendID(heap.ObjectID(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -268,7 +280,9 @@ func TestSiteTableSalvageSkipsMalformedLines(t *testing.T) {
 func TestRecorderUnderTornFault(t *testing.T) {
 	vm := newEngine(t)
 	dir := t.TempDir()
-	// Tear past the first 4 KiB frame so a verified prefix survives the cut.
+	// Tear 8 KiB in, past the first frames, so a verified prefix survives
+	// the cut. An id costs about one byte on disk, so 32 000 allocations
+	// put the tear a quarter of the way into the stream.
 	plan, err := faultio.ParseSpec("torn:site-*.bin@8192")
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +295,7 @@ func TestRecorderUnderTornFault(t *testing.T) {
 	th := vm.NewThread("t")
 	th.Enter("Main", "run")
 	var site heap.SiteID
-	for i := 0; i < 8000; i++ {
+	for i := 0; i < 32000; i++ {
 		obj, err := th.Alloc(10, 64)
 		if err != nil {
 			t.Fatal(err)
@@ -303,8 +317,8 @@ func TestRecorderUnderTornFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ids) == 0 || len(ids) >= 8000 {
-		t.Fatalf("torn salvage recovered %d of 8000 ids", len(ids))
+	if len(ids) == 0 || len(ids) >= 32000 {
+		t.Fatalf("torn salvage recovered %d of 32000 ids", len(ids))
 	}
 	if sal.Complete || sal.LostBytes == 0 {
 		t.Fatalf("torn salvage account = %+v", sal)
@@ -329,8 +343,11 @@ func TestRecorderCrashLosesSuffixOnly(t *testing.T) {
 	rec.Attach(vm)
 	th := vm.NewThread("t")
 	th.Enter("Main", "run")
+	// The crash fires on the third write syscall. The stream goes out in
+	// 32 KiB buffer flushes at about a byte per id, so 160 000 allocations
+	// make it span five flushes and the crash cuts it mid-stream.
 	var site heap.SiteID
-	for i := 0; i < 20000; i++ {
+	for i := 0; i < 160000; i++ {
 		obj, err := th.Alloc(10, 64)
 		if err != nil {
 			t.Fatal(err)
@@ -352,8 +369,8 @@ func TestRecorderCrashLosesSuffixOnly(t *testing.T) {
 	if sal.Complete {
 		t.Fatal("crashed stream cannot carry a commit trailer")
 	}
-	if len(ids) == 0 || len(ids) >= 20000 {
-		t.Fatalf("crash salvage recovered %d of 20000 ids", len(ids))
+	if len(ids) == 0 || len(ids) >= 160000 {
+		t.Fatalf("crash salvage recovered %d of 160000 ids", len(ids))
 	}
 	// The site table's atomic rename was skipped after the crash: the
 	// final file never appears, rather than appearing half-written.

@@ -16,25 +16,36 @@ import (
 	"polm2/internal/heap"
 )
 
-// Allocation-record stream format (DESIGN.md §9). Version 2 (current) is
+// Allocation-record stream format (DESIGN.md §9). Version 3 (current) is
 // framed for crash tolerance:
 //
-//	magic "PREC" | version byte (2)
+//	magic "PREC" | version byte (3)
 //	frame:   uvarint payloadLen (>0) | payload | crc32c(payload) LE
 //	...
 //	trailer: uvarint 0 | crc32c(all frame payloads, in order) LE
 //
-// A frame payload is a run of uvarint-encoded object identity hashes. The
-// writer seals a frame on every Flush and whenever ~4 KiB accumulate, so a
-// torn stream loses at most the unsealed tail. The commit trailer is
-// written by Close: its presence distinguishes a cleanly ended recording
-// from one cut short. Only version 2 decodes: a stream that does not
-// open with the magic is refused, never reinterpreted.
+// A frame payload is a run of uvarints, one per recorded object: the
+// object's allocation serial (heap.ObjectID.Serial) minus the previous
+// one's in the same frame, a wrapping uint64 difference; the first of a
+// frame is its serial minus zero. Every frame therefore decodes on its
+// own, and any id sequence encodes. A site's objects are recorded in
+// allocation order, so a delta is the number of allocations between two
+// of them: a byte or two, where the hash-valued id itself takes ~9.
+//
+// The writer seals a frame on every Flush and whenever 512 bytes
+// accumulate, so a torn stream loses at most the unsealed tail: a few
+// hundred records. The commit trailer is written by Close: its presence
+// distinguishes a cleanly ended recording from one cut short. Only
+// version 3 decodes: a stream that does not open with the magic and that
+// version byte is refused, never reinterpreted.
 const (
-	streamMagic   = "PREC"
-	streamVersion = 2
-	// frameTarget seals a frame once its payload reaches this size.
-	frameTarget = 4 << 10
+	streamMagic = "PREC"
+	// StreamVersion is the stream format this package writes and reads.
+	StreamVersion = 3
+	// frameTarget seals a frame once its payload reaches this size, about
+	// 500 allocation-ordered ids. A frame is the unit a tear loses; its
+	// length prefix and checksum cost ~1 % of the payload.
+	frameTarget = 512
 	// maxFrame caps a frame payload so a corrupt length cannot drive an
 	// unbounded allocation.
 	maxFrame = 1 << 20
@@ -58,6 +69,8 @@ type streamWriter struct {
 	bw     *bufio.Writer
 	frame  []byte
 	stream hash.Hash32
+	// prev is the serial of the frame's last id, zero at a frame start.
+	prev   uint64
 	closed bool
 }
 
@@ -70,18 +83,18 @@ func newStreamWriter(f io.WriteCloser) (*streamWriter, error) {
 	if _, err := w.bw.WriteString(streamMagic); err != nil {
 		return nil, err
 	}
-	if err := w.bw.WriteByte(streamVersion); err != nil {
+	if err := w.bw.WriteByte(StreamVersion); err != nil {
 		return nil, err
 	}
 	return w, nil
 }
 
-// appendID buffers one id into the current frame, sealing it at the frame
-// target.
-func (w *streamWriter) appendID(id uint64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], id)
-	w.frame = append(w.frame, buf[:n]...)
+// appendID buffers one id into the current frame as its serial's delta
+// from the previous id's, sealing the frame at the frame target.
+func (w *streamWriter) appendID(id heap.ObjectID) error {
+	serial := id.Serial()
+	w.frame = binary.AppendUvarint(w.frame, serial-w.prev)
+	w.prev = serial
 	if len(w.frame) >= frameTarget {
 		return w.sealFrame()
 	}
@@ -108,6 +121,7 @@ func (w *streamWriter) sealFrame() error {
 	}
 	w.stream.Write(w.frame)
 	w.frame = w.frame[:0]
+	w.prev = 0
 	return nil
 }
 
@@ -191,7 +205,7 @@ func decodeStream(data []byte, strict bool) ([]heap.ObjectID, *StreamSalvage, er
 		return fail("stream ends inside its header", ErrTruncated)
 	case string(data[:len(streamMagic)]) != streamMagic:
 		return fail(fmt.Sprintf("bad magic %q", data[:len(streamMagic)]), ErrCorrupt)
-	case data[len(streamMagic)] != streamVersion:
+	case data[len(streamMagic)] != StreamVersion:
 		return fail(fmt.Sprintf("unsupported stream version %d", data[len(streamMagic)]), ErrCorrupt)
 	}
 	br.Reset(data[len(streamMagic)+1:])
@@ -233,16 +247,18 @@ func decodeStream(data []byte, strict bool) ([]heap.ObjectID, *StreamSalvage, er
 		if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(crcBuf[:]); got != want {
 			return fail(fmt.Sprintf("frame %d checksum mismatch (%08x != %08x)", frame, got, want), ErrCorrupt)
 		}
-		// Frame verified: decode its ids.
+		// Frame verified: rebuild its ids from the serial deltas.
 		pr := bytes.NewReader(payload)
+		serial := uint64(0)
 		for pr.Len() > 0 {
-			v, err := binary.ReadUvarint(pr)
+			d, err := binary.ReadUvarint(pr)
 			if err != nil {
 				// A checksummed frame with a malformed varint can
 				// only be a writer bug, not disk damage.
 				return fail(fmt.Sprintf("frame %d holds a malformed varint", frame), ErrCorrupt)
 			}
-			out = append(out, heap.ObjectID(v))
+			serial += d
+			out = append(out, heap.IDOf(serial))
 		}
 		stream.Write(payload)
 		sal.Frames++

@@ -10,6 +10,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -22,31 +23,40 @@ import (
 // run later, or on another machine, from the images alone (the paper's
 // off-line analysis workflow).
 //
-// Version 2 (current) is built for crash tolerance (DESIGN.md §9): after
+// Version 3 (current) is built for crash tolerance (DESIGN.md §9): after
 // the magic and version byte the body is a sequence of CRC32C-framed
 // sections, closed by a commit trailer, so a half-written or bit-flipped
 // image is always detected instead of decoded into garbage:
 //
-//	magic "PSNP" | version byte (2)
+//	magic "PSNP" | version byte (3)
 //	section 1 (header):  uvarint len | payload | crc32c(payload) LE
 //	section 2 (regions): uvarint len | payload | crc32c(payload) LE
 //	section 3 (no-need): uvarint len | payload | crc32c(payload) LE
 //	section 4 (pages):   uvarint len | payload | crc32c(payload) LE
 //	trailer: uvarint 0 | crc32c(all section payloads, in order) LE
 //
-// Section payloads are varint-encoded (all integers varint, ids and keys
-// delta-encoded):
+// Section payloads are varint-encoded (all integers varint, region ids
+// delta-encoded in ascending order):
 //
 //	header:  seq | cycle | takenAtNs | incremental byte | durationNs | sizeBytes
 //	regions: nRegions | region ids (delta-encoded)
 //	no-need: nNoNeed | page keys (region delta + index)
-//	pages:   nPages | per page: region delta + index + nIDs + ids (delta)
+//	pages:   nPages | per page: region delta + index + nIDs + serial deltas
 //
-// Only version 2 decodes; any other version byte is refused as corrupt.
+// A page's object ids are stored as their allocation serials
+// (heap.ObjectID.Serial), ascending, each as its difference from the
+// previous one (the first from zero); the decoder rebuilds them with
+// heap.IDOf. Objects on a page were bump-allocated together, so the
+// deltas are small, where the hash-valued ids would take ~9 bytes each
+// even sorted. A decoded page therefore lists its ids in ascending serial
+// (allocation) order.
+//
+// Only version 3 decodes; any other version byte is refused as corrupt.
 const (
-	imageMagic   = "PSNP"
-	imageVersion = 2
-	// maxSection caps a v2 section payload so a corrupted length field
+	imageMagic = "PSNP"
+	// ImageVersion is the image format this package writes and reads.
+	ImageVersion = 3
+	// maxSection caps a section payload so a corrupted length field
 	// cannot make the decoder allocate unbounded memory.
 	maxSection = 64 << 20
 )
@@ -70,13 +80,13 @@ func FileName(seq int) string {
 	return fmt.Sprintf("snap-%06d.img", seq)
 }
 
-// Write encodes the snapshot to w in the current (v2) format.
+// Write encodes the snapshot to w in the current (v3) format.
 func (s *Snapshot) Write(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(imageMagic); err != nil {
 		return fmt.Errorf("snapshot: writing magic: %w", err)
 	}
-	if err := bw.WriteByte(imageVersion); err != nil {
+	if err := bw.WriteByte(ImageVersion); err != nil {
 		return fmt.Errorf("snapshot: writing version: %w", err)
 	}
 
@@ -183,14 +193,16 @@ func (s *Snapshot) encodePages() []byte {
 		putUvarint(&b, uint64(pr.Key.Region)-prev)
 		prev = uint64(pr.Key.Region)
 		putUvarint(&b, uint64(pr.Key.Index))
-		ids := make([]heap.ObjectID, len(pr.HeaderIDs))
-		copy(ids, pr.HeaderIDs)
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		putUvarint(&b, uint64(len(ids)))
-		prevID := uint64(0)
-		for _, id := range ids {
-			putUvarint(&b, uint64(id)-prevID)
-			prevID = uint64(id)
+		serials := make([]uint64, len(pr.HeaderIDs))
+		for i, id := range pr.HeaderIDs {
+			serials[i] = id.Serial()
+		}
+		slices.Sort(serials)
+		putUvarint(&b, uint64(len(serials)))
+		prevSerial := uint64(0)
+		for _, serial := range serials {
+			putUvarint(&b, serial-prevSerial)
+			prevSerial = serial
 		}
 	}
 	return b.Bytes()
@@ -224,7 +236,7 @@ func Read(r io.Reader) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: reading version: %v", ErrTruncated, err)
 	}
-	if version != imageVersion {
+	if version != ImageVersion {
 		return nil, fmt.Errorf("%w: unsupported image version %d", ErrCorrupt, version)
 	}
 
@@ -437,14 +449,14 @@ func (s *Snapshot) decodePages(payload []byte) error {
 		if err := p.checkCount("ids", nIDs, 1); err != nil {
 			return err
 		}
-		prevID := uint64(0)
+		serial := uint64(0)
 		for j := uint64(0); j < nIDs; j++ {
 			d, err := p.uvarint("id")
 			if err != nil {
 				return err
 			}
-			prevID += d
-			pr.HeaderIDs = append(pr.HeaderIDs, heap.ObjectID(prevID))
+			serial += d
+			pr.HeaderIDs = append(pr.HeaderIDs, heap.IDOf(serial))
 		}
 		s.Pages = append(s.Pages, pr)
 	}

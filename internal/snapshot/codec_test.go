@@ -2,8 +2,10 @@ package snapshot
 
 import (
 	"bytes"
+	"cmp"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -30,15 +32,13 @@ func sampleSnapshot() *Snapshot {
 	}
 }
 
-// normalize sorts a snapshot's slices the way the codec canonicalizes them.
+// normalize sorts a snapshot's slices the way the codec canonicalizes them:
+// each page's ids in ascending allocation serial.
 func normalize(s *Snapshot) {
 	for i := range s.Pages {
-		ids := s.Pages[i].HeaderIDs
-		for a := 1; a < len(ids); a++ {
-			for b := a; b > 0 && ids[b-1] > ids[b]; b-- {
-				ids[b-1], ids[b] = ids[b], ids[b-1]
-			}
-		}
+		slices.SortFunc(s.Pages[i].HeaderIDs, func(a, b heap.ObjectID) int {
+			return cmp.Compare(a.Serial(), b.Serial())
+		})
 	}
 }
 
@@ -52,9 +52,54 @@ func TestCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A page decodes in serial order, which for these ids is not their
+	// numeric order.
+	if ids := got.Pages[0].HeaderIDs; !slices.Equal(ids, []heap.ObjectID{42, 100, 7}) {
+		t.Fatalf("page ids decoded as %v, want serial order [42 100 7]", ids)
+	}
 	normalize(want)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("round trip mismatch:\nwant %+v\ngot  %+v", want, got)
+	}
+}
+
+// TestCodecRoundTripAllocatedIDs round-trips pages of ids the heap would
+// actually hand out: runs of nearby allocation serials, listed in any
+// order. Each page must decode to exactly its ids in serial order, and the
+// serial deltas must keep an id to about a byte on disk.
+func TestCodecRoundTripAllocatedIDs(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	s := &Snapshot{Seq: 1, Regions: []heap.RegionID{1, 2, 3, 4}}
+	serial, nIDs := uint64(0), 0
+	for r := heap.RegionID(1); r <= 4; r++ {
+		for idx := uint32(0); idx < 16; idx++ {
+			pr := PageRecord{Key: heap.PageKey{Region: r, Index: idx}}
+			for n := 8 + rng.Intn(32); n > 0; n-- {
+				serial += 1 + uint64(rng.Intn(3)) // other sites' allocations interleave
+				pr.HeaderIDs = append(pr.HeaderIDs, heap.IDOf(serial))
+			}
+			rng.Shuffle(len(pr.HeaderIDs), func(i, j int) {
+				pr.HeaderIDs[i], pr.HeaderIDs[j] = pr.HeaderIDs[j], pr.HeaderIDs[i]
+			})
+			nIDs += len(pr.HeaderIDs)
+			s.Pages = append(s.Pages, pr)
+		}
+	}
+	var buf bytes.Buffer
+	if err := s.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	size := buf.Len()
+	got, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	normalize(s)
+	if !reflect.DeepEqual(s, got) {
+		t.Fatal("allocated ids did not round-trip")
+	}
+	if size > 2*nIDs {
+		t.Fatalf("%d ids took %d bytes; serial deltas should keep them near one byte each", nIDs, size)
 	}
 }
 

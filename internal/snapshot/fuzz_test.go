@@ -15,7 +15,7 @@ import (
 // error. The seed corpus holds synthetic images and real ones from the
 // checked-in profiling run.
 func FuzzRead(f *testing.F) {
-	// v2 seeds from the canonical sample and an empty snapshot.
+	// Current-format seeds from the canonical sample and an empty snapshot.
 	for _, s := range []*Snapshot{
 		sampleSnapshot(),
 		{Seq: 1},
@@ -28,7 +28,7 @@ func FuzzRead(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	// Real images from the checked-in profiling run.
-	paths, err := filepath.Glob(filepath.Join(v2Dir, "snap-*.img"))
+	paths, err := filepath.Glob(filepath.Join(refSnapDir, "snap-*.img"))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -43,6 +43,7 @@ func FuzzRead(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add([]byte("PSNP\x02"))
+	f.Add([]byte("PSNP\x03"))
 	f.Add([]byte("PSNP\x01\x01"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -11,24 +11,28 @@ import (
 	"polm2/internal/faultio"
 )
 
-// v2Dir holds the checked-in images of the current format.
-const v2Dir = "../../testdata/artifacts/v2/snaps"
+// refSnapDir holds the checked-in images of the current format.
+const refSnapDir = "../../testdata/artifacts/v3/snaps"
 
-// TestV1ImageRefused: an image whose version byte says 1 — the unframed
-// pre-CRC format — is refused as corrupt rather than decoded, and an empty
-// image is a tear before the header.
+// TestV1ImageRefused: an image of an earlier version is refused as
+// corrupt rather than decoded — version 1 is the unframed pre-CRC format,
+// version 2 stored hash-valued ids where version 3 stores serial deltas,
+// so reading its pages as v3 would yield plausible but wrong ids — and an
+// empty image is a tear before the header.
 func TestV1ImageRefused(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join(v2Dir, FileName(1)))
+	data, err := os.ReadFile(filepath.Join(refSnapDir, FileName(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Read(bytes.NewReader(data)); err != nil {
 		t.Fatalf("pristine image refused: %v", err)
 	}
-	v1 := append([]byte(nil), data...)
-	v1[len(imageMagic)] = 1
-	if _, err := Read(bytes.NewReader(v1)); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("version-1 image: err = %v, want ErrCorrupt", err)
+	for _, version := range []byte{1, 2} {
+		old := append([]byte(nil), data...)
+		old[len(imageMagic)] = version
+		if _, err := Read(bytes.NewReader(old)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("version-%d image: err = %v, want ErrCorrupt", version, err)
+		}
 	}
 	if _, err := Read(bytes.NewReader(nil)); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("empty image: err = %v, want ErrTruncated", err)
