@@ -196,8 +196,10 @@ func TestAnalyzeSalvageDirDamagedSnapshots(t *testing.T) {
 		t.Fatalf("run produced only %d snapshots", len(snaps))
 	}
 	snapDir := t.TempDir()
-	if err := snapshot.WriteDir(snapDir, snaps); err != nil {
-		t.Fatal(err)
+	for _, s := range snaps {
+		if err := snapshot.WriteImage(snapDir, s, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	victim := filepath.Join(snapDir, snapshot.FileName(snaps[len(snaps)/2].Seq))
 	info, err := os.Stat(victim)

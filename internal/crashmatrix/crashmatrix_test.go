@@ -296,6 +296,11 @@ func TestCrashMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 				outcome, detail := runCase(recDir, snapDir, baseline)
+				if off > int64(len(data)) && outcome == outFullRecovery {
+					// A cut past the end zero-fills a tail no writer
+					// produces: strict readers must refuse it.
+					t.Fatalf("zero-filled tail of %s accepted by strict readers", tgt.file)
+				}
 				if off == 0 && (outcome == outFullRecovery || detail == cleanReport) {
 					// An empty artifact reads as nothing we wrote: strict
 					// refuses it and salvage must account for the loss.

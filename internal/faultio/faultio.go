@@ -312,6 +312,35 @@ func (in *Injector) Create(path string) (io.WriteCloser, error) {
 	return fw, nil
 }
 
+// Publish makes path appear whole or not at all: write fills a temporary
+// created through the fault plan, which is then renamed into place. A
+// crash before the rename leaves the temporary abandoned, and a missing
+// file fault leaves nothing; neither is an error, since the writing
+// process never observes its own lost writes.
+func (in *Injector) Publish(path string, write func(io.Writer) error) error {
+	tmp := path + ".tmp"
+	f, err := in.Create(tmp)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
+	if err := f.Close(); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if in.Crashed() {
+		return nil
+	}
+	if _, err := os.Stat(tmp); err != nil {
+		return nil
+	}
+	return os.Rename(tmp, path)
+}
+
 // configure arms the writer with its matching live faults.
 func (fw *faultWriter) configure(faults []Fault) {
 	seed := fw.in.plan.Seed

@@ -70,8 +70,8 @@ func FuzzDecodeStream(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	f.Add([]byte(streamMagic + "\x02"))
-	f.Add([]byte(streamMagic + "\x03"))
+	f.Add([]byte(streamFormat.Magic + "\x02"))
+	f.Add([]byte(streamFormat.Magic + "\x03"))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

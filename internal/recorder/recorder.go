@@ -25,6 +25,7 @@ package recorder
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -240,30 +241,11 @@ func (r *Recorder) writeSiteTable() error {
 	}
 	fmt.Fprintf(&buf, "%s%d\n", siteTableFooter, lines)
 
-	final := filepath.Join(r.cfg.Dir, SiteTableFile)
-	tmp := final + ".tmp"
-	f, err := r.cfg.Fault.Create(tmp)
+	err := r.cfg.Fault.Publish(filepath.Join(r.cfg.Dir, SiteTableFile), func(w io.Writer) error {
+		_, err := w.Write(buf.Bytes())
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("recorder: creating site table: %w", err)
-	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("recorder: writing site table: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("recorder: closing site table: %w", err)
-	}
-	if r.cfg.Fault.Crashed() {
-		// Died before the rename: the new table never becomes visible.
-		return nil
-	}
-	if _, err := os.Stat(tmp); err != nil {
-		// A missing-file fault swallowed the temporary entirely.
-		return nil
-	}
-	if err := os.Rename(tmp, final); err != nil {
 		return fmt.Errorf("recorder: publishing site table: %w", err)
 	}
 	return nil

@@ -65,7 +65,7 @@ func TestV1ArtifactsRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2[len(streamMagic)] = 2
+	v2[len(streamFormat.Magic)] = 2
 	for _, c := range []struct {
 		version int
 		data    []byte

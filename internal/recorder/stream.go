@@ -2,22 +2,20 @@ package recorder
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
 
+	"polm2/internal/framelog"
 	"polm2/internal/heap"
 )
 
 // Allocation-record stream format (DESIGN.md §9). Version 3 (current) is
-// framed for crash tolerance:
+// a framelog file:
 //
 //	magic "PREC" | version byte (3)
 //	frame:   uvarint payloadLen (>0) | payload | crc32c(payload) LE
@@ -35,20 +33,14 @@ import (
 // The writer seals a frame on every Flush and whenever 512 bytes
 // accumulate, so a torn stream loses at most the unsealed tail: a few
 // hundred records. The commit trailer is written by Close: its presence
-// distinguishes a cleanly ended recording from one cut short. Only
-// version 3 decodes: a stream that does not open with the magic and that
-// version byte is refused, never reinterpreted.
+// distinguishes a cleanly ended recording from one cut short.
 const (
-	streamMagic = "PREC"
 	// StreamVersion is the stream format this package writes and reads.
 	StreamVersion = 3
 	// frameTarget seals a frame once its payload reaches this size, about
 	// 500 allocation-ordered ids. A frame is the unit a tear loses; its
 	// length prefix and checksum cost ~1 % of the payload.
 	frameTarget = 512
-	// maxFrame caps a frame payload so a corrupt length cannot drive an
-	// unbounded allocation.
-	maxFrame = 1 << 20
 )
 
 // Typed decode failures, mirroring the snapshot codec's.
@@ -61,32 +53,29 @@ var (
 	ErrTruncated = errors.New("recorder: artifact truncated")
 )
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// streamFormat describes PREC v3 to framelog. Its 1 MiB frame cap sits
+// far above the frame target.
+var streamFormat = &framelog.Format{
+	Magic: "PREC", Version: StreamVersion, Noun: "stream", MaxFrame: 1 << 20,
+	Corrupt: ErrCorrupt, Truncated: ErrTruncated,
+}
 
 // streamWriter writes one site's framed id stream.
 type streamWriter struct {
-	f      io.WriteCloser
-	bw     *bufio.Writer
-	frame  []byte
-	stream hash.Hash32
+	f     io.WriteCloser
+	fw    *framelog.Writer
+	frame []byte
 	// prev is the serial of the frame's last id, zero at a frame start.
 	prev   uint64
 	closed bool
 }
 
 func newStreamWriter(f io.WriteCloser) (*streamWriter, error) {
-	w := &streamWriter{
-		f:      f,
-		bw:     bufio.NewWriterSize(f, 32*1024),
-		stream: crc32.New(castagnoli),
-	}
-	if _, err := w.bw.WriteString(streamMagic); err != nil {
+	fw, err := framelog.NewWriter(bufio.NewWriterSize(f, 32*1024), streamFormat)
+	if err != nil {
 		return nil, err
 	}
-	if err := w.bw.WriteByte(StreamVersion); err != nil {
-		return nil, err
-	}
-	return w, nil
+	return &streamWriter{f: f, fw: fw}, nil
 }
 
 // appendID buffers one id into the current frame as its serial's delta
@@ -101,25 +90,14 @@ func (w *streamWriter) appendID(id heap.ObjectID) error {
 	return nil
 }
 
-// sealFrame writes the pending frame with its checksum.
+// sealFrame writes the pending frame, if any.
 func (w *streamWriter) sealFrame() error {
 	if len(w.frame) == 0 {
 		return nil
 	}
-	var lenBuf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenBuf[:], uint64(len(w.frame)))
-	if _, err := w.bw.Write(lenBuf[:n]); err != nil {
+	if err := w.fw.Frame(w.frame); err != nil {
 		return err
 	}
-	if _, err := w.bw.Write(w.frame); err != nil {
-		return err
-	}
-	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], crc32.Checksum(w.frame, castagnoli))
-	if _, err := w.bw.Write(crcBuf[:]); err != nil {
-		return err
-	}
-	w.stream.Write(w.frame)
 	w.frame = w.frame[:0]
 	w.prev = 0
 	return nil
@@ -132,7 +110,7 @@ func (w *streamWriter) Flush() error {
 	if err := w.sealFrame(); err != nil {
 		return err
 	}
-	return w.bw.Flush()
+	return w.fw.Flush()
 }
 
 // Close seals the pending frame, writes the commit trailer and closes the
@@ -145,15 +123,7 @@ func (w *streamWriter) Close() error {
 	if err := w.sealFrame(); err != nil {
 		return err
 	}
-	if err := w.bw.WriteByte(0); err != nil {
-		return err
-	}
-	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], w.stream.Sum32())
-	if _, err := w.bw.Write(crcBuf[:]); err != nil {
-		return err
-	}
-	if err := w.bw.Flush(); err != nil {
+	if err := w.fw.Commit(); err != nil {
 		return err
 	}
 	return w.f.Close()
@@ -186,83 +156,49 @@ func (s *StreamSalvage) Confidence() float64 {
 // including a missing commit trailer — is an error; in salvage mode the
 // valid prefix is returned along with an account of the loss.
 func decodeStream(data []byte, strict bool) ([]heap.ObjectID, *StreamSalvage, error) {
-	sal := &StreamSalvage{TotalBytes: int64(len(data))}
-	br := bytes.NewReader(data)
-	stream := crc32.New(castagnoli)
 	var out []heap.ObjectID
-
-	fail := func(reason string, typed error) ([]heap.ObjectID, *StreamSalvage, error) {
-		sal.LostBytes = int64(br.Len())
-		sal.Reason = reason
-		if strict {
-			return nil, sal, fmt.Errorf("%w: %s", typed, reason)
+	fr, err := framelog.NewReader(data, streamFormat)
+	frames := 0
+	for err == nil {
+		var payload []byte
+		if payload, err = fr.Next(); err == nil {
+			var ok bool
+			if out, ok = appendFrameIDs(out, payload); ok {
+				frames++
+			} else {
+				// A checksummed frame with a malformed varint can only
+				// be a writer bug, not disk damage.
+				err = &framelog.Error{Kind: ErrCorrupt, Reason: fmt.Sprintf("frame %d holds a malformed varint", fr.Frames)}
+			}
 		}
+	}
+	sal := &StreamSalvage{Frames: frames, Complete: fr.Committed, LostBytes: int64(fr.Unread()), TotalBytes: int64(len(data))}
+	if err == io.EOF {
 		return out, sal, nil
 	}
-
-	switch {
-	case len(data) < len(streamMagic)+1:
-		return fail("stream ends inside its header", ErrTruncated)
-	case string(data[:len(streamMagic)]) != streamMagic:
-		return fail(fmt.Sprintf("bad magic %q", data[:len(streamMagic)]), ErrCorrupt)
-	case data[len(streamMagic)] != StreamVersion:
-		return fail(fmt.Sprintf("unsupported stream version %d", data[len(streamMagic)]), ErrCorrupt)
+	var fe *framelog.Error
+	errors.As(err, &fe)
+	sal.Reason = fe.Reason
+	if strict {
+		return nil, sal, err
 	}
-	br.Reset(data[len(streamMagic)+1:])
+	return out, sal, nil
+}
 
-	for frame := 1; ; frame++ {
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
-			return fail(fmt.Sprintf("stream ends without commit trailer after %d frames", sal.Frames), ErrTruncated)
+// appendFrameIDs rebuilds one verified frame's ids from its serial deltas.
+// On a malformed varint it returns out unchanged and false.
+func appendFrameIDs(out []heap.ObjectID, payload []byte) ([]heap.ObjectID, bool) {
+	n, serial := len(out), uint64(0)
+	for len(payload) > 0 {
+		d, k := binary.Uvarint(payload)
+		if k <= 0 {
+			return out[:n], false
 		}
-		if n == 0 {
-			// Commit trailer.
-			var crcBuf [4]byte
-			if _, err := io.ReadFull(br, crcBuf[:]); err != nil {
-				return fail("trailer checksum missing", ErrTruncated)
-			}
-			if got, want := stream.Sum32(), binary.LittleEndian.Uint32(crcBuf[:]); got != want {
-				return fail(fmt.Sprintf("trailer checksum mismatch (%08x != %08x)", got, want), ErrCorrupt)
-			}
-			sal.Complete = true
-			sal.LostBytes = int64(br.Len()) // trailing junk, if any
-			if sal.LostBytes > 0 {
-				sal.Reason = fmt.Sprintf("%d bytes of trailing junk after commit trailer", sal.LostBytes)
-				if strict {
-					return nil, sal, fmt.Errorf("%w: %s", ErrCorrupt, sal.Reason)
-				}
-			}
-			return out, sal, nil
-		}
-		if n > maxFrame {
-			return fail(fmt.Sprintf("frame %d claims %d bytes", frame, n), ErrCorrupt)
-		}
-		if int64(n)+4 > int64(br.Len()) {
-			return fail(fmt.Sprintf("frame %d torn mid-payload", frame), ErrTruncated)
-		}
-		payload := make([]byte, n)
-		io.ReadFull(br, payload) //nolint:errcheck // length checked above
-		var crcBuf [4]byte
-		io.ReadFull(br, crcBuf[:]) //nolint:errcheck // length checked above
-		if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(crcBuf[:]); got != want {
-			return fail(fmt.Sprintf("frame %d checksum mismatch (%08x != %08x)", frame, got, want), ErrCorrupt)
-		}
-		// Frame verified: rebuild its ids from the serial deltas.
-		pr := bytes.NewReader(payload)
-		serial := uint64(0)
-		for pr.Len() > 0 {
-			d, err := binary.ReadUvarint(pr)
-			if err != nil {
-				// A checksummed frame with a malformed varint can
-				// only be a writer bug, not disk damage.
-				return fail(fmt.Sprintf("frame %d holds a malformed varint", frame), ErrCorrupt)
-			}
-			serial += d
-			out = append(out, heap.IDOf(serial))
-		}
-		stream.Write(payload)
-		sal.Frames++
+		serial += d
+		out = append(out, heap.IDOf(serial))
+		payload = payload[k:]
 	}
+	return out, true
 }
 
 // ReadIDs streams the identity hashes recorded for one site back from

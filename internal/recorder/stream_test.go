@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -47,7 +49,7 @@ func encodeStream(t *testing.T, ids []heap.ObjectID, flushAt map[int]bool) (data
 func framePayloads(t *testing.T, data []byte) [][]byte {
 	t.Helper()
 	var out [][]byte
-	pos := len(streamMagic) + 1
+	pos := len(streamFormat.Magic) + 1
 	for {
 		n, k := binary.Uvarint(data[pos:])
 		if k <= 0 {
@@ -165,5 +167,28 @@ func TestStreamBytesPerAllocatedID(t *testing.T) {
 	data, _ := encodeStream(t, ids, nil)
 	if perID := float64(len(data)) / float64(len(ids)); perID > 1.1 {
 		t.Fatalf("%d ids took %d bytes (%.2f per id); deltas under 128 should take one byte", len(ids), len(data), perID)
+	}
+}
+
+// TestReferenceStreamsReencode pins the stream bytes: every checked-in
+// stream decodes, and re-recording its ids through the writer (a
+// no-flush recording) reproduces the file byte for byte.
+func TestReferenceStreamsReencode(t *testing.T) {
+	sites, err := Streams(refRecDir)
+	if err != nil || len(sites) != 17 {
+		t.Fatalf("%d reference streams: %v", len(sites), err)
+	}
+	for _, sid := range sites {
+		want, err := os.ReadFile(filepath.Join(refRecDir, streamFile(sid)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids, err := ReadIDs(refRecDir, sid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := encodeStream(t, ids, nil); !bytes.Equal(got, want) {
+			t.Fatalf("site %d: re-encoding %d ids gave %d bytes, not the checked-in %d", sid, len(ids), len(got), len(want))
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -15,6 +14,7 @@ import (
 	"time"
 
 	"polm2/internal/faultio"
+	"polm2/internal/framelog"
 	"polm2/internal/heap"
 )
 
@@ -23,10 +23,10 @@ import (
 // run later, or on another machine, from the images alone (the paper's
 // off-line analysis workflow).
 //
-// Version 3 (current) is built for crash tolerance (DESIGN.md §9): after
-// the magic and version byte the body is a sequence of CRC32C-framed
-// sections, closed by a commit trailer, so a half-written or bit-flipped
-// image is always detected instead of decoded into garbage:
+// Version 3 (current) is a framelog file (DESIGN.md §9): after the magic
+// and version byte come four CRC32C-framed sections, closed by a commit
+// trailer, so a half-written or bit-flipped image is always detected
+// instead of decoded into garbage:
 //
 //	magic "PSNP" | version byte (3)
 //	section 1 (header):  uvarint len | payload | crc32c(payload) LE
@@ -50,16 +50,9 @@ import (
 // deltas are small, where the hash-valued ids would take ~9 bytes each
 // even sorted. A decoded page therefore lists its ids in ascending serial
 // (allocation) order.
-//
-// Only version 3 decodes; any other version byte is refused as corrupt.
-const (
-	imageMagic = "PSNP"
-	// ImageVersion is the image format this package writes and reads.
-	ImageVersion = 3
-	// maxSection caps a section payload so a corrupted length field
-	// cannot make the decoder allocate unbounded memory.
-	maxSection = 64 << 20
-)
+
+// ImageVersion is the image format this package writes and reads.
+const ImageVersion = 3
 
 // Typed decode failures. Every decode error wraps exactly one of these, so
 // callers can distinguish damage (salvageable) from programmer error.
@@ -72,7 +65,12 @@ var (
 	ErrTruncated = errors.New("snapshot: image truncated")
 )
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// imageFormat describes PSNP v3 to framelog. Its 64 MiB section cap sits
+// far above any section a profiling run writes.
+var imageFormat = &framelog.Format{
+	Magic: "PSNP", Version: ImageVersion, Noun: "image", MaxFrame: 64 << 20,
+	Corrupt: ErrCorrupt, Truncated: ErrTruncated,
+}
 
 // FileName returns the canonical image file name for a snapshot sequence
 // number, e.g. "snap-000042.img".
@@ -82,58 +80,25 @@ func FileName(seq int) string {
 
 // Write encodes the snapshot to w in the current (v3) format.
 func (s *Snapshot) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(imageMagic); err != nil {
-		return fmt.Errorf("snapshot: writing magic: %w", err)
+	fw, err := framelog.NewWriter(bufio.NewWriter(w), imageFormat)
+	if err != nil {
+		return fmt.Errorf("snapshot: writing header: %w", err)
 	}
-	if err := bw.WriteByte(ImageVersion); err != nil {
-		return fmt.Errorf("snapshot: writing version: %w", err)
-	}
-
-	stream := crc32.New(castagnoli)
-	writeSection := func(name string, payload []byte) error {
-		var lenBuf [binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(lenBuf[:], uint64(len(payload)))
-		if _, err := bw.Write(lenBuf[:n]); err != nil {
-			return fmt.Errorf("snapshot: writing %s section: %w", name, err)
+	for _, sec := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"header", s.encodeHeader()},
+		{"regions", s.encodeRegions()},
+		{"no-need", s.encodeNoNeed()},
+		{"pages", s.encodePages()},
+	} {
+		if err := fw.Frame(sec.payload); err != nil {
+			return fmt.Errorf("snapshot: writing %s section: %w", sec.name, err)
 		}
-		if _, err := bw.Write(payload); err != nil {
-			return fmt.Errorf("snapshot: writing %s section: %w", name, err)
-		}
-		var crcBuf [4]byte
-		binary.LittleEndian.PutUint32(crcBuf[:], crc32.Checksum(payload, castagnoli))
-		if _, err := bw.Write(crcBuf[:]); err != nil {
-			return fmt.Errorf("snapshot: writing %s crc: %w", name, err)
-		}
-		stream.Write(payload)
-		return nil
 	}
-
-	if err := writeSection("header", s.encodeHeader()); err != nil {
-		return err
-	}
-	if err := writeSection("regions", s.encodeRegions()); err != nil {
-		return err
-	}
-	if err := writeSection("no-need", s.encodeNoNeed()); err != nil {
-		return err
-	}
-	if err := writeSection("pages", s.encodePages()); err != nil {
-		return err
-	}
-
-	// Commit trailer: zero length + whole-stream CRC. Its presence is the
-	// durable "this image is complete" marker.
-	if err := bw.WriteByte(0); err != nil {
+	if err := fw.Commit(); err != nil {
 		return fmt.Errorf("snapshot: writing trailer: %w", err)
-	}
-	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], stream.Sum32())
-	if _, err := bw.Write(crcBuf[:]); err != nil {
-		return fmt.Errorf("snapshot: writing trailer crc: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("snapshot: flushing image: %w", err)
 	}
 	return nil
 }
@@ -224,94 +189,44 @@ func putUvarint(b *bytes.Buffer, v uint64) {
 // Read decodes a snapshot written by Write. Damage is reported as an error
 // wrapping ErrCorrupt or ErrTruncated.
 func Read(r io.Reader) (*Snapshot, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(imageMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("%w: reading magic: %v", ErrTruncated, err)
-	}
-	if string(magic) != imageMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, magic)
-	}
-	version, err := br.ReadByte()
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, fmt.Errorf("%w: reading version: %v", ErrTruncated, err)
+		return nil, fmt.Errorf("snapshot: reading image: %w", err)
 	}
-	if version != ImageVersion {
-		return nil, fmt.Errorf("%w: unsupported image version %d", ErrCorrupt, version)
-	}
+	return decode(data)
+}
 
-	// The framed sections, every CRC verified, then the commit trailer.
-	stream := crc32.New(castagnoli)
-	readSection := func(name string) ([]byte, error) {
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s section length: %v", ErrTruncated, name, err)
-		}
-		if n == 0 {
-			return nil, fmt.Errorf("%w: premature trailer before %s section", ErrCorrupt, name)
-		}
-		if n > maxSection {
-			return nil, fmt.Errorf("%w: %s section claims %d bytes", ErrCorrupt, name, n)
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return nil, fmt.Errorf("%w: %s section body: %v", ErrTruncated, name, err)
-		}
-		var crcBuf [4]byte
-		if _, err := io.ReadFull(br, crcBuf[:]); err != nil {
-			return nil, fmt.Errorf("%w: %s section crc: %v", ErrTruncated, name, err)
-		}
-		if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(crcBuf[:]); got != want {
-			return nil, fmt.Errorf("%w: %s section crc mismatch (%08x != %08x)", ErrCorrupt, name, got, want)
-		}
-		stream.Write(payload)
-		return payload, nil
+func decode(data []byte) (*Snapshot, error) {
+	fr, err := framelog.NewReader(data, imageFormat)
+	if err != nil {
+		return nil, err
 	}
-
 	var s Snapshot
-	header, err := readSection("header")
-	if err != nil {
+	for _, sec := range []struct {
+		name   string
+		decode func([]byte) error
+	}{
+		{"header", s.decodeHeader},
+		{"regions", s.decodeRegions},
+		{"no-need", s.decodeNoNeed},
+		{"pages", s.decodePages},
+	} {
+		payload, err := fr.Next()
+		if err == io.EOF {
+			return nil, fmt.Errorf("%w: premature trailer before %s section", ErrCorrupt, sec.name)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if err := sec.decode(payload); err != nil {
+			return nil, err
+		}
+	}
+	if _, err := fr.Next(); err != io.EOF {
+		if err == nil {
+			err = fmt.Errorf("%w: trailing data after pages section", ErrCorrupt)
+		}
 		return nil, err
-	}
-	if err := s.decodeHeader(header); err != nil {
-		return nil, err
-	}
-	regions, err := readSection("regions")
-	if err != nil {
-		return nil, err
-	}
-	if err := s.decodeRegions(regions); err != nil {
-		return nil, err
-	}
-	noNeed, err := readSection("no-need")
-	if err != nil {
-		return nil, err
-	}
-	if err := s.decodeNoNeed(noNeed); err != nil {
-		return nil, err
-	}
-	pages, err := readSection("pages")
-	if err != nil {
-		return nil, err
-	}
-	if err := s.decodePages(pages); err != nil {
-		return nil, err
-	}
-
-	// Commit trailer.
-	zero, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("%w: missing commit trailer: %v", ErrTruncated, err)
-	}
-	if zero != 0 {
-		return nil, fmt.Errorf("%w: trailing data after pages section", ErrCorrupt)
-	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(br, crcBuf[:]); err != nil {
-		return nil, fmt.Errorf("%w: trailer crc: %v", ErrTruncated, err)
-	}
-	if got, want := stream.Sum32(), binary.LittleEndian.Uint32(crcBuf[:]); got != want {
-		return nil, fmt.Errorf("%w: trailer crc mismatch (%08x != %08x)", ErrCorrupt, got, want)
 	}
 	return &s, nil
 }
@@ -463,98 +378,40 @@ func (s *Snapshot) decodePages(payload []byte) error {
 	return nil
 }
 
-// WriteDir persists a snapshot sequence as an image directory. Each image
-// is written to a temporary file and atomically renamed into place, so a
-// crash mid-write never leaves an ambiguous snap-*.img file.
-func WriteDir(dir string, snaps []*Snapshot) error {
-	return WriteDirFaulty(dir, snaps, nil)
-}
-
-// WriteDirFaulty is WriteDir with a fault-injection seam: the injector (may
-// be nil) interposes on every image write. If the injector's crash fault
-// fires mid-sequence, the remaining images are lost exactly as a killed
-// process would lose them: temporaries are abandoned unrenamed.
-func WriteDirFaulty(dir string, snaps []*Snapshot, fio *faultio.Injector) error {
-	for _, s := range snaps {
-		if err := WriteImage(dir, s, fio); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // WriteImage writes one image via temp-file + atomic rename: either the
 // complete image appears under its final name or nothing does. The Dumper
 // uses it to persist snapshots as they are taken, so a crash loses a
-// suffix of whole images, never a torn one.
+// suffix of whole images, never a torn one. The injector (may be nil)
+// interposes its fault plan on the write.
 func WriteImage(dir string, s *Snapshot, fio *faultio.Injector) error {
-	final := filepath.Join(dir, FileName(s.Seq))
-	tmp := final + ".tmp"
-	f, err := fio.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("snapshot: creating image: %w", err)
-	}
-	if err := s.Write(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("snapshot: closing image: %w", err)
-	}
-	if fio.Crashed() {
-		// The process died before the rename: the image never becomes
-		// visible. The abandoned temporary is what a real crash leaves.
-		return nil
-	}
-	if _, err := os.Stat(tmp); err != nil {
-		// A missing-file fault swallowed the temporary entirely.
-		return nil
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		return fmt.Errorf("snapshot: publishing image: %w", err)
+	if err := fio.Publish(filepath.Join(dir, FileName(s.Seq)), s.Write); err != nil {
+		return fmt.Errorf("snapshot: publishing image %d: %w", s.Seq, err)
 	}
 	return nil
 }
 
 // ReadDir loads every snapshot image in a directory, ordered by sequence
 // number. Any damaged image — or a hole in the incremental chain, the
-// trace a deleted image leaves — fails the whole read; use ReadDirSalvage
-// to recover the usable prefix instead.
+// trace a deleted image leaves — fails the whole read with the first such
+// damage ReadDirSalvage met; use ReadDirSalvage to recover the usable
+// prefix instead.
 func ReadDir(dir string) ([]*Snapshot, error) {
-	entries, err := filepath.Glob(filepath.Join(dir, "snap-*.img"))
+	snaps, sal, err := ReadDirSalvage(dir)
+	if err == nil && !sal.Clean() {
+		err = sal.first
+	}
 	if err != nil {
-		return nil, fmt.Errorf("snapshot: listing images: %w", err)
+		return nil, err
 	}
-	sort.Strings(entries)
-	var out []*Snapshot
-	for _, path := range entries {
-		s, err := readImage(path)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	lastSeq := 0
-	for _, s := range out {
-		if s.Incremental && s.Seq != lastSeq+1 {
-			return nil, fmt.Errorf("%w: incremental snapshot %d without its base (last seen %d)",
-				ErrTruncated, s.Seq, lastSeq)
-		}
-		lastSeq = s.Seq
-	}
-	return out, nil
+	return snaps, nil
 }
 
 func readImage(path string) (*Snapshot, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("snapshot: opening image: %w", err)
+		return nil, fmt.Errorf("snapshot: reading image: %w", err)
 	}
-	defer f.Close()
-	s, err := Read(f)
+	s, err := decode(data)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: decoding %s: %w", filepath.Base(path), err)
 	}
@@ -572,10 +429,20 @@ type DirSalvage struct {
 	// Dropped explains, per unusable file, why it was dropped, in
 	// directory order ("<file>: <reason>").
 	Dropped []string
+	// first is the first damage met, as a typed error; nil when Clean.
+	first error
 }
 
 // Clean reports whether the directory salvaged without loss.
 func (d *DirSalvage) Clean() bool { return d.Total == d.Usable && len(d.Dropped) == 0 }
+
+// drop records why an image is unusable.
+func (d *DirSalvage) drop(base, reason string, err error) {
+	d.Dropped = append(d.Dropped, base+": "+reason)
+	if d.first == nil {
+		d.first = err
+	}
+}
 
 // ReadDirSalvage loads the usable prefix of a snapshot image directory:
 // images decode in sequence order until the first damaged or missing link
@@ -596,18 +463,19 @@ func ReadDirSalvage(dir string) ([]*Snapshot, *DirSalvage, error) {
 		base := filepath.Base(path)
 		s, err := readImage(path)
 		if err != nil {
-			sal.Dropped = append(sal.Dropped, fmt.Sprintf("%s: %v", base, err))
+			sal.drop(base, err.Error(), err)
 			broken = true
 			continue
 		}
 		if broken && s.Incremental {
-			sal.Dropped = append(sal.Dropped, fmt.Sprintf("%s: incremental after broken chain", base))
+			sal.drop(base, "incremental after broken chain", nil)
 			continue
 		}
 		if !broken && s.Incremental && s.Seq != lastSeq+1 {
 			// A sequence gap — including a chain that starts incremental
 			// with its base image gone — severs the chain too.
-			sal.Dropped = append(sal.Dropped, fmt.Sprintf("%s: sequence gap (%d after %d)", base, s.Seq, lastSeq))
+			sal.drop(base, fmt.Sprintf("sequence gap (%d after %d)", s.Seq, lastSeq),
+				fmt.Errorf("%w: incremental snapshot %d without its base (last seen %d)", ErrTruncated, s.Seq, lastSeq))
 			broken = true
 			continue
 		}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"cmp"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -127,9 +129,7 @@ func TestWriteDirReadDir(t *testing.T) {
 	b := sampleSnapshot()
 	b.Seq = 4
 	b.Incremental = false
-	if err := WriteDir(dir, []*Snapshot{b, a}); err != nil {
-		t.Fatal(err)
-	}
+	writeImages(t, dir, []*Snapshot{b, a}, nil)
 	got, err := ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -226,5 +226,32 @@ func TestCodecRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReferenceImagesReencode pins the image bytes: every checked-in
+// image decodes, and writing the decoded snapshot reproduces the file
+// byte for byte.
+func TestReferenceImagesReencode(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join(refSnapDir, "snap-*.img"))
+	if err != nil || len(paths) != 17 {
+		t.Fatalf("%d reference images: %v", len(paths), err)
+	}
+	for _, path := range paths {
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Read(bytes.NewReader(want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := s.Write(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("%s: re-encoding gave %d bytes, not the checked-in %d", filepath.Base(path), got.Len(), len(want))
+		}
 	}
 }

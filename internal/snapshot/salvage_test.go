@@ -29,7 +29,7 @@ func TestV1ImageRefused(t *testing.T) {
 	}
 	for _, version := range []byte{1, 2} {
 		old := append([]byte(nil), data...)
-		old[len(imageMagic)] = version
+		old[len(imageFormat.Magic)] = version
 		if _, err := Read(bytes.NewReader(old)); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("version-%d image: err = %v, want ErrCorrupt", version, err)
 		}
@@ -74,15 +74,24 @@ func TestReadTypedErrors(t *testing.T) {
 	}
 }
 
+// writeImages publishes each snapshot with WriteImage, the way the Dumper
+// persists them as they are taken.
+func writeImages(t *testing.T, dir string, snaps []*Snapshot, fio *faultio.Injector) {
+	t.Helper()
+	for _, s := range snaps {
+		if err := WriteImage(dir, s, fio); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestWriteDirAtomicNoTemporaries(t *testing.T) {
 	dir := t.TempDir()
 	a := sampleSnapshot()
 	a.Incremental = false // chain base: ReadDir refuses a rootless chain
 	b := sampleSnapshot()
 	b.Seq = 4
-	if err := WriteDir(dir, []*Snapshot{a, b}); err != nil {
-		t.Fatal(err)
-	}
+	writeImages(t, dir, []*Snapshot{a, b}, nil)
 	entries, _ := os.ReadDir(dir)
 	for _, e := range entries {
 		if strings.HasSuffix(e.Name(), ".tmp") {
@@ -106,9 +115,7 @@ func TestWriteDirCrashLeavesNoAmbiguousImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteDirFaulty(dir, snaps, faultio.New(plan)); err != nil {
-		t.Fatal(err)
-	}
+	writeImages(t, dir, snaps, faultio.New(plan))
 	// Every published image decodes; the crash lost a suffix, never a
 	// half-written file.
 	got, err := ReadDir(dir)
@@ -133,9 +140,7 @@ func TestReadDirSalvagePrefixAndGap(t *testing.T) {
 		s.Seq = i
 		snaps = append(snaps, s)
 	}
-	if err := WriteDir(dir, snaps); err != nil {
-		t.Fatal(err)
-	}
+	writeImages(t, dir, snaps, nil)
 
 	// Clean directory: everything usable.
 	got, sal, err := ReadDirSalvage(dir)
@@ -159,9 +164,7 @@ func TestReadDirSalvagePrefixAndGap(t *testing.T) {
 	}
 
 	// A missing image severs the chain the same way.
-	if err := WriteDir(dir, snaps); err != nil {
-		t.Fatal(err)
-	}
+	writeImages(t, dir, snaps, nil)
 	if err := os.Remove(filepath.Join(dir, FileName(2))); err != nil {
 		t.Fatal(err)
 	}
@@ -183,9 +186,7 @@ func TestReadDirSalvageFullSnapshotRestartsChain(t *testing.T) {
 		snaps = append(snaps, s)
 	}
 	snaps[3].Incremental = false // image 4 is a full dump
-	if err := WriteDir(dir, snaps); err != nil {
-		t.Fatal(err)
-	}
+	writeImages(t, dir, snaps, nil)
 	if err := os.Truncate(filepath.Join(dir, FileName(2)), 9); err != nil {
 		t.Fatal(err)
 	}
