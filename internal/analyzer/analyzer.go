@@ -68,7 +68,9 @@ func (o Options) withDefaults() Options {
 
 // Analyze runs the full §3.3 pipeline: evidence gathering, target-generation
 // estimation, STTree construction, conflict detection and resolution, and
-// directive emission.
+// directive emission. Damaged artifacts are refused with an error wrapping
+// recorder.ErrCorrupt or recorder.ErrTruncated, as are recorded serials
+// spanning more than 2n + 65 536 values for n recorded ids.
 func Analyze(recordsDir string, snaps []*snapshot.Snapshot, opts Options) (*Profile, error) {
 	opts = opts.withDefaults()
 	evidence, err := gatherEvidence(recordsDir, snaps)

@@ -19,7 +19,7 @@ import (
 // "keep" path retains objects for the rest of the run, the "drop" path
 // discards them immediately — the paper's Listing 1 conflict in miniature.
 // A third site allocates transient objects directly.
-func profileRun(t *testing.T, iterations int) (string, []func() error, *dumper.Dumper) {
+func profileRun(t testing.TB, iterations int) (string, []func() error, *dumper.Dumper) {
 	t.Helper()
 	clk := simclock.New()
 	col, err := ng2c.NewG1(clk, ng2c.Config{

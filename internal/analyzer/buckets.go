@@ -54,15 +54,15 @@ func gatherEvidence(recordsDir string, snaps []*snapshot.Snapshot) (map[heap.Sit
 	}
 
 	evidence := make(map[heap.SiteID]*siteEvidence, len(table))
-	idSite := make(map[heap.ObjectID]heap.SiteID)
+	var idx serialIndex
 	for _, sid := range sortedSites(table) {
 		ids, err := recorder.ReadIDs(recordsDir, sid)
 		if err != nil {
 			return nil, err
 		}
-		addSiteEvidence(evidence, idSite, sid, table[sid], ids)
+		addSiteEvidence(evidence, &idx, sid, table[sid], ids)
 	}
-	if err := replaySnapshots(evidence, idSite, snaps); err != nil {
+	if err := replaySnapshots(&idx, snaps); err != nil {
 		return nil, err
 	}
 	return evidence, nil
@@ -79,39 +79,107 @@ func sortedSites(table map[heap.SiteID]jvm.StackTrace) []heap.SiteID {
 }
 
 // addSiteEvidence registers one site's recorded ids.
-func addSiteEvidence(evidence map[heap.SiteID]*siteEvidence, idSite map[heap.ObjectID]heap.SiteID, sid heap.SiteID, trace jvm.StackTrace, ids []heap.ObjectID) {
-	evidence[sid] = &siteEvidence{id: sid, trace: trace, traceString: trace.String(), total: uint64(len(ids))}
+func addSiteEvidence(evidence map[heap.SiteID]*siteEvidence, idx *serialIndex, sid heap.SiteID, trace jvm.StackTrace, ids []heap.ObjectID) {
+	ev := &siteEvidence{id: sid, trace: trace, traceString: trace.String(), total: uint64(len(ids))}
+	evidence[sid] = ev
+	idx.add(ev, ids)
+}
+
+// serialIndex is the per-object state of §3.3's buckets, indexed by
+// allocation serial (heap.ObjectID.Serial) instead of hashed by id: a
+// profiling run's recorded serials are dense, so two slices over their
+// window [lo, hi] replace an id-to-site and an id-to-count map.
+type serialIndex struct {
+	// sites lists the evidence in the order add saw it; ids holds each
+	// site's recorded ids until build indexes them.
+	sites []*siteEvidence
+	ids   [][]heap.ObjectID
+	// n counts the recorded ids, duplicates included; lo and hi bound
+	// their serials.
+	n, lo, hi uint64
+	// site[s-lo] is the 1-based position in sites of the site that
+	// recorded serial s, 0 if none did; survived[s-lo] counts the
+	// snapshots that found it live.
+	site     []uint32
+	survived []uint32
+}
+
+// add registers one site's recorded ids.
+func (x *serialIndex) add(ev *siteEvidence, ids []heap.ObjectID) {
+	x.sites = append(x.sites, ev)
+	x.ids = append(x.ids, ids)
 	for _, oid := range ids {
-		idSite[oid] = sid
+		s := oid.Serial()
+		if x.n == 0 || s < x.lo {
+			x.lo = s
+		}
+		if x.n == 0 || s > x.hi {
+			x.hi = s
+		}
+		x.n++
 	}
+}
+
+// build allocates the index and assigns every recorded serial its site. An
+// id recorded by two sites belongs to the later one; both still count it in
+// their totals. A serial window wider than 2n + 65 536 cannot come from
+// one recording, whose serials are a run of the allocation counter, so it
+// is refused as corrupt before anything proportional to it is allocated.
+func (x *serialIndex) build() error {
+	if x.n > 0 && x.hi-x.lo >= 2*x.n+1<<16 {
+		return fmt.Errorf("analyzer: %w: recorded serials span [%d, %d], more than 2n + 65536 values for n = %d recorded ids",
+			recorder.ErrCorrupt, x.lo, x.hi, x.n)
+	}
+	var span uint64
+	if x.n > 0 {
+		span = x.hi - x.lo + 1
+	}
+	x.site = make([]uint32, span)
+	x.survived = make([]uint32, span)
+	for i, ids := range x.ids {
+		for _, oid := range ids {
+			x.site[oid.Serial()-x.lo] = uint32(i + 1)
+		}
+	}
+	x.ids = nil
+	return nil
 }
 
 // replaySnapshots replays the snapshot sequence through the store, counting
 // how many snapshots each recorded object appears in, and fills every
 // site's survival buckets.
-func replaySnapshots(evidence map[heap.SiteID]*siteEvidence, idSite map[heap.ObjectID]heap.SiteID, snaps []*snapshot.Snapshot) error {
-	idSurvived := make(map[heap.ObjectID]int)
+func replaySnapshots(idx *serialIndex, snaps []*snapshot.Snapshot) error {
+	if err := idx.build(); err != nil {
+		return err
+	}
 	store := snapshot.NewStore()
 	ordered := make([]*snapshot.Snapshot, len(snaps))
 	copy(ordered, snaps)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Seq < ordered[j].Seq })
+	span := uint64(len(idx.site))
 	for _, snap := range ordered {
 		if err := store.Apply(snap); err != nil {
 			return fmt.Errorf("analyzer: replaying snapshots: %w", err)
 		}
+		// A live serial inside the window that no site recorded is
+		// counted too: no bucket reads its count.
 		store.ForEach(func(oid heap.ObjectID) {
-			if _, recorded := idSite[oid]; recorded {
-				idSurvived[oid]++
+			if k := oid.Serial() - idx.lo; k < span {
+				idx.survived[k]++
 			}
 		})
 	}
 
 	maxBucket := len(ordered)
-	for _, ev := range evidence {
+	for _, ev := range idx.sites {
 		ev.survived = make([]uint64, maxBucket+1)
 	}
-	for oid, sid := range idSite {
-		evidence[sid].survived[idSurvived[oid]]++
+	for k, s := range idx.site {
+		if s != 0 {
+			// An id listed on two pages of one snapshot counts twice;
+			// the cap keeps a forged image inside the buckets.
+			idx.sites[s-1].survived[min(int(idx.survived[k]), maxBucket)]++
+		}
 	}
 	return nil
 }

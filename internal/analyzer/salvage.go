@@ -86,8 +86,11 @@ func (r *SalvageReport) String() string {
 // reports what was lost. Sites whose surviving stream falls below
 // opts.ConfidenceFloor are degraded to the safe young/dynamic fallback
 // rather than instrumented from evidence that may be misleading. The error
-// is non-nil only when no analysis is possible at all (the site table file
-// is unreadable or the synthesis itself fails).
+// is non-nil only when no analysis is possible at all: the site table file
+// is unreadable, the synthesis itself fails, or the surviving streams'
+// serials span more than 2n + 65 536 values for n recorded ids, which no
+// real recording produces and is refused with an error wrapping
+// recorder.ErrCorrupt before the index over them is allocated.
 func AnalyzeSalvage(recordsDir string, snaps []*snapshot.Snapshot, opts Options) (*Profile, *SalvageReport, error) {
 	opts = opts.withDefaults()
 	rep := &SalvageReport{}
@@ -99,7 +102,7 @@ func AnalyzeSalvage(recordsDir string, snaps []*snapshot.Snapshot, opts Options)
 	rep.Table = tsal
 
 	evidence := make(map[heap.SiteID]*siteEvidence, len(table))
-	idSite := make(map[heap.ObjectID]heap.SiteID)
+	var idx serialIndex
 	degraded := make(map[heap.SiteID]bool)
 	for _, sid := range sortedSites(table) {
 		ids, sal, err := recorder.SalvageIDs(recordsDir, sid)
@@ -110,7 +113,7 @@ func AnalyzeSalvage(recordsDir string, snaps []*snapshot.Snapshot, opts Options)
 			rep.DegradedSites++
 			continue
 		}
-		addSiteEvidence(evidence, idSite, sid, table[sid], ids)
+		addSiteEvidence(evidence, &idx, sid, table[sid], ids)
 		if sal.LostBytes == 0 && (sal.Complete || sal.Frames > 0) {
 			// Fully decoded — a live stream missing only its commit
 			// trailer is not damage. One without a single verified frame
@@ -130,7 +133,7 @@ func AnalyzeSalvage(recordsDir string, snaps []*snapshot.Snapshot, opts Options)
 		rep.Sites = append(rep.Sites, loss)
 	}
 
-	if err := replaySnapshots(evidence, idSite, snaps); err != nil {
+	if err := replaySnapshots(&idx, snaps); err != nil {
 		return nil, rep, err
 	}
 	prof, err := synthesize(evidence, opts, degraded)

@@ -22,7 +22,7 @@ func streamPath(dir string, sid heap.SiteID) string {
 // largestStream returns the site whose id stream holds the most bytes —
 // the best victim for partial-truncation tests, since a bigger file spans
 // more frames and leaves a salvageable prefix.
-func largestStream(t *testing.T, dir string) (heap.SiteID, int64) {
+func largestStream(t testing.TB, dir string) (heap.SiteID, int64) {
 	t.Helper()
 	sites, err := recorder.Streams(dir)
 	if err != nil || len(sites) == 0 {

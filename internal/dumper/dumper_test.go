@@ -2,6 +2,7 @@ package dumper
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"polm2/internal/heap"
@@ -199,10 +200,10 @@ func TestJmapDumpsOnlyLiveObjects(t *testing.T) {
 	if err := store.Apply(snap); err != nil {
 		t.Fatal(err)
 	}
-	if !store.Contains(liveObj.ID) {
+	if !slices.Contains(store.LiveIDs(), liveObj.ID) {
 		t.Fatal("live object missing from jmap dump")
 	}
-	if store.Contains(deadObj.ID) {
+	if slices.Contains(store.LiveIDs(), deadObj.ID) {
 		t.Fatal("dead object present in jmap dump")
 	}
 	if snap.Incremental {
@@ -297,7 +298,7 @@ func TestCRIUAndStoreRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !store.Contains(a.ID) || !store.Contains(b.ID) {
+	if !slices.Contains(store.LiveIDs(), a.ID) || !slices.Contains(store.LiveIDs(), b.ID) {
 		t.Fatalf("reconstructed view missing live objects: %v", store.LiveIDs())
 	}
 	if got := len(store.LiveIDs()); got != 2 {

@@ -3,7 +3,6 @@ package heap
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math/rand"
 	"slices"
 	"strings"
@@ -181,6 +180,16 @@ func TestFreeRegionPanicsOnResidents(t *testing.T) {
 	h.FreeRegion(r)
 }
 
+// sortedKeys returns the model's region ids ascending.
+func sortedKeys(model map[RegionID]*Region) []RegionID {
+	ids := make([]RegionID, 0, len(model))
+	for id := range model {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
 // The heap's one region list matches a model set of committed regions
 // through a random sequence of commits and frees: ascending by id, the
 // same *Region values, and the same occupancy totals. Freeing a freed
@@ -204,14 +213,14 @@ func TestRegionListMatchesCommits(t *testing.T) {
 				model[r.ID()] = r
 			}
 		} else {
-			ids := slices.Sorted(maps.Keys(model))
+			ids := sortedKeys(model)
 			r := model[ids[rng.Intn(len(ids))]]
 			h.FreeRegion(r)
 			delete(model, r.ID())
 			freed = append(freed, r)
 		}
 
-		want := slices.Sorted(maps.Keys(model))
+		want := sortedKeys(model)
 		if got := h.ActiveRegionIDs(); !slices.Equal(got, want) {
 			t.Fatalf("step %d: ActiveRegionIDs = %v, want %v", step, got, want)
 		}

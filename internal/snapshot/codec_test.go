@@ -220,7 +220,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		if err := sb.Apply(got); err != nil {
 			return false
 		}
-		return reflect.DeepEqual(sa.LiveSet(), sb.LiveSet()) &&
+		return reflect.DeepEqual(sa.LiveIDs(), sb.LiveIDs()) &&
 			got.Seq == s.Seq && got.Cycle == s.Cycle &&
 			got.Incremental == s.Incremental && got.SizeBytes == s.SizeBytes
 	}

@@ -114,19 +114,6 @@ func (s *Store) LiveIDs() []heap.ObjectID {
 	return out
 }
 
-// Contains reports whether the id is visible in the current view.
-// It is O(pages); the Analyzer uses LiveSet for bulk queries instead.
-func (s *Store) Contains(id heap.ObjectID) bool {
-	for _, ids := range s.pages {
-		for _, candidate := range ids {
-			if candidate == id {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // ForEach calls f for every identity hash visible in the current view, in
 // unspecified order. It avoids the allocation and sorting of LiveIDs on the
 // Analyzer's hot replay path.
@@ -136,15 +123,4 @@ func (s *Store) ForEach(f func(heap.ObjectID)) {
 			f(id)
 		}
 	}
-}
-
-// LiveSet returns the current view as a set for bulk membership queries.
-func (s *Store) LiveSet() map[heap.ObjectID]struct{} {
-	out := make(map[heap.ObjectID]struct{})
-	for _, ids := range s.pages {
-		for _, id := range ids {
-			out[id] = struct{}{}
-		}
-	}
-	return out
 }

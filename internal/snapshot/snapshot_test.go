@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"slices"
 	"testing"
 
 	"polm2/internal/heap"
@@ -31,7 +32,7 @@ func TestStoreAppliesFullSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Contains(10) || !s.Contains(20) {
+	if slices.Contains(s.LiveIDs(), 10) || !slices.Contains(s.LiveIDs(), 20) {
 		t.Fatalf("full snapshot did not replace view: %v", s.LiveIDs())
 	}
 }
@@ -57,10 +58,10 @@ func TestStoreIncrementalCarriesCleanPages(t *testing.T) {
 			{Key: pk(2, 0), HeaderIDs: []heap.ObjectID{21}},
 		},
 	}))
-	if !s.Contains(10) {
+	if !slices.Contains(s.LiveIDs(), 10) {
 		t.Fatal("clean page content lost")
 	}
-	if s.Contains(20) || !s.Contains(21) {
+	if slices.Contains(s.LiveIDs(), 20) || !slices.Contains(s.LiveIDs(), 21) {
 		t.Fatal("dirty page content not replaced")
 	}
 }
@@ -82,10 +83,10 @@ func TestStoreDropsUnmappedRegions(t *testing.T) {
 		Incremental: true,
 		Regions:     []heap.RegionID{2},
 	}))
-	if s.Contains(10) {
+	if slices.Contains(s.LiveIDs(), 10) {
 		t.Fatal("page of unmapped region survived")
 	}
-	if !s.Contains(20) {
+	if !slices.Contains(s.LiveIDs(), 20) {
 		t.Fatal("mapped clean page lost")
 	}
 }
@@ -107,7 +108,7 @@ func TestStoreDropsNoNeedPages(t *testing.T) {
 		Regions:     []heap.RegionID{1},
 		NoNeed:      []heap.PageKey{pk(1, 1)},
 	}))
-	if !s.Contains(10) || s.Contains(11) {
+	if !slices.Contains(s.LiveIDs(), 10) || slices.Contains(s.LiveIDs(), 11) {
 		t.Fatalf("no-need handling wrong: %v", s.LiveIDs())
 	}
 }
@@ -126,6 +127,8 @@ func TestStoreRejectsOutOfOrder(t *testing.T) {
 	}
 }
 
+// TestLiveSetMatchesLiveIDs: ForEach, the Analyzer's bulk view of the
+// live set, visits exactly the ids LiveIDs lists, and LiveIDs is sorted.
 func TestLiveSetMatchesLiveIDs(t *testing.T) {
 	s := NewStore()
 	must(t, s.Apply(&Snapshot{
@@ -136,14 +139,15 @@ func TestLiveSetMatchesLiveIDs(t *testing.T) {
 			{Key: pk(1, 0), HeaderIDs: []heap.ObjectID{3, 1, 2}},
 		},
 	}))
-	set := s.LiveSet()
+	set := make(map[heap.ObjectID]struct{})
+	s.ForEach(func(id heap.ObjectID) { set[id] = struct{}{} })
 	ids := s.LiveIDs()
 	if len(set) != len(ids) {
-		t.Fatalf("LiveSet size %d != LiveIDs size %d", len(set), len(ids))
+		t.Fatalf("ForEach visits %d ids != LiveIDs size %d", len(set), len(ids))
 	}
 	for _, id := range ids {
 		if _, ok := set[id]; !ok {
-			t.Fatalf("id %d missing from LiveSet", id)
+			t.Fatalf("id %d missing from ForEach", id)
 		}
 	}
 	for i := 1; i < len(ids); i++ {
