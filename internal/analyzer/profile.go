@@ -9,9 +9,11 @@ package analyzer
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
+	"polm2/internal/faultio"
 	"polm2/internal/jvm"
 )
 
@@ -93,21 +95,21 @@ func (p *Profile) sortDirectives() {
 	sort.Slice(p.Sites, func(i, j int) bool { return p.Sites[i].Trace < p.Sites[j].Trace })
 }
 
-// Save writes the profile as JSON, atomically: the file is staged under a
-// temporary name and renamed into place, so a crash mid-write never leaves
-// a half-written profile for the production phase to choke on.
+// Save writes the profile as indented JSON, whole or not at all
+// (faultio.(*Injector).Publish), so a crash mid-write never leaves a
+// half-written profile for the production phase to choke on.
 func (p *Profile) Save(path string) error {
 	data, err := json.MarshalIndent(p, "", "  ")
 	if err != nil {
 		return fmt.Errorf("analyzer: encoding profile: %w", err)
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("analyzer: writing profile: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("analyzer: publishing profile: %w", err)
+	var fio *faultio.Injector // nil: publish without faults
+	err = fio.Publish(path, func(w io.Writer) error {
+		_, err := w.Write(append(data, '\n'))
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("analyzer: saving profile: %w", err)
 	}
 	return nil
 }

@@ -129,30 +129,42 @@ func (p *Plan) String() string {
 // Examples: "seed=7;torn:site-*.bin", "crash#2500",
 // "bitflip:snap-*.img@100", "missing:sites.tsv".
 func ParseSpec(spec string) (*Plan, error) {
-	p := &Plan{Seed: 1}
+	seed, faults, err := splitSpec(spec, parseFault)
+	if err != nil {
+		return nil, err
+	}
+	if len(faults) == 0 {
+		return nil, fmt.Errorf("faultio: spec %q plans no faults", spec)
+	}
+	return &Plan{Seed: seed, Faults: faults}, nil
+}
+
+// splitSpec parses the outer grammar ParseSpec and ParseNetSpec share:
+// ";"-separated parts, each "seed=N" or a fault that parse reads. Blank
+// parts are skipped; the seed defaults to 1.
+func splitSpec[F any](spec string, parse func(string) (F, error)) (int64, []F, error) {
+	seed := int64(1)
+	var faults []F
 	for _, part := range strings.Split(spec, ";") {
 		part = strings.TrimSpace(part)
 		if part == "" {
 			continue
 		}
 		if v, ok := strings.CutPrefix(part, "seed="); ok {
-			seed, err := strconv.ParseInt(v, 10, 64)
+			n, err := strconv.ParseInt(v, 10, 64)
 			if err != nil {
-				return nil, fmt.Errorf("faultio: bad seed %q: %w", v, err)
+				return 0, nil, fmt.Errorf("faultio: bad seed %q: %w", v, err)
 			}
-			p.Seed = seed
+			seed = n
 			continue
 		}
-		f, err := parseFault(part)
+		f, err := parse(part)
 		if err != nil {
-			return nil, err
+			return 0, nil, err
 		}
-		p.Faults = append(p.Faults, f)
+		faults = append(faults, f)
 	}
-	if len(p.Faults) == 0 {
-		return nil, fmt.Errorf("faultio: spec %q plans no faults", spec)
-	}
-	return p, nil
+	return seed, faults, nil
 }
 
 func parseFault(s string) (Fault, error) {
@@ -313,10 +325,12 @@ func (in *Injector) Create(path string) (io.WriteCloser, error) {
 }
 
 // Publish makes path appear whole or not at all: write fills a temporary
-// created through the fault plan, which is then renamed into place. A
-// crash before the rename leaves the temporary abandoned, and a missing
-// file fault leaves nothing; neither is an error, since the writing
-// process never observes its own lost writes.
+// created through the fault plan, which is then renamed into place. It is
+// the only whole-file publish in the repository. A crash before the rename
+// leaves the temporary abandoned and the previous version in place, and a
+// missing-file fault leaves nothing; neither is an error, since the
+// writing process never observes its own lost writes. With a nil injector
+// it adds only create, close and rename to the syscalls write makes.
 func (in *Injector) Publish(path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := in.Create(tmp)
@@ -332,10 +346,7 @@ func (in *Injector) Publish(path string, write func(io.Writer) error) error {
 		os.Remove(tmp)
 		return err
 	}
-	if in.Crashed() {
-		return nil
-	}
-	if _, err := os.Stat(tmp); err != nil {
+	if _, swallowed := f.(discardFile); swallowed || in.Crashed() {
 		return nil
 	}
 	return os.Rename(tmp, path)

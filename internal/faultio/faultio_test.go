@@ -2,9 +2,12 @@ package faultio
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -204,5 +207,92 @@ func TestCorruptExplicitOffsets(t *testing.T) {
 	data, _ := os.ReadFile(path)
 	if string(data) != "0123456" {
 		t.Fatalf("data = %q", data)
+	}
+}
+
+// TestSpecErrorTexts pins the error texts of the outer grammar both
+// parsers share.
+func TestSpecErrorTexts(t *testing.T) {
+	for _, tc := range []struct {
+		parse func(string) error
+		spec  string
+		want  string
+	}{
+		{func(s string) error { _, err := ParseSpec(s); return err }, "seed=x;torn", `faultio: bad seed "x"`},
+		{func(s string) error { _, err := ParseSpec(s); return err }, "seed=3", `faultio: spec "seed=3" plans no faults`},
+		{func(s string) error { _, err := ParseNetSpec(s); return err }, "seed=x;drop%5", `faultio: bad seed "x"`},
+		{func(s string) error { _, err := ParseNetSpec(s); return err }, " ; ", `faultio: net spec " ; " plans no faults`},
+	} {
+		if err := tc.parse(tc.spec); err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("spec %q: err = %v, want prefix %q", tc.spec, err, tc.want)
+		}
+	}
+}
+
+// TestPublishWholeOrNothing: a publish either replaces the file with
+// everything written or leaves the previous version in place, whether the
+// file was swallowed, cut by a crash, or its writer failed.
+func TestPublishWholeOrNothing(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "doc.json")
+	writeString := func(s string) func(io.Writer) error {
+		return func(w io.Writer) error {
+			_, err := io.WriteString(w, s)
+			return err
+		}
+	}
+	check := func(label, want string) {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil || string(data) != want {
+			t.Fatalf("%s: doc.json = %q, %v; want %q", label, data, err, want)
+		}
+	}
+	var direct *Injector
+	if err := direct.Publish(path, writeString("v1")); err != nil {
+		t.Fatal(err)
+	}
+	check("nil injector", "v1")
+
+	missing, err := ParseSpec("missing:doc.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := New(missing).Publish(path, writeString("v2")); err != nil {
+		t.Fatal(err)
+	}
+	check("missing file", "v1")
+
+	// crash#1: the first publish's one write lands, the second's is cut
+	// after its temporary was created.
+	crash, err := ParseSpec("crash#1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := New(crash)
+	if err := in.Publish(path, writeString("v3")); err != nil {
+		t.Fatal(err)
+	}
+	check("before the crash", "v3")
+	if err := in.Publish(path, writeString("v4")); err != nil {
+		t.Fatal(err)
+	}
+	check("crash mid-write", "v3")
+	if err := in.Publish(path, writeString("v5")); err != nil {
+		t.Fatal(err)
+	}
+	check("after the crash", "v3")
+
+	boom := errors.New("boom")
+	err = direct.Publish(path, func(w io.Writer) error {
+		io.WriteString(w, "half")
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("failed writer: err = %v, want %v", err, boom)
+	}
+	check("failed writer", "v3")
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("failed writer left its temporary: %v", err)
 	}
 }

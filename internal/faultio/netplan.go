@@ -132,30 +132,14 @@ func (p *NetPlan) String() string {
 //	"seed=9;partition:inst-3..7@t=40s/20s;drop:upload%5"
 //	"dup:upload%10;delay:fetch%25@250ms;err5xx%2"
 func ParseNetSpec(spec string) (*NetPlan, error) {
-	p := &NetPlan{Seed: 1}
-	for _, part := range strings.Split(spec, ";") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		if v, ok := strings.CutPrefix(part, "seed="); ok {
-			seed, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("faultio: bad seed %q: %w", v, err)
-			}
-			p.Seed = seed
-			continue
-		}
-		f, err := parseNetFault(part)
-		if err != nil {
-			return nil, err
-		}
-		p.Faults = append(p.Faults, f)
+	seed, faults, err := splitSpec(spec, parseNetFault)
+	if err != nil {
+		return nil, err
 	}
-	if len(p.Faults) == 0 {
+	if len(faults) == 0 {
 		return nil, fmt.Errorf("faultio: net spec %q plans no faults", spec)
 	}
-	return p, nil
+	return &NetPlan{Seed: seed, Faults: faults}, nil
 }
 
 func parseNetFault(s string) (NetFault, error) {

@@ -54,16 +54,6 @@ func (t *Thread) Depth() int { return len(t.stack) }
 // (System.getGeneration in NG2C's API).
 func (t *Thread) TargetGen() heap.GenID { return t.targetGen }
 
-// SetTargetGen sets the thread's target generation and returns the previous
-// one (System.setGeneration). Workload code never calls this directly —
-// instrumentation plans do it through Call — but manual-annotation
-// experiments and tests may.
-func (t *Thread) SetTargetGen(gen heap.GenID) heap.GenID {
-	old := t.targetGen
-	t.targetGen = gen
-	return old
-}
-
 // Enter pushes a method invocation frame with no caller context — the
 // thread's entry point (e.g. run()).
 func (t *Thread) Enter(class, method string) {

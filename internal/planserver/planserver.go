@@ -320,13 +320,14 @@ func newCachedPlan(p *analyzer.Profile, file []byte) (*cachedPlan, error) {
 	}, nil
 }
 
-// encodeJSON renders a plan as compact JSON and a newline.
+// encodeJSON renders a plan in the store's form, compact JSON and a
+// newline (profilestore.Encode).
 func encodeJSON(p *analyzer.Profile) ([]byte, error) {
-	data, err := json.Marshal(p)
+	data, err := profilestore.Encode(p)
 	if err != nil {
 		return nil, fmt.Errorf("planserver: encoding plan: %w", err)
 	}
-	return append(data, '\n'), nil
+	return data, nil
 }
 
 // queryParam extracts the first value of key from a raw query string

@@ -6,9 +6,10 @@
 // can be chosen according to the estimated workload."
 //
 // A Store is safe for concurrent use: the plan-distribution daemon
-// (internal/planserver) fronts one store with many goroutines. Writes stage
-// under a temporary name and rename into place, so readers never observe a
-// half-written profile even across processes.
+// (internal/planserver) fronts one store with many goroutines. Every file
+// publishes through faultio.(*Injector).Publish (temporary name, then
+// rename), so readers never observe a half-written file even across
+// processes, and a crash mid-write leaves the previous version in place.
 package profilestore
 
 import (
@@ -18,7 +19,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -49,7 +49,7 @@ type Store struct {
 	dir string
 
 	mu sync.Mutex
-	// fault optionally interposes on the staging writes (polm2d -faults);
+	// fault optionally interposes on the store's writes (polm2d -faults);
 	// nil writes straight through.
 	fault *faultio.Injector
 }
@@ -65,7 +65,7 @@ func Open(dir string) (*Store, error) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// SetFault interposes an I/O fault injector on the store's staging writes.
+// SetFault interposes an I/O fault injector on the store's writes.
 // A nil injector (the default) writes straight through.
 func (s *Store) SetFault(in *faultio.Injector) {
 	s.mu.Lock()
@@ -119,20 +119,21 @@ func (s *Store) PutBytes(p *analyzer.Profile) ([]byte, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("profilestore: %w", err)
 	}
-	data, err := encode(p)
+	data, err := Encode(p)
 	if err != nil {
 		return nil, fmt.Errorf("profilestore: encoding profile: %w", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.writeFile(data, s.path(Key{App: p.App, Workload: p.Workload})); err != nil {
+	if err := s.publish(s.path(Key{App: p.App, Workload: p.Workload}), data); err != nil {
 		return nil, err
 	}
 	return data, nil
 }
 
-// encode renders v in the store's on-disk form: compact JSON and a newline.
-func encode(v any) ([]byte, error) {
+// Encode renders v in the store's on-disk form, which is also the daemon's
+// served plan body: compact JSON and a newline.
+func Encode(v any) ([]byte, error) {
 	data, err := json.Marshal(v)
 	if err != nil {
 		return nil, err
@@ -140,39 +141,15 @@ func encode(v any) ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// writeFile stages data under a temporary name (through the fault
-// injector, when one is set) and renames it into place.
-func (s *Store) writeFile(data []byte, path string) error {
-	tmp := path + ".tmp"
-	var err error
-	var w io.WriteCloser
-	if s.fault != nil {
-		w, err = s.fault.Create(tmp)
-	} else {
-		w, err = os.Create(tmp)
-	}
+// publish writes data to path whole or not at all, through the fault
+// injector when one is set.
+func (s *Store) publish(path string, data []byte) error {
+	err := s.fault.Publish(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("profilestore: staging profile: %w", err)
-	}
-	if _, err := w.Write(data); err != nil {
-		w.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("profilestore: writing profile: %w", err)
-	}
-	if err := w.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("profilestore: closing profile: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		if s.fault != nil && errors.Is(err, fs.ErrNotExist) {
-			// The injected fault swallowed the staging file wholesale (a
-			// crash or missing-file fault): per the fault model the writing
-			// process never observes its own lost write, so report success
-			// and leave the previous version in place.
-			return nil
-		}
-		return fmt.Errorf("profilestore: publishing profile: %w", err)
+		return fmt.Errorf("profilestore: publishing %s: %w", filepath.Base(path), err)
 	}
 	return nil
 }
@@ -332,11 +309,11 @@ func (s *Store) putEvidence(instance string, stamp *Stamp, p *analyzer.Profile) 
 	if err := os.MkdirAll(s.evidenceDir(), 0o755); err != nil {
 		return fmt.Errorf("profilestore: %w", err)
 	}
-	data, err := encode(evidenceEntry{Instance: instance, Stamp: stamp, Profile: p})
+	data, err := Encode(evidenceEntry{Instance: instance, Stamp: stamp, Profile: p})
 	if err != nil {
 		return fmt.Errorf("profilestore: encoding evidence: %w", err)
 	}
-	return s.writeFile(data, s.evidencePath(Key{App: p.App, Workload: p.Workload}, instance))
+	return s.publish(s.evidencePath(Key{App: p.App, Workload: p.Workload}, instance), data)
 }
 
 // Evidence loads every instance's latest evidence for (app, workload),
@@ -399,8 +376,8 @@ func (s *Store) rolloutPath(k Key) string {
 
 // PutRollout stores the canary-rollout controller document for (app,
 // workload) — an opaque JSON payload owned by the planserver — through the
-// same staged-write-then-rename path as profiles, fault injector included,
-// so a crash mid-write leaves the previous document intact.
+// same publish as profiles, fault injector included, so a crash mid-write
+// leaves the previous document intact.
 func (s *Store) PutRollout(app, workload string, doc []byte) error {
 	if app == "" || workload == "" {
 		return fmt.Errorf("profilestore: rollout document must carry app and workload")
@@ -410,7 +387,7 @@ func (s *Store) PutRollout(app, workload string, doc []byte) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.writeFile(append(bytes.TrimRight(doc, "\n"), '\n'), s.rolloutPath(Key{App: app, Workload: workload}))
+	return s.publish(s.rolloutPath(Key{App: app, Workload: workload}), append(bytes.TrimRight(doc, "\n"), '\n'))
 }
 
 // Rollout loads the rollout document for (app, workload); ErrNotFound when

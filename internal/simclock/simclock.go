@@ -64,24 +64,3 @@ func (c *Clock) AdvanceTo(t time.Duration) time.Duration {
 	}
 	return c.now
 }
-
-// Stopwatch measures a span of simulated time.
-type Stopwatch struct {
-	clock *Clock
-	start time.Duration
-}
-
-// StartStopwatch returns a stopwatch anchored at the current instant.
-func (c *Clock) StartStopwatch() Stopwatch {
-	return Stopwatch{clock: c, start: c.Now()}
-}
-
-// Elapsed returns the simulated time since the stopwatch was started.
-func (s Stopwatch) Elapsed() time.Duration {
-	return s.clock.Now() - s.start
-}
-
-// Start returns the instant at which the stopwatch was started.
-func (s Stopwatch) Start() time.Duration {
-	return s.start
-}

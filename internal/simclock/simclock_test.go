@@ -44,19 +44,6 @@ func TestAdvanceTo(t *testing.T) {
 	}
 }
 
-func TestStopwatch(t *testing.T) {
-	c := New()
-	c.Advance(time.Second)
-	sw := c.StartStopwatch()
-	if sw.Start() != time.Second {
-		t.Fatalf("Start() = %v, want 1s", sw.Start())
-	}
-	c.Advance(250 * time.Millisecond)
-	if got := sw.Elapsed(); got != 250*time.Millisecond {
-		t.Fatalf("Elapsed() = %v, want 250ms", got)
-	}
-}
-
 func TestConcurrentAdvance(t *testing.T) {
 	c := New()
 	const (
