@@ -66,18 +66,23 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Analyze runs the full §3.3 pipeline: evidence gathering, target-generation
+// Analyze runs the full §3.3 pipeline — evidence gathering, target-generation
 // estimation, STTree construction, conflict detection and resolution, and
-// directive emission. Damaged artifacts are refused with an error wrapping
-// recorder.ErrCorrupt or recorder.ErrTruncated, as are recorded serials
-// spanning more than 2n + 65 536 values for n recorded ids.
+// directive emission — strictly: it is AnalyzeSalvage refusing any artifact
+// that did not decode completely. It returns the first failure that
+// analysis met, in walk order: the site table's, then the lowest site's
+// stream's, each wrapping recorder.ErrCorrupt or recorder.ErrTruncated (a
+// live stream without its commit trailer is refused too); then the
+// serial-window refusal and any other error of AnalyzeSalvage.
 func Analyze(recordsDir string, snaps []*snapshot.Snapshot, opts Options) (*Profile, error) {
-	opts = opts.withDefaults()
-	evidence, err := gatherEvidence(recordsDir, snaps)
+	prof, rep, err := AnalyzeSalvage(recordsDir, snaps, opts)
+	if rep != nil && rep.first != nil {
+		err = rep.first
+	}
 	if err != nil {
 		return nil, err
 	}
-	return synthesize(evidence, opts, nil)
+	return prof, nil
 }
 
 // synthesize runs the second half of §3.3 — estimation, STTree, conflict

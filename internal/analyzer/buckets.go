@@ -38,36 +38,6 @@ type siteEvidence struct {
 	tainted uint64
 }
 
-// gatherEvidence implements the first half of §3.3's algorithm:
-//
-//   - load allocation stack traces, associating a bucket sequence to each;
-//   - load allocated object ids into bucket zero of their stack trace;
-//   - replay snapshots in creation order, moving every object found live
-//     into the next bucket.
-//
-// The result is, per site, the distribution of "number of snapshots
-// survived".
-func gatherEvidence(recordsDir string, snaps []*snapshot.Snapshot) (map[heap.SiteID]*siteEvidence, error) {
-	table, err := recorder.LoadSiteTable(recordsDir)
-	if err != nil {
-		return nil, err
-	}
-
-	evidence := make(map[heap.SiteID]*siteEvidence, len(table))
-	var idx serialIndex
-	for _, sid := range sortedSites(table) {
-		ids, err := recorder.ReadIDs(recordsDir, sid)
-		if err != nil {
-			return nil, err
-		}
-		addSiteEvidence(evidence, &idx, sid, table[sid], ids)
-	}
-	if err := replaySnapshots(&idx, snaps); err != nil {
-		return nil, err
-	}
-	return evidence, nil
-}
-
 // sortedSites returns the table's site ids in ascending order.
 func sortedSites(table map[heap.SiteID]jvm.StackTrace) []heap.SiteID {
 	siteIDs := make([]heap.SiteID, 0, len(table))
@@ -95,8 +65,9 @@ type serialIndex struct {
 	sites []*siteEvidence
 	ids   [][]heap.ObjectID
 	// n counts the recorded ids, duplicates included; lo and hi bound
-	// their serials.
-	n, lo, hi uint64
+	// their serials. listed counts the ids the replayed snapshots list,
+	// duplicates included.
+	n, lo, hi, listed uint64
 	// site[s-lo] is the 1-based position in sites of the site that
 	// recorded serial s, 0 if none did; survived[s-lo] counts the
 	// snapshots that found it live.
@@ -122,13 +93,16 @@ func (x *serialIndex) add(ev *siteEvidence, ids []heap.ObjectID) {
 
 // build allocates the index and assigns every recorded serial its site. An
 // id recorded by two sites belongs to the later one; both still count it in
-// their totals. A serial window wider than 2n + 65 536 cannot come from
-// one recording, whose serials are a run of the allocation counter, so it
-// is refused as corrupt before anything proportional to it is allocated.
+// their totals. The serial window may reach 2(n + s) + 65 536 values for n
+// recorded ids and s snapshot-listed ids: a recording's serials are a run
+// of the allocation counter, which a torn recording thins to its surviving
+// prefixes but whose live objects the snapshots still list. A wider window
+// is refused as corrupt before anything proportional to it is allocated, so
+// the index stays proportional to the ids already decoded in memory.
 func (x *serialIndex) build() error {
-	if x.n > 0 && x.hi-x.lo >= 2*x.n+1<<16 {
-		return fmt.Errorf("analyzer: %w: recorded serials span [%d, %d], more than 2n + 65536 values for n = %d recorded ids",
-			recorder.ErrCorrupt, x.lo, x.hi, x.n)
+	if x.n > 0 && x.hi-x.lo >= 2*(x.n+x.listed)+1<<16 {
+		return fmt.Errorf("analyzer: %w: recorded serials span [%d, %d], more than 2(n + s) + 65536 values for n = %d recorded ids and s = %d snapshot-listed ids",
+			recorder.ErrCorrupt, x.lo, x.hi, x.n, x.listed)
 	}
 	var span uint64
 	if x.n > 0 {
@@ -149,6 +123,11 @@ func (x *serialIndex) build() error {
 // how many snapshots each recorded object appears in, and fills every
 // site's survival buckets.
 func replaySnapshots(idx *serialIndex, snaps []*snapshot.Snapshot) error {
+	for _, snap := range snaps {
+		for _, pr := range snap.Pages {
+			idx.listed += uint64(len(pr.HeaderIDs))
+		}
+	}
 	if err := idx.build(); err != nil {
 		return err
 	}

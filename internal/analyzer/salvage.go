@@ -41,6 +41,17 @@ type SalvageReport struct {
 	LostBytes int64 `json:"lost_bytes,omitempty"`
 	// DegradedSites counts sites forced to the young/dynamic fallback.
 	DegradedSites int `json:"degraded_sites,omitempty"`
+	// first is the first failure a strict read met, in walk order: the
+	// site table's, then the lowest site's stream's; nil when every
+	// artifact decoded completely. Analyze refuses with it.
+	first error
+}
+
+// fail records err unless an earlier failure is already recorded.
+func (r *SalvageReport) fail(err error) {
+	if r.first == nil {
+		r.first = err
+	}
 }
 
 // Clean reports whether nothing was lost: every artifact decoded fully.
@@ -81,15 +92,18 @@ func (r *SalvageReport) String() string {
 	return "salvage: " + strings.Join(parts, "; ")
 }
 
-// AnalyzeSalvage is Analyze's corruption-tolerant twin: instead of refusing
-// damaged artifacts it analyzes the longest trustworthy prefix of each and
-// reports what was lost. Sites whose surviving stream falls below
-// opts.ConfidenceFloor are degraded to the safe young/dynamic fallback
-// rather than instrumented from evidence that may be misleading. The error
-// is non-nil only when no analysis is possible at all: the site table file
-// is unreadable, the synthesis itself fails, or the surviving streams'
-// serials span more than 2n + 65 536 values for n recorded ids, which no
-// real recording produces and is refused with an error wrapping
+// AnalyzeSalvage runs §3.3's pipeline over the Analyzer's one evidence
+// walk: it loads the allocation stack traces, loads every site's recorded
+// ids into bucket zero, and replays the snapshots in creation order, moving
+// every object found live into the next bucket. Instead of refusing damaged
+// artifacts it analyzes the longest trustworthy prefix of each and reports
+// what was lost; Analyze is this walk refusing any loss. Sites whose surviving stream falls below opts.ConfidenceFloor
+// are degraded to the safe young/dynamic fallback rather than instrumented
+// from evidence that may be misleading. The error is non-nil only when no
+// analysis is possible at all: the site table file is unreadable, the
+// synthesis itself fails, or the surviving streams' serials span more than
+// 2(n + s) + 65 536 values for n recorded ids and s ids listed across snaps,
+// which no real recording produces and is refused with an error wrapping
 // recorder.ErrCorrupt before the index over them is allocated.
 func AnalyzeSalvage(recordsDir string, snaps []*snapshot.Snapshot, opts Options) (*Profile, *SalvageReport, error) {
 	opts = opts.withDefaults()
@@ -100,6 +114,7 @@ func AnalyzeSalvage(recordsDir string, snaps []*snapshot.Snapshot, opts Options)
 		return nil, nil, err
 	}
 	rep.Table = tsal
+	rep.fail(tsal.Err())
 
 	evidence := make(map[heap.SiteID]*siteEvidence, len(table))
 	var idx serialIndex
@@ -107,12 +122,14 @@ func AnalyzeSalvage(recordsDir string, snaps []*snapshot.Snapshot, opts Options)
 	for _, sid := range sortedSites(table) {
 		ids, sal, err := recorder.SalvageIDs(recordsDir, sid)
 		if err != nil {
+			rep.fail(err)
 			// The stream never made it to disk: the site contributes no
 			// evidence and stays uninstrumented.
 			rep.Sites = append(rep.Sites, SiteLoss{Site: sid, Trace: table[sid].String(), Err: err.Error(), Degraded: true})
 			rep.DegradedSites++
 			continue
 		}
+		rep.fail(sal.Err())
 		addSiteEvidence(evidence, &idx, sid, table[sid], ids)
 		if sal.LostBytes == 0 && (sal.Complete || sal.Frames > 0) {
 			// Fully decoded — a live stream missing only its commit

@@ -4,5 +4,6 @@
 // header, mid-frame, frame-boundary and trailer classes, and asserts the
 // pipeline always ends in exactly one of full recovery,
 // salvage-with-report, or a typed refusal — never a panic. It is a
-// test-only package; the sweep lives in crashmatrix_test.go.
+// test-only package; the sweep lives in crashmatrix_test.go, and
+// torn_test.go checks that a run torn by live faults still salvages.
 package crashmatrix

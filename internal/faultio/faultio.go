@@ -9,14 +9,10 @@
 // bytes. The Recorder and Dumper keep running; the Analyzer later meets the
 // damage and must salvage (see analyzer.AnalyzeSalvage).
 //
-// Two injection modes are provided:
-//
-//   - live: Create/WrapWriter interpose on the artifact file writes
-//     (short writes, torn streams, bit flips, crash-after-k-syscalls,
-//     missing files);
-//   - post-hoc: Corrupt applies truncation, bit flips and deletions to an
-//     already-written artifact directory, which is how the crash-matrix
-//     tests sweep byte-offset classes precisely.
+// Faults are injected live, on the way to the disk: every artifact file is
+// opened through Create or published through Publish, whose writers apply
+// short writes, torn streams, bit flips, crash-after-k-syscalls and missing
+// files as the bytes are written.
 //
 // Every choice a fault makes (which write, which byte, which bit) derives
 // from the plan seed and the artifact file name, never from wall-clock or
@@ -28,7 +24,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -45,8 +40,6 @@ const (
 	// KindTorn drops every byte from a chosen stream offset onward — the
 	// classic truncation left by a process killed mid-append.
 	KindTorn
-	// KindTruncate truncates the finished file at byte N (post-hoc).
-	KindTruncate
 	// KindBitFlip flips one bit of one byte.
 	KindBitFlip
 	// KindCrash stops the world after the k-th write syscall across all
@@ -63,8 +56,6 @@ func (k Kind) String() string {
 		return "short"
 	case KindTorn:
 		return "torn"
-	case KindTruncate:
-		return "truncate"
 	case KindBitFlip:
 		return "bitflip"
 	case KindCrash:
@@ -81,8 +72,8 @@ type Fault struct {
 	// Match is a path.Match glob against the artifact file's base name;
 	// empty matches every file. Ignored by KindCrash.
 	Match string
-	// Offset is the byte offset for torn/truncate/bitflip faults. A
-	// negative offset counts from the file end; OffsetSet false derives a
+	// Offset is the stream offset for torn and bitflip faults, counted
+	// from the file start; it is never negative. OffsetSet false derives a
 	// deterministic offset from the plan seed and the file name.
 	Offset    int64
 	OffsetSet bool
@@ -124,7 +115,7 @@ func (p *Plan) String() string {
 //
 //	spec  = "seed=N" *( ";" fault )  |  fault *( ";" fault )
 //	fault = kind [ ":" glob ] [ "@" offset ] [ "#" afterOps ]
-//	kind  = "short" | "torn" | "truncate" | "bitflip" | "crash" | "missing"
+//	kind  = "short" | "torn" | "bitflip" | "crash" | "missing"
 //
 // Examples: "seed=7;torn:site-*.bin", "crash#2500",
 // "bitflip:snap-*.img@100", "missing:sites.tsv".
@@ -180,7 +171,7 @@ func parseFault(s string) (Fault, error) {
 	}
 	if i := strings.IndexByte(rest, '@'); i >= 0 {
 		off, err := strconv.ParseInt(rest[i+1:], 10, 64)
-		if err != nil {
+		if err != nil || off < 0 {
 			return f, fmt.Errorf("faultio: bad offset in %q", s)
 		}
 		f.Offset, f.OffsetSet = off, true
@@ -192,8 +183,6 @@ func parseFault(s string) (Fault, error) {
 		f.Kind = KindShortWrite
 	case "torn":
 		f.Kind = KindTorn
-	case "truncate":
-		f.Kind = KindTruncate
 	case "bitflip":
 		f.Kind = KindBitFlip
 	case "crash":
@@ -273,15 +262,15 @@ func (in *Injector) Plan() *Plan {
 // Crashed reports whether the crash fault has fired.
 func (in *Injector) Crashed() bool { return in != nil && in.crashed }
 
-// faultsFor returns the live-mode faults whose glob matches the base name.
+// faultsFor returns the per-file faults whose glob matches the base name.
 func (in *Injector) faultsFor(base string) []Fault {
 	if in == nil || in.plan == nil {
 		return nil
 	}
 	var out []Fault
 	for _, f := range in.plan.Faults {
-		if f.Kind == KindCrash || f.Kind == KindTruncate {
-			continue // crash is global; truncate is post-hoc only
+		if f.Kind == KindCrash {
+			continue // crash is global
 		}
 		if f.Match == "" {
 			out = append(out, f)
@@ -379,28 +368,6 @@ func (fw *faultWriter) configure(faults []Fault) {
 	}
 }
 
-// WrapWriter interposes the fault plan on an existing writer, using name
-// for glob matching and offset derivation. The underlying writer is never
-// handed an error to surface: lost bytes are silently dropped.
-func (in *Injector) WrapWriter(name string, w io.Writer) io.Writer {
-	if in == nil || in.plan == nil {
-		return w
-	}
-	faults := in.faultsFor(filepath.Base(name))
-	for _, f := range faults {
-		if f.Kind == KindMissing {
-			return discardFile{} // the file's content is lost wholesale
-		}
-	}
-	fw := &faultWriter{in: in, f: nopCloser{w}, name: filepath.Base(name)}
-	fw.configure(faults)
-	return fw
-}
-
-type nopCloser struct{ io.Writer }
-
-func (nopCloser) Close() error { return nil }
-
 // discardFile swallows a missing file's bytes.
 type discardFile struct{}
 
@@ -449,12 +416,14 @@ func (fw *faultWriter) Write(p []byte) (int, error) {
 			keep = 0
 		}
 		persist = p[:keep]
-		// Everything past the tear point is gone for good.
+		// Everything past the tear point is gone for good: the file is
+		// closed here and later writes are discarded.
 		fw.hasTorn = false
 		fw.hasShort = false
 		fw.hasFlip = false
 		fw.writeThrough(persist)
 		fw.pos += int64(n)
+		fw.f.Close() //nolint:errcheck // fault model: the process cannot see it
 		fw.f = discardFile{}
 		return n, nil
 	}
@@ -487,110 +456,3 @@ func (fw *faultWriter) writeThrough(p []byte) {
 }
 
 func (fw *faultWriter) Close() error { return fw.f.Close() }
-
-// Action describes one post-hoc corruption Corrupt performed.
-type Action struct {
-	File   string
-	Kind   Kind
-	Offset int64
-}
-
-func (a Action) String() string {
-	return fmt.Sprintf("%s %s@%d", a.Kind, a.File, a.Offset)
-}
-
-// Corrupt applies the plan's post-hoc faults (truncate, bitflip, torn,
-// missing) to the files of an artifact directory and reports what it did.
-// Live-only kinds (short, crash) are ignored. File order is sorted, so the
-// action list is deterministic.
-func (in *Injector) Corrupt(dir string) ([]Action, error) {
-	if in == nil || in.plan == nil {
-		return nil, nil
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("faultio: corrupting %s: %w", dir, err)
-	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if !e.IsDir() {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	var actions []Action
-	for _, f := range in.plan.Faults {
-		for _, name := range names {
-			if f.Match != "" {
-				if ok, _ := filepath.Match(f.Match, name); !ok {
-					continue
-				}
-			}
-			path := filepath.Join(dir, name)
-			act, err := applyPostHoc(in.plan.Seed, path, name, f)
-			if err != nil {
-				return actions, err
-			}
-			if act != nil {
-				actions = append(actions, *act)
-			}
-		}
-	}
-	return actions, nil
-}
-
-func applyPostHoc(seed int64, path, name string, f Fault) (*Action, error) {
-	switch f.Kind {
-	case KindMissing:
-		if err := os.Remove(path); err != nil {
-			return nil, fmt.Errorf("faultio: removing %s: %w", name, err)
-		}
-		return &Action{File: name, Kind: f.Kind}, nil
-	case KindTruncate, KindTorn:
-		info, err := os.Stat(path)
-		if err != nil {
-			return nil, fmt.Errorf("faultio: %w", err)
-		}
-		off := f.Offset
-		if !f.OffsetSet {
-			if info.Size() > 1 {
-				off = 1 + int64(derive(seed, name, 0x7024)%uint64(info.Size()-1))
-			}
-		} else if off < 0 {
-			off = info.Size() + off
-		}
-		if off < 0 {
-			off = 0
-		}
-		if off >= info.Size() {
-			return nil, nil // nothing to cut
-		}
-		if err := os.Truncate(path, off); err != nil {
-			return nil, fmt.Errorf("faultio: truncating %s: %w", name, err)
-		}
-		return &Action{File: name, Kind: KindTruncate, Offset: off}, nil
-	case KindBitFlip:
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("faultio: %w", err)
-		}
-		if len(data) == 0 {
-			return nil, nil
-		}
-		off := f.Offset
-		if !f.OffsetSet {
-			off = int64(derive(seed, name, 0xb1f1) % uint64(len(data)))
-		} else if off < 0 {
-			off = int64(len(data)) + off
-		}
-		if off < 0 || off >= int64(len(data)) {
-			return nil, nil
-		}
-		data[off] ^= 1 << (derive(seed, name, 0xb172) % 8)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			return nil, fmt.Errorf("faultio: rewriting %s: %w", name, err)
-		}
-		return &Action{File: name, Kind: f.Kind, Offset: off}, nil
-	}
-	return nil, nil
-}

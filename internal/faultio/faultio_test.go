@@ -1,7 +1,6 @@
 package faultio
 
 import (
-	"bytes"
 	"errors"
 	"io"
 	"os"
@@ -40,25 +39,45 @@ func TestParseSpec(t *testing.T) {
 }
 
 func TestParseSpecRejects(t *testing.T) {
-	for _, spec := range []string{"", "seed=1", "explode", "torn:[", "crash#-1", "seed=x;torn"} {
+	for _, spec := range []string{"", "seed=1", "explode", "torn:[", "crash#-1", "seed=x;torn", "torn:a.bin@-3", "truncate:a.bin"} {
 		if _, err := ParseSpec(spec); err == nil {
 			t.Errorf("spec %q should not parse", spec)
 		}
 	}
 }
 
+// create opens name in dir through in, failing the test on error.
+func create(t *testing.T, in *Injector, dir, name string) io.WriteCloser {
+	t.Helper()
+	w, err := in.Create(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// contents returns what reached the disk for name in dir.
+func contents(t *testing.T, dir, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 func TestNilInjectorPassesThrough(t *testing.T) {
 	var in *Injector
-	var buf bytes.Buffer
-	w := in.WrapWriter("a.bin", &buf)
+	dir := t.TempDir()
+	w := create(t, in, dir, "a.bin")
 	if _, err := w.Write([]byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	if buf.String() != "hello" {
-		t.Fatalf("buf = %q", buf.String())
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if acts, err := in.Corrupt(t.TempDir()); err != nil || acts != nil {
-		t.Fatalf("nil injector corrupt = %v, %v", acts, err)
+	if got := contents(t, dir, "a.bin"); string(got) != "hello" {
+		t.Fatalf("a.bin = %q", got)
 	}
 }
 
@@ -67,9 +86,9 @@ func TestTornWriterCutsAtOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := New(plan)
-	var buf bytes.Buffer
-	w := in.WrapWriter("a.bin", &buf)
+	dir := t.TempDir()
+	w := create(t, New(plan), dir, "a.bin")
+	file := w.(*faultWriter).f.(*os.File)
 	// The writer must claim success for every byte.
 	for _, chunk := range []string{"abc", "defg", "hij"} {
 		n, err := w.Write([]byte(chunk))
@@ -77,8 +96,15 @@ func TestTornWriterCutsAtOffset(t *testing.T) {
 			t.Fatalf("write %q = %d, %v", chunk, n, err)
 		}
 	}
-	if buf.String() != "abcde" {
-		t.Fatalf("persisted %q, want torn prefix \"abcde\"", buf.String())
+	// The tear closes the file it cut: nothing holds it open until Close.
+	if _, err := file.Write([]byte("x")); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("file still open after the tear: write err = %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := contents(t, dir, "a.bin"); string(got) != "abcde" {
+		t.Fatalf("persisted %q, want torn prefix \"abcde\"", got)
 	}
 }
 
@@ -87,14 +113,16 @@ func TestBitFlipFlipsExactlyOneBit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := New(plan)
-	var buf bytes.Buffer
-	w := in.WrapWriter("a.bin", &buf)
+	dir := t.TempDir()
+	w := create(t, New(plan), dir, "a.bin")
 	payload := []byte{0, 0, 0, 0}
 	if _, err := w.Write(payload); err != nil {
 		t.Fatal(err)
 	}
-	got := buf.Bytes()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := contents(t, dir, "a.bin")
 	if len(got) != 4 || got[0] != 0 || got[1] != 0 || got[3] != 0 {
 		t.Fatalf("persisted % x", got)
 	}
@@ -112,9 +140,9 @@ func TestCrashDropsEverythingAfterK(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := New(plan)
-	var a, b bytes.Buffer
-	wa := in.WrapWriter("a.bin", &a)
-	wb := in.WrapWriter("b.bin", &b)
+	dir := t.TempDir()
+	wa := create(t, in, dir, "a.bin")
+	wb := create(t, in, dir, "b.bin")
 	wa.Write([]byte("one"))   // op 1: persists
 	wb.Write([]byte("two"))   // op 2: persists
 	wa.Write([]byte("three")) // op 3: lost
@@ -122,8 +150,10 @@ func TestCrashDropsEverythingAfterK(t *testing.T) {
 	if !in.Crashed() {
 		t.Fatal("injector did not crash")
 	}
-	if a.String() != "one" || b.String() != "two" {
-		t.Fatalf("persisted a=%q b=%q", a.String(), b.String())
+	wa.Close()
+	wb.Close()
+	if a, b := contents(t, dir, "a.bin"), contents(t, dir, "b.bin"); string(a) != "one" || string(b) != "two" {
+		t.Fatalf("persisted a=%q b=%q", a, b)
 	}
 }
 
@@ -157,56 +187,6 @@ func TestCreateMissingFileNeverAppears(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join(dir, "kept.bin"))
 	if err != nil || string(data) != "ok" {
 		t.Fatalf("kept.bin = %q, %v", data, err)
-	}
-}
-
-func TestCorruptPostHocDeterministic(t *testing.T) {
-	mk := func() string {
-		dir := t.TempDir()
-		os.WriteFile(filepath.Join(dir, "a.bin"), bytes.Repeat([]byte("x"), 100), 0o644)
-		os.WriteFile(filepath.Join(dir, "b.bin"), bytes.Repeat([]byte("y"), 100), 0o644)
-		return dir
-	}
-	plan, err := ParseSpec("seed=9;truncate:a.bin;bitflip:b.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d1, d2 := mk(), mk()
-	acts1, err := New(plan).Corrupt(d1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acts2, err := New(plan).Corrupt(d2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(acts1, acts2) {
-		t.Fatalf("actions differ:\n%v\n%v", acts1, acts2)
-	}
-	if len(acts1) != 2 {
-		t.Fatalf("actions = %v", acts1)
-	}
-	f1, _ := os.ReadFile(filepath.Join(d1, "a.bin"))
-	f2, _ := os.ReadFile(filepath.Join(d2, "a.bin"))
-	if !bytes.Equal(f1, f2) || len(f1) >= 100 {
-		t.Fatalf("truncate not deterministic: %d vs %d bytes", len(f1), len(f2))
-	}
-}
-
-func TestCorruptExplicitOffsets(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "a.bin")
-	os.WriteFile(path, []byte("0123456789"), 0o644)
-	plan, err := ParseSpec("truncate:a.bin@-3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(plan).Corrupt(dir); err != nil {
-		t.Fatal(err)
-	}
-	data, _ := os.ReadFile(path)
-	if string(data) != "0123456" {
-		t.Fatalf("data = %q", data)
 	}
 }
 

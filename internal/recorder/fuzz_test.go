@@ -1,6 +1,7 @@
 package recorder
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,10 +10,10 @@ import (
 )
 
 // FuzzDecodeStream drives the id-stream decoder with arbitrary bytes: it
-// must never panic and never allocate unboundedly, only return ids or a
-// typed error, and the salvage decode must recover a prefix of whatever
-// the strict decode would accept. The seed corpus holds synthetic streams
-// and real ones from the checked-in profiling run.
+// must never panic and never allocate unboundedly, and the account it
+// returns must refuse, with a typed error, exactly the streams that are not
+// complete. The seed corpus holds synthetic streams and real ones from the
+// checked-in profiling run.
 func FuzzDecodeStream(f *testing.F) {
 	// Current-format seeds over allocation-ordered ids: an empty committed
 	// stream, a small one, and a multi-frame one, plus the same multi-frame
@@ -75,29 +76,21 @@ func FuzzDecodeStream(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		strictIDs, _, strictErr := decodeStream(data, true)
-		salIDs, sal, salErr := decodeStream(data, false)
-		if salErr != nil {
-			t.Fatalf("salvage decode returned an error: %v", salErr)
-		}
+		_, sal := decodeStream(data)
 		if sal == nil || sal.TotalBytes != int64(len(data)) {
 			t.Fatalf("salvage account missing or wrong size: %+v", sal)
 		}
 		if c := sal.Confidence(); len(data) > 0 && (c < 0 || c > 1) {
 			t.Fatalf("confidence %v out of range", c)
 		}
-		if strictErr == nil {
-			// When strict accepts, salvage must agree exactly.
-			if len(salIDs) != len(strictIDs) {
-				t.Fatalf("strict decoded %d ids, salvage %d", len(strictIDs), len(salIDs))
-			}
-			for i := range strictIDs {
-				if strictIDs[i] != salIDs[i] {
-					t.Fatalf("id %d differs between strict and salvage", i)
-				}
-			}
-		} else if len(salIDs) > len(strictIDs) && strictIDs != nil {
-			t.Fatalf("salvage recovered more than strict on success path")
+		// A strict read refuses exactly the streams that are not complete,
+		// and only with a typed error.
+		err := sal.Err()
+		if (err == nil) != sal.Complete {
+			t.Fatalf("complete = %v, err = %v", sal.Complete, err)
+		}
+		if err != nil && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) {
+			t.Fatalf("untyped failure: %v", err)
 		}
 	})
 }

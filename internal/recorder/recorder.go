@@ -261,25 +261,34 @@ type TableSalvage struct {
 	BadLines int
 	// Reason says why the table is incomplete, empty when Complete.
 	Reason string
+	// err is the first damage met, as a typed error; nil when Complete.
+	err error
 }
 
-// LoadSiteTable reads a persisted stack-trace table back, strictly: any
-// malformed line or a missing v2 header or footer is refused with an
-// error wrapping ErrCorrupt or ErrTruncated. The Analyzer uses it as the
-// first step of §3.3's algorithm.
+// Err returns the error LoadSiteTable refuses the table with: the first
+// damage the decode met, wrapping ErrCorrupt or ErrTruncated, or nil when
+// the table is Complete.
+func (s *TableSalvage) Err() error { return s.err }
+
+// LoadSiteTable reads a persisted stack-trace table back, strictly: it is
+// SalvageSiteTable refusing any table that is not Complete, with the error
+// of TableSalvage.Err. The Analyzer uses it as the first step of §3.3's
+// algorithm.
 func LoadSiteTable(dir string) (map[heap.SiteID]jvm.StackTrace, error) {
-	out, _, err := loadSiteTable(dir, true)
-	return out, err
+	out, sal, err := SalvageSiteTable(dir)
+	if err == nil {
+		err = sal.Err()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // SalvageSiteTable reads back as much of a stack-trace table as survives,
 // skipping malformed lines. The error is non-nil only when the file cannot
 // be read at all.
 func SalvageSiteTable(dir string) (map[heap.SiteID]jvm.StackTrace, *TableSalvage, error) {
-	return loadSiteTable(dir, false)
-}
-
-func loadSiteTable(dir string, strict bool) (map[heap.SiteID]jvm.StackTrace, *TableSalvage, error) {
 	data, err := os.ReadFile(filepath.Join(dir, SiteTableFile))
 	if err != nil {
 		return nil, nil, fmt.Errorf("recorder: reading site table: %w", err)
@@ -289,13 +298,12 @@ func loadSiteTable(dir string, strict bool) (map[heap.SiteID]jvm.StackTrace, *Ta
 	out := make(map[heap.SiteID]jvm.StackTrace)
 	text := string(data)
 	headed := strings.HasPrefix(text, siteTableHeader+"\n")
-	if !headed && strict {
+	if !headed {
 		typed := ErrCorrupt
 		if strings.HasPrefix(siteTableHeader+"\n", text) {
 			typed = ErrTruncated // empty, or cut inside the header line
 		}
-		sal.Reason = noHeader
-		return nil, sal, fmt.Errorf("%w: %s", typed, noHeader)
+		sal.err = fmt.Errorf("%w: %s", typed, noHeader)
 	}
 	footerCount := -1
 	for lineNo, line := range strings.Split(text, "\n") {
@@ -312,8 +320,8 @@ func loadSiteTable(dir string, strict bool) (map[heap.SiteID]jvm.StackTrace, *Ta
 		}
 		id, trace, err := parseSiteLine(line)
 		if err != nil {
-			if strict {
-				return nil, sal, fmt.Errorf("%w: site table line %d: %v", ErrCorrupt, lineNo+1, err)
+			if sal.err == nil {
+				sal.err = fmt.Errorf("%w: site table line %d: %v", ErrCorrupt, lineNo+1, err)
 			}
 			sal.BadLines++
 			continue
@@ -333,8 +341,8 @@ func loadSiteTable(dir string, strict bool) (map[heap.SiteID]jvm.StackTrace, *Ta
 	default:
 		sal.Complete = true
 	}
-	if strict && !sal.Complete {
-		return nil, sal, fmt.Errorf("%w: %s", ErrTruncated, sal.Reason)
+	if !sal.Complete && sal.err == nil {
+		sal.err = fmt.Errorf("%w: %s", ErrTruncated, sal.Reason)
 	}
 	return out, sal, nil
 }

@@ -30,14 +30,14 @@ func TestMagicBitFlipsRefused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := decodeStream(data, true); err != nil {
-			t.Fatalf("site %d: pristine stream refused: %v", sid, err)
+		if _, sal := decodeStream(data); sal.Err() != nil {
+			t.Fatalf("site %d: pristine stream refused: %v", sid, sal.Err())
 		}
 		for bit := 0; bit < 8; bit++ {
 			flipped := append([]byte(nil), data...)
 			flipped[0] ^= 1 << bit
-			if _, _, err := decodeStream(flipped, true); !errors.Is(err, ErrCorrupt) {
-				t.Errorf("site %d, byte 0 bit %d flipped: err = %v, want ErrCorrupt", sid, bit, err)
+			if _, sal := decodeStream(flipped); !errors.Is(sal.Err(), ErrCorrupt) {
+				t.Errorf("site %d, byte 0 bit %d flipped: err = %v, want ErrCorrupt", sid, bit, sal.Err())
 			}
 			cases++
 		}
@@ -45,8 +45,8 @@ func TestMagicBitFlipsRefused(t *testing.T) {
 	if cases != 136 {
 		t.Fatalf("swept %d flips, want 136 (17 streams x 8 bits)", cases)
 	}
-	if _, _, err := decodeStream(nil, true); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("empty stream: err = %v, want ErrTruncated", err)
+	if _, sal := decodeStream(nil); !errors.Is(sal.Err(), ErrTruncated) {
+		t.Fatalf("empty stream: err = %v, want ErrTruncated", sal.Err())
 	}
 }
 

@@ -142,7 +142,14 @@ type StreamSalvage struct {
 	TotalBytes int64
 	// Reason says why decoding stopped short, empty when Complete.
 	Reason string
+	// err is the typed failure that stopped the decode; nil when Complete.
+	err error
 }
+
+// Err returns the error ReadIDs refuses the stream with: the failure that
+// stopped the decode, wrapping ErrCorrupt or ErrTruncated, or nil when the
+// stream is Complete.
+func (s *StreamSalvage) Err() error { return s.err }
 
 // Confidence is the fraction of the stream that decoded, in [0,1].
 func (s *StreamSalvage) Confidence() float64 {
@@ -152,10 +159,11 @@ func (s *StreamSalvage) Confidence() float64 {
 	return 1 - float64(s.LostBytes)/float64(s.TotalBytes)
 }
 
-// decodeStream decodes a whole stream image. In strict mode any damage —
-// including a missing commit trailer — is an error; in salvage mode the
-// valid prefix is returned along with an account of the loss.
-func decodeStream(data []byte, strict bool) ([]heap.ObjectID, *StreamSalvage, error) {
+// decodeStream decodes a whole stream image: the ids of every verified
+// frame before the first damage, and an account of the loss whose Err is
+// the typed failure that stopped the decode. A stream missing only its
+// commit trailer decodes every id and still reports ErrTruncated.
+func decodeStream(data []byte) ([]heap.ObjectID, *StreamSalvage) {
 	var out []heap.ObjectID
 	fr, err := framelog.NewReader(data, streamFormat)
 	frames := 0
@@ -173,16 +181,12 @@ func decodeStream(data []byte, strict bool) ([]heap.ObjectID, *StreamSalvage, er
 		}
 	}
 	sal := &StreamSalvage{Frames: frames, Complete: fr.Committed, LostBytes: int64(fr.Unread()), TotalBytes: int64(len(data))}
-	if err == io.EOF {
-		return out, sal, nil
+	if err != io.EOF {
+		var fe *framelog.Error
+		errors.As(err, &fe)
+		sal.Reason, sal.err = fe.Reason, err
 	}
-	var fe *framelog.Error
-	errors.As(err, &fe)
-	sal.Reason = fe.Reason
-	if strict {
-		return nil, sal, err
-	}
-	return out, sal, nil
+	return out, sal
 }
 
 // appendFrameIDs rebuilds one verified frame's ids from its serial deltas.
@@ -202,17 +206,15 @@ func appendFrameIDs(out []heap.ObjectID, payload []byte) ([]heap.ObjectID, bool)
 }
 
 // ReadIDs streams the identity hashes recorded for one site back from
-// disk, strictly: a damaged or uncommitted stream is refused with an error
-// wrapping ErrCorrupt or ErrTruncated. Use SalvageIDs to recover the valid
-// prefix instead.
+// disk, strictly: it is SalvageIDs refusing any stream that is not
+// Complete, with the error of StreamSalvage.Err.
 func ReadIDs(dir string, site heap.SiteID) ([]heap.ObjectID, error) {
-	data, err := os.ReadFile(filepath.Join(dir, streamFile(site)))
-	if err != nil {
-		return nil, fmt.Errorf("recorder: reading stream for site %d: %w", site, err)
+	ids, sal, err := SalvageIDs(dir, site)
+	if err == nil {
+		err = sal.Err()
 	}
-	ids, _, err := decodeStream(data, true)
 	if err != nil {
-		return nil, fmt.Errorf("recorder: stream for site %d: %w", site, err)
+		return nil, err
 	}
 	return ids, nil
 }
@@ -243,6 +245,9 @@ func SalvageIDs(dir string, site heap.SiteID) ([]heap.ObjectID, *StreamSalvage, 
 	if err != nil {
 		return nil, nil, fmt.Errorf("recorder: reading stream for site %d: %w", site, err)
 	}
-	ids, sal, _ := decodeStream(data, false)
+	ids, sal := decodeStream(data)
+	if sal.err != nil {
+		sal.err = fmt.Errorf("recorder: stream for site %d: %w", site, sal.err)
+	}
 	return ids, sal, nil
 }

@@ -3,6 +3,7 @@ package recorder
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"os"
@@ -104,8 +105,8 @@ func TestStreamRoundTripAnyIDs(t *testing.T) {
 				flushAt[i] = true
 			}
 			data, cuts := encodeStream(t, ids, flushAt)
-			got, sal, err := decodeStream(data, true)
-			if err != nil {
+			got, sal := decodeStream(data)
+			if err := sal.Err(); err != nil {
 				t.Fatal(err)
 			}
 			if !slices.Equal(got, ids) {
@@ -137,9 +138,9 @@ func TestStreamRoundTripAnyIDs(t *testing.T) {
 				}
 				cut := cuts[flushed]
 				flushed++
-				prefix, psal, err := decodeStream(data[:cut], false)
-				if err != nil || psal.Complete || psal.LostBytes != 0 {
-					t.Fatalf("cut at %d: %+v, %v", cut, psal, err)
+				prefix, psal := decodeStream(data[:cut])
+				if !errors.Is(psal.Err(), ErrTruncated) || psal.Complete || psal.LostBytes != 0 {
+					t.Fatalf("cut at %d: %+v", cut, psal)
 				}
 				if !slices.Equal(prefix, ids[:i+1]) {
 					t.Fatalf("cut at %d salvaged %d ids, want the %d written before it", cut, len(prefix), i+1)
