@@ -7,7 +7,7 @@
 //	polm2-bench                 # everything, full 30-minute simulated runs
 //	polm2-bench -quick          # everything, shortened runs
 //	polm2-bench -exp fig5       # one experiment
-//	polm2-bench -workers 4      # compute simulations on 4 workers
+//	polm2-bench -workers 1      # compute simulations serially (default: GOMAXPROCS workers)
 //	polm2-bench -json out.json  # also write a machine-readable report
 //	polm2-bench -trace t.jsonl  # write a deterministic trace of every run
 //	polm2-bench -list           # list experiment names
@@ -48,7 +48,7 @@ func run() int {
 		quick    = flag.Bool("quick", false, "shorten production runs to 10 simulated minutes")
 		scale    = flag.Uint64("scale", 0, "heap scale divisor vs the paper's 12 GB setup (default 64)")
 		seed     = flag.Int64("seed", 1, "workload random seed")
-		workers  = flag.Int("workers", 1, "number of concurrent simulations")
+		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "number of concurrent simulations (GOMAXPROCS: one per usable core unless set)")
 		faults   = flag.String("faults", "", `inject I/O faults into every profiling run's artifact writes (faultio spec, e.g. "seed=7;torn:site-*.bin")`)
 		jsonOut  = flag.String("json", "", "write a JSON report (outputs + timings) to this file")
 		traceOut = flag.String("trace", "", "write a deterministic JSONL trace of every simulation to this file (internal/trace)")

@@ -85,8 +85,9 @@ type Stats struct {
 // collector's heap effectively is.
 //
 // A steady-state GC cycle over a Heap performs near-zero Go allocations:
-// dead Object structs (with their edge-store spill arrays) are recycled
-// through a freelist, freed regions donate their page tables to the next
+// dead Object structs are recycled through a freelist and their edge
+// stores' overflow blocks (spill arrays and position indexes included)
+// through a second one, freed regions donate their page tables to the next
 // committed region, and the tracer and no-need marker reuse per-heap
 // scratch buffers.
 type Heap struct {
@@ -119,6 +120,8 @@ type Heap struct {
 	// freeObjects counts them.
 	objFree     *Object
 	freeObjects int
+	// blockFree holds the overflow blocks of removed objects' edge stores.
+	blockFree edgeBlocks
 	// rpFree holds page tables donated by freed regions.
 	rpFree []*regionPages
 
@@ -348,8 +351,8 @@ func (h *Heap) Link(parent, child ObjectID) error {
 	if p == nil || c == nil {
 		return fmt.Errorf("heap: Link %#x -> %#x with unknown endpoint", uint64(parent), uint64(child))
 	}
-	p.refs.inc(c)
-	c.in.inc(p)
+	p.refs.inc(c, &h.blockFree)
+	c.in.inc(p, &h.blockFree)
 	if p.region != c.region {
 		c.region.remsetEntries++
 	}
@@ -439,7 +442,8 @@ func (h *Heap) Evacuate(obj *Object, dst *Region) error {
 // removing an object twice: a removed object has no region. Edges incident
 // to the object are torn down with their remembered-set contributions. The
 // Object struct goes onto the heap's freelist with a bumped recycling
-// stamp; any pointer to it held across the removal is stale, and the stamp
+// stamp, and its edge stores' overflow blocks onto the block freelist; any
+// pointer to the struct held across the removal is stale, and the stamp
 // makes that detectable (Object.Stamp).
 func (h *Heap) Remove(obj *Object) {
 	if obj.rootPins > 0 {
@@ -471,11 +475,12 @@ func (h *Heap) Remove(obj *Object) {
 	myRegion.pages.displace(obj, h.cfg.PageSize)
 	delete(h.objects, obj.ID)
 
-	// Recycle the struct: clear identity and graph state, keep the edge
-	// stores' spill capacity, bump the stamp so stale pointers are
-	// detectable, and chain it onto the freelist through next.
-	obj.refs.reset()
-	obj.in.reset()
+	// Recycle the struct: clear identity and graph state, move the edge
+	// stores' overflow blocks onto the block freelist, bump the stamp so
+	// stale pointers are detectable, and chain it onto the freelist
+	// through next.
+	obj.refs.reset(&h.blockFree)
+	obj.in.reset(&h.blockFree)
 	obj.ID = 0
 	obj.mark = 0
 	obj.Age = 0

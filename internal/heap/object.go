@@ -19,9 +19,11 @@
 //
 // The hot data structures are laid out so a steady-state GC cycle performs
 // near-zero Go allocations (DESIGN.md §8): reference edges live in a hybrid
-// inline-array/spill store instead of maps, region residency is an
+// store (one inline edge per direction, then a pooled overflow block of
+// inline slots, spill and index) instead of maps, region residency is an
 // intrusive doubly-linked list threaded through the objects, and dead
-// Object structs are recycled through a per-heap freelist.
+// Object structs and overflow blocks are recycled through per-heap
+// freelists.
 package heap
 
 import "fmt"
@@ -43,10 +45,10 @@ type GenID int32
 const Young GenID = 0
 
 // edgeInlineCap is the number of (child, count) pairs an edge store holds
-// inline before spilling. The simulated apps' holder objects reference a
-// handful of children (commit-log segments, SSTable parts, cache rows), so
-// four inline slots cover the overwhelming majority of objects without a
-// spill allocation.
+// in its logical inline slots before spilling. Slot 0 lives in the edgeSet
+// itself, because almost every resident object has at most one edge per
+// direction; slots 1 to edgeInlineCap-1 live in the overflow block, which
+// also holds the spill and the position index.
 const edgeInlineCap = 4
 
 // edgeRef is one reference edge with multiplicity.
@@ -62,33 +64,87 @@ type edgeRef struct {
 // sorted alternatives go quadratic over a holder's lifetime.
 const edgeIdxThreshold = 32
 
-// edgeSet is the hybrid edge store: a small inline array for the common
-// low-fanout case, with an insertion-ordered spill slice (plus a lazily
-// built position index) for high-fanout objects. Compared to the
-// map[*Object]int it replaces, it allocates nothing until an object's
-// fanout exceeds edgeInlineCap, its backing arrays survive recycling, and
-// its iteration order is deterministic: inline slots then spill slots,
-// an order that is a pure function of the Link/Unlink/Remove history (the
-// position index is used only for lookup, never iterated).
+// edgeSet is the hybrid edge store: edgeInlineCap logical inline slots for
+// the common low-fanout case, then an insertion-ordered spill slice (plus a
+// lazily built position index) for high-fanout objects. Only slot 0 is
+// stored in the set; slots 1 and up, the spill and the index live in an
+// edgeBlock taken on the second distinct edge, so a leaf or a singly
+// referenced object pays 24 bytes per direction. Compared to the
+// map[*Object]int it replaces, it allocates nothing for fanout one, its
+// blocks are recycled through the heap's block freelist, and its iteration
+// order is deterministic: inline slots then spill slots, an order that is a
+// pure function of the Link/Unlink/Remove history (the position index is
+// used only for lookup, never iterated).
 type edgeSet struct {
-	inline    [edgeInlineCap]edgeRef
+	// obj0 and n0 are logical inline slot 0.
+	obj0      *Object
+	n0        int32
 	inlineLen int32
+	// blk holds everything past slot 0; nil until the set first holds two
+	// distinct edges, and kept until the owning object is removed.
+	blk *edgeBlock
+}
+
+// edgeBlock is an edgeSet's out-of-line storage.
+type edgeBlock struct {
+	// inline holds logical inline slots 1 to edgeInlineCap-1.
+	inline [edgeInlineCap - 1]edgeRef
 	// spill holds the overflow edges in insertion order; removal
 	// swap-deletes, so the order stays a deterministic function of the
 	// operation history.
 	spill []edgeRef
 	// idx maps spill children to their position once the spill outgrows
 	// edgeIdxThreshold. Once built it is maintained forever (and kept,
-	// cleared, across recycling): a struct that went high-fanout once
-	// tends to again.
+	// cleared, across recycling): a block that served a hub once tends to
+	// again.
 	idx map[*Object]int32
 }
 
-// findInline returns the inline index of o, or -1.
-func (s *edgeSet) findInline(o *Object) int {
-	for i := int32(0); i < s.inlineLen; i++ {
-		if s.inline[i].obj == o {
-			return int(i)
+// edgeBlocks is a heap's freelist of cleared overflow blocks. Blocks keep
+// their spill capacity and position index, so the next hub relinks its
+// fan-out without growing either from nothing.
+type edgeBlocks []*edgeBlock
+
+// get returns a cleared block, recycled when one is available.
+func (f *edgeBlocks) get() *edgeBlock {
+	n := len(*f)
+	if n == 0 {
+		return new(edgeBlock)
+	}
+	b := (*f)[n-1]
+	(*f)[n-1] = nil
+	*f = (*f)[:n-1]
+	return b
+}
+
+// slot returns logical inline slot i.
+func (s *edgeSet) slot(i int32) edgeRef {
+	if i == 0 {
+		return edgeRef{obj: s.obj0, n: s.n0}
+	}
+	return s.blk.inline[i-1]
+}
+
+// setSlot stores e in logical inline slot i.
+func (s *edgeSet) setSlot(i int32, e edgeRef) {
+	if i == 0 {
+		s.obj0, s.n0 = e.obj, e.n
+		return
+	}
+	s.blk.inline[i-1] = e
+}
+
+// findInline returns the logical inline index of o, or -1.
+func (s *edgeSet) findInline(o *Object) int32 {
+	if s.inlineLen == 0 {
+		return -1
+	}
+	if s.obj0 == o {
+		return 0
+	}
+	for i := int32(1); i < s.inlineLen; i++ {
+		if s.blk.inline[i-1].obj == o {
+			return i
 		}
 	}
 	return -1
@@ -96,42 +152,53 @@ func (s *edgeSet) findInline(o *Object) int {
 
 // spillFind returns the spill index of o, or -1.
 func (s *edgeSet) spillFind(o *Object) int {
-	if s.idx != nil {
-		if i, ok := s.idx[o]; ok {
+	b := s.blk
+	if b == nil {
+		return -1
+	}
+	if b.idx != nil {
+		if i, ok := b.idx[o]; ok {
 			return int(i)
 		}
 		return -1
 	}
-	for i := range s.spill {
-		if s.spill[i].obj == o {
+	for i := range b.spill {
+		if b.spill[i].obj == o {
 			return i
 		}
 	}
 	return -1
 }
 
-// inc adds one edge to o, creating the entry if absent.
-func (s *edgeSet) inc(o *Object) {
+// inc adds one edge to o, creating the entry if absent; a set that needs a
+// block takes one from free.
+func (s *edgeSet) inc(o *Object, free *edgeBlocks) {
 	if i := s.findInline(o); i >= 0 {
-		s.inline[i].n++
+		e := s.slot(i)
+		e.n++
+		s.setSlot(i, e)
 		return
 	}
 	if i := s.spillFind(o); i >= 0 {
-		s.spill[i].n++
+		s.blk.spill[i].n++
 		return
 	}
+	if s.inlineLen > 0 && s.blk == nil {
+		s.blk = free.get()
+	}
 	if s.inlineLen < edgeInlineCap {
-		s.inline[s.inlineLen] = edgeRef{obj: o, n: 1}
+		s.setSlot(s.inlineLen, edgeRef{obj: o, n: 1})
 		s.inlineLen++
 		return
 	}
-	s.spill = append(s.spill, edgeRef{obj: o, n: 1})
-	if s.idx != nil {
-		s.idx[o] = int32(len(s.spill) - 1)
-	} else if len(s.spill) > edgeIdxThreshold {
-		s.idx = make(map[*Object]int32, 2*edgeIdxThreshold)
-		for i := range s.spill {
-			s.idx[s.spill[i].obj] = int32(i)
+	b := s.blk
+	b.spill = append(b.spill, edgeRef{obj: o, n: 1})
+	if b.idx != nil {
+		b.idx[o] = int32(len(b.spill) - 1)
+	} else if len(b.spill) > edgeIdxThreshold {
+		b.idx = make(map[*Object]int32, 2*edgeIdxThreshold)
+		for i := range b.spill {
+			b.idx[b.spill[i].obj] = int32(i)
 		}
 	}
 }
@@ -141,15 +208,17 @@ func (s *edgeSet) inc(o *Object) {
 // nothing.
 func (s *edgeSet) dec(o *Object) bool {
 	if i := s.findInline(o); i >= 0 {
-		s.inline[i].n--
-		if s.inline[i].n == 0 {
+		e := s.slot(i)
+		e.n--
+		s.setSlot(i, e)
+		if e.n == 0 {
 			s.removeInlineAt(i)
 		}
 		return true
 	}
 	if i := s.spillFind(o); i >= 0 {
-		s.spill[i].n--
-		if s.spill[i].n == 0 {
+		s.blk.spill[i].n--
+		if s.blk.spill[i].n == 0 {
 			s.removeSpillAt(i)
 		}
 		return true
@@ -161,34 +230,35 @@ func (s *edgeSet) dec(o *Object) bool {
 // multiplicity removed (zero if absent).
 func (s *edgeSet) drop(o *Object) int32 {
 	if i := s.findInline(o); i >= 0 {
-		n := s.inline[i].n
+		n := s.slot(i).n
 		s.removeInlineAt(i)
 		return n
 	}
 	if i := s.spillFind(o); i >= 0 {
-		n := s.spill[i].n
+		n := s.blk.spill[i].n
 		s.removeSpillAt(i)
 		return n
 	}
 	return 0
 }
 
-func (s *edgeSet) removeInlineAt(i int) {
+func (s *edgeSet) removeInlineAt(i int32) {
 	s.inlineLen--
-	s.inline[i] = s.inline[s.inlineLen]
-	s.inline[s.inlineLen] = edgeRef{}
+	s.setSlot(i, s.slot(s.inlineLen))
+	s.setSlot(s.inlineLen, edgeRef{})
 }
 
 func (s *edgeSet) removeSpillAt(i int) {
-	last := len(s.spill) - 1
-	gone := s.spill[i].obj
-	s.spill[i] = s.spill[last]
-	s.spill[last] = edgeRef{}
-	s.spill = s.spill[:last]
-	if s.idx != nil {
-		delete(s.idx, gone)
+	b := s.blk
+	last := len(b.spill) - 1
+	gone := b.spill[i].obj
+	b.spill[i] = b.spill[last]
+	b.spill[last] = edgeRef{}
+	b.spill = b.spill[:last]
+	if b.idx != nil {
+		delete(b.idx, gone)
 		if i != last {
-			s.idx[s.spill[i].obj] = int32(i)
+			b.idx[b.spill[i].obj] = int32(i)
 		}
 	}
 }
@@ -196,41 +266,55 @@ func (s *edgeSet) removeSpillAt(i int) {
 // count returns the multiplicity of the edge to o (zero if absent).
 func (s *edgeSet) count(o *Object) int32 {
 	if i := s.findInline(o); i >= 0 {
-		return s.inline[i].n
+		return s.slot(i).n
 	}
 	if i := s.spillFind(o); i >= 0 {
-		return s.spill[i].n
+		return s.blk.spill[i].n
 	}
 	return 0
 }
 
 // len returns the number of distinct edges.
-func (s *edgeSet) len() int { return int(s.inlineLen) + len(s.spill) }
+func (s *edgeSet) len() int {
+	if s.blk == nil {
+		return int(s.inlineLen)
+	}
+	return int(s.inlineLen) + len(s.blk.spill)
+}
 
 // each calls f for every distinct edge with its multiplicity. f must not
 // mutate the set.
 func (s *edgeSet) each(f func(o *Object, n int32)) {
-	for i := int32(0); i < s.inlineLen; i++ {
-		f(s.inline[i].obj, s.inline[i].n)
+	if s.inlineLen > 0 {
+		f(s.obj0, s.n0)
 	}
-	for i := range s.spill {
-		f(s.spill[i].obj, s.spill[i].n)
+	b := s.blk
+	if b == nil {
+		return
+	}
+	for i := int32(1); i < s.inlineLen; i++ {
+		f(b.inline[i-1].obj, b.inline[i-1].n)
+	}
+	for i := range b.spill {
+		f(b.spill[i].obj, b.spill[i].n)
 	}
 }
 
-// reset empties the store, keeping the spill backing array (and the
-// position index, cleared) so a recycled object relinks without
-// allocating.
-func (s *edgeSet) reset() {
-	for i := int32(0); i < s.inlineLen; i++ {
-		s.inline[i] = edgeRef{}
-	}
+// reset empties the store and moves its block, cleared but keeping its
+// spill backing array and position index, onto free.
+func (s *edgeSet) reset(free *edgeBlocks) {
+	s.obj0, s.n0 = nil, 0
 	s.inlineLen = 0
-	for i := range s.spill {
-		s.spill[i] = edgeRef{}
+	b := s.blk
+	if b == nil {
+		return
 	}
-	s.spill = s.spill[:0]
-	clear(s.idx)
+	s.blk = nil
+	b.inline = [edgeInlineCap - 1]edgeRef{}
+	clear(b.spill)
+	b.spill = b.spill[:0]
+	clear(b.idx)
+	*free = append(*free, b)
 }
 
 // Object is a simulated heap object. Only the heap and the collectors

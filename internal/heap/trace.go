@@ -88,17 +88,30 @@ func (h *Heap) Trace() *LiveSet {
 		r.liveBytes += uint64(obj.Size)
 		// Iterate the edge store inline (rather than through each) so the
 		// hottest loop of the simulation pays no closure call per edge.
+		// Slot 0 first, then the block's inline slots and spill: an
+		// emptied slot 0 can still have a spill behind it.
 		refs := &obj.refs
-		for i := int32(0); i < refs.inlineLen; i++ {
-			e := &refs.inline[i]
+		if refs.inlineLen > 0 {
+			ls.Edges += uint64(refs.n0)
+			if c := refs.obj0; c.mark != h.epoch {
+				c.mark = h.epoch
+				queue = append(queue, c)
+			}
+		}
+		b := refs.blk
+		if b == nil {
+			continue
+		}
+		for i := int32(1); i < refs.inlineLen; i++ {
+			e := &b.inline[i-1]
 			ls.Edges += uint64(e.n)
 			if e.obj.mark != h.epoch {
 				e.obj.mark = h.epoch
 				queue = append(queue, e.obj)
 			}
 		}
-		for i := range refs.spill {
-			e := &refs.spill[i]
+		for i := range b.spill {
+			e := &b.spill[i]
 			ls.Edges += uint64(e.n)
 			if e.obj.mark != h.epoch {
 				e.obj.mark = h.epoch
