@@ -94,7 +94,7 @@ func verifyRecords(w io.Writer, dir string) (bool, error) {
 	}
 	committed, live, damaged := 0, 0, 0
 	for _, site := range sites {
-		ids, sal, err := recorder.SalvageIDs(dir, site)
+		st, sal, err := recorder.SalvageIDs(dir, site)
 		if err != nil {
 			damaged++
 			fmt.Fprintf(w, "stream site-%06d.bin: UNREADABLE (%v)\n", site, err)
@@ -104,7 +104,7 @@ func verifyRecords(w io.Writer, dir string) (bool, error) {
 		case sal.LostBytes > 0:
 			damaged++
 			fmt.Fprintf(w, "stream site-%06d.bin: v%d DAMAGED, %d ids salvaged, %d of %d bytes lost (%s)\n",
-				site, recorder.StreamVersion, len(ids), sal.LostBytes, sal.TotalBytes, sal.Reason)
+				site, recorder.StreamVersion, st.Len(), sal.LostBytes, sal.TotalBytes, sal.Reason)
 		case sal.Complete:
 			committed++
 		default:

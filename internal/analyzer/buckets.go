@@ -48,11 +48,11 @@ func sortedSites(table map[heap.SiteID]jvm.StackTrace) []heap.SiteID {
 	return siteIDs
 }
 
-// addSiteEvidence registers one site's recorded ids.
-func addSiteEvidence(evidence map[heap.SiteID]*siteEvidence, idx *serialIndex, sid heap.SiteID, trace jvm.StackTrace, ids []heap.ObjectID) {
-	ev := &siteEvidence{id: sid, trace: trace, traceString: trace.String(), total: uint64(len(ids))}
+// addSiteEvidence registers one site's recorded stream.
+func addSiteEvidence(evidence map[heap.SiteID]*siteEvidence, idx *serialIndex, sid heap.SiteID, trace jvm.StackTrace, st recorder.Stream) {
+	ev := &siteEvidence{id: sid, trace: trace, traceString: trace.String(), total: uint64(st.Len())}
 	evidence[sid] = ev
-	idx.add(ev, ids)
+	idx.add(ev, st)
 }
 
 // serialIndex is the per-object state of §3.3's buckets, indexed by
@@ -60,10 +60,10 @@ func addSiteEvidence(evidence map[heap.SiteID]*siteEvidence, idx *serialIndex, s
 // profiling run's recorded serials are dense, so two slices over their
 // window [lo, hi] replace an id-to-site and an id-to-count map.
 type serialIndex struct {
-	// sites lists the evidence in the order add saw it; ids holds each
-	// site's recorded ids until build indexes them.
-	sites []*siteEvidence
-	ids   [][]heap.ObjectID
+	// sites lists the evidence in the order add saw it; streams holds each
+	// site's recorded stream until build indexes it.
+	sites   []*siteEvidence
+	streams []recorder.Stream
 	// n counts the recorded ids, duplicates included; lo and hi bound
 	// their serials. listed counts the ids the replayed snapshots list,
 	// duplicates included.
@@ -75,30 +75,34 @@ type serialIndex struct {
 	survived []uint32
 }
 
-// add registers one site's recorded ids.
-func (x *serialIndex) add(ev *siteEvidence, ids []heap.ObjectID) {
+// add registers one site's recorded stream, taking its count and serial
+// bounds from the decode.
+func (x *serialIndex) add(ev *siteEvidence, st recorder.Stream) {
 	x.sites = append(x.sites, ev)
-	x.ids = append(x.ids, ids)
-	for _, oid := range ids {
-		s := oid.Serial()
-		if x.n == 0 || s < x.lo {
-			x.lo = s
-		}
-		if x.n == 0 || s > x.hi {
-			x.hi = s
-		}
-		x.n++
+	x.streams = append(x.streams, st)
+	if st.Len() == 0 {
+		return
 	}
+	lo, hi := st.Bounds()
+	if x.n == 0 || lo < x.lo {
+		x.lo = lo
+	}
+	if x.n == 0 || hi > x.hi {
+		x.hi = hi
+	}
+	x.n += uint64(st.Len())
 }
 
-// build allocates the index and assigns every recorded serial its site. An
-// id recorded by two sites belongs to the later one; both still count it in
-// their totals. The serial window may reach 2(n + s) + 65 536 values for n
-// recorded ids and s snapshot-listed ids: a recording's serials are a run
-// of the allocation counter, which a torn recording thins to its surviving
-// prefixes but whose live objects the snapshots still list. A wider window
-// is refused as corrupt before anything proportional to it is allocated, so
-// the index stays proportional to the ids already decoded in memory.
+// build allocates the index and walks every stream's serials into it,
+// assigning each its site. An id recorded by two sites belongs to the later
+// one; both still count it in their totals. The serial window may reach
+// 2(n + s) + 65 536 values for n recorded ids and s snapshot-listed ids: a
+// recording's serials are a run of the allocation counter, which a torn
+// recording thins to its surviving prefixes but whose live objects the
+// snapshots still list. A wider window is refused as corrupt before
+// anything proportional to it is allocated. Every recorded id takes at
+// least one stream byte, so the index stays proportional to the stream and
+// snapshot bytes read.
 func (x *serialIndex) build() error {
 	if x.n > 0 && x.hi-x.lo >= 2*(x.n+x.listed)+1<<16 {
 		return fmt.Errorf("analyzer: %w: recorded serials span [%d, %d], more than 2(n + s) + 65536 values for n = %d recorded ids and s = %d snapshot-listed ids",
@@ -110,12 +114,11 @@ func (x *serialIndex) build() error {
 	}
 	x.site = make([]uint32, span)
 	x.survived = make([]uint32, span)
-	for i, ids := range x.ids {
-		for _, oid := range ids {
-			x.site[oid.Serial()-x.lo] = uint32(i + 1)
-		}
+	for i, st := range x.streams {
+		pos := uint32(i + 1)
+		st.Serials(func(s uint64) { x.site[s-x.lo] = pos })
 	}
-	x.ids = nil
+	x.streams = nil
 	return nil
 }
 

@@ -123,10 +123,11 @@ func TestSerialIndexMatchesMapModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		recorded := recordedStreams(t, streams)
 		evidence := make(map[heap.SiteID]*siteEvidence, len(sites))
 		var idx serialIndex
 		for _, sid := range sites {
-			addSiteEvidence(evidence, &idx, sid, jvm.StackTrace{{Class: "C", Method: "m", Line: int(sid)}}, streams[sid])
+			addSiteEvidence(evidence, &idx, sid, jvm.StackTrace{{Class: "C", Method: "m", Line: int(sid)}}, recorded[sid])
 		}
 		if err := replaySnapshots(&idx, snaps); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -149,7 +150,8 @@ func TestSerialIndexMatchesMapModel(t *testing.T) {
 func TestReplayCapsRepeatedListings(t *testing.T) {
 	evidence := make(map[heap.SiteID]*siteEvidence)
 	var idx serialIndex
-	addSiteEvidence(evidence, &idx, 1, jvm.StackTrace{{Class: "C", Method: "m", Line: 1}}, []heap.ObjectID{heap.IDOf(7), heap.IDOf(8)})
+	recorded := recordedStreams(t, map[heap.SiteID][]heap.ObjectID{1: {heap.IDOf(7), heap.IDOf(8)}})
+	addSiteEvidence(evidence, &idx, 1, jvm.StackTrace{{Class: "C", Method: "m", Line: 1}}, recorded[1])
 	twice := []heap.ObjectID{heap.IDOf(7)}
 	snap := &snapshot.Snapshot{Seq: 1, Pages: []snapshot.PageRecord{
 		{Key: heap.PageKey{Region: 1, Index: 0}, HeaderIDs: twice},
@@ -161,6 +163,36 @@ func TestReplayCapsRepeatedListings(t *testing.T) {
 	if got := evidence[1].survived; !slices.Equal(got, []uint64{1, 1}) {
 		t.Fatalf("survived = %v, want [1 1]", got)
 	}
+}
+
+// recordedStreams records each site's ids through the recorder's own
+// writer and reads every stream back as Analyze does. A site with no ids
+// gets the empty Stream.
+func recordedStreams(t testing.TB, streams map[heap.SiteID][]heap.ObjectID) map[heap.SiteID]recorder.Stream {
+	t.Helper()
+	dir := t.TempDir()
+	rec, err := recorder.New(recorder.Config{Dir: dir}, nil, jvm.NewSiteTable(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for sid, ids := range streams {
+		for _, id := range ids {
+			rec.RecordAlloc(sid, &heap.Object{ID: id})
+		}
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[heap.SiteID]recorder.Stream, len(streams))
+	for sid, ids := range streams {
+		if len(ids) == 0 {
+			continue
+		}
+		if out[sid], err = recorder.ReadIDs(dir, sid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
 }
 
 // recordSerials writes a records directory holding one site whose stream
@@ -206,7 +238,8 @@ func TestAnalyzeRefusesSparseSerials(t *testing.T) {
 		ok bool
 	}{{lo + 2*2 + 1<<16 - 1, true}, {lo + 2*2 + 1<<16, false}} {
 		var idx serialIndex
-		idx.add(&siteEvidence{}, []heap.ObjectID{heap.IDOf(lo), heap.IDOf(tc.hi)})
+		recorded := recordedStreams(t, map[heap.SiteID][]heap.ObjectID{1: {heap.IDOf(lo), heap.IDOf(tc.hi)}})
+		idx.add(&siteEvidence{}, recorded[1])
 		if err := idx.build(); (err == nil) != tc.ok {
 			t.Fatalf("span %d for 2 ids: build err = %v, want ok=%v", tc.hi-lo+1, err, tc.ok)
 		}

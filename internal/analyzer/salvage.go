@@ -120,7 +120,7 @@ func AnalyzeSalvage(recordsDir string, snaps []*snapshot.Snapshot, opts Options)
 	var idx serialIndex
 	degraded := make(map[heap.SiteID]bool)
 	for _, sid := range sortedSites(table) {
-		ids, sal, err := recorder.SalvageIDs(recordsDir, sid)
+		st, sal, err := recorder.SalvageIDs(recordsDir, sid)
 		if err != nil {
 			rep.fail(err)
 			// The stream never made it to disk: the site contributes no
@@ -130,7 +130,7 @@ func AnalyzeSalvage(recordsDir string, snaps []*snapshot.Snapshot, opts Options)
 			continue
 		}
 		rep.fail(sal.Err())
-		addSiteEvidence(evidence, &idx, sid, table[sid], ids)
+		addSiteEvidence(evidence, &idx, sid, table[sid], st)
 		if sal.LostBytes == 0 && (sal.Complete || sal.Frames > 0) {
 			// Fully decoded — a live stream missing only its commit
 			// trailer is not damage. One without a single verified frame

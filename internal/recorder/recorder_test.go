@@ -110,7 +110,7 @@ func TestRecordAndReadBack(t *testing.T) {
 		t.Fatalf("site B trace depth = %d, want 2", len(table[siteB]))
 	}
 
-	gotA, err := ReadIDs(dir, siteA)
+	gotA, err := readIDs(dir, siteA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestRecordAndReadBack(t *testing.T) {
 			t.Fatalf("site A id %d mismatch", i)
 		}
 	}
-	gotB, err := ReadIDs(dir, siteB)
+	gotB, err := readIDs(dir, siteB)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func TestV1ArtifactsRefused(t *testing.T) {
 		if _, err := ReadIDs(dir, 1); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("v%d stream: err = %v, want ErrCorrupt", c.version, err)
 		}
-		ids, sal, err := SalvageIDs(dir, 1)
+		ids, sal, err := salvageIDs(dir, 1)
 		if err != nil || len(ids) != 0 || sal.LostBytes != int64(len(c.data)) {
 			t.Errorf("v%d stream salvage: %d ids, %+v, %v", c.version, len(ids), sal, err)
 		}
@@ -133,7 +133,7 @@ func TestLiveStreamStrictRefusesSalvageAccepts(t *testing.T) {
 	if _, err := ReadIDs(dir, 3); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("strict read of a live stream: err = %v, want ErrTruncated", err)
 	}
-	ids, sal, err := SalvageIDs(dir, 3)
+	ids, sal, err := salvageIDs(dir, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestStreamTypedErrorsAndSalvagePrefix(t *testing.T) {
 	if _, err := ReadIDs(dir, 9); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("truncated strict err = %v", err)
 	}
-	ids, sal, err := SalvageIDs(dir, 9)
+	ids, sal, err := salvageIDs(dir, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestStreamTypedErrorsAndSalvagePrefix(t *testing.T) {
 	if _, err := ReadIDs(dir, 9); !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) {
 		t.Fatalf("bit-flip strict err = %v", err)
 	}
-	ids, sal, err = SalvageIDs(dir, 9)
+	ids, sal, err = salvageIDs(dir, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestStreamTypedErrorsAndSalvagePrefix(t *testing.T) {
 	if _, err := ReadIDs(dir, 9); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("trailing-junk strict err = %v", err)
 	}
-	ids, _, err = SalvageIDs(dir, 9)
+	ids, _, err = salvageIDs(dir, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestRecorderUnderTornFault(t *testing.T) {
 	if _, err := ReadIDs(dir, site); err == nil {
 		t.Fatal("strict read of a torn stream should fail")
 	}
-	ids, sal, err := SalvageIDs(dir, site)
+	ids, sal, err := salvageIDs(dir, site)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestRecorderCrashLosesSuffixOnly(t *testing.T) {
 	}
 
 	// The crash cut the stream short but what landed is decodable.
-	ids, sal, err := SalvageIDs(dir, site)
+	ids, sal, err := salvageIDs(dir, site)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,64 +159,101 @@ func (s *StreamSalvage) Confidence() float64 {
 	return 1 - float64(s.LostBytes)/float64(s.TotalBytes)
 }
 
-// decodeStream decodes a whole stream image: the ids of every verified
-// frame before the first damage, and an account of the loss whose Err is
-// the typed failure that stopped the decode. A stream missing only its
-// commit trailer decodes every id and still reports ErrTruncated.
-func decodeStream(data []byte) ([]heap.ObjectID, *StreamSalvage) {
-	var out []heap.ObjectID
-	fr, err := framelog.NewReader(data, streamFormat)
-	frames := 0
-	for err == nil {
-		var payload []byte
-		if payload, err = fr.Next(); err == nil {
-			var ok bool
-			if out, ok = appendFrameIDs(out, payload); ok {
-				frames++
-			} else {
-				// A checksummed frame with a malformed varint can only
-				// be a writer bug, not disk damage.
-				err = &framelog.Error{Kind: ErrCorrupt, Reason: fmt.Sprintf("frame %d holds a malformed varint", fr.Frames)}
-			}
+// Stream is one site's decoded id stream: the verified frame payloads,
+// aliasing the file image they were read from, with the record count and
+// the lowest and highest serial. It holds no per-record state: Serials
+// walks the payloads' serial deltas again. The zero Stream is empty.
+type Stream struct {
+	frames [][]byte
+	n      int
+	lo, hi uint64
+}
+
+// Len is the number of records in the stream, duplicates included.
+func (s Stream) Len() int { return s.n }
+
+// Bounds returns the lowest and highest recorded serial; both are zero for
+// an empty stream.
+func (s Stream) Bounds() (lo, hi uint64) { return s.lo, s.hi }
+
+// Serials calls fn with every recorded serial (heap.ObjectID.Serial of the
+// recorded id), in stream order. The decode verified every frame it kept,
+// so the walk cannot fail.
+func (s Stream) Serials(fn func(serial uint64)) {
+	for _, payload := range s.frames {
+		serial := uint64(0)
+		for len(payload) > 0 {
+			d, k := binary.Uvarint(payload)
+			serial += d
+			fn(serial)
+			payload = payload[k:]
 		}
 	}
-	sal := &StreamSalvage{Frames: frames, Complete: fr.Committed, LostBytes: int64(fr.Unread()), TotalBytes: int64(len(data))}
+}
+
+// addFrame verifies one checksummed frame's serial deltas and appends it to
+// the stream. On a malformed varint it leaves the stream unchanged and
+// returns false.
+func (s *Stream) addFrame(payload []byte) bool {
+	n, lo, hi := s.n, s.lo, s.hi
+	serial := uint64(0)
+	for p := payload; len(p) > 0; {
+		d, k := binary.Uvarint(p)
+		if k <= 0 {
+			return false
+		}
+		serial += d
+		if n == 0 || serial < lo {
+			lo = serial
+		}
+		if n == 0 || serial > hi {
+			hi = serial
+		}
+		n++
+		p = p[k:]
+	}
+	s.frames = append(s.frames, payload)
+	s.n, s.lo, s.hi = n, lo, hi
+	return true
+}
+
+// decodeStream decodes a whole stream image: every verified frame before
+// the first damage, and an account of the loss whose Err is the typed
+// failure that stopped the decode. A stream missing only its commit
+// trailer decodes every frame and still reports ErrTruncated. The Stream
+// aliases data.
+func decodeStream(data []byte) (Stream, *StreamSalvage) {
+	var st Stream
+	fr, err := framelog.NewReader(data, streamFormat)
+	for err == nil {
+		var payload []byte
+		if payload, err = fr.Next(); err == nil && !st.addFrame(payload) {
+			// A checksummed frame with a malformed varint can only be a
+			// writer bug, not disk damage.
+			err = &framelog.Error{Kind: ErrCorrupt, Reason: fmt.Sprintf("frame %d holds a malformed varint", fr.Frames)}
+		}
+	}
+	sal := &StreamSalvage{Frames: len(st.frames), Complete: fr.Committed, LostBytes: int64(fr.Unread()), TotalBytes: int64(len(data))}
 	if err != io.EOF {
 		var fe *framelog.Error
 		errors.As(err, &fe)
 		sal.Reason, sal.err = fe.Reason, err
 	}
-	return out, sal
+	return st, sal
 }
 
-// appendFrameIDs rebuilds one verified frame's ids from its serial deltas.
-// On a malformed varint it returns out unchanged and false.
-func appendFrameIDs(out []heap.ObjectID, payload []byte) ([]heap.ObjectID, bool) {
-	n, serial := len(out), uint64(0)
-	for len(payload) > 0 {
-		d, k := binary.Uvarint(payload)
-		if k <= 0 {
-			return out[:n], false
-		}
-		serial += d
-		out = append(out, heap.IDOf(serial))
-		payload = payload[k:]
-	}
-	return out, true
-}
-
-// ReadIDs streams the identity hashes recorded for one site back from
-// disk, strictly: it is SalvageIDs refusing any stream that is not
-// Complete, with the error of StreamSalvage.Err.
-func ReadIDs(dir string, site heap.SiteID) ([]heap.ObjectID, error) {
-	ids, sal, err := SalvageIDs(dir, site)
+// ReadIDs reads back one site's recorded stream, strictly: it is
+// SalvageIDs refusing any stream that is not Complete, with the error of
+// StreamSalvage.Err.
+func ReadIDs(dir string, site heap.SiteID) (Stream, error) {
+	st, sal, err := SalvageIDs(dir, site)
 	if err == nil {
 		err = sal.Err()
 	}
 	if err != nil {
-		return nil, err
+		return Stream{}, err
 	}
-	return ids, nil
+	return st, nil
 }
 
 // Streams lists the sites that have an id stream file in dir, ascending.
@@ -238,16 +275,17 @@ func Streams(dir string) ([]heap.SiteID, error) {
 }
 
 // SalvageIDs decodes as much of one site's stream as survives: every
-// checksum-verified frame before the first damage. The error is non-nil
-// only when the file cannot be read at all.
-func SalvageIDs(dir string, site heap.SiteID) ([]heap.ObjectID, *StreamSalvage, error) {
+// checksum-verified frame before the first damage, kept in the file image
+// the Stream aliases. The error is non-nil only when the file cannot be
+// read at all.
+func SalvageIDs(dir string, site heap.SiteID) (Stream, *StreamSalvage, error) {
 	data, err := os.ReadFile(filepath.Join(dir, streamFile(site)))
 	if err != nil {
-		return nil, nil, fmt.Errorf("recorder: reading stream for site %d: %w", site, err)
+		return Stream{}, nil, fmt.Errorf("recorder: reading stream for site %d: %w", site, err)
 	}
-	ids, sal := decodeStream(data)
+	st, sal := decodeStream(data)
 	if sal.err != nil {
 		sal.err = fmt.Errorf("recorder: stream for site %d: %w", site, sal.err)
 	}
-	return ids, sal, nil
+	return st, sal, nil
 }

@@ -105,7 +105,7 @@ func TestStreamRoundTripAnyIDs(t *testing.T) {
 				flushAt[i] = true
 			}
 			data, cuts := encodeStream(t, ids, flushAt)
-			got, sal := decodeStream(data)
+			got, sal := decodeIDs(data)
 			if err := sal.Err(); err != nil {
 				t.Fatal(err)
 			}
@@ -138,7 +138,7 @@ func TestStreamRoundTripAnyIDs(t *testing.T) {
 				}
 				cut := cuts[flushed]
 				flushed++
-				prefix, psal := decodeStream(data[:cut])
+				prefix, psal := decodeIDs(data[:cut])
 				if !errors.Is(psal.Err(), ErrTruncated) || psal.Complete || psal.LostBytes != 0 {
 					t.Fatalf("cut at %d: %+v", cut, psal)
 				}
@@ -184,12 +184,28 @@ func TestReferenceStreamsReencode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids, err := ReadIDs(refRecDir, sid)
+		ids, err := readIDs(refRecDir, sid)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got, _ := encodeStream(t, ids, nil); !bytes.Equal(got, want) {
 			t.Fatalf("site %d: re-encoding %d ids gave %d bytes, not the checked-in %d", sid, len(ids), len(got), len(want))
 		}
+	}
+}
+
+// TestStreamRefusesMalformedVarint: a checksummed frame whose deltas do not
+// parse is a writer bug. The decode keeps the frames before it, counts only
+// theirs, and refuses the stream as corrupt, naming the frame.
+func TestStreamRefusesMalformedVarint(t *testing.T) {
+	st, sal := decodeStream(framedStream(t, []byte{5, 1, 1}, []byte{3, 0x80}))
+	if !errors.Is(sal.Err(), ErrCorrupt) || sal.Reason != "frame 2 holds a malformed varint" || sal.Frames != 1 {
+		t.Fatalf("salvage %+v, err %v", sal, sal.Err())
+	}
+	if lo, hi := st.Bounds(); st.Len() != 3 || lo != 5 || hi != 7 {
+		t.Fatalf("stream holds %d ids in [%d, %d], want the first frame's 3 in [5, 7]", st.Len(), lo, hi)
+	}
+	if got, want := streamIDs(st), []heap.ObjectID{heap.IDOf(5), heap.IDOf(6), heap.IDOf(7)}; !slices.Equal(got, want) {
+		t.Fatalf("ids %v, want %v", got, want)
 	}
 }
