@@ -90,10 +90,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	base := simnet.Config{
-		Instances: *instances,
-		Keys:      *keys,
-		Rounds:    *rounds,
-		Cadence:   *cadence,
+		Instances:    *instances,
+		Keys:         *keys,
+		Rounds:       *rounds,
+		Cadence:      *cadence,
 		FaultSpec:    *faults,
 		RegressAt:    *regressAt,
 		Daemons:      *daemons,

@@ -162,7 +162,7 @@ func NewCollector(name string, clock *simclock.Clock, geom Geometry, cost gc.Cos
 	case CollectorNG2C:
 		return ng2c.New(clock, cfg)
 	case CollectorC4:
-		return c4.New(clock, c4.Config{Heap: heapCfg, Cost: cost})
+		return c4.New(clock, c4.Config{Heap: heapCfg})
 	default:
 		return nil, fmt.Errorf("core: unknown collector %q (want %v)", name, Collectors())
 	}

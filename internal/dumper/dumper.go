@@ -119,7 +119,9 @@ func (d *Dumper) Snapshot(cycle uint64) error {
 	// the arena cannot be pooled, but a single right-sized allocation
 	// (hinted by the previous snapshot) replaces hundreds of small ones.
 	arena := make([]heap.ObjectID, 0, d.lastHdr)
-	d.h.Pages(func(ps heap.PageState) {
+	// Only regions holding a dirty page need their headers read, unless
+	// every occupied page is copied anyway.
+	d.h.Pages(d.cfg.DisableIncremental, func(ps heap.PageState) {
 		if ps.NoNeed && !d.cfg.DisableNoNeed {
 			snap.NoNeed = append(snap.NoNeed, ps.Key)
 			return
@@ -134,9 +136,11 @@ func (d *Dumper) Snapshot(cycle uint64) error {
 			return
 		}
 		var ids []heap.ObjectID
-		if len(ps.HeaderIDs) > 0 {
+		if len(ps.Headers) > 0 {
 			start := len(arena)
-			arena = append(arena, ps.HeaderIDs...)
+			for _, obj := range ps.Headers {
+				arena = append(arena, obj.ID)
+			}
 			// Full-capacity subslice: appends to one page's ids can
 			// never bleed into the next page's.
 			ids = arena[start:len(arena):len(arena)]
@@ -206,11 +210,11 @@ func (j *Jmap) Snapshot(cycle uint64) error {
 	// Like the CRIU-style dumper, live header ids land in one
 	// per-snapshot arena sized from the previous dump.
 	arena := make([]heap.ObjectID, 0, j.lastHdr)
-	j.h.Pages(func(ps heap.PageState) {
+	j.h.Pages(true, func(ps heap.PageState) {
 		start := len(arena)
-		for _, id := range ps.HeaderIDs {
-			if live.Contains(id) {
-				arena = append(arena, id)
+		for _, obj := range ps.Headers {
+			if live.Marked(obj) {
+				arena = append(arena, obj.ID)
 			}
 		}
 		if len(arena) == start {

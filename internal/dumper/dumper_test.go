@@ -305,3 +305,119 @@ func TestCRIUAndStoreRoundTrip(t *testing.T) {
 		t.Fatalf("reconstructed view has %d ids, want 2", got)
 	}
 }
+
+// TestIncrementalSkipsCleanRegionsLosslessly takes CRIU snapshots of a heap
+// where some regions are clean and some hold a dirty page: the dumper reads
+// headers only in the dirty regions, and every page record it keeps must
+// equal what a full page walk reports for that page. Clean regions' no-need
+// pages must still be reported.
+func TestIncrementalSkipsCleanRegionsLosslessly(t *testing.T) {
+	h := newHeap(t)
+	var regions []*heap.Region
+	var objs []*heap.Object
+	for i := 0; i < 4; i++ {
+		r, err := h.NewRegion(heap.Young)
+		if err != nil {
+			t.Fatal(err)
+		}
+		regions = append(regions, r)
+		for j := 0; j < 12; j++ {
+			obj, err := h.Allocate(r, uint32(700+j*300), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j%3 != 0 {
+				h.PinRoot(obj)
+			}
+			objs = append(objs, obj)
+		}
+	}
+	d := New(h, simclock.New(), Config{})
+	if err := d.Snapshot(1); err != nil {
+		t.Fatal(err)
+	}
+	// Dirty regions 1 and 3 only: an allocation in one, a reference store
+	// in the other. Regions 0 and 2 stay clean but keep no-need pages.
+	if _, err := h.Allocate(regions[1], 900, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Link(objs[3*12+4].ID, objs[5].ID); err != nil {
+		t.Fatal(err)
+	}
+	h.MarkNoNeedPages(h.Trace())
+	full := make(map[heap.PageKey][]heap.ObjectID)
+	var dirty, noNeed []heap.PageKey
+	h.Pages(true, func(ps heap.PageState) {
+		if ps.NoNeed {
+			noNeed = append(noNeed, ps.Key)
+			return
+		}
+		if ps.Dirty {
+			dirty = append(dirty, ps.Key)
+		}
+		for _, obj := range ps.Headers {
+			full[ps.Key] = append(full[ps.Key], obj.ID)
+		}
+	})
+	if err := d.Snapshot(2); err != nil {
+		t.Fatal(err)
+	}
+	snap := d.Snapshots()[1]
+	var kept []heap.PageKey
+	for _, pr := range snap.Pages {
+		kept = append(kept, pr.Key)
+		if !slices.Equal(pr.HeaderIDs, full[pr.Key]) {
+			t.Errorf("page %v: snapshot lists %v, full walk %v", pr.Key, pr.HeaderIDs, full[pr.Key])
+		}
+	}
+	if !slices.Equal(kept, dirty) {
+		t.Errorf("snapshot kept pages %v, want the dirty needed pages %v", kept, dirty)
+	}
+	if !slices.Equal(snap.NoNeed, noNeed) {
+		t.Errorf("snapshot no-need pages %v, want %v", snap.NoNeed, noNeed)
+	}
+	for _, key := range kept {
+		if key.Region != regions[1].ID() && key.Region != regions[3].ID() {
+			t.Errorf("clean region's page %v was copied", key)
+		}
+	}
+	var cleanNoNeed bool
+	for _, key := range noNeed {
+		cleanNoNeed = cleanNoNeed || key.Region == regions[0].ID()
+	}
+	if len(kept) == 0 || !cleanNoNeed {
+		t.Fatalf("degenerate heap: %d kept pages, clean region no-need %v", len(kept), cleanNoNeed)
+	}
+
+	// Every dirty bit is clear now. The full-walk dumpers must not care:
+	// the ablation copies every needed occupied page, jmap every live
+	// header.
+	abl := New(h, simclock.New(), Config{DisableIncremental: true})
+	if err := abl.Snapshot(3); err != nil {
+		t.Fatal(err)
+	}
+	listed := 0
+	for _, pr := range abl.Snapshots()[0].Pages {
+		if !slices.Equal(pr.HeaderIDs, full[pr.Key]) {
+			t.Errorf("ablation page %v: lists %v, full walk %v", pr.Key, pr.HeaderIDs, full[pr.Key])
+		}
+		if len(pr.HeaderIDs) > 0 {
+			listed++
+		}
+	}
+	if listed != len(full) {
+		t.Errorf("ablation snapshot lists headers on %d pages, full walk on %d", listed, len(full))
+	}
+	j := NewJmap(h, simclock.New(), CostModel{})
+	if err := j.Snapshot(3); err != nil {
+		t.Fatal(err)
+	}
+	var jmapIDs []heap.ObjectID
+	for _, pr := range j.Snapshots()[0].Pages {
+		jmapIDs = append(jmapIDs, pr.HeaderIDs...)
+	}
+	slices.Sort(jmapIDs)
+	if want := h.Trace().IDs(); !slices.Equal(jmapIDs, want) {
+		t.Errorf("jmap dump of a clean heap lists %d ids, want the %d live ones", len(jmapIDs), len(want))
+	}
+}

@@ -20,43 +20,25 @@ type Config struct {
 	// Heap sizes the underlying simulated heap. MaxBytes must be set:
 	// C4 pre-reserves it all.
 	Heap heap.Config
-	// Cost is kept for interface symmetry; C4 charges only small
-	// checkpoint pauses.
-	Cost gc.CostModel
-	// TriggerFraction is the committed-heap fraction that starts a
-	// concurrent cycle. Default 0.5.
-	TriggerFraction float64
-	// BarrierFactor is the mutator slowdown from C4's loaded value
-	// barrier and write barriers. Default 1.5, calibrated so C4 lands
-	// where the paper's Figure 7 puts it: the worst throughput of the
-	// evaluated collectors.
-	BarrierFactor float64
-	// CheckpointPause is the per-cycle stop-the-world checkpoint pause.
-	// Default 3 ms (the paper reports all C4 pauses under 10 ms).
-	CheckpointPause time.Duration
-	// EvacuateBelow is the live fraction under which a region is
-	// compacted during a cycle. Default 0.5.
-	EvacuateBelow float64
 }
 
-func (c Config) withDefaults() Config {
-	if c.Cost == (gc.CostModel{}) {
-		c.Cost = gc.DefaultCostModel()
-	}
-	if c.TriggerFraction == 0 {
-		c.TriggerFraction = 0.5
-	}
-	if c.BarrierFactor == 0 {
-		c.BarrierFactor = 1.5
-	}
-	if c.CheckpointPause == 0 {
-		c.CheckpointPause = 3 * time.Millisecond
-	}
-	if c.EvacuateBelow == 0 {
-		c.EvacuateBelow = 0.5
-	}
-	return c
-}
+const (
+	// triggerFraction is the committed-heap fraction that starts a
+	// concurrent cycle.
+	triggerFraction = 0.5
+	// barrierFactor is the mutator slowdown from C4's loaded value
+	// barrier and write barriers, calibrated so C4 lands where the
+	// paper's Figure 7 puts it: the worst throughput of the evaluated
+	// collectors.
+	barrierFactor = 1.5
+	// checkpointPause is the per-cycle stop-the-world checkpoint pause
+	// (the paper reports all C4 pauses under 10 ms). C4 charges no other
+	// pause.
+	checkpointPause = 3 * time.Millisecond
+	// evacuateBelow is the live fraction under which a region is
+	// compacted during a cycle.
+	evacuateBelow = 0.5
+)
 
 // Collector is the C4-like concurrent collector model.
 type Collector struct {
@@ -76,7 +58,6 @@ var _ gc.Collector = (*Collector)(nil)
 
 // New builds a C4-like collector over a fresh heap.
 func New(clock *simclock.Clock, cfg Config) (*Collector, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Heap.MaxBytes == 0 {
 		return nil, fmt.Errorf("c4: Heap.MaxBytes must be set (C4 pre-reserves all memory)")
 	}
@@ -107,7 +88,7 @@ func (c *Collector) Pauses() []gc.Pause {
 func (c *Collector) Cycles() uint64 { return c.cycles }
 
 // MutatorFactor implements gc.Collector: the barrier tax.
-func (c *Collector) MutatorFactor() float64 { return c.cfg.BarrierFactor }
+func (c *Collector) MutatorFactor() float64 { return barrierFactor }
 
 // OnCycleEnd implements gc.Collector.
 func (c *Collector) OnCycleEnd(fn gc.CycleFunc) {
@@ -126,7 +107,7 @@ func (c *Collector) Allocate(size uint32, site heap.SiteID, _ heap.GenID) (*heap
 		return nil, fmt.Errorf("c4: humongous allocation of %d bytes unsupported (region size %d)", size, regionSize)
 	}
 	if c.cur == nil || c.cur.Used()+size > regionSize {
-		if float64(c.h.Stats().CommittedBytes+uint64(regionSize)) > c.cfg.TriggerFraction*float64(c.cfg.Heap.MaxBytes) {
+		if float64(c.h.Stats().CommittedBytes+uint64(regionSize)) > triggerFraction*float64(c.cfg.Heap.MaxBytes) {
 			if err := c.cycle(); err != nil {
 				return nil, err
 			}
@@ -180,7 +161,7 @@ func (c *Collector) cycle() error {
 			freed++
 			continue
 		}
-		if liveFrac < c.cfg.EvacuateBelow && r != c.cur {
+		if liveFrac < evacuateBelow && r != c.cur {
 			if _, _, err := gc.EvacuateAndFree(c.h, r, live, cursor.Place); err != nil {
 				return fmt.Errorf("c4: cycle: %w", err)
 			}
@@ -196,7 +177,7 @@ func (c *Collector) cycle() error {
 		c.cur = nil
 	}
 
-	dur := c.cfg.CheckpointPause
+	dur := checkpointPause
 	c.clock.Advance(dur)
 	c.cycles++
 	c.pauses = append(c.pauses, gc.Pause{

@@ -64,17 +64,19 @@ type Config struct {
 	// MaxMixedRegions caps old/dynamic regions evacuated per mixed
 	// collection. Default 8.
 	MaxMixedRegions int
-	// MinMixedGarbage is the minimum garbage fraction a region must
-	// have to be evacuated by a mixed collection (G1's liveness
-	// threshold: mostly-live regions are not worth copying).
-	// Default 0.25.
-	MinMixedGarbage float64
-	// PressureFraction triggers a collection when committing a mature
+}
+
+const (
+	// minMixedGarbage is the minimum garbage fraction a region must have
+	// to be evacuated by a mixed collection (G1's liveness threshold:
+	// mostly-live regions are not worth copying).
+	minMixedGarbage = 0.25
+	// pressureFraction triggers a collection when committing a mature
 	// region pushes heap occupancy past this fraction. Pretenured
 	// allocation bypasses eden and would otherwise never trigger the
-	// cleanup that reclaims dead pretenured regions. Default 0.45.
-	PressureFraction float64
-}
+	// cleanup that reclaims dead pretenured regions.
+	pressureFraction = 0.45
+)
 
 func (c Config) withDefaults() Config {
 	if c.Cost == (gc.CostModel{}) {
@@ -91,12 +93,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxMixedRegions == 0 {
 		c.MaxMixedRegions = 8
-	}
-	if c.MinMixedGarbage == 0 {
-		c.MinMixedGarbage = 0.25
-	}
-	if c.PressureFraction == 0 {
-		c.PressureFraction = 0.45
 	}
 	return c
 }
@@ -298,7 +294,7 @@ func (c *Collector) Allocate(size uint32, site heap.SiteID, target heap.GenID) (
 func (c *Collector) newMatureRegion(gen heap.GenID) (*heap.Region, error) {
 	max := c.h.Config().MaxBytes
 	if max != 0 && c.pressureArmed &&
-		float64(c.h.Stats().CommittedBytes) > c.cfg.PressureFraction*float64(max) {
+		float64(c.h.Stats().CommittedBytes) > pressureFraction*float64(max) {
 		c.pressureArmed = false
 		if err := c.collect(); err != nil {
 			return nil, err
@@ -388,7 +384,7 @@ func (c *Collector) collect() error {
 				continue // humongous objects are never copied
 			}
 			garbage := float64(r.Used()) - float64(live.Region(r).Bytes)
-			if garbage >= c.cfg.MinMixedGarbage*regionSize {
+			if garbage >= minMixedGarbage*regionSize {
 				candidates = append(candidates, r)
 			}
 		}

@@ -87,15 +87,15 @@ type Stats struct {
 // A steady-state GC cycle over a Heap performs near-zero Go allocations:
 // dead Object structs are recycled through a freelist and their edge
 // stores' overflow blocks (spill arrays and position indexes included)
-// through a second one, freed regions donate their page tables to the next
-// committed region, and the tracer and no-need marker reuse per-heap
-// scratch buffers.
+// through a second one, freed regions donate their page-table bitsets to
+// the next committed region, and the tracer, the no-need marker and the
+// page walk reuse per-heap scratch buffers.
 type Heap struct {
 	cfg Config
 
 	// objects indexes resident objects by identity hash. Allocate and
 	// Remove maintain it; only the callers that hold an id and not a
-	// pointer read it: Link/Unlink, LiveSet.Contains and Stats.
+	// pointer read it: Link/Unlink and Stats.
 	objects map[ObjectID]*Object
 	// active lists every non-freed region in ascending id order. Region
 	// ids are assigned monotonically, so commits append and frees splice
@@ -132,6 +132,8 @@ type Heap struct {
 	noNeedCov bitset
 	// objScratch is the staging buffer exposed through ObjectScratch.
 	objScratch []*Object
+	// pageHeaders is the buffer Pages hands each page's Headers in.
+	pageHeaders []*Object
 }
 
 // New builds a heap from cfg, applying defaults for unset fields.
@@ -278,7 +280,6 @@ func (h *Heap) Allocate(r *Region, size uint32, site SiteID) (*Object, error) {
 	h.totalBytes += uint64(size)
 	first, last := obj.pageSpan(h.cfg.PageSize)
 	r.pages.touch(first, last)
-	r.pages.place(obj, h.cfg.PageSize)
 	return obj, nil
 }
 
@@ -426,14 +427,12 @@ func (h *Heap) Evacuate(obj *Object, dst *Region) error {
 	})
 
 	src.removeResident(obj)
-	src.pages.displace(obj, h.cfg.PageSize)
 	obj.Offset = dst.used
 	obj.region = dst
 	dst.used += obj.Size
 	dst.pushResident(obj)
 	first, last := obj.pageSpan(h.cfg.PageSize)
 	dst.pages.touch(first, last)
-	dst.pages.place(obj, h.cfg.PageSize)
 	return nil
 }
 
@@ -472,7 +471,6 @@ func (h *Heap) Remove(obj *Object) {
 		}
 	})
 	myRegion.removeResident(obj)
-	myRegion.pages.displace(obj, h.cfg.PageSize)
 	delete(h.objects, obj.ID)
 
 	// Recycle the struct: clear identity and graph state, move the edge

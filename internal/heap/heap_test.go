@@ -265,7 +265,7 @@ func TestRootsAndTrace(t *testing.T) {
 	if ls.Objects != 3 {
 		t.Fatalf("live objects = %d, want 3", ls.Objects)
 	}
-	if ls.Contains(orphan.ID) {
+	if ls.Marked(orphan) {
 		t.Fatal("orphan should be unreachable")
 	}
 	if ls.Bytes != 3*64 {
@@ -279,7 +279,7 @@ func TestRootsAndTrace(t *testing.T) {
 	if err := h.Unlink(b.ID, c.ID); err != nil {
 		t.Fatal(err)
 	}
-	if ls := h.Trace(); ls.Contains(c.ID) {
+	if ls := h.Trace(); ls.Marked(c) {
 		t.Fatal("c should be dead after unlink")
 	}
 
@@ -297,11 +297,11 @@ func TestRootPinCounting(t *testing.T) {
 	h.PinRoot(a)
 	h.PinRoot(a)
 	h.UnpinRoot(a)
-	if !h.Trace().Contains(a.ID) {
+	if !h.Trace().Marked(a) {
 		t.Fatal("doubly pinned object should survive one unpin")
 	}
 	h.UnpinRoot(a)
-	if h.Trace().Contains(a.ID) {
+	if h.Trace().Marked(a) {
 		t.Fatal("object should die after final unpin")
 	}
 	mustPanic(t, "unpinning unpinned", func() { h.UnpinRoot(a) })
@@ -410,13 +410,13 @@ func TestEdgeMultiplicity(t *testing.T) {
 	if err := h.Unlink(a.ID, b.ID); err != nil {
 		t.Fatal(err)
 	}
-	if !h.Trace().Contains(b.ID) {
+	if !h.Trace().Marked(b) {
 		t.Fatal("b should stay alive while one edge remains")
 	}
 	if err := h.Unlink(a.ID, b.ID); err != nil {
 		t.Fatal(err)
 	}
-	if h.Trace().Contains(b.ID) {
+	if h.Trace().Marked(b) {
 		t.Fatal("b should die when the last edge is removed")
 	}
 }
@@ -462,7 +462,7 @@ func TestEvacuatePreservesIdentityAndGraph(t *testing.T) {
 	if b.Region() != dst || b.Gen() != 1 {
 		t.Fatalf("evacuated object location wrong: %v", b)
 	}
-	if !h.Trace().Contains(b.ID) {
+	if !h.Trace().Marked(b) {
 		t.Fatal("evacuated object fell out of the graph")
 	}
 	if src.ResidentCount() != 1 || dst.ResidentCount() != 1 {

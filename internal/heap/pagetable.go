@@ -8,17 +8,6 @@ type PageKey struct {
 	Index  uint32
 }
 
-// pageFlags is the simulated kernel page-table entry the paper's Dumper
-// relies on (§4.2): a dirty bit set whenever the page is written (allocation,
-// evacuation target, or a reference-field store) and cleared by the Dumper
-// after every snapshot, plus a no-need bit set by the collector for pages
-// holding no reachable data and cleared as soon as the page is written
-// again.
-type pageFlags struct {
-	dirty  bitset
-	noNeed bitset
-}
-
 // bitset is a minimal fixed-capacity bitset.
 type bitset []uint64
 
@@ -42,77 +31,47 @@ func (b bitset) clearAll() {
 	}
 }
 
-// regionPages holds the page-table slice for one region, including the
-// incrementally maintained page contents (which objects' headers lie on
-// each page, and how many objects' storage overlaps it) so that dumpers
-// never have to rescan residents.
+// any reports whether any bit is set.
+func (b bitset) any() bool {
+	for _, w := range b {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// regionPages is one region's slice of the simulated kernel page table the
+// paper's Dumper relies on (§4.2): a dirty bit set whenever the page is
+// written (allocation, evacuation target, or a reference-field store) and
+// cleared by the Dumper after every snapshot, plus a no-need bit set by the
+// collector for pages holding no reachable data and cleared as soon as the
+// page is written again. It holds no per-object state: which objects lie
+// on a page is read off the region's resident list when a dumper asks
+// (Heap.Pages), as CRIU reads page contents at dump time.
 type regionPages struct {
-	flags pageFlags
-	n     uint32
-	// coverage counts resident objects overlapping each page.
-	coverage []uint16
-	// headers holds, per page index, the identity hashes of resident
-	// objects whose header lies on it. The per-page slices keep their
-	// backing arrays across reset, so a recycled page table reaches its
-	// steady-state capacity once and then stops allocating.
-	headers [][]ObjectID
+	dirty  bitset
+	noNeed bitset
+	n      uint32
 }
 
 func newRegionPages(n uint32) *regionPages {
-	return &regionPages{
-		flags:    pageFlags{dirty: newBitset(n), noNeed: newBitset(n)},
-		n:        n,
-		coverage: make([]uint16, n),
-		headers:  make([][]ObjectID, n),
-	}
+	return &regionPages{dirty: newBitset(n), noNeed: newBitset(n), n: n}
 }
 
-// reset clears the page table for reuse by a fresh region, keeping every
-// backing array (bitsets, coverage counters, per-page header slices).
+// reset clears the page table for reuse by a fresh region, keeping the
+// bitsets' backing arrays.
 func (rp *regionPages) reset() {
-	rp.flags.dirty.clearAll()
-	rp.flags.noNeed.clearAll()
-	for i := range rp.coverage {
-		rp.coverage[i] = 0
-	}
-	for i := range rp.headers {
-		rp.headers[i] = rp.headers[i][:0]
-	}
+	rp.dirty.clearAll()
+	rp.noNeed.clearAll()
 }
 
 // touch marks the page range [first, last] dirty and clears its no-need
 // bits: written memory is live memory from the kernel's perspective.
 func (rp *regionPages) touch(first, last uint32) {
 	for i := first; i <= last && i < rp.n; i++ {
-		rp.flags.dirty.set(i)
-		rp.flags.noNeed.clear(i)
-	}
-}
-
-// place records a resident object's storage on the page table.
-func (rp *regionPages) place(obj *Object, pageSize uint32) {
-	first, last := obj.pageSpan(pageSize)
-	for i := first; i <= last && i < rp.n; i++ {
-		rp.coverage[i]++
-	}
-	hp := obj.headerPage(pageSize)
-	rp.headers[hp] = append(rp.headers[hp], obj.ID)
-}
-
-// displace removes a resident object's storage from the page table.
-func (rp *regionPages) displace(obj *Object, pageSize uint32) {
-	first, last := obj.pageSpan(pageSize)
-	for i := first; i <= last && i < rp.n; i++ {
-		rp.coverage[i]--
-	}
-	hp := obj.headerPage(pageSize)
-	ids := rp.headers[hp]
-	for i, id := range ids {
-		if id == obj.ID {
-			ids[i] = ids[len(ids)-1]
-			rp.headers[hp] = ids[:len(ids)-1]
-			break
-		}
+		rp.dirty.set(i)
+		rp.noNeed.clear(i)
 	}
 }
 
@@ -122,10 +81,11 @@ type PageState struct {
 	Key    PageKey
 	Dirty  bool
 	NoNeed bool
-	// HeaderIDs lists the identity hashes of objects whose header lies on
-	// this page; a snapshot that includes the page lets the Analyzer
-	// recover exactly these ids (§4.3).
-	HeaderIDs []ObjectID
+	// Headers lists the resident objects whose header lies on this page,
+	// in ascending offset order; a snapshot that includes the page lets
+	// the Analyzer recover exactly their ids (§4.3). The slice aliases a
+	// per-heap scratch buffer and is valid only during the Pages callback.
+	Headers []*Object
 	// Occupied reports whether any resident object's storage overlaps the
 	// page; unoccupied pages carry no data worth snapshotting.
 	Occupied bool

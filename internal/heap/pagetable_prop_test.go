@@ -107,13 +107,13 @@ func TestDirtyNoNeedSurviveInterleavingsProperty(t *testing.T) {
 		}
 		checkDirty := func() bool {
 			ok := true
-			h.Pages(func(ps PageState) {
+			h.Pages(true, func(ps PageState) {
 				if ps.Dirty != shadow.dirty[ps.Key] {
 					t.Logf("seed %d: page %v dirty=%v, shadow=%v", seed, ps.Key, ps.Dirty, shadow.dirty[ps.Key])
 					ok = false
 				}
 			})
-			return ok
+			return ok && checkPageWalk(t, h, shadow)
 		}
 		for cycle := 0; cycle < 12; cycle++ {
 			for i := 0; i < 40; i++ {
@@ -137,6 +137,10 @@ func TestDirtyNoNeedSurviveInterleavingsProperty(t *testing.T) {
 				t.Logf("seed %d: page invariant broken in %v", seed, bad)
 				return false
 			}
+			if !checkPageWalk(t, h, shadow) {
+				t.Logf("seed %d: page walk wrong after the sweep", seed)
+				return false
+			}
 			if bad := h.CheckRemsetInvariant(); len(bad) != 0 {
 				t.Logf("seed %d: remset invariant broken in %v", seed, bad)
 				return false
@@ -158,7 +162,7 @@ func TestDirtyNoNeedSurviveInterleavingsProperty(t *testing.T) {
 				}
 			}
 			ok := true
-			h.Pages(func(ps PageState) {
+			h.Pages(true, func(ps PageState) {
 				if ps.NoNeed == covered[ps.Key] {
 					t.Logf("seed %d: page %v noNeed=%v, covered=%v", seed, ps.Key, ps.NoNeed, covered[ps.Key])
 					ok = false
@@ -179,6 +183,55 @@ func TestDirtyNoNeedSurviveInterleavingsProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// checkPageWalk holds Pages' merge walk to a map model rebuilt from the
+// residents: each page's Headers are the residents whose header offset
+// lies on it, listed in ascending offset order, and it is Occupied when
+// any resident's span overlaps it. A full walk must match the model on
+// every page. A dirty-only walk must match it in every region the shadow
+// tracker saw written, and report no headers and no occupancy elsewhere.
+func checkPageWalk(t *testing.T, h *Heap, shadow *shadowTracker) bool {
+	headers := make(map[PageKey]map[*Object]bool)
+	occupied := make(map[PageKey]bool)
+	for _, r := range h.ActiveRegions() {
+		for o := r.FirstResident(); o != nil; o = o.NextResident() {
+			first, last := o.pageSpan(h.cfg.PageSize)
+			hp := PageKey{Region: r.ID(), Index: first}
+			if headers[hp] == nil {
+				headers[hp] = make(map[*Object]bool)
+			}
+			headers[hp][o] = true
+			for i := first; i <= last; i++ {
+				occupied[PageKey{Region: r.ID(), Index: i}] = true
+			}
+		}
+	}
+	dirtyRegion := make(map[RegionID]bool)
+	for key := range shadow.dirty {
+		dirtyRegion[key.Region] = true
+	}
+	ok := true
+	for _, all := range []bool{true, false} {
+		h.Pages(all, func(ps PageState) {
+			want, wantOcc := headers[ps.Key], occupied[ps.Key]
+			if !all && !dirtyRegion[ps.Key.Region] {
+				want, wantOcc = nil, false
+			}
+			exact := len(ps.Headers) == len(want) && ps.Occupied == wantOcc
+			for i, o := range ps.Headers {
+				if !want[o] || (i > 0 && ps.Headers[i-1].Offset >= o.Offset) {
+					exact = false
+				}
+			}
+			if !exact {
+				t.Logf("all=%v: page %v has %d headers (occupied %v), model %d (occupied %v)",
+					all, ps.Key, len(ps.Headers), ps.Occupied, len(want), wantOcc)
+				ok = false
+			}
+		})
+	}
+	return ok
 }
 
 // TestNoNeedClearedOnlyByWrites checks the no-need bit's lifecycle

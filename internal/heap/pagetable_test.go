@@ -2,13 +2,19 @@ package heap
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
+// collectPages returns every page's state from a full walk, with each
+// page's Headers copied out of the walk's scratch buffer.
 func collectPages(h *Heap) map[PageKey]PageState {
 	out := make(map[PageKey]PageState)
-	h.Pages(func(ps PageState) { out[ps.Key] = ps })
+	h.Pages(true, func(ps PageState) {
+		ps.Headers = slices.Clone(ps.Headers)
+		out[ps.Key] = ps
+	})
 	return out
 }
 
@@ -56,11 +62,49 @@ func TestHeaderIDsOnPages(t *testing.T) {
 	pages := collectPages(h)
 	p0 := pages[PageKey{r.ID(), 0}]
 	p1 := pages[PageKey{r.ID(), 1}]
-	if len(p0.HeaderIDs) != 1 || p0.HeaderIDs[0] != a.ID {
-		t.Fatalf("page 0 headers = %v, want [a]", p0.HeaderIDs)
+	if len(p0.Headers) != 1 || p0.Headers[0] != a {
+		t.Fatalf("page 0 headers = %v, want [a]", p0.Headers)
 	}
-	if len(p1.HeaderIDs) != 1 || p1.HeaderIDs[0] != b.ID {
-		t.Fatalf("page 1 headers = %v, want [b]", p1.HeaderIDs)
+	if len(p1.Headers) != 1 || p1.Headers[0] != b {
+		t.Fatalf("page 1 headers = %v, want [b]", p1.Headers)
+	}
+	if p0.Headers[0].ID != a.ID || p1.Headers[0].ID != b.ID {
+		t.Fatalf("header ids = %d, %d, want %d, %d", p0.Headers[0].ID, p1.Headers[0].ID, a.ID, b.ID)
+	}
+}
+
+// CheckPageInvariant flags every way a resident list can break the shape
+// the page walk relies on.
+func TestCheckPageInvariantFlagsBrokenResidentLists(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(r, other *Region, a, b, c *Object)
+	}{
+		{"out of order", func(r, _ *Region, _, b, _ *Object) {
+			r.removeResident(b)
+			r.pushResident(b)
+		}},
+		{"overlapping", func(_, _ *Region, a, b, _ *Object) { b.Offset = a.Offset + a.Size - 1 }},
+		{"past the bump pointer", func(r, _ *Region, _, _, c *Object) { c.Size = r.used }},
+		{"foreign resident", func(_, other *Region, _, b, _ *Object) { b.region = other }},
+		{"miscounted", func(r, _ *Region, _, _, _ *Object) { r.residents++ }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := testHeap(t)
+			other := mustRegion(t, h, Young)
+			r := mustRegion(t, h, Young)
+			a := mustAlloc(t, h, r, 100)
+			b := mustAlloc(t, h, r, 5000)
+			c := mustAlloc(t, h, r, 100)
+			if bad := h.CheckPageInvariant(); len(bad) != 0 {
+				t.Fatalf("intact heap flagged: %v", bad)
+			}
+			tc.corrupt(r, other, a, b, c)
+			if bad := h.CheckPageInvariant(); !slices.Equal(bad, []RegionID{r.ID()}) {
+				t.Fatalf("CheckPageInvariant = %v, want [%d]", bad, r.ID())
+			}
+		})
 	}
 }
 

@@ -14,7 +14,6 @@ type RegionLiveness struct {
 // until the next Trace call on the same heap (the traversal buffer it views
 // is the heap's reusable trace queue).
 type LiveSet struct {
-	h     *Heap
 	epoch uint64
 	objs  []*Object
 
@@ -27,14 +26,7 @@ type LiveSet struct {
 	Edges   uint64
 }
 
-// Contains reports whether the object with the given id was reachable.
-func (ls *LiveSet) Contains(id ObjectID) bool {
-	obj := ls.h.objects[id]
-	return obj != nil && obj.mark == ls.epoch
-}
-
-// Marked reports whether an already-resolved object was reachable, skipping
-// the id lookup on hot collector paths.
+// Marked reports whether obj was reachable when the set was traced.
 func (ls *LiveSet) Marked(obj *Object) bool { return obj.mark == ls.epoch }
 
 // Region returns the liveness summary for one region. The summary is stored
@@ -68,7 +60,7 @@ func (ls *LiveSet) IDs() []ObjectID {
 // BFS queue backing is owned by the heap and reused across traces.
 func (h *Heap) Trace() *LiveSet {
 	h.epoch++
-	ls := &LiveSet{h: h, epoch: h.epoch}
+	ls := &LiveSet{epoch: h.epoch}
 	queue := h.traceQueue[:0]
 	for _, obj := range h.roots {
 		obj.mark = h.epoch
@@ -150,7 +142,7 @@ func (h *Heap) MarkNoNeedPages(live *LiveSet) {
 		}
 		for i := uint32(0); i < rp.n; i++ {
 			if !cv.get(i) {
-				rp.flags.noNeed.set(i)
+				rp.noNeed.set(i)
 			}
 		}
 	}
@@ -160,21 +152,46 @@ func (h *Heap) MarkNoNeedPages(live *LiveSet) {
 // (region, index) order. Freed regions are skipped: their memory is
 // unmapped from the dumper's point of view.
 //
-// The HeaderIDs slice passed to f aliases the page table and is only valid
-// for the duration of the callback: callers that keep header ids (the
-// dumpers) must copy the slice. Ids appear in placement order, which is
-// deterministic because the whole simulation is.
-func (h *Heap) Pages(f func(PageState)) {
+// A page's Headers and Occupied are read off its region's resident list in
+// one merge walk, which relies on the residents lying in ascending,
+// non-overlapping offset order: residents are only ever appended at the
+// bump pointer, and CheckPageInvariant verifies the order. With all false
+// the walk is made only in regions holding a dirty page; every page of a
+// clean region reports no Headers and Occupied false. That is all an
+// incremental dumper needs, since it copies no clean page, and it keeps
+// the dump's cost proportional to what it copies.
+//
+// Headers aliases a per-heap scratch buffer and is valid only during the
+// callback: callers that keep header ids (the dumpers) copy them out.
+func (h *Heap) Pages(all bool, f func(PageState)) {
+	pageSize := h.cfg.PageSize
 	for _, r := range h.active {
 		rp := r.pages
+		walk := all || rp.dirty.any()
+		// obj is the first resident whose header lies on or after the
+		// current page; prev is the resident just before it, the only
+		// one whose storage can reach into the page from an earlier one.
+		obj := r.head
+		var prev *Object
 		for i := uint32(0); i < rp.n; i++ {
-			f(PageState{
-				Key:       PageKey{Region: r.id, Index: i},
-				Dirty:     rp.flags.dirty.get(i),
-				NoNeed:    rp.flags.noNeed.get(i),
-				HeaderIDs: rp.headers[i],
-				Occupied:  rp.coverage[i] > 0,
-			})
+			st := PageState{
+				Key:    PageKey{Region: r.id, Index: i},
+				Dirty:  rp.dirty.get(i),
+				NoNeed: rp.noNeed.get(i),
+			}
+			if walk {
+				start, end := i*pageSize, (i+1)*pageSize
+				reached := prev != nil && prev.Offset+prev.Size > start
+				headers := h.pageHeaders[:0]
+				for ; obj != nil && obj.Offset < end; obj = obj.next {
+					headers = append(headers, obj)
+					prev = obj
+				}
+				h.pageHeaders = headers
+				st.Headers = headers
+				st.Occupied = reached || len(headers) > 0
+			}
+			f(st)
 		}
 	}
 }
@@ -184,7 +201,7 @@ func (h *Heap) Pages(f func(PageState)) {
 // CRIU resets the kernel soft-dirty bit (§4.2).
 func (h *Heap) ClearDirtyPages() {
 	for _, r := range h.active {
-		r.pages.flags.dirty.clearAll()
+		r.pages.dirty.clearAll()
 	}
 }
 
@@ -225,43 +242,26 @@ func (h *Heap) CheckRemsetInvariant() []RegionID {
 	return bad
 }
 
-// CheckPageInvariant recomputes every active region's page coverage and
-// header lists from its residents and compares them with the incrementally
-// maintained page tables, returning the regions that disagree in ascending
-// order. Tests use it to validate the bookkeeping in
-// Allocate/Evacuate/Remove.
+// CheckPageInvariant checks the resident-list shape Pages' merge walk
+// relies on. For every active region, every resident must point back to
+// the region, the list must hold exactly ResidentCount objects, and the
+// residents must lie below the bump pointer in ascending, non-overlapping
+// offset order. It returns the regions that break it, in ascending order.
+// Tests use it to validate Allocate/Evacuate/Remove.
 func (h *Heap) CheckPageInvariant() []RegionID {
 	var bad []RegionID
 	for _, r := range h.active {
-		rp := r.pages
-		coverage := make([]uint16, rp.n)
-		headers := make(map[uint32]map[ObjectID]struct{})
+		n, end, ok := 0, uint32(0), true
 		for obj := r.head; obj != nil; obj = obj.next {
-			first, last := obj.pageSpan(h.cfg.PageSize)
-			for i := first; i <= last && i < rp.n; i++ {
-				coverage[i]++
-			}
-			hp := obj.headerPage(h.cfg.PageSize)
-			if headers[hp] == nil {
-				headers[hp] = make(map[ObjectID]struct{})
-			}
-			headers[hp][obj.ID] = struct{}{}
-		}
-		ok := true
-		for i := uint32(0); i < rp.n && ok; i++ {
-			if coverage[i] != rp.coverage[i] {
+			n++
+			if n > r.residents || obj.region != r || obj.Offset < end ||
+				obj.Offset > r.used || obj.Size > r.used-obj.Offset {
 				ok = false
+				break
 			}
-			if len(headers[i]) != len(rp.headers[i]) {
-				ok = false
-			}
-			for _, hid := range rp.headers[i] {
-				if _, present := headers[i][hid]; !present {
-					ok = false
-				}
-			}
+			end = obj.Offset + obj.Size
 		}
-		if !ok {
+		if !ok || n != r.residents {
 			bad = append(bad, r.id)
 		}
 	}

@@ -57,8 +57,8 @@ func TestCohortExactSplit(t *testing.T) {
 	}{
 		{1, 0.25, 1},
 		{1, 0.01, 1},
-		{10, 0.25, 3},  // ceil(2.5)
-		{10, 0.10, 1},  // ceil(1.0)
+		{10, 0.25, 3}, // ceil(2.5)
+		{10, 0.10, 1}, // ceil(1.0)
 		{10, 1.00, 10},
 		{256, 0.25, 64},
 		{256, 0.10, 26}, // ceil(25.6)
