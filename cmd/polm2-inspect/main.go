@@ -369,15 +369,15 @@ func showSnapshots(w io.Writer, dir string) error {
 		fmt.Fprintln(w, "no snapshot images found")
 		return nil
 	}
-	fmt.Fprintf(w, "%-6s %-8s %-12s %-6s %-8s %-8s %-8s %-10s %-12s\n",
-		"seq", "cycle", "taken", "incr", "regions", "pages", "no-need", "size(MB)", "duration")
+	fmt.Fprintf(w, "%-6s %-8s %-12s %-8s %-8s %-8s %-10s %-12s\n",
+		"seq", "cycle", "taken", "regions", "pages", "no-need", "size(MB)", "duration")
 	store := snapshot.NewStore()
 	for _, s := range snaps {
 		if err := store.Apply(s); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%-6d %-8d %-12v %-6v %-8d %-8d %-8d %-10.2f %-12v\n",
-			s.Seq, s.Cycle, s.TakenAt.Round(time.Millisecond), s.Incremental,
+		fmt.Fprintf(w, "%-6d %-8d %-12v %-8d %-8d %-8d %-10.2f %-12v\n",
+			s.Seq, s.Cycle, s.TakenAt.Round(time.Millisecond),
 			len(s.Regions), len(s.Pages), len(s.NoNeed),
 			float64(s.SizeBytes)/(1<<20), s.Duration.Round(time.Millisecond))
 	}

@@ -74,9 +74,10 @@ func randomRecording(rng *rand.Rand, lo uint64, size int) ([]heap.SiteID, map[he
 	return sites, streams
 }
 
-// randomSnapshots lists, in shuffled slice order, full snapshots of
-// distinct serials around and inside the recording window, plus ids far
-// outside it: some live objects were never recorded.
+// randomSnapshots lists, in shuffled slice order, snapshots of distinct
+// serials around and inside the recording window, plus ids far outside it:
+// some live objects were never recorded. Each maps no region, so each
+// replaces the whole view, as the first increment of a chain does.
 func randomSnapshots(rng *rand.Rand, lo uint64, size int) []*snapshot.Snapshot {
 	snaps := make([]*snapshot.Snapshot, rng.Intn(6))
 	for i := range snaps {

@@ -7,9 +7,11 @@
 // unmapped regions. Both optimizations can be toggled off independently for
 // the ablation benchmarks.
 //
-// The jmap-style dumper walks all live objects and serializes them, which
-// is slow and produces large dumps — the paper reports 22-minute, 3.8 GB
-// jmap dumps for GraphChi against 32-second, 700 MB Dumper snapshots.
+// The jmap-style baseline traces the heap and is modeled by the time and
+// size of serializing every live object, which is slow and produces large
+// dumps — the paper reports 22-minute, 3.8 GB jmap dumps for GraphChi
+// against 32-second, 700 MB Dumper snapshots. Figures 3 and 4 compare the
+// two by time and size alone, so a jmap dump carries no page images.
 package dumper
 
 import (
@@ -107,11 +109,10 @@ func New(h *heap.Heap, clock *simclock.Clock, cfg Config) *Dumper {
 func (d *Dumper) Snapshot(cycle uint64) error {
 	d.seq++
 	snap := &snapshot.Snapshot{
-		Seq:         d.seq,
-		Cycle:       cycle,
-		TakenAt:     d.clock.Now(),
-		Incremental: true,
-		Regions:     d.h.ActiveRegionIDs(),
+		Seq:     d.seq,
+		Cycle:   cycle,
+		TakenAt: d.clock.Now(),
+		Regions: d.h.ActiveRegionIDs(),
 	}
 	pageSize := uint64(d.h.Config().PageSize)
 	// Header ids are copied into one per-snapshot arena instead of one
@@ -176,16 +177,17 @@ func (d *Dumper) Snapshots() []*snapshot.Snapshot {
 	return out
 }
 
-// Jmap creates full live-object dumps the way the jmap tool does: it traces
-// the heap itself and serializes every live object. It implements
-// recorder.SnapshotSink so either dumper can drive the same pipeline.
+// Jmap models live-object dumps the way the jmap tool takes them: it
+// traces the heap itself and charges the serialization of every live
+// object. Its snapshots carry only the modeled SizeBytes and Duration, no
+// pages. It implements recorder.SnapshotSink so either dumper can drive
+// the same pipeline.
 type Jmap struct {
-	h       *heap.Heap
-	clock   *simclock.Clock
-	cost    CostModel
-	seq     int
-	snaps   []*snapshot.Snapshot
-	lastHdr int
+	h     *heap.Heap
+	clock *simclock.Clock
+	cost  CostModel
+	seq   int
+	snaps []*snapshot.Snapshot
 }
 
 // NewJmap builds a jmap-style dumper.
@@ -196,36 +198,11 @@ func NewJmap(h *heap.Heap, clock *simclock.Clock, cost CostModel) *Jmap {
 	return &Jmap{h: h, clock: clock, cost: cost}
 }
 
-// Snapshot captures a full live-object dump.
+// Snapshot models a live-object dump of the current heap.
 func (j *Jmap) Snapshot(cycle uint64) error {
 	j.seq++
 	live := j.h.Trace()
-	snap := &snapshot.Snapshot{
-		Seq:         j.seq,
-		Cycle:       cycle,
-		TakenAt:     j.clock.Now(),
-		Incremental: false,
-		Regions:     j.h.ActiveRegionIDs(),
-	}
-	// Like the CRIU-style dumper, live header ids land in one
-	// per-snapshot arena sized from the previous dump.
-	arena := make([]heap.ObjectID, 0, j.lastHdr)
-	j.h.Pages(true, func(ps heap.PageState) {
-		start := len(arena)
-		for _, obj := range ps.Headers {
-			if live.Marked(obj) {
-				arena = append(arena, obj.ID)
-			}
-		}
-		if len(arena) == start {
-			return
-		}
-		snap.Pages = append(snap.Pages, snapshot.PageRecord{
-			Key:       ps.Key,
-			HeaderIDs: arena[start:len(arena):len(arena)],
-		})
-	})
-	j.lastHdr = len(arena)
+	snap := &snapshot.Snapshot{Seq: j.seq, Cycle: cycle, TakenAt: j.clock.Now()}
 	snap.SizeBytes = live.Bytes + uint64(live.Objects)*j.cost.JmapObjectHeaderBytes
 	snap.Duration = j.cost.JmapBase +
 		time.Duration(live.Bytes)*j.cost.JmapPerLiveByte +

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"slices"
 	"testing"
+	"time"
 
 	"polm2/internal/heap"
 	"polm2/internal/simclock"
@@ -176,6 +177,19 @@ func TestChargeClock(t *testing.T) {
 	}
 }
 
+// jmapCost prices a jmap dump of the given live objects under c: the size
+// and time Figures 3 and 4 compare.
+func jmapCost(c CostModel, objs ...*heap.Object) (size uint64, dur time.Duration) {
+	var bytes uint64
+	for _, obj := range objs {
+		bytes += uint64(obj.Size)
+	}
+	n := uint64(len(objs))
+	size = bytes + n*c.JmapObjectHeaderBytes
+	dur = c.JmapBase + time.Duration(bytes)*c.JmapPerLiveByte + time.Duration(n)*c.JmapPerObject
+	return size, dur
+}
+
 func TestJmapDumpsOnlyLiveObjects(t *testing.T) {
 	h := newHeap(t)
 	r, err := h.NewRegion(heap.Young)
@@ -186,8 +200,8 @@ func TestJmapDumpsOnlyLiveObjects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadObj, err := h.Allocate(r, 512, 1)
-	if err != nil {
+	// A dead object, larger than the live one: its bytes must not count.
+	if _, err := h.Allocate(r, 4000, 1); err != nil {
 		t.Fatal(err)
 	}
 	h.PinRoot(liveObj)
@@ -196,18 +210,12 @@ func TestJmapDumpsOnlyLiveObjects(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := j.Snapshots()[0]
-	store := snapshot.NewStore()
-	if err := store.Apply(snap); err != nil {
-		t.Fatal(err)
+	size, dur := jmapCost(DefaultCostModel(), liveObj)
+	if snap.SizeBytes != size || snap.Duration != dur {
+		t.Fatalf("jmap dump = %d B in %v, want the live object's %d B in %v", snap.SizeBytes, snap.Duration, size, dur)
 	}
-	if !slices.Contains(store.LiveIDs(), liveObj.ID) {
-		t.Fatal("live object missing from jmap dump")
-	}
-	if slices.Contains(store.LiveIDs(), deadObj.ID) {
-		t.Fatal("dead object present in jmap dump")
-	}
-	if snap.Incremental {
-		t.Fatal("jmap dump marked incremental")
+	if len(snap.Pages) != 0 || len(snap.Regions) != 0 {
+		t.Fatalf("jmap dump carries %d pages and %d regions; it is a size-and-time model", len(snap.Pages), len(snap.Regions))
 	}
 }
 
@@ -389,9 +397,9 @@ func TestIncrementalSkipsCleanRegionsLosslessly(t *testing.T) {
 		t.Fatalf("degenerate heap: %d kept pages, clean region no-need %v", len(kept), cleanNoNeed)
 	}
 
-	// Every dirty bit is clear now. The full-walk dumpers must not care:
-	// the ablation copies every needed occupied page, jmap every live
-	// header.
+	// Every dirty bit is clear now. The full-heap dumps must not care:
+	// the ablation copies every needed occupied page, and jmap charges
+	// for every live object.
 	abl := New(h, simclock.New(), Config{DisableIncremental: true})
 	if err := abl.Snapshot(3); err != nil {
 		t.Fatal(err)
@@ -412,12 +420,16 @@ func TestIncrementalSkipsCleanRegionsLosslessly(t *testing.T) {
 	if err := j.Snapshot(3); err != nil {
 		t.Fatal(err)
 	}
-	var jmapIDs []heap.ObjectID
-	for _, pr := range j.Snapshots()[0].Pages {
-		jmapIDs = append(jmapIDs, pr.HeaderIDs...)
+	var live []*heap.Object
+	ls := h.Trace()
+	for _, obj := range objs {
+		if ls.Marked(obj) {
+			live = append(live, obj)
+		}
 	}
-	slices.Sort(jmapIDs)
-	if want := h.Trace().IDs(); !slices.Equal(jmapIDs, want) {
-		t.Errorf("jmap dump of a clean heap lists %d ids, want the %d live ones", len(jmapIDs), len(want))
+	size, dur := jmapCost(DefaultCostModel(), live...)
+	if js := j.Snapshots()[0]; js.SizeBytes != size || js.Duration != dur {
+		t.Errorf("jmap dump of a clean heap = %d B in %v, want its %d live objects' %d B in %v",
+			js.SizeBytes, js.Duration, len(live), size, dur)
 	}
 }

@@ -162,7 +162,7 @@ func (h *Heap) MarkNoNeedPages(live *LiveSet) {
 // the dump's cost proportional to what it copies.
 //
 // Headers aliases a per-heap scratch buffer and is valid only during the
-// callback: callers that keep header ids (the dumpers) copy them out.
+// callback: callers that keep header ids (the dumper) copy them out.
 func (h *Heap) Pages(all bool, f func(PageState)) {
 	pageSize := h.cfg.PageSize
 	for _, r := range h.active {
@@ -206,7 +206,7 @@ func (h *Heap) ClearDirtyPages() {
 }
 
 // ActiveRegionIDs returns the ids of all non-freed regions in ascending
-// order. The returned slice is freshly allocated; callers (the dumpers'
+// order. The returned slice is freshly allocated; callers (the dumper's
 // snapshots) may keep it indefinitely.
 func (h *Heap) ActiveRegionIDs() []RegionID {
 	out := make([]RegionID, len(h.active))

@@ -207,7 +207,9 @@ func TestVirtualTimeOnly(t *testing.T) {
 // still pass them. After the fleet quiesces, one upload is handed straight
 // to daemon-0's handler — past the fabric, so the delivery log never sees
 // it — and merged. The per-key checker must flag daemon-0's plan as no
-// longer the merge of delivered evidence, on one daemon and on two alike.
+// longer the merge of delivered evidence, and the counter checker its
+// upload count as more than the fabric delivered, on one daemon and on
+// two alike.
 func TestCheckerCatchesOutOfBandUpload(t *testing.T) {
 	for _, daemons := range []int{1, 2} {
 		t.Run(fmt.Sprintf("daemons=%d", daemons), func(t *testing.T) {
@@ -237,9 +239,13 @@ func TestCheckerCatchesOutOfBandUpload(t *testing.T) {
 			if rep.OK() {
 				t.Fatalf("checker accepted a plan built from evidence the fabric never delivered:\n%s", rep.Log())
 			}
-			want := "plan identity: " + s.daemonLabel(0) + " serves"
-			if !strings.Contains(rep.Log(), want) {
-				t.Fatalf("no per-key %q violation:\n%s", want, rep.Log())
+			for _, want := range []string{
+				"plan identity: " + s.daemonLabel(0) + " serves",
+				"counter accounting: " + s.daemonLabel(0) + " counted",
+			} {
+				if !strings.Contains(rep.Log(), want) {
+					t.Fatalf("no %q violation:\n%s", want, rep.Log())
+				}
 			}
 		})
 	}

@@ -38,7 +38,7 @@ import (
 // Section payloads are varint-encoded (all integers varint, region ids
 // delta-encoded in ascending order):
 //
-//	header:  seq | cycle | takenAtNs | incremental byte | durationNs | sizeBytes
+//	header:  seq | cycle | takenAtNs | flag byte (1) | durationNs | sizeBytes
 //	regions: nRegions | region ids (delta-encoded)
 //	no-need: nNoNeed | page keys (region delta + index)
 //	pages:   nPages | per page: region delta + index + nIDs + serial deltas
@@ -50,6 +50,9 @@ import (
 // deltas are small, where the hash-valued ids would take ~9 bytes each
 // even sorted. A decoded page therefore lists its ids in ascending serial
 // (allocation) order.
+//
+// The header's flag byte is always 1, "incremental": every image is a
+// CRIU-style increment. The decoder refuses any other value as corrupt.
 
 // ImageVersion is the image format this package writes and reads.
 const ImageVersion = 3
@@ -108,11 +111,7 @@ func (s *Snapshot) encodeHeader() []byte {
 	putUvarint(&b, uint64(s.Seq))
 	putUvarint(&b, s.Cycle)
 	putUvarint(&b, uint64(s.TakenAt))
-	inc := byte(0)
-	if s.Incremental {
-		inc = 1
-	}
-	b.WriteByte(inc)
+	b.WriteByte(1)
 	putUvarint(&b, uint64(s.Duration))
 	putUvarint(&b, s.SizeBytes)
 	return b.Bytes()
@@ -274,11 +273,13 @@ func (s *Snapshot) decodeHeader(payload []byte) error {
 		return err
 	}
 	s.TakenAt = time.Duration(takenAt)
-	inc, err := p.ReadByte()
+	flag, err := p.ReadByte()
 	if err != nil {
 		return fmt.Errorf("%w: header flags: %v", ErrCorrupt, err)
 	}
-	s.Incremental = inc == 1
+	if flag != 1 {
+		return fmt.Errorf("%w: header flag %d, want 1 (incremental)", ErrCorrupt, flag)
+	}
 	dur, err := p.uvarint("duration")
 	if err != nil {
 		return err
@@ -446,9 +447,7 @@ func (d *DirSalvage) drop(base, reason string, err error) {
 
 // ReadDirSalvage loads the usable prefix of a snapshot image directory:
 // images decode in sequence order until the first damaged or missing link
-// in the incremental chain. A later full (non-incremental) snapshot
-// restarts the chain — it replaces the whole store view, so nothing before
-// it is needed.
+// in the incremental chain; every image after it is dropped.
 func ReadDirSalvage(dir string) ([]*Snapshot, *DirSalvage, error) {
 	entries, err := filepath.Glob(filepath.Join(dir, "snap-*.img"))
 	if err != nil {
@@ -458,7 +457,6 @@ func ReadDirSalvage(dir string) ([]*Snapshot, *DirSalvage, error) {
 	sal := &DirSalvage{Total: len(entries)}
 	var out []*Snapshot
 	broken := false // the incremental chain is severed
-	lastSeq := 0
 	for _, path := range entries {
 		base := filepath.Base(path)
 		s, err := readImage(path)
@@ -467,23 +465,21 @@ func ReadDirSalvage(dir string) ([]*Snapshot, *DirSalvage, error) {
 			broken = true
 			continue
 		}
-		if broken && s.Incremental {
+		if broken {
 			sal.drop(base, "incremental after broken chain", nil)
 			continue
 		}
-		if !broken && s.Incremental && s.Seq != lastSeq+1 {
-			// A sequence gap — including a chain that starts incremental
-			// with its base image gone — severs the chain too.
+		// The usable images so far are seqs 1..len(out).
+		if lastSeq := len(out); s.Seq != lastSeq+1 {
+			// A sequence gap — including a chain whose base image is
+			// gone — severs the chain too.
 			sal.drop(base, fmt.Sprintf("sequence gap (%d after %d)", s.Seq, lastSeq),
 				fmt.Errorf("%w: incremental snapshot %d without its base (last seen %d)", ErrTruncated, s.Seq, lastSeq))
 			broken = true
 			continue
 		}
-		broken = false
-		lastSeq = s.Seq
 		out = append(out, s)
 		sal.Usable++
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out, sal, nil
 }

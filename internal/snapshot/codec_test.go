@@ -18,12 +18,11 @@ import (
 
 func sampleSnapshot() *Snapshot {
 	return &Snapshot{
-		Seq:         3,
-		Cycle:       17,
-		TakenAt:     90 * time.Second,
-		Incremental: true,
-		Regions:     []heap.RegionID{1, 2, 9},
-		NoNeed:      []heap.PageKey{{Region: 2, Index: 5}, {Region: 9, Index: 0}},
+		Seq:     3,
+		Cycle:   17,
+		TakenAt: 90 * time.Second,
+		Regions: []heap.RegionID{1, 2, 9},
+		NoNeed:  []heap.PageKey{{Region: 2, Index: 5}, {Region: 9, Index: 0}},
 		Pages: []PageRecord{
 			{Key: heap.PageKey{Region: 1, Index: 0}, HeaderIDs: []heap.ObjectID{100, 42, 7}},
 			{Key: heap.PageKey{Region: 9, Index: 3}, HeaderIDs: []heap.ObjectID{55}},
@@ -125,20 +124,16 @@ func TestCodecRejectsGarbage(t *testing.T) {
 func TestWriteDirReadDir(t *testing.T) {
 	dir := t.TempDir()
 	a := sampleSnapshot()
-	a.Incremental = false // chain base: ReadDir refuses a rootless chain
+	a.Seq = 1 // chain base: ReadDir refuses a rootless chain
 	b := sampleSnapshot()
-	b.Seq = 4
-	b.Incremental = false
+	b.Seq = 2
 	writeImages(t, dir, []*Snapshot{b, a}, nil)
 	got, err := ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0].Seq != 3 || got[1].Seq != 4 {
+	if len(got) != 2 || got[0].Seq != 1 || got[1].Seq != 2 {
 		t.Fatalf("ReadDir order wrong: %+v", got)
-	}
-	if got[1].Incremental {
-		t.Fatal("full-dump flag lost")
 	}
 }
 
@@ -158,12 +153,11 @@ func TestCodecRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		s := &Snapshot{
-			Seq:         1 + rng.Intn(1000),
-			Cycle:       uint64(rng.Intn(5000)),
-			TakenAt:     time.Duration(rng.Intn(1 << 30)),
-			Incremental: rng.Intn(2) == 0,
-			SizeBytes:   uint64(rng.Intn(1 << 20)),
-			Duration:    time.Duration(rng.Intn(1 << 20)),
+			Seq:       1 + rng.Intn(1000),
+			Cycle:     uint64(rng.Intn(5000)),
+			TakenAt:   time.Duration(rng.Intn(1 << 30)),
+			SizeBytes: uint64(rng.Intn(1 << 20)),
+			Duration:  time.Duration(rng.Intn(1 << 20)),
 		}
 		for i, n := 0, rng.Intn(20); i < n; i++ {
 			s.Regions = append(s.Regions, heap.RegionID(rng.Intn(1000)))
@@ -221,8 +215,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 			return false
 		}
 		return reflect.DeepEqual(sa.LiveIDs(), sb.LiveIDs()) &&
-			got.Seq == s.Seq && got.Cycle == s.Cycle &&
-			got.Incremental == s.Incremental && got.SizeBytes == s.SizeBytes
+			got.Seq == s.Seq && got.Cycle == s.Cycle && got.SizeBytes == s.SizeBytes
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -19,7 +19,7 @@ func FuzzRead(f *testing.F) {
 	for _, s := range []*Snapshot{
 		sampleSnapshot(),
 		{Seq: 1},
-		{Seq: 2, Incremental: true, Regions: []heap.RegionID{1}, TakenAt: time.Second},
+		{Seq: 2, Regions: []heap.RegionID{1}, TakenAt: time.Second},
 	} {
 		var buf bytes.Buffer
 		if err := s.Write(&buf); err != nil {

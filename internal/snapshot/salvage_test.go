@@ -1,14 +1,18 @@
 package snapshot
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"polm2/internal/faultio"
+	"polm2/internal/framelog"
 )
 
 // refSnapDir holds the checked-in images of the current format.
@@ -88,9 +92,9 @@ func writeImages(t *testing.T, dir string, snaps []*Snapshot, fio *faultio.Injec
 func TestWriteDirAtomicNoTemporaries(t *testing.T) {
 	dir := t.TempDir()
 	a := sampleSnapshot()
-	a.Incremental = false // chain base: ReadDir refuses a rootless chain
+	a.Seq = 1 // chain base: ReadDir refuses a rootless chain
 	b := sampleSnapshot()
-	b.Seq = 4
+	b.Seq = 2
 	writeImages(t, dir, []*Snapshot{a, b}, nil)
 	entries, _ := os.ReadDir(dir)
 	for _, e := range entries {
@@ -177,33 +181,79 @@ func TestReadDirSalvagePrefixAndGap(t *testing.T) {
 	}
 }
 
-func TestReadDirSalvageFullSnapshotRestartsChain(t *testing.T) {
-	dir := t.TempDir()
-	var snaps []*Snapshot
-	for i := 1; i <= 5; i++ {
-		s := sampleSnapshot()
-		s.Seq = i
-		snaps = append(snaps, s)
+// imageWithFlag encodes s with its header flag byte set to flag, framed
+// afresh so every CRC holds and only the flag check can refuse it.
+func imageWithFlag(t *testing.T, s *Snapshot, flag byte) []byte {
+	t.Helper()
+	hdr := s.encodeHeader()
+	off := 0
+	for range 3 { // seq, cycle, instant precede the flag
+		_, n := binary.Uvarint(hdr[off:])
+		off += n
 	}
-	snaps[3].Incremental = false // image 4 is a full dump
-	writeImages(t, dir, snaps, nil)
-	if err := os.Truncate(filepath.Join(dir, FileName(2)), 9); err != nil {
-		t.Fatal(err)
+	if hdr[off] != 1 {
+		t.Fatalf("header flag byte at %d is %d, want 1", off, hdr[off])
 	}
-	got, sal, err := ReadDirSalvage(dir)
+	hdr[off] = flag
+	var buf bytes.Buffer
+	fw, err := framelog.NewWriter(bufio.NewWriter(&buf), imageFormat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 1 usable, 2 damaged, 3 dropped (incremental after break), 4 full
-	// restarts the chain, 5 chains onto it.
-	if len(got) != 3 || got[0].Seq != 1 || got[1].Seq != 4 || got[2].Seq != 5 {
-		t.Fatalf("salvage = %+v (%+v)", got, sal)
-	}
-	// The salvaged sequence replays through the store without error.
-	store := NewStore()
-	for _, s := range got {
-		if err := store.Apply(s); err != nil {
+	for _, payload := range [][]byte{hdr, s.encodeRegions(), s.encodeNoNeed(), s.encodePages()} {
+		if err := fw.Frame(payload); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := fw.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestHeaderFlagRefused: every image is an increment, so a header flag
+// other than 1 is damage. Read refuses it as corrupt, and ReadDirSalvage
+// drops it and every image after it.
+func TestHeaderFlagRefused(t *testing.T) {
+	for _, flag := range []byte{0, 2} {
+		t.Run(fmt.Sprintf("flag=%d", flag), func(t *testing.T) {
+			bad := sampleSnapshot()
+			if _, err := Read(bytes.NewReader(imageWithFlag(t, bad, 1))); err != nil {
+				t.Fatalf("re-framed image with flag 1 refused: %v", err)
+			}
+			if _, err := Read(bytes.NewReader(imageWithFlag(t, bad, flag))); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("flag %d: err = %v, want ErrCorrupt", flag, err)
+			}
+
+			dir := t.TempDir()
+			var snaps []*Snapshot
+			for i := 1; i <= 4; i++ {
+				s := sampleSnapshot()
+				s.Seq = i
+				snaps = append(snaps, s)
+			}
+			writeImages(t, dir, snaps, nil)
+			if err := os.WriteFile(filepath.Join(dir, FileName(2)), imageWithFlag(t, snaps[1], flag), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, sal, err := ReadDirSalvage(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != 1 || got[0].Seq != 1 || sal.Usable != 1 || sal.Total != 4 || len(sal.Dropped) != 3 {
+				t.Fatalf("salvage = %d snaps, %+v", len(got), sal)
+			}
+			if !strings.HasPrefix(sal.Dropped[0], FileName(2)+": ") || !errors.Is(sal.first, ErrCorrupt) {
+				t.Fatalf("flagged image not dropped as corrupt: %q (first %v)", sal.Dropped[0], sal.first)
+			}
+			for i, seq := range []int{3, 4} {
+				if want := FileName(seq) + ": incremental after broken chain"; sal.Dropped[1+i] != want {
+					t.Fatalf("dropped[%d] = %q, want %q", 1+i, sal.Dropped[1+i], want)
+				}
+			}
+			if _, err := ReadDir(dir); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("ReadDir err = %v, want ErrCorrupt", err)
+			}
+		})
 	}
 }

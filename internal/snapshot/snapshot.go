@@ -1,13 +1,13 @@
 // Package snapshot defines heap snapshots and the store that reconstructs a
 // full live-heap view from a sequence of incremental snapshots.
 //
-// A CRIU-style incremental snapshot (§4.2 of the POLM2 paper) contains only
-// the pages dirtied since the previous snapshot, omits pages carrying the
-// no-need bit, and implicitly drops pages of unmapped (freed) regions. The
-// Analyzer therefore cannot look at one snapshot in isolation: the Store
-// replays the sequence, carrying clean pages forward and discarding no-need
-// and unmapped pages, exactly as CRIU's restore side assembles a process
-// image from an incremental dump chain.
+// Every snapshot is a CRIU-style increment (§4.2 of the POLM2 paper): it
+// contains only the pages dirtied since the previous snapshot, omits pages
+// carrying the no-need bit, and implicitly drops pages of unmapped (freed)
+// regions. The Analyzer therefore cannot look at one snapshot in
+// isolation: the Store replays the sequence, carrying clean pages forward
+// and discarding no-need and unmapped pages, exactly as CRIU's restore side
+// assembles a process image from an incremental dump chain.
 package snapshot
 
 import (
@@ -27,8 +27,8 @@ type PageRecord struct {
 	HeaderIDs []heap.ObjectID
 }
 
-// Snapshot is one heap snapshot, full (jmap-style) or incremental
-// (CRIU-style).
+// Snapshot is one CRIU-style incremental heap snapshot. The first of a
+// chain has every page dirty, so it captures the whole heap.
 type Snapshot struct {
 	// Seq is the snapshot's position in the dump sequence, starting at 1.
 	Seq int
@@ -36,9 +36,6 @@ type Snapshot struct {
 	Cycle uint64
 	// TakenAt is the simulated instant of the dump.
 	TakenAt time.Duration
-	// Incremental marks CRIU-style snapshots; a full snapshot replaces
-	// the entire store view.
-	Incremental bool
 	// Regions lists the regions mapped at dump time. Pages of any other
 	// region are gone.
 	Regions []heap.RegionID
@@ -56,7 +53,6 @@ type Snapshot struct {
 // Store reconstructs the live-heap view from a snapshot sequence.
 type Store struct {
 	pages   map[heap.PageKey][]heap.ObjectID
-	applied int
 	lastSeq int
 }
 
@@ -72,27 +68,22 @@ func (s *Store) Apply(snap *Snapshot) error {
 		return fmt.Errorf("snapshot: applying snapshot %d after %d", snap.Seq, s.lastSeq)
 	}
 	s.lastSeq = snap.Seq
-	s.applied++
 
-	if !snap.Incremental {
-		// A full dump replaces the whole view.
-		s.pages = make(map[heap.PageKey][]heap.ObjectID, len(snap.Pages))
-	} else {
-		// Unmapped regions disappear.
-		mapped := make(map[heap.RegionID]struct{}, len(snap.Regions))
-		for _, r := range snap.Regions {
-			mapped[r] = struct{}{}
-		}
-		for key := range s.pages {
-			if _, ok := mapped[key.Region]; !ok {
-				delete(s.pages, key)
-			}
-		}
-		// No-need pages hold no reachable data anymore.
-		for _, key := range snap.NoNeed {
+	// Unmapped regions disappear.
+	mapped := make(map[heap.RegionID]struct{}, len(snap.Regions))
+	for _, r := range snap.Regions {
+		mapped[r] = struct{}{}
+	}
+	for key := range s.pages {
+		if _, ok := mapped[key.Region]; !ok {
 			delete(s.pages, key)
 		}
 	}
+	// No-need pages hold no reachable data anymore.
+	for _, key := range snap.NoNeed {
+		delete(s.pages, key)
+	}
+	// Captured pages overwrite whatever the view held for them.
 	for _, pr := range snap.Pages {
 		ids := make([]heap.ObjectID, len(pr.HeaderIDs))
 		copy(ids, pr.HeaderIDs)
@@ -100,9 +91,6 @@ func (s *Store) Apply(snap *Snapshot) error {
 	}
 	return nil
 }
-
-// Applied returns how many snapshots have been folded in.
-func (s *Store) Applied() int { return s.applied }
 
 // LiveIDs returns the identity hashes visible in the current view, sorted.
 func (s *Store) LiveIDs() []heap.ObjectID {

@@ -11,38 +11,11 @@ func pk(region, index uint32) heap.PageKey {
 	return heap.PageKey{Region: heap.RegionID(region), Index: index}
 }
 
-func TestStoreAppliesFullSnapshot(t *testing.T) {
-	s := NewStore()
-	err := s.Apply(&Snapshot{
-		Seq:   1,
-		Pages: []PageRecord{{Key: pk(1, 0), HeaderIDs: []heap.ObjectID{10, 11}}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := s.LiveIDs()
-	if len(ids) != 2 || ids[0] != 10 || ids[1] != 11 {
-		t.Fatalf("LiveIDs = %v", ids)
-	}
-	// Second full snapshot replaces the view entirely.
-	err = s.Apply(&Snapshot{
-		Seq:   2,
-		Pages: []PageRecord{{Key: pk(2, 0), HeaderIDs: []heap.ObjectID{20}}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slices.Contains(s.LiveIDs(), 10) || !slices.Contains(s.LiveIDs(), 20) {
-		t.Fatalf("full snapshot did not replace view: %v", s.LiveIDs())
-	}
-}
-
 func TestStoreIncrementalCarriesCleanPages(t *testing.T) {
 	s := NewStore()
 	must(t, s.Apply(&Snapshot{
-		Seq:         1,
-		Incremental: true,
-		Regions:     []heap.RegionID{1, 2},
+		Seq:     1,
+		Regions: []heap.RegionID{1, 2},
 		Pages: []PageRecord{
 			{Key: pk(1, 0), HeaderIDs: []heap.ObjectID{10}},
 			{Key: pk(2, 0), HeaderIDs: []heap.ObjectID{20}},
@@ -51,9 +24,8 @@ func TestStoreIncrementalCarriesCleanPages(t *testing.T) {
 	// Snapshot 2 only includes a dirtied page of region 2; region 1's
 	// page was clean and must be carried forward.
 	must(t, s.Apply(&Snapshot{
-		Seq:         2,
-		Incremental: true,
-		Regions:     []heap.RegionID{1, 2},
+		Seq:     2,
+		Regions: []heap.RegionID{1, 2},
 		Pages: []PageRecord{
 			{Key: pk(2, 0), HeaderIDs: []heap.ObjectID{21}},
 		},
@@ -69,9 +41,8 @@ func TestStoreIncrementalCarriesCleanPages(t *testing.T) {
 func TestStoreDropsUnmappedRegions(t *testing.T) {
 	s := NewStore()
 	must(t, s.Apply(&Snapshot{
-		Seq:         1,
-		Incremental: true,
-		Regions:     []heap.RegionID{1, 2},
+		Seq:     1,
+		Regions: []heap.RegionID{1, 2},
 		Pages: []PageRecord{
 			{Key: pk(1, 0), HeaderIDs: []heap.ObjectID{10}},
 			{Key: pk(2, 0), HeaderIDs: []heap.ObjectID{20}},
@@ -79,9 +50,8 @@ func TestStoreDropsUnmappedRegions(t *testing.T) {
 	}))
 	// Region 1 was freed (young collection): gone from the mapping.
 	must(t, s.Apply(&Snapshot{
-		Seq:         2,
-		Incremental: true,
-		Regions:     []heap.RegionID{2},
+		Seq:     2,
+		Regions: []heap.RegionID{2},
 	}))
 	if slices.Contains(s.LiveIDs(), 10) {
 		t.Fatal("page of unmapped region survived")
@@ -94,19 +64,17 @@ func TestStoreDropsUnmappedRegions(t *testing.T) {
 func TestStoreDropsNoNeedPages(t *testing.T) {
 	s := NewStore()
 	must(t, s.Apply(&Snapshot{
-		Seq:         1,
-		Incremental: true,
-		Regions:     []heap.RegionID{1},
+		Seq:     1,
+		Regions: []heap.RegionID{1},
 		Pages: []PageRecord{
 			{Key: pk(1, 0), HeaderIDs: []heap.ObjectID{10}},
 			{Key: pk(1, 1), HeaderIDs: []heap.ObjectID{11}},
 		},
 	}))
 	must(t, s.Apply(&Snapshot{
-		Seq:         2,
-		Incremental: true,
-		Regions:     []heap.RegionID{1},
-		NoNeed:      []heap.PageKey{pk(1, 1)},
+		Seq:     2,
+		Regions: []heap.RegionID{1},
+		NoNeed:  []heap.PageKey{pk(1, 1)},
 	}))
 	if !slices.Contains(s.LiveIDs(), 10) || slices.Contains(s.LiveIDs(), 11) {
 		t.Fatalf("no-need handling wrong: %v", s.LiveIDs())
@@ -115,15 +83,16 @@ func TestStoreDropsNoNeedPages(t *testing.T) {
 
 func TestStoreRejectsOutOfOrder(t *testing.T) {
 	s := NewStore()
-	must(t, s.Apply(&Snapshot{Seq: 2, Incremental: true}))
-	if err := s.Apply(&Snapshot{Seq: 1, Incremental: true}); err == nil {
+	must(t, s.Apply(&Snapshot{Seq: 2}))
+	stale := &Snapshot{Seq: 1, Pages: []PageRecord{{Key: pk(1, 0), HeaderIDs: []heap.ObjectID{10}}}}
+	if err := s.Apply(stale); err == nil {
 		t.Fatal("out-of-order apply should fail")
 	}
-	if err := s.Apply(&Snapshot{Seq: 2, Incremental: true}); err == nil {
-		t.Fatal("duplicate seq should fail")
+	if ids := s.LiveIDs(); len(ids) != 0 {
+		t.Fatalf("refused snapshot changed the view: %v", ids)
 	}
-	if s.Applied() != 1 {
-		t.Fatalf("Applied = %d, want 1", s.Applied())
+	if err := s.Apply(&Snapshot{Seq: 2}); err == nil {
+		t.Fatal("duplicate seq should fail")
 	}
 }
 
@@ -132,9 +101,8 @@ func TestStoreRejectsOutOfOrder(t *testing.T) {
 func TestLiveSetMatchesLiveIDs(t *testing.T) {
 	s := NewStore()
 	must(t, s.Apply(&Snapshot{
-		Seq:         1,
-		Incremental: true,
-		Regions:     []heap.RegionID{1},
+		Seq:     1,
+		Regions: []heap.RegionID{1},
 		Pages: []PageRecord{
 			{Key: pk(1, 0), HeaderIDs: []heap.ObjectID{3, 1, 2}},
 		},
