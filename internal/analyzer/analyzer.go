@@ -75,7 +75,12 @@ func (o Options) withDefaults() Options {
 // live stream without its commit trailer is refused too); then the
 // serial-window refusal and any other error of AnalyzeSalvage.
 func Analyze(recordsDir string, snaps []*snapshot.Snapshot, opts Options) (*Profile, error) {
-	prof, rep, err := AnalyzeSalvage(recordsDir, snaps, opts)
+	return strict(AnalyzeSalvage(recordsDir, snaps, opts))
+}
+
+// strict turns a salvage walk's result into a strict one: the report's
+// first failure, if any, wins over err and refuses the profile.
+func strict(prof *Profile, rep *SalvageReport, err error) (*Profile, error) {
 	if rep != nil && rep.first != nil {
 		err = rep.first
 	}

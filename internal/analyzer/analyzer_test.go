@@ -10,16 +10,27 @@ import (
 	"polm2/internal/jvm"
 	"polm2/internal/recorder"
 	"polm2/internal/simclock"
+	"polm2/internal/snapshot"
 )
 
+// imageLog is a dumper.ImageSink keeping every image it is handed.
+type imageLog []*snapshot.Snapshot
+
+func (l *imageLog) Add(s *snapshot.Snapshot) error {
+	*l = append(*l, s)
+	return nil
+}
+
 // profileRun executes a tiny synthetic application under the full profiling
-// pipeline (engine + Recorder + Dumper) and returns the analysis inputs.
+// pipeline (engine + Recorder + Dumper) and returns the analysis inputs:
+// the records directory and the images the dumper took, collected through
+// its image sink.
 //
 // The application allocates through a shared helper from two paths: the
 // "keep" path retains objects for the rest of the run, the "drop" path
 // discards them immediately — the paper's Listing 1 conflict in miniature.
 // A third site allocates transient objects directly.
-func profileRun(t testing.TB, iterations int) (string, []func() error, *dumper.Dumper) {
+func profileRun(t testing.TB, iterations int) (string, []*snapshot.Snapshot) {
 	t.Helper()
 	clk := simclock.New()
 	col, err := ng2c.NewG1(clk, ng2c.Config{
@@ -35,7 +46,8 @@ func profileRun(t testing.TB, iterations int) (string, []func() error, *dumper.D
 	}
 	vm := jvm.New(col)
 	dir := t.TempDir()
-	d := dumper.New(vm.Heap(), clk, dumper.Config{ChargeClock: true})
+	var images imageLog
+	d := dumper.New(vm.Heap(), clk, dumper.Config{ChargeClock: true, Images: &images})
 	rec, err := recorder.New(recorder.Config{Dir: dir}, vm.Heap(), vm.Sites(), d)
 	if err != nil {
 		t.Fatal(err)
@@ -72,12 +84,11 @@ func profileRun(t testing.TB, iterations int) (string, []func() error, *dumper.D
 		t.Fatal(err)
 	}
 	_ = kept
-	return dir, nil, d
+	return dir, images
 }
 
 func TestAnalyzeEndToEnd(t *testing.T) {
-	dir, _, d := profileRun(t, 800)
-	snaps := d.Snapshots()
+	dir, snaps := profileRun(t, 800)
 	if len(snaps) < 3 {
 		t.Fatalf("profiling run produced only %d snapshots", len(snaps))
 	}
@@ -143,8 +154,8 @@ func TestAnalyzeEndToEnd(t *testing.T) {
 }
 
 func TestAnalyzeEstimatorP90(t *testing.T) {
-	dir, _, d := profileRun(t, 400)
-	p, err := Analyze(dir, d.Snapshots(), Options{Estimator: EstimatorP90})
+	dir, snaps := profileRun(t, 400)
+	p, err := Analyze(dir, snaps, Options{Estimator: EstimatorP90})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,8 +165,8 @@ func TestAnalyzeEstimatorP90(t *testing.T) {
 }
 
 func TestAnalyzeDisableConflictResolution(t *testing.T) {
-	dir, _, d := profileRun(t, 400)
-	p, err := Analyze(dir, d.Snapshots(), Options{DisableConflictResolution: true})
+	dir, snaps := profileRun(t, 400)
+	p, err := Analyze(dir, snaps, Options{DisableConflictResolution: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,12 +192,12 @@ func TestAnalyzeDisableConflictResolution(t *testing.T) {
 }
 
 func TestAnalyzeDisableHoisting(t *testing.T) {
-	dir, _, d := profileRun(t, 400)
-	withHoist, err := Analyze(dir, d.Snapshots(), Options{})
+	dir, snaps := profileRun(t, 400)
+	withHoist, err := Analyze(dir, snaps, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	withoutHoist, err := Analyze(dir, d.Snapshots(), Options{DisableHoisting: true})
+	withoutHoist, err := Analyze(dir, snaps, Options{DisableHoisting: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,8 +211,8 @@ func TestAnalyzeDisableHoisting(t *testing.T) {
 }
 
 func TestProfileSaveLoadRoundTrip(t *testing.T) {
-	dir, _, d := profileRun(t, 400)
-	p, err := Analyze(dir, d.Snapshots(), Options{App: "mini", Workload: "w"})
+	dir, snaps := profileRun(t, 400)
+	p, err := Analyze(dir, snaps, Options{App: "mini", Workload: "w"})
 	if err != nil {
 		t.Fatal(err)
 	}

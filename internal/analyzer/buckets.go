@@ -7,7 +7,6 @@ import (
 	"polm2/internal/heap"
 	"polm2/internal/jvm"
 	"polm2/internal/recorder"
-	"polm2/internal/snapshot"
 )
 
 // Estimator selects how a site's target generation is derived from its
@@ -55,24 +54,21 @@ func addSiteEvidence(evidence map[heap.SiteID]*siteEvidence, idx *serialIndex, s
 	idx.add(ev, st)
 }
 
-// serialIndex is the per-object state of §3.3's buckets, indexed by
-// allocation serial (heap.ObjectID.Serial) instead of hashed by id: a
-// profiling run's recorded serials are dense, so two slices over their
-// window [lo, hi] replace an id-to-site and an id-to-count map.
+// serialIndex maps recorded allocation serials (heap.ObjectID.Serial) to
+// their sites: a profiling run's recorded serials are dense, so one slice
+// over their window [lo, hi] replaces an id-to-site map. The survival
+// counts live in the Replay.
 type serialIndex struct {
 	// sites lists the evidence in the order add saw it; streams holds each
 	// site's recorded stream until build indexes it.
 	sites   []*siteEvidence
 	streams []recorder.Stream
 	// n counts the recorded ids, duplicates included; lo and hi bound
-	// their serials. listed counts the ids the replayed snapshots list,
-	// duplicates included.
-	n, lo, hi, listed uint64
+	// their serials.
+	n, lo, hi uint64
 	// site[s-lo] is the 1-based position in sites of the site that
-	// recorded serial s, 0 if none did; survived[s-lo] counts the
-	// snapshots that found it live.
-	site     []uint32
-	survived []uint32
+	// recorded serial s, 0 if none did.
+	site []uint32
 }
 
 // add registers one site's recorded stream, taking its count and serial
@@ -93,77 +89,37 @@ func (x *serialIndex) add(ev *siteEvidence, st recorder.Stream) {
 	x.n += uint64(st.Len())
 }
 
-// build allocates the index and walks every stream's serials into it,
-// assigning each its site. An id recorded by two sites belongs to the later
-// one; both still count it in their totals. The serial window may reach
-// 2(n + s) + 65 536 values for n recorded ids and s snapshot-listed ids: a
-// recording's serials are a run of the allocation counter, which a torn
-// recording thins to its surviving prefixes but whose live objects the
-// snapshots still list. A wider window is refused as corrupt before
-// anything proportional to it is allocated. Every recorded id takes at
-// least one stream byte, so the index stays proportional to the stream and
-// snapshot bytes read.
-func (x *serialIndex) build() error {
-	if x.n > 0 && x.hi-x.lo >= 2*(x.n+x.listed)+1<<16 {
+// check refuses a serial window wider than 2(n + s) + 65 536 values for n
+// recorded ids and s = listed, the ids the replayed snapshots list
+// (duplicates included in both): a recording's serials are a run of the
+// allocation counter, which a torn recording thins to its surviving
+// prefixes but whose live objects the snapshots still list. A wider window
+// is refused as corrupt before anything proportional to it is allocated.
+// Every recorded id takes at least one stream byte, so the index stays
+// proportional to the stream and snapshot bytes read.
+func (x *serialIndex) check(listed uint64) error {
+	if x.n > 0 && x.hi-x.lo >= 2*(x.n+listed)+1<<16 {
 		return fmt.Errorf("analyzer: %w: recorded serials span [%d, %d], more than 2(n + s) + 65536 values for n = %d recorded ids and s = %d snapshot-listed ids",
-			recorder.ErrCorrupt, x.lo, x.hi, x.n, x.listed)
+			recorder.ErrCorrupt, x.lo, x.hi, x.n, listed)
 	}
+	return nil
+}
+
+// build allocates the index, 4 B per serial of the checked window, and
+// walks every stream's serials into it, assigning each its site. An id
+// recorded by two sites belongs to the later one; both still count it in
+// their totals.
+func (x *serialIndex) build() {
 	var span uint64
 	if x.n > 0 {
 		span = x.hi - x.lo + 1
 	}
 	x.site = make([]uint32, span)
-	x.survived = make([]uint32, span)
 	for i, st := range x.streams {
 		pos := uint32(i + 1)
 		st.Serials(func(s uint64) { x.site[s-x.lo] = pos })
 	}
 	x.streams = nil
-	return nil
-}
-
-// replaySnapshots replays the snapshot sequence through the store, counting
-// how many snapshots each recorded object appears in, and fills every
-// site's survival buckets.
-func replaySnapshots(idx *serialIndex, snaps []*snapshot.Snapshot) error {
-	for _, snap := range snaps {
-		for _, pr := range snap.Pages {
-			idx.listed += uint64(len(pr.HeaderIDs))
-		}
-	}
-	if err := idx.build(); err != nil {
-		return err
-	}
-	store := snapshot.NewStore()
-	ordered := make([]*snapshot.Snapshot, len(snaps))
-	copy(ordered, snaps)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Seq < ordered[j].Seq })
-	span := uint64(len(idx.site))
-	for _, snap := range ordered {
-		if err := store.Apply(snap); err != nil {
-			return fmt.Errorf("analyzer: replaying snapshots: %w", err)
-		}
-		// A live serial inside the window that no site recorded is
-		// counted too: no bucket reads its count.
-		store.ForEach(func(oid heap.ObjectID) {
-			if k := oid.Serial() - idx.lo; k < span {
-				idx.survived[k]++
-			}
-		})
-	}
-
-	maxBucket := len(ordered)
-	for _, ev := range idx.sites {
-		ev.survived = make([]uint64, maxBucket+1)
-	}
-	for k, s := range idx.site {
-		if s != 0 {
-			// An id listed on two pages of one snapshot counts twice;
-			// the cap keeps a forged image inside the buckets.
-			idx.sites[s-1].survived[min(int(idx.survived[k]), maxBucket)]++
-		}
-	}
-	return nil
 }
 
 // targetGen estimates the site's target generation from its survival

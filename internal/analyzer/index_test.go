@@ -105,10 +105,40 @@ func randomSnapshots(rng *rand.Rand, lo uint64, size int) []*snapshot.Snapshot {
 	return snaps
 }
 
-// TestSerialIndexMatchesMapModel holds the serial index to the map-based
-// replay it replaced: equal buckets for every site, with duplicate ids
-// across and within sites, a recording window starting well above zero as
-// an online window's does, and unrecorded ids in the snapshots.
+// replayFeed folds snaps into a replay through one of its two feeds and
+// fills idx's buckets from it. The slice feed is Analyze's: counts bounded
+// to the window, images sorted by the fold. The image feed is a profiling
+// run's: an unbounded replay handed each image in sequence order, as the
+// dumper hands them, with the window checked when it finishes.
+func replayFeed(idx *serialIndex, snaps []*snapshot.Snapshot, imageFeed bool) error {
+	if !imageFeed {
+		r, err := replayWindow(idx, snaps)
+		if err != nil {
+			return err
+		}
+		r.fill(idx)
+		return nil
+	}
+	ordered := slices.Clone(snaps)
+	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Seq < ordered[j].Seq })
+	r := NewReplay()
+	for _, snap := range ordered {
+		if err := r.Add(snap); err != nil {
+			return err
+		}
+	}
+	if err := idx.check(r.listed); err != nil {
+		return err
+	}
+	r.fill(idx)
+	return nil
+}
+
+// TestSerialIndexMatchesMapModel holds the serial index and both replay
+// feeds to the map-based replay they replaced: equal buckets for every
+// site, with duplicate ids across and within sites, a recording window
+// starting well above zero as an online window's does, and unrecorded ids
+// in the snapshots.
 func TestSerialIndexMatchesMapModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	for trial := 0; trial < 300; trial++ {
@@ -125,21 +155,23 @@ func TestSerialIndexMatchesMapModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		recorded := recordedStreams(t, streams)
-		evidence := make(map[heap.SiteID]*siteEvidence, len(sites))
-		var idx serialIndex
-		for _, sid := range sites {
-			addSiteEvidence(evidence, &idx, sid, jvm.StackTrace{{Class: "C", Method: "m", Line: int(sid)}}, recorded[sid])
-		}
-		if err := replaySnapshots(&idx, snaps); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		for _, sid := range sites {
-			ev := evidence[sid]
-			if !slices.Equal(ev.survived, want[sid]) {
-				t.Fatalf("trial %d (lo %d): site %d survived %v, map model %v", trial, lo, sid, ev.survived, want[sid])
+		for _, imageFeed := range []bool{false, true} {
+			evidence := make(map[heap.SiteID]*siteEvidence, len(sites))
+			var idx serialIndex
+			for _, sid := range sites {
+				addSiteEvidence(evidence, &idx, sid, jvm.StackTrace{{Class: "C", Method: "m", Line: int(sid)}}, recorded[sid])
 			}
-			if ev.total != uint64(len(streams[sid])) {
-				t.Fatalf("trial %d: site %d total %d, recorded %d", trial, sid, ev.total, len(streams[sid]))
+			if err := replayFeed(&idx, snaps, imageFeed); err != nil {
+				t.Fatalf("trial %d (image feed %v): %v", trial, imageFeed, err)
+			}
+			for _, sid := range sites {
+				ev := evidence[sid]
+				if !slices.Equal(ev.survived, want[sid]) {
+					t.Fatalf("trial %d (lo %d, image feed %v): site %d survived %v, map model %v", trial, lo, imageFeed, sid, ev.survived, want[sid])
+				}
+				if ev.total != uint64(len(streams[sid])) {
+					t.Fatalf("trial %d: site %d total %d, recorded %d", trial, sid, ev.total, len(streams[sid]))
+				}
 			}
 		}
 	}
@@ -149,20 +181,22 @@ func TestSerialIndexMatchesMapModel(t *testing.T) {
 // The id then counts twice in one snapshot, and the count is capped at the
 // last bucket instead of indexing past it.
 func TestReplayCapsRepeatedListings(t *testing.T) {
-	evidence := make(map[heap.SiteID]*siteEvidence)
-	var idx serialIndex
 	recorded := recordedStreams(t, map[heap.SiteID][]heap.ObjectID{1: {heap.IDOf(7), heap.IDOf(8)}})
-	addSiteEvidence(evidence, &idx, 1, jvm.StackTrace{{Class: "C", Method: "m", Line: 1}}, recorded[1])
 	twice := []heap.ObjectID{heap.IDOf(7)}
 	snap := &snapshot.Snapshot{Seq: 1, Pages: []snapshot.PageRecord{
 		{Key: heap.PageKey{Region: 1, Index: 0}, HeaderIDs: twice},
 		{Key: heap.PageKey{Region: 1, Index: 1}, HeaderIDs: twice},
 	}}
-	if err := replaySnapshots(&idx, []*snapshot.Snapshot{snap}); err != nil {
-		t.Fatal(err)
-	}
-	if got := evidence[1].survived; !slices.Equal(got, []uint64{1, 1}) {
-		t.Fatalf("survived = %v, want [1 1]", got)
+	for _, imageFeed := range []bool{false, true} {
+		evidence := make(map[heap.SiteID]*siteEvidence)
+		var idx serialIndex
+		addSiteEvidence(evidence, &idx, 1, jvm.StackTrace{{Class: "C", Method: "m", Line: 1}}, recorded[1])
+		if err := replayFeed(&idx, []*snapshot.Snapshot{snap}, imageFeed); err != nil {
+			t.Fatal(err)
+		}
+		if got := evidence[1].survived; !slices.Equal(got, []uint64{1, 1}) {
+			t.Fatalf("image feed %v: survived = %v, want [1 1]", imageFeed, got)
+		}
 	}
 }
 
@@ -217,13 +251,19 @@ func recordSerials(t testing.TB, serials ...uint64) (string, heap.SiteID) {
 }
 
 // TestAnalyzeRefusesSparseSerials: a CRC-valid stream whose serials span
-// 2^63 values cannot be indexed by serial. Both analyses refuse it as
-// corrupt instead of allocating the span; the bound itself admits a span
-// of exactly 2n + 65 536.
+// 2^63 values cannot be indexed by serial. Both analyses, and both ways of
+// finishing a replay, refuse it as corrupt instead of allocating the span;
+// the bound itself admits a span of exactly 2n + 65 536.
 func TestAnalyzeRefusesSparseSerials(t *testing.T) {
 	dir, _ := recordSerials(t, 1<<63, 1)
 	if _, err := Analyze(dir, nil, Options{}); !errors.Is(err, recorder.ErrCorrupt) {
 		t.Fatalf("Analyze: err = %v, want ErrCorrupt", err)
+	}
+	if _, err := NewReplay().Finish(dir, Options{}); !errors.Is(err, recorder.ErrCorrupt) {
+		t.Fatalf("Replay.Finish: err = %v, want ErrCorrupt", err)
+	}
+	if _, _, err := NewReplay().FinishSalvage(dir, Options{}); !errors.Is(err, recorder.ErrCorrupt) {
+		t.Fatalf("Replay.FinishSalvage: err = %v, want ErrCorrupt", err)
 	}
 	_, _, err := AnalyzeSalvage(dir, nil, Options{})
 	if !errors.Is(err, recorder.ErrCorrupt) {
@@ -241,8 +281,8 @@ func TestAnalyzeRefusesSparseSerials(t *testing.T) {
 		var idx serialIndex
 		recorded := recordedStreams(t, map[heap.SiteID][]heap.ObjectID{1: {heap.IDOf(lo), heap.IDOf(tc.hi)}})
 		idx.add(&siteEvidence{}, recorded[1])
-		if err := idx.build(); (err == nil) != tc.ok {
-			t.Fatalf("span %d for 2 ids: build err = %v, want ok=%v", tc.hi-lo+1, err, tc.ok)
+		if err := idx.check(0); (err == nil) != tc.ok {
+			t.Fatalf("span %d for 2 ids: check err = %v, want ok=%v", tc.hi-lo+1, err, tc.ok)
 		}
 	}
 }
@@ -251,8 +291,7 @@ func TestAnalyzeRefusesSparseSerials(t *testing.T) {
 // arbitrary bytes. Salvage analysis must never panic: it returns a profile
 // and its report, or a typed refusal.
 func FuzzAnalyzeSalvage(f *testing.F) {
-	dir, _, d := profileRun(f, 400)
-	snaps := d.Snapshots()
+	dir, snaps := profileRun(f, 400)
 	victim, _ := largestStream(f, dir)
 	path := streamPath(dir, victim)
 	clean, err := os.ReadFile(path)

@@ -94,31 +94,56 @@ func (r *SalvageReport) String() string {
 
 // AnalyzeSalvage runs §3.3's pipeline over the Analyzer's one evidence
 // walk: it loads the allocation stack traces, loads every site's recorded
-// ids into bucket zero, and replays the snapshots in creation order, moving
-// every object found live into the next bucket. Instead of refusing damaged
-// artifacts it analyzes the longest trustworthy prefix of each and reports
-// what was lost; Analyze is this walk refusing any loss. Sites whose surviving stream falls below opts.ConfidenceFloor
-// are degraded to the safe young/dynamic fallback rather than instrumented
+// ids into bucket zero, and folds the snapshots into a Replay in creation
+// order, moving every object found live into the next bucket. Instead of
+// refusing damaged artifacts it analyzes the longest trustworthy prefix of
+// each and reports what was lost; Analyze is this walk refusing any loss.
+// Sites whose surviving stream falls below opts.ConfidenceFloor are
+// degraded to the safe young/dynamic fallback rather than instrumented
 // from evidence that may be misleading. The error is non-nil only when no
 // analysis is possible at all: the site table file is unreadable, the
 // synthesis itself fails, or the surviving streams' serials span more than
 // 2(n + s) + 65 536 values for n recorded ids and s ids listed across snaps,
 // which no real recording produces and is refused with an error wrapping
-// recorder.ErrCorrupt before the index over them is allocated.
+// recorder.ErrCorrupt before anything proportional to the span is
+// allocated.
 func AnalyzeSalvage(recordsDir string, snaps []*snapshot.Snapshot, opts Options) (*Profile, *SalvageReport, error) {
 	opts = opts.withDefaults()
-	rep := &SalvageReport{}
-
-	table, tsal, err := recorder.SalvageSiteTable(recordsDir)
+	w, err := readEvidence(recordsDir, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	rep.Table = tsal
-	rep.fail(tsal.Err())
+	r, err := replayWindow(&w.idx, snaps)
+	if err != nil {
+		return nil, w.rep, err
+	}
+	return r.finish(w, opts)
+}
 
-	evidence := make(map[heap.SiteID]*siteEvidence, len(table))
-	var idx serialIndex
-	degraded := make(map[heap.SiteID]bool)
+// evidenceWalk is the first half of the evidence walk: the site table and
+// every site's recorded stream, read and salvaged.
+type evidenceWalk struct {
+	evidence map[heap.SiteID]*siteEvidence
+	idx      serialIndex
+	degraded map[heap.SiteID]bool
+	rep      *SalvageReport
+}
+
+// readEvidence loads the site table and every site's stream from
+// recordsDir, accounting for damage in the walk's report. Its error is
+// non-nil only when the site table file is unreadable.
+func readEvidence(recordsDir string, opts Options) (*evidenceWalk, error) {
+	table, tsal, err := recorder.SalvageSiteTable(recordsDir)
+	if err != nil {
+		return nil, err
+	}
+	w := &evidenceWalk{
+		evidence: make(map[heap.SiteID]*siteEvidence, len(table)),
+		degraded: make(map[heap.SiteID]bool),
+		rep:      &SalvageReport{Table: tsal},
+	}
+	rep := w.rep
+	rep.fail(tsal.Err())
 	for _, sid := range sortedSites(table) {
 		st, sal, err := recorder.SalvageIDs(recordsDir, sid)
 		if err != nil {
@@ -130,7 +155,7 @@ func AnalyzeSalvage(recordsDir string, snaps []*snapshot.Snapshot, opts Options)
 			continue
 		}
 		rep.fail(sal.Err())
-		addSiteEvidence(evidence, &idx, sid, table[sid], st)
+		addSiteEvidence(w.evidence, &w.idx, sid, table[sid], st)
 		if sal.LostBytes == 0 && (sal.Complete || sal.Frames > 0) {
 			// Fully decoded — a live stream missing only its commit
 			// trailer is not damage. One without a single verified frame
@@ -141,23 +166,15 @@ func AnalyzeSalvage(recordsDir string, snaps []*snapshot.Snapshot, opts Options)
 		rep.LostBytes += sal.LostBytes
 		if opts.ConfidenceFloor >= 0 && sal.Confidence() < opts.ConfidenceFloor {
 			loss.Degraded = true
-			degraded[sid] = true
+			w.degraded[sid] = true
 			rep.DegradedSites++
 			// The whole site's surviving evidence is untrusted: taint it
 			// all, so a later fleet merge weighs it correctly.
-			evidence[sid].tainted = evidence[sid].total
+			w.evidence[sid].tainted = w.evidence[sid].total
 		}
 		rep.Sites = append(rep.Sites, loss)
 	}
-
-	if err := replaySnapshots(&idx, snaps); err != nil {
-		return nil, rep, err
-	}
-	prof, err := synthesize(evidence, opts, degraded)
-	if err != nil {
-		return nil, rep, err
-	}
-	return prof, rep, nil
+	return w, nil
 }
 
 // AnalyzeSalvageDir is AnalyzeSalvage over an on-disk snapshot directory:

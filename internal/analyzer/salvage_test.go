@@ -46,8 +46,7 @@ func largestStream(t testing.TB, dir string) (heap.SiteID, int64) {
 // undamaged artifacts AnalyzeSalvage produces byte-for-byte the profile a
 // strict Analyze does, with a clean report.
 func TestAnalyzeSalvageCleanMatchesStrict(t *testing.T) {
-	dir, _, d := profileRun(t, 800)
-	snaps := d.Snapshots()
+	dir, snaps := profileRun(t, 800)
 	opts := Options{App: "mini", Workload: "test"}
 
 	want, err := Analyze(dir, snaps, opts)
@@ -73,8 +72,7 @@ func TestAnalyzeSalvageCleanMatchesStrict(t *testing.T) {
 // site is degraded to the safe fallback instead of instrumented from a
 // misleading fraction of its evidence.
 func TestAnalyzeSalvageDamagedStreamDegrades(t *testing.T) {
-	dir, _, d := profileRun(t, 800)
-	snaps := d.Snapshots()
+	dir, snaps := profileRun(t, 800)
 	victim, size := largestStream(t, dir)
 	if err := os.Truncate(streamPath(dir, victim), size/2); err != nil {
 		t.Fatal(err)
@@ -124,8 +122,7 @@ func TestAnalyzeSalvageDamagedStreamDegrades(t *testing.T) {
 // the degrade heuristic off: the damage is still reported, but whatever
 // evidence survived is used as-is.
 func TestAnalyzeSalvageConfidenceFloorDisabled(t *testing.T) {
-	dir, _, d := profileRun(t, 800)
-	snaps := d.Snapshots()
+	dir, snaps := profileRun(t, 800)
 	victim, size := largestStream(t, dir)
 	if err := os.Truncate(streamPath(dir, victim), size/2); err != nil {
 		t.Fatal(err)
@@ -152,8 +149,7 @@ func TestAnalyzeSalvageConfidenceFloorDisabled(t *testing.T) {
 // stays in the table, contributes nothing, and is reported with a read
 // error and forced degradation.
 func TestAnalyzeSalvageMissingStream(t *testing.T) {
-	dir, _, d := profileRun(t, 800)
-	snaps := d.Snapshots()
+	dir, snaps := profileRun(t, 800)
 	victim, _ := largestStream(t, dir)
 	if err := os.Remove(streamPath(dir, victim)); err != nil {
 		t.Fatal(err)
@@ -190,8 +186,7 @@ func TestAnalyzeSalvageMissingStream(t *testing.T) {
 // image mid-chain, and checks AnalyzeSalvageDir folds the directory salvage
 // account into the report while still producing a profile.
 func TestAnalyzeSalvageDirDamagedSnapshots(t *testing.T) {
-	dir, _, d := profileRun(t, 800)
-	snaps := d.Snapshots()
+	dir, snaps := profileRun(t, 800)
 	if len(snaps) < 3 {
 		t.Fatalf("run produced only %d snapshots", len(snaps))
 	}

@@ -5,10 +5,8 @@ import (
 	"testing"
 	"time"
 
-	"polm2/internal/analyzer"
 	"polm2/internal/gc"
 	"polm2/internal/simclock"
-	"polm2/internal/snapshot"
 )
 
 func TestScaledGeometry(t *testing.T) {
@@ -136,38 +134,6 @@ func TestProfileAppStubEndToEnd(t *testing.T) {
 	// must not.
 	if res.Profile.InstrumentedSites() == 0 {
 		t.Fatalf("stub profile instrumented nothing: %+v", res.Profile)
-	}
-}
-
-func TestProfileAppPersistsSnapshots(t *testing.T) {
-	dir := t.TempDir()
-	app := &stubApp{}
-	res, err := ProfileApp(app, "w", ProfileOptions{
-		Duration:    3 * time.Minute,
-		RecordsDir:  t.TempDir(),
-		SnapshotDir: dir,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := snapshot.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded) != len(res.Snapshots) {
-		t.Fatalf("persisted %d snapshots, took %d", len(loaded), len(res.Snapshots))
-	}
-	// Re-running the Analyzer from the persisted images must produce the
-	// same profile.
-	reanalyzed, err := analyzer.Analyze(res.RecordsDir, loaded, analyzer.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reanalyzed.InstrumentedSites() != res.Profile.InstrumentedSites() ||
-		reanalyzed.Generations != res.Profile.Generations {
-		t.Fatalf("off-line re-analysis diverged: %d/%d sites, %d/%d gens",
-			reanalyzed.InstrumentedSites(), res.Profile.InstrumentedSites(),
-			reanalyzed.Generations, res.Profile.Generations)
 	}
 }
 

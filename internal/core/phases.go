@@ -74,7 +74,10 @@ func (o ProfileOptions) withDefaults() ProfileOptions {
 type ProfileResult struct {
 	// Profile is the application allocation profile.
 	Profile *analyzer.Profile
-	// Snapshots are the Dumper's incremental snapshots.
+	// Snapshots are the Dumper's incremental snapshots, metadata only
+	// (Seq, Cycle, TakenAt, SizeBytes, Duration): their pages were folded
+	// into the analysis as they were taken and, with a SnapshotDir, persisted
+	// there.
 	Snapshots []*snapshot.Snapshot
 	// JmapSnapshots are the baseline dumps (when CompareJmap was set).
 	JmapSnapshots []*snapshot.Snapshot
@@ -94,7 +97,8 @@ type ProfileResult struct {
 // ProfileApp runs the profiling phase (§3.5) for one workload: the
 // application executes under NG2C (uninstrumented, so young-only behaviour)
 // with the Recorder streaming allocation records and the Dumper taking a
-// snapshot after every GC cycle; the Analyzer then produces the profile.
+// snapshot after every GC cycle, which the Analyzer's replay folds as it is
+// taken; once the recording closes, the replay finishes into the profile.
 func ProfileApp(app App, workloadName string, opts ProfileOptions) (*ProfileResult, error) {
 	opts = opts.withDefaults()
 	clock := simclock.New()
@@ -122,14 +126,23 @@ func ProfileApp(app App, workloadName string, opts ProfileOptions) (*ProfileResu
 	}
 
 	dumpCost := ScaledDumpCostModel(opts.Scale)
-	criu := dumper.New(vm.Heap(), clock, dumper.Config{
+	dumpCfg := dumper.Config{
 		Cost:               dumpCost,
 		ChargeClock:        true,
 		DisableNoNeed:      opts.DumpDisableNoNeed,
 		DisableIncremental: opts.DumpDisableIncremental,
 		PersistDir:         opts.SnapshotDir,
 		Fault:              opts.Fault,
-	})
+	}
+	// The Analyzer folds each image as the Dumper takes it, unless the
+	// faults live on disk: then it analyzes what the disk actually holds,
+	// the persisted snapshot chain.
+	fromDisk := opts.Fault != nil && opts.SnapshotDir != ""
+	replay := analyzer.NewReplay()
+	if !fromDisk {
+		dumpCfg.Images = replay
+	}
+	criu := dumper.New(vm.Heap(), clock, dumpCfg)
 	var sink recorder.SnapshotSink = criu
 	var jmap *dumper.Jmap
 	if opts.CompareJmap {
@@ -162,17 +175,14 @@ func ProfileApp(app App, workloadName string, opts ProfileOptions) (*ProfileResu
 	aOpts.Workload = workloadName
 	var profile *analyzer.Profile
 	var report *analyzer.SalvageReport
-	if opts.Fault != nil {
-		// The faults live on disk, so analyze what the disk actually
-		// holds: the persisted snapshot chain when there is one, the
-		// in-memory (undamaged) sequence otherwise.
-		if opts.SnapshotDir != "" {
-			profile, report, err = analyzer.AnalyzeSalvageDir(recordsDir, opts.SnapshotDir, aOpts)
-		} else {
-			profile, report, err = analyzer.AnalyzeSalvage(recordsDir, criu.Snapshots(), aOpts)
-		}
-	} else {
-		profile, err = analyzer.Analyze(recordsDir, criu.Snapshots(), aOpts)
+	switch {
+	case fromDisk:
+		profile, report, err = analyzer.AnalyzeSalvageDir(recordsDir, opts.SnapshotDir, aOpts)
+	case opts.Fault != nil:
+		// Damaged records against the in-memory (undamaged) chain.
+		profile, report, err = replay.FinishSalvage(recordsDir, aOpts)
+	default:
+		profile, err = replay.Finish(recordsDir, aOpts)
 	}
 	if err != nil {
 		return nil, err

@@ -81,6 +81,16 @@ type Config struct {
 	// Fault optionally injects I/O faults into persisted image writes.
 	// Nil writes straight through.
 	Fault *faultio.Injector
+	// Images, when set, receives every image right after it is persisted.
+	// It is the only holder of an image's pages: the Dumper itself keeps
+	// just the metadata Snapshots returns.
+	Images ImageSink
+}
+
+// ImageSink folds each image a Dumper takes, in sequence order, and must
+// not mutate it. analyzer.Replay implements it.
+type ImageSink interface {
+	Add(*snapshot.Snapshot) error
 }
 
 // Dumper creates CRIU-style incremental heap snapshots. It implements
@@ -90,6 +100,7 @@ type Dumper struct {
 	clock *simclock.Clock
 	cfg   Config
 	seq   int
+	// snaps holds each snapshot's metadata, without its pages.
 	snaps []*snapshot.Snapshot
 	// lastHdr remembers the previous snapshot's header-id arena size so
 	// the next snapshot allocates its arena once, up front.
@@ -116,9 +127,10 @@ func (d *Dumper) Snapshot(cycle uint64) error {
 	}
 	pageSize := uint64(d.h.Config().PageSize)
 	// Header ids are copied into one per-snapshot arena instead of one
-	// slices.Clone per page: snapshots retain their HeaderIDs forever, so
-	// the arena cannot be pooled, but a single right-sized allocation
-	// (hinted by the previous snapshot) replaces hundreds of small ones.
+	// slices.Clone per page: the image sink's view keeps the pages it has
+	// not seen overwritten, so the arena cannot be pooled, but a single
+	// right-sized allocation (hinted by the previous snapshot) replaces
+	// hundreds of small ones.
 	arena := make([]heap.ObjectID, 0, d.lastHdr)
 	// Only regions holding a dirty page need their headers read, unless
 	// every occupied page is copied anyway.
@@ -161,16 +173,30 @@ func (d *Dumper) Snapshot(cycle uint64) error {
 	if d.cfg.ChargeClock {
 		d.clock.Advance(snap.Duration)
 	}
-	d.snaps = append(d.snaps, snap)
+	d.snaps = append(d.snaps, &snapshot.Snapshot{
+		Seq:       snap.Seq,
+		Cycle:     snap.Cycle,
+		TakenAt:   snap.TakenAt,
+		SizeBytes: snap.SizeBytes,
+		Duration:  snap.Duration,
+	})
 	if d.cfg.PersistDir != "" {
 		if err := snapshot.WriteImage(d.cfg.PersistDir, snap, d.cfg.Fault); err != nil {
 			return fmt.Errorf("dumper: persisting snapshot %d: %w", snap.Seq, err)
 		}
 	}
+	if d.cfg.Images != nil {
+		if err := d.cfg.Images.Add(snap); err != nil {
+			return fmt.Errorf("dumper: folding snapshot %d: %w", snap.Seq, err)
+		}
+	}
 	return nil
 }
 
-// Snapshots returns all snapshots taken so far, in sequence order.
+// Snapshots returns the metadata of every snapshot taken so far, in
+// sequence order: Seq, Cycle, TakenAt, SizeBytes and Duration. Regions,
+// Pages and NoNeed are nil; the images went to the persisted directory and
+// the Images sink.
 func (d *Dumper) Snapshots() []*snapshot.Snapshot {
 	out := make([]*snapshot.Snapshot, len(d.snaps))
 	copy(out, d.snaps)

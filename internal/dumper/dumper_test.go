@@ -1,7 +1,10 @@
 package dumper
 
 import (
+	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 	"time"
@@ -20,6 +23,14 @@ func newHeap(t *testing.T) *heap.Heap {
 	return h
 }
 
+// imageLog is an ImageSink keeping every image it is handed.
+type imageLog []*snapshot.Snapshot
+
+func (l *imageLog) Add(s *snapshot.Snapshot) error {
+	*l = append(*l, s)
+	return nil
+}
+
 func TestIncrementalSnapshotShrinksWhenClean(t *testing.T) {
 	h := newHeap(t)
 	clk := simclock.New()
@@ -36,7 +47,8 @@ func TestIncrementalSnapshotShrinksWhenClean(t *testing.T) {
 		h.PinRoot(obj)
 		objs = append(objs, obj)
 	}
-	d := New(h, clk, Config{})
+	var snaps imageLog
+	d := New(h, clk, Config{Images: &snaps})
 	if err := d.Snapshot(1); err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +57,6 @@ func TestIncrementalSnapshotShrinksWhenClean(t *testing.T) {
 	if err := d.Snapshot(2); err != nil {
 		t.Fatal(err)
 	}
-	snaps := d.Snapshots()
 	if len(snaps[0].Pages) == 0 {
 		t.Fatal("first snapshot captured nothing")
 	}
@@ -62,7 +73,7 @@ func TestIncrementalSnapshotShrinksWhenClean(t *testing.T) {
 	if err := d.Snapshot(3); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(d.Snapshots()[2].Pages); got != 1 {
+	if got := len(snaps[2].Pages); got != 1 {
 		t.Fatalf("third snapshot captured %d pages, want 1", got)
 	}
 }
@@ -85,11 +96,12 @@ func TestNoNeedPagesExcluded(t *testing.T) {
 	}
 	h.MarkNoNeedPages(h.Trace())
 
-	d := New(h, clk, Config{})
+	var images imageLog
+	d := New(h, clk, Config{Images: &images})
 	if err := d.Snapshot(1); err != nil {
 		t.Fatal(err)
 	}
-	snap := d.Snapshots()[0]
+	snap := images[0]
 	if len(snap.NoNeed) == 0 {
 		t.Fatal("no-need pages not reported")
 	}
@@ -116,13 +128,14 @@ func TestNoNeedPagesExcluded(t *testing.T) {
 		t.Fatal(err)
 	}
 	h2.MarkNoNeedPages(h2.Trace())
-	d2 := New(h2, simclock.New(), Config{DisableNoNeed: true})
+	var images2 imageLog
+	d2 := New(h2, simclock.New(), Config{DisableNoNeed: true, Images: &images2})
 	if err := d2.Snapshot(1); err != nil {
 		t.Fatal(err)
 	}
 	// With the optimization on, only the one live page is captured; with
 	// it off, the three dirty dead-only pages are captured as well.
-	if got := len(d2.Snapshots()[0].Pages); got <= len(snap.Pages) {
+	if got := len(images2[0].Pages); got <= len(snap.Pages) {
 		t.Fatalf("DisableNoNeed snapshot has %d pages, want more than %d", got, len(snap.Pages))
 	}
 }
@@ -138,14 +151,14 @@ func TestDisableIncrementalCapturesEverythingEveryTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.PinRoot(obj)
-	d := New(h, simclock.New(), Config{DisableIncremental: true})
+	var snaps imageLog
+	d := New(h, simclock.New(), Config{DisableIncremental: true, Images: &snaps})
 	if err := d.Snapshot(1); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Snapshot(2); err != nil {
 		t.Fatal(err)
 	}
-	snaps := d.Snapshots()
 	if len(snaps[0].Pages) != len(snaps[1].Pages) || len(snaps[1].Pages) == 0 {
 		t.Fatalf("non-incremental snapshots differ: %d vs %d pages",
 			len(snaps[0].Pages), len(snaps[1].Pages))
@@ -265,7 +278,8 @@ func TestTeePropagatesErrors(t *testing.T) {
 func TestCRIUAndStoreRoundTrip(t *testing.T) {
 	h := newHeap(t)
 	clk := simclock.New()
-	d := New(h, clk, Config{})
+	var images imageLog
+	d := New(h, clk, Config{Images: &images})
 	store := snapshot.NewStore()
 
 	r1, err := h.NewRegion(heap.Young)
@@ -301,7 +315,7 @@ func TestCRIUAndStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, snap := range d.Snapshots() {
+	for _, snap := range images {
 		if err := store.Apply(snap); err != nil {
 			t.Fatal(err)
 		}
@@ -340,7 +354,8 @@ func TestIncrementalSkipsCleanRegionsLosslessly(t *testing.T) {
 			objs = append(objs, obj)
 		}
 	}
-	d := New(h, simclock.New(), Config{})
+	var images imageLog
+	d := New(h, simclock.New(), Config{Images: &images})
 	if err := d.Snapshot(1); err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +385,7 @@ func TestIncrementalSkipsCleanRegionsLosslessly(t *testing.T) {
 	if err := d.Snapshot(2); err != nil {
 		t.Fatal(err)
 	}
-	snap := d.Snapshots()[1]
+	snap := images[1]
 	var kept []heap.PageKey
 	for _, pr := range snap.Pages {
 		kept = append(kept, pr.Key)
@@ -400,12 +415,13 @@ func TestIncrementalSkipsCleanRegionsLosslessly(t *testing.T) {
 	// Every dirty bit is clear now. The full-heap dumps must not care:
 	// the ablation copies every needed occupied page, and jmap charges
 	// for every live object.
-	abl := New(h, simclock.New(), Config{DisableIncremental: true})
+	var ablImages imageLog
+	abl := New(h, simclock.New(), Config{DisableIncremental: true, Images: &ablImages})
 	if err := abl.Snapshot(3); err != nil {
 		t.Fatal(err)
 	}
 	listed := 0
-	for _, pr := range abl.Snapshots()[0].Pages {
+	for _, pr := range ablImages[0].Pages {
 		if !slices.Equal(pr.HeaderIDs, full[pr.Key]) {
 			t.Errorf("ablation page %v: lists %v, full walk %v", pr.Key, pr.HeaderIDs, full[pr.Key])
 		}
@@ -431,5 +447,83 @@ func TestIncrementalSkipsCleanRegionsLosslessly(t *testing.T) {
 	if js := j.Snapshots()[0]; js.SizeBytes != size || js.Duration != dur {
 		t.Errorf("jmap dump of a clean heap = %d B in %v, want its %d live objects' %d B in %v",
 			js.SizeBytes, js.Duration, len(live), size, dur)
+	}
+}
+
+// TestDumperKeepsOnlyMetadata: with an image sink and a persist
+// directory, the dumper hands every image on and keeps none of its pages.
+// Each Snapshots entry is the image's metadata with nil Pages, NoNeed and
+// Regions, and each image the sink received re-encodes to the bytes of its
+// persisted snap-NNNNNN.img.
+func TestDumperKeepsOnlyMetadata(t *testing.T) {
+	h := newHeap(t)
+	clk := simclock.New()
+	r, err := h.NewRegion(heap.Young)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var images imageLog
+	d := New(h, clk, Config{ChargeClock: true, PersistDir: dir, Images: &images})
+	for cycle := uint64(1); cycle <= 4; cycle++ {
+		// One live object and a dead one spanning whole pages.
+		obj, err := h.Allocate(r, 1500, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.PinRoot(obj)
+		if _, err := h.Allocate(r, 9000, 1); err != nil {
+			t.Fatal(err)
+		}
+		h.MarkNoNeedPages(h.Trace())
+		if err := d.Snapshot(cycle); err != nil {
+			t.Fatal(err)
+		}
+	}
+	metas := d.Snapshots()
+	if len(metas) != 4 || len(images) != 4 {
+		t.Fatalf("%d snapshots and %d sunk images, want 4 each", len(metas), len(images))
+	}
+	var noNeed bool
+	for i, m := range metas {
+		img := images[i]
+		if m.Pages != nil || m.NoNeed != nil || m.Regions != nil {
+			t.Fatalf("snapshot %d keeps %d pages, %d no-need pages and %d regions", m.Seq, len(m.Pages), len(m.NoNeed), len(m.Regions))
+		}
+		if m.Seq != img.Seq || m.Cycle != img.Cycle || m.TakenAt != img.TakenAt || m.SizeBytes != img.SizeBytes || m.Duration != img.Duration {
+			t.Fatalf("snapshot %d metadata %+v, sunk image's seq %d cycle %d at %v, %d B in %v",
+				i+1, *m, img.Seq, img.Cycle, img.TakenAt, img.SizeBytes, img.Duration)
+		}
+		if len(img.Pages) == 0 || len(img.Regions) == 0 {
+			t.Fatalf("sunk image %d holds %d pages over %d regions", img.Seq, len(img.Pages), len(img.Regions))
+		}
+		noNeed = noNeed || len(img.NoNeed) > 0
+		var buf bytes.Buffer
+		if err := img.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		onDisk, err := os.ReadFile(filepath.Join(dir, snapshot.FileName(img.Seq)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), onDisk) {
+			t.Fatalf("image %d re-encodes to %d bytes that differ from its %d persisted bytes", img.Seq, buf.Len(), len(onDisk))
+		}
+	}
+	if !noNeed {
+		t.Fatal("degenerate run: no image lists a no-need page")
+	}
+}
+
+type failImages struct{}
+
+func (failImages) Add(*snapshot.Snapshot) error { return errInjected }
+
+// TestImageSinkErrorFailsSnapshot: a sink refusing an image fails the
+// snapshot with the sink's error.
+func TestImageSinkErrorFailsSnapshot(t *testing.T) {
+	d := New(newHeap(t), simclock.New(), Config{Images: failImages{}})
+	if err := d.Snapshot(1); !errors.Is(err, errInjected) {
+		t.Fatalf("Snapshot err = %v, want the sink's", err)
 	}
 }

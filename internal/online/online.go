@@ -3,8 +3,9 @@
 // work (§6.1) contrasts against and its conclusions point toward.
 //
 // Instead of a separate profiling phase, the Recorder and Dumper stay
-// attached while the application serves production load. Every re-profile
-// interval the Analyzer re-runs over everything recorded so far and the
+// attached while the application serves production load, and the
+// Analyzer's replay folds every snapshot as it is taken. Every re-profile
+// interval the replay is finished over everything recorded so far and the
 // resulting plan is hot-swapped into the execution engine — the equivalent
 // of re-instrumenting the bytecode of freshly loaded classes at runtime.
 // Applications whose allocation behaviour shifts (a Cassandra cluster
@@ -33,6 +34,7 @@ import (
 	"polm2/internal/recorder"
 	"polm2/internal/rollout"
 	"polm2/internal/simclock"
+	"polm2/internal/snapshot"
 	"polm2/internal/trace"
 	"polm2/internal/workload"
 )
@@ -85,6 +87,9 @@ type Options struct {
 	// duration and warmup accounting assume the clock is at instant zero
 	// when Run starts.
 	Clock *simclock.Clock
+	// tap, when set, sees every image before the run's replay folds it:
+	// the package's tests collect each window's snapshots through it.
+	tap func(*snapshot.Snapshot)
 }
 
 // recordCost is the mutator cost of one allocation-logging callback per
@@ -195,6 +200,17 @@ type Result struct {
 	SimDuration time.Duration
 }
 
+// tappedReplay hands every image to tap before the replay folds it.
+type tappedReplay struct {
+	tap func(*snapshot.Snapshot)
+	*analyzer.Replay
+}
+
+func (t tappedReplay) Add(snap *snapshot.Snapshot) error {
+	t.tap(snap)
+	return t.Replay.Add(snap)
+}
+
 // Run executes a workload with continuous profiling and periodic plan
 // hot-swaps.
 func Run(app core.App, workloadName string, opts Options) (*Result, error) {
@@ -225,9 +241,17 @@ func Run(app core.App, workloadName string, opts Options) (*Result, error) {
 	} else if err := os.MkdirAll(recordsDir, 0o755); err != nil {
 		return nil, fmt.Errorf("online: records dir: %w", err)
 	}
+	// Every image folds into one replay as it is taken; each re-profile
+	// round finishes the replay over the window so far.
+	replay := analyzer.NewReplay()
+	var images dumper.ImageSink = replay
+	if opts.tap != nil {
+		images = tappedReplay{opts.tap, replay}
+	}
 	criu := dumper.New(vm.Heap(), clock, dumper.Config{
 		Cost:        core.ScaledDumpCostModel(opts.Scale),
 		ChargeClock: true,
+		Images:      images,
 	})
 	rec, err := recorder.New(recorder.Config{Dir: recordsDir, Fault: opts.Fault}, vm.Heap(), vm.Sites(), criu)
 	if err != nil {
@@ -321,7 +345,7 @@ func Run(app core.App, workloadName string, opts Options) (*Result, error) {
 		// goes through the salvage decoder. A damaged recording keeps the
 		// previous plan — instrumenting from partial evidence mid-run is
 		// worse than staying the course — and the run continues.
-		profile, report, err := analyzer.AnalyzeSalvage(recordsDir, criu.Snapshots(), aOpts)
+		profile, report, err := replay.FinishSalvage(recordsDir, aOpts)
 		if err != nil {
 			result.Salvages = append(result.Salvages, SalvageEvent{At: clock.Now(), Err: err.Error()})
 			if opts.Tracer.Enabled() {

@@ -1,6 +1,8 @@
 package online
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +13,7 @@ import (
 	"polm2/internal/apps/cassandra"
 	"polm2/internal/core"
 	"polm2/internal/heap"
+	"polm2/internal/snapshot"
 	"polm2/internal/workload"
 )
 
@@ -106,20 +109,55 @@ func TestOnlineCreatesRecordsDir(t *testing.T) {
 	}
 }
 
+// foldChecker is a PlanService that installs each round's local profile
+// unchanged, after holding it to AnalyzeSalvage over the same records and
+// the images the run's tap collected so far: the replay a run finishes at
+// each round must equal a fresh analysis of that round's window.
+type foldChecker struct {
+	t          *testing.T
+	recordsDir string
+	images     []*snapshot.Snapshot
+	rounds     int
+}
+
+func (c *foldChecker) SyncEvidence(p *analyzer.Profile) (*analyzer.Profile, bool, error) {
+	c.rounds++
+	want, rep, err := analyzer.AnalyzeSalvage(c.recordsDir, c.images, analyzer.Options{App: p.App, Workload: p.Workload})
+	if err != nil {
+		c.t.Fatalf("round %d: AnalyzeSalvage over %d images: %v", c.rounds, len(c.images), err)
+	}
+	if !rep.Clean() {
+		c.t.Fatalf("round %d: AnalyzeSalvage met damage in a clean run: %s", c.rounds, rep)
+	}
+	got, _ := json.Marshal(p)
+	wantJSON, _ := json.Marshal(want)
+	if !bytes.Equal(got, wantJSON) {
+		c.t.Fatalf("round %d over %d images: replay profile\n%s\ndiffers from AnalyzeSalvage\n%s", c.rounds, len(c.images), got, wantJSON)
+	}
+	return p, true, nil
+}
+
 func TestOnlineRunProducesUpdates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("online run skipped in -short mode")
 	}
+	check := &foldChecker{t: t, recordsDir: t.TempDir()}
 	res, err := Run(&shiftApp{}, "w", Options{
-		Duration:  20 * time.Minute,
-		Warmup:    2 * time.Minute,
-		Reprofile: 4 * time.Minute,
+		Duration:   20 * time.Minute,
+		Warmup:     2 * time.Minute,
+		Reprofile:  4 * time.Minute,
+		RecordsDir: check.recordsDir,
+		Fleet:      check,
+		tap:        func(s *snapshot.Snapshot) { check.images = append(check.images, s) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Updates) < 3 {
 		t.Fatalf("expected at least 3 plan updates, got %d", len(res.Updates))
+	}
+	if check.rounds != len(res.Updates) {
+		t.Fatalf("%d rounds checked against AnalyzeSalvage, %d plan updates", check.rounds, len(res.Updates))
 	}
 	for i := 1; i < len(res.Updates); i++ {
 		if res.Updates[i].At <= res.Updates[i-1].At {

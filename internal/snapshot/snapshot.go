@@ -62,7 +62,11 @@ func NewStore() *Store {
 }
 
 // Apply folds one snapshot into the view. Snapshots must be applied in
-// sequence order.
+// sequence order. The view keeps each captured page's HeaderIDs slice
+// itself rather than a copy, so applying an image allocates nothing per
+// listed id: the store only reads those slices, and neither the dumper's
+// per-snapshot arenas nor decoded images are mutated after they are built.
+// A caller that does mutate an applied image's pages changes the view.
 func (s *Store) Apply(snap *Snapshot) error {
 	if snap.Seq <= s.lastSeq {
 		return fmt.Errorf("snapshot: applying snapshot %d after %d", snap.Seq, s.lastSeq)
@@ -85,9 +89,7 @@ func (s *Store) Apply(snap *Snapshot) error {
 	}
 	// Captured pages overwrite whatever the view held for them.
 	for _, pr := range snap.Pages {
-		ids := make([]heap.ObjectID, len(pr.HeaderIDs))
-		copy(ids, pr.HeaderIDs)
-		s.pages[pr.Key] = ids
+		s.pages[pr.Key] = pr.HeaderIDs
 	}
 	return nil
 }

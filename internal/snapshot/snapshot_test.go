@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 
@@ -129,5 +130,53 @@ func must(t *testing.T, err error) {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestApplyAllocationIndependentOfListedIDs: the view keeps an applied
+// page's id slice, so applying one page that lists 100 000 ids allocates no
+// more than applying one that lists a single id, give or take 4 KiB of
+// allocator accounting (small allocations are counted a span at a time). A
+// copy of the ids would be 800 KB.
+func TestApplyAllocationIndependentOfListedIDs(t *testing.T) {
+	applyBytes := func(n int) uint64 {
+		ids := make([]heap.ObjectID, n)
+		for i := range ids {
+			ids[i] = heap.IDOf(uint64(i + 1))
+		}
+		snap := &Snapshot{Seq: 1, Regions: []heap.RegionID{1}, Pages: []PageRecord{{Key: pk(1, 0), HeaderIDs: ids}}}
+		s := NewStore()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		must(t, s.Apply(snap))
+		runtime.ReadMemStats(&after)
+		if got := s.LiveIDs(); len(got) != n {
+			t.Fatalf("view lists %d ids, want %d", len(got), n)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	one, many := applyBytes(1), applyBytes(100_000)
+	t.Logf("Apply allocated %d B for 1 listed id, %d B for 100 000", one, many)
+	if many > one+4<<10 {
+		t.Fatalf("Apply allocated %d B for 100 000 listed ids, more than the %d B for one + 4 KiB", many, one)
+	}
+}
+
+// BenchmarkStoreApply applies the reference run's decoded snapshot chain
+// to a fresh store.
+func BenchmarkStoreApply(b *testing.B) {
+	snaps, err := ReadDir("../../testdata/artifacts/v3/snaps")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := NewStore()
+		for _, snap := range snaps {
+			if err := s.Apply(snap); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
