@@ -47,7 +47,7 @@ func profileRun(t testing.TB, iterations int) (string, []*snapshot.Snapshot) {
 	vm := jvm.New(col)
 	dir := t.TempDir()
 	var images imageLog
-	d := dumper.New(vm.Heap(), clk, dumper.Config{ChargeClock: true, Images: &images})
+	d := dumper.New(vm.Heap(), clk, dumper.Config{Images: &images})
 	rec, err := recorder.New(recorder.Config{Dir: dir}, vm.Heap(), vm.Sites(), d)
 	if err != nil {
 		t.Fatal(err)

@@ -128,7 +128,6 @@ func ProfileApp(app App, workloadName string, opts ProfileOptions) (*ProfileResu
 	dumpCost := ScaledDumpCostModel(opts.Scale)
 	dumpCfg := dumper.Config{
 		Cost:               dumpCost,
-		ChargeClock:        true,
 		DisableNoNeed:      opts.DumpDisableNoNeed,
 		DisableIncremental: opts.DumpDisableIncremental,
 		PersistDir:         opts.SnapshotDir,

@@ -63,10 +63,6 @@ func DefaultCostModel() CostModel {
 type Config struct {
 	// Cost is the dump cost model. Zero value means DefaultCostModel.
 	Cost CostModel
-	// ChargeClock makes dumps advance the simulated clock (the
-	// application is frozen while CRIU dumps it). The profiling phase
-	// charges dump time; baseline-comparison dumps do not.
-	ChargeClock bool
 	// DisableNoNeed turns off the no-need page elision (§3.2 first
 	// optimization) for ablation.
 	DisableNoNeed bool
@@ -170,9 +166,8 @@ func (d *Dumper) Snapshot(cycle uint64) error {
 		// CRIU clears the kernel soft-dirty bit after each dump.
 		d.h.ClearDirtyPages()
 	}
-	if d.cfg.ChargeClock {
-		d.clock.Advance(snap.Duration)
-	}
+	// The application is frozen while CRIU dumps it.
+	d.clock.Advance(snap.Duration)
 	d.snaps = append(d.snaps, &snapshot.Snapshot{
 		Seq:       snap.Seq,
 		Cycle:     snap.Cycle,

@@ -165,6 +165,9 @@ func TestDisableIncrementalCapturesEverythingEveryTime(t *testing.T) {
 	}
 }
 
+// TestChargeClock checks that every CRIU dump advances the
+// simulated clock by its duration: the application is frozen while it is
+// dumped, so the next dump is taken that much later.
 func TestChargeClock(t *testing.T) {
 	h := newHeap(t)
 	clk := simclock.New()
@@ -177,16 +180,19 @@ func TestChargeClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.PinRoot(obj)
-	d := New(h, clk, Config{ChargeClock: true})
-	if err := d.Snapshot(1); err != nil {
-		t.Fatal(err)
+	d := New(h, clk, Config{})
+	for cycle := uint64(1); cycle <= 2; cycle++ {
+		if err := d.Snapshot(cycle); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if clk.Now() == 0 {
-		t.Fatal("ChargeClock did not advance the clock")
+	first, second := d.Snapshots()[0], d.Snapshots()[1]
+	if first.Duration == 0 || second.TakenAt != first.TakenAt+first.Duration {
+		t.Fatalf("second dump taken at %v, want %v after a %v dump at %v",
+			second.TakenAt, first.TakenAt+first.Duration, first.Duration, first.TakenAt)
 	}
-	uncharged := New(h, simclock.New(), Config{})
-	if err := uncharged.Snapshot(1); err != nil {
-		t.Fatal(err)
+	if clk.Now() != second.TakenAt+second.Duration {
+		t.Fatalf("clock reads %v after both dumps, want %v", clk.Now(), second.TakenAt+second.Duration)
 	}
 }
 
@@ -464,7 +470,7 @@ func TestDumperKeepsOnlyMetadata(t *testing.T) {
 	}
 	dir := t.TempDir()
 	var images imageLog
-	d := New(h, clk, Config{ChargeClock: true, PersistDir: dir, Images: &images})
+	d := New(h, clk, Config{PersistDir: dir, Images: &images})
 	for cycle := uint64(1); cycle <= 4; cycle++ {
 		// One live object and a dead one spanning whole pages.
 		obj, err := h.Allocate(r, 1500, 1)

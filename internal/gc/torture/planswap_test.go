@@ -161,12 +161,7 @@ func tortureWithPlanSwaps(t *testing.T, name string, col gc.Collector, seed int6
 		t.Fatalf("%s: no collection ran", name)
 	}
 	// The mutations since the last collection kept the invariants too.
-	if bad := h.CheckRemsetInvariant(); len(bad) != 0 {
-		t.Fatalf("%s: remset invariant broken in %v", name, bad)
-	}
-	if bad := h.CheckPageInvariant(); len(bad) != 0 {
-		t.Fatalf("%s: page invariant broken in %v", name, bad)
-	}
+	checkHeap(t, name, h)
 
 	// After removing the plan, the roots and the pins, the heap drains.
 	vm.SetPlan(nil)

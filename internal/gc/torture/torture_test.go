@@ -39,8 +39,8 @@ func collectors(t *testing.T) map[string]gc.Collector {
 }
 
 // checkEveryCycle runs the heap's remembered-set and page-table checkers
-// after every collection of col and returns the number of collections
-// checked so far.
+// and heap.Verify after every collection of col and returns the number of
+// collections checked so far.
 func checkEveryCycle(t *testing.T, name string, col gc.Collector) *int {
 	t.Helper()
 	h := col.Heap()
@@ -52,9 +52,26 @@ func checkEveryCycle(t *testing.T, name string, col gc.Collector) *int {
 		if bad := h.CheckPageInvariant(); len(bad) != 0 {
 			t.Fatalf("%s: cycle %d: page invariant broken in %v", name, cycle, bad)
 		}
+		if err := h.Verify(); err != nil {
+			t.Fatalf("%s: cycle %d: %v", name, cycle, err)
+		}
 		*checked++
 	})
 	return checked
+}
+
+// checkHeap runs the same checkers outside a collection.
+func checkHeap(t *testing.T, name string, h *heap.Heap) {
+	t.Helper()
+	if bad := h.CheckRemsetInvariant(); len(bad) != 0 {
+		t.Fatalf("%s: remset invariant broken in %v", name, bad)
+	}
+	if bad := h.CheckPageInvariant(); len(bad) != 0 {
+		t.Fatalf("%s: page invariant broken in %v", name, bad)
+	}
+	if err := h.Verify(); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
 }
 
 // tracked is a rooted object and the recycling stamp it had when pinned:
@@ -62,7 +79,8 @@ func checkEveryCycle(t *testing.T, name string, col gc.Collector) *int {
 type tracked struct {
 	obj   *heap.Object
 	stamp uint32
-	ttl   int // steps until unrooted
+	ttl   int  // steps until unrooted
+	hub   bool // also referenced by the run's hub while rooted
 }
 
 // lost reports whether the tracked object was collected or its struct
@@ -85,6 +103,23 @@ func torture(t *testing.T, name string, col gc.Collector, seed int64) {
 			dynamicGens = append(dynamicGens, pret.NewGeneration())
 		}
 	}
+	// A rooted hub references about half the retained objects while they
+	// stay rooted: its fan-out of a few hundred keeps an edge position
+	// index under constant insertion and deletion across collections.
+	hub, err := col.Allocate(64, heap.SiteID(21), heap.Young)
+	if err != nil {
+		t.Fatalf("%s: hub: %v", name, err)
+	}
+	h.PinRoot(hub)
+	peakFanout := 0
+	unroot := func(tr tracked) {
+		if tr.hub {
+			if err := h.Unlink(hub.ID, tr.obj.ID); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		h.UnpinRoot(tr.obj)
+	}
 
 	const steps = 30000
 	for step := 0; step < steps; step++ {
@@ -104,7 +139,13 @@ func torture(t *testing.T, name string, col gc.Collector, seed int64) {
 		// die immediately.
 		if rng.Intn(5) == 0 {
 			h.PinRoot(obj)
-			live = append(live, tracked{obj: obj, stamp: obj.Stamp(), ttl: 10 + rng.Intn(4000)})
+			tr := tracked{obj: obj, stamp: obj.Stamp(), ttl: 10 + rng.Intn(4000), hub: rng.Intn(2) == 0}
+			if tr.hub {
+				if err := h.Link(hub.ID, obj.ID); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+			live = append(live, tr)
 			// Random edges between retained (so pinned) objects.
 			if len(live) > 1 && rng.Intn(2) == 0 {
 				other := live[rng.Intn(len(live))]
@@ -113,13 +154,16 @@ func torture(t *testing.T, name string, col gc.Collector, seed int64) {
 				}
 			}
 		}
+		if d := hub.OutDegree(); d > peakFanout {
+			peakFanout = d
+		}
 		// Age the retained set.
 		if step%64 == 0 {
 			kept := live[:0]
 			for _, tr := range live {
 				tr.ttl -= 64
 				if tr.ttl <= 0 {
-					h.UnpinRoot(tr.obj)
+					unroot(tr)
 					continue
 				}
 				kept = append(kept, tr)
@@ -142,17 +186,17 @@ func torture(t *testing.T, name string, col gc.Collector, seed int64) {
 	if *checked == 0 {
 		t.Fatalf("%s: no collection ran", name)
 	}
+	// The heap indexes a spill past 32 edges and grows the index past 64.
+	if peakFanout < 128 {
+		t.Fatalf("%s: hub fan-out peaked at %d, too low to exercise a grown position index", name, peakFanout)
+	}
 	// The mutations since the last collection kept the invariants too.
-	if bad := h.CheckRemsetInvariant(); len(bad) != 0 {
-		t.Fatalf("%s: remset invariant broken in %v", name, bad)
-	}
-	if bad := h.CheckPageInvariant(); len(bad) != 0 {
-		t.Fatalf("%s: page invariant broken in %v", name, bad)
-	}
+	checkHeap(t, name, h)
 	// After unrooting everything and collecting, the heap drains.
 	for _, tr := range live {
-		h.UnpinRoot(tr.obj)
+		unroot(tr)
 	}
+	h.UnpinRoot(hub)
 	for i := 0; i < 4; i++ {
 		if err := col.ForceCollect(); err != nil {
 			t.Fatalf("%s: drain collection: %v", name, err)

@@ -87,16 +87,18 @@ type Stats struct {
 // A steady-state GC cycle over a Heap performs near-zero Go allocations:
 // dead Object structs are recycled through a freelist and their edge
 // stores' overflow blocks (spill arrays and position indexes included)
-// through a second one, freed regions donate their page-table bitsets to
-// the next committed region, and the tracer, the no-need marker and the
-// page walk reuse per-heap scratch buffers.
+// through a second one, emptied chunks of the object index through a
+// third, freed regions donate their page-table bitsets to the next
+// committed region, and the tracer, the no-need marker and the page walk
+// reuse per-heap scratch buffers. No Go map is touched on the Allocate,
+// Remove, Link or Unlink paths.
 type Heap struct {
 	cfg Config
 
-	// objects indexes resident objects by identity hash. Allocate and
-	// Remove maintain it; only the callers that hold an id and not a
-	// pointer read it: Link/Unlink and Stats.
-	objects map[ObjectID]*Object
+	// objects indexes resident objects by allocation serial, in chunks of
+	// 4096 serials. Allocate and Remove maintain it; only the callers that
+	// hold an id and not a pointer read it: Link/Unlink and Stats.
+	objects objIndex
 	// active lists every non-freed region in ascending id order. Region
 	// ids are assigned monotonically, so commits append and frees splice
 	// by binary search; it is the heap's only region table.
@@ -142,10 +144,7 @@ func New(cfg Config) (*Heap, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &Heap{
-		cfg:     cfg,
-		objects: make(map[ObjectID]*Object),
-	}, nil
+	return &Heap{cfg: cfg}, nil
 }
 
 // Config returns the heap's effective configuration.
@@ -162,7 +161,7 @@ func (h *Heap) Stats() Stats {
 		MaxCommittedBytes:     h.maxCommitted,
 		UsedBytes:             used,
 		LiveRegions:           len(h.active),
-		Objects:               len(h.objects),
+		Objects:               h.objects.n,
 		TotalAllocatedObjects: h.totalObjects,
 		TotalAllocatedBytes:   h.totalBytes,
 		FreeObjects:           h.freeObjects,
@@ -275,7 +274,7 @@ func (h *Heap) Allocate(r *Region, size uint32, site SiteID) (*Object, error) {
 	}
 	r.used += size
 	r.pushResident(obj)
-	h.objects[obj.ID] = obj
+	h.objects.add(h.idCounter, obj)
 	h.totalObjects++
 	h.totalBytes += uint64(size)
 	first, last := obj.pageSpan(h.cfg.PageSize)
@@ -348,7 +347,7 @@ func (h *Heap) RootCount() int { return len(h.roots) }
 // The store dirties the parent's header page; a cross-region edge grows the
 // child region's remembered set.
 func (h *Heap) Link(parent, child ObjectID) error {
-	p, c := h.objects[parent], h.objects[child]
+	p, c := h.objects.get(parent), h.objects.get(child)
 	if p == nil || c == nil {
 		return fmt.Errorf("heap: Link %#x -> %#x with unknown endpoint", uint64(parent), uint64(child))
 	}
@@ -365,7 +364,7 @@ func (h *Heap) Link(parent, child ObjectID) error {
 // Unlink removes one reference from parent to child (a field overwrite or
 // clear). It also dirties the parent's header page.
 func (h *Heap) Unlink(parent, child ObjectID) error {
-	p, c := h.objects[parent], h.objects[child]
+	p, c := h.objects.get(parent), h.objects.get(child)
 	if p == nil || c == nil {
 		return fmt.Errorf("heap: Unlink %#x -> %#x with unknown endpoint", uint64(parent), uint64(child))
 	}
@@ -471,7 +470,7 @@ func (h *Heap) Remove(obj *Object) {
 		}
 	})
 	myRegion.removeResident(obj)
-	delete(h.objects, obj.ID)
+	h.objects.remove(obj.ID.Serial())
 
 	// Recycle the struct: clear identity and graph state, move the edge
 	// stores' overflow blocks onto the block freelist, bump the stamp so

@@ -18,12 +18,13 @@
 //     profiler faces the same estimation problem it faces on a JVM.
 //
 // The hot data structures are laid out so a steady-state GC cycle performs
-// near-zero Go allocations (DESIGN.md §8): reference edges live in a hybrid
-// store (one inline edge per direction, then a pooled overflow block of
-// inline slots, spill and index) instead of maps, region residency is an
-// intrusive doubly-linked list threaded through the objects, and dead
-// Object structs and overflow blocks are recycled through per-heap
-// freelists.
+// near-zero Go allocations and no Go map operation (DESIGN.md §8):
+// reference edges live in a hybrid store (one inline edge per direction,
+// then a pooled overflow block of inline slots, spill and a flat position
+// index), region residency is an intrusive doubly-linked list threaded
+// through the objects, the id index is a table of fixed chunks over the
+// allocation serials, and dead Object structs, overflow blocks and emptied
+// index chunks are recycled through per-heap freelists.
 package heap
 
 import "fmt"
@@ -73,8 +74,9 @@ const edgeIdxThreshold = 32
 // map[*Object]int it replaces, it allocates nothing for fanout one, its
 // blocks are recycled through the heap's block freelist, and its iteration
 // order is deterministic: inline slots then spill slots, an order that is a
-// pure function of the Link/Unlink/Remove history (the position index is
-// used only for lookup, never iterated).
+// pure function of the Link/Unlink/Remove history (the position index, a
+// flat probe table rather than a Go map, is used only for lookup, never
+// iterated).
 type edgeSet struct {
 	// obj0 and n0 are logical inline slot 0.
 	obj0      *Object
@@ -94,10 +96,73 @@ type edgeBlock struct {
 	// operation history.
 	spill []edgeRef
 	// idx maps spill children to their position once the spill outgrows
-	// edgeIdxThreshold. Once built it is maintained forever (and kept,
-	// cleared, across recycling): a block that served a hub once tends to
-	// again.
-	idx map[*Object]int32
+	// edgeIdxThreshold: an open-addressed, linearly probed table whose
+	// length is a power of two at least twice the spill's, each slot zero
+	// or a spill position plus one. A child's home slot is its ID, already
+	// a SplitMix64 hash, masked to the table; a slot reads its child back
+	// from the spill, and deletion shifts the probe run back instead of
+	// leaving tombstones, so the layout is a pure function of the history.
+	// Once built it is maintained forever (and kept, cleared, across
+	// recycling): a block that served a hub once tends to again.
+	idx []int32
+}
+
+// edgeIdxMinLen is the length of a freshly built position index: the
+// spill that triggers it fills about a quarter, and the table doubles once
+// the spill passes half of it.
+const edgeIdxMinLen = 4 * edgeIdxThreshold
+
+// home returns o's home slot in the position index.
+func (b *edgeBlock) home(o *Object) int {
+	return int(uint64(o.ID) & uint64(len(b.idx)-1))
+}
+
+// idxSlot returns the index slot holding o's spill position, or -1.
+func (b *edgeBlock) idxSlot(o *Object) int {
+	mask := len(b.idx) - 1
+	for i := b.home(o); ; i = (i + 1) & mask {
+		v := b.idx[i]
+		if v == 0 {
+			return -1
+		}
+		if b.spill[v-1].obj == o {
+			return i
+		}
+	}
+}
+
+// idxInsert records spill position pos in o's probe run.
+func (b *edgeBlock) idxInsert(o *Object, pos int) {
+	mask := len(b.idx) - 1
+	i := b.home(o)
+	for b.idx[i] != 0 {
+		i = (i + 1) & mask
+	}
+	b.idx[i] = int32(pos + 1)
+}
+
+// idxDelete empties slot i and shifts the rest of its probe run back, so
+// that every remaining entry stays reachable from its home slot.
+func (b *edgeBlock) idxDelete(i int) {
+	mask := len(b.idx) - 1
+	for j := (i + 1) & mask; b.idx[j] != 0; j = (j + 1) & mask {
+		// The entry at j may fill the hole at i unless its home lies
+		// cyclically in (i, j].
+		if (j-b.home(b.spill[b.idx[j]-1].obj))&mask >= (j-i)&mask {
+			b.idx[i] = b.idx[j]
+			i = j
+		}
+	}
+	b.idx[i] = 0
+}
+
+// idxRebuild replaces the index with one of n slots holding every spill
+// position.
+func (b *edgeBlock) idxRebuild(n int) {
+	b.idx = make([]int32, n)
+	for i := range b.spill {
+		b.idxInsert(b.spill[i].obj, i)
+	}
 }
 
 // edgeBlocks is a heap's freelist of cleared overflow blocks. Blocks keep
@@ -157,8 +222,8 @@ func (s *edgeSet) spillFind(o *Object) int {
 		return -1
 	}
 	if b.idx != nil {
-		if i, ok := b.idx[o]; ok {
-			return int(i)
+		if i := b.idxSlot(o); i >= 0 {
+			return int(b.idx[i] - 1)
 		}
 		return -1
 	}
@@ -193,13 +258,13 @@ func (s *edgeSet) inc(o *Object, free *edgeBlocks) {
 	}
 	b := s.blk
 	b.spill = append(b.spill, edgeRef{obj: o, n: 1})
-	if b.idx != nil {
-		b.idx[o] = int32(len(b.spill) - 1)
-	} else if len(b.spill) > edgeIdxThreshold {
-		b.idx = make(map[*Object]int32, 2*edgeIdxThreshold)
-		for i := range b.spill {
-			b.idx[b.spill[i].obj] = int32(i)
-		}
+	switch {
+	case b.idx != nil && 2*len(b.spill) > len(b.idx):
+		b.idxRebuild(2 * len(b.idx))
+	case b.idx != nil:
+		b.idxInsert(o, len(b.spill)-1)
+	case len(b.spill) > edgeIdxThreshold:
+		b.idxRebuild(edgeIdxMinLen)
 	}
 }
 
@@ -251,15 +316,20 @@ func (s *edgeSet) removeInlineAt(i int32) {
 func (s *edgeSet) removeSpillAt(i int) {
 	b := s.blk
 	last := len(b.spill) - 1
-	gone := b.spill[i].obj
+	hole := -1
+	if b.idx != nil {
+		// Repoint the moved child's slot before the swap, and empty the
+		// removed child's after it, when every slot reads a live position.
+		hole = b.idxSlot(b.spill[i].obj)
+		if i != last {
+			b.idx[b.idxSlot(b.spill[last].obj)] = int32(i + 1)
+		}
+	}
 	b.spill[i] = b.spill[last]
 	b.spill[last] = edgeRef{}
 	b.spill = b.spill[:last]
-	if b.idx != nil {
-		delete(b.idx, gone)
-		if i != last {
-			b.idx[b.spill[i].obj] = int32(i)
-		}
+	if hole >= 0 {
+		b.idxDelete(hole)
 	}
 }
 

@@ -249,9 +249,8 @@ func Run(app core.App, workloadName string, opts Options) (*Result, error) {
 		images = tappedReplay{opts.tap, replay}
 	}
 	criu := dumper.New(vm.Heap(), clock, dumper.Config{
-		Cost:        core.ScaledDumpCostModel(opts.Scale),
-		ChargeClock: true,
-		Images:      images,
+		Cost:   core.ScaledDumpCostModel(opts.Scale),
+		Images: images,
 	})
 	rec, err := recorder.New(recorder.Config{Dir: recordsDir, Fault: opts.Fault}, vm.Heap(), vm.Sites(), criu)
 	if err != nil {
