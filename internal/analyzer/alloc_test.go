@@ -53,7 +53,7 @@ func TestFinishAllocatesOnlyTheSiteIndex(t *testing.T) {
 	snap := &snapshot.Snapshot{Seq: 1, Regions: []heap.RegionID{1}}
 	ids := make([]heap.ObjectID, n)
 	for i := range ids {
-		ids[i] = heap.IDOf(uint64(i + 1))
+		ids[i] = heap.ObjectID(i + 1)
 	}
 	for page := 0; len(ids) > 0; page++ {
 		k := min(len(ids), 32)
@@ -110,7 +110,7 @@ func recordWindow(t *testing.T, n uint64) (string, []heap.SiteID, uint64) {
 	}
 	rng := rand.New(rand.NewSource(32))
 	for s := uint64(1); s <= n; s++ {
-		rec.RecordAlloc(sites[rng.Intn(len(sites))], &heap.Object{ID: heap.IDOf(s)})
+		rec.RecordAlloc(sites[rng.Intn(len(sites))], &heap.Object{ID: heap.ObjectID(s)})
 	}
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)

@@ -54,7 +54,7 @@ func addSiteEvidence(evidence map[heap.SiteID]*siteEvidence, idx *serialIndex, s
 	idx.add(ev, st)
 }
 
-// serialIndex maps recorded allocation serials (heap.ObjectID.Serial) to
+// serialIndex maps recorded allocation serials (the ids as uint64s) to
 // their sites: a profiling run's recorded serials are dense, so one slice
 // over their window [lo, hi] replaces an id-to-site map. The survival
 // counts live in the Replay.

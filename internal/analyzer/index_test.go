@@ -63,7 +63,7 @@ func randomRecording(rng *rand.Rand, lo uint64, size int) ([]heap.SiteID, map[he
 			continue // allocated but never recorded
 		}
 		sid := sites[rng.Intn(len(sites))]
-		streams[sid] = append(streams[sid], heap.IDOf(s))
+		streams[sid] = append(streams[sid], heap.ObjectID(s))
 	}
 	for d := rng.Intn(20); d > 0; d-- {
 		from, to := sites[rng.Intn(len(sites))], sites[rng.Intn(len(sites))]
@@ -84,11 +84,11 @@ func randomSnapshots(rng *rand.Rand, lo uint64, size int) []*snapshot.Snapshot {
 		var ids []heap.ObjectID
 		for s := lo - min(lo, 20); s < lo+uint64(size)+20; s++ {
 			if rng.Intn(3) == 0 {
-				ids = append(ids, heap.IDOf(s))
+				ids = append(ids, heap.ObjectID(s))
 			}
 		}
 		for j := rng.Intn(4); j > 0; j-- {
-			ids = append(ids, heap.IDOf(rng.Uint64()))
+			ids = append(ids, heap.ObjectID(rng.Uint64()))
 		}
 		rng.Shuffle(len(ids), func(a, b int) { ids[a], ids[b] = ids[b], ids[a] })
 		snap := &snapshot.Snapshot{Seq: i + 1}
@@ -181,8 +181,8 @@ func TestSerialIndexMatchesMapModel(t *testing.T) {
 // The id then counts twice in one snapshot, and the count is capped at the
 // last bucket instead of indexing past it.
 func TestReplayCapsRepeatedListings(t *testing.T) {
-	recorded := recordedStreams(t, map[heap.SiteID][]heap.ObjectID{1: {heap.IDOf(7), heap.IDOf(8)}})
-	twice := []heap.ObjectID{heap.IDOf(7)}
+	recorded := recordedStreams(t, map[heap.SiteID][]heap.ObjectID{1: {7, 8}})
+	twice := []heap.ObjectID{7}
 	snap := &snapshot.Snapshot{Seq: 1, Pages: []snapshot.PageRecord{
 		{Key: heap.PageKey{Region: 1, Index: 0}, HeaderIDs: twice},
 		{Key: heap.PageKey{Region: 1, Index: 1}, HeaderIDs: twice},
@@ -242,7 +242,7 @@ func recordSerials(t testing.TB, serials ...uint64) (string, heap.SiteID) {
 		t.Fatal(err)
 	}
 	for _, s := range serials {
-		rec.RecordAlloc(sid, &heap.Object{ID: heap.IDOf(s)})
+		rec.RecordAlloc(sid, &heap.Object{ID: heap.ObjectID(s)})
 	}
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
@@ -279,7 +279,7 @@ func TestAnalyzeRefusesSparseSerials(t *testing.T) {
 		ok bool
 	}{{lo + 2*2 + 1<<16 - 1, true}, {lo + 2*2 + 1<<16, false}} {
 		var idx serialIndex
-		recorded := recordedStreams(t, map[heap.SiteID][]heap.ObjectID{1: {heap.IDOf(lo), heap.IDOf(tc.hi)}})
+		recorded := recordedStreams(t, map[heap.SiteID][]heap.ObjectID{1: {heap.ObjectID(lo), heap.ObjectID(tc.hi)}})
 		idx.add(&siteEvidence{}, recorded[1])
 		if err := idx.check(0); (err == nil) != tc.ok {
 			t.Fatalf("span %d for 2 ids: check err = %v, want ok=%v", tc.hi-lo+1, err, tc.ok)

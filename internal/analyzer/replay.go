@@ -71,7 +71,7 @@ func (r *Replay) Add(snap *snapshot.Snapshot) error {
 	// A live serial that no site recorded is counted too: no bucket reads
 	// its count.
 	r.store.ForEach(func(oid heap.ObjectID) {
-		s := oid.Serial()
+		s := uint64(oid)
 		if s < r.lo || s > r.hi {
 			return
 		}

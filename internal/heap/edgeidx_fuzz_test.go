@@ -55,11 +55,13 @@ func FuzzEdgeStore(f *testing.F) {
 			byID[obj.ID] = obj
 			return obj
 		}
+		// fresh stands for a hub's freshly built index, to read homes off.
+		fresh := &edgeBlock{idx: make([]int32, edgeIdxMinLen)}
 		const tailHome = edgeIdxMinLen - 8
 		var tail, plain []*Object
 		for len(tail) < 48 || len(plain) < 48 {
 			obj := alloc()
-			if uint64(obj.ID)&(edgeIdxMinLen-1) >= tailHome {
+			if fresh.home(obj) >= tailHome {
 				if len(tail) < 48 {
 					tail = append(tail, obj)
 				}

@@ -74,10 +74,10 @@ func TestAllocateAssignsUniqueStableIDs(t *testing.T) {
 	}
 }
 
-// TestSerialInvertsIDOf pins the identity hash (the artifacts of earlier
-// runs and every profile depend on its values) and checks that Serial is
-// its exact inverse over edge values, a counter sweep and random ids.
-func TestSerialInvertsIDOf(t *testing.T) {
+// TestIDsAreSerialsAndIDOfIsPinned pins the identity hash, the collectors'
+// evacuation order key (every pause and profile depends on its values),
+// and checks that an object's id is its allocation serial.
+func TestIDsAreSerialsAndIDOfIsPinned(t *testing.T) {
 	for serial, want := range map[uint64]ObjectID{
 		0:       0xe220a8397b1dcdaf, // SplitMix64's first output from seed 0
 		1:       0x910a2dec89025cc1,
@@ -88,33 +88,14 @@ func TestSerialInvertsIDOf(t *testing.T) {
 			t.Errorf("IDOf(%d) = %#x, want %#x", serial, uint64(got), uint64(want))
 		}
 	}
-	check := func(serial uint64) {
-		t.Helper()
-		if got := IDOf(serial).Serial(); got != serial {
-			t.Fatalf("IDOf(%#x).Serial() = %#x", serial, got)
-		}
-		if got := IDOf(ObjectID(serial).Serial()); got != ObjectID(serial) {
-			t.Fatalf("IDOf(ObjectID(%#x).Serial()) = %#x", serial, uint64(got))
-		}
-	}
-	for _, v := range []uint64{0, 1, ^uint64(0), 1 << 63, 1<<63 - 1} {
-		check(v)
-	}
-	for v := uint64(0); v < 1<<16; v++ {
-		check(v)
-	}
-	rng := rand.New(rand.NewSource(25))
-	for i := 0; i < 1<<16; i++ {
-		check(rng.Uint64())
-	}
 
-	// The heap numbers its allocations 1, 2, 3, ...: an object's serial is
-	// its allocation order.
+	// The heap numbers its allocations 1, 2, 3, ...: an object's id is its
+	// allocation order.
 	h := testHeap(t)
 	r := mustRegion(t, h, Young)
-	for i := uint64(1); i <= 10; i++ {
-		if got := mustAlloc(t, h, r, 64).ID.Serial(); got != i {
-			t.Fatalf("allocation %d has serial %d", i, got)
+	for i := ObjectID(1); i <= 10; i++ {
+		if got := mustAlloc(t, h, r, 64).ID; got != i {
+			t.Fatalf("allocation %d has id %d", i, got)
 		}
 	}
 }

@@ -87,9 +87,9 @@ func TestObjectIndexVsMapModel(t *testing.T) {
 		case r < 9 && len(stale) > 0:
 			return stale[rng.Intn(len(stale))]
 		case r < 9:
-			return IDOf(h.idCounter + 1 + uint64(rng.Intn(3*objChunkLen)))
+			return ObjectID(h.idCounter + 1 + uint64(rng.Intn(3*objChunkLen)))
 		default:
-			return IDOf(0)
+			return 0
 		}
 	}
 	check := func(step int) {
@@ -175,7 +175,7 @@ func TestObjectIndexVsMapModel(t *testing.T) {
 	}
 	// Every chunk the heap holds is in use or spare: the bursts reused
 	// emptied chunks instead of allocating one per range of serials.
-	if owned, ranges := ownedChunks(h), len(h.objects.chunks); owned >= ranges {
+	if owned, ranges := ownedChunks(h), int(h.idCounter>>objChunkBits)+1; owned >= ranges {
 		t.Fatalf("heap holds %d chunks for %d serial ranges: emptied chunks were not reused", owned, ranges)
 	}
 
@@ -202,7 +202,7 @@ func TestObjectIndexVsMapModel(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		run = append(run, alloc())
 	}
-	if run[0].ID.Serial()>>objChunkBits == run[7].ID.Serial()>>objChunkBits {
+	if run[0].ID>>objChunkBits == run[7].ID>>objChunkBits {
 		t.Fatal("the sweep does not cross a chunk boundary")
 	}
 	for i := 0; i+1 < len(run); i++ {
@@ -298,6 +298,64 @@ func TestSteadyStateCycleKeepsIndexChunks(t *testing.T) {
 	}
 }
 
+// TestChurnKeepsIndexTableShort allocates 256 chunks' worth of serials
+// with at most one object live at a time. The table drops its leading
+// empty chunks, so it spans at most the chunk of the live object and the
+// next one, and once warm the churn allocates no host memory: neither a
+// chunk nor a longer chunk table.
+func TestChurnKeepsIndexTableShort(t *testing.T) {
+	h, err := New(Config{RegionSize: 64 * 1024, PageSize: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := h.NewRegion(Young)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prev *Object
+	churn := func(n int) {
+		for i := 0; i < n; i++ {
+			if r.Used()+16 > h.Config().RegionSize {
+				if prev != nil {
+					h.Remove(prev)
+					prev = nil
+				}
+				h.FreeRegion(r)
+				if r, err = h.NewRegion(Young); err != nil {
+					t.Fatal(err)
+				}
+			}
+			obj, err := h.Allocate(r, 16, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prev != nil {
+				h.Remove(prev)
+			}
+			prev = obj
+			if len(h.objects.chunks) > 2 {
+				t.Fatalf("serial %d: index table spans %d chunks with one object live", obj.ID, len(h.objects.chunks))
+			}
+		}
+	}
+	churn(4 * objChunkLen)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	churn(252 * objChunkLen)
+	runtime.ReadMemStats(&after)
+	if err := h.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	// Each filled region is a new Region struct; the index adds nothing.
+	regions := uint64(252*objChunkLen*16) / uint64(h.Config().RegionSize)
+	if perRegion := (after.TotalAlloc - before.TotalAlloc) / regions; perRegion > uint64(unsafe.Sizeof(Region{}))*2 {
+		t.Fatalf("the churn allocates %d host bytes per region filled", perRegion)
+	}
+	if got := h.objects.base; got != h.idCounter>>objChunkBits {
+		t.Fatalf("index table starts at chunk %d, the live object is in chunk %d", got, h.idCounter>>objChunkBits)
+	}
+}
+
 // TestVerifyFlagsCorruption breaks each fact Verify checks, one at a time,
 // on a heap holding a hub with a position index, a removed object, a
 // spare chunk and a freed edge block, and requires Verify to name it.
@@ -327,17 +385,28 @@ func TestVerifyFlagsCorruption(t *testing.T) {
 		}},
 		{"object off its serial", "not its own", func(f fixture) {
 			c := f.h.objects.chunks[f.chunk]
-			s := f.hub.ID.Serial() & (objChunkLen - 1)
+			s := f.hub.ID & (objChunkLen - 1)
 			c[s], c[s+1] = c[s+1], c[s]
 		}},
 		{"empty chunk kept", "not on the freelist", func(f fixture) {
 			f.h.objects.chunks = append(f.h.objects.chunks, new(objChunk))
 			f.h.objects.live = append(f.h.objects.live, 0)
 		}},
+		{"base drifts", "not its own", func(f fixture) { f.h.objects.base++ }},
+		{"table starts empty", "index table spans", func(f fixture) {
+			x := &f.h.objects
+			x.chunks = append([]*objChunk{nil}, x.chunks...)
+			x.live = append([]int32{0}, x.live...)
+			x.base--
+		}},
+		{"table runs past the counter", "index table spans", func(f fixture) {
+			f.h.objects.chunks = append(f.h.objects.chunks, nil)
+			f.h.objects.live = append(f.h.objects.live, 0)
+		}},
 		{"object count drifts", "index counts", func(f fixture) { f.h.objects.n++ }},
 		{"spare chunk holds an object", "spare", func(f fixture) { f.h.objects.spare[0][5] = f.hub }},
 		{"resident unindexed", "missing from the index", func(f fixture) {
-			f.h.objects.remove(f.child.ID.Serial())
+			f.h.objects.remove(f.child.ID)
 		}},
 		{"index entry moved", "does not map", func(f fixture) {
 			// To an empty slot past the end of its probe run.
@@ -413,7 +482,7 @@ func TestVerifyFlagsCorruption(t *testing.T) {
 		for i := 0; i < objChunkLen; i++ {
 			h.Remove(mustAlloc(t, h, r, 16))
 		}
-		goneSlot := int(gone.ID.Serial() & (objChunkLen - 1))
+		goneSlot := int(gone.ID & (objChunkLen - 1))
 		h.Remove(gone)
 		if len(h.objects.spare) == 0 || len(h.blockFree) == 0 {
 			t.Fatal("fixture holds no spare chunk or free block")
@@ -422,7 +491,7 @@ func TestVerifyFlagsCorruption(t *testing.T) {
 			t.Fatalf("intact heap flagged: %v", err)
 		}
 		return fixture{h: h, hub: hub, child: children[len(children)/2], gone: gone, goneSlot: goneSlot,
-			chunk: int(hub.ID.Serial() >> objChunkBits), last: len(h.objects.chunks) - 1}
+			chunk: int(uint64(hub.ID)>>objChunkBits - h.objects.base), last: len(h.objects.chunks) - 1}
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -6,7 +6,9 @@ import "fmt"
 // lists and returns the first disagreement, or nil:
 //
 //   - every resident of an active region is in the object index exactly at
-//     its serial;
+//     its id;
+//   - the index's table starts at a non-empty chunk and ends by the last
+//     serial's;
 //   - each index chunk's live count equals its non-nil slots, no chunk is
 //     kept empty, the counts sum to the number of residents, and spare
 //     chunks hold nothing;
@@ -26,7 +28,7 @@ func (h *Heap) Verify() error {
 	for k, c := range x.chunks {
 		if c == nil {
 			if x.live[k] != 0 {
-				return fmt.Errorf("heap: index chunk %d is gone but counts %d objects", k, x.live[k])
+				return fmt.Errorf("heap: index chunk %d is gone but counts %d objects", x.base+uint64(k), x.live[k])
 			}
 			continue
 		}
@@ -36,21 +38,25 @@ func (h *Heap) Verify() error {
 				continue
 			}
 			n++
-			s := uint64(k)<<objChunkBits | uint64(i)
+			id := ObjectID((x.base+uint64(k))<<objChunkBits | uint64(i))
 			if obj.region == nil {
-				return fmt.Errorf("heap: removed %v indexed at serial %d", obj, s)
+				return fmt.Errorf("heap: removed %v indexed at id %d", obj, id)
 			}
-			if obj.ID.Serial() != s {
-				return fmt.Errorf("heap: %v indexed at serial %d, not its own %d", obj, s, obj.ID.Serial())
+			if obj.ID != id {
+				return fmt.Errorf("heap: %v indexed at id %d, not its own", obj, id)
 			}
 		}
 		if n != x.live[k] {
-			return fmt.Errorf("heap: index chunk %d counts %d objects but holds %d", k, x.live[k], n)
+			return fmt.Errorf("heap: index chunk %d counts %d objects but holds %d", x.base+uint64(k), x.live[k], n)
 		}
 		if n == 0 {
-			return fmt.Errorf("heap: empty index chunk %d not on the freelist", k)
+			return fmt.Errorf("heap: empty index chunk %d not on the freelist", x.base+uint64(k))
 		}
 		total += int(n)
+	}
+	end := x.base + uint64(len(x.chunks)) - 1
+	if len(x.chunks) > 0 && (x.chunks[0] == nil || end > h.idCounter>>objChunkBits) {
+		return fmt.Errorf("heap: index table spans chunks %d to %d; it must start non-empty and end by chunk %d", x.base, end, h.idCounter>>objChunkBits)
 	}
 	if total != x.n {
 		return fmt.Errorf("heap: index counts %d objects but its chunks hold %d", x.n, total)

@@ -8,8 +8,8 @@
 // points POLM2 needs:
 //
 //   - an allocation hook, used by the Recorder (§3.2) to log (stack trace,
-//     identity hash) pairs exactly as the paper's Java agent does with ASM
-//     callbacks;
+//     object id) pairs as the paper's Java agent logs (stack trace,
+//     identity hash) pairs with ASM callbacks;
 //   - an instrumentation plan, consulted at every call and allocation site,
 //     which is observationally equivalent to the paper's load-time bytecode
 //     rewriting (§3.4): a SetGeneration directive at a call site switches

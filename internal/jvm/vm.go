@@ -36,7 +36,7 @@ const (
 )
 
 // AllocHook observes every allocation the engine performs. The Recorder
-// registers one to log (site, identity hash) pairs (§3.2).
+// registers one to log (site, object id) pairs (§3.2).
 type AllocHook func(site heap.SiteID, obj *heap.Object)
 
 // VM is the execution engine: it binds a collector, a site table, an

@@ -42,7 +42,7 @@ func appendFrameIDs(out []heap.ObjectID, payload []byte) ([]heap.ObjectID, bool)
 			return out[:n], false
 		}
 		serial += d
-		out = append(out, heap.IDOf(serial))
+		out = append(out, heap.ObjectID(serial))
 		payload = payload[k:]
 	}
 	return out, true
@@ -98,7 +98,7 @@ func FuzzDecodeStream(f *testing.F) {
 				f.Fatal(err)
 			}
 			for i := 1; i <= c.n; i++ {
-				if err := w.appendID(heap.IDOf(uint64(i * 7))); err != nil {
+				if err := w.appendID(heap.ObjectID(i * 7)); err != nil {
 					f.Fatal(err)
 				}
 			}
@@ -168,7 +168,7 @@ func FuzzDecodeStream(f *testing.F) {
 				hi = serial
 			}
 			n++
-			walked = append(walked, heap.IDOf(serial))
+			walked = append(walked, heap.ObjectID(serial))
 		})
 		if gotLo, gotHi := st.Bounds(); st.Len() != n || gotLo != lo || gotHi != hi {
 			t.Fatalf("stream claims %d ids in [%d, %d], its walk gives %d in [%d, %d]", st.Len(), gotLo, gotHi, n, lo, hi)

@@ -16,7 +16,7 @@ func writeBytes(path string, data []byte) error {
 // streamIDs lists a stream's recorded ids in stream order.
 func streamIDs(st Stream) []heap.ObjectID {
 	var ids []heap.ObjectID
-	st.Serials(func(serial uint64) { ids = append(ids, heap.IDOf(serial)) })
+	st.Serials(func(serial uint64) { ids = append(ids, heap.ObjectID(serial)) })
 	return ids
 }
 

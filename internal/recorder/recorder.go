@@ -4,11 +4,11 @@
 // Java agent to the JVM) and does two things:
 //
 //  1. It logs every object allocation: the stack trace of the allocation
-//     site plus the allocated object's identity hash. To bound memory and
-//     CPU overhead it keeps only a table of distinct stack traces in memory
-//     and continuously streams the identity hashes to disk, one stream per
-//     allocation site; the stack-trace table itself is flushed once, at the
-//     end of the profiling run (§3.2).
+//     site plus the allocated object's id (the paper logs its identity
+//     hash). To bound memory and CPU overhead it keeps only a table of
+//     distinct stack traces in memory and continuously streams the ids to
+//     disk, one stream per allocation site; the stack-trace table itself
+//     is flushed once, at the end of the profiling run (§3.2).
 //
 //  2. After every GC cycle (configurable to every k-th cycle) it prepares
 //     the heap for a snapshot by marking pages holding no reachable objects
@@ -16,8 +16,8 @@
 //     create a new incremental snapshot.
 //
 // Id streams (version 3) are CRC32C-framed with a commit trailer and store
-// each identity hash as its allocation serial's delta from the previous
-// record's (see stream.go); the site table (version 2) carries a line
+// each id, an allocation serial, as its delta from the previous record's
+// (see stream.go); the site table (version 2) carries a line
 // count footer and is published by atomic rename. A profiling run killed
 // mid-write never leaves an ambiguous artifact — only a shorter one.
 package recorder
@@ -51,7 +51,7 @@ var siteTableHeader = fmt.Sprintf("# polm2 sites v%d", SiteTableVersion)
 
 const siteTableFooter = "# end sites="
 
-// streamFile names the identity-hash stream for one allocation site.
+// streamFile names the id stream for one allocation site.
 func streamFile(site heap.SiteID) string {
 	return fmt.Sprintf("site-%06d.bin", site)
 }
@@ -124,7 +124,7 @@ func (r *Recorder) Attach(vm *jvm.VM) {
 	vm.Collector().OnCycleEnd(r.CycleEnd)
 }
 
-// RecordAlloc logs one allocation: the object's identity hash is appended
+// RecordAlloc logs one allocation: the object's id is appended
 // to the site's stream. Errors are sticky and surfaced by Close.
 func (r *Recorder) RecordAlloc(site heap.SiteID, obj *heap.Object) {
 	if r.firstErr != nil || r.closed {

@@ -23,12 +23,12 @@ import (
 //	trailer: uvarint 0 | crc32c(all frame payloads, in order) LE
 //
 // A frame payload is a run of uvarints, one per recorded object: the
-// object's allocation serial (heap.ObjectID.Serial) minus the previous
-// one's in the same frame, a wrapping uint64 difference; the first of a
-// frame is its serial minus zero. Every frame therefore decodes on its
-// own, and any id sequence encodes. A site's objects are recorded in
-// allocation order, so a delta is the number of allocations between two
-// of them: a byte or two, where the hash-valued id itself takes ~9.
+// object's id, its allocation serial, minus the previous one's in the same
+// frame, a wrapping uint64 difference; the first of a frame is its serial
+// minus zero. Every frame therefore decodes on its own, and any id
+// sequence encodes. A site's objects are recorded in allocation order, so
+// a delta is the number of allocations between two of them: a byte or
+// two.
 //
 // The writer seals a frame on every Flush and whenever 512 bytes
 // accumulate, so a torn stream loses at most the unsealed tail: a few
@@ -81,9 +81,8 @@ func newStreamWriter(f io.WriteCloser) (*streamWriter, error) {
 // appendID buffers one id into the current frame as its serial's delta
 // from the previous id's, sealing the frame at the frame target.
 func (w *streamWriter) appendID(id heap.ObjectID) error {
-	serial := id.Serial()
-	w.frame = binary.AppendUvarint(w.frame, serial-w.prev)
-	w.prev = serial
+	w.frame = binary.AppendUvarint(w.frame, uint64(id)-w.prev)
+	w.prev = uint64(id)
 	if len(w.frame) >= frameTarget {
 		return w.sealFrame()
 	}
@@ -176,8 +175,8 @@ func (s Stream) Len() int { return s.n }
 // an empty stream.
 func (s Stream) Bounds() (lo, hi uint64) { return s.lo, s.hi }
 
-// Serials calls fn with every recorded serial (heap.ObjectID.Serial of the
-// recorded id), in stream order. The decode verified every frame it kept,
+// Serials calls fn with every recorded serial (the recorded id as a
+// uint64), in stream order. The decode verified every frame it kept,
 // so the walk cannot fail.
 func (s Stream) Serials(fn func(serial uint64)) {
 	for _, payload := range s.frames {

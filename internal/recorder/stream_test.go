@@ -76,7 +76,7 @@ func TestStreamRoundTripAnyIDs(t *testing.T) {
 	serials := func(from uint64, n int, step uint64) []heap.ObjectID {
 		ids := make([]heap.ObjectID, n)
 		for i := range ids {
-			ids[i] = heap.IDOf(from)
+			ids[i] = heap.ObjectID(from)
 			from += step
 		}
 		return ids
@@ -86,14 +86,14 @@ func TestStreamRoundTripAnyIDs(t *testing.T) {
 	for i := range random {
 		random[i] = heap.ObjectID(rng.Uint64())
 	}
-	extremes := []heap.ObjectID{0, math.MaxUint64, 1 << 63, heap.IDOf(0), heap.IDOf(math.MaxUint64), heap.IDOf(1 << 63), 0, 0, math.MaxUint64}
+	extremes := []heap.ObjectID{0, math.MaxUint64, 1 << 63, 1, math.MaxUint64 - 1, 1<<63 - 1, 0, 0, math.MaxUint64}
 	for _, c := range []struct {
 		name string
 		ids  []heap.ObjectID
 	}{
 		{"allocation-order", serials(1, 9000, 1)},
 		{"descending", serials(9000, 9000, math.MaxUint64)}, // step -1
-		{"repeated", repeat([]heap.ObjectID{heap.IDOf(77)}, 5000)},
+		{"repeated", repeat([]heap.ObjectID{77}, 5000)},
 		{"extremes", repeat(extremes, 400)},
 		{"random", random},
 		{"wrapping-serials", serials(math.MaxUint64-2000, 4000, 1)},
@@ -121,7 +121,7 @@ func TestStreamRoundTripAnyIDs(t *testing.T) {
 				for len(payload) > 0 {
 					d, k := binary.Uvarint(payload)
 					serial += d
-					alone = append(alone, heap.IDOf(serial))
+					alone = append(alone, heap.ObjectID(serial))
 					payload = payload[k:]
 				}
 			}
@@ -163,7 +163,7 @@ func repeat(ids []heap.ObjectID, n int) []heap.ObjectID {
 func TestStreamBytesPerAllocatedID(t *testing.T) {
 	var ids []heap.ObjectID
 	for s := uint64(1 << 30); len(ids) < 10000; s += 1 + uint64(len(ids)%100) {
-		ids = append(ids, heap.IDOf(s))
+		ids = append(ids, heap.ObjectID(s))
 	}
 	data, _ := encodeStream(t, ids, nil)
 	if perID := float64(len(data)) / float64(len(ids)); perID > 1.1 {
@@ -205,7 +205,7 @@ func TestStreamRefusesMalformedVarint(t *testing.T) {
 	if lo, hi := st.Bounds(); st.Len() != 3 || lo != 5 || hi != 7 {
 		t.Fatalf("stream holds %d ids in [%d, %d], want the first frame's 3 in [5, 7]", st.Len(), lo, hi)
 	}
-	if got, want := streamIDs(st), []heap.ObjectID{heap.IDOf(5), heap.IDOf(6), heap.IDOf(7)}; !slices.Equal(got, want) {
+	if got, want := streamIDs(st), []heap.ObjectID{5, 6, 7}; !slices.Equal(got, want) {
 		t.Fatalf("ids %v, want %v", got, want)
 	}
 }

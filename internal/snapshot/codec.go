@@ -43,13 +43,11 @@ import (
 //	no-need: nNoNeed | page keys (region delta + index)
 //	pages:   nPages | per page: region delta + index + nIDs + serial deltas
 //
-// A page's object ids are stored as their allocation serials
-// (heap.ObjectID.Serial), ascending, each as its difference from the
-// previous one (the first from zero); the decoder rebuilds them with
-// heap.IDOf. Objects on a page were bump-allocated together, so the
-// deltas are small, where the hash-valued ids would take ~9 bytes each
-// even sorted. A decoded page therefore lists its ids in ascending serial
-// (allocation) order.
+// A page's object ids, their allocation serials, are stored ascending,
+// each as its difference from the previous one (the first from zero).
+// Objects on a page were bump-allocated together, so the deltas are a byte
+// or two. A decoded page therefore lists its ids in ascending (allocation)
+// order.
 //
 // The header's flag byte is always 1, "incremental": every image is a
 // CRIU-style increment. The decoder refuses any other value as corrupt.
@@ -159,7 +157,7 @@ func (s *Snapshot) encodePages() []byte {
 		putUvarint(&b, uint64(pr.Key.Index))
 		serials := make([]uint64, len(pr.HeaderIDs))
 		for i, id := range pr.HeaderIDs {
-			serials[i] = id.Serial()
+			serials[i] = uint64(id)
 		}
 		slices.Sort(serials)
 		putUvarint(&b, uint64(len(serials)))
@@ -372,7 +370,7 @@ func (s *Snapshot) decodePages(payload []byte) error {
 				return err
 			}
 			serial += d
-			pr.HeaderIDs = append(pr.HeaderIDs, heap.IDOf(serial))
+			pr.HeaderIDs = append(pr.HeaderIDs, heap.ObjectID(serial))
 		}
 		s.Pages = append(s.Pages, pr)
 	}

@@ -18,7 +18,7 @@ import (
 	"polm2/internal/heap"
 )
 
-// PageRecord is the captured content of one page: the identity hashes of
+// PageRecord is the captured content of one page: the ids of
 // the objects whose headers lie on the page. Reading headers out of dumped
 // pages is how the paper's Analyzer matches Recorder ids against snapshots
 // (§4.3).
@@ -94,7 +94,7 @@ func (s *Store) Apply(snap *Snapshot) error {
 	return nil
 }
 
-// LiveIDs returns the identity hashes visible in the current view, sorted.
+// LiveIDs returns the ids visible in the current view, sorted.
 func (s *Store) LiveIDs() []heap.ObjectID {
 	var out []heap.ObjectID
 	for _, ids := range s.pages {
@@ -104,7 +104,7 @@ func (s *Store) LiveIDs() []heap.ObjectID {
 	return out
 }
 
-// ForEach calls f for every identity hash visible in the current view, in
+// ForEach calls f for every id visible in the current view, in
 // unspecified order. It avoids the allocation and sorting of LiveIDs on the
 // Analyzer's hot replay path.
 func (s *Store) ForEach(f func(heap.ObjectID)) {

@@ -142,7 +142,7 @@ func TestApplyAllocationIndependentOfListedIDs(t *testing.T) {
 	applyBytes := func(n int) uint64 {
 		ids := make([]heap.ObjectID, n)
 		for i := range ids {
-			ids[i] = heap.IDOf(uint64(i + 1))
+			ids[i] = heap.ObjectID(i + 1)
 		}
 		snap := &Snapshot{Seq: 1, Regions: []heap.RegionID{1}, Pages: []PageRecord{{Key: pk(1, 0), HeaderIDs: ids}}}
 		s := NewStore()
