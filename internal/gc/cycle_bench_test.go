@@ -237,8 +237,8 @@ func BenchmarkEvacuateRegion(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, obj := range LiveResidents(h, src, live) {
-			if err := h.Evacuate(obj, dst); err != nil {
+		for _, res := range LiveResidents(h, src, live) {
+			if err := h.Evacuate(res.Obj, dst); err != nil {
 				b.Fatal(err)
 			}
 		}
