@@ -8,16 +8,9 @@ import (
 	"polm2/internal/core"
 )
 
-// ablationTarget is the workload used for the single-workload ablations:
+// ablationTarget is the workload of the single-workload ablations:
 // Cassandra-WI exercises every mechanism (conflicts, hoisting, dumps).
-func ablationTarget() Target {
-	for _, t := range Targets() {
-		if t.Key() == "Cassandra-WI" {
-			return t
-		}
-	}
-	panic("bench: Cassandra-WI missing from targets")
-}
+const ablationTarget = "Cassandra-WI"
 
 func targetByKey(key string) Target {
 	for _, t := range Targets() {
@@ -28,34 +21,28 @@ func targetByKey(key string) Target {
 	panic("bench: " + key + " missing from targets")
 }
 
-// Each ablation's baseline row is the paper configuration, which is
-// identical to the main matrix's default profile or run of the same target;
-// those rows fetch through Profile/Run and share the main-matrix cache
-// entry. Only the deviating variants cost extra simulations.
-
-// dumpVariants enumerates the Dumper-optimization ablation rows. The empty
-// variant is the paper configuration.
-func dumpVariants() []struct {
-	label, variant     string
-	disableNoNeed      bool
-	disableIncremental bool
-} {
-	return []struct {
-		label, variant     string
-		disableNoNeed      bool
-		disableIncremental bool
-	}{
-		{label: "both optimizations (paper)"},
-		{label: "no no-need elision", variant: "dump-noneed-off", disableNoNeed: true},
-		{label: "no incrementality", variant: "dump-incremental-off", disableIncremental: true},
-		{label: "neither optimization", variant: "dump-neither", disableNoNeed: true, disableIncremental: true},
-	}
+// variant is one ablation row: a profiling configuration named for the
+// caches (see profileVariant) and the options mutation that makes it. Each
+// ablation's baseline row is the paper configuration, the empty variant:
+// it shares the main matrix's default profile or run of the same target,
+// so only the deviating rows cost extra simulations.
+type variant struct {
+	label, name string
+	mutate      func(*core.ProfileOptions)
 }
 
-func (s *Session) dumpVariantProfile(t Target, variant string, disableNoNeed, disableIncremental bool) (*core.ProfileResult, error) {
-	return s.profileVariant(t, variant, func(o *core.ProfileOptions) {
-		o.DumpDisableNoNeed = disableNoNeed
-		o.DumpDisableIncremental = disableIncremental
+// variantProfiles returns t's profile under every variant (see fetchAll).
+func (s *Session) variantProfiles(t Target, vs []variant) ([]*core.ProfileResult, error) {
+	return fetchAll(s, len(vs), func(i int) (*core.ProfileResult, error) {
+		return s.profileVariant(t, vs[i].name, vs[i].mutate)
+	})
+}
+
+// variantRuns returns t's NG2C run under a POLM2 plan from every variant's
+// profile (see fetchAll).
+func (s *Session) variantRuns(t Target, vs []variant) ([]*core.RunResult, error) {
+	return fetchAll(s, len(vs), func(i int) (*core.RunResult, error) {
+		return s.runVariant(t, core.CollectorNG2C, core.PlanPOLM2, vs[i].name, vs[i].mutate)
 	})
 }
 
@@ -63,14 +50,22 @@ func (s *Session) dumpVariantProfile(t Target, variant string, disableNoNeed, di
 // independently and reports time/size against the fully optimized dumper.
 func (s *Session) AblationDump(w io.Writer) error {
 	fmt.Fprintln(w, "=== Ablation: Dumper optimizations (Cassandra-WI, averages over first 20 snapshots) ===")
-	t := ablationTarget()
+	t := targetByKey(ablationTarget)
 	fmt.Fprintf(w, "%-28s %-14s %-14s\n", "Variant", "avg time(ms)", "avg size(MB)")
-	for _, v := range dumpVariants() {
-		res, err := s.dumpVariantProfile(t, v.variant, v.disableNoNeed, v.disableIncremental)
-		if err != nil {
-			return fmt.Errorf("bench: dump ablation %q: %w", v.label, err)
-		}
-		snaps := res.Snapshots
+	vs := []variant{
+		{label: "both optimizations (paper)"},
+		{"no no-need elision", "dump-noneed-off", func(o *core.ProfileOptions) { o.DumpDisableNoNeed = true }},
+		{"no incrementality", "dump-incremental-off", func(o *core.ProfileOptions) { o.DumpDisableIncremental = true }},
+		{"neither optimization", "dump-neither", func(o *core.ProfileOptions) {
+			o.DumpDisableNoNeed, o.DumpDisableIncremental = true, true
+		}},
+	}
+	profs, err := s.variantProfiles(t, vs)
+	if err != nil {
+		return fmt.Errorf("bench: dump ablation: %w", err)
+	}
+	for i, v := range vs {
+		snaps := profs[i].Snapshots
 		if len(snaps) > 20 {
 			snaps = snaps[:20]
 		}
@@ -88,24 +83,6 @@ func (s *Session) AblationDump(w io.Writer) error {
 	return nil
 }
 
-// conflictOffProfile is the Cassandra-RI profile with STTree conflict
-// resolution disabled.
-func (s *Session) conflictOffProfile(t Target) (*core.ProfileResult, error) {
-	return s.profileVariant(t, "conflict-off", func(o *core.ProfileOptions) {
-		o.Analyzer = analyzer.Options{DisableConflictResolution: true}
-	})
-}
-
-func (s *Session) conflictOffRun(t Target) (*core.RunResult, error) {
-	return s.runVariant(t, core.CollectorNG2C, core.PlanPOLM2, "conflict-off", func() (*analyzer.Profile, error) {
-		pr, err := s.conflictOffProfile(t)
-		if err != nil {
-			return nil, err
-		}
-		return pr.Profile, nil
-	})
-}
-
 // AblationConflict disables STTree conflict resolution (Algorithm 1) and
 // compares the resulting pause times: without it, conflicted sites collapse
 // to one generation and transient objects pollute the old generations.
@@ -115,47 +92,26 @@ func (s *Session) AblationConflict(w io.Writer) error {
 	t := targetByKey("Cassandra-RI")
 	fmt.Fprintf(w, "%-28s %-10s %-12s %-12s %-12s %-10s %-10s\n",
 		"Variant", "pauses", "p50(ms)", "p99(ms)", "worst(ms)", "mem(MB)", "ops")
-	for _, row := range []struct {
-		label string
-		run   func() (*core.RunResult, error)
-	}{
-		{label: "with Algorithm 1 (paper)", run: func() (*core.RunResult, error) {
-			return s.Run(t, core.CollectorNG2C, core.PlanPOLM2)
+	vs := []variant{
+		{label: "with Algorithm 1 (paper)"},
+		{"conflict resolution off", "conflict-off", func(o *core.ProfileOptions) {
+			o.Analyzer = analyzer.Options{DisableConflictResolution: true}
 		}},
-		{label: "conflict resolution off", run: func() (*core.RunResult, error) {
-			return s.conflictOffRun(t)
-		}},
-	} {
-		res, err := row.run()
-		if err != nil {
-			return fmt.Errorf("bench: conflict ablation: %w", err)
-		}
+	}
+	runs, err := s.variantRuns(t, vs)
+	if err != nil {
+		return fmt.Errorf("bench: conflict ablation: %w", err)
+	}
+	for i, v := range vs {
+		res := runs[i]
 		fmt.Fprintf(w, "%-28s %-10d %-12s %-12s %-12s %-10d %-10d\n",
-			row.label, res.WarmPauses.Len(),
+			v.label, res.WarmPauses.Len(),
 			fmtMS(res.WarmPauses.Percentile(50)),
 			fmtMS(res.WarmPauses.Percentile(99)),
 			fmtMS(res.WarmPauses.Max()),
 			res.MaxMemoryBytes>>20, res.WarmOps)
 	}
 	return nil
-}
-
-// hoistOffProfile is the GraphChi-PR profile with §4.4 generation hoisting
-// disabled.
-func (s *Session) hoistOffProfile(t Target) (*core.ProfileResult, error) {
-	return s.profileVariant(t, "hoist-off", func(o *core.ProfileOptions) {
-		o.Analyzer = analyzer.Options{DisableHoisting: true}
-	})
-}
-
-func (s *Session) hoistOffRun(t Target) (*core.RunResult, error) {
-	return s.runVariant(t, core.CollectorNG2C, core.PlanPOLM2, "hoist-off", func() (*analyzer.Profile, error) {
-		pr, err := s.hoistOffProfile(t)
-		if err != nil {
-			return nil, err
-		}
-		return pr.Profile, nil
-	})
 }
 
 // AblationHoist disables the §4.4 generation-hoisting optimization and
@@ -166,85 +122,70 @@ func (s *Session) AblationHoist(w io.Writer) error {
 	fmt.Fprintln(w, "=== Ablation: generation hoisting (§4.4, GraphChi-PR) ===")
 	t := targetByKey("GraphChi-PR")
 	fmt.Fprintf(w, "%-24s %-16s %-16s %-12s\n", "Variant", "gen switches", "switch/op", "ops")
-	for _, row := range []struct {
-		label string
-		run   func() (*core.RunResult, error)
-	}{
-		{label: "hoisting on (paper)", run: func() (*core.RunResult, error) {
-			return s.Run(t, core.CollectorNG2C, core.PlanPOLM2)
+	vs := []variant{
+		{label: "hoisting on (paper)"},
+		{"hoisting off", "hoist-off", func(o *core.ProfileOptions) {
+			o.Analyzer = analyzer.Options{DisableHoisting: true}
 		}},
-		{label: "hoisting off", run: func() (*core.RunResult, error) {
-			return s.hoistOffRun(t)
-		}},
-	} {
-		res, err := row.run()
-		if err != nil {
-			return fmt.Errorf("bench: hoist ablation: %w", err)
-		}
+	}
+	runs, err := s.variantRuns(t, vs)
+	if err != nil {
+		return fmt.Errorf("bench: hoist ablation: %w", err)
+	}
+	for i, v := range vs {
+		res := runs[i]
 		perOp := 0.0
 		if res.WarmOps > 0 {
 			perOp = float64(res.GenSwitches) / float64(res.WarmOps)
 		}
-		fmt.Fprintf(w, "%-24s %-16d %-16.2f %-12d\n", row.label, res.GenSwitches, perOp, res.WarmOps)
+		fmt.Fprintf(w, "%-24s %-16d %-16.2f %-12d\n", v.label, res.GenSwitches, perOp, res.WarmOps)
 	}
 	return nil
 }
 
-// estimatorP90Profile is the Cassandra-WI profile analyzed with the
-// 90th-percentile survival estimator instead of the paper's bucket mode.
-func (s *Session) estimatorP90Profile(t Target) (*core.ProfileResult, error) {
-	return s.profileVariant(t, "estimator-p90", func(o *core.ProfileOptions) {
-		o.Analyzer = analyzer.Options{Estimator: analyzer.EstimatorP90}
-	})
-}
-
 // AblationEstimator compares the paper's mode estimator against a
-// 90th-percentile survival estimator. The mode row is the default analyzer
-// configuration and shares the target's main profile.
+// 90th-percentile survival estimator.
 func (s *Session) AblationEstimator(w io.Writer) error {
 	fmt.Fprintln(w, "=== Ablation: target-generation estimator (Cassandra-WI) ===")
-	t := ablationTarget()
+	t := targetByKey(ablationTarget)
 	fmt.Fprintf(w, "%-24s %-14s %-12s %-12s\n", "Variant", "instrumented", "gens", "conflicts")
-	for _, row := range []struct {
-		label   string
-		profile func() (*core.ProfileResult, error)
-	}{
-		{label: "bucket mode (paper)", profile: func() (*core.ProfileResult, error) { return s.Profile(t) }},
-		{label: "90th percentile", profile: func() (*core.ProfileResult, error) { return s.estimatorP90Profile(t) }},
-	} {
-		prof, err := row.profile()
-		if err != nil {
-			return fmt.Errorf("bench: estimator ablation: %w", err)
-		}
+	vs := []variant{
+		{label: "bucket mode (paper)"},
+		{"90th percentile", "estimator-p90", func(o *core.ProfileOptions) {
+			o.Analyzer = analyzer.Options{Estimator: analyzer.EstimatorP90}
+		}},
+	}
+	profs, err := s.variantProfiles(t, vs)
+	if err != nil {
+		return fmt.Errorf("bench: estimator ablation: %w", err)
+	}
+	for i, v := range vs {
+		prof := profs[i]
 		fmt.Fprintf(w, "%-24s %-14d %-12d %-12d\n",
-			row.label, prof.Profile.InstrumentedSites(),
+			v.label, prof.Profile.InstrumentedSites(),
 			prof.Profile.UsedGenerations(), prof.Profile.Conflicts)
 	}
 	return nil
 }
 
-// cadenceProfile is the Cassandra-WI profile snapshotted every k-th GC
-// cycle. k=1 is the default cadence and shares the target's main profile.
-func (s *Session) cadenceProfile(t Target, k int) (*core.ProfileResult, error) {
-	if k == 1 {
-		return s.Profile(t)
-	}
-	return s.profileVariant(t, fmt.Sprintf("cadence-%d", k), func(o *core.ProfileOptions) {
-		o.SnapshotEvery = k
-	})
-}
-
 // AblationCadence varies the snapshot cadence (every k-th GC cycle) and
-// reports the profiling cost against the resulting profile.
+// reports the profiling cost against the resulting profile. k=1 is the
+// default cadence: the target's main profile.
 func (s *Session) AblationCadence(w io.Writer) error {
 	fmt.Fprintln(w, "=== Ablation: snapshot cadence (Cassandra-WI) ===")
-	t := ablationTarget()
+	t := targetByKey(ablationTarget)
 	fmt.Fprintf(w, "%-10s %-10s %-14s %-14s %-10s\n", "every k", "snapshots", "dump time(ms)", "instrumented", "gens")
-	for _, k := range []int{1, 2, 4} {
-		prof, err := s.cadenceProfile(t, k)
-		if err != nil {
-			return fmt.Errorf("bench: cadence ablation: %w", err)
-		}
+	every := []int{1, 2, 4}
+	vs := make([]variant, len(every))
+	for i, k := range every[1:] {
+		vs[i+1] = variant{name: fmt.Sprintf("cadence-%d", k), mutate: func(o *core.ProfileOptions) { o.SnapshotEvery = k }}
+	}
+	profs, err := s.variantProfiles(t, vs)
+	if err != nil {
+		return fmt.Errorf("bench: cadence ablation: %w", err)
+	}
+	for i, k := range every {
+		prof := profs[i]
 		var dumpMS float64
 		for _, sn := range prof.Snapshots {
 			dumpMS += float64(sn.Duration.Milliseconds())

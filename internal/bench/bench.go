@@ -79,15 +79,24 @@ type Config struct {
 }
 
 // Session caches profiles and runs across experiments. All cache methods
-// are safe for concurrent use: the parallel runner (runner.go) prefetches
-// cache entries from a worker pool, and identical requests coalesce into a
-// single simulation via single-flight memoization.
+// are safe for concurrent use: the parallel runner (runner.go) renders
+// experiments concurrently, and identical requests coalesce into a single
+// simulation via single-flight memoization.
 //
 // Every simulation seeds its RNG with a seed derived from (cfg.Seed, run
 // identity) — see core.DeriveSeed — so results depend only on the
 // configuration, never on worker count or scheduling order.
 type Session struct {
-	cfg      Config
+	cfg Config
+	*caches
+	// run is set on the view of the session a RunExperiments call renders
+	// through: its simulations take that call's worker slots. Nil
+	// otherwise, and a simulation then runs without a slot.
+	run *experimentRun
+}
+
+// caches is the state every view of a session shares.
+type caches struct {
 	profiles memo[*core.ProfileResult]
 	compare  memo[*core.ProfileResult] // with jmap comparison dumps
 	runs     memo[*core.RunResult]
@@ -101,8 +110,15 @@ type Session struct {
 
 // NewSession builds an empty session.
 func NewSession(cfg Config) *Session {
-	return &Session{cfg: cfg, traces: make(map[string][]byte)}
+	return &Session{cfg: cfg, caches: &caches{traces: make(map[string][]byte)}}
 }
+
+// The simulators every session call goes through; tests swap them to
+// inject failures.
+var (
+	profileApp = core.ProfileApp
+	runApp     = core.RunApp
+)
 
 // traceUnit starts the per-unit tracer for one simulation (nil when the
 // session does not trace), returning it with a done function that files
@@ -170,12 +186,16 @@ func (s *Session) Profile(t Target) (*core.ProfileResult, error) {
 
 // profileVariant returns the (cached) profiling result for a target with
 // the given options mutation applied. The empty variant is the default
-// profile; named variants are the ablations' single-knob deviations from
-// it. All variants of a target share the target's profile seed.
+// profile and takes no mutation; named variants are the ablations'
+// single-knob deviations from it. All variants of a target share the
+// target's profile seed. Within a RunExperiments call that renders a jmap
+// experiment, the default profile is the comparison profile.
 func (s *Session) profileVariant(t Target, variant string, mutate func(*core.ProfileOptions)) (*core.ProfileResult, error) {
 	key := t.Key()
 	if variant != "" {
 		key += "|" + variant
+	} else if s.run != nil && s.run.jmap {
+		return s.ProfileWithJmap(t)
 	}
 	return s.profiles.get(key, func() (*core.ProfileResult, error) {
 		opts := core.ProfileOptions{
@@ -197,12 +217,13 @@ func (s *Session) profileVariant(t Target, variant string, mutate func(*core.Pro
 		}
 		tr, done := s.traceUnit("profile", key)
 		opts.Tracer = tr
-		res, err := core.ProfileApp(t.App, t.Workload, opts)
-		if err != nil {
-			return nil, fmt.Errorf("bench: profiling %s: %w", key, err)
+		res, err := simulate(s, "profile", "profile:"+key, func() (*core.ProfileResult, error) {
+			return profileApp(t.App, t.Workload, opts)
+		})
+		if err == nil {
+			done()
 		}
-		done()
-		return res, nil
+		return res, err
 	})
 }
 
@@ -213,16 +234,14 @@ func (s *Session) profileVariant(t Target, variant string, mutate func(*core.Pro
 func (s *Session) ProfileWithJmap(t Target) (*core.ProfileResult, error) {
 	key := t.Key()
 	res, err := s.compare.get(key, func() (*core.ProfileResult, error) {
-		res, err := core.ProfileApp(t.App, t.Workload, core.ProfileOptions{
-			Scale:       s.cfg.Scale,
-			Duration:    s.cfg.ProfileDuration,
-			Seed:        s.profileSeed(t),
-			CompareJmap: true,
+		return simulate(s, "profile", "compare:"+key, func() (*core.ProfileResult, error) {
+			return profileApp(t.App, t.Workload, core.ProfileOptions{
+				Scale:       s.cfg.Scale,
+				Duration:    s.cfg.ProfileDuration,
+				Seed:        s.profileSeed(t),
+				CompareJmap: true,
+			})
 		})
-		if err != nil {
-			return nil, fmt.Errorf("bench: comparison profiling %s: %w", key, err)
-		}
-		return res, nil
 	})
 	if err != nil {
 		return nil, err
@@ -237,11 +256,11 @@ func (s *Session) Run(t Target, collectorName string, plan core.PlanKind) (*core
 	return s.runVariant(t, collectorName, plan, "", nil)
 }
 
-// runVariant returns the (cached) production run for a setup, optionally
-// with a variant profile (the ablations') guiding the POLM2 plan. The empty
-// variant runs with the target's default profile. All variants of a setup
-// share the setup's run seed.
-func (s *Session) runVariant(t Target, collectorName string, plan core.PlanKind, variant string, profileFor func() (*analyzer.Profile, error)) (*core.RunResult, error) {
+// runVariant returns the (cached) production run for a setup, its POLM2
+// plan read from the profile variant (see profileVariant) — the ablations'.
+// The empty variant runs with the target's default profile. All variants of
+// a setup share the setup's run seed.
+func (s *Session) runVariant(t Target, collectorName string, plan core.PlanKind, variant string, mutate func(*core.ProfileOptions)) (*core.RunResult, error) {
 	key := fmt.Sprintf("%s/%s/%s", t.Key(), collectorName, plan)
 	if variant != "" {
 		key += "|" + variant
@@ -250,19 +269,11 @@ func (s *Session) runVariant(t Target, collectorName string, plan core.PlanKind,
 		var profile *analyzer.Profile
 		switch plan {
 		case core.PlanPOLM2:
-			if profileFor != nil {
-				var err error
-				profile, err = profileFor()
-				if err != nil {
-					return nil, err
-				}
-			} else {
-				pr, err := s.Profile(t)
-				if err != nil {
-					return nil, err
-				}
-				profile = pr.Profile
+			pr, err := s.profileVariant(t, variant, mutate)
+			if err != nil {
+				return nil, err
 			}
+			profile = pr.Profile
 		case core.PlanManual:
 			var err error
 			profile, err = t.App.ManualProfile(t.Workload)
@@ -275,29 +286,32 @@ func (s *Session) runVariant(t Target, collectorName string, plan core.PlanKind,
 			return nil, fmt.Errorf("bench: unknown plan kind %q", plan)
 		}
 		tr, done := s.traceUnit("run", key)
-		res, err := core.RunApp(t.App, t.Workload, collectorName, plan, profile, core.RunOptions{
-			Scale:    s.cfg.Scale,
-			Duration: s.cfg.RunDuration,
-			Warmup:   s.cfg.Warmup,
-			Seed:     s.runSeed(t, collectorName, plan),
-			Tracer:   tr,
+		res, err := simulate(s, "run", "run:"+key, func() (*core.RunResult, error) {
+			return runApp(t.App, t.Workload, collectorName, plan, profile, core.RunOptions{
+				Scale:    s.cfg.Scale,
+				Duration: s.cfg.RunDuration,
+				Warmup:   s.cfg.Warmup,
+				Seed:     s.runSeed(t, collectorName, plan),
+				Tracer:   tr,
+			})
 		})
-		if err != nil {
-			return nil, fmt.Errorf("bench: running %s under %s/%s: %w", t.Key(), collectorName, plan, err)
+		if err == nil {
+			done()
 		}
-		done()
-		return res, nil
+		return res, err
 	})
 }
 
-// setups are the three pause-time comparison configurations of Figure 5/6.
+// setup is one production configuration of a target.
 type setup struct {
 	label     string
 	collector string
 	plan      core.PlanKind
 }
 
-func pauseSetups() []setup {
+// pauseSetups is the three pause-time comparison configurations of
+// Figures 5 and 6, the same for every target.
+func pauseSetups(Target) []setup {
 	return []setup{
 		{label: "G1", collector: core.CollectorG1, plan: core.PlanNone},
 		{label: "NG2C", collector: core.CollectorNG2C, plan: core.PlanManual},
@@ -305,54 +319,76 @@ func pauseSetups() []setup {
 	}
 }
 
+// withC4 is t's pause setups plus C4 for Cassandra, the one application
+// the paper also runs on C4 (Figures 7 to 9).
+func withC4(t Target) []setup {
+	if t.App.Name() != "Cassandra" {
+		return pauseSetups(t)
+	}
+	return append(pauseSetups(t), setup{label: "C4", collector: core.CollectorC4, plan: core.PlanNone})
+}
+
+// runsOf returns the run of every target under each of its setups (see
+// fetchAll).
+func (s *Session) runsOf(targets []Target, setups func(Target) []setup) ([][]*core.RunResult, error) {
+	return fetchAll(s, len(targets), func(i int) ([]*core.RunResult, error) {
+		sus := setups(targets[i])
+		return fetchAll(s, len(sus), func(j int) (*core.RunResult, error) {
+			return s.Run(targets[i], sus[j].collector, sus[j].plan)
+		})
+	})
+}
+
+// experiment is one runnable table, figure or ablation.
+type experiment struct {
+	name string
+	// jmap marks the experiments that read jmap comparison profiles.
+	jmap   bool
+	render func(*Session, io.Writer) error
+}
+
+// experiments lists the runnable experiments in paper order.
+var experiments = []experiment{
+	{"table1", false, (*Session).Table1},
+	{"fig3", true, (*Session).Figure3},
+	{"fig4", true, (*Session).Figure4},
+	{"fig5", false, (*Session).Figure5},
+	{"fig6", false, (*Session).Figure6},
+	{"fig7", false, (*Session).Figure7},
+	{"fig8", false, (*Session).Figure8},
+	{"fig9", false, (*Session).Figure9},
+	{"ablation-dump", false, (*Session).AblationDump},
+	{"ablation-conflict", false, (*Session).AblationConflict},
+	{"ablation-hoist", false, (*Session).AblationHoist},
+	{"ablation-estimator", false, (*Session).AblationEstimator},
+	{"ablation-cadence", false, (*Session).AblationCadence},
+}
+
 // ExperimentNames lists the runnable experiments in paper order.
 func ExperimentNames() []string {
-	return []string{
-		"table1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-		"ablation-dump", "ablation-conflict", "ablation-hoist",
-		"ablation-estimator", "ablation-cadence",
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
 	}
+	return names
 }
 
-// RunExperiment dispatches one experiment by name.
+func lookupExperiment(name string) (experiment, error) {
+	for _, e := range experiments {
+		if e.name == name {
+			return e, nil
+		}
+	}
+	return experiment{}, fmt.Errorf("bench: unknown experiment %q (want one of %v)", name, ExperimentNames())
+}
+
+// RunExperiment renders one experiment by name.
 func (s *Session) RunExperiment(name string, w io.Writer) error {
-	switch name {
-	case "table1":
-		return s.Table1(w)
-	case "fig3":
-		return s.Figure3(w)
-	case "fig4":
-		return s.Figure4(w)
-	case "fig5":
-		return s.Figure5(w)
-	case "fig6":
-		return s.Figure6(w)
-	case "fig7":
-		return s.Figure7(w)
-	case "fig8":
-		return s.Figure8(w)
-	case "fig9":
-		return s.Figure9(w)
-	case "ablation-dump":
-		return s.AblationDump(w)
-	case "ablation-conflict":
-		return s.AblationConflict(w)
-	case "ablation-hoist":
-		return s.AblationHoist(w)
-	case "ablation-estimator":
-		return s.AblationEstimator(w)
-	case "ablation-cadence":
-		return s.AblationCadence(w)
-	default:
-		return fmt.Errorf("bench: unknown experiment %q (want one of %v)", name, ExperimentNames())
+	e, err := lookupExperiment(name)
+	if err != nil {
+		return err
 	}
-}
-
-// RunAll regenerates every table and figure serially. It is equivalent to
-// RunExperiments over ExperimentNames with one worker.
-func (s *Session) RunAll(w io.Writer) error {
-	_, err := s.RunExperiments(ExperimentNames(), w, ParallelOptions{})
-	return err
+	return e.render(s, w)
 }
 
 // fmtMS renders a duration as fractional milliseconds.

@@ -1,6 +1,9 @@
 package bench
 
-import "sync"
+import (
+	"errors"
+	"sync"
+)
 
 // memo is a concurrency-safe, single-flight memoization table. The first
 // caller of a key runs compute while later callers of the same key block on
@@ -34,10 +37,19 @@ func (c *memo[V]) entry(key string) *memoEntry[V] {
 
 // get returns the cached value for key, computing it via compute on first
 // use. Errors are cached too: a failed computation is not retried, so every
-// caller of the key observes the same outcome.
+// caller of the key observes the same outcome. The one exception is
+// errStopped: a simulation that never started leaves no entry behind, and
+// a later get computes the key afresh.
 func (c *memo[V]) get(key string, compute func() (V, error)) (V, error) {
 	e := c.entry(key)
 	e.once.Do(func() { e.val, e.err = compute() })
+	if errors.Is(e.err, errStopped) {
+		c.mu.Lock()
+		if c.m[key] == e {
+			delete(c.m, key)
+		}
+		c.mu.Unlock()
+	}
 	return e.val, e.err
 }
 

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -97,5 +98,18 @@ func TestMemoNestedGet(t *testing.T) {
 	})
 	if err != nil || v != 20 {
 		t.Fatalf("got %d, %v", v, err)
+	}
+}
+
+// TestMemoForgetsStopped checks that a computation stopped before it
+// started is not cached: the next get of the key computes it.
+func TestMemoForgetsStopped(t *testing.T) {
+	var c memo[int]
+	if _, err := c.get("k", func() (int, error) { return 0, fmt.Errorf("wrapped: %w", errStopped) }); !errors.Is(err, errStopped) {
+		t.Fatalf("err = %v, want errStopped", err)
+	}
+	v, err := c.get("k", func() (int, error) { return 3, nil })
+	if err != nil || v != 3 {
+		t.Fatalf("got %d, %v after a stopped computation, want 3", v, err)
 	}
 }

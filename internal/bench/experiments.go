@@ -26,11 +26,13 @@ func (s *Session) Table1(w io.Writer) error {
 	fmt.Fprintln(w, "=== Table 1: Application Profiling Metrics (POLM2/NG2C, paper value in parens) ===")
 	fmt.Fprintf(w, "%-14s %-28s %-24s %-24s\n",
 		"Workload", "#Instrumented Alloc Sites", "#Used Generations", "#Conflicts Encountered")
-	for _, t := range Targets() {
-		res, err := s.Profile(t)
-		if err != nil {
-			return err
-		}
+	targets := Targets()
+	profs, err := fetchAll(s, len(targets), func(i int) (*core.ProfileResult, error) { return s.Profile(targets[i]) })
+	if err != nil {
+		return err
+	}
+	for i, t := range targets {
+		res := profs[i]
 		manual, err := t.App.ManualProfile(t.Workload)
 		if err != nil {
 			return err
@@ -60,12 +62,13 @@ func (s *Session) figure34(w io.Writer, title, unit string, metric func(*snapsho
 	fmt.Fprintln(w, title)
 	fmt.Fprintln(w, paperNote)
 	fmt.Fprintf(w, "%-14s %-10s %-14s %-14s %-10s\n", "Workload", "Snapshots", "Dumper(avg)", "jmap(avg)", "Ratio")
-	for _, t := range Targets() {
-		res, err := s.ProfileWithJmap(t)
-		if err != nil {
-			return err
-		}
-		pairs := snapshotPairs(res, 20)
+	targets := Targets()
+	profs, err := fetchAll(s, len(targets), func(i int) (*core.ProfileResult, error) { return s.ProfileWithJmap(targets[i]) })
+	if err != nil {
+		return err
+	}
+	for i, t := range targets {
+		pairs := snapshotPairs(profs[i], 20)
 		if len(pairs) == 0 {
 			fmt.Fprintf(w, "%-14s no snapshots\n", t.Key())
 			continue
@@ -118,7 +121,12 @@ var paperWorstReduction = map[string]int{
 // and POLM2.
 func (s *Session) Figure5(w io.Writer) error {
 	fmt.Fprintln(w, "=== Figure 5: Pause Time Percentiles (ms) ===")
-	for _, t := range Targets() {
+	targets := Targets()
+	runs, err := s.runsOf(targets, pauseSetups)
+	if err != nil {
+		return err
+	}
+	for i, t := range targets {
 		fmt.Fprintf(w, "--- %s ---\n", t.Key())
 		fmt.Fprintf(w, "%-8s", "")
 		for _, p := range metrics.PaperPercentiles {
@@ -126,11 +134,8 @@ func (s *Session) Figure5(w io.Writer) error {
 		}
 		fmt.Fprintf(w, "%10s\n", "worst")
 		var g1Worst, polm2Worst time.Duration
-		for _, su := range pauseSetups() {
-			res, err := s.Run(t, su.collector, su.plan)
-			if err != nil {
-				return err
-			}
+		for j, su := range pauseSetups(t) {
+			res := runs[i][j]
 			fmt.Fprintf(w, "%-8s", su.label)
 			for _, p := range metrics.PaperPercentiles {
 				fmt.Fprintf(w, "%10s", fmtMS(res.WarmPauses.Percentile(p)))
@@ -168,27 +173,28 @@ var figure6Edges = []time.Duration{
 func (s *Session) Figure6(w io.Writer) error {
 	fmt.Fprintln(w, "=== Figure 6: Number of Application Pauses per Duration Interval ===")
 	fmt.Fprintln(w, "(paper: POLM2 and NG2C shift pause counts toward shorter intervals on every workload)")
-	for _, t := range Targets() {
+	targets := Targets()
+	runs, err := s.runsOf(targets, pauseSetups)
+	if err != nil {
+		return err
+	}
+	for i, t := range targets {
 		fmt.Fprintf(w, "--- %s ---\n", t.Key())
 		header, err := metrics.NewHistogram(figure6Edges)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "%-8s", "")
-		for i := 0; i < header.NumBuckets(); i++ {
-			fmt.Fprintf(w, "%16s", header.BucketLabel(i))
+		for b := 0; b < header.NumBuckets(); b++ {
+			fmt.Fprintf(w, "%16s", header.BucketLabel(b))
 		}
 		fmt.Fprintln(w)
-		for _, su := range pauseSetups() {
-			res, err := s.Run(t, su.collector, su.plan)
-			if err != nil {
-				return err
-			}
+		for j, su := range pauseSetups(t) {
 			h, err := metrics.NewHistogram(figure6Edges)
 			if err != nil {
 				return err
 			}
-			for _, d := range res.WarmPauses.Values() {
+			for _, d := range runs[i][j].WarmPauses.Values() {
 				h.Add(d)
 			}
 			fmt.Fprintf(w, "%-8s", su.label)
@@ -213,26 +219,16 @@ func (s *Session) Figure7(w io.Writer) error {
 	fmt.Fprintln(w, "=== Figure 7: Application Throughput normalized to G1 ===")
 	fmt.Fprintf(w, "%-14s %-10s %-10s %-10s %-10s %-18s\n",
 		"Workload", "G1", "NG2C", "POLM2", "C4", "paper POLM2 vs G1")
-	for _, t := range Targets() {
-		g1, err := s.Run(t, core.CollectorG1, core.PlanNone)
-		if err != nil {
-			return err
-		}
-		manual, err := s.Run(t, core.CollectorNG2C, core.PlanManual)
-		if err != nil {
-			return err
-		}
-		polm2, err := s.Run(t, core.CollectorNG2C, core.PlanPOLM2)
-		if err != nil {
-			return err
-		}
+	targets := Targets()
+	runs, err := s.runsOf(targets, withC4)
+	if err != nil {
+		return err
+	}
+	for i, t := range targets {
+		g1, manual, polm2 := runs[i][0], runs[i][1], runs[i][2]
 		c4Cell := "-"
-		if t.App.Name() == "Cassandra" {
-			c4, err := s.Run(t, core.CollectorC4, core.PlanNone)
-			if err != nil {
-				return err
-			}
-			c4Cell = fmt.Sprintf("%.3f", float64(c4.WarmOps)/float64(g1.WarmOps))
+		if len(runs[i]) > 3 {
+			c4Cell = fmt.Sprintf("%.3f", float64(runs[i][3].WarmOps)/float64(g1.WarmOps))
 		}
 		fmt.Fprintf(w, "%-14s %-10s %-10.3f %-10.3f %-10s %-18s\n",
 			t.Key(), "1.000",
@@ -253,55 +249,39 @@ func (s *Session) Figure8(w io.Writer) error {
 	if scale == 0 {
 		scale = core.DefaultScale
 	}
+	var targets []Target
 	for _, t := range Targets() {
-		if t.App.Name() != "Cassandra" {
-			continue
+		if t.App.Name() == "Cassandra" {
+			targets = append(targets, t)
 		}
+	}
+	runs, err := s.runsOf(targets, withC4)
+	if err != nil {
+		return err
+	}
+	const window, bucket = 10 * time.Minute, 30 * time.Second
+	secsPerBucket := int(bucket / time.Second)
+	for i, t := range targets {
 		fmt.Fprintf(w, "--- %s (30s buckets, tx/s) ---\n", t.Key())
-		type row struct {
-			label string
-			vals  []int64
-		}
-		var rows []row
-		window := 10 * time.Minute
-		const bucket = 30 * time.Second
-		for _, su := range []setup{
-			{label: "G1", collector: core.CollectorG1, plan: core.PlanNone},
-			{label: "NG2C", collector: core.CollectorNG2C, plan: core.PlanManual},
-			{label: "POLM2", collector: core.CollectorNG2C, plan: core.PlanPOLM2},
-			{label: "C4", collector: core.CollectorC4, plan: core.PlanNone},
-		} {
-			res, err := s.Run(t, su.collector, su.plan)
-			if err != nil {
-				return err
-			}
-			from := res.Warmup
-			to := from + window
-			if to > res.SimDuration {
-				to = res.SimDuration
-			}
-			perSec := res.Ops.Slice(from, to)
-			var vals []int64
-			secsPerBucket := int(bucket / time.Second)
-			for i := 0; i+secsPerBucket <= len(perSec); i += secsPerBucket {
+		rows := make([][]int64, len(runs[i]))
+		for j, res := range runs[i] {
+			perSec := res.Ops.Slice(res.Warmup, min(res.Warmup+window, res.SimDuration))
+			for b := 0; b+secsPerBucket <= len(perSec); b += secsPerBucket {
 				var sum int64
-				for j := i; j < i+secsPerBucket; j++ {
-					sum += perSec[j]
+				for _, n := range perSec[b : b+secsPerBucket] {
+					sum += n
 				}
-				vals = append(vals, sum*int64(scale)/int64(secsPerBucket))
+				rows[j] = append(rows[j], sum*int64(scale)/int64(secsPerBucket))
 			}
-			rows = append(rows, row{label: su.label, vals: vals})
 		}
 		fmt.Fprintf(w, "%-8s", "t(s)")
-		if len(rows) > 0 {
-			for i := range rows[0].vals {
-				fmt.Fprintf(w, "%7d", (i+1)*30)
-			}
+		for b := range rows[0] {
+			fmt.Fprintf(w, "%7d", (b+1)*30)
 		}
 		fmt.Fprintln(w)
-		for _, r := range rows {
-			fmt.Fprintf(w, "%-8s", r.label)
-			for _, v := range r.vals {
+		for j, su := range withC4(t) {
+			fmt.Fprintf(w, "%-8s", su.label)
+			for _, v := range rows[j] {
 				fmt.Fprintf(w, "%7d", v)
 			}
 			fmt.Fprintln(w)
@@ -316,26 +296,16 @@ func (s *Session) Figure8(w io.Writer) error {
 func (s *Session) Figure9(w io.Writer) error {
 	fmt.Fprintln(w, "=== Figure 9: Application Max Memory Usage normalized to G1 ===")
 	fmt.Fprintf(w, "%-14s %-10s %-10s %-10s %-14s\n", "Workload", "G1", "NG2C", "POLM2", "C4(reserved)")
-	for _, t := range Targets() {
-		g1, err := s.Run(t, core.CollectorG1, core.PlanNone)
-		if err != nil {
-			return err
-		}
-		manual, err := s.Run(t, core.CollectorNG2C, core.PlanManual)
-		if err != nil {
-			return err
-		}
-		polm2, err := s.Run(t, core.CollectorNG2C, core.PlanPOLM2)
-		if err != nil {
-			return err
-		}
+	targets := Targets()
+	runs, err := s.runsOf(targets, withC4)
+	if err != nil {
+		return err
+	}
+	for i, t := range targets {
+		g1, manual, polm2 := runs[i][0], runs[i][1], runs[i][2]
 		c4Cell := "-"
-		if t.App.Name() == "Cassandra" {
-			c4, err := s.Run(t, core.CollectorC4, core.PlanNone)
-			if err != nil {
-				return err
-			}
-			c4Cell = fmt.Sprintf("%.2f", float64(c4.MaxMemoryBytes)/float64(g1.MaxMemoryBytes))
+		if len(runs[i]) > 3 {
+			c4Cell = fmt.Sprintf("%.2f", float64(runs[i][3].MaxMemoryBytes)/float64(g1.MaxMemoryBytes))
 		}
 		fmt.Fprintf(w, "%-14s %-10s %-10.3f %-10.3f %-14s\n",
 			t.Key(), "1.000",

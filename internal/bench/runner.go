@@ -2,28 +2,24 @@ package bench
 
 import (
 	"bytes"
-	"context"
+	"cmp"
+	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
-
-	"polm2/internal/core"
 )
 
-// The parallel experiment runner. A benchmark session's experiments share
-// expensive simulations through the Session caches; the runner makes those
-// simulations explicit as a work plan, executes the plan on a bounded
-// worker pool, and only then renders the experiments — serially, against
-// warm caches — so the rendered output is byte-identical no matter how many
-// workers computed it.
-//
-// The plan runs in two waves: profiling runs first, production runs second.
-// A production run under the POLM2 plan consumes its target's profile, so
-// the wave barrier guarantees no worker ever blocks on a simulation another
-// worker still owns — every dependency of wave 2 is cache-resident when
-// wave 2 starts.
+// The parallel experiment runner. Every requested experiment renders into
+// its own buffer in its own goroutine, and the buffers are written in
+// request order, so the bytes written never depend on the worker count.
+// Experiments share simulations through the Session's single-flight memos.
+// A simulation holds one of the call's worker slots only while it runs
+// core.ProfileApp or core.RunApp, never while it waits on a memo entry, so
+// a slot holder waits on nothing and the slots cannot deadlock: a POLM2 run
+// fetches its target's profile before it asks for a slot.
 
 // ParallelOptions configures RunExperiments.
 type ParallelOptions struct {
@@ -40,7 +36,7 @@ type ParallelOptions struct {
 // (names and rendered output) is deterministic for a fixed Config; the
 // wall-clock fields measure the host machine and vary run to run.
 type Report struct {
-	// Workers is the worker bound the plan executed under.
+	// Workers is the worker bound the simulations executed under.
 	Workers int `json:"workers"`
 	// Seed is the session's base seed.
 	Seed int64 `json:"seed"`
@@ -52,11 +48,13 @@ type Report struct {
 	TotalWallMS int64 `json:"total_wall_ms"`
 }
 
-// ExperimentReport is one experiment's rendered output and render time.
+// ExperimentReport is one experiment's rendered output and wall-clock time.
 type ExperimentReport struct {
 	Name   string `json:"name"`
 	Output string `json:"output"`
-	WallMS int64  `json:"wall_ms"`
+	// WallMS runs from the experiment's start to its last line, the waits
+	// on simulations it shares with other experiments included.
+	WallMS int64 `json:"wall_ms"`
 }
 
 // UnitReport is one simulation's identity and wall-clock time.
@@ -66,328 +64,168 @@ type UnitReport struct {
 	Key string `json:"key"`
 	// Wave is "profile" or "run".
 	Wave string `json:"wave"`
-	// WallMS is the simulation's wall-clock time on its worker.
+	// WallMS is the simulation's wall-clock time in its worker slot.
 	WallMS int64 `json:"wall_ms"`
 }
 
-const (
-	waveProfile = 1
-	waveRun     = 2
-)
+// errStopped is what a simulation returns instead of starting once an
+// earlier failure has stopped its RunExperiments call.
+var errStopped = errors.New("bench: stopped after an earlier failure")
 
-// workUnit is one simulation of the prefetch plan. Its do func fills a
-// Session cache entry; re-running a unit is always a cache hit.
-type workUnit struct {
-	key  string
-	wave int
-	do   func() error
+// experimentRun is the state of one RunExperiments call.
+type experimentRun struct {
+	slots chan struct{} // one token per simulation in flight
+	stop  chan struct{} // closed by the first failure
+	// jmap is set when a requested experiment reads jmap comparison
+	// profiles: every default-profile fetch then takes the comparison
+	// dumps, so one simulation serves both profile caches.
+	jmap     bool
+	progress func(line string)
+
+	mu    sync.Mutex // guards err and units, and serializes progress
+	err   error
+	units []UnitReport
 }
 
-// workPlan accumulates the deduplicated simulations a set of experiments
-// needs, in deterministic order.
-type workPlan struct {
-	s *Session
-	// compareNeeded marks targets whose profile must also take jmap
-	// comparison dumps (fig3/fig4). A comparison profile doubles as the
-	// plain profile, so such targets get one compare unit instead of a
-	// plain profile unit.
-	compareNeeded map[string]bool
-	seen          map[string]bool
-	units         []workUnit
-}
-
-func newWorkPlan(s *Session) *workPlan {
-	return &workPlan{
-		s:             s,
-		compareNeeded: make(map[string]bool),
-		seen:          make(map[string]bool),
+// fail records the call's first failure and stops it.
+func (r *experimentRun) fail(err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.err == nil {
+		r.err = err
+		close(r.stop)
 	}
 }
 
-func (p *workPlan) add(key string, wave int, do func() error) {
-	if p.seen[key] {
-		return
-	}
-	p.seen[key] = true
-	p.units = append(p.units, workUnit{key: key, wave: wave, do: do})
-}
-
-// profile schedules target t's profiling run — as a comparison profile when
-// some requested experiment needs the jmap dumps, since that one simulation
-// serves both caches.
-func (p *workPlan) profile(t Target) {
-	if p.compareNeeded[t.Key()] {
-		p.add("compare:"+t.Key(), waveProfile, func() error {
-			_, err := p.s.ProfileWithJmap(t)
-			return err
-		})
-		return
-	}
-	p.add("profile:"+t.Key(), waveProfile, func() error {
-		_, err := p.s.Profile(t)
-		return err
-	})
-}
-
-// profileUnit schedules an ablation profile variant.
-func (p *workPlan) profileUnit(key string, do func() error) {
-	p.add("profile:"+key, waveProfile, do)
-}
-
-func runKey(t Target, collectorName string, plan core.PlanKind) string {
-	return fmt.Sprintf("%s/%s/%s", t.Key(), collectorName, plan)
-}
-
-// run schedules a production run, plus the profile it consumes when the
-// plan is POLM2's.
-func (p *workPlan) run(t Target, collectorName string, plan core.PlanKind) {
-	if plan == core.PlanPOLM2 {
-		p.profile(t)
-	}
-	p.add("run:"+runKey(t, collectorName, plan), waveRun, func() error {
-		_, err := p.s.Run(t, collectorName, plan)
-		return err
-	})
-}
-
-// runUnit schedules an ablation run variant.
-func (p *workPlan) runUnit(key string, do func() error) {
-	p.add("run:"+key, waveRun, do)
-}
-
-// require adds experiment name's simulations to the plan. The switch
-// mirrors the fetches in the experiment renderers; keeping them in sync is
-// not load-bearing for correctness — a missed requirement only means the
-// render phase computes it serially on the cache-miss path.
-func (p *workPlan) require(name string) error {
-	s := p.s
-	switch name {
-	case "table1":
-		for _, t := range Targets() {
-			p.profile(t)
+// simulate runs sim, the simulation of unit key. Within a RunExperiments
+// call it first takes a worker slot, starts nothing once the call has
+// stopped, and reports the unit when it succeeds; its failure stops the
+// call. The slot is released only after the failure is recorded, so no
+// simulation waiting for that slot starts after it.
+func simulate[V any](s *Session, wave, key string, sim func() (V, error)) (V, error) {
+	r := s.run
+	if r != nil {
+		var zero V
+		select {
+		case r.slots <- struct{}{}:
+		case <-r.stop:
+			return zero, errStopped
 		}
-	case "fig3", "fig4":
-		for _, t := range Targets() {
-			p.profile(t) // compareNeeded marks these as compare units
+		defer func() { <-r.slots }()
+		select {
+		case <-r.stop: // the slot came free as the call stopped
+			return zero, errStopped
+		default:
 		}
-	case "fig5", "fig6":
-		for _, t := range Targets() {
-			for _, su := range pauseSetups() {
-				p.run(t, su.collector, su.plan)
+	}
+	start := time.Now()
+	v, err := sim()
+	if err != nil {
+		err = fmt.Errorf("bench: %s: %w", key, err)
+		if r != nil {
+			r.fail(err)
+		}
+		return v, err
+	}
+	if r != nil {
+		took := time.Since(start)
+		r.mu.Lock()
+		r.units = append(r.units, UnitReport{Key: key, Wave: wave, WallMS: took.Milliseconds()})
+		r.progress(fmt.Sprintf("[%d] %s done in %v", len(r.units), key, took.Round(time.Millisecond)))
+		r.mu.Unlock()
+	}
+	return v, nil
+}
+
+// fetchAll returns get(i) for every i in [0, n), or the first error by
+// index. Within a RunExperiments call the gets run concurrently, so the
+// simulations behind one experiment's rows take worker slots side by side;
+// elsewhere they run in order.
+func fetchAll[V any](s *Session, n int, get func(i int) (V, error)) ([]V, error) {
+	out := make([]V, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		if s.run == nil {
+			if out[i], errs[i] = get(i); errs[i] != nil {
+				return nil, errs[i]
 			}
+			continue
 		}
-	case "fig7", "fig9":
-		for _, t := range Targets() {
-			for _, su := range pauseSetups() {
-				p.run(t, su.collector, su.plan)
-			}
-			if t.App.Name() == "Cassandra" {
-				p.run(t, core.CollectorC4, core.PlanNone)
-			}
-		}
-	case "fig8":
-		for _, t := range Targets() {
-			if t.App.Name() != "Cassandra" {
-				continue
-			}
-			p.run(t, core.CollectorG1, core.PlanNone)
-			p.run(t, core.CollectorNG2C, core.PlanManual)
-			p.run(t, core.CollectorNG2C, core.PlanPOLM2)
-			p.run(t, core.CollectorC4, core.PlanNone)
-		}
-	case "ablation-dump":
-		t := ablationTarget()
-		for _, v := range dumpVariants() {
-			if v.variant == "" {
-				p.profile(t)
-				continue
-			}
-			v := v
-			p.profileUnit(t.Key()+"|"+v.variant, func() error {
-				_, err := s.dumpVariantProfile(t, v.variant, v.disableNoNeed, v.disableIncremental)
-				return err
-			})
-		}
-	case "ablation-conflict":
-		t := targetByKey("Cassandra-RI")
-		p.run(t, core.CollectorNG2C, core.PlanPOLM2)
-		p.profileUnit(t.Key()+"|conflict-off", func() error {
-			_, err := s.conflictOffProfile(t)
-			return err
-		})
-		p.runUnit(runKey(t, core.CollectorNG2C, core.PlanPOLM2)+"|conflict-off", func() error {
-			_, err := s.conflictOffRun(t)
-			return err
-		})
-	case "ablation-hoist":
-		t := targetByKey("GraphChi-PR")
-		p.run(t, core.CollectorNG2C, core.PlanPOLM2)
-		p.profileUnit(t.Key()+"|hoist-off", func() error {
-			_, err := s.hoistOffProfile(t)
-			return err
-		})
-		p.runUnit(runKey(t, core.CollectorNG2C, core.PlanPOLM2)+"|hoist-off", func() error {
-			_, err := s.hoistOffRun(t)
-			return err
-		})
-	case "ablation-estimator":
-		t := ablationTarget()
-		p.profile(t)
-		p.profileUnit(t.Key()+"|estimator-p90", func() error {
-			_, err := s.estimatorP90Profile(t)
-			return err
-		})
-	case "ablation-cadence":
-		t := ablationTarget()
-		p.profile(t)
-		for _, k := range []int{2, 4} {
-			k := k
-			p.profileUnit(fmt.Sprintf("%s|cadence-%d", t.Key(), k), func() error {
-				_, err := s.cadenceProfile(t, k)
-				return err
-			})
-		}
-	default:
-		return fmt.Errorf("bench: unknown experiment %q (want one of %v)", name, ExperimentNames())
-	}
-	return nil
-}
-
-// needsCompare reports whether experiment name consumes jmap comparison
-// profiles. Resolved in a first pass so a target shared between table1 and
-// fig3 is profiled once, with the tee.
-func needsCompare(name string) bool { return name == "fig3" || name == "fig4" }
-
-// executePool runs units on a pool of workers. The first unit error cancels
-// the pool: in-flight units finish, queued units are dropped, and the error
-// is returned. onDone is called serially for each completed unit.
-func executePool(units []workUnit, workers int, onDone func(u workUnit, took time.Duration)) error {
-	if workers < 1 {
-		workers = 1
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	var (
-		wg      sync.WaitGroup
-		errOnce sync.Once
-		firstEr error
-		doneMu  sync.Mutex
-	)
-	queue := make(chan workUnit)
-	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for u := range queue {
-				if ctx.Err() != nil {
-					continue // drain after cancellation
-				}
-				start := time.Now()
-				if err := u.do(); err != nil {
-					errOnce.Do(func() {
-						firstEr = err
-						cancel()
-					})
-					continue
-				}
-				if onDone != nil {
-					doneMu.Lock()
-					onDone(u, time.Since(start))
-					doneMu.Unlock()
-				}
-			}
+			out[i], errs[i] = get(i)
 		}()
 	}
-	for _, u := range units {
-		queue <- u
-	}
-	close(queue)
 	wg.Wait()
-	return firstEr
-}
-
-// RunExperiments executes the named experiments, writing their rendered
-// output to w in request order, and returns a report with per-simulation
-// timings. All simulations the experiments share are computed exactly once,
-// on opts.Workers workers; rendering is serial against warm caches, so the
-// bytes written to w depend only on the session Config and names — never on
-// the worker count.
-func (s *Session) RunExperiments(names []string, w io.Writer, opts ParallelOptions) (*Report, error) {
-	start := time.Now()
-	plan := newWorkPlan(s)
-	for _, name := range names {
-		if needsCompare(name) {
-			for _, t := range Targets() {
-				plan.compareNeeded[t.Key()] = true
-			}
-		}
-	}
-	for _, name := range names {
-		if err := plan.require(name); err != nil {
-			return nil, err
-		}
-	}
-
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	progress := func(line string) {
-		if opts.Progress != nil {
-			opts.Progress(line)
-		}
-	}
-
-	report := &Report{Workers: workers, Seed: s.cfg.Seed}
-	total := len(plan.units)
-	completed := 0
-	for wave := waveProfile; wave <= waveRun; wave++ {
-		var units []workUnit
-		for _, u := range plan.units {
-			if u.wave == wave {
-				units = append(units, u)
-			}
-		}
-		err := executePool(units, workers, func(u workUnit, took time.Duration) {
-			completed++
-			report.Units = append(report.Units, UnitReport{
-				Key:    u.key,
-				Wave:   map[int]string{waveProfile: "profile", waveRun: "run"}[u.wave],
-				WallMS: took.Milliseconds(),
-			})
-			progress(fmt.Sprintf("[%d/%d] %s done in %v", completed, total, u.key, took.Round(time.Millisecond)))
-		})
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	sort.Slice(report.Units, func(i, j int) bool {
-		if report.Units[i].Wave != report.Units[j].Wave {
-			return report.Units[i].Wave == "profile"
-		}
-		return report.Units[i].Key < report.Units[j].Key
-	})
+	return out, nil
+}
 
-	for _, name := range names {
-		renderStart := time.Now()
-		var buf bytes.Buffer
-		if err := s.RunExperiment(name, &buf); err != nil {
+// RunExperiments renders the named experiments concurrently, writes their
+// output to w in request order, and returns a report with per-simulation
+// timings. Every simulation the experiments share runs once, at most
+// opts.Workers at a time. An unknown name is refused before anything runs;
+// after the first failure no new simulation starts, and that failure is
+// returned once the renders in flight have ended.
+func (s *Session) RunExperiments(names []string, w io.Writer, opts ParallelOptions) (*Report, error) {
+	start := time.Now()
+	exps := make([]experiment, len(names))
+	r := &experimentRun{stop: make(chan struct{}), progress: opts.Progress}
+	if r.progress == nil {
+		r.progress = func(string) {}
+	}
+	for i, name := range names {
+		e, err := lookupExperiment(name)
+		if err != nil {
 			return nil, err
 		}
-		if _, err := w.Write(buf.Bytes()); err != nil {
-			return nil, fmt.Errorf("bench: writing %s output: %w", name, err)
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return nil, fmt.Errorf("bench: writing %s output: %w", name, err)
-		}
-		report.Experiments = append(report.Experiments, ExperimentReport{
-			Name:   name,
-			Output: buf.String(),
-			WallMS: time.Since(renderStart).Milliseconds(),
-		})
-		progress(fmt.Sprintf("rendered %s", name))
+		exps[i] = e
+		r.jmap = r.jmap || e.jmap
 	}
+	workers := max(opts.Workers, 1)
+	r.slots = make(chan struct{}, workers)
+	view := &Session{cfg: s.cfg, caches: s.caches, run: r}
+
+	report := &Report{Workers: workers, Seed: s.cfg.Seed, Experiments: make([]ExperimentReport, len(exps))}
+	var wg sync.WaitGroup
+	for i, e := range exps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			begin := time.Now()
+			var buf bytes.Buffer
+			if err := e.render(view, &buf); err != nil {
+				if !errors.Is(err, errStopped) {
+					r.fail(err)
+				}
+				return
+			}
+			report.Experiments[i] = ExperimentReport{Name: e.name, Output: buf.String(), WallMS: time.Since(begin).Milliseconds()}
+			r.mu.Lock()
+			r.progress("rendered " + e.name)
+			r.mu.Unlock()
+		}()
+	}
+	wg.Wait()
+	if r.err != nil {
+		return nil, r.err
+	}
+	for _, e := range report.Experiments {
+		if _, err := fmt.Fprintln(w, e.Output); err != nil {
+			return nil, fmt.Errorf("bench: writing %s output: %w", e.Name, err)
+		}
+	}
+	report.Units = r.units
+	slices.SortFunc(report.Units, func(a, b UnitReport) int {
+		// "profile" sorts before "run".
+		return cmp.Or(strings.Compare(a.Wave, b.Wave), strings.Compare(a.Key, b.Key))
+	})
 	report.TotalWallMS = time.Since(start).Milliseconds()
 	return report, nil
 }

@@ -6,10 +6,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"polm2/internal/analyzer"
 	"polm2/internal/core"
 )
 
@@ -100,9 +105,9 @@ func TestRunExperimentsDeterministic(t *testing.T) {
 
 // TestSessionStressAllSetupsInFlight fetches every (target, collector,
 // plan) setup plus every profile flavor from one session concurrently —
-// far beyond what the wave scheduler would admit at once — to give the
-// race detector something to chew on and to check that single-flight
-// caching returns one canonical result per key.
+// far more than a RunExperiments call's worker slots would run at once —
+// to give the race detector something to chew on and to check that
+// single-flight caching returns one canonical result per key.
 func TestSessionStressAllSetupsInFlight(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test in -short mode")
@@ -168,87 +173,111 @@ func TestSessionStressAllSetupsInFlight(t *testing.T) {
 	}
 }
 
-// TestExecutePoolFirstErrorCancels checks the pool's failure contract: the
-// first unit error is returned, and units still queued behind the failure
-// are dropped rather than executed.
-func TestExecutePoolFirstErrorCancels(t *testing.T) {
-	boom := errors.New("boom")
-	var ran []string
-	units := []workUnit{
-		{key: "a", wave: waveProfile, do: func() error { ran = append(ran, "a"); return nil }},
-		{key: "b", wave: waveProfile, do: func() error { ran = append(ran, "b"); return boom }},
-		{key: "c", wave: waveProfile, do: func() error { ran = append(ran, "c"); return nil }},
-		{key: "d", wave: waveProfile, do: func() error { ran = append(ran, "d"); return nil }},
-	}
-	err := executePool(units, 1, nil)
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if len(ran) != 2 || ran[0] != "a" || ran[1] != "b" {
-		t.Fatalf("ran = %v, want [a b]", ran)
-	}
-}
-
-// TestExecutePoolConcurrentError checks the same contract under real
-// concurrency: with many workers and an early failure, the pool returns
-// the first error and terminates.
-func TestExecutePoolConcurrentError(t *testing.T) {
-	boom := errors.New("boom")
-	var mu sync.Mutex
-	completed := 0
-	var units []workUnit
-	for i := 0; i < 64; i++ {
-		i := i
-		units = append(units, workUnit{
-			key:  fmt.Sprintf("u%d", i),
-			wave: waveRun,
-			do: func() error {
-				if i == 3 {
-					return boom
-				}
-				mu.Lock()
-				completed++
-				mu.Unlock()
-				return nil
-			},
-		})
-	}
-	err := executePool(units, 8, nil)
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if completed >= 64 {
-		t.Fatal("pool ran every unit despite a failure")
-	}
-}
-
-// TestExecutePoolReportsEveryUnit checks onDone is called exactly once per
-// unit on success, serialized.
-func TestExecutePoolReportsEveryUnit(t *testing.T) {
-	var units []workUnit
-	for i := 0; i < 32; i++ {
-		units = append(units, workUnit{key: fmt.Sprintf("u%d", i), wave: waveProfile, do: func() error { return nil }})
-	}
-	seen := make(map[string]int)
-	err := executePool(units, 4, func(u workUnit, _ time.Duration) { seen[u.key]++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != len(units) {
-		t.Fatalf("onDone saw %d units, want %d", len(seen), len(units))
-	}
-	for k, n := range seen {
-		if n != 1 {
-			t.Fatalf("unit %s reported %d times", k, n)
+// failNth swaps the session simulators for ones that count the
+// simulations started and make the n-th fail with the returned error
+// instead of running it (n = 0 fails none). The others run as usual.
+func failNth(t *testing.T, n int64) (started *atomic.Int64, boom error) {
+	t.Helper()
+	started = new(atomic.Int64)
+	boom = errors.New("boom")
+	origProfile, origRun := profileApp, runApp
+	t.Cleanup(func() { profileApp, runApp = origProfile, origRun })
+	profileApp = func(app core.App, workload string, opts core.ProfileOptions) (*core.ProfileResult, error) {
+		if started.Add(1) == n {
+			return nil, boom
 		}
+		return origProfile(app, workload, opts)
+	}
+	runApp = func(app core.App, workload, collectorName string, plan core.PlanKind, profile *analyzer.Profile, opts core.RunOptions) (*core.RunResult, error) {
+		if started.Add(1) == n {
+			return nil, boom
+		}
+		return origRun(app, workload, collectorName, plan, profile, opts)
+	}
+	return started, boom
+}
+
+// runFailing runs fig5 (6 profiles, 18 runs) with the third simulation
+// failing, requires the call to return that failure, and returns the
+// number of simulations started and the unit keys reported through
+// Progress, each at most once.
+func runFailing(t *testing.T, workers int) (started int64, units []string) {
+	t.Helper()
+	count, boom := failNth(t, 3)
+	opts := ParallelOptions{Workers: workers, Progress: func(line string) {
+		if _, key, ok := strings.Cut(line, "] "); ok {
+			units = append(units, strings.Fields(key)[0])
+		}
+	}}
+	returned := make(chan error, 1)
+	go func() {
+		_, err := NewSession(tinyConfig()).RunExperiments([]string{"fig5"}, io.Discard, opts)
+		returned <- err
+	}()
+	var err error
+	select {
+	case err = <-returned:
+	case <-time.After(2 * time.Minute):
+		t.Fatalf("workers=%d: RunExperiments did not return after a failure", workers)
+	}
+	if !errors.Is(err, boom) {
+		t.Fatalf("workers=%d: err = %v, want the injected failure", workers, err)
+	}
+	seen := make(map[string]bool)
+	for _, k := range units {
+		if seen[k] {
+			t.Fatalf("workers=%d: unit %s reported twice", workers, k)
+		}
+		seen[k] = true
+	}
+	return count.Load(), units
+}
+
+// TestRunExperimentsFailureStopsSerial checks the failure contract on one
+// worker slot: the failing simulation holds the only slot until its
+// failure is recorded, so exactly the two simulations before it succeed
+// and are reported, and nothing starts after it.
+func TestRunExperimentsFailureStopsSerial(t *testing.T) {
+	started, units := runFailing(t, 1)
+	if started != 3 {
+		t.Fatalf("%d simulations started, want 3: none may start after the failure", started)
+	}
+	if len(units) != 2 {
+		t.Fatalf("reported units %v, want the two that succeeded", units)
+	}
+}
+
+// TestRunExperimentsFailureStopsConcurrent checks the same contract with
+// four slots: besides the failing simulation, at most the three holding
+// the other slots may have started, every one of them is reported once,
+// and the call returns with no goroutine left waiting for a slot.
+func TestRunExperimentsFailureStopsConcurrent(t *testing.T) {
+	const workers = 4
+	before := runtime.NumGoroutine()
+	started, units := runFailing(t, workers)
+	if started > 3+workers-1 {
+		t.Fatalf("%d simulations started, want at most %d", started, 3+workers-1)
+	}
+	if int64(len(units)) != started-1 {
+		t.Fatalf("reported %d units of %d started, one of which failed: every other one succeeds", len(units), started)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left running after RunExperiments returned, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
 // TestRunExperimentsUnknownName rejects unknown experiments before any
-// simulation starts.
+// simulation starts, even when a known one precedes them.
 func TestRunExperimentsUnknownName(t *testing.T) {
+	started, _ := failNth(t, 0)
 	s := NewSession(tinyConfig())
-	if _, err := s.RunExperiments([]string{"fig99"}, &bytes.Buffer{}, ParallelOptions{}); err == nil {
+	if _, err := s.RunExperiments([]string{"table1", "fig99"}, &bytes.Buffer{}, ParallelOptions{}); err == nil {
 		t.Fatal("unknown experiment accepted")
+	}
+	if n := started.Load(); n != 0 {
+		t.Fatalf("%d simulations started before the unknown name was refused", n)
 	}
 }

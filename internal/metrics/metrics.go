@@ -7,6 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -16,16 +17,18 @@ import (
 // percentiles are affordable and remove estimator noise from the
 // reproduction.
 //
+// Add keeps the observations in ascending order, so the queries only read
+// and any number of goroutines may query a finished sample at once.
+//
 // The zero value is an empty sample ready for use.
 type Sample struct {
 	values []time.Duration
-	sorted bool
 }
 
-// Add appends one observation.
+// Add inserts one observation in order.
 func (s *Sample) Add(d time.Duration) {
-	s.values = append(s.values, d)
-	s.sorted = false
+	i := sort.Search(len(s.values), func(i int) bool { return s.values[i] > d })
+	s.values = slices.Insert(s.values, i, d)
 }
 
 // Len returns the number of observations.
@@ -33,7 +36,6 @@ func (s *Sample) Len() int { return len(s.values) }
 
 // Max returns the largest observation, or zero for an empty sample.
 func (s *Sample) Max() time.Duration {
-	s.ensureSorted()
 	if len(s.values) == 0 {
 		return 0
 	}
@@ -65,7 +67,6 @@ func (s *Sample) Percentile(p float64) time.Duration {
 	if p <= 0 || p > 100 {
 		panic(fmt.Sprintf("metrics: percentile %v outside (0, 100]", p))
 	}
-	s.ensureSorted()
 	if len(s.values) == 0 {
 		return 0
 	}
@@ -78,18 +79,7 @@ func (s *Sample) Percentile(p float64) time.Duration {
 
 // Values returns a copy of the observations in sorted order.
 func (s *Sample) Values() []time.Duration {
-	s.ensureSorted()
-	out := make([]time.Duration, len(s.values))
-	copy(out, s.values)
-	return out
-}
-
-func (s *Sample) ensureSorted() {
-	if s.sorted {
-		return
-	}
-	sort.Slice(s.values, func(i, j int) bool { return s.values[i] < s.values[j] })
-	s.sorted = true
+	return slices.Clone(s.values)
 }
 
 // PaperPercentiles are the percentiles reported along the x-axis of the

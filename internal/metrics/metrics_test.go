@@ -3,6 +3,7 @@ package metrics
 import (
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -63,6 +64,34 @@ func TestSampleAddAfterQuery(t *testing.T) {
 	if got := s.Max(); got != 20*time.Millisecond {
 		t.Fatalf("Max after interleaved Add = %v, want 20ms", got)
 	}
+}
+
+// TestSampleConcurrentReads queries one finished sample from several
+// goroutines at once, as the bench renderers do with a cached run's pause
+// sample. The queries must only read; the race detector fails the test if
+// one of them writes.
+func TestSampleConcurrentReads(t *testing.T) {
+	var s Sample
+	for _, v := range []time.Duration{9, 3, 7, 1, 8, 2, 6, 4, 5} {
+		s.Add(v)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := s.Percentile(50); got != 5 {
+				t.Errorf("Percentile(50) = %v, want 5", got)
+			}
+			if got := s.Max(); got != 9 {
+				t.Errorf("Max = %v, want 9", got)
+			}
+			if got := s.Values(); got[0] != 1 || got[len(got)-1] != 9 {
+				t.Errorf("Values = %v, not in order", got)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestSampleSumMean(t *testing.T) {

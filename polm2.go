@@ -153,13 +153,15 @@ func BenchExperiments() []string { return bench.ExperimentNames() }
 
 // RunBenchAll regenerates every table and figure into w.
 func RunBenchAll(cfg BenchConfig, w io.Writer) error {
-	return bench.NewSession(cfg).RunAll(w)
+	_, err := RunBenchExperiments(cfg, BenchExperiments(), w, BenchParallelOptions{})
+	return err
 }
 
-// RunBenchExperiments executes the named experiments on a bounded worker
-// pool, writing rendered output to w. Results are deterministic: for a
-// fixed config the bytes written depend only on the experiment names, never
-// on the worker count. See bench.Session.RunExperiments.
+// RunBenchExperiments renders the named experiments concurrently, at most
+// opts.Workers simulations at a time, writing rendered output to w. Results
+// are deterministic: for a fixed config the bytes written depend only on the
+// experiment names, never on the worker count. See
+// bench.Session.RunExperiments.
 func RunBenchExperiments(cfg BenchConfig, names []string, w io.Writer, opts BenchParallelOptions) (*BenchReport, error) {
 	return bench.NewSession(cfg).RunExperiments(names, w, opts)
 }
