@@ -21,14 +21,23 @@ func targetByKey(key string) Target {
 	panic("bench: " + key + " missing from targets")
 }
 
-// variant is one ablation row: a profiling configuration named for the
-// caches (see profileVariant) and the options mutation that makes it. Each
-// ablation's baseline row is the paper configuration, the empty variant:
-// it shares the main matrix's default profile or run of the same target,
-// so only the deviating rows cost extra simulations.
+// variant is one dump or cadence ablation row: a profiling configuration
+// named for the caches (see profileVariant) and the options mutation that
+// makes it. Each ablation's baseline row is the paper configuration, the
+// empty variant: it shares the main matrix's default profile or run of the
+// same target, so only the deviating rows cost extra simulations.
 type variant struct {
 	label, name string
 	mutate      func(*core.ProfileOptions)
+}
+
+// analysis is one analysis ablation row: a name for the run cache and the
+// analyzer options the target's default profile is re-synthesized under
+// (see analyzed). Its baseline row, with zero options, is the default
+// profile itself, so these rows cost no profiling simulation.
+type analysis struct {
+	label, name string
+	opts        analyzer.Options
 }
 
 // variantProfiles returns t's profile under every variant (see fetchAll).
@@ -38,11 +47,11 @@ func (s *Session) variantProfiles(t Target, vs []variant) ([]*core.ProfileResult
 	})
 }
 
-// variantRuns returns t's NG2C run under a POLM2 plan from every variant's
-// profile (see fetchAll).
-func (s *Session) variantRuns(t Target, vs []variant) ([]*core.RunResult, error) {
-	return fetchAll(s, len(vs), func(i int) (*core.RunResult, error) {
-		return s.runVariant(t, core.CollectorNG2C, core.PlanPOLM2, vs[i].name, vs[i].mutate)
+// analysisRuns returns t's NG2C run under a POLM2 plan from every
+// analysis row's profile (see fetchAll).
+func (s *Session) analysisRuns(t Target, as []analysis) ([]*core.RunResult, error) {
+	return fetchAll(s, len(as), func(i int) (*core.RunResult, error) {
+		return s.runVariant(t, core.CollectorNG2C, core.PlanPOLM2, as[i].name, as[i].opts)
 	})
 }
 
@@ -92,13 +101,11 @@ func (s *Session) AblationConflict(w io.Writer) error {
 	t := targetByKey("Cassandra-RI")
 	fmt.Fprintf(w, "%-28s %-10s %-12s %-12s %-12s %-10s %-10s\n",
 		"Variant", "pauses", "p50(ms)", "p99(ms)", "worst(ms)", "mem(MB)", "ops")
-	vs := []variant{
+	vs := []analysis{
 		{label: "with Algorithm 1 (paper)"},
-		{"conflict resolution off", "conflict-off", func(o *core.ProfileOptions) {
-			o.Analyzer = analyzer.Options{DisableConflictResolution: true}
-		}},
+		{"conflict resolution off", "conflict-off", analyzer.Options{DisableConflictResolution: true}},
 	}
-	runs, err := s.variantRuns(t, vs)
+	runs, err := s.analysisRuns(t, vs)
 	if err != nil {
 		return fmt.Errorf("bench: conflict ablation: %w", err)
 	}
@@ -122,13 +129,11 @@ func (s *Session) AblationHoist(w io.Writer) error {
 	fmt.Fprintln(w, "=== Ablation: generation hoisting (§4.4, GraphChi-PR) ===")
 	t := targetByKey("GraphChi-PR")
 	fmt.Fprintf(w, "%-24s %-16s %-16s %-12s\n", "Variant", "gen switches", "switch/op", "ops")
-	vs := []variant{
+	vs := []analysis{
 		{label: "hoisting on (paper)"},
-		{"hoisting off", "hoist-off", func(o *core.ProfileOptions) {
-			o.Analyzer = analyzer.Options{DisableHoisting: true}
-		}},
+		{"hoisting off", "hoist-off", analyzer.Options{DisableHoisting: true}},
 	}
-	runs, err := s.variantRuns(t, vs)
+	runs, err := s.analysisRuns(t, vs)
 	if err != nil {
 		return fmt.Errorf("bench: hoist ablation: %w", err)
 	}
@@ -149,21 +154,18 @@ func (s *Session) AblationEstimator(w io.Writer) error {
 	fmt.Fprintln(w, "=== Ablation: target-generation estimator (Cassandra-WI) ===")
 	t := targetByKey(ablationTarget)
 	fmt.Fprintf(w, "%-24s %-14s %-12s %-12s\n", "Variant", "instrumented", "gens", "conflicts")
-	vs := []variant{
+	vs := []analysis{
 		{label: "bucket mode (paper)"},
-		{"90th percentile", "estimator-p90", func(o *core.ProfileOptions) {
-			o.Analyzer = analyzer.Options{Estimator: analyzer.EstimatorP90}
-		}},
+		{"90th percentile", "estimator-p90", analyzer.Options{Estimator: analyzer.EstimatorP90}},
 	}
-	profs, err := s.variantProfiles(t, vs)
+	profs, err := fetchAll(s, len(vs), func(i int) (*analyzer.Profile, error) { return s.analyzed(t, vs[i].opts) })
 	if err != nil {
 		return fmt.Errorf("bench: estimator ablation: %w", err)
 	}
 	for i, v := range vs {
 		prof := profs[i]
 		fmt.Fprintf(w, "%-24s %-14d %-12d %-12d\n",
-			v.label, prof.Profile.InstrumentedSites(),
-			prof.Profile.UsedGenerations(), prof.Profile.Conflicts)
+			v.label, prof.InstrumentedSites(), prof.UsedGenerations(), prof.Conflicts)
 	}
 	return nil
 }

@@ -98,7 +98,6 @@ type Session struct {
 // caches is the state every view of a session shares.
 type caches struct {
 	profiles memo[*core.ProfileResult]
-	compare  memo[*core.ProfileResult] // with jmap comparison dumps
 	runs     memo[*core.RunResult]
 
 	// traceMu guards traces: each simulated unit's finished trace bytes,
@@ -162,11 +161,8 @@ func (s *Session) WriteTrace(w io.Writer) error {
 	return nil
 }
 
-// profileSeed derives the RNG seed of target t's profiling run. The
-// comparison (jmap tee) profile shares the seed: taking extra comparison
-// dumps never advances the simulated clock, so both produce the same
-// CRIU-side results and may share one cache entry. Ablation profile
-// variants share it too — each variant answers "same profiling run, one
+// profileSeed derives the RNG seed of target t's profiling run. Ablation
+// profile variants share it: each variant answers "same profiling run, one
 // knob changed".
 func (s *Session) profileSeed(t Target) int64 {
 	return core.DeriveSeed(s.cfg.Seed, "profile", t.Key())
@@ -186,16 +182,13 @@ func (s *Session) Profile(t Target) (*core.ProfileResult, error) {
 
 // profileVariant returns the (cached) profiling result for a target with
 // the given options mutation applied. The empty variant is the default
-// profile and takes no mutation; named variants are the ablations'
-// single-knob deviations from it. All variants of a target share the
-// target's profile seed. Within a RunExperiments call that renders a jmap
-// experiment, the default profile is the comparison profile.
+// profile and takes no mutation; named variants are the dump and cadence
+// ablations' single-knob deviations from it, the ones that change the
+// simulation. All variants of a target share the target's profile seed.
 func (s *Session) profileVariant(t Target, variant string, mutate func(*core.ProfileOptions)) (*core.ProfileResult, error) {
 	key := t.Key()
 	if variant != "" {
 		key += "|" + variant
-	} else if s.run != nil && s.run.jmap {
-		return s.ProfileWithJmap(t)
 	}
 	return s.profiles.get(key, func() (*core.ProfileResult, error) {
 		opts := core.ProfileOptions{
@@ -227,40 +220,33 @@ func (s *Session) profileVariant(t Target, variant string, mutate func(*core.Pro
 	})
 }
 
-// ProfileWithJmap returns the (cached) profiling result that also took
-// jmap-style comparison dumps (Figures 3 and 4). Comparison dumps do not
-// advance the simulated clock, so the result doubles as the target's plain
-// profile and back-fills that cache entry — one simulation serves both.
-func (s *Session) ProfileWithJmap(t Target) (*core.ProfileResult, error) {
-	key := t.Key()
-	res, err := s.compare.get(key, func() (*core.ProfileResult, error) {
-		return simulate(s, "profile", "compare:"+key, func() (*core.ProfileResult, error) {
-			return profileApp(t.App, t.Workload, core.ProfileOptions{
-				Scale:       s.cfg.Scale,
-				Duration:    s.cfg.ProfileDuration,
-				Seed:        s.profileSeed(t),
-				CompareJmap: true,
-			})
-		})
-	})
+// analyzed returns t's POLM2 profile under the given analysis options: the
+// default profile itself for the zero options, else the default profile's
+// site evidence re-synthesized under them. The Analyzer is a pure function
+// of that evidence, so this equals analyzing the default run's artifacts
+// with the options, without simulating the run again.
+func (s *Session) analyzed(t Target, opts analyzer.Options) (*analyzer.Profile, error) {
+	def, err := s.Profile(t)
 	if err != nil {
 		return nil, err
 	}
-	s.profiles.fill(key, res)
-	return res, nil
+	if opts == (analyzer.Options{}) {
+		return def.Profile, nil
+	}
+	return analyzer.MergeProfiles(opts, def.Profile)
 }
 
 // Run returns the (cached) production run of a target under the named
 // collector and plan.
 func (s *Session) Run(t Target, collectorName string, plan core.PlanKind) (*core.RunResult, error) {
-	return s.runVariant(t, collectorName, plan, "", nil)
+	return s.runVariant(t, collectorName, plan, "", analyzer.Options{})
 }
 
 // runVariant returns the (cached) production run for a setup, its POLM2
-// plan read from the profile variant (see profileVariant) — the ablations'.
-// The empty variant runs with the target's default profile. All variants of
-// a setup share the setup's run seed.
-func (s *Session) runVariant(t Target, collectorName string, plan core.PlanKind, variant string, mutate func(*core.ProfileOptions)) (*core.RunResult, error) {
+// plan the target's default profile analyzed under opts (see analyzed) —
+// the analysis ablations'. The empty variant, with zero options, runs the
+// default profile. All variants of a setup share the setup's run seed.
+func (s *Session) runVariant(t Target, collectorName string, plan core.PlanKind, variant string, opts analyzer.Options) (*core.RunResult, error) {
 	key := fmt.Sprintf("%s/%s/%s", t.Key(), collectorName, plan)
 	if variant != "" {
 		key += "|" + variant
@@ -269,11 +255,11 @@ func (s *Session) runVariant(t Target, collectorName string, plan core.PlanKind,
 		var profile *analyzer.Profile
 		switch plan {
 		case core.PlanPOLM2:
-			pr, err := s.profileVariant(t, variant, mutate)
+			var err error
+			profile, err = s.analyzed(t, opts)
 			if err != nil {
 				return nil, err
 			}
-			profile = pr.Profile
 		case core.PlanManual:
 			var err error
 			profile, err = t.App.ManualProfile(t.Workload)
@@ -341,27 +327,25 @@ func (s *Session) runsOf(targets []Target, setups func(Target) []setup) ([][]*co
 
 // experiment is one runnable table, figure or ablation.
 type experiment struct {
-	name string
-	// jmap marks the experiments that read jmap comparison profiles.
-	jmap   bool
+	name   string
 	render func(*Session, io.Writer) error
 }
 
 // experiments lists the runnable experiments in paper order.
 var experiments = []experiment{
-	{"table1", false, (*Session).Table1},
-	{"fig3", true, (*Session).Figure3},
-	{"fig4", true, (*Session).Figure4},
-	{"fig5", false, (*Session).Figure5},
-	{"fig6", false, (*Session).Figure6},
-	{"fig7", false, (*Session).Figure7},
-	{"fig8", false, (*Session).Figure8},
-	{"fig9", false, (*Session).Figure9},
-	{"ablation-dump", false, (*Session).AblationDump},
-	{"ablation-conflict", false, (*Session).AblationConflict},
-	{"ablation-hoist", false, (*Session).AblationHoist},
-	{"ablation-estimator", false, (*Session).AblationEstimator},
-	{"ablation-cadence", false, (*Session).AblationCadence},
+	{"table1", (*Session).Table1},
+	{"fig3", (*Session).Figure3},
+	{"fig4", (*Session).Figure4},
+	{"fig5", (*Session).Figure5},
+	{"fig6", (*Session).Figure6},
+	{"fig7", (*Session).Figure7},
+	{"fig8", (*Session).Figure8},
+	{"fig9", (*Session).Figure9},
+	{"ablation-dump", (*Session).AblationDump},
+	{"ablation-conflict", (*Session).AblationConflict},
+	{"ablation-hoist", (*Session).AblationHoist},
+	{"ablation-estimator", (*Session).AblationEstimator},
+	{"ablation-cadence", (*Session).AblationCadence},
 }
 
 // ExperimentNames lists the runnable experiments in paper order.

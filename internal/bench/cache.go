@@ -52,12 +52,3 @@ func (c *memo[V]) get(key string, compute func() (V, error)) (V, error) {
 	}
 	return e.val, e.err
 }
-
-// fill stores val under key if no computation for the key has started yet.
-// The session uses it to share one result between two caches whose entries
-// are known to be equivalent (a comparison profile also serves as the plain
-// profile of the same target).
-func (c *memo[V]) fill(key string, val V) {
-	e := c.entry(key)
-	e.once.Do(func() { e.val = val })
-}

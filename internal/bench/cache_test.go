@@ -65,28 +65,6 @@ func TestMemoDistinctKeys(t *testing.T) {
 	}
 }
 
-func TestMemoFill(t *testing.T) {
-	var c memo[int]
-	c.fill("k", 7)
-	v, err := c.get("k", func() (int, error) {
-		t.Fatal("compute ran for a filled key")
-		return 0, nil
-	})
-	if err != nil || v != 7 {
-		t.Fatalf("got %d, %v", v, err)
-	}
-
-	// fill after a computation is a no-op.
-	var d memo[int]
-	if v, _ := d.get("k", func() (int, error) { return 1, nil }); v != 1 {
-		t.Fatal("compute result lost")
-	}
-	d.fill("k", 2)
-	if v, _ := d.get("k", nil); v != 1 {
-		t.Fatal("fill overwrote a computed value")
-	}
-}
-
 // TestMemoNestedGet ensures a compute function may fetch another key from
 // the same memo — the Run cache computes profiles through the profile
 // cache this way.

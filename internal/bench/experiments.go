@@ -47,11 +47,11 @@ func (s *Session) Table1(w io.Writer) error {
 	return nil
 }
 
-// snapshotPairs aligns the first n CRIU/jmap snapshot pairs of a comparison
-// profiling run.
+// snapshotPairs aligns the first n CRIU snapshots of a profiling run with
+// their jmap baselines.
 func snapshotPairs(res *core.ProfileResult, n int) [][2]*snapshot.Snapshot {
 	var out [][2]*snapshot.Snapshot
-	for i := 0; i < len(res.Snapshots) && i < len(res.JmapSnapshots) && i < n; i++ {
+	for i := range min(n, len(res.Snapshots)) {
 		out = append(out, [2]*snapshot.Snapshot{res.Snapshots[i], res.JmapSnapshots[i]})
 	}
 	return out
@@ -63,7 +63,7 @@ func (s *Session) figure34(w io.Writer, title, unit string, metric func(*snapsho
 	fmt.Fprintln(w, paperNote)
 	fmt.Fprintf(w, "%-14s %-10s %-14s %-14s %-10s\n", "Workload", "Snapshots", "Dumper(avg)", "jmap(avg)", "Ratio")
 	targets := Targets()
-	profs, err := fetchAll(s, len(targets), func(i int) (*core.ProfileResult, error) { return s.ProfileWithJmap(targets[i]) })
+	profs, err := fetchAll(s, len(targets), func(i int) (*core.ProfileResult, error) { return s.Profile(targets[i]) })
 	if err != nil {
 		return err
 	}

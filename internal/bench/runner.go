@@ -74,12 +74,8 @@ var errStopped = errors.New("bench: stopped after an earlier failure")
 
 // experimentRun is the state of one RunExperiments call.
 type experimentRun struct {
-	slots chan struct{} // one token per simulation in flight
-	stop  chan struct{} // closed by the first failure
-	// jmap is set when a requested experiment reads jmap comparison
-	// profiles: every default-profile fetch then takes the comparison
-	// dumps, so one simulation serves both profile caches.
-	jmap     bool
+	slots    chan struct{} // one token per simulation in flight
+	stop     chan struct{} // closed by the first failure
 	progress func(line string)
 
 	mu    sync.Mutex // guards err and units, and serializes progress
@@ -186,7 +182,6 @@ func (s *Session) RunExperiments(names []string, w io.Writer, opts ParallelOptio
 			return nil, err
 		}
 		exps[i] = e
-		r.jmap = r.jmap || e.jmap
 	}
 	workers := max(opts.Workers, 1)
 	r.slots = make(chan struct{}, workers)

@@ -104,7 +104,7 @@ func TestRunExperimentsDeterministic(t *testing.T) {
 }
 
 // TestSessionStressAllSetupsInFlight fetches every (target, collector,
-// plan) setup plus every profile flavor from one session concurrently —
+// plan) setup plus every default profile from one session concurrently —
 // far more than a RunExperiments call's worker slots would run at once —
 // to give the race detector something to chew on and to check that
 // single-flight caching returns one canonical result per key.
@@ -120,10 +120,7 @@ func TestSessionStressAllSetupsInFlight(t *testing.T) {
 	var fetches []fetch
 	for _, t2 := range Targets() {
 		t2 := t2
-		fetches = append(fetches,
-			fetch{"profile:" + t2.Key(), func() (any, error) { return s.Profile(t2) }},
-			fetch{"compare:" + t2.Key(), func() (any, error) { return s.ProfileWithJmap(t2) }},
-		)
+		fetches = append(fetches, fetch{"profile:" + t2.Key(), func() (any, error) { return s.Profile(t2) }})
 		setups := []struct {
 			collector string
 			plan      core.PlanKind

@@ -87,3 +87,46 @@ func TestTraceOffByDefault(t *testing.T) {
 		t.Fatalf("untraced session wrote %d trace bytes", buf.Len())
 	}
 }
+
+// TestFigure3ProfilesAreTracedAndFaulted renders fig3 alone under a traced,
+// fault-injected session. Figures 3 and 4 read the targets' default
+// profiles, so each of the six profiling runs must be a traced unit and
+// must have analyzed its damaged artifacts in salvage mode.
+func TestFigure3ProfilesAreTracedAndFaulted(t *testing.T) {
+	if testing.Short() {
+		t.Skip("traced experiment run in -short mode")
+	}
+	cfg := tinyConfig()
+	cfg.Trace = true
+	cfg.FaultSpec = "seed=7;torn:site-*.bin"
+	s := NewSession(cfg)
+	if _, err := s.RunExperiments([]string{"fig3"}, io.Discard, ParallelOptions{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := s.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := trace.Decode(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced := make(map[string]bool)
+	for _, r := range recs {
+		if r.Comp == "bench" && r.Name == "unit" {
+			traced[r.Str("kind")+":"+r.Str("key")] = true
+		}
+	}
+	for _, target := range Targets() {
+		if key := "profile:" + target.Key(); !traced[key] {
+			t.Errorf("fig3's trace has no unit %s (traced: %v)", key, traced)
+		}
+		res, err := s.Profile(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Salvage == nil {
+			t.Errorf("%s: fig3's profile ran without the session's faults", target.Key())
+		}
+	}
+}

@@ -5,8 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"polm2/internal/dumper"
 	"polm2/internal/gc"
 	"polm2/internal/simclock"
+	"polm2/internal/snapshot"
 )
 
 func TestScaledGeometry(t *testing.T) {
@@ -158,5 +160,30 @@ func TestProfileAppRemovesItsTempRecords(t *testing.T) {
 	}
 	if res.Profile == nil || len(res.Profile.Sites) == 0 {
 		t.Fatal("profile is empty: the records were removed before the analysis read them")
+	}
+}
+
+// A snapshot the collector logged no pause for cannot be priced: the jmap
+// baseline refuses it rather than report a dump of zero live objects.
+func TestJmapBaselineNeedsThePauseOfEachCycle(t *testing.T) {
+	cost := dumper.DefaultCostModel()
+	pauses := []gc.Pause{{Cycle: 1, LiveObjects: 10, LiveBytes: 640}, {Cycle: 3, LiveObjects: 4, LiveBytes: 256}}
+	snaps := []*snapshot.Snapshot{
+		{Seq: 1, Cycle: 1, TakenAt: time.Second, Duration: time.Millisecond},
+		{Seq: 2, Cycle: 3, TakenAt: 3 * time.Second, Duration: time.Millisecond},
+	}
+	got, err := jmapBaseline(snaps, pauses, cost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size, dur := cost.JmapDump(4, 256)
+	if j := got[1]; j.Seq != 2 || j.Cycle != 3 || j.TakenAt != 3*time.Second+time.Millisecond || j.SizeBytes != size || j.Duration != dur {
+		t.Fatalf("jmap baseline of cycle 3 = %+v, want size %d, duration %v at %v", *j, size, dur, 3*time.Second+time.Millisecond)
+	}
+	for _, missing := range []uint64{2, 4} {
+		bad := append(snaps[:1:1], &snapshot.Snapshot{Seq: 2, Cycle: missing})
+		if got, err := jmapBaseline(bad, pauses, cost); err == nil {
+			t.Fatalf("snapshot of cycle %d without its pause priced as %+v", missing, *got[1])
+		}
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"polm2/internal/analyzer"
+	"polm2/internal/apps/cassandra"
+	"polm2/internal/apps/graphchi"
 	"polm2/internal/apps/lucene"
 	"polm2/internal/core"
 	"polm2/internal/snapshot"
@@ -16,7 +18,13 @@ import (
 // Analyzer to each other: the profile it folded from the images as the
 // dumper took them must equal, as JSON byte for byte, Analyze over the
 // images it persisted, read back with snapshot.ReadDir. It runs on the
-// stub application and on one real target.
+// stub application and on four real targets.
+//
+// It also pins what the benchmark's analysis ablations rely on: the
+// Analyzer is a pure function of the site evidence a profile carries, so
+// re-synthesizing the profile under each ablation's options
+// (analyzer.MergeProfiles) equals analyzing the persisted artifacts under
+// them.
 func TestProfileAppPersistsSnapshots(t *testing.T) {
 	for _, tc := range []struct {
 		app      core.App
@@ -25,8 +33,15 @@ func TestProfileAppPersistsSnapshots(t *testing.T) {
 	}{
 		{core.StubApp, "w", 3 * time.Minute},
 		{lucene.New(), lucene.Workload, 2 * time.Minute},
+		{cassandra.New(), cassandra.WorkloadWI, 2 * time.Minute},
+		{cassandra.New(), cassandra.WorkloadRI, 2 * time.Minute},
+		{graphchi.New(), graphchi.WorkloadPR, 2 * time.Minute},
 	} {
-		t.Run(tc.app.Name(), func(t *testing.T) {
+		name := tc.app.Name()
+		if len(tc.app.Workloads()) > 1 {
+			name += "-" + tc.workload
+		}
+		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			res, err := core.ProfileApp(tc.app, tc.workload, core.ProfileOptions{
 				Duration:    tc.duration,
@@ -66,6 +81,32 @@ func TestProfileAppPersistsSnapshots(t *testing.T) {
 			}
 			if res.Profile.InstrumentedSites() == 0 {
 				t.Fatalf("degenerate run: %s/%s instrumented nothing", tc.app.Name(), tc.workload)
+			}
+			for _, opts := range []analyzer.Options{
+				{DisableConflictResolution: true},
+				{DisableHoisting: true},
+				{Estimator: analyzer.EstimatorP90},
+			} {
+				opts.App, opts.Workload = tc.app.Name(), tc.workload
+				merged, err := analyzer.MergeProfiles(opts, res.Profile)
+				if err != nil {
+					t.Fatal(err)
+				}
+				analyzed, err := analyzer.Analyze(res.RecordsDir, loaded, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := json.Marshal(merged)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := json.Marshal(analyzed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%+v: re-synthesized profile diverged from the analysis:\nre-synthesized %s\nanalyzed       %s", opts, got, want)
+				}
 			}
 		})
 	}

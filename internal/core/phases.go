@@ -31,8 +31,6 @@ type ProfileOptions struct {
 	Seed int64
 	// SnapshotEvery takes a snapshot every k-th GC cycle. Default 1.
 	SnapshotEvery int
-	// Analyzer tunes the Analyzer.
-	Analyzer analyzer.Options
 	// RecordsDir receives the allocation records. When empty they go to a
 	// temporary directory that is removed once the analysis has read them.
 	RecordsDir string
@@ -40,9 +38,6 @@ type ProfileOptions struct {
 	// image (snap-NNNNNN.img) so the Analyzer can be re-run off-line
 	// from the images alone (polm2-inspect snapshots <dir>).
 	SnapshotDir string
-	// CompareJmap additionally takes a jmap-style dump at every snapshot
-	// point, for the Figure 3/4 comparison.
-	CompareJmap bool
 	// Dump carries the CRIU ablation toggles.
 	DumpDisableNoNeed      bool
 	DumpDisableIncremental bool
@@ -79,7 +74,13 @@ type ProfileResult struct {
 	// into the analysis as they were taken and, with a SnapshotDir, persisted
 	// there.
 	Snapshots []*snapshot.Snapshot
-	// JmapSnapshots are the baseline dumps (when CompareJmap was set).
+	// JmapSnapshots are the jmap baseline of Figures 3 and 4, one per
+	// entry of Snapshots: what a jmap dump would have cost at the same
+	// point, priced by dumper.CostModel.JmapDump from the live totals of
+	// the collection of the snapshot's Cycle (gc.Pause.LiveObjects and
+	// LiveBytes). Seq and Cycle are the snapshot's, and TakenAt is the
+	// instant its CRIU dump ended. No jmap dump is taken, so the baseline
+	// costs the simulation nothing.
 	JmapSnapshots []*snapshot.Snapshot
 	// RecordsDir is where the allocation records were written: the
 	// caller's ProfileOptions.RecordsDir, "" when they went to a temporary
@@ -99,6 +100,7 @@ type ProfileResult struct {
 // with the Recorder streaming allocation records and the Dumper taking a
 // snapshot after every GC cycle, which the Analyzer's replay folds as it is
 // taken; once the recording closes, the replay finishes into the profile.
+// The jmap baseline is priced from the collector's pauses (JmapSnapshots).
 func ProfileApp(app App, workloadName string, opts ProfileOptions) (*ProfileResult, error) {
 	opts = opts.withDefaults()
 	clock := simclock.New()
@@ -142,14 +144,8 @@ func ProfileApp(app App, workloadName string, opts ProfileOptions) (*ProfileResu
 		dumpCfg.Images = replay
 	}
 	criu := dumper.New(vm.Heap(), clock, dumpCfg)
-	var sink recorder.SnapshotSink = criu
-	var jmap *dumper.Jmap
-	if opts.CompareJmap {
-		jmap = dumper.NewJmap(vm.Heap(), clock, dumpCost)
-		sink = dumper.NewTee(criu, jmap)
-	}
 	rec, err := recorder.New(recorder.Config{Dir: recordsDir, SnapshotEvery: opts.SnapshotEvery, Fault: opts.Fault},
-		vm.Heap(), vm.Sites(), sink)
+		vm.Heap(), vm.Sites(), criu)
 	if err != nil {
 		return nil, err
 	}
@@ -169,9 +165,7 @@ func ProfileApp(app App, workloadName string, opts ProfileOptions) (*ProfileResu
 		return nil, err
 	}
 
-	aOpts := opts.Analyzer
-	aOpts.App = app.Name()
-	aOpts.Workload = workloadName
+	aOpts := analyzer.Options{App: app.Name(), Workload: workloadName}
 	var profile *analyzer.Profile
 	var report *analyzer.SalvageReport
 	switch {
@@ -186,16 +180,19 @@ func ProfileApp(app App, workloadName string, opts ProfileOptions) (*ProfileResu
 	if err != nil {
 		return nil, err
 	}
-	result := &ProfileResult{
-		Profile:     profile,
-		Snapshots:   criu.Snapshots(),
-		RecordsDir:  opts.RecordsDir,
-		Salvage:     report,
-		GCCycles:    col.Cycles(),
-		SimDuration: clock.Now(),
+	snaps, pauses := criu.Snapshots(), col.Pauses()
+	jmaps, err := jmapBaseline(snaps, pauses, dumpCost)
+	if err != nil {
+		return nil, err
 	}
-	if jmap != nil {
-		result.JmapSnapshots = jmap.Snapshots()
+	result := &ProfileResult{
+		Profile:       profile,
+		Snapshots:     snaps,
+		JmapSnapshots: jmaps,
+		RecordsDir:    opts.RecordsDir,
+		Salvage:       report,
+		GCCycles:      col.Cycles(),
+		SimDuration:   clock.Now(),
 	}
 	if opts.Tracer.Enabled() {
 		opts.Tracer.Span("core", "profile", 0, result.SimDuration,
@@ -204,9 +201,30 @@ func ProfileApp(app App, workloadName string, opts ProfileOptions) (*ProfileResu
 			trace.Uint64("gc_cycles", result.GCCycles),
 			trace.Int64("snapshots", int64(len(result.Snapshots))),
 			trace.Int64("instrumented_sites", int64(profile.InstrumentedSites())))
-		gc.TracePauses(opts.Tracer, ScaledCostModel(opts.Scale), col.Pauses())
+		gc.TracePauses(opts.Tracer, ScaledCostModel(opts.Scale), pauses)
 	}
 	return result, nil
+}
+
+// jmapBaseline prices a jmap dump at every snapshot from the live totals of
+// the collection that ended just before it (see
+// ProfileResult.JmapSnapshots). Both lists run in cycle order. A snapshot
+// whose cycle has no pause is an error, not a free dump.
+func jmapBaseline(snaps []*snapshot.Snapshot, pauses []gc.Pause, cost dumper.CostModel) ([]*snapshot.Snapshot, error) {
+	out := make([]*snapshot.Snapshot, len(snaps))
+	p := 0
+	for i, sn := range snaps {
+		for p < len(pauses) && pauses[p].Cycle < sn.Cycle {
+			p++
+		}
+		if p == len(pauses) || pauses[p].Cycle != sn.Cycle {
+			return nil, fmt.Errorf("core: snapshot %d: no pause of GC cycle %d to price its jmap baseline", sn.Seq, sn.Cycle)
+		}
+		j := &snapshot.Snapshot{Seq: sn.Seq, Cycle: sn.Cycle, TakenAt: sn.TakenAt + sn.Duration}
+		j.SizeBytes, j.Duration = cost.JmapDump(pauses[p].LiveObjects, pauses[p].LiveBytes)
+		out[i] = j
+	}
+	return out, nil
 }
 
 // PlanKind names how a production run was instrumented.

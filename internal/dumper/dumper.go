@@ -59,6 +59,15 @@ func DefaultCostModel() CostModel {
 	}
 }
 
+// JmapDump prices a jmap dump of a heap holding the given live objects and
+// bytes: the size of its hprof image and the time serializing it takes.
+// Jmap.Snapshot and core.ProfileApp's pause-derived baseline both call it.
+func (m CostModel) JmapDump(objects int, bytes uint64) (size uint64, d time.Duration) {
+	size = bytes + uint64(objects)*m.JmapObjectHeaderBytes
+	d = m.JmapBase + time.Duration(bytes)*m.JmapPerLiveByte + time.Duration(objects)*m.JmapPerObject
+	return size, d
+}
+
 // Config parameterizes a CRIU-style Dumper.
 type Config struct {
 	// Cost is the dump cost model. Zero value means DefaultCostModel.
@@ -202,7 +211,9 @@ func (d *Dumper) Snapshots() []*snapshot.Snapshot {
 // traces the heap itself and charges the serialization of every live
 // object. Its snapshots carry only the modeled SizeBytes and Duration, no
 // pages. It implements recorder.SnapshotSink so either dumper can drive
-// the same pipeline.
+// the same pipeline. core.ProfileApp prices its baseline from the
+// collector's own trace instead; Jmap is the reference that pricing is
+// tested against.
 type Jmap struct {
 	h     *heap.Heap
 	clock *simclock.Clock
@@ -224,10 +235,7 @@ func (j *Jmap) Snapshot(cycle uint64) error {
 	j.seq++
 	live := j.h.Trace()
 	snap := &snapshot.Snapshot{Seq: j.seq, Cycle: cycle, TakenAt: j.clock.Now()}
-	snap.SizeBytes = live.Bytes + uint64(live.Objects)*j.cost.JmapObjectHeaderBytes
-	snap.Duration = j.cost.JmapBase +
-		time.Duration(live.Bytes)*j.cost.JmapPerLiveByte +
-		time.Duration(live.Objects)*j.cost.JmapPerObject
+	snap.SizeBytes, snap.Duration = j.cost.JmapDump(live.Objects, live.Bytes)
 	j.snaps = append(j.snaps, snap)
 	return nil
 }
@@ -239,9 +247,10 @@ func (j *Jmap) Snapshots() []*snapshot.Snapshot {
 	return out
 }
 
-// Tee fans one snapshot request out to several sinks, so the comparison
-// experiments can take a CRIU-style and a jmap-style dump of the identical
-// heap state after the same GC cycle.
+// Tee fans one snapshot request out to several sinks, so a CRIU-style and
+// a jmap-style dump can be taken of the identical heap state after the same
+// GC cycle. The profiling phase does not use it: tests wire one to hold
+// Jmap against the pause-derived baseline.
 type Tee struct {
 	sinks []Sink
 }

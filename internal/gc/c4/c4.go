@@ -189,6 +189,8 @@ func (c *Collector) cycle() error {
 		ObjectsCopied:    cursor.Objects(),
 		RegionsCollected: examined,
 		RegionsFreed:     freed,
+		LiveObjects:      live.Objects,
+		LiveBytes:        live.Bytes,
 	})
 	for _, fn := range c.listeners {
 		fn(c.cycles, live)

@@ -74,6 +74,12 @@ type Pause struct {
 	// the en-masse promotion the paper identifies as the root cause of
 	// long pauses (§1).
 	PromotedBytes uint64
+	// LiveObjects and LiveBytes are the reachable objects and their total
+	// size that the collection's trace counted: the heap's live set when
+	// the cycle ended. The jmap baseline of Figures 3 and 4 is priced from
+	// them (core.ProfileApp). TracePauses does not emit them.
+	LiveObjects int
+	LiveBytes   uint64
 }
 
 // CostModel converts collection work into simulated pause time. The

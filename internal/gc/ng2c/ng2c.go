@@ -509,6 +509,8 @@ func (c *Collector) collect() error {
 		RegionsCollected: len(cs) + len(emptyCS),
 		RegionsFreed:     freed,
 		PromotedBytes:    promotedBytes,
+		LiveObjects:      live.Objects,
+		LiveBytes:        live.Bytes,
 	})
 	c.armMixedIfNeeded()
 	c.pressureArmed = true
@@ -584,6 +586,8 @@ func (c *Collector) fullCollect() error {
 		ObjectsCopied:    copiedObjects,
 		RegionsCollected: len(regions),
 		RegionsFreed:     len(regions),
+		LiveObjects:      live.Objects,
+		LiveBytes:        live.Bytes,
 	})
 	c.armMixedIfNeeded()
 	c.notify(live)

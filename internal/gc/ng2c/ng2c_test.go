@@ -243,6 +243,45 @@ func TestFullCollectPreservesGenerations(t *testing.T) {
 	}
 }
 
+// A full collection's pause records the live totals its trace counted.
+// Pretenured garbage fills the heap without a young collection to reclaim
+// it, which forces the full collection; the one live object is humongous,
+// so the collection sweeps it in place and needs no free region to copy
+// into.
+func TestFullCollectRecordsLiveTotals(t *testing.T) {
+	cfg := testConfig()
+	cfg.Heap.MaxBytes = 12 * 16 * 1024
+	cfg.YoungBytes = 4 * 16 * 1024
+	c, err := New(simclock.New(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := c.NewGeneration()
+	big, err := c.Allocate(10*1024, 1, gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Heap().PinRoot(big)
+	for i := 0; i < 1000; i++ {
+		if _, err := c.Allocate(512, 1, gen); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fulls := 0
+	for _, p := range c.Pauses() {
+		if p.Kind != gc.PauseFull {
+			continue
+		}
+		fulls++
+		if p.LiveObjects != 1 || p.LiveBytes != 10*1024 {
+			t.Fatalf("full pause of cycle %d records %d live objects (%d B), want 1 (10240 B)", p.Cycle, p.LiveObjects, p.LiveBytes)
+		}
+	}
+	if fulls == 0 {
+		t.Fatal("heap pressure did not force a full collection")
+	}
+}
+
 func TestYoungPathMatchesG1Semantics(t *testing.T) {
 	c := newCollector(t)
 	h := c.Heap()

@@ -39,13 +39,19 @@ func collectors(t *testing.T) map[string]gc.Collector {
 }
 
 // checkEveryCycle runs the heap's remembered-set and page-table checkers
-// and heap.Verify after every collection of col and returns the number of
-// collections checked so far.
+// and heap.Verify after every collection of col, checks that the cycle's
+// pause records the live totals its trace counted, and returns the number
+// of collections checked so far.
 func checkEveryCycle(t *testing.T, name string, col gc.Collector) *int {
 	t.Helper()
 	h := col.Heap()
 	checked := new(int)
-	col.OnCycleEnd(func(cycle uint64, _ *heap.LiveSet) {
+	col.OnCycleEnd(func(cycle uint64, live *heap.LiveSet) {
+		pauses := col.Pauses()
+		if p := pauses[len(pauses)-1]; p.Cycle != cycle || p.LiveObjects != live.Objects || p.LiveBytes != live.Bytes {
+			t.Fatalf("%s: cycle %d: %s pause of cycle %d records %d live objects (%d B), the trace counted %d (%d B)",
+				name, cycle, p.Kind, p.Cycle, p.LiveObjects, p.LiveBytes, live.Objects, live.Bytes)
+		}
 		if bad := h.CheckRemsetInvariant(); len(bad) != 0 {
 			t.Fatalf("%s: cycle %d: remset invariant broken in %v", name, cycle, bad)
 		}

@@ -87,9 +87,6 @@ func TestSiteTableInterning(t *testing.T) {
 	if got := st.Intern(tr1.Clone()); got != id1 {
 		t.Fatal("re-interning a trace changed its id")
 	}
-	if st.Lookup(tr2) != id2 {
-		t.Fatal("Lookup failed")
-	}
 	if st.Trace(id1).String() != tr1.String() {
 		t.Fatal("Trace returned wrong trace")
 	}
@@ -98,10 +95,6 @@ func TestSiteTableInterning(t *testing.T) {
 	}
 	if st.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", st.Len())
-	}
-	leaves := st.DistinctLeaves()
-	if len(leaves) != 1 || leaves[0] != (CodeLoc{Class: "B", Method: "n", Line: 2}) {
-		t.Fatalf("DistinctLeaves = %v", leaves)
 	}
 }
 

@@ -1,11 +1,6 @@
 package jvm
 
-import (
-	"sort"
-	"strings"
-
-	"polm2/internal/heap"
-)
+import "polm2/internal/heap"
 
 // SiteTable interns allocation stack traces into heap.SiteIDs. The Recorder
 // persists the table once per profiling run (§3.2: "allocation stack traces
@@ -55,11 +50,6 @@ func (t *SiteTable) Intern(trace StackTrace) heap.SiteID {
 	return id
 }
 
-// Lookup returns the id of an already interned trace, or zero.
-func (t *SiteTable) Lookup(trace StackTrace) heap.SiteID {
-	return t.byKey[trace.String()]
-}
-
 // Trace returns the stack trace for an id, or nil for an unknown id.
 func (t *SiteTable) Trace(id heap.SiteID) StackTrace {
 	if id == 0 || int(id) > len(t.traces) {
@@ -84,22 +74,4 @@ func (t *SiteTable) All() []SiteEntry {
 type SiteEntry struct {
 	ID    heap.SiteID
 	Trace StackTrace
-}
-
-// DistinctLeaves returns the distinct leaf code locations across all
-// interned traces, sorted by their string form. Several traces may share a
-// leaf — that is exactly the conflict situation of the paper's §3.3.
-func (t *SiteTable) DistinctLeaves() []CodeLoc {
-	seen := make(map[CodeLoc]struct{})
-	for _, tr := range t.traces {
-		seen[tr.Leaf()] = struct{}{}
-	}
-	out := make([]CodeLoc, 0, len(seen))
-	for l := range seen {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return strings.Compare(out[i].String(), out[j].String()) < 0
-	})
-	return out
 }

@@ -53,8 +53,6 @@ type Options struct {
 	Reprofile time.Duration
 	// Seed drives the workload randomness. Default 1.
 	Seed int64
-	// Analyzer tunes the Analyzer for every re-analysis.
-	Analyzer analyzer.Options
 	// RecordsDir receives allocation records and is created if missing;
 	// when empty, a temporary directory that is removed when the run ends.
 	RecordsDir string
@@ -337,14 +335,11 @@ func Run(app core.App, workloadName string, opts Options) (*Result, error) {
 			analyzeErr = err
 			return
 		}
-		aOpts := opts.Analyzer
-		aOpts.App = app.Name()
-		aOpts.Workload = workloadName
 		// Live streams have no commit trailer yet, so re-analysis always
 		// goes through the salvage decoder. A damaged recording keeps the
 		// previous plan — instrumenting from partial evidence mid-run is
 		// worse than staying the course — and the run continues.
-		profile, report, err := replay.FinishSalvage(recordsDir, aOpts)
+		profile, report, err := replay.FinishSalvage(recordsDir, analyzer.Options{App: app.Name(), Workload: workloadName})
 		if err != nil {
 			result.Salvages = append(result.Salvages, SalvageEvent{At: clock.Now(), Err: err.Error()})
 			if opts.Tracer.Enabled() {
