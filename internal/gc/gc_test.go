@@ -133,7 +133,9 @@ func TestSweepAndEvacuateAndFree(t *testing.T) {
 // TestLiveResidentsDeterministicOrder pins the evacuation order: live
 // residents ascend by the identity hash of their ids (heap.IDOf), neither
 // by id (allocation order) nor by any other key. Placement follows this
-// order, so a change here moves every pause and output.
+// order, so a change here moves every pause and output. The order is read
+// off the destination region's resident list, which lists the evacuated
+// objects in placement order.
 func TestLiveResidentsDeterministicOrder(t *testing.T) {
 	h := newHeap(t)
 	r, err := h.NewRegion(heap.Young)
@@ -154,22 +156,20 @@ func TestLiveResidentsDeterministicOrder(t *testing.T) {
 		}
 	}
 	live := h.Trace()
+	dst, err := h.NewRegion(heap.GenID(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := EvacuateAndFree(h, r, live, func(obj *heap.Object) error { return h.Evacuate(obj, dst) }); err != nil {
+		t.Fatal(err)
+	}
 	want := []heap.ObjectID{18, 3, 11, 16, 7, 14, 4, 17, 1, 12, 2, 8, 9, 19, 6, 13}
-	// LiveResidents returns the heap's scratch buffer, so the first result
-	// must be copied before the second call.
-	a := slices.Clone(LiveResidents(h, r, live))
-	b := LiveResidents(h, r, live)
-	for _, res := range [][]heap.KeyedObject{a, b} {
-		var got []heap.ObjectID
-		for _, k := range res {
-			if k.Key != uint64(heap.IDOf(uint64(k.Obj.ID))) {
-				t.Fatalf("%v keyed %#x, not by heap.IDOf", k.Obj, k.Key)
-			}
-			got = append(got, k.Obj.ID)
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("LiveResidents order %v, want %v", got, want)
-		}
+	var got []heap.ObjectID
+	for obj := dst.FirstResident(); obj != nil; obj = obj.NextResident() {
+		got = append(got, obj.ID)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("evacuation order %v, want %v", got, want)
 	}
 }
 

@@ -542,18 +542,25 @@ func (c *Collector) fullCollect() error {
 		}
 		return cur.Place(obj)
 	}
+	// A full collection runs when no region is left to commit, so the
+	// copying needs room first: sweep every region and free the ones left
+	// empty, then evacuate the rest. The sweep removes the dead in the
+	// order evacuating region by region would have.
 	var keptHumongous []*heap.Region
+	evacuate := regions[:0]
 	for _, r := range regions {
-		if c.humongous[r.ID()] {
-			gc.SweepRegion(c.h, r, live)
-			if r.ResidentCount() == 0 {
-				c.h.FreeRegion(r)
-				delete(c.humongous, r.ID())
-			} else {
-				keptHumongous = append(keptHumongous, r)
-			}
-			continue
+		gc.SweepRegion(c.h, r, live)
+		switch {
+		case r.ResidentCount() == 0:
+			c.h.FreeRegion(r)
+			delete(c.humongous, r.ID())
+		case c.humongous[r.ID()]:
+			keptHumongous = append(keptHumongous, r)
+		default:
+			evacuate = append(evacuate, r)
 		}
+	}
+	for _, r := range evacuate {
 		if _, _, err := gc.EvacuateAndFree(c.h, r, live, place); err != nil {
 			return fmt.Errorf("ng2c: full collection: %w", err)
 		}

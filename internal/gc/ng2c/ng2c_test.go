@@ -208,6 +208,36 @@ func TestMixedCollectionCompactsWithinGeneration(t *testing.T) {
 	}
 }
 
+// checkHeap runs the heap's checkers after a collection.
+func checkHeap(t *testing.T, h *heap.Heap) {
+	t.Helper()
+	if bad := h.CheckRemsetInvariant(); len(bad) != 0 {
+		t.Fatalf("remset invariant broken in %v", bad)
+	}
+	if bad := h.CheckPageInvariant(); len(bad) != 0 {
+		t.Fatalf("page invariant broken in %v", bad)
+	}
+	if err := h.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// fullPauses counts the collector's full collections.
+func fullPauses(c *Collector) int {
+	n := 0
+	for _, p := range c.Pauses() {
+		if p.Kind == gc.PauseFull {
+			n++
+		}
+	}
+	return n
+}
+
+// A full collection keeps each surviving object's dynamic generation and
+// tenures young survivors to Old. Pretenured garbage fills the heap
+// without a young collection to reclaim it, which forces the full
+// collections; a rooted chain links the young survivor to the pretenured
+// one across regions.
 func TestFullCollectPreservesGenerations(t *testing.T) {
 	cfg := testConfig()
 	cfg.Heap.MaxBytes = 12 * 16 * 1024
@@ -217,30 +247,75 @@ func TestFullCollectPreservesGenerations(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := c.Heap()
-	gen := c.NewGeneration()
+	gen, garbage := c.NewGeneration(), c.NewGeneration()
 	pre, err := c.Allocate(512, 1, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.PinRoot(pre)
-	// Pressure the heap into a full collection.
+	young, err := c.Allocate(256, 2, heap.Young)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.PinRoot(young)
+	if err := h.Link(young.ID, pre.ID); err != nil {
+		t.Fatal(err)
+	}
+	c.OnCycleEnd(func(uint64, *heap.LiveSet) { checkHeap(t, h) })
 	for i := 0; i < 1000; i++ {
-		if _, err := c.Allocate(512, 1, heap.Young); err != nil {
-			t.Fatal(err)
+		if _, err := c.Allocate(512, 1, garbage); err != nil {
+			t.Fatalf("allocation %d: %v", i, err)
 		}
 	}
-	sawFull := false
-	for _, p := range c.Pauses() {
-		if p.Kind == gc.PauseFull {
-			sawFull = true
-		}
+	if fullPauses(c) == 0 {
+		t.Fatal("heap pressure did not force a full collection")
 	}
-	if !sawFull {
-		t.Skip("heap pressure did not force a full collection at this geometry")
+	if pre.Region() == nil || young.Region() == nil {
+		t.Fatal("full GC lost a live object")
 	}
 	if pre.Gen() != gen {
 		t.Fatalf("full GC moved pretenured object to gen %d, want %d", pre.Gen(), gen)
 	}
+	if young.Gen() != Old {
+		t.Fatalf("full GC left young survivor in gen %d, want Old", young.Gen())
+	}
+	if young.RefCount(pre) != 1 {
+		t.Fatal("full GC lost the survivors' edge")
+	}
+}
+
+// A full collection copies into regions it must first make free: with one
+// small pretenured object live in the first region and pretenured garbage
+// filling every other one, evacuating region by region before sweeping
+// ran out of memory at the first full collection (allocation 383).
+func TestFullCollectFreesRoomBeforeEvacuating(t *testing.T) {
+	cfg := testConfig()
+	cfg.Heap.MaxBytes = 12 * 16 * 1024
+	cfg.YoungBytes = 4 * 16 * 1024
+	c, err := New(simclock.New(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := c.Heap()
+	gen := c.NewGeneration()
+	pinned, err := c.Allocate(512, 1, gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.PinRoot(pinned)
+	first := pinned.Region()
+	c.OnCycleEnd(func(uint64, *heap.LiveSet) { checkHeap(t, h) })
+	for i := 0; i < 2000; i++ {
+		if _, err := c.Allocate(512, 1, gen); err != nil {
+			t.Fatalf("allocation %d: %v", i, err)
+		}
+	}
+	if n := fullPauses(c); n < 2 {
+		t.Fatalf("%d full collections, want at least 2", n)
+	}
+	if !first.Freed() || pinned.Region() == nil || pinned.Gen() != gen {
+		t.Fatalf("pinned object not evacuated within its generation: %v", pinned)
+	}
+	checkHeap(t, h)
 }
 
 // A full collection's pause records the live totals its trace counted.

@@ -40,7 +40,8 @@ func collectors(t *testing.T) map[string]gc.Collector {
 
 // checkEveryCycle runs the heap's remembered-set and page-table checkers
 // and heap.Verify after every collection of col, checks that the cycle's
-// pause records the live totals its trace counted, and returns the number
+// pause records the live totals its trace counted and that every object of
+// its live set is still resident (heap.VerifyLive), and returns the number
 // of collections checked so far.
 func checkEveryCycle(t *testing.T, name string, col gc.Collector) *int {
 	t.Helper()
@@ -59,6 +60,9 @@ func checkEveryCycle(t *testing.T, name string, col gc.Collector) *int {
 			t.Fatalf("%s: cycle %d: page invariant broken in %v", name, cycle, bad)
 		}
 		if err := h.Verify(); err != nil {
+			t.Fatalf("%s: cycle %d: %v", name, cycle, err)
+		}
+		if err := h.VerifyLive(live); err != nil {
 			t.Fatalf("%s: cycle %d: %v", name, cycle, err)
 		}
 		*checked++

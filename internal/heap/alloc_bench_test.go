@@ -68,6 +68,36 @@ func BenchmarkMarkNoNeedPages(b *testing.B) {
 	}
 }
 
+// BenchmarkMarkNoNeedPagesWithGarbage runs the same pass over a heap where
+// two residents in five are dead, about Cassandra-WI's share at its
+// snapshots (0.82 M live of 1.35 M residents). The dead keep their edges
+// to live objects but nothing reaches them.
+func BenchmarkMarkNoNeedPagesWithGarbage(b *testing.B) {
+	h, objs := benchGraph(b, 10_000)
+	dead := func(i int) bool { return i%5 < 2 }
+	for i, obj := range objs {
+		if dead(i) {
+			h.UnpinRoot(obj)
+		}
+		for k := 1; k <= 2; k++ {
+			if i+k < len(objs) && dead(i+k) {
+				if err := h.Unlink(obj.ID, objs[i+k].ID); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	live := h.Trace()
+	if live.Objects != 6_000 {
+		b.Fatalf("live = %d", live.Objects)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.MarkNoNeedPages(live)
+	}
+}
+
 // BenchmarkLinkUnlink measures reference-field store churn: the mutator-side
 // hot path of every simulated workload.
 func BenchmarkLinkUnlink(b *testing.B) {

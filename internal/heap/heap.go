@@ -89,8 +89,8 @@ type Stats struct {
 // stores' overflow blocks (spill arrays and position indexes included)
 // through a second one, emptied chunks of the object index through a
 // third, freed regions donate their page-table bitsets to the next
-// committed region, and the tracer, the no-need marker and the page walk
-// reuse per-heap scratch buffers. No Go map is touched on the Allocate,
+// committed region, and the tracer, the evacuation staging and the page
+// walk reuse per-heap scratch buffers. No Go map is touched on the Allocate,
 // Remove, Link or Unlink paths.
 type Heap struct {
 	cfg Config
@@ -130,10 +130,9 @@ type Heap struct {
 	// traceQueue is the tracer's reusable BFS queue; the most recent
 	// LiveSet aliases it (a LiveSet is only valid until the next Trace).
 	traceQueue []*Object
-	// noNeedCov is MarkNoNeedPages' reusable coverage bitset.
-	noNeedCov bitset
-	// objScratch is the staging buffer exposed through ObjectScratch.
-	objScratch []KeyedObject
+	// evac is the collectors' evacuation staging exposed through
+	// EvacScratch.
+	evac EvacScratch
 	// pageHeaders is the buffer Pages hands each page's Headers in.
 	pageHeaders []*Object
 }
@@ -168,11 +167,19 @@ func (h *Heap) Stats() Stats {
 	}
 }
 
-// ObjectScratch exposes the heap's reusable keyed-object staging buffer.
-// Callers (the collectors' per-region evacuation staging) truncate, fill
-// and consume it within one operation; the contents are only valid until the
-// next use. Single-threaded like the heap itself.
-func (h *Heap) ObjectScratch() *[]KeyedObject { return &h.objScratch }
+// EvacScratch is the collectors' reusable staging for evacuating one
+// region (gc.EvacuateAndFree): the region's live residents keyed once
+// each, the second buffer and the bucket counts of the sort that orders
+// them. Callers truncate, fill and consume it within one operation; the
+// contents are only valid until the next use. Single-threaded like the
+// heap itself.
+type EvacScratch struct {
+	Keyed, Sorted []KeyedObject
+	Counts        []uint32
+}
+
+// EvacScratch exposes the heap's evacuation staging buffers.
+func (h *Heap) EvacScratch() *EvacScratch { return &h.evac }
 
 // KeyedObject pairs an object with a sort key computed once per object
 // rather than once per comparison.

@@ -31,6 +31,18 @@ func (b bitset) clearAll() {
 	}
 }
 
+// orNot sets each of the first n bits of b that is clear in c, a word at a
+// time.
+func (b bitset) orNot(c bitset, n uint32) {
+	for w := range b {
+		mask := ^uint64(0)
+		if rest := n - uint32(w)*64; rest < 64 {
+			mask = 1<<rest - 1
+		}
+		b[w] |= ^c[w] & mask
+	}
+}
+
 // any reports whether any bit is set.
 func (b bitset) any() bool {
 	for _, w := range b {
@@ -48,15 +60,18 @@ func (b bitset) any() bool {
 // collector for pages holding no reachable data and cleared as soon as the
 // page is written again. It holds no per-object state: which objects lie
 // on a page is read off the region's resident list when a dumper asks
-// (Heap.Pages), as CRIU reads page contents at dump time.
+// (Heap.Pages), as CRIU reads page contents at dump time. cover is
+// MarkNoNeedPages' scratch: the pages some live object's storage overlaps,
+// valid only during that call.
 type regionPages struct {
 	dirty  bitset
 	noNeed bitset
+	cover  bitset
 	n      uint32
 }
 
 func newRegionPages(n uint32) *regionPages {
-	return &regionPages{dirty: newBitset(n), noNeed: newBitset(n), n: n}
+	return &regionPages{dirty: newBitset(n), noNeed: newBitset(n), cover: newBitset(n), n: n}
 }
 
 // reset clears the page table for reuse by a fresh region, keeping the

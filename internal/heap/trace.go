@@ -120,31 +120,28 @@ func (h *Heap) Trace() *LiveSet {
 // that is not covered by any live object's storage. This is the paper's
 // §4.2 madvise pass the Recorder triggers before asking the Dumper for a
 // snapshot; the Dumper skips no-need pages entirely.
+//
+// It visits only the live objects, in the order the trace queued them, at
+// their current region and offset: the collection that traced live may
+// have evacuated them since, and it removed only unmarked objects, so each
+// one is still resident. Each region's cover bits collect the pages some
+// live object overlaps, and their complement is ORed into the no-need bits
+// a word at a time. Dead residents are never read.
 func (h *Heap) MarkNoNeedPages(live *LiveSet) {
 	for _, r := range h.active {
+		r.pages.cover.clearAll()
+	}
+	pageSize := h.cfg.PageSize
+	for _, obj := range live.objs {
+		cover := obj.region.pages.cover
+		first, last := obj.pageSpan(pageSize)
+		for i := first; i <= last; i++ {
+			cover.set(i)
+		}
+	}
+	for _, r := range h.active {
 		rp := r.pages
-		words := (rp.n + 63) / 64
-		cv := h.noNeedCov
-		if uint32(cap(cv)) < words {
-			cv = newBitset(rp.n)
-			h.noNeedCov = cv
-		}
-		cv = cv[:words]
-		cv.clearAll()
-		for obj := r.head; obj != nil; obj = obj.next {
-			if !live.Marked(obj) {
-				continue
-			}
-			first, last := obj.pageSpan(h.cfg.PageSize)
-			for i := first; i <= last && i < rp.n; i++ {
-				cv.set(i)
-			}
-		}
-		for i := uint32(0); i < rp.n; i++ {
-			if !cv.get(i) {
-				rp.noNeed.set(i)
-			}
-		}
+		rp.noNeed.orNot(rp.cover, rp.n)
 	}
 }
 

@@ -100,6 +100,21 @@ func (h *Heap) Verify() error {
 	return nil
 }
 
+// VerifyLive checks that every object live lists is still resident and
+// marked: in an active region, indexed at its id, and not recycled since
+// the trace. A collection removes only unmarked objects, so this holds at
+// the end of every cycle, and MarkNoNeedPages, which reads each live
+// object's current region, relies on it. It returns the first object that
+// breaks it, or nil.
+func (h *Heap) VerifyLive(live *LiveSet) error {
+	for _, obj := range live.objs {
+		if obj.region == nil || obj.region.freed || !live.Marked(obj) || h.objects.get(obj.ID) != obj {
+			return fmt.Errorf("heap: live %v is no longer resident", obj)
+		}
+	}
+	return nil
+}
+
 // verify checks the set's position index, if it has one, against its
 // spill.
 func (s *edgeSet) verify() error {
