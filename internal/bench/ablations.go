@@ -21,16 +21,6 @@ func targetByKey(key string) Target {
 	panic("bench: " + key + " missing from targets")
 }
 
-// variant is one dump or cadence ablation row: a profiling configuration
-// named for the caches (see profileVariant) and the options mutation that
-// makes it. Each ablation's baseline row is the paper configuration, the
-// empty variant: it shares the main matrix's default profile or run of the
-// same target, so only the deviating rows cost extra simulations.
-type variant struct {
-	label, name string
-	mutate      func(*core.ProfileOptions)
-}
-
 // analysis is one analysis ablation row: a name for the run cache and the
 // analyzer options the target's default profile is re-synthesized under
 // (see analyzed). Its baseline row, with zero options, is the default
@@ -38,13 +28,6 @@ type variant struct {
 type analysis struct {
 	label, name string
 	opts        analyzer.Options
-}
-
-// variantProfiles returns t's profile under every variant (see fetchAll).
-func (s *Session) variantProfiles(t Target, vs []variant) ([]*core.ProfileResult, error) {
-	return fetchAll(s, len(vs), func(i int) (*core.ProfileResult, error) {
-		return s.profileVariant(t, vs[i].name, vs[i].mutate)
-	})
 }
 
 // analysisRuns returns t's NG2C run under a POLM2 plan from every
@@ -55,39 +38,34 @@ func (s *Session) analysisRuns(t Target, as []analysis) ([]*core.RunResult, erro
 	})
 }
 
-// AblationDump toggles the Dumper's two snapshot optimizations (§3.2)
-// independently and reports time/size against the fully optimized dumper.
+// AblationDump prices the Dumper's two snapshot optimizations (§3.2) off,
+// one at a time and together, on the heap states the default profiling
+// run's dumps saw (core.ProfileResult.PageCounts): the rows differ only in
+// the pages a dump copies, not in operations a slower dump would have cost.
 func (s *Session) AblationDump(w io.Writer) error {
 	fmt.Fprintln(w, "=== Ablation: Dumper optimizations (Cassandra-WI, averages over first 20 snapshots) ===")
 	t := targetByKey(ablationTarget)
 	fmt.Fprintf(w, "%-28s %-14s %-14s\n", "Variant", "avg time(ms)", "avg size(MB)")
-	vs := []variant{
-		{label: "both optimizations (paper)"},
-		{"no no-need elision", "dump-noneed-off", func(o *core.ProfileOptions) { o.DumpDisableNoNeed = true }},
-		{"no incrementality", "dump-incremental-off", func(o *core.ProfileOptions) { o.DumpDisableIncremental = true }},
-		{"neither optimization", "dump-neither", func(o *core.ProfileOptions) {
-			o.DumpDisableNoNeed, o.DumpDisableIncremental = true, true
-		}},
-	}
-	profs, err := s.variantProfiles(t, vs)
+	prof, err := s.Profile(t)
 	if err != nil {
 		return fmt.Errorf("bench: dump ablation: %w", err)
 	}
-	for i, v := range vs {
-		snaps := profs[i].Snapshots
-		if len(snaps) > 20 {
-			snaps = snaps[:20]
+	counts := prof.PageCounts
+	if len(counts) > 20 {
+		counts = counts[:20]
+	}
+	cost, pageSize := core.ScaledDumpCostModel(s.cfg.Scale), core.ScaledGeometry(s.cfg.Scale).PageSize
+	var timeMS, sizeMB [4]float64
+	for _, c := range counts {
+		for i, pages := range [...]int{c.DirtyNeeded, c.Dirty, c.UsedNeeded, c.Used} {
+			size, d := cost.CRIUDump(pages, pageSize)
+			timeMS[i] += float64(d.Milliseconds())
+			sizeMB[i] += float64(size) / (1 << 20)
 		}
-		var timeMS, sizeMB float64
-		for _, sn := range snaps {
-			timeMS += float64(sn.Duration.Milliseconds())
-			sizeMB += float64(sn.SizeBytes) / (1 << 20)
-		}
-		n := float64(len(snaps))
-		if n == 0 {
-			n = 1
-		}
-		fmt.Fprintf(w, "%-28s %-14.1f %-14.2f\n", v.label, timeMS/n, sizeMB/n)
+	}
+	n := max(float64(len(counts)), 1)
+	for i, label := range []string{"both optimizations (paper)", "no no-need elision", "no incrementality", "neither optimization"} {
+		fmt.Fprintf(w, "%-28s %-14.1f %-14.2f\n", label, timeMS[i]/n, sizeMB[i]/n)
 	}
 	return nil
 }
@@ -178,11 +156,9 @@ func (s *Session) AblationCadence(w io.Writer) error {
 	t := targetByKey(ablationTarget)
 	fmt.Fprintf(w, "%-10s %-10s %-14s %-14s %-10s\n", "every k", "snapshots", "dump time(ms)", "instrumented", "gens")
 	every := []int{1, 2, 4}
-	vs := make([]variant, len(every))
-	for i, k := range every[1:] {
-		vs[i+1] = variant{name: fmt.Sprintf("cadence-%d", k), mutate: func(o *core.ProfileOptions) { o.SnapshotEvery = k }}
-	}
-	profs, err := s.variantProfiles(t, vs)
+	profs, err := fetchAll(s, len(every), func(i int) (*core.ProfileResult, error) {
+		return s.profileEvery(t, every[i])
+	})
 	if err != nil {
 		return fmt.Errorf("bench: cadence ablation: %w", err)
 	}

@@ -161,40 +161,26 @@ func (s *Session) WriteTrace(w io.Writer) error {
 	return nil
 }
 
-// profileSeed derives the RNG seed of target t's profiling run. Ablation
-// profile variants share it: each variant answers "same profiling run, one
-// knob changed".
-func (s *Session) profileSeed(t Target) int64 {
-	return core.DeriveSeed(s.cfg.Seed, "profile", t.Key())
-}
-
-// runSeed derives the RNG seed of a production run. Collector and plan are
-// part of the identity so the pause-time comparisons draw independent
-// workload streams.
-func (s *Session) runSeed(t Target, collectorName string, plan core.PlanKind) int64 {
-	return core.DeriveSeed(s.cfg.Seed, "run", t.Key(), collectorName, string(plan))
-}
-
 // Profile returns the (cached) POLM2 profiling result for a target.
 func (s *Session) Profile(t Target) (*core.ProfileResult, error) {
-	return s.profileVariant(t, "", nil)
+	return s.profileEvery(t, 1)
 }
 
-// profileVariant returns the (cached) profiling result for a target with
-// the given options mutation applied. The empty variant is the default
-// profile and takes no mutation; named variants are the dump and cadence
-// ablations' single-knob deviations from it, the ones that change the
-// simulation. All variants of a target share the target's profile seed.
-func (s *Session) profileVariant(t Target, variant string, mutate func(*core.ProfileOptions)) (*core.ProfileResult, error) {
+// profileEvery returns the (cached) profiling result for a target with a
+// snapshot after every k-th GC cycle. k = 1 is the default profile; the
+// cadence ablation's other k, cached as "<target>|cadence-<k>", share its
+// seed: each answers "same profiling run, one knob changed".
+func (s *Session) profileEvery(t Target, k int) (*core.ProfileResult, error) {
 	key := t.Key()
-	if variant != "" {
-		key += "|" + variant
+	if k != 1 {
+		key += fmt.Sprintf("|cadence-%d", k)
 	}
 	return s.profiles.get(key, func() (*core.ProfileResult, error) {
 		opts := core.ProfileOptions{
-			Scale:    s.cfg.Scale,
-			Duration: s.cfg.ProfileDuration,
-			Seed:     s.profileSeed(t),
+			Scale:         s.cfg.Scale,
+			Duration:      s.cfg.ProfileDuration,
+			Seed:          core.DeriveSeed(s.cfg.Seed, "profile", t.Key()),
+			SnapshotEvery: k,
 		}
 		if s.cfg.FaultSpec != "" {
 			plan, err := faultio.ParseSpec(s.cfg.FaultSpec)
@@ -204,9 +190,6 @@ func (s *Session) profileVariant(t Target, variant string, mutate func(*core.Pro
 			// Each profiling run gets its own injector: the crash
 			// fault's syscall clock is per-run state.
 			opts.Fault = faultio.New(plan)
-		}
-		if mutate != nil {
-			mutate(&opts)
 		}
 		tr, done := s.traceUnit("profile", key)
 		opts.Tracer = tr
@@ -245,7 +228,9 @@ func (s *Session) Run(t Target, collectorName string, plan core.PlanKind) (*core
 // runVariant returns the (cached) production run for a setup, its POLM2
 // plan the target's default profile analyzed under opts (see analyzed) —
 // the analysis ablations'. The empty variant, with zero options, runs the
-// default profile. All variants of a setup share the setup's run seed.
+// default profile. All variants of a setup share the setup's run seed,
+// whose identity includes collector and plan so the pause-time comparisons
+// draw independent workload streams.
 func (s *Session) runVariant(t Target, collectorName string, plan core.PlanKind, variant string, opts analyzer.Options) (*core.RunResult, error) {
 	key := fmt.Sprintf("%s/%s/%s", t.Key(), collectorName, plan)
 	if variant != "" {
@@ -277,7 +262,7 @@ func (s *Session) runVariant(t Target, collectorName string, plan core.PlanKind,
 				Scale:    s.cfg.Scale,
 				Duration: s.cfg.RunDuration,
 				Warmup:   s.cfg.Warmup,
-				Seed:     s.runSeed(t, collectorName, plan),
+				Seed:     core.DeriveSeed(s.cfg.Seed, "run", t.Key(), collectorName, string(plan)),
 				Tracer:   tr,
 			})
 		})

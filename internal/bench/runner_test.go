@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -60,7 +61,7 @@ func runMatrix(t *testing.T, workers int) (string, *Report) {
 // simulation core (the memory-layout work of DESIGN.md §8 must never change
 // a byte of output); an intentional change to experiments, workloads or
 // collector policy is expected to update it.
-const tinyMatrixSHA256 = "1d3ebe5afd11c184953aa7b39954fac24fc475b5abc2164daa6427b183fd835c"
+const tinyMatrixSHA256 = "f5ac0995a7edafab4d6a46dd69316b9abf37054e4f93a129392903c377965376"
 
 // TestRunExperimentsDeterministic is the golden determinism test: the full
 // experiment matrix, same seed, run serially twice and once on eight
@@ -98,8 +99,22 @@ func TestRunExperimentsDeterministic(t *testing.T) {
 	if len(serialReport.Experiments) != len(ExperimentNames()) {
 		t.Fatalf("report covers %d experiments, want %d", len(serialReport.Experiments), len(ExperimentNames()))
 	}
-	if len(serialReport.Units) == 0 {
-		t.Fatal("report lists no simulation units")
+	// The dump ablation prices the default profile's page counts, so the
+	// only profiling simulations are one per target and the cadence
+	// ablation's two; units are sorted by wave, then key.
+	var profiles, want []string
+	for _, u := range serialReport.Units {
+		if u.Wave == "profile" {
+			profiles = append(profiles, u.Key)
+		}
+	}
+	for _, tg := range Targets() {
+		want = append(want, "profile:"+tg.Key())
+	}
+	want = append(want, "profile:"+ablationTarget+"|cadence-2", "profile:"+ablationTarget+"|cadence-4")
+	slices.Sort(want)
+	if !slices.Equal(profiles, want) {
+		t.Fatalf("report lists profile units %v, want %v", profiles, want)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"polm2/internal/faultio"
 	"polm2/internal/gc"
 	"polm2/internal/gc/c4"
+	"polm2/internal/heap"
 	"polm2/internal/instrument"
 	"polm2/internal/jvm"
 	"polm2/internal/metrics"
@@ -38,9 +39,6 @@ type ProfileOptions struct {
 	// image (snap-NNNNNN.img) so the Analyzer can be re-run off-line
 	// from the images alone (polm2-inspect snapshots <dir>).
 	SnapshotDir string
-	// Dump carries the CRIU ablation toggles.
-	DumpDisableNoNeed      bool
-	DumpDisableIncremental bool
 	// Fault optionally injects I/O faults into every artifact write of
 	// the profiling run (records, site table, snapshot images). When set,
 	// the analysis runs in salvage mode and the result carries the
@@ -82,6 +80,10 @@ type ProfileResult struct {
 	// instant its CRIU dump ended. No jmap dump is taken, so the baseline
 	// costs the simulation nothing.
 	JmapSnapshots []*snapshot.Snapshot
+	// PageCounts are the heap's page counts at each entry of Snapshots
+	// (dumper.Dumper.PageCounts), which the dump ablation prices with
+	// dumper.CostModel.CRIUDump.
+	PageCounts []heap.PageCounts
 	// RecordsDir is where the allocation records were written: the
 	// caller's ProfileOptions.RecordsDir, "" when they went to a temporary
 	// directory that no longer exists.
@@ -129,11 +131,9 @@ func ProfileApp(app App, workloadName string, opts ProfileOptions) (*ProfileResu
 
 	dumpCost := ScaledDumpCostModel(opts.Scale)
 	dumpCfg := dumper.Config{
-		Cost:               dumpCost,
-		DisableNoNeed:      opts.DumpDisableNoNeed,
-		DisableIncremental: opts.DumpDisableIncremental,
-		PersistDir:         opts.SnapshotDir,
-		Fault:              opts.Fault,
+		Cost:       dumpCost,
+		PersistDir: opts.SnapshotDir,
+		Fault:      opts.Fault,
 	}
 	// The Analyzer folds each image as the Dumper takes it, unless the
 	// faults live on disk: then it analyzes what the disk actually holds,
@@ -189,6 +189,7 @@ func ProfileApp(app App, workloadName string, opts ProfileOptions) (*ProfileResu
 		Profile:       profile,
 		Snapshots:     snaps,
 		JmapSnapshots: jmaps,
+		PageCounts:    criu.PageCounts(),
 		RecordsDir:    opts.RecordsDir,
 		Salvage:       report,
 		GCCycles:      col.Cycles(),

@@ -4,8 +4,9 @@
 // The CRIU-style dumper captures page-level incremental snapshots: it
 // includes only pages dirtied since the previous snapshot, skips pages the
 // collector marked no-need (no reachable objects), and implicitly drops
-// unmapped regions. Both optimizations can be toggled off independently for
-// the ablation benchmarks.
+// unmapped regions. It has that one behaviour. Alongside each snapshot it
+// records the heap's PageCounts, from which the dump ablation prices what a
+// dump with either optimization off would have copied of the same heap.
 //
 // The jmap-style baseline traces the heap and is modeled by the time and
 // size of serializing every live object, which is slow and produces large
@@ -59,6 +60,15 @@ func DefaultCostModel() CostModel {
 	}
 }
 
+// CRIUDump prices a CRIU dump copying pages of pageSize bytes: its image
+// size and the time the application is frozen. Snapshot and the dump
+// ablation both call it.
+func (m CostModel) CRIUDump(pages int, pageSize uint32) (size uint64, d time.Duration) {
+	size = uint64(pages) * (uint64(pageSize) + m.CRIUPageMetaBytes)
+	d = m.CRIUBase + time.Duration(pages)*m.CRIUPerPage
+	return size, d
+}
+
 // JmapDump prices a jmap dump of a heap holding the given live objects and
 // bytes: the size of its hprof image and the time serializing it takes.
 // Jmap.Snapshot and core.ProfileApp's pause-derived baseline both call it.
@@ -72,13 +82,6 @@ func (m CostModel) JmapDump(objects int, bytes uint64) (size uint64, d time.Dura
 type Config struct {
 	// Cost is the dump cost model. Zero value means DefaultCostModel.
 	Cost CostModel
-	// DisableNoNeed turns off the no-need page elision (§3.2 first
-	// optimization) for ablation.
-	DisableNoNeed bool
-	// DisableIncremental turns off dirty-page incrementality (§3.2
-	// second optimization) for ablation: every occupied page is included
-	// in every snapshot.
-	DisableIncremental bool
 	// PersistDir, when set, writes every snapshot to disk as it is taken
 	// (snap-NNNNNN.img, staged and atomically renamed), so a crash
 	// mid-run loses only a suffix of whole images.
@@ -105,8 +108,10 @@ type Dumper struct {
 	clock *simclock.Clock
 	cfg   Config
 	seq   int
-	// snaps holds each snapshot's metadata, without its pages.
-	snaps []*snapshot.Snapshot
+	// snaps holds each snapshot's metadata, without its pages; counts
+	// the heap's page counts at each.
+	snaps  []*snapshot.Snapshot
+	counts []heap.PageCounts
 	// lastHdr remembers the previous snapshot's header-id arena size so
 	// the next snapshot allocates its arena once, up front.
 	lastHdr int
@@ -130,27 +135,20 @@ func (d *Dumper) Snapshot(cycle uint64) error {
 		TakenAt: d.clock.Now(),
 		Regions: d.h.ActiveRegionIDs(),
 	}
-	pageSize := uint64(d.h.Config().PageSize)
+	// Counted before the dirty bits are cleared: the heap this dump sees.
+	d.counts = append(d.counts, d.h.CountPages())
 	// Header ids are copied into one per-snapshot arena instead of one
 	// slices.Clone per page: the image sink's view keeps the pages it has
 	// not seen overwritten, so the arena cannot be pooled, but a single
 	// right-sized allocation (hinted by the previous snapshot) replaces
 	// hundreds of small ones.
 	arena := make([]heap.ObjectID, 0, d.lastHdr)
-	// Only regions holding a dirty page need their headers read, unless
-	// every occupied page is copied anyway.
-	d.h.Pages(d.cfg.DisableIncremental, func(ps heap.PageState) {
-		if ps.NoNeed && !d.cfg.DisableNoNeed {
+	d.h.Pages(func(ps heap.PageState) {
+		if ps.NoNeed {
 			snap.NoNeed = append(snap.NoNeed, ps.Key)
 			return
 		}
-		dirty := ps.Dirty || d.cfg.DisableIncremental
-		if !dirty {
-			return
-		}
-		if d.cfg.DisableIncremental && !ps.Occupied {
-			// Without dirty tracking the dumper still skips
-			// zero pages, as CRIU does.
+		if !ps.Dirty {
 			return
 		}
 		var ids []heap.ObjectID
@@ -169,12 +167,9 @@ func (d *Dumper) Snapshot(cycle uint64) error {
 		})
 	})
 	d.lastHdr = len(arena)
-	snap.SizeBytes = uint64(len(snap.Pages)) * (pageSize + d.cfg.Cost.CRIUPageMetaBytes)
-	snap.Duration = d.cfg.Cost.CRIUBase + time.Duration(len(snap.Pages))*d.cfg.Cost.CRIUPerPage
-	if !d.cfg.DisableIncremental {
-		// CRIU clears the kernel soft-dirty bit after each dump.
-		d.h.ClearDirtyPages()
-	}
+	snap.SizeBytes, snap.Duration = d.cfg.Cost.CRIUDump(len(snap.Pages), d.h.Config().PageSize)
+	// CRIU clears the kernel soft-dirty bit after each dump.
+	d.h.ClearDirtyPages()
 	// The application is frozen while CRIU dumps it.
 	d.clock.Advance(snap.Duration)
 	d.snaps = append(d.snaps, &snapshot.Snapshot{
@@ -205,6 +200,12 @@ func (d *Dumper) Snapshots() []*snapshot.Snapshot {
 	out := make([]*snapshot.Snapshot, len(d.snaps))
 	copy(out, d.snaps)
 	return out
+}
+
+// PageCounts returns the heap's page counts at every snapshot so far, in
+// sequence order, each taken just before that snapshot copied its pages.
+func (d *Dumper) PageCounts() []heap.PageCounts {
+	return append([]heap.PageCounts(nil), d.counts...)
 }
 
 // Jmap models live-object dumps the way the jmap tool takes them: it

@@ -113,34 +113,18 @@ func TestNoNeedPagesExcluded(t *testing.T) {
 		}
 	}
 
-	// Ablation: with DisableNoNeed the dead pages are captured.
-	h2 := newHeap(t)
-	r2, err := h2.NewRegion(heap.Young)
-	if err != nil {
-		t.Fatal(err)
-	}
-	obj2, err := h2.Allocate(r2, 512, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2.PinRoot(obj2)
-	if _, err := h2.Allocate(r2, 12*1024, 1); err != nil {
-		t.Fatal(err)
-	}
-	h2.MarkNoNeedPages(h2.Trace())
-	var images2 imageLog
-	d2 := New(h2, simclock.New(), Config{DisableNoNeed: true, Images: &images2})
-	if err := d2.Snapshot(1); err != nil {
-		t.Fatal(err)
-	}
-	// With the optimization on, only the one live page is captured; with
-	// it off, the three dirty dead-only pages are captured as well.
-	if got := len(images2[0].Pages); got <= len(snap.Pages) {
-		t.Fatalf("DisableNoNeed snapshot has %d pages, want more than %d", got, len(snap.Pages))
+	// The dirty dead-only pages are what a dump without no-need elision
+	// would have copied as well.
+	c := d.PageCounts()[0]
+	if c.DirtyNeeded != len(snap.Pages) || c.Dirty != len(snap.Pages)+3 {
+		t.Fatalf("page counts %+v for a snapshot of %d pages and %d no-need pages", c, len(snap.Pages), len(snap.NoNeed))
 	}
 }
 
-func TestDisableIncrementalCapturesEverythingEveryTime(t *testing.T) {
+// TestIncrementalOffCountsEveryNeededPage: a second dump of an unchanged
+// heap copies nothing, while the count of a dump without incrementality
+// stays every needed page below the bump pointer.
+func TestIncrementalOffCountsEveryNeededPage(t *testing.T) {
 	h := newHeap(t)
 	r, err := h.NewRegion(heap.Young)
 	if err != nil {
@@ -151,17 +135,23 @@ func TestDisableIncrementalCapturesEverythingEveryTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.PinRoot(obj)
-	var snaps imageLog
-	d := New(h, simclock.New(), Config{DisableIncremental: true, Images: &snaps})
+	if _, err := h.Allocate(r, 9000, 1); err != nil {
+		t.Fatal(err)
+	}
+	h.MarkNoNeedPages(h.Trace())
+	d := New(h, simclock.New(), Config{})
 	if err := d.Snapshot(1); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Snapshot(2); err != nil {
 		t.Fatal(err)
 	}
-	if len(snaps[0].Pages) != len(snaps[1].Pages) || len(snaps[1].Pages) == 0 {
-		t.Fatalf("non-incremental snapshots differ: %d vs %d pages",
-			len(snaps[0].Pages), len(snaps[1].Pages))
+	// 11048 bytes span pages 0..2; pages 1 and 2 hold only the dead
+	// object.
+	first := heap.PageCounts{DirtyNeeded: 1, Dirty: 3, UsedNeeded: 1, Used: 3}
+	second := heap.PageCounts{UsedNeeded: 1, Used: 3}
+	if got := d.PageCounts(); len(got) != 2 || got[0] != first || got[1] != second {
+		t.Fatalf("page counts %+v, want %+v then %+v", got, first, second)
 	}
 }
 
@@ -374,18 +364,21 @@ func TestIncrementalSkipsCleanRegionsLosslessly(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.MarkNoNeedPages(h.Trace())
+	// The model of every page's header ids is the resident lists, clean
+	// regions included.
 	full := make(map[heap.PageKey][]heap.ObjectID)
+	for _, r := range regions {
+		for obj := r.FirstResident(); obj != nil; obj = obj.NextResident() {
+			key := heap.PageKey{Region: r.ID(), Index: obj.Offset / h.Config().PageSize}
+			full[key] = append(full[key], obj.ID)
+		}
+	}
 	var dirty, noNeed []heap.PageKey
-	h.Pages(true, func(ps heap.PageState) {
+	h.Pages(func(ps heap.PageState) {
 		if ps.NoNeed {
 			noNeed = append(noNeed, ps.Key)
-			return
-		}
-		if ps.Dirty {
+		} else if ps.Dirty {
 			dirty = append(dirty, ps.Key)
-		}
-		for _, obj := range ps.Headers {
-			full[ps.Key] = append(full[ps.Key], obj.ID)
 		}
 	})
 	if err := d.Snapshot(2); err != nil {
@@ -418,25 +411,16 @@ func TestIncrementalSkipsCleanRegionsLosslessly(t *testing.T) {
 		t.Fatalf("degenerate heap: %d kept pages, clean region no-need %v", len(kept), cleanNoNeed)
 	}
 
-	// Every dirty bit is clear now. The full-heap dumps must not care:
-	// the ablation copies every needed occupied page, and jmap charges
-	// for every live object.
-	var ablImages imageLog
-	abl := New(h, simclock.New(), Config{DisableIncremental: true, Images: &ablImages})
-	if err := abl.Snapshot(3); err != nil {
+	// Every dirty bit is clear now. The full-heap prices must not care:
+	// the count without incrementality is every needed page below the
+	// bump pointer, as before the dump, and jmap charges for every live
+	// object.
+	if err := d.Snapshot(3); err != nil {
 		t.Fatal(err)
 	}
-	listed := 0
-	for _, pr := range ablImages[0].Pages {
-		if !slices.Equal(pr.HeaderIDs, full[pr.Key]) {
-			t.Errorf("ablation page %v: lists %v, full walk %v", pr.Key, pr.HeaderIDs, full[pr.Key])
-		}
-		if len(pr.HeaderIDs) > 0 {
-			listed++
-		}
-	}
-	if listed != len(full) {
-		t.Errorf("ablation snapshot lists headers on %d pages, full walk on %d", listed, len(full))
+	counts := d.PageCounts()
+	if counts[2].DirtyNeeded != 0 || counts[2].UsedNeeded != counts[1].UsedNeeded || counts[2].Used != counts[1].Used {
+		t.Errorf("page counts before and after clearing the dirty bits: %+v, %+v", counts[1], counts[2])
 	}
 	j := NewJmap(h, simclock.New(), CostModel{})
 	if err := j.Snapshot(3); err != nil {

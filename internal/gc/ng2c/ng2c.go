@@ -547,6 +547,7 @@ func (c *Collector) fullCollect() error {
 	// empty, then evacuate the rest. The sweep removes the dead in the
 	// order evacuating region by region would have.
 	var keptHumongous []*heap.Region
+	freed := 0
 	evacuate := regions[:0]
 	for _, r := range regions {
 		gc.SweepRegion(c.h, r, live)
@@ -554,6 +555,7 @@ func (c *Collector) fullCollect() error {
 		case r.ResidentCount() == 0:
 			c.h.FreeRegion(r)
 			delete(c.humongous, r.ID())
+			freed++
 		case c.humongous[r.ID()]:
 			keptHumongous = append(keptHumongous, r)
 		default:
@@ -564,6 +566,7 @@ func (c *Collector) fullCollect() error {
 		if _, _, err := gc.EvacuateAndFree(c.h, r, live, place); err != nil {
 			return fmt.Errorf("ng2c: full collection: %w", err)
 		}
+		freed++
 	}
 	c.eden = nil
 	c.edenCur = nil
@@ -592,7 +595,7 @@ func (c *Collector) fullCollect() error {
 		BytesCopied:      copiedBytes,
 		ObjectsCopied:    copiedObjects,
 		RegionsCollected: len(regions),
-		RegionsFreed:     len(regions),
+		RegionsFreed:     freed,
 		LiveObjects:      live.Objects,
 		LiveBytes:        live.Bytes,
 	})

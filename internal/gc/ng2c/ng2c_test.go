@@ -318,8 +318,8 @@ func TestFullCollectFreesRoomBeforeEvacuating(t *testing.T) {
 	checkHeap(t, h)
 }
 
-// A full collection's pause records the live totals its trace counted.
-// Pretenured garbage fills the heap without a young collection to reclaim
+// A full collection's pause records the live totals its trace counted and
+// the regions it freed: all but the kept humongous one. Pretenured garbage fills the heap without a young collection to reclaim
 // it, which forces the full collection; the one live object is humongous,
 // so the collection sweeps it in place and needs no free region to copy
 // into.
@@ -351,6 +351,15 @@ func TestFullCollectRecordsLiveTotals(t *testing.T) {
 		if p.LiveObjects != 1 || p.LiveBytes != 10*1024 {
 			t.Fatalf("full pause of cycle %d records %d live objects (%d B), want 1 (10240 B)", p.Cycle, p.LiveObjects, p.LiveBytes)
 		}
+		// Every region but the live humongous one ends empty and is
+		// freed; that one is kept.
+		if p.RegionsFreed != p.RegionsCollected-1 {
+			t.Fatalf("full pause of cycle %d collected %d regions and freed %d, want all but the humongous one",
+				p.Cycle, p.RegionsCollected, p.RegionsFreed)
+		}
+	}
+	if big.Region() == nil {
+		t.Fatal("the rooted humongous object was collected")
 	}
 	if fulls == 0 {
 		t.Fatal("heap pressure did not force a full collection")

@@ -40,19 +40,29 @@ func collectors(t *testing.T) map[string]gc.Collector {
 
 // checkEveryCycle runs the heap's remembered-set and page-table checkers
 // and heap.Verify after every collection of col, checks that the cycle's
-// pause records the live totals its trace counted and that every object of
-// its live set is still resident (heap.VerifyLive), and returns the number
-// of collections checked so far.
+// pause records the live totals its trace counted and the regions the heap
+// released since the previous cycle, and that every object of its live set
+// is still resident (heap.VerifyLive), and returns the number of
+// collections checked so far.
 func checkEveryCycle(t *testing.T, name string, col gc.Collector) *int {
 	t.Helper()
 	h := col.Heap()
 	checked := new(int)
+	freed := h.Stats().FreedRegions
 	col.OnCycleEnd(func(cycle uint64, live *heap.LiveSet) {
 		pauses := col.Pauses()
-		if p := pauses[len(pauses)-1]; p.Cycle != cycle || p.LiveObjects != live.Objects || p.LiveBytes != live.Bytes {
+		p := pauses[len(pauses)-1]
+		if p.Cycle != cycle || p.LiveObjects != live.Objects || p.LiveBytes != live.Bytes {
 			t.Fatalf("%s: cycle %d: %s pause of cycle %d records %d live objects (%d B), the trace counted %d (%d B)",
 				name, cycle, p.Kind, p.Cycle, p.LiveObjects, p.LiveBytes, live.Objects, live.Bytes)
 		}
+		// Only collections free regions, one pause per cycle.
+		now := h.Stats().FreedRegions
+		if p.RegionsFreed != now-freed {
+			t.Fatalf("%s: cycle %d: %s pause records %d regions freed, the heap released %d",
+				name, cycle, p.Kind, p.RegionsFreed, now-freed)
+		}
+		freed = now
 		if bad := h.CheckRemsetInvariant(); len(bad) != 0 {
 			t.Fatalf("%s: cycle %d: remset invariant broken in %v", name, cycle, bad)
 		}

@@ -77,6 +77,8 @@ type Stats struct {
 	// FreeObjects is the number of recycled Object structs waiting on the
 	// heap's freelist.
 	FreeObjects int
+	// FreedRegions counts every region FreeRegion ever released.
+	FreedRegions int
 }
 
 // Heap is the simulated managed heap. It owns objects, regions and the page
@@ -115,6 +117,7 @@ type Heap struct {
 
 	committed    uint64
 	maxCommitted uint64
+	freedRegions int
 	totalObjects uint64
 	totalBytes   uint64
 
@@ -164,6 +167,7 @@ func (h *Heap) Stats() Stats {
 		TotalAllocatedObjects: h.totalObjects,
 		TotalAllocatedBytes:   h.totalBytes,
 		FreeObjects:           h.freeObjects,
+		FreedRegions:          h.freedRegions,
 	}
 }
 
@@ -233,6 +237,7 @@ func (h *Heap) FreeRegion(r *Region) {
 	r.freed = true
 	r.used = 0
 	h.committed -= uint64(h.cfg.RegionSize)
+	h.freedRegions++
 	// The region's memory is unmapped: drop it from the heap's region list
 	// entirely (region ids are never reused; the Region struct is never
 	// recycled because collectors hold *Region across collections and

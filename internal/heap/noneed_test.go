@@ -123,7 +123,8 @@ func randomCycle(t *testing.T, h *Heap, rng *rand.Rand, regions *[]*Region, objs
 // resident walk it replaced, bit for bit (the bits past a region's last
 // page included), on seeded heaps whose page counts are not all multiples
 // of 64, after collections that moved live objects between the trace and
-// the call, left some dead residents in place, and freed regions.
+// the call, left some dead residents in place, and freed regions. On the
+// same heaps it holds CountPages to its per-page model.
 func TestMarkNoNeedPagesMatchesResidentWalk(t *testing.T) {
 	for _, pages := range []uint32{4, 64, 70, 130} {
 		for seed := int64(1); seed <= 12; seed++ {
@@ -149,6 +150,9 @@ func TestMarkNoNeedPagesMatchesResidentWalk(t *testing.T) {
 						if got := r.pages.noNeed; !slices.Equal(got, want[r.id]) {
 							t.Fatalf("cycle %d: region %d no-need %x, the resident walk gives %x", cycle, r.id, got, want[r.id])
 						}
+					}
+					if got, want := h.CountPages(), pageCountModel(h); got != want {
+						t.Fatalf("cycle %d: CountPages = %+v, per-page model %+v", cycle, got, want)
 					}
 					if rng.Intn(2) == 0 {
 						h.ClearDirtyPages()

@@ -1,5 +1,7 @@
 package heap
 
+import "math/bits"
+
 // PageKey names one page of simulated memory: the page with index Index
 // inside region Region. Region ids are never reused, so a PageKey is stable
 // for the lifetime of a heap.
@@ -31,15 +33,22 @@ func (b bitset) clearAll() {
 	}
 }
 
+// prefixMask selects the bits of word w that lie among a bitset's first n.
+func prefixMask(w int, n uint32) uint64 {
+	switch lo := uint32(w) * 64; {
+	case n <= lo:
+		return 0
+	case n-lo < 64:
+		return 1<<(n-lo) - 1
+	}
+	return ^uint64(0)
+}
+
 // orNot sets each of the first n bits of b that is clear in c, a word at a
 // time.
 func (b bitset) orNot(c bitset, n uint32) {
 	for w := range b {
-		mask := ^uint64(0)
-		if rest := n - uint32(w)*64; rest < 64 {
-			mask = 1<<rest - 1
-		}
-		b[w] |= ^c[w] & mask
+		b[w] |= ^c[w] & prefixMask(w, n)
 	}
 }
 
@@ -101,7 +110,34 @@ type PageState struct {
 	// the Analyzer recover exactly their ids (§4.3). The slice aliases a
 	// per-heap scratch buffer and is valid only during the Pages callback.
 	Headers []*Object
-	// Occupied reports whether any resident object's storage overlaps the
-	// page; unoccupied pages carry no data worth snapshotting.
-	Occupied bool
+}
+
+// PageCounts counts the active regions' pages four ways at one instant:
+// what a dump copies with both of the Dumper's optimizations (§3.2, §4.2),
+// with no-need elision off, with incrementality off, and with neither. A
+// page is used when it lies below its region's bump pointer.
+type PageCounts struct {
+	DirtyNeeded int // dirty and not no-need: what the Dumper copies
+	Dirty       int
+	UsedNeeded  int // used and not no-need
+	Used        int
+}
+
+// CountPages counts the active regions' pages (see PageCounts) by popcount
+// over the page-table bitsets and bump pointers; it reads no resident.
+func (h *Heap) CountPages() PageCounts {
+	var c PageCounts
+	pageSize := h.cfg.PageSize
+	for _, r := range h.active {
+		rp := r.pages
+		used := min((r.used+pageSize-1)/pageSize, rp.n)
+		c.Used += int(used)
+		for w, dirty := range rp.dirty {
+			noNeed := rp.noNeed[w]
+			c.DirtyNeeded += bits.OnesCount64(dirty &^ noNeed)
+			c.Dirty += bits.OnesCount64(dirty)
+			c.UsedNeeded += bits.OnesCount64(prefixMask(w, used) &^ noNeed)
+		}
+	}
+	return c
 }

@@ -107,7 +107,7 @@ func TestDirtyNoNeedSurviveInterleavingsProperty(t *testing.T) {
 		}
 		checkDirty := func() bool {
 			ok := true
-			h.Pages(true, func(ps PageState) {
+			h.Pages(func(ps PageState) {
 				if ps.Dirty != shadow.dirty[ps.Key] {
 					t.Logf("seed %d: page %v dirty=%v, shadow=%v", seed, ps.Key, ps.Dirty, shadow.dirty[ps.Key])
 					ok = false
@@ -162,7 +162,7 @@ func TestDirtyNoNeedSurviveInterleavingsProperty(t *testing.T) {
 				}
 			}
 			ok := true
-			h.Pages(true, func(ps PageState) {
+			h.Pages(func(ps PageState) {
 				if ps.NoNeed == covered[ps.Key] {
 					t.Logf("seed %d: page %v noNeed=%v, covered=%v", seed, ps.Key, ps.NoNeed, covered[ps.Key])
 					ok = false
@@ -187,24 +187,19 @@ func TestDirtyNoNeedSurviveInterleavingsProperty(t *testing.T) {
 
 // checkPageWalk holds Pages' merge walk to a map model rebuilt from the
 // residents: each page's Headers are the residents whose header offset
-// lies on it, listed in ascending offset order, and it is Occupied when
-// any resident's span overlaps it. A full walk must match the model on
-// every page. A dirty-only walk must match it in every region the shadow
-// tracker saw written, and report no headers and no occupancy elsewhere.
+// lies on it, listed in ascending offset order. The walk must match the
+// model in every region the shadow tracker saw written, and report no
+// headers elsewhere. It also holds CountPages to a per-page count of the
+// walk's bits against each region's bump pointer.
 func checkPageWalk(t *testing.T, h *Heap, shadow *shadowTracker) bool {
 	headers := make(map[PageKey]map[*Object]bool)
-	occupied := make(map[PageKey]bool)
 	for _, r := range h.ActiveRegions() {
 		for o := r.FirstResident(); o != nil; o = o.NextResident() {
-			first, last := o.pageSpan(h.cfg.PageSize)
-			hp := PageKey{Region: r.ID(), Index: first}
+			hp := PageKey{Region: r.ID(), Index: o.headerPage(h.cfg.PageSize)}
 			if headers[hp] == nil {
 				headers[hp] = make(map[*Object]bool)
 			}
 			headers[hp][o] = true
-			for i := first; i <= last; i++ {
-				occupied[PageKey{Region: r.ID(), Index: i}] = true
-			}
 		}
 	}
 	dirtyRegion := make(map[RegionID]bool)
@@ -212,26 +207,54 @@ func checkPageWalk(t *testing.T, h *Heap, shadow *shadowTracker) bool {
 		dirtyRegion[key.Region] = true
 	}
 	ok := true
-	for _, all := range []bool{true, false} {
-		h.Pages(all, func(ps PageState) {
-			want, wantOcc := headers[ps.Key], occupied[ps.Key]
-			if !all && !dirtyRegion[ps.Key.Region] {
-				want, wantOcc = nil, false
+	h.Pages(func(ps PageState) {
+		model := headers[ps.Key]
+		if !dirtyRegion[ps.Key.Region] {
+			model = nil
+		}
+		exact := len(ps.Headers) == len(model)
+		for i, o := range ps.Headers {
+			if !model[o] || (i > 0 && ps.Headers[i-1].Offset >= o.Offset) {
+				exact = false
 			}
-			exact := len(ps.Headers) == len(want) && ps.Occupied == wantOcc
-			for i, o := range ps.Headers {
-				if !want[o] || (i > 0 && ps.Headers[i-1].Offset >= o.Offset) {
-					exact = false
-				}
-			}
-			if !exact {
-				t.Logf("all=%v: page %v has %d headers (occupied %v), model %d (occupied %v)",
-					all, ps.Key, len(ps.Headers), ps.Occupied, len(want), wantOcc)
-				ok = false
-			}
-		})
+		}
+		if !exact {
+			t.Logf("page %v has %d headers, model %d", ps.Key, len(ps.Headers), len(model))
+			ok = false
+		}
+	})
+	if got, want := h.CountPages(), pageCountModel(h); got != want {
+		t.Logf("CountPages = %+v, per-page model %+v", got, want)
+		ok = false
 	}
 	return ok
+}
+
+// pageCountModel counts the pages Pages reports, one at a time, against
+// each region's bump pointer: the model CountPages' popcounts must equal.
+func pageCountModel(h *Heap) PageCounts {
+	used := make(map[RegionID]uint32)
+	for _, r := range h.ActiveRegions() {
+		used[r.ID()] = r.Used()
+	}
+	var c PageCounts
+	h.Pages(func(ps PageState) {
+		below := ps.Key.Index*h.cfg.PageSize < used[ps.Key.Region]
+		for _, k := range []struct {
+			n    *int
+			page bool
+		}{
+			{&c.DirtyNeeded, ps.Dirty && !ps.NoNeed},
+			{&c.Dirty, ps.Dirty},
+			{&c.UsedNeeded, below && !ps.NoNeed},
+			{&c.Used, below},
+		} {
+			if k.page {
+				*k.n++
+			}
+		}
+	})
+	return c
 }
 
 // TestNoNeedClearedOnlyByWrites checks the no-need bit's lifecycle

@@ -7,14 +7,23 @@ import (
 	"testing/quick"
 )
 
-// collectPages returns every page's state from a full walk, with each
-// page's Headers copied out of the walk's scratch buffer.
+// collectPages returns every page's state: its bits from Pages and its
+// Headers from a walk of every region's resident list, so clean regions
+// list their headers too.
 func collectPages(h *Heap) map[PageKey]PageState {
 	out := make(map[PageKey]PageState)
-	h.Pages(true, func(ps PageState) {
-		ps.Headers = slices.Clone(ps.Headers)
+	h.Pages(func(ps PageState) {
+		ps.Headers = nil
 		out[ps.Key] = ps
 	})
+	for _, r := range h.ActiveRegions() {
+		for o := r.FirstResident(); o != nil; o = o.NextResident() {
+			key := PageKey{Region: r.ID(), Index: o.headerPage(h.cfg.PageSize)}
+			ps := out[key]
+			ps.Headers = append(ps.Headers, o)
+			out[key] = ps
+		}
+	}
 	return out
 }
 
@@ -30,8 +39,8 @@ func TestAllocationDirtiesPages(t *testing.T) {
 	if pages[PageKey{r.ID(), 2}].Dirty {
 		t.Fatal("untouched page is dirty")
 	}
-	if !pages[PageKey{r.ID(), 0}].Occupied || !pages[PageKey{r.ID(), 1}].Occupied {
-		t.Fatal("occupied flags wrong")
+	if c := h.CountPages(); c != (PageCounts{DirtyNeeded: 2, Dirty: 2, UsedNeeded: 2, Used: 2}) {
+		t.Fatalf("page counts %+v, want 2 of each", c)
 	}
 }
 

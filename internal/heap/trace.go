@@ -149,27 +149,24 @@ func (h *Heap) MarkNoNeedPages(live *LiveSet) {
 // (region, index) order. Freed regions are skipped: their memory is
 // unmapped from the dumper's point of view.
 //
-// A page's Headers and Occupied are read off its region's resident list in
-// one merge walk, which relies on the residents lying in ascending,
-// non-overlapping offset order: residents are only ever appended at the
-// bump pointer, and CheckPageInvariant verifies the order. With all false
-// the walk is made only in regions holding a dirty page; every page of a
-// clean region reports no Headers and Occupied false. That is all an
-// incremental dumper needs, since it copies no clean page, and it keeps
-// the dump's cost proportional to what it copies.
+// A page's Headers are read off its region's resident list in one merge
+// walk, which relies on the residents lying in ascending, non-overlapping
+// offset order: residents are only ever appended at the bump pointer, and
+// CheckPageInvariant verifies the order. The walk is made only in regions
+// holding a dirty page; every page of a clean region reports no Headers.
+// That is all the incremental Dumper needs, since it copies no clean page,
+// and it keeps the dump's cost proportional to what it copies.
 //
 // Headers aliases a per-heap scratch buffer and is valid only during the
 // callback: callers that keep header ids (the dumper) copy them out.
-func (h *Heap) Pages(all bool, f func(PageState)) {
+func (h *Heap) Pages(f func(PageState)) {
 	pageSize := h.cfg.PageSize
 	for _, r := range h.active {
 		rp := r.pages
-		walk := all || rp.dirty.any()
+		walk := rp.dirty.any()
 		// obj is the first resident whose header lies on or after the
-		// current page; prev is the resident just before it, the only
-		// one whose storage can reach into the page from an earlier one.
+		// current page.
 		obj := r.head
-		var prev *Object
 		for i := uint32(0); i < rp.n; i++ {
 			st := PageState{
 				Key:    PageKey{Region: r.id, Index: i},
@@ -177,16 +174,13 @@ func (h *Heap) Pages(all bool, f func(PageState)) {
 				NoNeed: rp.noNeed.get(i),
 			}
 			if walk {
-				start, end := i*pageSize, (i+1)*pageSize
-				reached := prev != nil && prev.Offset+prev.Size > start
+				end := (i + 1) * pageSize
 				headers := h.pageHeaders[:0]
 				for ; obj != nil && obj.Offset < end; obj = obj.next {
 					headers = append(headers, obj)
-					prev = obj
 				}
 				h.pageHeaders = headers
 				st.Headers = headers
-				st.Occupied = reached || len(headers) > 0
 			}
 			f(st)
 		}
