@@ -37,6 +37,32 @@ func TestTargetsCoverPaperWorkloads(t *testing.T) {
 	}
 }
 
+// Figure 6's intervals are half-open: a pause on an edge counts in the
+// interval the edge opens, and the last interval has no upper bound.
+func TestFigure6Buckets(t *testing.T) {
+	for _, c := range []struct {
+		d    time.Duration
+		want int
+	}{
+		{0, 0},
+		{16*time.Millisecond - 1, 0},
+		{16 * time.Millisecond, 1},
+		{100 * time.Millisecond, 3},
+		{2047 * time.Millisecond, 7},
+		{2048 * time.Millisecond, 8},
+		{time.Hour, 8},
+	} {
+		if got := figure6Bucket(c.d); got != c.want {
+			t.Errorf("figure6Bucket(%v) = %d, want %d", c.d, got, c.want)
+		}
+	}
+	for b, want := range map[int]string{0: "[0,16ms)", 3: "[64ms,128ms)", 8: "[2.048s,+inf)"} {
+		if got := figure6Label(b); got != want {
+			t.Errorf("figure6Label(%d) = %q, want %q", b, got, want)
+		}
+	}
+}
+
 func TestRunExperimentUnknown(t *testing.T) {
 	s := NewSession(quickConfig())
 	if err := s.RunExperiment("nope", &bytes.Buffer{}); err == nil {

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"sort"
 	"time"
 
 	"polm2/internal/core"
@@ -180,31 +181,43 @@ func (s *Session) Figure6(w io.Writer) error {
 	}
 	for i, t := range targets {
 		fmt.Fprintf(w, "--- %s ---\n", t.Key())
-		header, err := metrics.NewHistogram(figure6Edges)
-		if err != nil {
-			return err
-		}
 		fmt.Fprintf(w, "%-8s", "")
-		for b := 0; b < header.NumBuckets(); b++ {
-			fmt.Fprintf(w, "%16s", header.BucketLabel(b))
+		for b := 0; b <= len(figure6Edges); b++ {
+			fmt.Fprintf(w, "%16s", figure6Label(b))
 		}
 		fmt.Fprintln(w)
 		for j, su := range pauseSetups(t) {
-			h, err := metrics.NewHistogram(figure6Edges)
-			if err != nil {
-				return err
-			}
+			counts := make([]int, len(figure6Edges)+1)
 			for _, d := range runs[i][j].WarmPauses.Values() {
-				h.Add(d)
+				counts[figure6Bucket(d)]++
 			}
 			fmt.Fprintf(w, "%-8s", su.label)
-			for _, c := range h.Counts() {
+			for _, c := range counts {
 				fmt.Fprintf(w, "%16d", c)
 			}
 			fmt.Fprintln(w)
 		}
 	}
 	return nil
+}
+
+// figure6Bucket returns the interval of Figure 6 that holds pause d: bucket
+// b > 0 is the half-open [figure6Edges[b-1], figure6Edges[b]), bucket 0 is
+// below the first edge and the last one at or above the last edge.
+func figure6Bucket(d time.Duration) int {
+	return sort.Search(len(figure6Edges), func(i int) bool { return d < figure6Edges[i] })
+}
+
+// figure6Label renders bucket b, e.g. "[64ms,128ms)".
+func figure6Label(b int) string {
+	switch {
+	case b == 0:
+		return fmt.Sprintf("[0,%v)", figure6Edges[0])
+	case b < len(figure6Edges):
+		return fmt.Sprintf("[%v,%v)", figure6Edges[b-1], figure6Edges[b])
+	default:
+		return fmt.Sprintf("[%v,+inf)", figure6Edges[len(figure6Edges)-1])
+	}
 }
 
 // paperFig7 holds the paper's throughput-vs-G1 percentages for POLM2.

@@ -3,6 +3,11 @@
 // profile) and the production phase (Instrumenter applying the profile
 // while the application runs under a pretenuring collector).
 //
+// Both phases run on one engine, assembled once as a Sim: ProfileApp
+// attaches a Recording (Recorder → Dumper → the Analyzer's replay) to it,
+// RunApp installs a plan in it, and the online loop (internal/online) does
+// both. A Sim also drives the workload and accounts the run.
+//
 // It also owns the evaluation scaling: the paper's setup (12 GB heap, 2 GB
 // young generation, 30-minute runs on a Xeon E5505) is scaled down by a
 // single factor, with work-proportional GC and dump costs scaled up by the

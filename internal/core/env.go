@@ -22,18 +22,8 @@ type Env struct {
 	deadline time.Duration
 }
 
-// NewEnv builds an execution environment over an already-wired engine.
-// The two-phase workflow builds its environments internally; NewEnv exists
-// for alternative runners (the online profiling mode).
-func NewEnv(vm *jvm.VM, clock *simclock.Clock, rnd *workload.Rand, deadline time.Duration) *Env {
-	return &Env{vm: vm, clock: clock, rand: rnd, ops: mustTimeSeries(), deadline: deadline}
-}
-
 // VM returns the execution engine.
 func (e *Env) VM() *jvm.VM { return e.vm }
-
-// OpsSeries returns the per-second completed-operation series.
-func (e *Env) OpsSeries() *metrics.TimeSeries { return e.ops }
 
 // Clock returns the simulated clock.
 func (e *Env) Clock() *simclock.Clock { return e.clock }

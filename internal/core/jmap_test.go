@@ -9,10 +9,7 @@ import (
 	"polm2/internal/apps/lucene"
 	"polm2/internal/core"
 	"polm2/internal/dumper"
-	"polm2/internal/jvm"
 	"polm2/internal/recorder"
-	"polm2/internal/simclock"
-	"polm2/internal/workload"
 )
 
 // TestJmapBaselineMatchesTeedJmap holds ProfileApp's pause-derived jmap
@@ -36,24 +33,21 @@ func TestJmapBaselineMatchesTeedJmap(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// The parent wiring: ProfileApp's collector, dumper and
-			// recorder, with the Tee as the recorder's sink.
-			clock := simclock.New()
-			col, err := core.NewCollector(core.CollectorNG2C, clock,
-				core.ScaledGeometry(core.DefaultScale), core.ScaledCostModel(core.DefaultScale))
+			// ProfileApp's run with a hand-built chain: its collector and
+			// dumper, with the Tee as the recorder's sink.
+			sim, err := core.NewSim(core.CollectorNG2C, nil, core.RunOptions{Duration: duration})
 			if err != nil {
 				t.Fatal(err)
 			}
-			vm := jvm.New(col)
 			cost := core.ScaledDumpCostModel(core.DefaultScale)
-			criu := dumper.New(vm.Heap(), clock, dumper.Config{Cost: cost})
-			jmap := dumper.NewJmap(vm.Heap(), clock, cost)
-			rec, err := recorder.New(recorder.Config{Dir: t.TempDir()}, vm.Heap(), vm.Sites(), dumper.NewTee(criu, jmap))
+			criu := dumper.New(sim.VM().Heap(), sim.Clock(), dumper.Config{Cost: cost})
+			jmap := dumper.NewJmap(sim.VM().Heap(), sim.Clock(), cost)
+			rec, err := recorder.New(recorder.Config{Dir: t.TempDir()}, sim.VM().Heap(), sim.VM().Sites(), dumper.NewTee(criu, jmap))
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec.Attach(vm)
-			if err := tc.app.Run(core.NewEnv(vm, clock, workload.NewRand(1), duration), tc.workload); err != nil {
+			rec.Attach(sim.VM())
+			if err := sim.Drive(tc.app, tc.workload); err != nil {
 				t.Fatal(err)
 			}
 			if err := rec.Close(); err != nil {

@@ -2,23 +2,16 @@ package core
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"polm2/internal/analyzer"
 	"polm2/internal/dumper"
 	"polm2/internal/faultio"
 	"polm2/internal/gc"
-	"polm2/internal/gc/c4"
 	"polm2/internal/heap"
-	"polm2/internal/instrument"
-	"polm2/internal/jvm"
 	"polm2/internal/metrics"
-	"polm2/internal/recorder"
-	"polm2/internal/simclock"
 	"polm2/internal/snapshot"
 	"polm2/internal/trace"
-	"polm2/internal/workload"
 )
 
 // ProfileOptions parameterizes the profiling phase.
@@ -105,83 +98,24 @@ type ProfileResult struct {
 // The jmap baseline is priced from the collector's pauses (JmapSnapshots).
 func ProfileApp(app App, workloadName string, opts ProfileOptions) (*ProfileResult, error) {
 	opts = opts.withDefaults()
-	clock := simclock.New()
-	geom := ScaledGeometry(opts.Scale)
-	col, err := NewCollector(CollectorNG2C, clock, geom, ScaledCostModel(opts.Scale))
+	s, err := NewSim(CollectorNG2C, nil, RunOptions{Scale: opts.Scale, Duration: opts.Duration, Seed: opts.Seed})
 	if err != nil {
 		return nil, err
 	}
-	vm := jvm.New(col)
-
-	recordsDir := opts.RecordsDir
-	if recordsDir == "" {
-		recordsDir, err = os.MkdirTemp("", "polm2-records-*")
-		if err != nil {
-			return nil, fmt.Errorf("core: profiling records dir: %w", err)
-		}
-		defer os.RemoveAll(recordsDir) //nolint:errcheck // best-effort cleanup of our own temp dir
-	} else if err := os.MkdirAll(recordsDir, 0o755); err != nil {
-		return nil, fmt.Errorf("core: profiling records dir: %w", err)
-	}
-	if opts.SnapshotDir != "" {
-		if err := os.MkdirAll(opts.SnapshotDir, 0o755); err != nil {
-			return nil, fmt.Errorf("core: snapshot dir: %w", err)
-		}
-	}
-
-	dumpCost := ScaledDumpCostModel(opts.Scale)
-	dumpCfg := dumper.Config{
-		Cost:       dumpCost,
-		PersistDir: opts.SnapshotDir,
-		Fault:      opts.Fault,
-	}
-	// The Analyzer folds each image as the Dumper takes it, unless the
-	// faults live on disk: then it analyzes what the disk actually holds,
-	// the persisted snapshot chain.
-	fromDisk := opts.Fault != nil && opts.SnapshotDir != ""
-	replay := analyzer.NewReplay()
-	if !fromDisk {
-		dumpCfg.Images = replay
-	}
-	criu := dumper.New(vm.Heap(), clock, dumpCfg)
-	rec, err := recorder.New(recorder.Config{Dir: recordsDir, SnapshotEvery: opts.SnapshotEvery, Fault: opts.Fault},
-		vm.Heap(), vm.Sites(), criu)
+	rec, err := s.Record(opts, nil)
 	if err != nil {
 		return nil, err
 	}
-	rec.Attach(vm)
-
-	env := &Env{
-		vm:       vm,
-		clock:    clock,
-		rand:     workload.NewRand(opts.Seed),
-		ops:      mustTimeSeries(),
-		deadline: opts.Duration,
-	}
-	if err := app.Run(env, workloadName); err != nil {
-		return nil, fmt.Errorf("core: profiling run of %s/%s: %w", app.Name(), workloadName, err)
-	}
-	if err := rec.Close(); err != nil {
+	defer rec.Remove()
+	if err := s.Drive(app, workloadName); err != nil {
 		return nil, err
 	}
-
-	aOpts := analyzer.Options{App: app.Name(), Workload: workloadName}
-	var profile *analyzer.Profile
-	var report *analyzer.SalvageReport
-	switch {
-	case fromDisk:
-		profile, report, err = analyzer.AnalyzeSalvageDir(recordsDir, opts.SnapshotDir, aOpts)
-	case opts.Fault != nil:
-		// Damaged records against the in-memory (undamaged) chain.
-		profile, report, err = replay.FinishSalvage(recordsDir, aOpts)
-	default:
-		profile, err = replay.Finish(recordsDir, aOpts)
-	}
+	profile, report, err := rec.Finish(analyzer.Options{App: app.Name(), Workload: workloadName})
 	if err != nil {
 		return nil, err
 	}
-	snaps, pauses := criu.Snapshots(), col.Pauses()
-	jmaps, err := jmapBaseline(snaps, pauses, dumpCost)
+	snaps, col := rec.criu.Snapshots(), s.VM().Collector()
+	jmaps, err := jmapBaseline(snaps, col.Pauses(), ScaledDumpCostModel(opts.Scale))
 	if err != nil {
 		return nil, err
 	}
@@ -189,21 +123,18 @@ func ProfileApp(app App, workloadName string, opts ProfileOptions) (*ProfileResu
 		Profile:       profile,
 		Snapshots:     snaps,
 		JmapSnapshots: jmaps,
-		PageCounts:    criu.PageCounts(),
+		PageCounts:    rec.criu.PageCounts(),
 		RecordsDir:    opts.RecordsDir,
 		Salvage:       report,
 		GCCycles:      col.Cycles(),
-		SimDuration:   clock.Now(),
+		SimDuration:   s.Now(),
 	}
-	if opts.Tracer.Enabled() {
-		opts.Tracer.Span("core", "profile", 0, result.SimDuration,
-			trace.String("app", app.Name()),
-			trace.String("workload", workloadName),
-			trace.Uint64("gc_cycles", result.GCCycles),
-			trace.Int64("snapshots", int64(len(result.Snapshots))),
-			trace.Int64("instrumented_sites", int64(profile.InstrumentedSites())))
-		gc.TracePauses(opts.Tracer, ScaledCostModel(opts.Scale), pauses)
-	}
+	s.Trace(opts.Tracer, "core", "profile",
+		trace.String("app", app.Name()),
+		trace.String("workload", workloadName),
+		trace.Uint64("gc_cycles", result.GCCycles),
+		trace.Int64("snapshots", int64(len(result.Snapshots))),
+		trace.Int64("instrumented_sites", int64(profile.InstrumentedSites())))
 	return result, nil
 }
 
@@ -310,84 +241,26 @@ type RunResult struct {
 // named collector, optionally instrumented with a profile (POLM2's or the
 // expert's). A nil profile runs the unmodified application.
 func RunApp(app App, workloadName, collectorName string, plan PlanKind, profile *analyzer.Profile, opts RunOptions) (*RunResult, error) {
-	opts = opts.withDefaults()
-	clock := simclock.New()
-	geom := ScaledGeometry(opts.Scale)
-	col, err := NewCollector(collectorName, clock, geom, ScaledCostModel(opts.Scale))
+	s, err := NewSim(collectorName, nil, opts)
 	if err != nil {
 		return nil, err
 	}
-	vm := jvm.New(col)
-
 	if profile != nil {
-		pret, ok := col.(gc.Pretenuring)
-		if !ok {
-			return nil, fmt.Errorf("core: collector %s cannot apply a pretenuring profile", collectorName)
-		}
-		instrPlan, err := instrument.Apply(profile, pret)
-		if err != nil {
+		if err := s.InstallPlan(profile); err != nil {
 			return nil, err
 		}
-		vm.SetPlan(instrPlan)
-		vm.SetPretenureCostPerByte(PretenureCostPerByte(opts.Scale))
 	}
-
-	env := &Env{
-		vm:       vm,
-		clock:    clock,
-		rand:     workload.NewRand(opts.Seed),
-		ops:      mustTimeSeries(),
-		deadline: opts.Duration,
+	if err := s.Drive(app, workloadName); err != nil {
+		return nil, err
 	}
-	if err := app.Run(env, workloadName); err != nil {
-		return nil, fmt.Errorf("core: production run of %s/%s under %s: %w",
-			app.Name(), workloadName, collectorName, err)
-	}
-
-	result := &RunResult{
-		App:         app.Name(),
-		Workload:    workloadName,
-		Collector:   collectorName,
-		Plan:        plan,
-		Pauses:      col.Pauses(),
-		WarmPauses:  &metrics.Sample{},
-		Ops:         env.ops,
-		GenSwitches: vm.GenSwitches(),
-		GCCycles:    col.Cycles(),
-		SimDuration: clock.Now(),
-		Warmup:      opts.Warmup,
-	}
-	for _, p := range result.Pauses {
-		if p.Start >= opts.Warmup {
-			result.WarmPauses.Add(p.Duration)
-		}
-	}
-	for _, n := range env.ops.Slice(opts.Warmup, opts.Duration) {
-		result.WarmOps += n
-	}
-	st := vm.Heap().Stats()
-	result.MaxMemoryBytes = st.MaxCommittedBytes
-	if c4col, ok := col.(*c4.Collector); ok {
-		result.MaxMemoryBytes = c4col.PreReservedBytes()
-		result.PreReserved = true
-	}
-	if opts.Tracer.Enabled() {
-		opts.Tracer.Span("core", "run", 0, result.SimDuration,
-			trace.String("app", app.Name()),
-			trace.String("workload", workloadName),
-			trace.String("collector", collectorName),
-			trace.String("plan", string(plan)),
-			trace.Uint64("gc_cycles", result.GCCycles),
-			trace.Uint64("gen_switches", result.GenSwitches))
-		gc.TracePauses(opts.Tracer, ScaledCostModel(opts.Scale), result.Pauses)
-	}
+	result := s.Result()
+	result.App, result.Workload, result.Plan = app.Name(), workloadName, plan
+	s.Trace(opts.Tracer, "core", "run",
+		trace.String("app", app.Name()),
+		trace.String("workload", workloadName),
+		trace.String("collector", collectorName),
+		trace.String("plan", string(plan)),
+		trace.Uint64("gc_cycles", result.GCCycles),
+		trace.Uint64("gen_switches", result.GenSwitches))
 	return result, nil
-}
-
-func mustTimeSeries() *metrics.TimeSeries {
-	ts, err := metrics.NewTimeSeries(time.Second)
-	if err != nil {
-		panic(err) // one-second width is statically valid
-	}
-	return ts
 }

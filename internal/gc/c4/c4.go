@@ -42,16 +42,12 @@ const (
 
 // Collector is the C4-like concurrent collector model.
 type Collector struct {
-	h     *heap.Heap
-	clock *simclock.Clock
-	cfg   Config
+	gc.CycleLog
+	h   *heap.Heap
+	cfg Config
 
 	cur     *heap.Region
 	regions []*heap.Region
-
-	pauses    []gc.Pause
-	cycles    uint64
-	listeners []gc.CycleFunc
 }
 
 var _ gc.Collector = (*Collector)(nil)
@@ -65,7 +61,7 @@ func New(clock *simclock.Clock, cfg Config) (*Collector, error) {
 	if err != nil {
 		return nil, fmt.Errorf("c4: %w", err)
 	}
-	return &Collector{h: h, clock: clock, cfg: cfg}, nil
+	return &Collector{CycleLog: gc.NewCycleLog(clock), h: h, cfg: cfg}, nil
 }
 
 // Name implements gc.Collector.
@@ -74,26 +70,8 @@ func (c *Collector) Name() string { return "C4" }
 // Heap implements gc.Collector.
 func (c *Collector) Heap() *heap.Heap { return c.h }
 
-// Clock implements gc.Collector.
-func (c *Collector) Clock() *simclock.Clock { return c.clock }
-
-// Pauses implements gc.Collector.
-func (c *Collector) Pauses() []gc.Pause {
-	out := make([]gc.Pause, len(c.pauses))
-	copy(out, c.pauses)
-	return out
-}
-
-// Cycles implements gc.Collector.
-func (c *Collector) Cycles() uint64 { return c.cycles }
-
 // MutatorFactor implements gc.Collector: the barrier tax.
 func (c *Collector) MutatorFactor() float64 { return barrierFactor }
-
-// OnCycleEnd implements gc.Collector.
-func (c *Collector) OnCycleEnd(fn gc.CycleFunc) {
-	c.listeners = append(c.listeners, fn)
-}
 
 // PreReservedBytes returns the memory C4 reserves at launch: the entire
 // configured heap. The evaluation harness reports this instead of the
@@ -142,7 +120,7 @@ func (c *Collector) ForceCollect() error { return c.cycle() }
 // charged to pause time — only the fixed checkpoint pause is. The
 // throughput cost of concurrency is carried by MutatorFactor instead.
 func (c *Collector) cycle() error {
-	start := c.clock.Now()
+	start := c.Clock().Now()
 	live := c.h.Trace()
 
 	regionSize := c.h.Config().RegionSize
@@ -156,8 +134,7 @@ func (c *Collector) cycle() error {
 		rl := live.Region(r)
 		liveFrac := float64(rl.Bytes) / float64(regionSize)
 		if rl.Objects == 0 {
-			gc.SweepRegion(c.h, r, live)
-			c.h.FreeRegion(r)
+			gc.FreeDeadRegion(c.h, r, live)
 			freed++
 			continue
 		}
@@ -177,23 +154,16 @@ func (c *Collector) cycle() error {
 		c.cur = nil
 	}
 
-	dur := checkpointPause
-	c.clock.Advance(dur)
-	c.cycles++
-	c.pauses = append(c.pauses, gc.Pause{
+	c.EndCycle(gc.Pause{
 		Start:            start,
-		Duration:         dur,
+		Duration:         checkpointPause,
 		Kind:             gc.PauseConcurrent,
-		Cycle:            c.cycles,
 		BytesCopied:      cursor.Bytes(),
 		ObjectsCopied:    cursor.Objects(),
 		RegionsCollected: examined,
 		RegionsFreed:     freed,
 		LiveObjects:      live.Objects,
 		LiveBytes:        live.Bytes,
-	})
-	for _, fn := range c.listeners {
-		fn(c.cycles, live)
-	}
+	}, live)
 	return nil
 }

@@ -60,6 +60,13 @@ func (c *Cursor) Objects() int { return c.objects }
 // Gen returns the cursor's destination generation.
 func (c *Cursor) Gen() heap.GenID { return c.gen }
 
+// FreeDeadRegion sweeps r, which holds no live resident, and returns it to
+// the heap's free pool.
+func FreeDeadRegion(h *heap.Heap, r *heap.Region, live *heap.LiveSet) {
+	SweepRegion(h, r, live)
+	h.FreeRegion(r)
+}
+
 // SweepRegion removes every dead resident of r and returns the count and
 // bytes of removed garbage. The collectors sweep the regions they keep or
 // free without copying; EvacuateAndFree sweeps the ones it empties.

@@ -131,6 +131,52 @@ func (m CostModel) EvacuationCost(regions int, remsetEntries int, bytesCopied ui
 // mark no-need pages and trigger a heap snapshot (§3.2).
 type CycleFunc func(cycle uint64, live *heap.LiveSet)
 
+// CycleLog is the bookkeeping every collector keeps the same way: its
+// clock, the pauses it charged, the cycles it completed and the listeners
+// of each cycle's end. A collector embeds one, which implements Clock,
+// Pauses, Cycles and OnCycleEnd for it, and ends every collection with
+// EndCycle.
+type CycleLog struct {
+	clock     *simclock.Clock
+	pauses    []Pause
+	cycles    uint64
+	listeners []CycleFunc
+}
+
+// NewCycleLog returns an empty log over clock.
+func NewCycleLog(clock *simclock.Clock) CycleLog { return CycleLog{clock: clock} }
+
+// Clock implements Collector.
+func (l *CycleLog) Clock() *simclock.Clock { return l.clock }
+
+// Pauses implements Collector.
+func (l *CycleLog) Pauses() []Pause {
+	out := make([]Pause, len(l.pauses))
+	copy(out, l.pauses)
+	return out
+}
+
+// Cycles implements Collector.
+func (l *CycleLog) Cycles() uint64 { return l.cycles }
+
+// OnCycleEnd implements Collector.
+func (l *CycleLog) OnCycleEnd(fn CycleFunc) {
+	l.listeners = append(l.listeners, fn)
+}
+
+// EndCycle closes a collection: it advances the clock by p.Duration, counts
+// the cycle, logs p under that cycle's number and hands the collection's
+// live set to every listener, in registration order.
+func (l *CycleLog) EndCycle(p Pause, live *heap.LiveSet) {
+	l.clock.Advance(p.Duration)
+	l.cycles++
+	p.Cycle = l.cycles
+	l.pauses = append(l.pauses, p)
+	for _, fn := range l.listeners {
+		fn(l.cycles, live)
+	}
+}
+
 // Collector is a simulated garbage collector. Implementations are not safe
 // for concurrent use; the simulation is single-threaded.
 type Collector interface {

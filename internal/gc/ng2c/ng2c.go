@@ -100,9 +100,9 @@ func (c Config) withDefaults() Config {
 // Collector is the NG2C-like pretenuring collector, or with pretenuring
 // off the G1 baseline.
 type Collector struct {
-	h     *heap.Heap
-	clock *simclock.Clock
-	cfg   Config
+	gc.CycleLog
+	h   *heap.Heap
+	cfg Config
 	// pretenuring is false for the G1 baseline: allocation targets are
 	// ignored and mixed collections compact Old into the promotion cursor.
 	pretenuring bool
@@ -123,9 +123,6 @@ type Collector struct {
 	// evacuated, only reclaimed whole when their object dies.
 	humongous map[heap.RegionID]bool
 
-	pauses       []gc.Pause
-	cycles       uint64
-	listeners    []gc.CycleFunc
 	mixedPending bool
 	// pressureArmed allows one pressure-triggered collection per
 	// threshold crossing.
@@ -173,8 +170,8 @@ func build(clock *simclock.Clock, cfg Config, pretenuring bool) (*Collector, err
 		return nil, fmt.Errorf("ng2c: YoungBytes %d must hold at least two regions", cfg.YoungBytes)
 	}
 	return &Collector{
+		CycleLog:    gc.NewCycleLog(clock),
 		h:           h,
-		clock:       clock,
 		cfg:         cfg,
 		pretenuring: pretenuring,
 		allocCur:    make(map[heap.GenID]*heap.Region),
@@ -194,27 +191,9 @@ func (c *Collector) Name() string {
 // Heap implements gc.Collector.
 func (c *Collector) Heap() *heap.Heap { return c.h }
 
-// Clock implements gc.Collector.
-func (c *Collector) Clock() *simclock.Clock { return c.clock }
-
-// Pauses implements gc.Collector.
-func (c *Collector) Pauses() []gc.Pause {
-	out := make([]gc.Pause, len(c.pauses))
-	copy(out, c.pauses)
-	return out
-}
-
-// Cycles implements gc.Collector.
-func (c *Collector) Cycles() uint64 { return c.cycles }
-
 // MutatorFactor implements gc.Collector. NG2C's barriers match G1's
 // (§5.5 of the NG2C paper reports no throughput cost).
 func (c *Collector) MutatorFactor() float64 { return 1.0 }
-
-// OnCycleEnd implements gc.Collector.
-func (c *Collector) OnCycleEnd(fn gc.CycleFunc) {
-	c.listeners = append(c.listeners, fn)
-}
 
 // NewGeneration implements gc.Pretenuring: it creates a fresh dynamic
 // generation and returns its id (System.newGeneration in the paper's API).
@@ -350,7 +329,7 @@ func (c *Collector) ForceCollect() error { return c.collect() }
 // per-region cost and no copying — the payoff of pretenuring.
 func (c *Collector) collect() error {
 	c.armMixedIfNeeded() // occupancy check at collection start, like G1's IHOP
-	start := c.clock.Now()
+	start := c.Clock().Now()
 	live := c.h.Trace()
 
 	cs := c.csScratch[:0]
@@ -452,9 +431,7 @@ func (c *Collector) collect() error {
 		freed++
 	}
 	for _, r := range emptyCS {
-		gc.SweepRegion(c.h, r, live)
-		c.h.FreeRegion(r)
-		delete(c.humongous, r.ID())
+		c.freeDead(r, live)
 		freed++
 	}
 	// Dropped allocation cursors for freed/evacuated regions.
@@ -496,14 +473,12 @@ func (c *Collector) collect() error {
 		c.candScratch = oldCS[:0]
 	}
 
-	dur := c.cfg.Cost.EvacuationCost(len(cs)+len(emptyCS), remset, copiedBytes, copiedObjects)
-	c.clock.Advance(dur)
-	c.cycles++
-	c.pauses = append(c.pauses, gc.Pause{
+	c.armMixedIfNeeded()
+	c.pressureArmed = true
+	c.EndCycle(gc.Pause{
 		Start:            start,
-		Duration:         dur,
+		Duration:         c.cfg.Cost.EvacuationCost(len(cs)+len(emptyCS), remset, copiedBytes, copiedObjects),
 		Kind:             kind,
-		Cycle:            c.cycles,
 		BytesCopied:      copiedBytes,
 		ObjectsCopied:    copiedObjects,
 		RegionsCollected: len(cs) + len(emptyCS),
@@ -511,16 +486,13 @@ func (c *Collector) collect() error {
 		PromotedBytes:    promotedBytes,
 		LiveObjects:      live.Objects,
 		LiveBytes:        live.Bytes,
-	})
-	c.armMixedIfNeeded()
-	c.pressureArmed = true
-	c.notify(live)
+	}, live)
 	return nil
 }
 
 // fullCollect compacts the whole heap, preserving each object's generation.
 func (c *Collector) fullCollect() error {
-	start := c.clock.Now()
+	start := c.Clock().Now()
 	live := c.h.Trace()
 	regions := c.h.ActiveRegions()
 	remset := 0
@@ -550,15 +522,15 @@ func (c *Collector) fullCollect() error {
 	freed := 0
 	evacuate := regions[:0]
 	for _, r := range regions {
-		gc.SweepRegion(c.h, r, live)
-		switch {
-		case r.ResidentCount() == 0:
-			c.h.FreeRegion(r)
-			delete(c.humongous, r.ID())
+		if live.Region(r).Objects == 0 {
+			c.freeDead(r, live)
 			freed++
-		case c.humongous[r.ID()]:
+			continue
+		}
+		gc.SweepRegion(c.h, r, live)
+		if c.humongous[r.ID()] {
 			keptHumongous = append(keptHumongous, r)
-		default:
+		} else {
 			evacuate = append(evacuate, r)
 		}
 	}
@@ -583,24 +555,19 @@ func (c *Collector) fullCollect() error {
 	}
 	c.mixedPending = false
 
-	dur := c.cfg.Cost.EvacuationCost(len(regions), remset, copiedBytes, copiedObjects) +
-		time.Duration(live.Objects)*c.cfg.Cost.PerTracedObject
-	c.clock.Advance(dur)
-	c.cycles++
-	c.pauses = append(c.pauses, gc.Pause{
-		Start:            start,
-		Duration:         dur,
+	c.armMixedIfNeeded()
+	c.EndCycle(gc.Pause{
+		Start: start,
+		Duration: c.cfg.Cost.EvacuationCost(len(regions), remset, copiedBytes, copiedObjects) +
+			time.Duration(live.Objects)*c.cfg.Cost.PerTracedObject,
 		Kind:             gc.PauseFull,
-		Cycle:            c.cycles,
 		BytesCopied:      copiedBytes,
 		ObjectsCopied:    copiedObjects,
 		RegionsCollected: len(regions),
 		RegionsFreed:     freed,
 		LiveObjects:      live.Objects,
 		LiveBytes:        live.Bytes,
-	})
-	c.armMixedIfNeeded()
-	c.notify(live)
+	}, live)
 	return nil
 }
 
@@ -614,10 +581,11 @@ func (c *Collector) armMixedIfNeeded() {
 	}
 }
 
-func (c *Collector) notify(live *heap.LiveSet) {
-	for _, fn := range c.listeners {
-		fn(c.cycles, live)
-	}
+// freeDead reclaims a region with no live resident, which also ends its
+// life as a humongous region.
+func (c *Collector) freeDead(r *heap.Region, live *heap.LiveSet) {
+	gc.FreeDeadRegion(c.h, r, live)
+	delete(c.humongous, r.ID())
 }
 
 // MatureRegions returns the number of regions in generations >= Old (test

@@ -23,19 +23,33 @@ func collectors(t *testing.T) map[string]gc.Collector {
 		PageSize:   4096,
 		MaxBytes:   256 * 32 * 1024,
 	}
-	g1Col, err := ng2c.NewG1(simclock.New(), ng2c.Config{Heap: heapCfg, YoungBytes: 8 * 32 * 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ng2cCol, err := ng2c.New(simclock.New(), ng2c.Config{Heap: heapCfg, YoungBytes: 8 * 32 * 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
 	c4Col, err := c4.New(simclock.New(), c4.Config{Heap: heapCfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]gc.Collector{"G1": g1Col, "NG2C": ng2cCol, "C4": c4Col}
+	return map[string]gc.Collector{
+		"G1":   ng2cCollector(t, heapCfg, 8, false),
+		"NG2C": ng2cCollector(t, heapCfg, 8, true),
+		"C4":   c4Col,
+	}
+}
+
+// ng2cCollector builds NG2C, or G1 without pretenuring, over heapCfg with a
+// young generation of youngRegions regions.
+func ng2cCollector(t *testing.T, heapCfg heap.Config, youngRegions uint64, pretenuring bool) gc.Collector {
+	t.Helper()
+	cfg := ng2c.Config{Heap: heapCfg, YoungBytes: youngRegions * uint64(heapCfg.RegionSize)}
+	var col gc.Collector
+	var err error
+	if pretenuring {
+		col, err = ng2c.New(simclock.New(), cfg)
+	} else {
+		col, err = ng2c.NewG1(simclock.New(), cfg)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return col
 }
 
 // checkEveryCycle runs the heap's remembered-set and page-table checkers
@@ -109,8 +123,10 @@ func (tr tracked) lost() bool {
 	return tr.obj.Stamp() != tr.stamp || tr.obj.Region() == nil
 }
 
-// torture runs the randomized mutator against one collector.
-func torture(t *testing.T, name string, col gc.Collector, seed int64) {
+// torture runs the randomized mutator against one collector. A pretenuring
+// collector gets one allocation in pretenureOneIn into a dynamic
+// generation.
+func torture(t *testing.T, name string, col gc.Collector, seed int64, pretenureOneIn int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	h := col.Heap()
@@ -144,7 +160,7 @@ func torture(t *testing.T, name string, col gc.Collector, seed int64) {
 	const steps = 30000
 	for step := 0; step < steps; step++ {
 		target := heap.Young
-		if len(dynamicGens) > 0 && rng.Intn(4) == 0 {
+		if len(dynamicGens) > 0 && rng.Intn(pretenureOneIn) == 0 {
 			target = dynamicGens[rng.Intn(len(dynamicGens))]
 		}
 		size := uint32(32 + rng.Intn(2048))
@@ -238,7 +254,44 @@ func TestTortureAllCollectors(t *testing.T) {
 		for name, col := range collectors(t) {
 			name, col, seed := name, col, seed
 			t.Run(name, func(t *testing.T) {
-				torture(t, name, col, seed)
+				torture(t, name, col, seed, 4)
+			})
+		}
+	}
+}
+
+// TestTortureFullCollections caps the heap so that allocation exhausts it
+// and NG2C and G1 fall back to full collections; every check of
+// checkEveryCycle then runs after fullCollect too. The caps are the ones
+// where both seeds reach a full collection without exhausting the heap
+// during an evacuation.
+func TestTortureFullCollections(t *testing.T) {
+	if testing.Short() {
+		t.Skip("torture skipped in -short mode")
+	}
+	for _, tc := range []struct {
+		name                  string
+		regions, youngRegions uint64
+	}{
+		{"G1", 64, 40},
+		{"NG2C", 80, 32},
+	} {
+		for _, seed := range []int64{1, 42} {
+			heapCfg := heap.Config{RegionSize: 32 * 1024, PageSize: 4096, MaxBytes: tc.regions * 32 * 1024}
+			col := ng2cCollector(t, heapCfg, tc.youngRegions, tc.name == "NG2C")
+			name, seed := tc.name, seed
+			t.Run(name, func(t *testing.T) {
+				torture(t, name, col, seed, 16)
+				full := 0
+				for _, p := range col.Pauses() {
+					if p.Kind == gc.PauseFull {
+						full++
+					}
+				}
+				if full == 0 {
+					t.Fatalf("%s: seed %d: no full collection in %d pauses", name, seed, len(col.Pauses()))
+				}
+				t.Logf("%s: seed %d: %d full collections in %d pauses", name, seed, full, len(col.Pauses()))
 			})
 		}
 	}

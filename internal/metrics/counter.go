@@ -14,7 +14,7 @@ import (
 // use. The zero value is ready.
 //
 // Counters back the plan-distribution daemon's /metricsz endpoint; unlike
-// the simulation-side Sample/Histogram/TimeSeries types they count real
+// the simulation-side Sample and TimeSeries types they count real
 // (wall-clock-world) events, so they must be lock-free on the hot path.
 type Counter struct {
 	v atomic.Uint64

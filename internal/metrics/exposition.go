@@ -98,9 +98,9 @@ func DefaultLatencyEdges() []time.Duration {
 }
 
 // LatencyHistogram counts duration observations into fixed buckets,
-// lock-free on the observation path. It complements the simulation-side
-// Histogram (exact, single-threaded, arbitrary reset) with what the fleet
-// path needs: concurrent Observe and a stable text exposition.
+// lock-free on the observation path: the fleet path needs concurrent
+// Observe and a stable text exposition. Bucket i holds the observations in
+// (edge[i-1], edge[i]], closed above, as the exposition's le labels say.
 //
 // Rendering is cumulative, one line per bucket edge plus +Inf, then the
 // observation count and the sum in integer nanoseconds:

@@ -86,72 +86,6 @@ func (s *Sample) Values() []time.Duration {
 // paper's Figure 5, in order.
 var PaperPercentiles = []float64{50, 90, 99, 99.9, 99.99, 99.999}
 
-// Histogram counts observations per half-open duration interval
-// [edge[i], edge[i+1]), with a final overflow bucket for observations at or
-// above the last edge. It reproduces the pause-interval counts of Figure 6.
-type Histogram struct {
-	edges  []time.Duration
-	counts []int
-}
-
-// NewHistogram builds a histogram over the given strictly increasing bucket
-// edges. With n edges the histogram has n+1 buckets: one below the first
-// edge, n-1 between consecutive edges, and one at or above the last edge.
-func NewHistogram(edges []time.Duration) (*Histogram, error) {
-	if len(edges) == 0 {
-		return nil, fmt.Errorf("metrics: histogram needs at least one edge")
-	}
-	for i := 1; i < len(edges); i++ {
-		if edges[i] <= edges[i-1] {
-			return nil, fmt.Errorf("metrics: histogram edges not strictly increasing at index %d (%v <= %v)",
-				i, edges[i], edges[i-1])
-		}
-	}
-	owned := make([]time.Duration, len(edges))
-	copy(owned, edges)
-	return &Histogram{
-		edges:  owned,
-		counts: make([]int, len(edges)+1),
-	}, nil
-}
-
-// Add records one observation.
-func (h *Histogram) Add(d time.Duration) {
-	i := sort.Search(len(h.edges), func(i int) bool { return d < h.edges[i] })
-	h.counts[i]++
-}
-
-// Counts returns a copy of the per-bucket counts, lowest bucket first.
-func (h *Histogram) Counts() []int {
-	out := make([]int, len(h.counts))
-	copy(out, h.counts)
-	return out
-}
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int {
-	total := 0
-	for _, c := range h.counts {
-		total += c
-	}
-	return total
-}
-
-// BucketLabel renders a human-readable label for bucket i, e.g. "[64ms,128ms)".
-func (h *Histogram) BucketLabel(i int) string {
-	switch {
-	case i == 0:
-		return fmt.Sprintf("[0,%v)", h.edges[0])
-	case i < len(h.edges):
-		return fmt.Sprintf("[%v,%v)", h.edges[i-1], h.edges[i])
-	default:
-		return fmt.Sprintf("[%v,+inf)", h.edges[len(h.edges)-1])
-	}
-}
-
-// NumBuckets returns the number of buckets (edges + 1).
-func (h *Histogram) NumBuckets() int { return len(h.counts) }
-
 // TimeSeries accumulates event counts into fixed-width time buckets. The
 // benchmark harness uses one-second buckets to regenerate the
 // transactions-per-second series of Figure 8.

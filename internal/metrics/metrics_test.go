@@ -149,79 +149,6 @@ func TestSampleValuesSortedProperty(t *testing.T) {
 	}
 }
 
-func TestHistogramEdgesValidation(t *testing.T) {
-	if _, err := NewHistogram(nil); err == nil {
-		t.Error("NewHistogram(nil) should fail")
-	}
-	if _, err := NewHistogram([]time.Duration{2, 2}); err == nil {
-		t.Error("non-increasing edges should fail")
-	}
-	if _, err := NewHistogram([]time.Duration{3, 1}); err == nil {
-		t.Error("decreasing edges should fail")
-	}
-}
-
-func TestHistogramBucketing(t *testing.T) {
-	h, err := NewHistogram([]time.Duration{10 * time.Millisecond, 100 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Add(0)
-	h.Add(9 * time.Millisecond)
-	h.Add(10 * time.Millisecond) // boundary goes to the upper bucket
-	h.Add(99 * time.Millisecond)
-	h.Add(100 * time.Millisecond)
-	h.Add(time.Second)
-	want := []int{2, 2, 2}
-	got := h.Counts()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Counts() = %v, want %v", got, want)
-		}
-	}
-	if h.Total() != 6 {
-		t.Fatalf("Total() = %d, want 6", h.Total())
-	}
-}
-
-func TestHistogramLabels(t *testing.T) {
-	h, err := NewHistogram([]time.Duration{10 * time.Millisecond, 100 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.NumBuckets() != 3 {
-		t.Fatalf("NumBuckets = %d, want 3", h.NumBuckets())
-	}
-	wants := []string{"[0,10ms)", "[10ms,100ms)", "[100ms,+inf)"}
-	for i, w := range wants {
-		if got := h.BucketLabel(i); got != w {
-			t.Errorf("BucketLabel(%d) = %q, want %q", i, got, w)
-		}
-	}
-}
-
-// Property: histogram total always equals the number of Adds, regardless of
-// the values' relationship to the edges.
-func TestHistogramTotalProperty(t *testing.T) {
-	edges := []time.Duration{time.Millisecond, 10 * time.Millisecond, 100 * time.Millisecond}
-	f := func(raw []int64) bool {
-		h, err := NewHistogram(edges)
-		if err != nil {
-			return false
-		}
-		for _, v := range raw {
-			if v < 0 {
-				v = -v
-			}
-			h.Add(time.Duration(v))
-		}
-		return h.Total() == len(raw)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTimeSeriesValidation(t *testing.T) {
 	if _, err := NewTimeSeries(0); err == nil {
 		t.Error("zero width should fail")

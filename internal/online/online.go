@@ -4,13 +4,14 @@
 //
 // Instead of a separate profiling phase, the Recorder and Dumper stay
 // attached while the application serves production load, and the
-// Analyzer's replay folds every snapshot as it is taken. Every re-profile
-// interval the replay is finished over everything recorded so far and the
-// resulting plan is hot-swapped into the execution engine — the equivalent
-// of re-instrumenting the bytecode of freshly loaded classes at runtime.
-// Applications whose allocation behaviour shifts (a Cassandra cluster
-// moving from a write-heavy ingest phase to a read-heavy serving phase)
-// converge to the new behaviour without a restart.
+// Analyzer's replay folds every snapshot as it is taken: Run is one
+// core.Sim with a core.Recording attached and plans installed mid-run.
+// Every re-profile interval the replay is finished over everything recorded
+// so far and the resulting plan is hot-swapped into the execution engine —
+// the equivalent of re-instrumenting the bytecode of freshly loaded classes
+// at runtime. Applications whose allocation behaviour shifts (a Cassandra
+// cluster moving from a write-heavy ingest phase to a read-heavy serving
+// phase) converge to the new behaviour without a restart.
 //
 // The price is the recording overhead the paper avoids by profiling
 // off-line: every allocation pays the logging callback, and every GC cycle
@@ -19,40 +20,31 @@ package online
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"polm2/internal/analyzer"
 	"polm2/internal/core"
-	"polm2/internal/dumper"
 	"polm2/internal/faultio"
 	"polm2/internal/gc"
 	"polm2/internal/heap"
-	"polm2/internal/instrument"
-	"polm2/internal/jvm"
 	"polm2/internal/metrics"
-	"polm2/internal/recorder"
 	"polm2/internal/rollout"
 	"polm2/internal/simclock"
 	"polm2/internal/snapshot"
 	"polm2/internal/trace"
-	"polm2/internal/workload"
 )
 
 // Options parameterizes an online run.
 type Options struct {
-	// Scale divides the paper's heap geometry. Default core.DefaultScale.
-	Scale uint64
-	// Duration is the simulated run length. Default 30 minutes.
+	// Scale, Duration, Warmup and Seed are core.RunOptions' fields, with
+	// its defaults (a 30-minute run, 5 of them warmup).
+	Scale    uint64
 	Duration time.Duration
-	// Warmup is excluded from the warm metrics. Default 5 minutes,
-	// clamped to half the duration.
-	Warmup time.Duration
+	Warmup   time.Duration
+	Seed     int64
 	// Reprofile is the re-analysis interval. Default 5 simulated
 	// minutes.
 	Reprofile time.Duration
-	// Seed drives the workload randomness. Default 1.
-	Seed int64
 	// RecordsDir receives allocation records and is created if missing;
 	// when empty, a temporary directory that is removed when the run ends.
 	RecordsDir string
@@ -114,24 +106,11 @@ type FeedbackReporter interface {
 	ReportFeedback(r *rollout.Report) (sent bool, err error)
 }
 
+// withDefaults sets the re-profile interval; Scale, Duration, Warmup and
+// Seed take core.RunOptions' defaults in core.NewSim.
 func (o Options) withDefaults() Options {
-	if o.Scale == 0 {
-		o.Scale = core.DefaultScale
-	}
-	if o.Duration == 0 {
-		o.Duration = core.PaperRunDuration
-	}
-	if o.Warmup == 0 {
-		o.Warmup = core.PaperWarmup
-	}
-	if o.Warmup > o.Duration/2 {
-		o.Warmup = o.Duration / 2
-	}
 	if o.Reprofile == 0 {
 		o.Reprofile = 5 * time.Minute
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	return o
 }
@@ -198,76 +177,41 @@ type Result struct {
 	SimDuration time.Duration
 }
 
-// tappedReplay hands every image to tap before the replay folds it.
-type tappedReplay struct {
-	tap func(*snapshot.Snapshot)
-	*analyzer.Replay
-}
-
-func (t tappedReplay) Add(snap *snapshot.Snapshot) error {
-	t.tap(snap)
-	return t.Replay.Add(snap)
-}
-
 // Run executes a workload with continuous profiling and periodic plan
 // hot-swaps.
 func Run(app core.App, workloadName string, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
-	clock := opts.Clock
-	if clock == nil {
-		clock = simclock.New()
-	}
-	geom := core.ScaledGeometry(opts.Scale)
-	col, err := core.NewCollector(core.CollectorNG2C, clock, geom, core.ScaledCostModel(opts.Scale))
+	s, err := core.NewSim(core.CollectorNG2C, opts.Clock, core.RunOptions{
+		Scale: opts.Scale, Duration: opts.Duration, Warmup: opts.Warmup, Seed: opts.Seed,
+	})
 	if err != nil {
 		return nil, err
-	}
-	pret, ok := col.(gc.Pretenuring)
-	if !ok {
-		return nil, fmt.Errorf("online: collector %s does not support pretenuring", col.Name())
-	}
-	vm := jvm.New(col)
-	vm.SetPretenureCostPerByte(core.PretenureCostPerByte(opts.Scale))
-
-	recordsDir := opts.RecordsDir
-	if recordsDir == "" {
-		recordsDir, err = os.MkdirTemp("", "polm2-online-*")
-		if err != nil {
-			return nil, fmt.Errorf("online: records dir: %w", err)
-		}
-		defer os.RemoveAll(recordsDir) //nolint:errcheck // best-effort cleanup of our own temp dir
-	} else if err := os.MkdirAll(recordsDir, 0o755); err != nil {
-		return nil, fmt.Errorf("online: records dir: %w", err)
 	}
 	// Every image folds into one replay as it is taken; each re-profile
 	// round finishes the replay over the window so far.
-	replay := analyzer.NewReplay()
-	var images dumper.ImageSink = replay
-	if opts.tap != nil {
-		images = tappedReplay{opts.tap, replay}
-	}
-	criu := dumper.New(vm.Heap(), clock, dumper.Config{
-		Cost:   core.ScaledDumpCostModel(opts.Scale),
-		Images: images,
-	})
-	rec, err := recorder.New(recorder.Config{Dir: recordsDir, Fault: opts.Fault}, vm.Heap(), vm.Sites(), criu)
+	rec, err := s.Record(core.ProfileOptions{RecordsDir: opts.RecordsDir, Fault: opts.Fault}, opts.tap)
 	if err != nil {
 		return nil, err
 	}
-	rec.Attach(vm)
+	defer rec.Remove()
+	clock, col := s.Clock(), s.VM().Collector()
 	// The logging callback costs mutator time on every allocation — the
 	// overhead off-line profiling avoids (§6.1).
-	vm.AddAllocHook(func(heap.SiteID, *heap.Object) {
+	s.VM().AddAllocHook(func(heap.SiteID, *heap.Object) {
 		clock.Advance(recordCost)
 	})
 
-	result := &Result{WarmPauses: &metrics.Sample{}}
+	result := &Result{}
+	// Re-profile rounds are rare (one per Reprofile interval), so their
+	// events build attributes even when the tracer is nil.
+	event := func(name string, attrs ...trace.Attr) {
+		opts.Tracer.EventAt(clock.Now(), "online", name, attrs...)
+	}
 	var analyzeErr error
 	nextReprofile := opts.Reprofile
 	// Feedback window bookkeeping: each report covers the pauses since the
 	// previous report, so windows tile the run without overlap.
-	feedbackFrom := 0
-	feedbackStart := time.Duration(0)
+	feedbackFrom, feedbackStart := 0, time.Duration(0)
 	reportFeedback := func(fb FeedbackReporter) {
 		pauses := col.Pauses()
 		window := pauses[feedbackFrom:]
@@ -296,27 +240,19 @@ func Run(app core.App, workloadName string, opts Options) (*Result, error) {
 			PauseP99:    sample.Percentile(99),
 		}
 		if copied > 0 {
-			r.PromotionRate = float64(promoted) / float64(copied)
-			if r.PromotionRate > 1 {
-				r.PromotionRate = 1
-			}
+			r.PromotionRate = min(float64(promoted)/float64(copied), 1)
 			r.SurvivorRate = 1 - r.PromotionRate
 		}
 		sent, err := fb.ReportFeedback(r)
 		switch {
 		case err != nil:
 			result.FeedbackErrors++
-			if opts.Tracer.Enabled() {
-				opts.Tracer.EventAt(clock.Now(), "online", "feedback_error",
-					trace.String("err", err.Error()))
-			}
+			event("feedback_error", trace.String("err", err.Error()))
 		case sent:
 			result.FeedbackReports++
-			if opts.Tracer.Enabled() {
-				opts.Tracer.EventAt(clock.Now(), "online", "feedback",
-					trace.Int64("pauses", int64(r.Pauses)),
-					trace.Int64("pause_p99_ns", int64(r.PauseP99)))
-			}
+			event("feedback",
+				trace.Int64("pauses", int64(r.Pauses)),
+				trace.Int64("pause_p99_ns", int64(r.PauseP99)))
 		}
 	}
 	// Re-analysis is driven from the GC cycle boundary: the heap is
@@ -326,11 +262,9 @@ func Run(app core.App, workloadName string, opts Options) (*Result, error) {
 			return
 		}
 		nextReprofile = clock.Now() + opts.Reprofile
-		if opts.Tracer.Enabled() {
-			opts.Tracer.EventAt(clock.Now(), "online", "reprofile",
-				trace.Uint64("cycle", cycle),
-				trace.Int64("round", int64(len(result.Updates)+len(result.Salvages)+1)))
-		}
+		event("reprofile",
+			trace.Uint64("cycle", cycle),
+			trace.Int64("round", int64(len(result.Updates)+len(result.Salvages)+1)))
 		if err := rec.Flush(); err != nil {
 			analyzeErr = err
 			return
@@ -339,23 +273,18 @@ func Run(app core.App, workloadName string, opts Options) (*Result, error) {
 		// goes through the salvage decoder. A damaged recording keeps the
 		// previous plan — instrumenting from partial evidence mid-run is
 		// worse than staying the course — and the run continues.
-		profile, report, err := replay.FinishSalvage(recordsDir, analyzer.Options{App: app.Name(), Workload: workloadName})
+		profile, report, err := rec.Reanalyze(analyzer.Options{App: app.Name(), Workload: workloadName})
 		if err != nil {
 			result.Salvages = append(result.Salvages, SalvageEvent{At: clock.Now(), Err: err.Error()})
-			if opts.Tracer.Enabled() {
-				opts.Tracer.EventAt(clock.Now(), "online", "salvage",
-					trace.String("err", err.Error()))
-			}
+			event("salvage", trace.String("err", err.Error()))
 			return
 		}
 		if !report.Clean() {
 			result.Salvages = append(result.Salvages, SalvageEvent{At: clock.Now(), Report: report})
-			if opts.Tracer.Enabled() {
-				opts.Tracer.EventAt(clock.Now(), "online", "salvage",
-					trace.Int64("lost_bytes", report.LostBytes),
-					trace.Int64("damaged_sites", int64(len(report.Sites))),
-					trace.Int64("degraded_sites", int64(report.DegradedSites)))
-			}
+			event("salvage",
+				trace.Int64("lost_bytes", report.LostBytes),
+				trace.Int64("damaged_sites", int64(len(report.Sites))),
+				trace.Int64("degraded_sites", int64(report.DegradedSites)))
 			return
 		}
 		if opts.Fleet != nil {
@@ -372,47 +301,36 @@ func Run(app core.App, workloadName string, opts Options) (*Result, error) {
 				// No plan to offer at all: keep the previous plan, as a
 				// salvage keeps it on damaged artifacts.
 				result.FleetEvents = append(result.FleetEvents, FleetEvent{At: clock.Now(), Err: err.Error()})
-				if opts.Tracer.Enabled() {
-					opts.Tracer.EventAt(clock.Now(), "online", "fleet_error",
-						trace.String("err", err.Error()))
-				}
+				event("fleet_error", trace.String("err", err.Error()))
 				return
 			}
 			if !fresh {
 				result.FleetEvents = append(result.FleetEvents, FleetEvent{At: clock.Now(), Fallback: true})
-				if opts.Tracer.Enabled() {
-					opts.Tracer.EventAt(clock.Now(), "online", "fleet_fallback")
-				}
-			} else if opts.Tracer.Enabled() {
-				opts.Tracer.EventAt(clock.Now(), "online", "fleet_sync",
-					trace.Int64("instrumented", int64(merged.InstrumentedSites())))
+				event("fleet_fallback")
+			} else {
+				event("fleet_sync", trace.Int64("instrumented", int64(merged.InstrumentedSites())))
 			}
 			profile = merged
 		}
-		plan, err := instrument.Apply(profile, pret)
-		if err != nil {
+		if err := s.InstallPlan(profile); err != nil {
 			analyzeErr = fmt.Errorf("online: re-instrumentation at %v: %w", clock.Now(), err)
 			return
 		}
-		vm.SetPlan(plan)
 		result.Updates = append(result.Updates, PlanUpdate{
 			At:           clock.Now(),
 			Instrumented: profile.InstrumentedSites(),
 			Generations:  profile.UsedGenerations(),
 			Conflicts:    profile.Conflicts,
 		})
-		if opts.Tracer.Enabled() {
-			opts.Tracer.EventAt(clock.Now(), "online", "plan_swap",
-				trace.Int64("update", int64(len(result.Updates))),
-				trace.Int64("instrumented", int64(profile.InstrumentedSites())),
-				trace.Int64("generations", int64(profile.UsedGenerations())),
-				trace.Int64("conflicts", int64(profile.Conflicts)))
-		}
+		event("plan_swap",
+			trace.Int64("update", int64(len(result.Updates))),
+			trace.Int64("instrumented", int64(profile.InstrumentedSites())),
+			trace.Int64("generations", int64(profile.UsedGenerations())),
+			trace.Int64("conflicts", int64(profile.Conflicts)))
 	})
 
-	env := core.NewEnv(vm, clock, workload.NewRand(opts.Seed), opts.Duration)
-	if err := app.Run(env, workloadName); err != nil {
-		return nil, fmt.Errorf("online: running %s/%s: %w", app.Name(), workloadName, err)
+	if err := s.Drive(app, workloadName); err != nil {
+		return nil, err
 	}
 	if analyzeErr != nil {
 		return nil, analyzeErr
@@ -426,26 +344,15 @@ func Run(app core.App, workloadName string, opts Options) (*Result, error) {
 		reportFeedback(fb)
 	}
 
-	result.Pauses = col.Pauses()
-	for _, p := range result.Pauses {
-		if p.Start >= opts.Warmup {
-			result.WarmPauses.Add(p.Duration)
-		}
-	}
-	for _, n := range env.OpsSeries().Slice(opts.Warmup, opts.Duration) {
-		result.WarmOps += n
-	}
-	result.MaxMemoryBytes = vm.Heap().Stats().MaxCommittedBytes
-	result.SimDuration = clock.Now()
-	if opts.Tracer.Enabled() {
-		opts.Tracer.Span("online", "run", 0, result.SimDuration,
-			trace.String("app", app.Name()),
-			trace.String("workload", workloadName),
-			trace.Int64("updates", int64(len(result.Updates))),
-			trace.Int64("salvages", int64(len(result.Salvages))),
-			trace.Int64("fleet_events", int64(len(result.FleetEvents))),
-			trace.Uint64("gc_cycles", col.Cycles()))
-		gc.TracePauses(opts.Tracer, core.ScaledCostModel(opts.Scale), result.Pauses)
-	}
+	run := s.Result()
+	result.Pauses, result.WarmPauses, result.WarmOps = run.Pauses, run.WarmPauses, run.WarmOps
+	result.MaxMemoryBytes, result.SimDuration = run.MaxMemoryBytes, run.SimDuration
+	s.Trace(opts.Tracer, "online", "run",
+		trace.String("app", app.Name()),
+		trace.String("workload", workloadName),
+		trace.Int64("updates", int64(len(result.Updates))),
+		trace.Int64("salvages", int64(len(result.Salvages))),
+		trace.Int64("fleet_events", int64(len(result.FleetEvents))),
+		trace.Uint64("gc_cycles", run.GCCycles))
 	return result, nil
 }

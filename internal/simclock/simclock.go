@@ -11,18 +11,15 @@ package simclock
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
 // Clock is a deterministic simulated clock. The zero value is ready to use
 // and starts at instant zero.
 //
-// Clock is safe for concurrent use; in practice the simulation is
-// single-threaded per run, but the recorder and dumper observe the clock
-// from helper goroutines in a few tests.
+// Clock is not safe for concurrent use: a simulation runs on one goroutine,
+// and a caller that shares a clock across goroutines synchronizes itself.
 type Clock struct {
-	mu  sync.Mutex
 	now time.Duration
 }
 
@@ -34,8 +31,6 @@ func New() *Clock {
 // Now returns the current simulated instant, expressed as the duration since
 // the start of the simulation.
 func (c *Clock) Now() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.now
 }
 
@@ -47,8 +42,6 @@ func (c *Clock) Advance(d time.Duration) time.Duration {
 	if d < 0 {
 		panic(fmt.Sprintf("simclock: Advance by negative duration %v", d))
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.now += d
 	return c.now
 }
@@ -57,8 +50,6 @@ func (c *Clock) Advance(d time.Duration) time.Duration {
 // the past; this makes it safe for rate-paced schedulers that may have been
 // overtaken by a long GC pause.
 func (c *Clock) AdvanceTo(t time.Duration) time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if t > c.now {
 		c.now = t
 	}

@@ -1,7 +1,6 @@
 package simclock
 
 import (
-	"sync"
 	"testing"
 	"time"
 )
@@ -41,28 +40,5 @@ func TestAdvanceTo(t *testing.T) {
 	}
 	if got := c.AdvanceTo(20 * time.Millisecond); got != 20*time.Millisecond {
 		t.Fatalf("AdvanceTo future instant = %v, want 20ms", got)
-	}
-}
-
-func TestConcurrentAdvance(t *testing.T) {
-	c := New()
-	const (
-		goroutines = 8
-		perG       = 1000
-	)
-	var wg sync.WaitGroup
-	wg.Add(goroutines)
-	for i := 0; i < goroutines; i++ {
-		go func() {
-			defer wg.Done()
-			for j := 0; j < perG; j++ {
-				c.Advance(time.Microsecond)
-			}
-		}()
-	}
-	wg.Wait()
-	want := time.Duration(goroutines*perG) * time.Microsecond
-	if got := c.Now(); got != want {
-		t.Fatalf("concurrent Advance lost updates: Now() = %v, want %v", got, want)
 	}
 }
