@@ -39,7 +39,7 @@ func TestTargetsCoverPaperWorkloads(t *testing.T) {
 
 // Figure 6's intervals are half-open: a pause on an edge counts in the
 // interval the edge opens, and the last interval has no upper bound.
-func TestFigure6Buckets(t *testing.T) {
+func TestFigure6Bucketing(t *testing.T) {
 	for _, c := range []struct {
 		d    time.Duration
 		want int
@@ -56,6 +56,9 @@ func TestFigure6Buckets(t *testing.T) {
 			t.Errorf("figure6Bucket(%v) = %d, want %d", c.d, got, c.want)
 		}
 	}
+}
+
+func TestFigure6Labels(t *testing.T) {
 	for b, want := range map[int]string{0: "[0,16ms)", 3: "[64ms,128ms)", 8: "[2.048s,+inf)"} {
 		if got := figure6Label(b); got != want {
 			t.Errorf("figure6Label(%d) = %q, want %q", b, got, want)
