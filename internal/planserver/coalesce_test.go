@@ -194,7 +194,7 @@ func TestCoalescingConcurrentUploads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPlan, err := encodePlan(want)
+	wantPlan, err := newCachedPlan(want, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

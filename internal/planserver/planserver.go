@@ -159,22 +159,19 @@ type Server struct {
 	mergeLatency  *metrics.LatencyHistogram // one merge worker pass: fold, synthesize, persist, encode
 
 	// ro is the normalized rollout config; nil when rollout is disabled,
-	// which gates every rollout branch off the serving paths. The rollout
+	// and then no shard ever holds a tracker (rollout.go). The rollout
 	// counters below are registered only when ro is non-nil, keeping the
 	// default /metricsz exposition unchanged.
-	ro              *rollout.Config
-	feedbackReports *metrics.Counter // accepted POST /v1/feedback reports
-	feedbackRejects *metrics.Counter // rejected feedback reports
-	canaries        *metrics.Counter // canaries opened
-	promotions      *metrics.Counter // candidates promoted fleet-wide
-	rollbacks       *metrics.Counter // candidates rolled back and quarantined
+	ro         *rollout.Config
+	canaries   *metrics.Counter // canaries opened
+	promotions *metrics.Counter // candidates promoted fleet-wide
+	rollbacks  *metrics.Counter // candidates rolled back and quarantined
 
 	rolloutMu   sync.Mutex
 	transitions []RolloutTransition
 
 	// Replication (sync.go). The peer metrics are registered only when
 	// peers are configured, keeping the default exposition unchanged.
-	selfID          string
 	peers           []string
 	peerClient      *http.Client
 	peerSyncs       *metrics.Counter // completed anti-entropy passes, per peer
@@ -237,13 +234,12 @@ func New(store *profilestore.Store, opts Options) *Server {
 	if opts.Rollout != nil {
 		cfg := opts.Rollout.Normalize()
 		s.ro = &cfg
-		s.feedbackReports = reg.Counter("feedback_reports_total")
-		s.feedbackRejects = reg.Counter("feedback_reject_total")
+		reg.Counter("feedback_reports_total")
+		reg.Counter("feedback_reject_total")
 		s.canaries = reg.Counter("rollout_canary_total")
 		s.promotions = reg.Counter("rollout_promotions_total")
 		s.rollbacks = reg.Counter("rollout_rollbacks_total")
 	}
-	s.selfID = opts.SelfID
 	s.peers = append([]string(nil), opts.Peers...)
 	s.peerClient = opts.PeerClient
 	if s.peerClient == nil {
@@ -276,38 +272,24 @@ func (s *Server) Metrics() *metrics.Registry { return s.reg }
 // the store's plan files reflect the last uploads the fleet delivered;
 // tests call it to quiesce the pipeline before asserting.
 func (s *Server) Flush() {
-	s.shardMu.RLock()
-	shards := make([]*shard, 0, len(s.shards))
-	for _, sh := range s.shards {
-		shards = append(shards, sh)
-	}
-	s.shardMu.RUnlock()
-	for _, sh := range shards {
-		sh.mu.Lock()
+	s.eachShard(func(sh *shard) {
 		s.awaitCovered(sh, sh.dirty) //nolint:errcheck // merge failures are recorded per shard; Flush is best-effort
-		sh.mu.Unlock()
-	}
+	})
 }
 
-// encodePlan renders a profile to its plan file bytes, as
-// profilestore.PutBytes writes them, and caches it.
-func encodePlan(p *analyzer.Profile) (*cachedPlan, error) {
-	file, err := encodeJSON(p)
-	if err != nil {
-		return nil, err
-	}
-	return newCachedPlan(p, file)
-}
-
-// newCachedPlan caches profile p, whose plan file bytes are file: the ETag
+// newCachedPlan caches profile p, whose plan file bytes are file (nil:
+// p's encoding as profilestore.PutBytes writes it). The ETag
 // content-addresses the file, and the served body is p without its
 // per-site evidence, in the same compact-JSON-and-newline form.
 func newCachedPlan(p *analyzer.Profile, file []byte) (*cachedPlan, error) {
 	wire := *p
 	wire.Sites = nil
-	body, err := encodeJSON(&wire)
+	body, err := profilestore.Encode(&wire)
+	if err == nil && file == nil {
+		file, err = profilestore.Encode(p)
+	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("planserver: encoding plan: %w", err)
 	}
 	sum := sha256.Sum256(file)
 	etag := fmt.Sprintf("%q", fmt.Sprintf("%x", sum))
@@ -318,16 +300,6 @@ func newCachedPlan(p *analyzer.Profile, file []byte) (*cachedPlan, error) {
 		etagHeader: []string{etag},
 		lenHeader:  []string{strconv.Itoa(len(body))},
 	}, nil
-}
-
-// encodeJSON renders a plan in the store's form, compact JSON and a
-// newline (profilestore.Encode).
-func encodeJSON(p *analyzer.Profile) ([]byte, error) {
-	data, err := profilestore.Encode(p)
-	if err != nil {
-		return nil, fmt.Errorf("planserver: encoding plan: %w", err)
-	}
-	return data, nil
 }
 
 // queryParam extracts the first value of key from a raw query string
@@ -360,10 +332,60 @@ func queryParam(raw, key string) string {
 	return ""
 }
 
-// finishPlan records one plan fetch's latency and trace event. It is a
-// plain call (not a deferred closure) so the 304 fast path stays free of
-// per-request heap allocations.
-func (s *Server) finishPlan(start time.Duration, app, workload, outcome string) {
+// storeError is the one reply to a request whose store call (or merge)
+// failed: counted in store_error_total and answered 500. It returns the
+// outcome the caller traces.
+func (s *Server) storeError(w http.ResponseWriter, err error) string {
+	s.storeErrs.Inc()
+	http.Error(w, err.Error(), http.StatusInternalServerError)
+	return "store_error"
+}
+
+// loadPlanLocked fills the shard's empty plan cache from the store (caller
+// holds sh.mu, so concurrent cold fetches share one load and no merge can
+// publish between the read and the install). A store with no plan file
+// but surviving evidence — the async publish lost a race with a crash, or
+// an operator copied only the evidence log — rebuilds the plan instead of
+// reporting a miss: a synthetic generation goes through the merge pipeline
+// and the load waits for it to publish. The evidence log is authoritative,
+// the plan file a convenience copy. ErrNotFound means the key genuinely
+// has no plan.
+func (s *Server) loadPlanLocked(sh *shard) error {
+	s.loads.Inc()
+	p, err := s.store.Get(sh.key.App, sh.key.Workload)
+	if errors.Is(err, profilestore.ErrNotFound) && len(sh.evidence) > 0 {
+		if sh.dirty == sh.mergedGen {
+			sh.dirty++
+		}
+		if werr := s.awaitCovered(sh, sh.dirty); werr != nil || sh.plan != nil {
+			return werr
+		}
+	}
+	if err != nil {
+		return err
+	}
+	c, err := newCachedPlan(p, nil)
+	if err != nil {
+		return err
+	}
+	sh.plan = c
+	if s.ro != nil && sh.roll.StableETag() == "" {
+		// Rollout mode, no prior rollout history: publishing the stored plan
+		// adopts it as the stable baseline, so the next merge canaries
+		// against it rather than replacing it fleet-wide.
+		s.publishLocked(sh, c) //nolint:errcheck // healed by the next merge's persist
+	}
+	return nil
+}
+
+func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
+	s.fetches.Inc()
+	start := s.opts.Now()
+	app := queryParam(r.URL.RawQuery, "app")
+	workload := queryParam(r.URL.RawQuery, "workload")
+	outcome := s.servePlan(w, r, app, workload)
+	// A plain call, not a deferred closure, so the 304 fast path stays
+	// free of per-request heap allocations.
 	d := s.opts.Now() - start
 	s.fetchLatency.Observe(d)
 	if s.opts.Tracer.Enabled() {
@@ -375,118 +397,41 @@ func (s *Server) finishPlan(start time.Duration, app, workload, outcome string) 
 	}
 }
 
-// loadPlanLocked fills the shard's empty plan cache from the store (caller
-// holds sh.mu, so concurrent cold fetches share one load and no merge can
-// publish between the read and the install). A store with no plan file
-// but surviving evidence — the async publish lost a race with a crash, or
-// an operator copied only the evidence log — rebuilds the plan through the
-// merge pipeline instead of reporting a miss: the evidence log is
-// authoritative, the plan file is a convenience copy.
-func (s *Server) loadPlanLocked(sh *shard) error {
-	s.loads.Inc()
-	p, err := s.store.Get(sh.key.App, sh.key.Workload)
-	if errors.Is(err, profilestore.ErrNotFound) {
-		return s.rebuildLocked(sh, err)
-	}
-	if err != nil {
-		return err
-	}
-	c, err := encodePlan(p)
-	if err != nil {
-		return err
-	}
-	sh.plan = c
-	if s.ro != nil && sh.roll.StableETag() == "" {
-		// Rollout mode, no prior rollout history: adopt the stored plan as
-		// the stable baseline so the next merge canaries against it rather
-		// than replacing it fleet-wide.
-		sh.roll.Observe(c.etag)
-		s.persistRolloutLocked(sh) //nolint:errcheck // healed by the next merge's persist
-		s.recordTransition(sh, RolloutTransition{
-			Kind: "adopt", From: rollout.StateStable, To: sh.roll.State(), ETag: c.etag,
-		})
-	}
-	return nil
-}
-
-// rebuildLocked recomputes a missing plan from the evidence cache by
-// pushing a synthetic generation through the merge pipeline and waiting
-// for it to publish (caller holds sh.mu, held again on return). notFound
-// is returned unchanged when there is no evidence either — the key
-// genuinely has no plan.
-func (s *Server) rebuildLocked(sh *shard, notFound error) error {
-	if len(sh.evidence) == 0 {
-		return notFound
-	}
-	if sh.dirty == sh.mergedGen {
-		sh.dirty++
-	}
-	target := sh.dirty
-	if launch := s.ensureWorkerLocked(sh); launch != nil {
-		sh.mu.Unlock()
-		launch()
-		sh.mu.Lock()
-	}
-	if err := s.awaitCovered(sh, target); err != nil {
-		return err
-	}
-	if sh.plan == nil {
-		return notFound
-	}
-	return nil
-}
-
-func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	s.fetches.Inc()
-	start := s.opts.Now()
-	app := queryParam(r.URL.RawQuery, "app")
-	workload := queryParam(r.URL.RawQuery, "workload")
+// servePlan answers one plan fetch and returns its traced outcome.
+func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, app, workload string) string {
 	if app == "" || workload == "" {
 		http.Error(w, "planserver: app and workload query parameters are required", http.StatusBadRequest)
-		s.finishPlan(start, app, workload, "bad_request")
-		return
+		return "bad_request"
 	}
-	err := s.loadEvidence()
 	var c *cachedPlan
-	if err == nil {
-		sh := s.lockShard(profilestore.Key{App: app, Workload: workload})
-		if s.ro != nil {
-			err = s.restoreRolloutLocked(sh)
+	err := s.inShard(profilestore.Key{App: app, Workload: workload}, func(sh *shard) error {
+		if sh.plan == nil {
+			if err := s.loadPlanLocked(sh); err != nil {
+				return err
+			}
 		}
-		if err == nil && sh.plan == nil {
-			err = s.loadPlanLocked(sh)
-		}
-		c = sh.plan
-		if err == nil && s.ro != nil {
-			c = s.rolloutPlanLocked(sh, r.Header.Get(InstanceHeader))
-		}
-		sh.mu.Unlock()
-		if errors.Is(err, profilestore.ErrNotFound) {
-			s.misses.Inc()
-			s.dropIfEmpty(sh)
-			http.Error(w, err.Error(), http.StatusNotFound)
-			s.finishPlan(start, app, workload, "miss")
-			return
-		}
+		c = s.planForLocked(sh, r.Header.Get(InstanceHeader))
+		return nil
+	})
+	if errors.Is(err, profilestore.ErrNotFound) {
+		s.misses.Inc()
+		http.Error(w, err.Error(), http.StatusNotFound)
+		return "miss"
 	}
 	if err != nil {
-		s.storeErrs.Inc()
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		s.finishPlan(start, app, workload, "store_error")
-		return
+		return s.storeError(w, err)
 	}
 	h := w.Header()
 	h["Etag"] = c.etagHeader
 	if match := r.Header.Get("If-None-Match"); match != "" && match == c.etag {
 		s.notModified.Inc()
 		w.WriteHeader(http.StatusNotModified)
-		s.finishPlan(start, app, workload, "not_modified")
-		return
+		return "not_modified"
 	}
 	h["Content-Type"] = jsonContentType
 	h["Content-Length"] = c.lenHeader
 	w.Write(c.body)
-	s.finishPlan(start, app, workload, "ok")
+	return "ok"
 }
 
 // checkEvidence salvage-checks an uploaded profile beyond Validate: every
@@ -581,64 +526,42 @@ func (s *Server) handleEvidence(w http.ResponseWriter, r *http.Request) {
 			clientSeq = n
 		}
 	}
-	if err := s.loadEvidence(); err != nil {
-		s.storeErrs.Inc()
-		outcome = "store_error"
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	sh := s.lockShard(profilestore.Key{App: up.App, Workload: up.Workload})
-	// The stamp strictly advances past whatever this daemon holds — even a
-	// replayed or reordered upload gets a fresh, winning stamp, so the
-	// locally accepted write always replaces locally and replication
-	// resolves any cross-daemon race by the (seq, origin) total order. The
-	// client's own sequence (when sent) folds in so an upload replayed to
-	// a failover daemon is not beaten by an older replicated document.
-	stamp := profilestore.Stamp{Seq: sh.stamps[instance].Seq + 1, Origin: s.selfID}
-	if clientSeq > stamp.Seq {
-		stamp.Seq = clientSeq
-	}
-	launch, err := s.acceptLocked(sh, instance, stamp, &up)
-	if err != nil {
-		sh.mu.Unlock()
-		s.storeErrs.Inc()
-		outcome = "store_error"
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	myGen := sh.dirty
-	sh.mu.Unlock()
-	s.uploads.Inc()
-	if launch != nil {
-		launch()
-	}
-
-	sh.mu.Lock()
-	if sh.plan == nil {
-		// Respond with whatever plan is published — at most one merge
-		// batch behind — and wait only on the key's cold first batch,
-		// when there is no plan at all yet.
-		if err := s.awaitCovered(sh, myGen); err != nil {
-			sh.mu.Unlock()
-			s.storeErrs.Inc()
-			outcome = "store_error"
-			http.Error(w, fmt.Sprintf("planserver: merging fleet evidence: %v", err), http.StatusInternalServerError)
-			return
+	var stamp profilestore.Stamp
+	var c *cachedPlan
+	err := s.inShard(profilestore.Key{App: up.App, Workload: up.Workload}, func(sh *shard) error {
+		// The stamp strictly advances past whatever this daemon holds —
+		// even a replayed or reordered upload gets a fresh, winning stamp,
+		// so the locally accepted write always replaces locally and
+		// replication resolves any cross-daemon race by the (seq, origin)
+		// total order. The client's own sequence (when sent) folds in so an
+		// upload replayed to a failover daemon is not beaten by an older
+		// replicated document.
+		stamp = profilestore.Stamp{Seq: max(sh.stamps[instance].Seq+1, clientSeq), Origin: s.opts.SelfID}
+		if err := s.acceptLocked(sh, instance, stamp, &up); err != nil {
+			return err
 		}
-	}
-	c := sh.plan
-	if s.ro != nil {
-		c = s.rolloutPlanLocked(sh, instance)
-	}
-	sh.mu.Unlock()
-	if c == nil {
-		s.storeErrs.Inc()
-		outcome = "store_error"
-		http.Error(w, "planserver: no fleet plan published", http.StatusInternalServerError)
+		s.uploads.Inc()
+		gen := sh.dirty
+		s.handOverLocked(sh)
+		// Respond with whatever plan is published — at most one merge batch
+		// behind — and wait only on the key's cold first batch, when there
+		// is no plan at all yet.
+		if sh.plan == nil {
+			if err := s.awaitCovered(sh, gen); err != nil {
+				return fmt.Errorf("planserver: merging fleet evidence: %v", err)
+			}
+		}
+		if c = s.planForLocked(sh, instance); c == nil {
+			return errors.New("planserver: no fleet plan published")
+		}
+		return nil
+	})
+	if err != nil {
+		outcome = s.storeError(w, err)
 		return
 	}
 	h := w.Header()
-	if s.selfID != "" {
+	if s.opts.SelfID != "" {
 		// Report the assigned stamp so harnesses (and curious clients) can
 		// audit replication; absent without a SelfID, keeping unreplicated
 		// responses byte-identical.

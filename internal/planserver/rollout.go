@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"polm2/internal/analyzer"
-	"polm2/internal/metrics"
 	"polm2/internal/profilestore"
 	"polm2/internal/rollout"
 	"polm2/internal/trace"
@@ -20,9 +19,10 @@ import (
 // here the daemon wires it to plan bodies, persistence, serving, metrics
 // and traces:
 //
-//   - drain() feeds every merged plan version through the per-shard
-//     tracker: the first plan ever is adopted as stable, a new ETag is
-//     staged as a canary candidate, a quarantined ETag is withheld.
+//   - publishLocked, the one publication step, feeds every merged plan
+//     version through the per-shard tracker: the first plan ever is
+//     adopted as stable, a new ETag is staged as a canary candidate, a
+//     quarantined ETag is withheld.
 //   - GET /v1/plan (and the evidence response) serves the candidate to
 //     canary-cohort instances while a canary is open, the stable plan to
 //     everyone else. Cohort membership is computed over the key's known
@@ -36,8 +36,10 @@ import (
 //     path, so a restarted daemon resumes serving last-good — never a plan
 //     that regressed its canary.
 //
-// Every rollout branch is gated on s.ro != nil: with rollout disabled
-// (the default) the daemon's behavior is byte-for-byte today's.
+// With rollout disabled (the default, s.ro nil) no shard ever holds a
+// tracker: inShard's restore is a no-op, publishLocked installs every merge
+// fleet-wide and planForLocked serves it to everyone, so the daemon's
+// behavior is byte-for-byte that of a build without the controller.
 
 // Request body caps. FeedbackBodyLimit caps a POST /v1/feedback body;
 // reports are a few hundred bytes, so anything near the limit is garbage.
@@ -90,22 +92,13 @@ func (s *Server) RolloutTransitions() []RolloutTransition {
 
 // RolloutSnapshot reports the tracker state for one key; ok is false when
 // rollout is disabled or the key has no rollout state yet.
-func (s *Server) RolloutSnapshot(app, workload string) (rollout.Snapshot, bool) {
-	if s.ro == nil {
-		return rollout.Snapshot{}, false
-	}
-	s.shardMu.RLock()
-	sh := s.shards[profilestore.Key{App: app, Workload: workload}]
-	s.shardMu.RUnlock()
-	if sh == nil {
-		return rollout.Snapshot{}, false
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.roll == nil {
-		return rollout.Snapshot{}, false
-	}
-	return sh.roll.Snapshot(), true
+func (s *Server) RolloutSnapshot(app, workload string) (snap rollout.Snapshot, ok bool) {
+	s.peekShard(profilestore.Key{App: app, Workload: workload}, func(sh *shard) {
+		if ok = sh.roll != nil; ok {
+			snap = sh.roll.Snapshot()
+		}
+	})
+	return snap, ok
 }
 
 // shortETag trims a content-addressed ETag (a quoted sha256 hex string)
@@ -122,13 +115,14 @@ func shortETag(etag string) string {
 }
 
 // restoreRolloutLocked populates the shard's tracker (and stable/candidate
-// plan caches) from the persisted rollout document, once per daemon
-// lifetime (caller holds sh.mu). A missing document means a fresh key — or
-// a store written with rollout off, whose plan file will be adopted as
-// stable by the next merge or cold load. A corrupt document degrades the
-// same way rather than taking the key down.
+// plan caches) from the persisted rollout document, once per shard when
+// rollout is on (caller holds sh.mu; inShard calls it on every way in). A
+// missing document means a fresh key — or a store written with rollout
+// off, whose plan file will be adopted as stable by the next merge or cold
+// load. A corrupt document degrades the same way rather than taking the
+// key down.
 func (s *Server) restoreRolloutLocked(sh *shard) error {
-	if sh.roll != nil {
+	if s.ro == nil || sh.roll != nil {
 		return nil
 	}
 	cfg := *s.ro
@@ -148,7 +142,7 @@ func (s *Server) restoreRolloutLocked(sh *shard) error {
 	if c := restoredPlan(doc.Candidate); c != nil && sh.roll.State() == rollout.StateCanary && c.etag == sh.roll.CandidateETag() {
 		sh.cand = c
 	}
-	s.setStateGaugeLocked(sh)
+	s.keyGauge(&sh.stateGauge, "rollout_state", sh.key).Set(int64(sh.roll.State()))
 	return nil
 }
 
@@ -188,18 +182,6 @@ func (s *Server) persistRolloutLocked(sh *shard) error {
 	return s.store.PutRollout(sh.key.App, sh.key.Workload, data)
 }
 
-// setStateGaugeLocked publishes the shard's rollout state as the labeled
-// rollout_state gauge (caller holds sh.mu). The value is the state code:
-// 0 stable, 1 canary, 2 promoting, 3 rolled_back.
-func (s *Server) setStateGaugeLocked(sh *shard) {
-	if sh.stateGauge == nil {
-		sh.stateGauge = s.reg.Gauge(metrics.LabelName("rollout_state",
-			metrics.Label{Key: "app", Value: sh.key.App},
-			metrics.Label{Key: "workload", Value: sh.key.Workload}))
-	}
-	sh.stateGauge.Set(int64(sh.roll.State()))
-}
-
 // cohortLocked returns the canary cohort over the key's known instances
 // (caller holds sh.mu). The cohort is recomputed only when the instance
 // count changes: evidence is last-write-wins per instance, so the id set
@@ -220,11 +202,12 @@ func (s *Server) cohortLocked(sh *shard) map[string]bool {
 	return sh.cohort
 }
 
-// rolloutPlanLocked picks the plan to serve instance (caller holds sh.mu):
-// the staged candidate for canary-cohort members while a canary is open,
-// the stable plan otherwise. An empty instance (a client predating the
-// header, or a curl) is never canaried.
-func (s *Server) rolloutPlanLocked(sh *shard, instance string) *cachedPlan {
+// planForLocked is the one choice of the plan to serve instance (caller
+// holds sh.mu): the staged candidate for canary-cohort members while a
+// canary is open, the published (stable) plan otherwise — always, with
+// rollout off. An empty instance (a client predating the header, or a
+// curl) is never canaried.
+func (s *Server) planForLocked(sh *shard, instance string) *cachedPlan {
 	if sh.cand == nil || instance == "" || sh.roll == nil || sh.roll.State() != rollout.StateCanary {
 		return sh.plan
 	}
@@ -243,7 +226,7 @@ func (s *Server) recordTransition(sh *shard, tr RolloutTransition, attrs ...trac
 	s.rolloutMu.Lock()
 	s.transitions = append(s.transitions, tr)
 	s.rolloutMu.Unlock()
-	s.setStateGaugeLocked(sh)
+	s.keyGauge(&sh.stateGauge, "rollout_state", sh.key).Set(int64(sh.roll.State()))
 	if s.opts.Tracer.Enabled() {
 		base := []trace.Attr{
 			trace.String("app", sh.key.App),
@@ -257,12 +240,17 @@ func (s *Server) recordTransition(sh *shard, tr RolloutTransition, attrs ...trac
 	}
 }
 
-// observeMergeLocked feeds one merged plan version through the rollout
-// state machine and syncs the shard's stable/candidate caches to the
-// tracker's verdict (caller holds sh.mu). Called from drain in place of
-// the direct fleet-wide install; a persistence failure is returned and
-// surfaces as a merge failure, leaving the previous plan standing.
-func (s *Server) observeMergeLocked(sh *shard, c *cachedPlan) error {
+// publishLocked is the one publication step for a merged plan (caller
+// holds sh.mu). With rollout off it installs c fleet-wide. With rollout on
+// it feeds c through the key's state machine, syncs the shard's
+// stable/candidate caches to the tracker's verdict and persists the
+// rollout document; a persistence failure is returned (a merge failure,
+// to drain). A cold load adopting a stored plan calls it too.
+func (s *Server) publishLocked(sh *shard, c *cachedPlan) error {
+	if s.ro == nil {
+		sh.plan = c
+		return nil
+	}
 	if err := s.restoreRolloutLocked(sh); err != nil {
 		return err
 	}
@@ -279,10 +267,8 @@ func (s *Server) observeMergeLocked(sh *shard, c *cachedPlan) error {
 	case sh.roll.CandidateETag():
 		sh.cand = c
 	}
-
-	if err := s.persistRolloutLocked(sh); err != nil {
-		return err
-	}
+	// The move is recorded as it takes effect in memory, then persisted —
+	// the order decideLocked keeps for feedback decisions.
 	switch ev {
 	case rollout.EventAdopt:
 		s.recordTransition(sh, RolloutTransition{
@@ -299,7 +285,7 @@ func (s *Server) observeMergeLocked(sh *shard, c *cachedPlan) error {
 			Kind: "quarantine", From: from, To: sh.roll.State(), ETag: c.etag,
 		})
 	}
-	return nil
+	return s.persistRolloutLocked(sh)
 }
 
 // decideLocked applies a feedback decision to the shard (caller holds
@@ -310,50 +296,37 @@ func (s *Server) observeMergeLocked(sh *shard, c *cachedPlan) error {
 // because the stale document only ever re-opens a canary, never publishes
 // one.
 func (s *Server) decideLocked(sh *shard, out rollout.Outcome) error {
-	candidate := sh.cand
-	switch out.Decision {
-	case rollout.DecisionPromote:
-		s.promotions.Inc()
-		s.recordTransition(sh, RolloutTransition{
-			Kind: "promote", From: rollout.StateCanary, To: rollout.StatePromoting,
-			ETag: candidateETag(candidate), CanaryP99: out.CanaryP99, BaselineP99: out.Baseline99,
-			CanaryReports: out.CanaryN, BaselineReports: out.BaselineN,
-		},
-			trace.Dur("canary_p99", out.CanaryP99),
-			trace.Dur("baseline_p99", out.Baseline99),
-			trace.Int64("canary_n", int64(out.CanaryN)),
-			trace.Int64("baseline_n", int64(out.BaselineN)))
-		if candidate != nil {
-			sh.plan = candidate
-		}
-		sh.cand = nil
-		s.recordTransition(sh, RolloutTransition{
-			Kind: "publish", From: rollout.StatePromoting, To: rollout.StateStable,
-			ETag: candidateETag(candidate),
-		})
-	case rollout.DecisionRollback:
-		s.rollbacks.Inc()
-		s.recordTransition(sh, RolloutTransition{
-			Kind: "rollback", From: rollout.StateCanary, To: rollout.StateRolledBack,
-			ETag: candidateETag(candidate), CanaryP99: out.CanaryP99, BaselineP99: out.Baseline99,
-			CanaryReports: out.CanaryN, BaselineReports: out.BaselineN,
-		},
-			trace.Dur("canary_p99", out.CanaryP99),
-			trace.Dur("baseline_p99", out.Baseline99),
-			trace.Int64("canary_n", int64(out.CanaryN)),
-			trace.Int64("baseline_n", int64(out.BaselineN)))
-		sh.cand = nil
-	default:
+	if out.Decision == rollout.DecisionNone {
 		return nil
 	}
-	return s.persistRolloutLocked(sh)
-}
-
-func candidateETag(c *cachedPlan) string {
-	if c == nil {
-		return ""
+	tr := RolloutTransition{
+		Kind: "promote", From: rollout.StateCanary, To: rollout.StatePromoting,
+		CanaryP99: out.CanaryP99, BaselineP99: out.Baseline99,
+		CanaryReports: out.CanaryN, BaselineReports: out.BaselineN,
 	}
-	return c.etag
+	if sh.cand != nil {
+		tr.ETag = sh.cand.etag
+	}
+	counter := s.promotions
+	if out.Decision == rollout.DecisionRollback {
+		tr.Kind, tr.To, counter = "rollback", rollout.StateRolledBack, s.rollbacks
+	}
+	counter.Inc()
+	s.recordTransition(sh, tr,
+		trace.Dur("canary_p99", out.CanaryP99),
+		trace.Dur("baseline_p99", out.Baseline99),
+		trace.Int64("canary_n", int64(out.CanaryN)),
+		trace.Int64("baseline_n", int64(out.BaselineN)))
+	if out.Decision == rollout.DecisionPromote {
+		if sh.cand != nil {
+			sh.plan = sh.cand
+		}
+		s.recordTransition(sh, RolloutTransition{
+			Kind: "publish", From: rollout.StatePromoting, To: rollout.StateStable, ETag: tr.ETag,
+		})
+	}
+	sh.cand = nil
+	return s.persistRolloutLocked(sh)
 }
 
 // handleFeedback is POST /v1/feedback: one instance's plan-health report
@@ -375,12 +348,12 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 				trace.String("outcome", outcome))
 		}
 	}()
+	// The feedback counters are looked up by name: registered up front
+	// with rollout on, on first use with it off, so a rollout-off
+	// daemon's default /metricsz exposition is unchanged until a report
+	// arrives.
 	reject := func(msg string) {
-		if s.ro != nil {
-			s.feedbackRejects.Inc()
-		} else {
-			s.reg.Counter("feedback_reject_total").Inc()
-		}
+		s.reg.Counter("feedback_reject_total").Inc()
 		outcome = "rejected"
 		http.Error(w, msg, http.StatusBadRequest)
 	}
@@ -399,42 +372,20 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		reject(fmt.Sprintf("planserver: invalid feedback: %v", err))
 		return
 	}
+	s.reg.Counter("feedback_reports_total").Inc()
 	if s.ro == nil {
-		// Rollout disabled: acknowledge and count, decide nothing. Lazily
-		// registered so the default /metricsz exposition is unchanged
-		// until the first report arrives.
-		s.reg.Counter("feedback_reports_total").Inc()
+		// Rollout disabled: acknowledge and count, decide nothing.
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	s.feedbackReports.Inc()
-	if err := s.loadEvidence(); err != nil {
-		s.storeErrs.Inc()
-		outcome = "store_error"
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	sh := s.lockShard(profilestore.Key{App: rep.App, Workload: rep.Workload})
-	if err := s.restoreRolloutLocked(sh); err != nil {
-		sh.mu.Unlock()
-		s.storeErrs.Inc()
-		outcome = "store_error"
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	inCohort := sh.roll.State() == rollout.StateCanary && s.cohortLocked(sh)[instance]
-	out := sh.roll.Record(&rep, inCohort)
-	err := s.decideLocked(sh, out)
-	sh.mu.Unlock()
-	if out.Decision == rollout.DecisionNone {
-		// A report for a key with no evidence and no plan — a probe of an
-		// unknown key — must not leave its fresh tracker behind.
-		s.dropIfEmpty(sh)
-	}
+	var out rollout.Outcome
+	err := s.inShard(profilestore.Key{App: rep.App, Workload: rep.Workload}, func(sh *shard) error {
+		inCohort := sh.roll.State() == rollout.StateCanary && s.cohortLocked(sh)[instance]
+		out = sh.roll.Record(&rep, inCohort)
+		return s.decideLocked(sh, out)
+	})
 	if err != nil {
-		s.storeErrs.Inc()
-		outcome = "store_error"
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		outcome = s.storeError(w, err)
 		return
 	}
 	if out.Decision != rollout.DecisionNone {

@@ -3,6 +3,7 @@ package planserver
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 
 	"polm2/internal/analyzer"
@@ -28,6 +29,12 @@ import (
 // are all covered by the next pass — a batch of N concurrent uploads costs
 // at most two merges (one in flight when the batch starts, one covering
 // the batch), not N.
+//
+// Every request reaches its shard through one accessor, inShard; read-only
+// inspection (Flush, sync summaries, harness probes) goes through peekShard
+// and eachShard, which create nothing and touch no store. A merged plan
+// becomes the key's through one publication step (publishLocked), and the
+// plan an instance is served is picked in one place (planForLocked).
 type shard struct {
 	key profilestore.Key
 
@@ -95,7 +102,7 @@ type shard struct {
 	cand       *cachedPlan
 	cohort     map[string]bool // cached canary cohort over evidence instances
 	cohortN    int             // instance count the cohort was computed for
-	stateGauge *metrics.Gauge  // this key's rollout_state gauge
+	stateGauge *metrics.Gauge  // this key's rollout_state gauge: 0 stable, 1 canary, 2 promoting, 3 rolled_back
 }
 
 func newShard(k profilestore.Key) *shard {
@@ -114,6 +121,61 @@ func (sh *shard) setStamp(instance string, st profilestore.Stamp) {
 	sh.sum.Toggle(instance, sh.stamps[instance])
 	sh.sum.Toggle(instance, st)
 	sh.stamps[instance] = st
+}
+
+// inShard is the one way a request reaches a key: it loads the evidence
+// log (once per daemon lifetime), locks k's shard — created on first touch
+// — restores its rollout state when rollout is on, and runs f under the
+// lock. A shard left holding nothing (a probe of an unknown key) is dropped
+// on the way out, so probe traffic cannot grow the shard map. Returns the
+// first error of the load, the restore or f. Called with no shard lock
+// held; f releases the lock only to hand over or wait for a merge worker
+// (handOverLocked, awaitCovered).
+func (s *Server) inShard(k profilestore.Key, f func(*shard) error) error {
+	if err := s.loadEvidence(); err != nil {
+		return err
+	}
+	sh := s.lockShard(k)
+	err := s.restoreRolloutLocked(sh)
+	if err == nil {
+		err = f(sh)
+	}
+	idle := sh.idle()
+	sh.mu.Unlock()
+	if idle {
+		s.dropIfEmpty(sh)
+	}
+	return err
+}
+
+// peekShard runs f under the lock of k's shard when the map holds one,
+// creating nothing and touching no store.
+func (s *Server) peekShard(k profilestore.Key, f func(*shard)) {
+	s.shardMu.RLock()
+	sh := s.shards[k]
+	s.shardMu.RUnlock()
+	if sh != nil {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		f(sh)
+	}
+}
+
+// eachShard runs f under the lock of every shard the map holds, one at a
+// time in key order, creating nothing and touching no store.
+func (s *Server) eachShard(f func(*shard)) {
+	s.shardMu.RLock()
+	shards := make([]*shard, 0, len(s.shards))
+	for _, sh := range s.shards {
+		shards = append(shards, sh)
+	}
+	s.shardMu.RUnlock()
+	sort.Slice(shards, func(i, j int) bool { return shards[i].key.String() < shards[j].key.String() })
+	for _, sh := range shards {
+		sh.mu.Lock()
+		f(sh)
+		sh.mu.Unlock()
+	}
 }
 
 // lockShard returns the state for k, created on first touch, with its
@@ -141,14 +203,21 @@ func (s *Server) lockShard(k profilestore.Key) *shard {
 	}
 }
 
-// dropIfEmpty removes a shard that never came to hold anything — created
-// by a plan fetch or a feedback report for a key the store has never
-// seen — so probing random keys cannot grow the shard map without bound.
-// A shard with evidence, a plan or pending work stays.
+// idle reports whether the shard holds nothing a later request needs: no
+// evidence, no plan, no pending merge and no quarantined rollout ETag
+// (caller holds sh.mu). A probe of an unknown key leaves its shard idle.
+func (sh *shard) idle() bool {
+	return len(sh.evidence) == 0 && sh.plan == nil && sh.dirty == 0 && !sh.merging &&
+		(sh.roll == nil || len(sh.roll.Snapshot().Quarantined) == 0)
+}
+
+// dropIfEmpty removes a shard that is still idle once both locks are held,
+// so a write racing the drop either lands first (and the shard stays) or
+// finds the shard retired and retries in its successor.
 func (s *Server) dropIfEmpty(sh *shard) {
 	s.shardMu.Lock()
 	sh.mu.Lock()
-	if !sh.retired && len(sh.evidence) == 0 && sh.plan == nil && sh.dirty == 0 && !sh.merging {
+	if !sh.retired && sh.idle() {
 		delete(s.shards, sh.key)
 		sh.retired = true
 	}
@@ -194,67 +263,80 @@ func (s *Server) loadEvidence() error {
 // (caller holds sh.mu). The document is persisted to the durable log
 // before anything else moves, then replaces the instance's prior
 // contribution in the cache (so n cumulative re-profiles count once, and
-// a replayed write is harmless), takes its stamp, and is covered by a
-// scheduled merge. The returned launch, when non-nil, must run after the
-// lock is released.
+// a replayed write is harmless), takes its stamp, and bumps the backlog
+// generation the next merge covers; the caller then hands the worker over
+// (handOverLocked).
 //
 // A key's first accepted document also adopts a plan the store holds
 // without any evidence — seeded offline by polm2-profile — as baseline
 // evidence under seedInstance, exactly once. Only writes adopt it: reads
 // of a plan-only key leave the evidence log untouched.
-func (s *Server) acceptLocked(sh *shard, instance string, stamp profilestore.Stamp, p *analyzer.Profile) (launch func(), err error) {
+func (s *Server) acceptLocked(sh *shard, instance string, stamp profilestore.Stamp, p *analyzer.Profile) error {
 	if len(sh.evidence) == 0 {
 		seed, err := s.store.Get(sh.key.App, sh.key.Workload)
 		if err != nil && !errors.Is(err, profilestore.ErrNotFound) {
-			return nil, err
+			return err
 		}
 		if seed != nil && checkEvidence(seed) == nil {
-			if err := s.store.PutEvidence(seedInstance, seed); err != nil {
-				return nil, err
+			if err := s.store.PutEvidenceStamped(seedInstance, profilestore.Stamp{}, seed); err != nil {
+				return err
 			}
 			sh.evidence[seedInstance] = seed
 		}
 	}
 	if err := s.store.PutEvidenceStamped(instance, stamp, p); err != nil {
-		return nil, err
+		return err
 	}
 	sh.evidence[instance] = p
 	sh.setStamp(instance, stamp)
 	sh.dirty++
-	if sh.instGauge == nil {
-		sh.instGauge = s.reg.Gauge(metrics.LabelName("evidence_instances",
-			metrics.Label{Key: "app", Value: sh.key.App},
-			metrics.Label{Key: "workload", Value: sh.key.Workload}))
-	}
-	sh.instGauge.Set(int64(len(sh.evidence)))
-	return s.ensureWorkerLocked(sh), nil
+	s.keyGauge(&sh.instGauge, "evidence_instances", sh.key).Set(int64(len(sh.evidence)))
+	return nil
 }
 
-// ensureWorkerLocked guarantees a merge worker is scheduled for the shard
-// (caller holds sh.mu). The returned func, when non-nil, must be invoked
-// after releasing the lock — handing over happens outside the lock so an
-// inline executor (tests) can run the worker on the caller's goroutine.
-func (s *Server) ensureWorkerLocked(sh *shard) func() {
-	if sh.merging {
-		return nil
+// keyGauge returns the key's labeled gauge name{app,workload} cached in *g,
+// registering it on first use — so a key mints its gauges only once it
+// holds evidence or rollout state, and the hot paths never rebuild the
+// labeled name.
+func (s *Server) keyGauge(g **metrics.Gauge, name string, k profilestore.Key) *metrics.Gauge {
+	if *g == nil {
+		*g = s.reg.Gauge(metrics.LabelName(name,
+			metrics.Label{Key: "app", Value: k.App},
+			metrics.Label{Key: "workload", Value: k.Workload}))
+	}
+	return *g
+}
+
+// handOverLocked schedules a merge worker when the shard has accepted
+// documents no merge covers yet and none is scheduled (caller holds sh.mu,
+// held again on return). The hand-over itself happens with the lock
+// released, so an inline executor (tests) can run the worker on the
+// caller's goroutine.
+func (s *Server) handOverLocked(sh *shard) {
+	if sh.merging || sh.mergedGen >= sh.dirty {
+		return
 	}
 	sh.merging = true
+	sh.mu.Unlock()
+	defer sh.mu.Lock()
 	work := func() { sh.drain(s) }
 	if exec := s.opts.Executor; exec != nil {
-		return func() { exec.Go(work) }
+		exec.Go(work)
+	} else {
+		go work()
 	}
-	return func() { go work() }
 }
 
 // awaitCovered blocks until the pipeline has covered backlog generation
 // gen (caller holds sh.mu, which is held again on return) and returns the
-// failure that covered it, if any. Workers that run on their own (the
-// goroutine default, an inline or gating Executor) are waited for on the
-// shard's condition variable; a Stepper executor runs nothing on its own,
-// so the waiter steps it — and a Stepper that runs dry while the
-// generation is still uncovered is a stalled pipeline, reported, never
-// deadlocked.
+// failure that covered it, if any. A backlog with no worker yet gets one
+// handed over first. Workers that run on their own (the goroutine default,
+// an inline or gating Executor) are waited for on the shard's condition
+// variable; a Stepper executor runs nothing on its own, so the waiter
+// steps it — and a Stepper that runs dry while the generation is still
+// uncovered is a stalled pipeline, reported, never deadlocked.
 func (s *Server) awaitCovered(sh *shard, gen uint64) error {
+	s.handOverLocked(sh)
 	for sh.mergedGen < gen {
 		if s.stepper == nil {
 			sh.cond.Wait()
@@ -320,11 +402,8 @@ func (sh *shard) drain(s *Server) {
 		s.mergeLatency.Observe(s.opts.Now() - start)
 
 		sh.mu.Lock()
-		if err == nil && s.ro != nil {
-			// Rollout mode: the merged plan is staged through the canary
-			// state machine instead of installed fleet-wide; a persistence
-			// failure is a merge failure (the previous plan stands).
-			err = s.observeMergeLocked(sh, c)
+		if err == nil {
+			err = s.publishLocked(sh, c)
 		}
 		covered := target - sh.mergedGen
 		sh.mergedGen = target
@@ -339,9 +418,6 @@ func (sh *shard) drain(s *Server) {
 			s.storeErrs.Inc()
 		} else {
 			sh.lastErr = nil
-			if s.ro == nil {
-				sh.plan = c
-			}
 			s.merges.Inc()
 			if covered > 1 {
 				s.coalesced.Add(covered - 1)

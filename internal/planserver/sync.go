@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/url"
 	"sort"
@@ -93,25 +94,19 @@ type syncDoc struct {
 }
 
 // SelfID reports the daemon's replication id ("" with replication off).
-func (s *Server) SelfID() string { return s.selfID }
+func (s *Server) SelfID() string { return s.opts.SelfID }
 
 // PlanETag reports the cached published plan's ETag for one key — the
 // stable plan in rollout mode — without touching the store or the merge
 // pipeline. "" when the key has no cached plan. Harnesses compare daemons
 // with it; serving paths never call it.
-func (s *Server) PlanETag(app, workload string) string {
-	s.shardMu.RLock()
-	sh := s.shards[profilestore.Key{App: app, Workload: workload}]
-	s.shardMu.RUnlock()
-	if sh == nil {
-		return ""
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.plan == nil {
-		return ""
-	}
-	return sh.plan.etag
+func (s *Server) PlanETag(app, workload string) (etag string) {
+	s.peekShard(profilestore.Key{App: app, Workload: workload}, func(sh *shard) {
+		if sh.plan != nil {
+			etag = sh.plan.etag
+		}
+	})
+	return etag
 }
 
 // handleSync serves the three sync depths. With no query parameters: the
@@ -124,35 +119,35 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 	app := queryParam(raw, "app")
 	workload := queryParam(raw, "workload")
 	instance := queryParam(raw, "instance")
-	if err := s.loadEvidence(); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	if app == "" && workload == "" && instance == "" {
-		s.serveSyncSummary(w)
-		return
-	}
-	if app == "" || workload == "" {
+	var body any
+	var err error
+	switch {
+	case app == "" && workload == "" && instance == "":
+		if err = s.loadEvidence(); err == nil {
+			body = s.syncSummary()
+		}
+	case app == "" || workload == "":
 		http.Error(w, "planserver: sync stamp-list and document fetches require app and workload", http.StatusBadRequest)
 		return
+	default:
+		err = s.inShard(profilestore.Key{App: app, Workload: workload}, func(sh *shard) error {
+			switch {
+			case instance == "":
+				list := syncStamps{Docs: make([]syncDocStamp, 0, len(sh.stamps))}
+				for inst, st := range sh.stamps {
+					list.Docs = append(list.Docs, syncDocStamp{Instance: inst, Stamp: st})
+				}
+				sort.Slice(list.Docs, func(i, j int) bool { return list.Docs[i].Instance < list.Docs[j].Instance })
+				body = list
+			case sh.evidence[instance] != nil:
+				body = syncDoc{Instance: instance, Stamp: sh.stamps[instance], Profile: sh.evidence[instance]}
+			}
+			return nil
+		})
 	}
-	sh := s.lockShard(profilestore.Key{App: app, Workload: workload})
-	var body any
-	switch {
-	case instance == "":
-		list := syncStamps{Docs: make([]syncDocStamp, 0, len(sh.stamps))}
-		for inst, st := range sh.stamps {
-			list.Docs = append(list.Docs, syncDocStamp{Instance: inst, Stamp: st})
-		}
-		sort.Slice(list.Docs, func(i, j int) bool { return list.Docs[i].Instance < list.Docs[j].Instance })
-		body = list
-	case sh.evidence[instance] != nil:
-		body = syncDoc{Instance: instance, Stamp: sh.stamps[instance], Profile: sh.evidence[instance]}
-	}
-	empty := len(sh.evidence) == 0
-	sh.mu.Unlock()
-	if empty {
-		s.dropIfEmpty(sh)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
 	if body == nil {
 		http.Error(w, fmt.Sprintf("planserver: no evidence for %s/%s from %s", app, workload, instance), http.StatusNotFound)
@@ -162,29 +157,20 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(body)
 }
 
-func (s *Server) serveSyncSummary(w http.ResponseWriter) {
-	s.shardMu.RLock()
-	shards := make([]*shard, 0, len(s.shards))
-	for _, sh := range s.shards {
-		shards = append(shards, sh)
-	}
-	s.shardMu.RUnlock()
-	sort.Slice(shards, func(i, j int) bool { return shards[i].key.String() < shards[j].key.String() })
-	sum := syncSummary{Daemon: s.selfID, Keys: make([]syncKeySummary, 0, len(shards))}
-	for _, sh := range shards {
-		sh.mu.Lock()
+// syncSummary lists every key holding a replicating document or a
+// quarantined ETag, in key order.
+func (s *Server) syncSummary() syncSummary {
+	sum := syncSummary{Daemon: s.opts.SelfID, Keys: []syncKeySummary{}}
+	s.eachShard(func(sh *shard) {
 		e := syncKeySummary{App: sh.key.App, Workload: sh.key.Workload, Docs: len(sh.stamps), Sum: sh.sum}
-		if s.ro != nil && sh.roll != nil {
+		if sh.roll != nil {
 			e.Quarantined = sh.roll.Snapshot().Quarantined
 		}
-		sh.mu.Unlock()
-		if e.Docs == 0 && len(e.Quarantined) == 0 {
-			continue
+		if e.Docs > 0 || len(e.Quarantined) > 0 {
+			sum.Keys = append(sum.Keys, e)
 		}
-		sum.Keys = append(sum.Keys, e)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(sum)
+	})
+	return sum
 }
 
 // SyncPeers runs one anti-entropy pass: pull every peer's summary, descend
@@ -224,9 +210,6 @@ func (s *Server) SyncPeers() int {
 }
 
 func (s *Server) syncPeer(peer string) (pulled int, err error) {
-	if err := s.loadEvidence(); err != nil {
-		return 0, err
-	}
 	var sum syncSummary
 	if err := s.peerGet(peer, "", &sum); err != nil {
 		return 0, err
@@ -236,21 +219,43 @@ func (s *Server) syncPeer(peer string) (pulled int, err error) {
 		if k.App == "" || k.Workload == "" {
 			return pulled, fmt.Errorf("planserver: peer summary names a key without labels")
 		}
-		if s.ro != nil && len(e.Quarantined) > 0 {
-			if err := s.applyPeerQuarantine(k, e.Quarantined); err != nil {
-				return pulled, err
+		// One visit per key: union the peer's quarantine set, then compare
+		// stamp sets; when they differ, keep a copy of the local stamps to
+		// pick the documents to pull once the peer's list arrives. Nothing
+		// is remembered per peer, so a replica ahead of a peer it pulls
+		// one-way re-reads that key's stamp list every round until the
+		// peer catches up by its own pulls.
+		var own map[string]profilestore.Stamp
+		err := s.inShard(k, func(sh *shard) error {
+			if s.ro != nil && len(e.Quarantined) > 0 {
+				if err := s.quarantineLocked(sh, e.Quarantined); err != nil {
+					return err
+				}
 			}
+			if len(sh.stamps) != e.Docs || sh.sum != e.Sum {
+				own = maps.Clone(sh.stamps) // non-nil: newShard makes stamps
+			}
+			return nil
+		})
+		if err != nil {
+			return pulled, err
 		}
-		docs, own := s.localSum(k)
-		if docs == e.Docs && own == e.Sum {
+		if own == nil {
 			continue // same stamp set on both sides: nothing to look at
 		}
 		var list syncStamps
 		if err := s.peerGet(peer, keyQuery(k), &list); err != nil {
 			return pulled, err
 		}
-		for _, instance := range s.newerThanLocal(k, list.Docs) {
-			doc, err := s.fetchDoc(peer, k, instance)
+		for _, ds := range list.Docs {
+			// Equal stamps identify the same write (origin disambiguates
+			// daemons, and each daemon's sequence strictly advances), so
+			// only a strictly newer stamp pulls; a zero stamp beats
+			// nothing, so unstamped documents never replicate.
+			if !own[ds.Instance].Less(ds.Stamp) {
+				continue
+			}
+			doc, err := s.fetchDoc(peer, k, ds.Instance)
 			if err != nil {
 				return pulled, err
 			}
@@ -265,35 +270,6 @@ func (s *Server) syncPeer(peer string) (pulled int, err error) {
 		}
 	}
 	return pulled, nil
-}
-
-// localSum reports this daemon's own document count and key sum for k —
-// the puller's side of the summary compare. It is stateless: nothing is
-// remembered per peer, so a replica that is ahead of a peer it pulls
-// one-way re-reads that key's stamp list every round until the peer
-// catches up by its own pulls.
-func (s *Server) localSum(k profilestore.Key) (int, profilestore.KeySum) {
-	sh := s.lockShard(k)
-	defer sh.mu.Unlock()
-	return len(sh.stamps), sh.sum
-}
-
-// newerThanLocal returns the instances whose advertised stamp strictly
-// beats the local document's — the pull predicate. Equal stamps identify
-// the same write (stamps are unique per write: origin disambiguates
-// daemons, and each daemon's sequence strictly advances), so only
-// strictly-greater pulls; a zero stamp beats nothing, so unstamped documents
-// never replicate.
-func (s *Server) newerThanLocal(k profilestore.Key, docs []syncDocStamp) []string {
-	sh := s.lockShard(k)
-	defer sh.mu.Unlock()
-	var need []string
-	for _, ds := range docs {
-		if sh.stamps[ds.Instance].Less(ds.Stamp) {
-			need = append(need, ds.Instance)
-		}
-	}
-	return need
 }
 
 // keyQuery is the raw query naming one key on a peer's /v1/sync.
@@ -363,35 +339,29 @@ func (s *Server) fetchDoc(peer string, k profilestore.Key, instance string) (*sy
 // direct upload or another pull may have advanced the local document since
 // the stamp list — and the remote stamp is adopted verbatim: replication
 // moves documents, it never re-versions them.
-func (s *Server) applySyncDoc(k profilestore.Key, doc *syncDoc) (int, error) {
-	sh := s.lockShard(k)
-	if !sh.stamps[doc.Instance].Less(doc.Stamp) {
-		sh.mu.Unlock()
-		return 0, nil
-	}
-	launch, err := s.acceptLocked(sh, doc.Instance, doc.Stamp, doc.Profile)
-	sh.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	s.peerDocsApplied.Inc()
-	if launch != nil {
-		launch()
-	}
-	return 1, nil
+func (s *Server) applySyncDoc(k profilestore.Key, doc *syncDoc) (applied int, err error) {
+	err = s.inShard(k, func(sh *shard) error {
+		if !sh.stamps[doc.Instance].Less(doc.Stamp) {
+			return nil
+		}
+		if err := s.acceptLocked(sh, doc.Instance, doc.Stamp, doc.Profile); err != nil {
+			return err
+		}
+		s.peerDocsApplied.Inc()
+		applied = 1
+		s.handOverLocked(sh)
+		return nil
+	})
+	return applied, err
 }
 
-// applyPeerQuarantine unions a peer's quarantined ETags into the key's
-// tracker. The union is monotone, so replication can only ever add
-// rollback knowledge — a stale peer cannot resurrect a quarantined plan.
-// Dropping a locally staged candidate records a "peer_quarantine"
-// transition (the rollback was decided — and counted — on the peer).
-func (s *Server) applyPeerQuarantine(k profilestore.Key, etags []string) error {
-	sh := s.lockShard(k)
-	defer sh.mu.Unlock()
-	if err := s.restoreRolloutLocked(sh); err != nil {
-		return err
-	}
+// quarantineLocked unions a peer's quarantined ETags into the key's
+// tracker (caller holds sh.mu). The union is monotone, so replication can
+// only ever add rollback knowledge — a stale peer cannot resurrect a
+// quarantined plan. Dropping a locally staged candidate records a
+// "peer_quarantine" transition (the rollback was decided — and counted —
+// on the peer).
+func (s *Server) quarantineLocked(sh *shard, etags []string) error {
 	from := sh.roll.State()
 	cand := sh.roll.CandidateETag()
 	added, dropped := sh.roll.AddQuarantined(etags)

@@ -360,7 +360,7 @@ func TestSyncDigestColdRestart(t *testing.T) {
 func TestSyncSkipsLegacyDocs(t *testing.T) {
 	_, tsA, storeA := newPeerServer(t, "daemon-0")
 	p := evidence("Cassandra", "WI", site("A.a:1", 5))
-	if err := storeA.PutEvidence("inst-legacy", p); err != nil {
+	if err := storeA.PutEvidenceStamped("inst-legacy", profilestore.Stamp{}, p); err != nil {
 		t.Fatal(err)
 	}
 	if sum := fetchSummary(t, tsA.URL); len(sum.Keys) != 0 {
@@ -747,7 +747,7 @@ func TestKeySumMatchesRecompute(t *testing.T) {
 			}
 			pair[0].peer, pair[1].peer = pair[1].url, pair[0].url
 			// One legacy document: it must stay out of every sum.
-			if err := pair[0].store.PutEvidence("inst-legacy", evidence("App0", "w", site("A.a:1", 1))); err != nil {
+			if err := pair[0].store.PutEvidenceStamped("inst-legacy", profilestore.Stamp{}, evidence("App0", "w", site("A.a:1", 1))); err != nil {
 				t.Fatal(err)
 			}
 			pair[0].restart()

@@ -253,8 +253,8 @@ func (s *Store) auditLocked() (*AuditReport, error) {
 // evidenceEntry is the on-disk form of one instance's evidence: the
 // uploaded profile plus the instance id it replaces-per, which the
 // sanitized file name cannot carry losslessly. Stamp is the replication
-// version (see stamp.go); nil on unstamped PutEvidence documents, which
-// decode as the zero Stamp and lose every tiebreak.
+// version (see stamp.go); nil on documents written with the zero stamp,
+// which decode as the zero Stamp and lose every tiebreak.
 type evidenceEntry struct {
 	Instance string            `json:"instance"`
 	Stamp    *Stamp            `json:"stamp,omitempty"`
@@ -286,15 +286,13 @@ func (s *Store) evidencePath(k Key, instance string) string {
 	return filepath.Join(s.evidenceDir(), name)
 }
 
-// PutEvidence stores one instance's latest evidence for the profile's
-// (App, Workload), replacing that instance's previous upload — the
-// last-write-wins-per-instance model that keeps fleet aggregation
-// idempotent under cumulative re-uploads and retried requests.
-func (s *Store) PutEvidence(instance string, p *analyzer.Profile) error {
-	return s.putEvidence(instance, nil, p)
-}
-
-func (s *Store) putEvidence(instance string, stamp *Stamp, p *analyzer.Profile) error {
+// PutEvidenceStamped stores one instance's latest evidence for the
+// profile's (App, Workload) together with its replication stamp, replacing
+// that instance's previous upload — the last-write-wins-per-instance model
+// that keeps fleet aggregation idempotent under cumulative re-uploads and
+// retried requests. The zero stamp writes an unstamped (legacy) document,
+// which never replicates.
+func (s *Store) PutEvidenceStamped(instance string, stamp Stamp, p *analyzer.Profile) error {
 	if instance == "" {
 		return fmt.Errorf("profilestore: evidence must carry an instance id")
 	}
@@ -309,7 +307,11 @@ func (s *Store) putEvidence(instance string, stamp *Stamp, p *analyzer.Profile) 
 	if err := os.MkdirAll(s.evidenceDir(), 0o755); err != nil {
 		return fmt.Errorf("profilestore: %w", err)
 	}
-	data, err := Encode(evidenceEntry{Instance: instance, Stamp: stamp, Profile: p})
+	entry := evidenceEntry{Instance: instance, Profile: p}
+	if !stamp.IsZero() {
+		entry.Stamp = &stamp
+	}
+	data, err := Encode(entry)
 	if err != nil {
 		return fmt.Errorf("profilestore: encoding evidence: %w", err)
 	}

@@ -290,17 +290,17 @@ func TestEvidenceRoundTripAndReplace(t *testing.T) {
 			{Trace: "A.m:1", Allocated: allocated, Buckets: []uint64{allocated}},
 		}}
 	}
-	if err := s.PutEvidence("inst-1", mk("Cassandra", "WI", 100)); err != nil {
+	if err := s.PutEvidenceStamped("inst-1", Stamp{}, mk("Cassandra", "WI", 100)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutEvidence("inst-2", mk("Cassandra", "WI", 50)); err != nil {
+	if err := s.PutEvidenceStamped("inst-2", Stamp{}, mk("Cassandra", "WI", 50)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutEvidence("inst-1", mk("Cassandra", "WR", 7)); err != nil {
+	if err := s.PutEvidenceStamped("inst-1", Stamp{}, mk("Cassandra", "WR", 7)); err != nil {
 		t.Fatal(err)
 	}
 	// Replacement: inst-1's second WI upload supersedes its first.
-	if err := s.PutEvidence("inst-1", mk("Cassandra", "WI", 300)); err != nil {
+	if err := s.PutEvidenceStamped("inst-1", Stamp{}, mk("Cassandra", "WI", 300)); err != nil {
 		t.Fatal(err)
 	}
 	ev, err := s.Evidence("Cassandra", "WI")
@@ -346,10 +346,10 @@ func TestEvidenceInstanceSanitizeCollision(t *testing.T) {
 			{Trace: "A.m:1", Allocated: allocated, Buckets: []uint64{allocated}},
 		}}
 	}
-	if err := s.PutEvidence("a b", mk(1)); err != nil {
+	if err := s.PutEvidenceStamped("a b", Stamp{}, mk(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutEvidence("a_b", mk(2)); err != nil {
+	if err := s.PutEvidenceStamped("a_b", Stamp{}, mk(2)); err != nil {
 		t.Fatal(err)
 	}
 	ev, err := s.Evidence("A", "W")
@@ -368,10 +368,10 @@ func TestPutEvidenceValidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := sampleProfile("Cassandra", "WI")
-	if err := s.PutEvidence("", p); err == nil {
+	if err := s.PutEvidenceStamped("", Stamp{}, p); err == nil {
 		t.Fatal("empty instance id accepted")
 	}
-	if err := s.PutEvidence("inst-1", &analyzer.Profile{Workload: "WI"}); err == nil {
+	if err := s.PutEvidenceStamped("inst-1", Stamp{}, &analyzer.Profile{Workload: "WI"}); err == nil {
 		t.Fatal("unlabeled evidence accepted")
 	}
 }

@@ -18,8 +18,8 @@ import (
 )
 
 // Stamp is the logical version of one evidence document. The zero Stamp
-// marks an unstamped document (PutEvidence — the planserver's __seed__
-// baseline), which never replicates and orders before every stamped write.
+// marks an unstamped document (the planserver's __seed__ baseline), which
+// never replicates and orders before every stamped write.
 type Stamp struct {
 	// Seq is the daemon-assigned sequence. Every accepted direct upload
 	// strictly advances it past the previous document's stamp, so the
@@ -50,16 +50,6 @@ func (st Stamp) String() string { return fmt.Sprintf("%d@%s", st.Seq, st.Origin)
 type EvidenceDoc struct {
 	Profile *analyzer.Profile
 	Stamp   Stamp
-}
-
-// PutEvidenceStamped stores one instance's evidence together with its
-// replication stamp. PutEvidence is the unstamped form.
-func (s *Store) PutEvidenceStamped(instance string, stamp Stamp, p *analyzer.Profile) error {
-	var st *Stamp
-	if !stamp.IsZero() {
-		st = &stamp
-	}
-	return s.putEvidence(instance, st, p)
 }
 
 // EvidenceAll scans the whole evidence directory and returns every stored

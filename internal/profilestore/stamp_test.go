@@ -52,7 +52,7 @@ func TestPutEvidenceStampedRoundTrip(t *testing.T) {
 	if err := s.PutEvidenceStamped("inst-1", st, evProfile("App", "w", 10)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutEvidence("inst-2", evProfile("App", "w", 20)); err != nil {
+	if err := s.PutEvidenceStamped("inst-2", Stamp{}, evProfile("App", "w", 20)); err != nil {
 		t.Fatal(err)
 	}
 	all, err := s.EvidenceAll()
@@ -89,8 +89,8 @@ func TestPutEvidenceStampedRoundTrip(t *testing.T) {
 }
 
 // TestPutEvidenceStampedZeroStamp proves the zero stamp is treated as
-// "legacy": PutEvidenceStamped with a zero stamp writes the same document
-// PutEvidence would.
+// "legacy": PutEvidenceStamped with a zero stamp writes an unstamped
+// document, with no stamp field at all.
 func TestPutEvidenceStampedZeroStamp(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
