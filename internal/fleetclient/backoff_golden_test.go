@@ -13,7 +13,7 @@ import (
 // an intentional change to the derivation lands, the simnet golden traces
 // must be regenerated alongside these values.
 func TestBackoffGolden(t *testing.T) {
-	c, err := New(Options{BaseURL: "http://daemon", Seed: 42, MaxAttempts: 5})
+	c, err := New(Options{BaseURL: "http://daemon", Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,10 @@ func TestBackoffGolden(t *testing.T) {
 	}
 	for opSeq, want := range golden {
 		op, seq := opSeq[:len(opSeq)-2], uint64(opSeq[len(opSeq)-1]-'0')
-		got := c.RetrySchedule(op, seq)
+		// The schedule holds the maxAttempts-1 delays an operation can
+		// sleep; the fourth pinned delay, one attempt past it, is asked
+		// of backoff directly.
+		got := append(c.RetrySchedule(op, seq), c.backoff(op, seq, maxAttempts-1))
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d delays, want %d", opSeq, len(got), len(want))
 		}
@@ -39,15 +42,21 @@ func TestBackoffGolden(t *testing.T) {
 		}
 	}
 
-	// MaxDelay caps the pre-jitter exponential: with BaseDelay already
-	// near the cap, every delay stays within [MaxDelay/2, MaxDelay].
-	capped, err := New(Options{BaseURL: "http://daemon", Seed: 7, MaxAttempts: 3,
-		BaseDelay: 100 * time.Millisecond, MaxDelay: 150 * time.Millisecond})
+	// maxDelay caps the pre-jitter exponential: from attempt 6 on
+	// (baseDelay<<6 = 3.2s), and where the shift overflows, every delay
+	// stays within [maxDelay/2, maxDelay].
+	capped, err := New(Options{BaseURL: "http://daemon", Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := capped.RetrySchedule("fetch", 0), []time.Duration{94208669, 127778577}; got[0] != want[0] || got[1] != want[1] {
-		t.Errorf("capped schedule = %v, want %v", got, want)
+	for attempt, want := range map[int]time.Duration{6: 1245091438, 7: 1064632415, 63: 1735431671} {
+		got := capped.backoff("fetch", 0, attempt)
+		if got != want {
+			t.Errorf("capped attempt %d = %v, want %v", attempt, got, want)
+		}
+		if got < maxDelay/2 || got > maxDelay {
+			t.Errorf("capped attempt %d = %v outside [%v, %v]", attempt, got, maxDelay/2, maxDelay)
+		}
 	}
 }
 
@@ -59,7 +68,7 @@ func TestBackoffGolden(t *testing.T) {
 // retry jitter derives from the injected seed stream only.
 func TestBackoffIdenticalAcrossRuns(t *testing.T) {
 	schedule := func() [][]time.Duration {
-		c, err := New(Options{BaseURL: "http://daemon", Seed: 99, MaxAttempts: 4})
+		c, err := New(Options{BaseURL: "http://daemon", Seed: 99})
 		if err != nil {
 			t.Fatal(err)
 		}

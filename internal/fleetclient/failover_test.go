@@ -63,7 +63,7 @@ func TestNoFailoverOnServerError(t *testing.T) {
 	defer secondary.Close()
 
 	rec := &sleepRecorder{}
-	c := newClient(t, Options{BaseURL: primary.URL, BaseURLs: []string{secondary.URL}, MaxAttempts: 3, Sleep: rec.sleep})
+	c := newClient(t, Options{BaseURL: primary.URL, BaseURLs: []string{secondary.URL}, Sleep: rec.sleep})
 	if _, _, err := c.FetchPlan("Cassandra", "WI"); err == nil {
 		t.Fatal("all-5xx fetch with no last good plan reported success")
 	}
@@ -79,7 +79,7 @@ func TestFailoverFallsBackWhenAllDown(t *testing.T) {
 		servePlan(w, r, testPlan(2))
 	}))
 	rec := &sleepRecorder{}
-	c := newClient(t, Options{BaseURL: live.URL, BaseURLs: []string{deadURL(t)}, MaxAttempts: 3, Sleep: rec.sleep})
+	c := newClient(t, Options{BaseURL: live.URL, BaseURLs: []string{deadURL(t)}, Sleep: rec.sleep})
 	if _, outcome, err := c.FetchPlan("Cassandra", "WI"); err != nil || outcome != OutcomeFresh {
 		t.Fatalf("seeding fetch = %v, %v", outcome, err)
 	}

@@ -52,6 +52,16 @@ const InstanceHeader = "X-Polm2-Instance"
 // Unreplicated daemons ignore it.
 const EvidenceSeqHeader = "X-Polm2-Evidence-Seq"
 
+// The retry policy, the same for every client: at most maxAttempts tries
+// per operation (the first included), the pre-jitter delay starting at
+// baseDelay before the first retry, doubling per retry and capped at
+// maxDelay.
+const (
+	maxAttempts = 4
+	baseDelay   = 50 * time.Millisecond
+	maxDelay    = 2 * time.Second
+)
+
 // Options parameterizes a Client.
 type Options struct {
 	// BaseURL is the daemon's root, e.g. "http://127.0.0.1:7468".
@@ -72,18 +82,11 @@ type Options struct {
 	// from Seed, which suffices when every instance in the fleet runs a
 	// distinct seed; give instances sharing a seed explicit distinct ids.
 	InstanceID string
-	// MaxAttempts bounds tries per operation (first try included).
-	// Default 4.
-	MaxAttempts int
-	// BaseDelay is the pre-jitter delay before the first retry; it
-	// doubles per retry. Default 50ms.
-	BaseDelay time.Duration
-	// MaxDelay caps the pre-jitter delay. Default 2s.
-	MaxDelay time.Duration
 	// HTTPClient is the transport. Default http.DefaultClient.
 	HTTPClient *http.Client
-	// Sleep waits between retries. Default time.Sleep; tests and
-	// simulations inject their own.
+	// Sleep waits between retries, for the jittered delays of the fixed
+	// retry policy (maxAttempts, baseDelay, maxDelay). Default time.Sleep;
+	// tests and simulations inject their own.
 	Sleep func(time.Duration)
 	// Tracer, when non-nil, receives one "fleetclient" event per
 	// fetch/upload attempt, per backoff sleep, and per operation outcome.
@@ -95,15 +98,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.MaxAttempts == 0 {
-		o.MaxAttempts = 4
-	}
-	if o.BaseDelay == 0 {
-		o.BaseDelay = 50 * time.Millisecond
-	}
-	if o.MaxDelay == 0 {
-		o.MaxDelay = 2 * time.Second
 	}
 	if o.HTTPClient == nil {
 		o.HTTPClient = http.DefaultClient
@@ -228,9 +222,9 @@ func (c *Client) LastETag() string {
 // the deterministic "equal jitter" scheme: half the exponential delay is
 // kept, the other half scales by a seed-derived fraction.
 func (c *Client) backoff(op string, seq uint64, attempt int) time.Duration {
-	d := c.opts.BaseDelay << attempt
-	if d > c.opts.MaxDelay || d <= 0 {
-		d = c.opts.MaxDelay
+	d := baseDelay << attempt
+	if d > maxDelay || d <= 0 {
+		d = maxDelay
 	}
 	h := uint64(core.DeriveSeed(c.opts.Seed, "fleetclient", op,
 		strconv.FormatUint(seq, 10), strconv.Itoa(attempt)))
@@ -242,8 +236,8 @@ func (c *Client) backoff(op string, seq uint64, attempt int) time.Duration {
 // all attempts fail) for the n-th operation of kind op. Exposed so tests
 // — and capacity planning — can inspect determinism without a server.
 func (c *Client) RetrySchedule(op string, seq uint64) []time.Duration {
-	out := make([]time.Duration, 0, c.opts.MaxAttempts-1)
-	for a := 0; a < c.opts.MaxAttempts-1; a++ {
+	out := make([]time.Duration, 0, maxAttempts-1)
+	for a := 0; a < maxAttempts-1; a++ {
 		out = append(out, c.backoff(op, seq, a))
 	}
 	return out
@@ -258,42 +252,89 @@ func (c *Client) nextSeq() uint64 {
 	return seq
 }
 
-// retry runs try up to MaxAttempts times with backoff between failures.
-// A non-nil stop result ends the retries immediately (permanent outcome);
-// otherwise the last error is returned.
-func (c *Client) retry(op string, try func() (stop bool, err error)) error {
+// request is what every attempt of one operation sends: the method and
+// path on the sticky endpoint, a JSON body (nil for none) and any headers
+// beyond the instance id. doing names the operation in transport errors.
+type request struct {
+	op, doing    string
+	method, path string
+	body         []byte
+	header       http.Header
+}
+
+// retry runs the request up to maxAttempts times with backoff between
+// failures; status handles each answer the daemon gives (roundTrip). A
+// permanent failure ends the retries; otherwise the last error is
+// returned.
+func (c *Client) retry(rq *request, status func(*http.Response) error) error {
 	seq := c.nextSeq()
-	var lastErr error
-	for attempt := 0; attempt < c.opts.MaxAttempts; attempt++ {
-		stop, err := try()
+	for attempt := 0; ; attempt++ {
+		stop, err := c.roundTrip(rq, status)
 		if c.opts.Tracer.Enabled() {
 			outcome := "ok"
 			if err != nil {
 				outcome = "error"
 			}
 			c.opts.Tracer.Event("fleetclient", "attempt",
-				trace.String("op", op),
+				trace.String("op", rq.op),
 				trace.Uint64("seq", seq),
 				trace.Int64("attempt", int64(attempt)),
 				trace.String("outcome", outcome))
 		}
-		if err == nil || stop {
+		if err == nil || stop || attempt == maxAttempts-1 {
 			return err
 		}
-		lastErr = err
-		if attempt < c.opts.MaxAttempts-1 {
-			d := c.backoff(op, seq, attempt)
-			if c.opts.Tracer.Enabled() {
-				c.opts.Tracer.Event("fleetclient", "backoff",
-					trace.String("op", op),
-					trace.Uint64("seq", seq),
-					trace.Int64("attempt", int64(attempt)),
-					trace.Dur("delay", d))
-			}
-			c.opts.Sleep(d)
+		d := c.backoff(rq.op, seq, attempt)
+		if c.opts.Tracer.Enabled() {
+			c.opts.Tracer.Event("fleetclient", "backoff",
+				trace.String("op", rq.op),
+				trace.Uint64("seq", seq),
+				trace.Int64("attempt", int64(attempt)),
+				trace.Dur("delay", d))
 		}
+		c.opts.Sleep(d)
 	}
-	return lastErr
+}
+
+// roundTrip is one attempt: it sends rq, carrying the instance id, to the
+// sticky endpoint and rotates to the next one on a transport error. A
+// daemon's answer goes to status, whose error a 4xx makes permanent —
+// retrying an identical bad request cannot succeed; an answer status
+// accepts (nil) ends the operation whatever its code. The body is drained
+// for connection reuse.
+func (c *Client) roundTrip(rq *request, status func(*http.Response) error) (stop bool, err error) {
+	base, idx := c.endpoint()
+	var body io.Reader
+	if rq.body != nil {
+		body = bytes.NewReader(rq.body)
+	}
+	req, err := http.NewRequest(rq.method, base+rq.path, body)
+	if err != nil {
+		return true, err
+	}
+	for k, v := range rq.header {
+		req.Header[k] = v
+	}
+	if rq.body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	req.Header.Set(InstanceHeader, c.opts.InstanceID)
+	resp, err := c.opts.HTTPClient.Do(req)
+	if err != nil {
+		c.failover(idx)
+		return false, fmt.Errorf("fleetclient: %s: %w", rq.doing, err)
+	}
+	defer resp.Body.Close()
+	defer io.Copy(io.Discard, resp.Body) //nolint:errcheck
+	err = status(resp)
+	return err != nil && resp.StatusCode >= 400 && resp.StatusCode < 500, err
+}
+
+// statusError reports an answer the operation does not accept, with the
+// head of the daemon's message.
+func statusError(what string, resp *http.Response) error {
+	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+	return fmt.Errorf("fleetclient: %s status %d: %s", what, resp.StatusCode, bytes.TrimSpace(msg))
 }
 
 // FetchPlan fetches the plan for (app, workload). When the daemon is
@@ -312,54 +353,29 @@ func (c *Client) FetchPlan(app, workload string) (*analyzer.Profile, Outcome, er
 	q := url.Values{}
 	q.Set("app", app)
 	q.Set("workload", workload)
-	query := "/v1/plan?" + q.Encode()
-	err := c.retry("fetch", func() (bool, error) {
-		// The URL is rebuilt per attempt: a transport failure rotates the
-		// endpoint, so the retry must aim at the rotated-to daemon.
-		base, idx := c.endpoint()
-		req, err := http.NewRequest("GET", base+query, nil)
-		if err != nil {
-			return true, err
-		}
-		// The instance id lets a rollout-enabled daemon route this
-		// instance to its canary cohort's plan; a daemon without rollout
-		// ignores the header.
-		req.Header.Set(InstanceHeader, c.opts.InstanceID)
-		if etag != "" {
-			req.Header.Set("If-None-Match", etag)
-		}
-		resp, err := c.opts.HTTPClient.Do(req)
-		if err != nil {
-			c.failover(idx)
-			return false, fmt.Errorf("fleetclient: fetching plan: %w", err)
-		}
-		defer resp.Body.Close()
+	// The instance id lets a rollout-enabled daemon route this instance to
+	// its canary cohort's plan; a daemon without rollout ignores it.
+	rq := &request{op: "fetch", doing: "fetching plan", method: "GET", path: "/v1/plan?" + q.Encode()}
+	if etag != "" {
+		rq.header = http.Header{"If-None-Match": {etag}}
+	}
+	err := c.retry(rq, func(resp *http.Response) error {
 		switch resp.StatusCode {
 		case http.StatusOK:
 			p, newTag, err := decodePlan(resp)
 			if err != nil {
-				return false, err
+				return err
 			}
 			c.remember(p, newTag)
 			plan, outcome = p, OutcomeFresh
-			return false, nil
 		case http.StatusNotModified:
-			io.Copy(io.Discard, resp.Body)
-			c.mu.Lock()
-			plan, outcome = c.lastGood, OutcomeNotModified
-			c.mu.Unlock()
-			return false, nil
+			plan, outcome = c.LastGood(), OutcomeNotModified
 		case http.StatusNotFound:
-			io.Copy(io.Discard, resp.Body)
 			plan, outcome = nil, OutcomeNoPlan
-			return true, nil
 		default:
-			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-			err = fmt.Errorf("fleetclient: plan fetch status %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
-			// 4xx (other than 404) is permanent: retrying an identical bad
-			// request cannot succeed.
-			return resp.StatusCode >= 400 && resp.StatusCode < 500, err
+			return statusError("plan fetch", resp)
 		}
+		return nil
 	})
 	if err != nil {
 		if last := c.LastGood(); last != nil {
@@ -394,39 +410,24 @@ func (c *Client) UploadEvidence(p *analyzer.Profile) (*analyzer.Profile, error) 
 	seq := c.evSeq
 	c.mu.Unlock()
 	var merged *analyzer.Profile
-	err = c.retry("upload", func() (bool, error) {
-		base, idx := c.endpoint()
-		req, err := http.NewRequest("POST", base+"/v1/evidence", bytes.NewReader(body))
-		if err != nil {
-			return true, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		// The instance id makes the upload idempotent: the daemon replaces
-		// this instance's evidence, so a retry after a lost response
-		// cannot double-count what the first attempt already applied. The
-		// sequence number orders this client's uploads across daemons —
-		// constant over retries, so a replayed upload keeps its place.
-		req.Header.Set(InstanceHeader, c.opts.InstanceID)
-		req.Header.Set(EvidenceSeqHeader, strconv.FormatUint(seq, 10))
-		resp, err := c.opts.HTTPClient.Do(req)
-		if err != nil {
-			c.failover(idx)
-			return false, fmt.Errorf("fleetclient: uploading evidence: %w", err)
-		}
-		defer resp.Body.Close()
+	// The instance id makes the upload idempotent: the daemon replaces this
+	// instance's evidence, so a retry after a lost response cannot
+	// double-count what the first attempt already applied. The sequence
+	// number orders this client's uploads across daemons — constant over
+	// retries, so a replayed upload keeps its place.
+	rq := &request{op: "upload", doing: "uploading evidence", method: "POST", path: "/v1/evidence", body: body,
+		header: http.Header{EvidenceSeqHeader: {strconv.FormatUint(seq, 10)}}}
+	err = c.retry(rq, func(resp *http.Response) error {
 		if resp.StatusCode != http.StatusOK {
-			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-			err := fmt.Errorf("fleetclient: evidence upload status %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
-			// The daemon rejected the evidence itself: no retry can fix it.
-			return resp.StatusCode >= 400 && resp.StatusCode < 500, err
+			return statusError("evidence upload", resp)
 		}
 		m, tag, err := decodePlan(resp)
 		if err != nil {
-			return false, err
+			return err
 		}
 		c.remember(m, tag)
 		merged = m
-		return false, nil
+		return nil
 	})
 	if err != nil {
 		c.traceResult("upload", "error")
@@ -475,26 +476,12 @@ func (c *Client) ReportFeedback(r *rollout.Report) (sent bool, err error) {
 	if err != nil {
 		return false, fmt.Errorf("fleetclient: encoding feedback: %w", err)
 	}
-	err = c.retry("feedback", func() (bool, error) {
-		base, idx := c.endpoint()
-		req, err := http.NewRequest("POST", base+"/v1/feedback", bytes.NewReader(body))
-		if err != nil {
-			return true, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set(InstanceHeader, c.opts.InstanceID)
-		resp, err := c.opts.HTTPClient.Do(req)
-		if err != nil {
-			c.failover(idx)
-			return false, fmt.Errorf("fleetclient: reporting feedback: %w", err)
-		}
-		defer resp.Body.Close()
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+	rq := &request{op: "feedback", doing: "reporting feedback", method: "POST", path: "/v1/feedback", body: body}
+	err = c.retry(rq, func(resp *http.Response) error {
 		if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-			err := fmt.Errorf("fleetclient: feedback status %d", resp.StatusCode)
-			return resp.StatusCode >= 400 && resp.StatusCode < 500, err
+			return fmt.Errorf("fleetclient: feedback status %d", resp.StatusCode)
 		}
-		return false, nil
+		return nil
 	})
 	if err != nil {
 		c.traceResult("feedback", "error")

@@ -63,27 +63,28 @@ func newClient(t *testing.T, opts Options) *Client {
 // TestBackoffDeterministicForSeed proves the retry schedule is a pure
 // function of (seed, operation, sequence, attempt): same seed, same
 // schedule; different seed, different jitter; delays grow exponentially
-// within the equal-jitter envelope and cap at MaxDelay.
+// within the equal-jitter envelope and cap at maxDelay.
 func TestBackoffDeterministicForSeed(t *testing.T) {
-	opts := Options{BaseURL: "http://unused", Seed: 42, MaxAttempts: 6,
-		BaseDelay: 100 * time.Millisecond, MaxDelay: time.Second}
+	opts := Options{BaseURL: "http://unused", Seed: 42}
 	a := newClient(t, opts)
 	b := newClient(t, opts)
 	schedA := a.RetrySchedule("fetch", 0)
 	schedB := b.RetrySchedule("fetch", 0)
-	if len(schedA) != 5 {
-		t.Fatalf("schedule length = %d, want MaxAttempts-1 = 5", len(schedA))
+	if len(schedA) != maxAttempts-1 {
+		t.Fatalf("schedule length = %d, want maxAttempts-1 = %d", len(schedA), maxAttempts-1)
 	}
 	for i := range schedA {
 		if schedA[i] != schedB[i] {
 			t.Fatalf("same seed diverged at retry %d: %v vs %v", i, schedA[i], schedB[i])
 		}
 	}
-	// Envelope: delay i sits in [d/2, d] for d = min(Base << i, Max).
-	for i, got := range schedA {
-		d := opts.BaseDelay << i
-		if d > opts.MaxDelay {
-			d = opts.MaxDelay
+	// Envelope: delay i sits in [d/2, d] for d = min(baseDelay << i,
+	// maxDelay) — past the schedule too, where the cap binds (i ≥ 6).
+	for i := 0; i < 8; i++ {
+		got := a.backoff("fetch", 0, i)
+		d := baseDelay << i
+		if d > maxDelay {
+			d = maxDelay
 		}
 		if got < d/2 || got > d {
 			t.Fatalf("retry %d delay %v outside [%v, %v]", i, got, d/2, d)
@@ -131,7 +132,7 @@ func TestFetchFallsBackToLastGood(t *testing.T) {
 	defer ts.Close()
 
 	rec := &sleepRecorder{}
-	c := newClient(t, Options{BaseURL: ts.URL, Seed: 7, MaxAttempts: 3, Sleep: rec.sleep})
+	c := newClient(t, Options{BaseURL: ts.URL, Seed: 7, Sleep: rec.sleep})
 	p, outcome, err := c.FetchPlan("Cassandra", "WI")
 	if err != nil || outcome != OutcomeFresh || p.Generations != 2 {
 		t.Fatalf("healthy fetch = %+v, %v, %v", p, outcome, err)
@@ -175,12 +176,12 @@ func TestFetchErrorsWithNoFallback(t *testing.T) {
 	}))
 	defer ts.Close()
 	rec := &sleepRecorder{}
-	c := newClient(t, Options{BaseURL: ts.URL, Seed: 7, MaxAttempts: 3, Sleep: rec.sleep})
+	c := newClient(t, Options{BaseURL: ts.URL, Seed: 7, Sleep: rec.sleep})
 	if _, _, err := c.FetchPlan("Cassandra", "WI"); err == nil {
 		t.Fatal("unreachable daemon with no fallback returned a plan")
 	}
-	if len(rec.slept()) != 2 {
-		t.Fatalf("slept %d times, want MaxAttempts-1 = 2", len(rec.slept()))
+	if len(rec.slept()) != maxAttempts-1 {
+		t.Fatalf("slept %d times, want maxAttempts-1 = %d", len(rec.slept()), maxAttempts-1)
 	}
 }
 
@@ -302,7 +303,7 @@ func TestSyncEvidenceFallsBack(t *testing.T) {
 	}))
 	defer ts.Close()
 	rec := &sleepRecorder{}
-	c := newClient(t, Options{BaseURL: ts.URL, Seed: 9, MaxAttempts: 2, Sleep: rec.sleep})
+	c := newClient(t, Options{BaseURL: ts.URL, Seed: 9, Sleep: rec.sleep})
 
 	merged, fresh, err := c.SyncEvidence(testPlan(1))
 	if err != nil || !fresh || merged.Generations != 3 {
@@ -317,7 +318,7 @@ func TestSyncEvidenceFallsBack(t *testing.T) {
 		t.Fatalf("fallback sync = %+v, fresh=%v", merged, fresh)
 	}
 	// With no last good plan at all, the error surfaces.
-	c2 := newClient(t, Options{BaseURL: ts.URL, MaxAttempts: 2, Sleep: rec.sleep})
+	c2 := newClient(t, Options{BaseURL: ts.URL, Sleep: rec.sleep})
 	if _, _, err := c2.SyncEvidence(testPlan(1)); err == nil {
 		t.Fatal("sync with no fallback reported success")
 	}

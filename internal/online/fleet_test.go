@@ -122,9 +122,8 @@ func TestOnlineFleetUnreachableKeepsPlan(t *testing.T) {
 		t.Skip("online run skipped in -short mode")
 	}
 	dead, err := fleetclient.New(fleetclient.Options{
-		BaseURL:     "http://127.0.0.1:1", // nothing listens on port 1
-		MaxAttempts: 2,
-		Sleep:       func(time.Duration) {},
+		BaseURL: "http://127.0.0.1:1", // nothing listens on port 1
+		Sleep:   func(time.Duration) {},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -341,6 +341,15 @@ func (s *Server) storeError(w http.ResponseWriter, err error) string {
 	return "store_error"
 }
 
+// refuse is the one reply to a request the daemon will not admit: counted
+// in the route's reject counter and answered 400. It returns the outcome
+// the caller traces.
+func refuse(w http.ResponseWriter, rejected *metrics.Counter, msg string) string {
+	rejected.Inc()
+	http.Error(w, msg, http.StatusBadRequest)
+	return "rejected"
+}
+
 // loadPlanLocked fills the shard's empty plan cache from the store (caller
 // holds sh.mu, so concurrent cold fetches share one load and no merge can
 // publish between the read and the install). A store with no plan file
@@ -434,6 +443,28 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, app, workload
 	return "ok"
 }
 
+// validInstance is the rule for an instance id, the key of a document in
+// the evidence log and of a feedback reporter: non-empty and at most 128
+// bytes.
+func validInstance(id string) bool { return id != "" && len(id) <= 128 }
+
+// admitEvidence is the one admission rule for an evidence document, an
+// upload or a document pulled from a peer alike: the instance id, then
+// Validate, then checkEvidence. A peer is trusted no further than a fleet
+// instance.
+func admitEvidence(instance string, p *analyzer.Profile) error {
+	if !validInstance(instance) {
+		return fmt.Errorf("evidence must carry a non-empty %s header of at most 128 bytes", InstanceHeader)
+	}
+	if err := p.Validate(); err != nil {
+		return fmt.Errorf("invalid evidence: %w", err)
+	}
+	if err := checkEvidence(p); err != nil {
+		return fmt.Errorf("rejected evidence: %w", err)
+	}
+	return nil
+}
+
 // checkEvidence salvage-checks an uploaded profile beyond Validate: every
 // site's evidence must be internally consistent, so a mangled or
 // hand-damaged upload cannot poison the fleet merge. This is the full
@@ -490,41 +521,22 @@ func (s *Server) handleEvidence(w http.ResponseWriter, r *http.Request) {
 				trace.Dur("latency", d))
 		}
 	}()
-	body := http.MaxBytesReader(w, r.Body, EvidenceBodyLimit)
 	var up analyzer.Profile
-	dec := json.NewDecoder(body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, EvidenceBodyLimit))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&up); err != nil {
-		s.rejected.Inc()
-		outcome = "rejected"
-		http.Error(w, fmt.Sprintf("planserver: decoding evidence: %v", err), http.StatusBadRequest)
+		outcome = refuse(w, s.rejected, fmt.Sprintf("planserver: decoding evidence: %v", err))
 		return
 	}
 	app, workload = up.App, up.Workload
 	instance := r.Header.Get(InstanceHeader)
-	if instance == "" || len(instance) > 128 {
-		s.rejected.Inc()
-		outcome = "rejected"
-		http.Error(w, fmt.Sprintf("planserver: evidence must carry a non-empty %s header of at most 128 bytes", InstanceHeader), http.StatusBadRequest)
-		return
-	}
-	if err := up.Validate(); err != nil {
-		s.rejected.Inc()
-		outcome = "rejected"
-		http.Error(w, fmt.Sprintf("planserver: invalid evidence: %v", err), http.StatusBadRequest)
-		return
-	}
-	if err := checkEvidence(&up); err != nil {
-		s.rejected.Inc()
-		outcome = "rejected"
-		http.Error(w, fmt.Sprintf("planserver: rejected evidence: %v", err), http.StatusBadRequest)
+	if err := admitEvidence(instance, &up); err != nil {
+		outcome = refuse(w, s.rejected, "planserver: "+err.Error())
 		return
 	}
 	var clientSeq uint64
-	if v := r.Header.Get(EvidenceSeqHeader); v != "" {
-		if n, perr := strconv.ParseUint(v, 10, 64); perr == nil {
-			clientSeq = n
-		}
+	if n, err := strconv.ParseUint(r.Header.Get(EvidenceSeqHeader), 10, 64); err == nil {
+		clientSeq = n
 	}
 	var stamp profilestore.Stamp
 	var c *cachedPlan

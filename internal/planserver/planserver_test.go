@@ -450,32 +450,35 @@ func TestEvidenceLogReadOnce(t *testing.T) {
 	}
 }
 
+// admissibleEvidence is an evidence document the daemon admits for key A/W.
+const admissibleEvidence = `{"app":"A","workload":"W","generations":0,"sites":[{"trace":"A.m:1","allocated":1,"buckets":[1],"gen":0}]}`
+
+// refusedEvidence lists evidence documents, each under the instance id it
+// is sent with, that the daemon must refuse for key A/W by upload
+// (TestUploadRejections) and by peer pull alike
+// (TestPeerPullRefusesUploadRejections).
+var refusedEvidence = []struct{ name, instance, body string }{
+	{"not json", "inst-1", "{"},
+	{"unlabeled", "inst-1", `{"generations":0}`},
+	{"bucket mismatch", "inst-1", `{"app":"A","workload":"W","generations":0,"sites":[{"trace":"A.m:1","allocated":10,"buckets":[1,2],"gen":0}]}`},
+	{"tainted overflow", "inst-1", `{"app":"A","workload":"W","generations":0,"sites":[{"trace":"A.m:1","allocated":3,"buckets":[1,2],"gen":0,"tainted":5}]}`},
+	{"bad trace", "inst-1", `{"app":"A","workload":"W","generations":0,"sites":[{"trace":"nope","allocated":1,"buckets":[1],"gen":0}]}`},
+	{"invalid directive", "inst-1", `{"app":"A","workload":"W","generations":0,"allocs":[{"loc":"A.m:1","gen":5,"direct":true}]}`},
+	{"missing instance id", "", admissibleEvidence},
+	{"oversized instance id", strings.Repeat("x", 129), admissibleEvidence},
+}
+
 func TestUploadRejections(t *testing.T) {
 	srv, ts, _ := newTestServer(t)
-	valid := `{"app":"A","workload":"W","generations":0,"sites":[{"trace":"A.m:1","allocated":1,"buckets":[1],"gen":0}]}`
-	cases := []struct {
-		name     string
-		instance string
-		body     string
-	}{
-		{"not json", "inst-1", "{"},
-		{"unlabeled", "inst-1", `{"generations":0}`},
-		{"bucket mismatch", "inst-1", `{"app":"A","workload":"W","generations":0,"sites":[{"trace":"A.m:1","allocated":10,"buckets":[1,2],"gen":0}]}`},
-		{"tainted overflow", "inst-1", `{"app":"A","workload":"W","generations":0,"sites":[{"trace":"A.m:1","allocated":3,"buckets":[1,2],"gen":0,"tainted":5}]}`},
-		{"bad trace", "inst-1", `{"app":"A","workload":"W","generations":0,"sites":[{"trace":"nope","allocated":1,"buckets":[1],"gen":0}]}`},
-		{"invalid directive", "inst-1", `{"app":"A","workload":"W","generations":0,"allocs":[{"loc":"A.m:1","gen":5,"direct":true}]}`},
-		{"missing instance id", "", valid},
-		{"oversized instance id", strings.Repeat("x", 129), valid},
-	}
-	for _, tc := range cases {
+	for _, tc := range refusedEvidence {
 		resp := postRaw(t, ts.URL, tc.instance, []byte(tc.body))
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
 		}
 	}
-	if got := srv.Metrics().Counter("evidence_reject_total").Value(); got != uint64(len(cases)) {
-		t.Fatalf("evidence_reject_total = %d, want %d", got, len(cases))
+	if got := srv.Metrics().Counter("evidence_reject_total").Value(); got != uint64(len(refusedEvidence)) {
+		t.Fatalf("evidence_reject_total = %d, want %d", got, len(refusedEvidence))
 	}
 	if got := srv.Metrics().Counter("evidence_merge_total").Value(); got != 0 {
 		t.Fatalf("evidence_merge_total = %d, want 0", got)

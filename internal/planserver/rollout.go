@@ -70,15 +70,10 @@ type RolloutTransition struct {
 	To   rollout.State
 	// ETag is the plan version the transition concerns (the candidate, or
 	// the adopted plan); StableETag the stable version after the move.
+	// The decision inputs and the cohort size ride on the transition's
+	// trace event as attributes.
 	ETag       string
 	StableETag string
-	// Decision inputs, populated on promote/rollback.
-	CanaryP99       time.Duration
-	BaselineP99     time.Duration
-	CanaryReports   int
-	BaselineReports int
-	// CohortSize is the canary cohort size at canary_start.
-	CohortSize int
 }
 
 // RolloutTransitions returns every recorded transition, in order.
@@ -276,10 +271,9 @@ func (s *Server) publishLocked(sh *shard, c *cachedPlan) error {
 		})
 	case rollout.EventCanary:
 		s.canaries.Inc()
-		cohort := len(s.cohortLocked(sh))
 		s.recordTransition(sh, RolloutTransition{
-			Kind: "canary_start", From: from, To: sh.roll.State(), ETag: c.etag, CohortSize: cohort,
-		}, trace.Int64("cohort", int64(cohort)))
+			Kind: "canary_start", From: from, To: sh.roll.State(), ETag: c.etag,
+		}, trace.Int64("cohort", int64(len(s.cohortLocked(sh)))))
 	case rollout.EventQuarantined:
 		s.recordTransition(sh, RolloutTransition{
 			Kind: "quarantine", From: from, To: sh.roll.State(), ETag: c.etag,
@@ -301,8 +295,6 @@ func (s *Server) decideLocked(sh *shard, out rollout.Outcome) error {
 	}
 	tr := RolloutTransition{
 		Kind: "promote", From: rollout.StateCanary, To: rollout.StatePromoting,
-		CanaryP99: out.CanaryP99, BaselineP99: out.Baseline99,
-		CanaryReports: out.CanaryN, BaselineReports: out.BaselineN,
 	}
 	if sh.cand != nil {
 		tr.ETag = sh.cand.etag
@@ -352,24 +344,18 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	// with rollout on, on first use with it off, so a rollout-off
 	// daemon's default /metricsz exposition is unchanged until a report
 	// arrives.
-	reject := func(msg string) {
-		s.reg.Counter("feedback_reject_total").Inc()
-		outcome = "rejected"
-		http.Error(w, msg, http.StatusBadRequest)
-	}
-	body := http.MaxBytesReader(w, r.Body, FeedbackBodyLimit)
-	dec := json.NewDecoder(body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, FeedbackBodyLimit))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&rep); err != nil {
-		reject(fmt.Sprintf("planserver: decoding feedback: %v", err))
+		outcome = refuse(w, s.reg.Counter("feedback_reject_total"), fmt.Sprintf("planserver: decoding feedback: %v", err))
 		return
 	}
-	if instance == "" || len(instance) > 128 {
-		reject(fmt.Sprintf("planserver: feedback must carry a non-empty %s header of at most 128 bytes", InstanceHeader))
+	if !validInstance(instance) {
+		outcome = refuse(w, s.reg.Counter("feedback_reject_total"), fmt.Sprintf("planserver: feedback must carry a non-empty %s header of at most 128 bytes", InstanceHeader))
 		return
 	}
 	if err := rep.Validate(); err != nil {
-		reject(fmt.Sprintf("planserver: invalid feedback: %v", err))
+		outcome = refuse(w, s.reg.Counter("feedback_reject_total"), fmt.Sprintf("planserver: invalid feedback: %v", err))
 		return
 	}
 	s.reg.Counter("feedback_reports_total").Inc()

@@ -74,10 +74,9 @@ type shard struct {
 	mergedGen uint64
 	merging   bool
 
-	// lastErr is the most recent merge failure, errGen the backlog
-	// generation it covered. A successful pass clears it.
+	// lastErr is the most recent merge failure. A successful pass clears
+	// it, so while it is set it covered mergedGen: the latest backlog.
 	lastErr error
-	errGen  uint64
 
 	// acc is the reusable merge accumulator (parsed traces and fold
 	// state survive across merges of this key); inputs is the worker's
@@ -349,10 +348,7 @@ func (s *Server) awaitCovered(sh *shard, gen uint64) error {
 			return fmt.Errorf("planserver: merge pipeline stalled waiting for generation %d of %s (the executor has nothing left to step)", gen, sh.key)
 		}
 	}
-	if sh.lastErr != nil && sh.errGen >= gen {
-		return sh.lastErr
-	}
-	return nil
+	return sh.lastErr
 }
 
 // drain is the merge worker: it runs merges until the published plan
@@ -414,7 +410,7 @@ func (sh *shard) drain(s *Server) {
 			// in stored state or the store itself. The plan stays at its
 			// previous version — staleness, not outage — and the next
 			// accepted upload retries the whole backlog.
-			sh.lastErr, sh.errGen = err, target
+			sh.lastErr = err
 			s.storeErrs.Inc()
 		} else {
 			sh.lastErr = nil

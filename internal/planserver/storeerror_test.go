@@ -36,12 +36,42 @@ func replaceStoreFile(t *testing.T, store *profilestore.Store, glob string, mk f
 
 // TestStoreErrorAccounting makes each handler's store call fail and holds
 // every path to the same reply: exactly one store_error_total increment, a
-// 500, and one trace event with outcome store_error.
+// 500, and one trace event with outcome store_error — none on the sync
+// paths, which are untraced.
 func TestStoreErrorAccounting(t *testing.T) {
 	garbage := func(path string) error { return os.WriteFile(path, []byte("{"), 0o644) }
+	scanFails := func(t *testing.T, store *profilestore.Store) {
+		dir := filepath.Join(store.Dir(), "evidence")
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := garbage(filepath.Join(dir, "bad.evidence.json")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A directory where the key's rollout document goes: the restore
+	// cannot read it.
+	rolloutUnreadable := func(t *testing.T, store *profilestore.Store) {
+		if err := store.PutRollout("Cassandra", "WI", []byte("{}")); err != nil {
+			t.Fatal(err)
+		}
+		replaceStoreFile(t, store, "*.rollout.json", func(path string) error { return os.Mkdir(path, 0o755) })
+	}
+	syncGet := func(query string) func(t *testing.T, url string) *http.Response {
+		return func(t *testing.T, url string) *http.Response {
+			resp, err := http.Get(url + "/v1/sync" + query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			return resp
+		}
+	}
 	for _, tc := range []struct {
-		name    string
-		rollout bool
+		name     string
+		rollout  bool
+		untraced bool
 		// breakStore damages the store before the daemon serves anything.
 		breakStore func(t *testing.T, store *profilestore.Store)
 		request    func(t *testing.T, url string) *http.Response
@@ -73,34 +103,30 @@ func TestStoreErrorAccounting(t *testing.T) {
 			return resp
 		},
 	}, {
-		name:    "feedback",
-		rollout: true,
-		breakStore: func(t *testing.T, store *profilestore.Store) {
-			// A directory where the key's rollout document goes: the
-			// restore cannot read it.
-			if err := store.PutRollout("Cassandra", "WI", []byte("{}")); err != nil {
-				t.Fatal(err)
-			}
-			replaceStoreFile(t, store, "*.rollout.json", func(path string) error { return os.Mkdir(path, 0o755) })
-		},
+		name:       "feedback",
+		rollout:    true,
+		breakStore: rolloutUnreadable,
 		request: func(t *testing.T, url string) *http.Response {
 			return postFeedback(t, url, "inst-1", feedbackReport(`"abc"`, 10*time.Millisecond))
 		},
 	}, {
-		name: "evidence scan",
-		breakStore: func(t *testing.T, store *profilestore.Store) {
-			dir := filepath.Join(store.Dir(), "evidence")
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := garbage(filepath.Join(dir, "bad.evidence.json")); err != nil {
-				t.Fatal(err)
-			}
-		},
+		name:       "evidence scan",
+		breakStore: scanFails,
 		request: func(t *testing.T, url string) *http.Response {
 			resp, _ := fetchPlan(t, url, "Cassandra", "WI", "")
 			return resp
 		},
+	}, {
+		name:       "sync summary",
+		untraced:   true,
+		breakStore: scanFails,
+		request:    syncGet(""),
+	}, {
+		name:       "sync stamp list",
+		rollout:    true,
+		untraced:   true,
+		breakStore: rolloutUnreadable,
+		request:    syncGet("?app=Cassandra&workload=WI"),
 	}} {
 		t.Run(tc.name, func(t *testing.T) {
 			store, err := profilestore.Open(t.TempDir())
@@ -123,8 +149,12 @@ func TestStoreErrorAccounting(t *testing.T) {
 			if got := srv.Metrics().Counter("store_error_total").Value(); got != 1 {
 				t.Errorf("store_error_total = %d, want 1", got)
 			}
-			if got := strings.Count(events.String(), `"outcome":"store_error"`); got != 1 {
-				t.Errorf("%d trace events with outcome store_error, want 1:\n%s", got, events.String())
+			want := 1
+			if tc.untraced {
+				want = 0
+			}
+			if got := strings.Count(events.String(), `"outcome":"store_error"`); got != want {
+				t.Errorf("%d trace events with outcome store_error, want %d:\n%s", got, want, events.String())
 			}
 		})
 	}

@@ -146,7 +146,8 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		// Sync requests are untraced, so the outcome goes unused.
+		s.storeError(w, err)
 		return
 	}
 	if body == nil {
@@ -306,9 +307,9 @@ func (s *Server) peerGet(peer, query string, v any) error {
 	return nil
 }
 
-// fetchDoc pulls one evidence document and validates it exactly as the
-// upload path would: a peer is trusted no further than a fleet instance.
-// A 404 returns (nil, nil) — the document moved on.
+// fetchDoc pulls one evidence document, checks it is the one asked for,
+// and admits it by the upload rule (admitEvidence). A 404 returns
+// (nil, nil) — the document moved on.
 func (s *Server) fetchDoc(peer string, k profilestore.Key, instance string) (*syncDoc, error) {
 	var doc syncDoc
 	if err := s.peerGet(peer, keyQuery(k)+"&instance="+url.QueryEscape(instance), &doc); err != nil {
@@ -318,18 +319,15 @@ func (s *Server) fetchDoc(peer string, k profilestore.Key, instance string) (*sy
 		return nil, err
 	}
 	switch {
-	case doc.Instance != instance || doc.Instance == "" || len(doc.Instance) > 128:
+	case doc.Instance != instance:
 		return nil, fmt.Errorf("planserver: peer document instance mismatch from %s", peer)
 	case doc.Stamp.IsZero():
 		return nil, fmt.Errorf("planserver: peer document carries no stamp from %s", peer)
 	case doc.Profile == nil || doc.Profile.App != k.App || doc.Profile.Workload != k.Workload:
 		return nil, fmt.Errorf("planserver: peer document key mismatch from %s", peer)
 	}
-	if err := doc.Profile.Validate(); err != nil {
-		return nil, fmt.Errorf("planserver: invalid peer document from %s: %w", peer, err)
-	}
-	if err := checkEvidence(doc.Profile); err != nil {
-		return nil, fmt.Errorf("planserver: inconsistent peer document from %s: %w", peer, err)
+	if err := admitEvidence(doc.Instance, doc.Profile); err != nil {
+		return nil, fmt.Errorf("planserver: peer document from %s: %w", peer, err)
 	}
 	return &doc, nil
 }

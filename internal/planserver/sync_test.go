@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"polm2/internal/analyzer"
 	"polm2/internal/profilestore"
 	"polm2/internal/rollout"
 )
@@ -518,6 +519,57 @@ func TestSyncRejectsInvalidPeerDoc(t *testing.T) {
 	srv.SyncPeers()
 	if v := srv.Metrics().Counter("peer_sync_error_total").Value(); v != 1 {
 		t.Fatalf("malformed summary: peer_sync_error_total = %d, want 1", v)
+	}
+}
+
+// The peer-pull route refuses every document the upload route refuses
+// (refusedEvidence; "not json" cannot be served as a document): each is
+// fetched, counts one sync error and is never applied, so the two routes
+// cannot drift apart. The admissible document, served the same way, is
+// applied.
+func TestPeerPullRefusesUploadRejections(t *testing.T) {
+	evilStamp := profilestore.Stamp{Seq: 9, Origin: "evil"}
+	// pull serves one document for key A/W from a fake peer and runs one
+	// pass against it.
+	pull := func(t *testing.T, instance, body string) (srv *Server, peer *hostilePeer, applied int) {
+		var p analyzer.Profile
+		if err := json.Unmarshal([]byte(body), &p); err != nil {
+			t.Fatal(err)
+		}
+		listed := syncStamps{Docs: []syncDocStamp{{instance, evilStamp}}}
+		peer = &hostilePeer{
+			summary: syncSummary{Daemon: "evil", Keys: []syncKeySummary{{App: "A", Workload: "W", Docs: 1, Sum: sumOf(listed.Docs...)}}},
+			stamps:  listed,
+			doc:     &syncDoc{Instance: instance, Stamp: evilStamp, Profile: &p},
+			hits:    make(map[string]int),
+		}
+		evil := httptest.NewServer(peer)
+		t.Cleanup(evil.Close)
+		srv, _, _ = newPeerServer(t, "daemon-1", evil.URL)
+		return srv, peer, srv.SyncPeers()
+	}
+	if srv, _, n := pull(t, "inst-1", admissibleEvidence); n != 1 || srv.Metrics().Counter("peer_sync_error_total").Value() != 0 {
+		t.Fatalf("admissible document: applied %d, want 1, with no sync error", n)
+	}
+	for _, tc := range refusedEvidence {
+		if tc.name == "not json" {
+			continue
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			srv, peer, n := pull(t, tc.instance, tc.body)
+			if n != 0 {
+				t.Fatalf("refused document applied: SyncPeers = %d, want 0", n)
+			}
+			if v := srv.Metrics().Counter("peer_sync_error_total").Value(); v != 1 {
+				t.Fatalf("peer_sync_error_total = %d, want 1", v)
+			}
+			if v := srv.Metrics().Counter("peer_docs_applied_total").Value(); v != 0 {
+				t.Fatalf("peer_docs_applied_total = %d, want 0", v)
+			}
+			if peer.hits["doc"] != 1 {
+				t.Fatalf("requests by depth = %v, want the document fetched once", peer.hits)
+			}
+		})
 	}
 }
 

@@ -51,7 +51,7 @@ func TestAddQuarantinedDropsCandidate(t *testing.T) {
 		t.Fatalf("stable moved to %q", tr.StableETag())
 	}
 	// Peer-propagated quarantine is not a local rollback decision.
-	if _, _, rollbacks := tr.Counters(); rollbacks != 0 {
+	if rollbacks := tr.Snapshot().Rollbacks; rollbacks != 0 {
 		t.Fatalf("rollbacks = %d, want 0 (peer decision, not ours)", rollbacks)
 	}
 	// The quarantined ETag must not be resurrected as a candidate.

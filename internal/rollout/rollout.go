@@ -284,11 +284,6 @@ func (t *Tracker) CandidateETag() string { return t.candidateETag }
 // Quarantined reports whether etag was rolled back and is withheld.
 func (t *Tracker) Quarantined(etag string) bool { return t.quarantined[etag] }
 
-// Counters reports lifetime (canaries, promotions, rollbacks).
-func (t *Tracker) Counters() (canaries, promotions, rollbacks uint64) {
-	return t.canaries, t.promotions, t.rollbacks
-}
-
 // Observe feeds a newly merged plan version into the state machine and
 // reports what happened: adopt (first plan ever becomes stable), a canary
 // start, a quarantined re-merge withheld, or nothing.

@@ -234,8 +234,7 @@ func TestCandidateReplacedMidCanary(t *testing.T) {
 	if out := tr.Record(report("v3", 4, 10*time.Millisecond), true); out.Decision != DecisionNone {
 		t.Fatalf("decision %v on restarted window, want none", out.Decision)
 	}
-	canaries, _, _ := tr.Counters()
-	if canaries != 2 {
+	if canaries := tr.Snapshot().Canaries; canaries != 2 {
 		t.Fatalf("canaries = %d, want 2", canaries)
 	}
 }
@@ -258,8 +257,8 @@ func TestSnapshotRestore(t *testing.T) {
 	if !got.Quarantined("v2") {
 		t.Fatalf("quarantine lost across restore")
 	}
-	c, p, r := got.Counters()
-	if c != 2 || p != 0 || r != 1 {
+	snap = got.Snapshot()
+	if c, p, r := snap.Canaries, snap.Promotions, snap.Rollbacks; c != 2 || p != 0 || r != 1 {
 		t.Fatalf("counters (%d, %d, %d), want (2, 0, 1)", c, p, r)
 	}
 	// The restored window is empty: one report per side decides afresh.
