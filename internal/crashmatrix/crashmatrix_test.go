@@ -121,22 +121,24 @@ func genericOffsets(size int64) []int64 {
 	return dedupeOffsets([]int64{0, 1, 3, 5, size / 4, size / 2, 3 * size / 4, size - 5, size - 1}, size)
 }
 
-// v2Cuts are the cuts this matrix made when the pristine run's artifacts
-// were written in the v2 encodings, whose hash-valued ids made them several
-// times larger. They stay as fixed cuts of the same files. A cut inside
-// today's file truncates it; one past its end grows it, and os.Truncate
-// zero-fills the gap: the crash state in which a file's new size reached
-// disk before its data did.
-var v2Cuts = map[string][]int64{
+// fixedCuts are cuts this matrix made of earlier encodings of the same
+// files, which stay as fixed cuts: those of the v2 encodings, whose
+// hash-valued ids made the artifacts several times larger, and the
+// generic cuts of images 5 and 9 when every image listed all the heap's
+// no-need pages rather than those that became no-need since the previous
+// image. A cut inside today's file truncates it; one past its end grows it,
+// and os.Truncate zero-fills the gap: the crash state in which a file's new
+// size reached disk before its data did.
+var fixedCuts = map[string][]int64{
 	"site-000007.bin": {2057, 4109, 4111, 6163, 8216, 8218, 23638, 23639, 23641, 23642},
 	"snap-000001.img": {2660, 5320, 7980, 10635, 10639},
-	"snap-000005.img": {4486, 8972, 13458, 17940, 17944},
-	"snap-000009.img": {6522, 13045, 19568, 26086, 26090},
+	"snap-000005.img": {4486, 8972, 13458, 17940, 17944, 1101, 2202, 3303, 4399, 4403},
+	"snap-000009.img": {6522, 13045, 19568, 26086, 26090, 1614, 3228, 4842, 6451, 6455},
 }
 
-// withV2Cuts appends file's v2 cuts that offs does not already hold.
-func withV2Cuts(file string, offs []int64) []int64 {
-	for _, c := range v2Cuts[file] {
+// withFixedCuts appends file's fixed cuts that offs does not already hold.
+func withFixedCuts(file string, offs []int64) []int64 {
+	for _, c := range fixedCuts[file] {
 		if !slices.Contains(offs, c) {
 			offs = append(offs, c)
 		}
@@ -276,7 +278,7 @@ func TestCrashMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cases := withV2Cuts(tgt.file, tgt.offs(data))
+		cases := withFixedCuts(tgt.file, tgt.offs(data))
 		if tgt.del {
 			cases = append(cases, -1) // -1 marks whole-file deletion
 		}

@@ -4,9 +4,13 @@
 // The CRIU-style dumper captures page-level incremental snapshots: it
 // includes only pages dirtied since the previous snapshot, skips pages the
 // collector marked no-need (no reachable objects), and implicitly drops
-// unmapped regions. It has that one behaviour. Alongside each snapshot it
-// records the heap's PageCounts, from which the dump ablation prices what a
-// dump with either optimization off would have copied of the same heap.
+// unmapped regions. An image lists as no-need only the pages that became
+// no-need since the previous image: a page no-need at both was deleted
+// from the view by an earlier image, or never entered it, and no-need
+// pages are never copied. It has that one behaviour. Alongside each
+// snapshot it records the heap's PageCounts, from which the dump ablation
+// prices what a dump with either optimization off would have copied of the
+// same heap.
 //
 // The jmap-style baseline traces the heap and is modeled by the time and
 // size of serializing every live object, which is slow and produces large
@@ -115,6 +119,10 @@ type Dumper struct {
 	// lastHdr remembers the previous snapshot's header-id arena size so
 	// the next snapshot allocates its arena once, up front.
 	lastHdr int
+	// noNeed is every page the heap reported no-need at the previous
+	// snapshot, listed or not, in ascending (region, index) order; spare
+	// is the buffer the next snapshot's set is built in.
+	noNeed, spare []heap.PageKey
 }
 
 // New builds a Dumper over the given heap and clock.
@@ -143,9 +151,18 @@ func (d *Dumper) Snapshot(cycle uint64) error {
 	// right-sized allocation (hinted by the previous snapshot) replaces
 	// hundreds of small ones.
 	arena := make([]heap.ObjectID, 0, d.lastHdr)
+	// Pages and the previous no-need set both ascend, so the pages that
+	// became no-need since then are one merge walk away.
+	noNeed, prev := d.spare[:0], d.noNeed
 	d.h.Pages(func(ps heap.PageState) {
 		if ps.NoNeed {
-			snap.NoNeed = append(snap.NoNeed, ps.Key)
+			noNeed = append(noNeed, ps.Key)
+			for len(prev) > 0 && keyLess(prev[0], ps.Key) {
+				prev = prev[1:]
+			}
+			if len(prev) == 0 || prev[0] != ps.Key {
+				snap.NoNeed = append(snap.NoNeed, ps.Key)
+			}
 			return
 		}
 		if !ps.Dirty {
@@ -167,6 +184,7 @@ func (d *Dumper) Snapshot(cycle uint64) error {
 		})
 	})
 	d.lastHdr = len(arena)
+	d.noNeed, d.spare = noNeed, d.noNeed
 	snap.SizeBytes, snap.Duration = d.cfg.Cost.CRIUDump(len(snap.Pages), d.h.Config().PageSize)
 	// CRIU clears the kernel soft-dirty bit after each dump.
 	d.h.ClearDirtyPages()
@@ -190,6 +208,11 @@ func (d *Dumper) Snapshot(cycle uint64) error {
 		}
 	}
 	return nil
+}
+
+// keyLess orders page keys as Heap.Pages visits them.
+func keyLess(a, b heap.PageKey) bool {
+	return a.Region < b.Region || a.Region == b.Region && a.Index < b.Index
 }
 
 // Snapshots returns the metadata of every snapshot taken so far, in

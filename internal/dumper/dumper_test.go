@@ -327,8 +327,9 @@ func TestCRIUAndStoreRoundTrip(t *testing.T) {
 // TestIncrementalSkipsCleanRegionsLosslessly takes CRIU snapshots of a heap
 // where some regions are clean and some hold a dirty page: the dumper reads
 // headers only in the dirty regions, and every page record it keeps must
-// equal what a full page walk reports for that page. Clean regions' no-need
-// pages must still be reported.
+// equal what a full page walk reports for that page. The second image must
+// list the pages that became no-need since the first: clean regions'
+// no-need pages were listed by the first image, not again.
 func TestIncrementalSkipsCleanRegionsLosslessly(t *testing.T) {
 	h := newHeap(t)
 	var regions []*heap.Region
@@ -350,6 +351,13 @@ func TestIncrementalSkipsCleanRegionsLosslessly(t *testing.T) {
 			objs = append(objs, obj)
 		}
 	}
+	h.MarkNoNeedPages(h.Trace())
+	before := make(map[heap.PageKey]bool)
+	h.Pages(func(ps heap.PageState) {
+		if ps.NoNeed {
+			before[ps.Key] = true
+		}
+	})
 	var images imageLog
 	d := New(h, simclock.New(), Config{Images: &images})
 	if err := d.Snapshot(1); err != nil {
@@ -363,6 +371,9 @@ func TestIncrementalSkipsCleanRegionsLosslessly(t *testing.T) {
 	if err := h.Link(objs[3*12+4].ID, objs[5].ID); err != nil {
 		t.Fatal(err)
 	}
+	// The last object of region 3 dies: the page only it covers becomes
+	// no-need.
+	h.UnpinRoot(objs[3*12+11])
 	h.MarkNoNeedPages(h.Trace())
 	// The model of every page's header ids is the resident lists, clean
 	// regions included.
@@ -373,10 +384,13 @@ func TestIncrementalSkipsCleanRegionsLosslessly(t *testing.T) {
 			full[key] = append(full[key], obj.ID)
 		}
 	}
-	var dirty, noNeed []heap.PageKey
+	var dirty, noNeed, newNoNeed []heap.PageKey
 	h.Pages(func(ps heap.PageState) {
 		if ps.NoNeed {
 			noNeed = append(noNeed, ps.Key)
+			if !before[ps.Key] {
+				newNoNeed = append(newNoNeed, ps.Key)
+			}
 		} else if ps.Dirty {
 			dirty = append(dirty, ps.Key)
 		}
@@ -395,8 +409,8 @@ func TestIncrementalSkipsCleanRegionsLosslessly(t *testing.T) {
 	if !slices.Equal(kept, dirty) {
 		t.Errorf("snapshot kept pages %v, want the dirty needed pages %v", kept, dirty)
 	}
-	if !slices.Equal(snap.NoNeed, noNeed) {
-		t.Errorf("snapshot no-need pages %v, want %v", snap.NoNeed, noNeed)
+	if !slices.Equal(snap.NoNeed, newNoNeed) {
+		t.Errorf("snapshot no-need pages %v, want the pages that became no-need since the first %v", snap.NoNeed, newNoNeed)
 	}
 	for _, key := range kept {
 		if key.Region != regions[1].ID() && key.Region != regions[3].ID() {
@@ -407,8 +421,8 @@ func TestIncrementalSkipsCleanRegionsLosslessly(t *testing.T) {
 	for _, key := range noNeed {
 		cleanNoNeed = cleanNoNeed || key.Region == regions[0].ID()
 	}
-	if len(kept) == 0 || !cleanNoNeed {
-		t.Fatalf("degenerate heap: %d kept pages, clean region no-need %v", len(kept), cleanNoNeed)
+	if len(kept) == 0 || !cleanNoNeed || len(newNoNeed) == 0 {
+		t.Fatalf("degenerate heap: %d kept pages, clean region no-need %v, %d new no-need pages", len(kept), cleanNoNeed, len(newNoNeed))
 	}
 
 	// Every dirty bit is clear now. The full-heap prices must not care:

@@ -10,6 +10,7 @@ import (
 	"polm2/internal/gc/ng2c"
 	"polm2/internal/heap"
 	"polm2/internal/simclock"
+	"polm2/internal/snapshot"
 )
 
 // variantPages is the page selection of the dumper modes the dump ablation
@@ -62,10 +63,7 @@ func variantPages(h *heap.Heap) heap.PageCounts {
 // snapshot's own size and duration.
 func TestPageCountsPriceTheAblationModes(t *testing.T) {
 	kinds := make(map[gc.PauseKind]int)
-	for _, geom := range []heap.Config{
-		{RegionSize: 32 * 1024, PageSize: 4096, MaxBytes: 64 * 32 * 1024},
-		{RegionSize: 70 * 512, PageSize: 512, MaxBytes: 64 * 70 * 512},
-	} {
+	for _, geom := range scriptGeoms {
 		for seed := int64(1); seed <= 4; seed++ {
 			t.Run(fmt.Sprintf("pages=%d/seed=%d", geom.RegionSize/geom.PageSize, seed), func(t *testing.T) {
 				checkPageCounts(t, geom, seed, kinds)
@@ -79,15 +77,28 @@ func TestPageCountsPriceTheAblationModes(t *testing.T) {
 	}
 }
 
-// checkPageCounts runs one seeded script until its step budget or the
-// heap runs out, adding its pause kinds to kinds.
-func checkPageCounts(t *testing.T, geom heap.Config, seed int64, kinds map[gc.PauseKind]int) {
+// scriptGeoms are the heap geometries the seeded scripts run on: 8 pages
+// of 4 KiB and 70 pages of 512 B per region.
+var scriptGeoms = []heap.Config{
+	{RegionSize: 32 * 1024, PageSize: 4096, MaxBytes: 64 * 32 * 1024},
+	{RegionSize: 70 * 512, PageSize: 512, MaxBytes: 64 * 70 * 512},
+}
+
+// newScriptCollector builds the NG2C collector a seeded script runs on.
+func newScriptCollector(t *testing.T, geom heap.Config) *ng2c.Collector {
+	t.Helper()
 	col, err := ng2c.New(simclock.New(), ng2c.Config{Heap: geom, YoungBytes: 8 * uint64(geom.RegionSize)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return col
+}
+
+// checkPageCounts runs one seeded script until its step budget or the
+// heap runs out, adding its pause kinds to kinds.
+func checkPageCounts(t *testing.T, geom heap.Config, seed int64, kinds map[gc.PauseKind]int) {
+	col := newScriptCollector(t, geom)
 	h := col.Heap()
-	gen := col.NewGeneration()
 	d := New(h, col.Clock(), Config{})
 	var want []heap.PageCounts
 	col.OnCycleEnd(func(cycle uint64, live *heap.LiveSet) {
@@ -97,7 +108,46 @@ func checkPageCounts(t *testing.T, geom heap.Config, seed int64, kinds map[gc.Pa
 			t.Fatal(err)
 		}
 	})
+	runScript(t, col, geom, seed)
 
+	for _, p := range col.Pauses() {
+		kinds[p.Kind]++
+	}
+	got, snaps := d.PageCounts(), d.Snapshots()
+	if len(got) != len(want) || len(snaps) != len(want) || len(want) < 8 {
+		t.Fatalf("%d counts and %d snapshots for %d collections (%v)", len(got), len(snaps), len(want), kinds)
+	}
+	var dirtyOnly, clean int
+	for i, c := range got {
+		if c != want[i] {
+			t.Fatalf("snapshot %d: PageCounts %+v, the ablation modes copy %+v", i+1, c, want[i])
+		}
+		size, dur := d.cfg.Cost.CRIUDump(c.DirtyNeeded, geom.PageSize)
+		if size != snaps[i].SizeBytes || dur != snaps[i].Duration {
+			t.Fatalf("snapshot %d: CRIUDump(%d pages) = %d B in %v, the snapshot took %d B in %v",
+				i+1, c.DirtyNeeded, size, dur, snaps[i].SizeBytes, snaps[i].Duration)
+		}
+		if c.Dirty > c.DirtyNeeded {
+			dirtyOnly++
+		}
+		if c.UsedNeeded > c.DirtyNeeded {
+			clean++
+		}
+	}
+	// The four modes must actually differ on this heap, or the equalities
+	// above test nothing.
+	if dirtyOnly == 0 || clean == 0 {
+		t.Fatalf("degenerate script: %d snapshots with dirty no-need pages, %d with clean needed pages (%v)", dirtyOnly, clean, kinds)
+	}
+}
+
+// runScript drives col through one seeded alloc/link/unlink/collect
+// script, with pretenured and humongous objects, until its step budget or
+// the heap runs out. The caller's OnCycleEnd hooks see every collection.
+func runScript(t *testing.T, col *ng2c.Collector, geom heap.Config, seed int64) {
+	t.Helper()
+	h := col.Heap()
+	gen := col.NewGeneration()
 	rng := rand.New(rand.NewSource(seed))
 	type tracked struct {
 		obj *heap.Object
@@ -151,42 +201,14 @@ func checkPageCounts(t *testing.T, geom heap.Config, seed int64, kinds map[gc.Pa
 			}
 		}
 	}
-
-	for _, p := range col.Pauses() {
-		kinds[p.Kind]++
-	}
-	got, snaps := d.PageCounts(), d.Snapshots()
-	if len(got) != len(want) || len(snaps) != len(want) || len(want) < 8 {
-		t.Fatalf("%d counts and %d snapshots for %d collections (%v)", len(got), len(snaps), len(want), kinds)
-	}
-	var dirtyOnly, clean int
-	for i, c := range got {
-		if c != want[i] {
-			t.Fatalf("snapshot %d: PageCounts %+v, the ablation modes copy %+v", i+1, c, want[i])
-		}
-		size, dur := d.cfg.Cost.CRIUDump(c.DirtyNeeded, geom.PageSize)
-		if size != snaps[i].SizeBytes || dur != snaps[i].Duration {
-			t.Fatalf("snapshot %d: CRIUDump(%d pages) = %d B in %v, the snapshot took %d B in %v",
-				i+1, c.DirtyNeeded, size, dur, snaps[i].SizeBytes, snaps[i].Duration)
-		}
-		if c.Dirty > c.DirtyNeeded {
-			dirtyOnly++
-		}
-		if c.UsedNeeded > c.DirtyNeeded {
-			clean++
-		}
-	}
-	// The four modes must actually differ on this heap, or the equalities
-	// above test nothing.
-	if dirtyOnly == 0 || clean == 0 {
-		t.Fatalf("degenerate script: %d snapshots with dirty no-need pages, %d with clean needed pages (%v)", dirtyOnly, clean, kinds)
-	}
 }
 
 // BenchmarkDumperSnapshot snapshots a fixed heap of 64 regions with a
 // quarter of them dirty: one reference store and its removal in each of 16
-// regions per dump, so the graph is the same at every iteration. It
-// prices the page counts beside the walk of the dirty regions.
+// regions per dump, so the graph is the same at every iteration. The top
+// quarter of every region holds only dead objects, so its 16 pages stay
+// no-need. It prices the page counts beside the walk of the dirty regions,
+// and reports the no-need keys each dump lists (noneed/op).
 func BenchmarkDumperSnapshot(b *testing.B) {
 	h, err := heap.New(heap.Config{RegionSize: 256 * 1024, PageSize: 4096})
 	if err != nil {
@@ -203,7 +225,7 @@ func BenchmarkDumperSnapshot(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if j%3 != 0 {
+			if j%3 != 0 && obj.Offset < 192*1024 {
 				h.PinRoot(obj)
 			}
 			if j == 0 {
@@ -212,7 +234,8 @@ func BenchmarkDumperSnapshot(b *testing.B) {
 		}
 	}
 	h.MarkNoNeedPages(h.Trace())
-	d := New(h, simclock.New(), Config{})
+	var listed noNeedCount
+	d := New(h, simclock.New(), Config{Images: &listed})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -229,4 +252,13 @@ func BenchmarkDumperSnapshot(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(listed)/float64(b.N), "noneed/op")
+}
+
+// noNeedCount is an ImageSink counting the no-need keys the images list.
+type noNeedCount int
+
+func (c *noNeedCount) Add(s *snapshot.Snapshot) error {
+	*c += noNeedCount(len(s.NoNeed))
+	return nil
 }

@@ -49,6 +49,11 @@ import (
 // or two. A decoded page therefore lists its ids in ascending (allocation)
 // order.
 //
+// The no-need section lists the pages that became no-need since the
+// previous image, which is what the Dumper writes. An image listing every
+// no-need page of the heap is valid v3 too and rebuilds the same view:
+// deleting a page the view does not hold changes nothing.
+//
 // The header's flag byte is always 1, "incremental": every image is a
 // CRIU-style increment. The decoder refuses any other value as corrupt.
 

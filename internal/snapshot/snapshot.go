@@ -3,7 +3,8 @@
 //
 // Every snapshot is a CRIU-style increment (§4.2 of the POLM2 paper): it
 // contains only the pages dirtied since the previous snapshot, omits pages
-// carrying the no-need bit, and implicitly drops pages of unmapped (freed)
+// carrying the no-need bit and lists those that became no-need since the
+// previous snapshot, and implicitly drops pages of unmapped (freed)
 // regions. The Analyzer therefore cannot look at one snapshot in
 // isolation: the Store replays the sequence, carrying clean pages forward
 // and discarding no-need and unmapped pages, exactly as CRIU's restore side
@@ -41,8 +42,12 @@ type Snapshot struct {
 	Regions []heap.RegionID
 	// Pages holds the captured page contents.
 	Pages []PageRecord
-	// NoNeed lists pages excluded because the collector marked them as
-	// holding no reachable data.
+	// NoNeed lists the pages that became no-need (the collector marked
+	// them as holding no reachable data) since the previous snapshot; Apply
+	// deletes them from the view. A page still no-need from before was
+	// deleted then, or never captured, so it is not listed again. Listing
+	// every no-need page also rebuilds the same view, since deleting an
+	// absent page is a no-op, so such a snapshot is equally valid.
 	NoNeed []heap.PageKey
 	// SizeBytes is the modeled on-disk size of the snapshot.
 	SizeBytes uint64
