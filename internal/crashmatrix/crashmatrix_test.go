@@ -115,35 +115,73 @@ func streamOffsets(t *testing.T, data []byte) []int64 {
 	return dedupeOffsets(offs, int64(len(data)))
 }
 
-// genericOffsets spans the classes positionally for formats the test does
-// not parse byte-by-byte (site table, snapshot images).
-func genericOffsets(size int64) []int64 {
-	return dedupeOffsets([]int64{0, 1, 3, 5, size / 4, size / 2, 3 * size / 4, size - 5, size - 1}, size)
+// genericCuts spans the classes positionally for formats the test does
+// not parse byte-by-byte (site table, snapshot images). Each cut is named
+// by its class, not its offset, so a change in an artifact's size moves
+// the cuts without renaming a case.
+func genericCuts(size int64) []cut {
+	classes := []cut{
+		{0, "@0"}, {1, "@1"}, {3, "@3"}, {5, "@5"},
+		{size / 4, "@q1"}, {size / 2, "@mid"}, {3 * size / 4, "@q3"},
+		{size - 5, "@end-5"}, {size - 1, "@end-1"},
+	}
+	var out []cut
+	for _, c := range classes {
+		if c.off >= 0 && c.off < size && !slices.ContainsFunc(out, func(o cut) bool { return o.off == c.off }) {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// cut is one truncation case: the offset (-1 deletes the file) and the
+// name the case runs under, after the file's.
+type cut struct {
+	off  int64
+	name string
+}
+
+// offsetCuts names each offset by itself.
+func offsetCuts(offs []int64) []cut {
+	out := make([]cut, len(offs))
+	for i, o := range offs {
+		out[i] = cut{o, fmt.Sprintf("@%d", o)}
+	}
+	return out
 }
 
 // fixedCuts are cuts this matrix made of earlier encodings of the same
-// files, which stay as fixed cuts: those of the v2 encodings, whose
-// hash-valued ids made the artifacts several times larger, and the
-// generic cuts of images 5 and 9 when every image listed all the heap's
+// files, and of today's, before the generic cuts were named by class;
+// they keep their offsets and their @<offset> names: those of the v2
+// encodings, whose hash-valued ids made the artifacts several times
+// larger, those of images 5 and 9 when every image listed all the heap's
 // no-need pages rather than those that became no-need since the previous
-// image. A cut inside today's file truncates it; one past its end grows it,
-// and os.Truncate zero-fills the gap: the crash state in which a file's new
-// size reached disk before its data did.
+// image, and the size-derived generic cuts of the site table and the
+// three images as these files stand now. A cut inside today's file
+// truncates it; one past its end grows it, and os.Truncate zero-fills the
+// gap: the crash state in which a file's new size reached disk before its
+// data did.
 var fixedCuts = map[string][]int64{
+	"sites.tsv":       {156, 312, 468, 619, 623},
 	"site-000007.bin": {2057, 4109, 4111, 6163, 8216, 8218, 23638, 23639, 23641, 23642},
-	"snap-000001.img": {2660, 5320, 7980, 10635, 10639},
-	"snap-000005.img": {4486, 8972, 13458, 17940, 17944, 1101, 2202, 3303, 4399, 4403},
-	"snap-000009.img": {6522, 13045, 19568, 26086, 26090, 1614, 3228, 4842, 6451, 6455},
+	"snap-000001.img": {535, 1070, 1605, 2136, 2140, 2660, 5320, 7980, 10635, 10639},
+	"snap-000005.img": {941, 1883, 2824, 3761, 3765, 4486, 8972, 13458, 17940, 17944, 1101, 2202, 3303, 4399, 4403},
+	"snap-000009.img": {1285, 2570, 3855, 5136, 5140, 6522, 13045, 19568, 26086, 26090, 1614, 3228, 4842, 6451, 6455},
 }
 
-// withFixedCuts appends file's fixed cuts that offs does not already hold.
-func withFixedCuts(file string, offs []int64) []int64 {
+// withFixedCuts adds file's fixed cuts to cuts. A fixed cut at the offset
+// of a class-named one takes its place under the @<offset> name, so a
+// case keeps its name whatever size the file has.
+func withFixedCuts(file string, cuts []cut) []cut {
 	for _, c := range fixedCuts[file] {
-		if !slices.Contains(offs, c) {
-			offs = append(offs, c)
+		fixed := cut{c, fmt.Sprintf("@%d", c)}
+		if i := slices.IndexFunc(cuts, func(o cut) bool { return o.off == c }); i >= 0 {
+			cuts[i] = fixed
+		} else {
+			cuts = append(cuts, fixed)
 		}
 	}
-	return offs
+	return cuts
 }
 
 func dedupeOffsets(offs []int64, size int64) []int64 {
@@ -252,17 +290,17 @@ func TestCrashMatrix(t *testing.T) {
 	type target struct {
 		dir  string // "records" or "snaps"
 		file string
-		offs func(data []byte) []int64
+		cuts func(data []byte) []cut
 		// del also sweeps whole-file deletion. Losing the final snapshot
 		// image is excluded: with no later chain link the directory is
 		// indistinguishable from a run that took one fewer snapshot.
 		del bool
 	}
 	streamName := fmt.Sprintf("site-%06d.bin", streams[len(streams)/2])
-	generic := func(d []byte) []int64 { return genericOffsets(int64(len(d))) }
+	generic := func(d []byte) []cut { return genericCuts(int64(len(d))) }
 	targets := []target{
 		{"records", recorder.SiteTableFile, generic, true},
-		{"records", streamName, func(d []byte) []int64 { return streamOffsets(t, d) }, true},
+		{"records", streamName, func(d []byte) []cut { return offsetCuts(streamOffsets(t, d)) }, true},
 		{"snaps", filepath.Base(snapFiles[0]), generic, true},
 		{"snaps", filepath.Base(snapFiles[len(snapFiles)/2]), generic, true},
 		{"snaps", filepath.Base(snapFiles[len(snapFiles)-1]), generic, false},
@@ -278,13 +316,13 @@ func TestCrashMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cases := withFixedCuts(tgt.file, tgt.offs(data))
+		cases := withFixedCuts(tgt.file, tgt.cuts(data))
 		if tgt.del {
-			cases = append(cases, -1) // -1 marks whole-file deletion
+			cases = append(cases, cut{-1, "@-1"}) // -1 marks whole-file deletion
 		}
-		for _, off := range cases {
-			name := fmt.Sprintf("%s/%s@%d", tgt.dir, tgt.file, off)
-			t.Run(name, func(t *testing.T) {
+		for _, c := range cases {
+			off := c.off
+			t.Run(tgt.dir+"/"+tgt.file+c.name, func(t *testing.T) {
 				recDir, snapDir := copyTree(t, srcRec, srcSnap, t.TempDir())
 				victim := filepath.Join(recDir, tgt.file)
 				if tgt.dir == "snaps" {

@@ -20,7 +20,9 @@
 //	                                 header required); responds with the
 //	                                 current fleet plan (and its ETag)
 //	GET  /v1/sync                    replication summary, one entry per key
-//	                                 (with app/workload: that key's stamp
+//	                                 under a root hash (no entries when
+//	                                 X-Polm2-Sync-Root names that root;
+//	                                 with app/workload: that key's stamp
 //	                                 list; plus instance: one stamped
 //	                                 evidence document — sync.go)
 //	GET  /healthz                    liveness
@@ -178,6 +180,7 @@ type Server struct {
 	peerSyncErrs    *metrics.Counter // failed anti-entropy passes, per peer
 	peerDocsApplied *metrics.Counter // evidence documents pulled and applied
 	peerDivergence  *metrics.Gauge   // documents the last pass had to pull
+	peerRootMatches *metrics.Counter // passes the peer answered by root alone
 
 	// loadMu serializes the one scan of the evidence log (loadEvidence);
 	// loaded is set once it has filled the shards.
@@ -250,6 +253,7 @@ func New(store *profilestore.Store, opts Options) *Server {
 		s.peerSyncErrs = reg.Counter("peer_sync_error_total")
 		s.peerDocsApplied = reg.Counter("peer_docs_applied_total")
 		s.peerDivergence = reg.Gauge("peer_divergence_gauge")
+		s.peerRootMatches = reg.Counter("peer_sync_root_match_total")
 	}
 	s.mux.HandleFunc("GET /v1/plan", s.handlePlan)
 	s.mux.HandleFunc("POST /v1/evidence", s.handleEvidence)

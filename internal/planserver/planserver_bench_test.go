@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -197,4 +198,70 @@ func BenchmarkPlanFetch200(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(body), "body_B/op")
 	b.ReportMetric(float64(len(file)+1), "file_B/op")
+}
+
+// countingTransport counts the response body bytes read through it.
+type countingTransport struct {
+	base  http.RoundTripper
+	bytes int64
+}
+
+func (t *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := t.base.RoundTrip(r)
+	if err == nil {
+		resp.Body = &countingBody{ReadCloser: resp.Body, n: &t.bytes}
+	}
+	return resp, err
+}
+
+type countingBody struct {
+	io.ReadCloser
+	n *int64
+}
+
+func (b *countingBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	*b.n += int64(n)
+	return n, err
+}
+
+// BenchmarkSyncIdleRound measures one anti-entropy pass between two
+// in-process daemons at fixpoint over 32 keys: the puller's root, the
+// peer's answer by root alone, and the empty walk. answer_B/op is the
+// peer's answer, which holds no key list.
+func BenchmarkSyncIdleRound(b *testing.B) {
+	const keys = 32
+	newDaemon := func(id string, peers []string, hc *http.Client) *Server {
+		store, err := profilestore.Open(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		return New(store, Options{Executor: ExecutorFunc(func(w func()) { w() }), SelfID: id, Peers: peers, PeerClient: hc})
+	}
+	a := newDaemon("a", nil, nil)
+	w := &benchWriter{h: make(http.Header)}
+	for k := 0; k < keys; k++ {
+		body, err := json.Marshal(&analyzer.Profile{App: fmt.Sprintf("App%02d", k), Workload: "hot",
+			Sites: []analyzer.SiteStat{{Trace: "Bench.serve:1", Allocated: 3, Buckets: []uint64{1, 2}}}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchUpload(b, a, w, "inst-0", body)
+	}
+	wire := &countingTransport{base: handlerTransport{a}}
+	puller := newDaemon("b", []string{"http://a.bench"}, &http.Client{Transport: wire})
+	if n := puller.SyncPeers(); n != keys {
+		b.Fatalf("catch-up pulled %d of %d", n, keys)
+	}
+	puller.Flush()
+	wire.bytes = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n := puller.SyncPeers(); n != 0 {
+			b.Fatalf("idle round pulled %d", n)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(wire.bytes)/float64(b.N), "answer_B/op")
 }

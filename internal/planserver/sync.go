@@ -1,6 +1,9 @@
 package planserver
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -18,11 +21,14 @@ import (
 // This file is the replication half of the daemon (DESIGN.md §15):
 // pull-based anti-entropy between polm2d peers. Every daemon exposes
 // GET /v1/sync at three depths — a summary with one small entry per key
-// (document count, key sum, quarantine set), one key's (instance, stamp)
-// list, and a single-document fetch — and periodically pulls each
-// configured peer's summary, descending only into keys whose count or sum
-// differs from its own and fetching exactly the documents whose stamp
-// beats its own, so a round costs what changed, not what exists.
+// (document count, key sum, quarantine set) under one root hash over them
+// all, one key's (instance, stamp) list, and a single-document fetch — and
+// periodically pulls each configured peer's summary, descending only into
+// keys whose count or sum differs from its own and fetching exactly the
+// documents whose stamp beats its own, so a round costs what changed, not
+// what exists. The puller sends its own root with the summary request; a
+// peer with the same root answers without its key list, so an idle round
+// is one request and one fixed-size answer whatever the key count.
 // Last-write-wins per (key, instance) under the profilestore.Stamp total
 // order makes the exchange commutative and idempotent: however partitions
 // interleave the pulls, both sides end holding the per-instance winners,
@@ -54,11 +60,18 @@ const EvidenceSeqHeader = "X-Polm2-Evidence-Seq"
 // on), keeping unreplicated responses byte-identical.
 const EvidenceStampHeader = "X-Polm2-Evidence-Stamp"
 
-// syncSummary is the GET /v1/sync response: who is answering and one
-// fixed-size entry per key, so its size follows the key count and not the
-// number of instances that ever uploaded.
+// SyncRootHeader carries the puller's own summary root on the summary
+// GET /v1/sync. A peer whose root equals it answers with its root and an
+// empty key list: equal roots mean equal entries, and walking equal
+// entries does nothing. A request without it gets the full summary.
+const SyncRootHeader = "X-Polm2-Sync-Root"
+
+// syncSummary is the GET /v1/sync response: who is answering, the root
+// over its entries, and one fixed-size entry per key, so its size follows
+// the key count and not the number of instances that ever uploaded.
 type syncSummary struct {
 	Daemon string           `json:"daemon"`
+	Root   string           `json:"root"`
 	Keys   []syncKeySummary `json:"keys"`
 }
 
@@ -111,7 +124,9 @@ func (s *Server) PlanETag(app, workload string) (etag string) {
 
 // handleSync serves the three sync depths. With no query parameters: the
 // per-key summary — a freshly restarted daemon advertises everything its
-// one evidence scan loaded, not just keys it has served since boot. With
+// one evidence scan loaded, not just keys it has served since boot — or,
+// when the request's SyncRootHeader names the summary's own root, the
+// summary without its keys. With
 // app and workload: that key's stamp list. With an instance as well: that
 // one evidence document, 404 when absent.
 func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
@@ -124,7 +139,11 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case app == "" && workload == "" && instance == "":
 		if err = s.loadEvidence(); err == nil {
-			body = s.syncSummary()
+			sum := s.syncSummary()
+			if r.Header.Get(SyncRootHeader) == sum.Root {
+				sum.Keys = []syncKeySummary{}
+			}
+			body = sum
 		}
 	case app == "" || workload == "":
 		http.Error(w, "planserver: sync stamp-list and document fetches require app and workload", http.StatusBadRequest)
@@ -159,7 +178,7 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 }
 
 // syncSummary lists every key holding a replicating document or a
-// quarantined ETag, in key order.
+// quarantined ETag, in key order, under the root over those entries.
 func (s *Server) syncSummary() syncSummary {
 	sum := syncSummary{Daemon: s.opts.SelfID, Keys: []syncKeySummary{}}
 	s.eachShard(func(sh *shard) {
@@ -171,7 +190,37 @@ func (s *Server) syncSummary() syncSummary {
 			sum.Keys = append(sum.Keys, e)
 		}
 	})
+	sum.Root = summaryRoot(sum.Keys)
 	return sum
+}
+
+// summaryRoot is the 128-bit digest of a summary's entries, in order, as
+// 32 hex digits: each entry's app, workload, document count, key sum and
+// quarantined ETags. Strings are length-prefixed and the ETag list is
+// counted, as KeySum.Toggle does, so no two entry lists share an
+// encoding; the daemon id stays out, so converged replicas advertise one
+// root. Two different entry lists collide with probability 2^-128, and a
+// collision only delays a pull until the next write changes a root.
+func summaryRoot(keys []syncKeySummary) string {
+	h := sha256.New()
+	var buf []byte
+	field := func(v string) {
+		buf = binary.AppendUvarint(buf, uint64(len(v)))
+		buf = append(buf, v...)
+	}
+	for _, e := range keys {
+		buf = buf[:0]
+		field(e.App)
+		field(e.Workload)
+		buf = binary.AppendUvarint(buf, uint64(e.Docs))
+		buf = append(buf, e.Sum[:]...) // fixed width
+		buf = binary.AppendUvarint(buf, uint64(len(e.Quarantined)))
+		for _, q := range e.Quarantined {
+			field(q)
+		}
+		h.Write(buf)
+	}
+	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
 // SyncPeers runs one anti-entropy pass: pull every peer's summary, descend
@@ -210,10 +259,20 @@ func (s *Server) SyncPeers() int {
 	return total
 }
 
+// syncPeer is one pass against one peer. It sends its own root with the
+// summary request, so a peer holding the same entries answers with no
+// keys and the walk below has nothing to visit.
 func (s *Server) syncPeer(peer string) (pulled int, err error) {
-	var sum syncSummary
-	if err := s.peerGet(peer, "", &sum); err != nil {
+	if err := s.loadEvidence(); err != nil {
 		return 0, err
+	}
+	root := s.syncSummary().Root
+	var sum syncSummary
+	if err := s.peerGet(peer, "", root, &sum); err != nil {
+		return 0, err
+	}
+	if len(sum.Keys) == 0 && sum.Root == root {
+		s.peerRootMatches.Inc()
 	}
 	for _, e := range sum.Keys {
 		k := profilestore.Key{App: e.App, Workload: e.Workload}
@@ -245,7 +304,7 @@ func (s *Server) syncPeer(peer string) (pulled int, err error) {
 			continue // same stamp set on both sides: nothing to look at
 		}
 		var list syncStamps
-		if err := s.peerGet(peer, keyQuery(k), &list); err != nil {
+		if err := s.peerGet(peer, keyQuery(k), "", &list); err != nil {
 			return pulled, err
 		}
 		for _, ds := range list.Docs {
@@ -282,14 +341,21 @@ func keyQuery(k profilestore.Key) string {
 // expects one.
 var errPeerNotFound = errors.New("planserver: peer answered 404")
 
-// peerGet GETs the peer's /v1/sync with the given raw query and decodes
-// the JSON answer into v.
-func (s *Server) peerGet(peer, query string, v any) error {
+// peerGet GETs the peer's /v1/sync with the given raw query, sending root
+// (when set) as SyncRootHeader, and decodes the JSON answer into v.
+func (s *Server) peerGet(peer, query, root string, v any) error {
 	u := peer + "/v1/sync"
 	if query != "" {
 		u += "?" + query
 	}
-	resp, err := s.peerClient.Get(u)
+	req, err := http.NewRequest(http.MethodGet, u, nil)
+	if err != nil {
+		return err
+	}
+	if root != "" {
+		req.Header.Set(SyncRootHeader, root)
+	}
+	resp, err := s.peerClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -312,7 +378,7 @@ func (s *Server) peerGet(peer, query string, v any) error {
 // (nil, nil) — the document moved on.
 func (s *Server) fetchDoc(peer string, k profilestore.Key, instance string) (*syncDoc, error) {
 	var doc syncDoc
-	if err := s.peerGet(peer, keyQuery(k)+"&instance="+url.QueryEscape(instance), &doc); err != nil {
+	if err := s.peerGet(peer, keyQuery(k)+"&instance="+url.QueryEscape(instance), "", &doc); err != nil {
 		if errors.Is(err, errPeerNotFound) {
 			return nil, nil
 		}

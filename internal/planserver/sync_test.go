@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"polm2/internal/analyzer"
 	"polm2/internal/profilestore"
@@ -573,25 +574,69 @@ func TestPeerPullRefusesUploadRejections(t *testing.T) {
 	}
 }
 
-// An idle round is one request: with equal stamp sets on both sides the
-// puller reads the summary and nothing else, and one differing key costs
-// exactly that key's stamp list and documents on top.
-func TestSyncIdleRoundIsOneRequest(t *testing.T) {
-	_, tsA, _ := newPeerServer(t, "daemon-0")
-	var paths []string
-	counting := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		paths = append(paths, r.URL.RawQuery)
-		resp, err := http.Get(tsA.URL + r.URL.String())
+// syncCall is one request a puller made through a syncProxy: its raw
+// query and the answer's body.
+type syncCall struct {
+	query  string
+	answer []byte
+}
+
+// syncProxy forwards a puller's requests, headers included, to target and
+// records each one in *calls.
+func syncProxy(t *testing.T, target string, calls *[]syncCall) string {
+	t.Helper()
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		req, err := http.NewRequest(r.Method, target+r.URL.String(), nil)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		req.Header = r.Header.Clone()
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadGateway)
 			return
 		}
 		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		*calls = append(*calls, syncCall{query: r.URL.RawQuery, answer: body})
 		w.WriteHeader(resp.StatusCode)
-		io.Copy(w, resp.Body)
+		w.Write(body)
 	}))
-	defer counting.Close()
-	srvB, _, _ := newPeerServer(t, "daemon-1", counting.URL)
+	t.Cleanup(proxy.Close)
+	return proxy.URL
+}
+
+func queries(calls []syncCall) []string {
+	qs := make([]string, len(calls))
+	for i, c := range calls {
+		qs[i] = c.query
+	}
+	return qs
+}
+
+// keylessAnswer requires call to be a summary answered by root alone and
+// returns its size.
+func keylessAnswer(t *testing.T, what string, call syncCall) int {
+	t.Helper()
+	var sum syncSummary
+	if err := json.Unmarshal(call.answer, &sum); err != nil || call.query != "" {
+		t.Fatalf("%s: request %q answered %q, want a summary", what, call.query, call.answer)
+	}
+	if len(sum.Keys) != 0 || sum.Root == "" {
+		t.Fatalf("%s: answer %s, want the root and no keys", what, call.answer)
+	}
+	return len(call.answer)
+}
+
+// An idle round is one request: with equal stamp sets on both sides the
+// puller reads the summary and nothing else — answered by root alone, in
+// a body whose size does not follow the key count — and one differing key
+// costs exactly that key's stamp list and documents on top.
+func TestSyncIdleRoundIsOneRequest(t *testing.T) {
+	_, tsA, _ := newPeerServer(t, "daemon-0")
+	var calls []syncCall
+	srvB, _, _ := newPeerServer(t, "daemon-1", syncProxy(t, tsA.URL, &calls))
 
 	for k := 0; k < 3; k++ {
 		for i := 0; i < 4; i++ {
@@ -601,26 +646,224 @@ func TestSyncIdleRoundIsOneRequest(t *testing.T) {
 	if n := srvB.SyncPeers(); n != 12 {
 		t.Fatalf("catch-up pulled %d, want 12", n)
 	}
-	if want := 1 + 3 + 12; len(paths) != want {
-		t.Fatalf("catch-up made %d requests, want %d (summary + 3 stamp lists + 12 documents)", len(paths), want)
+	if want := 1 + 3 + 12; len(calls) != want {
+		t.Fatalf("catch-up made %d requests, want %d (summary + 3 stamp lists + 12 documents)", len(calls), want)
 	}
 
-	paths = nil
+	calls = nil
 	if n := srvB.SyncPeers(); n != 0 {
 		t.Fatalf("idle round pulled %d, want 0", n)
 	}
-	if len(paths) != 1 || paths[0] != "" {
-		t.Fatalf("idle round requests = %q, want the summary alone", paths)
+	if len(calls) != 1 {
+		t.Fatalf("idle round requests = %q, want the summary alone", queries(calls))
+	}
+	if n := keylessAnswer(t, "idle round", calls[0]); n > 100 {
+		t.Fatalf("idle answer is %d bytes, want at most 100: %s", n, calls[0].answer)
+	}
+	if v := srvB.Metrics().Counter("peer_sync_root_match_total").Value(); v != 1 {
+		t.Fatalf("peer_sync_root_match_total = %d, want 1 (the idle round)", v)
 	}
 
-	paths = nil
+	calls = nil
 	postEvidence(t, tsA.URL, "inst-2", evidence("App1", "w", site("A.a:1", 6))).Body.Close()
 	if n := srvB.SyncPeers(); n != 1 {
 		t.Fatalf("delta round pulled %d, want 1", n)
 	}
 	want := []string{"", "app=App1&workload=w", "app=App1&workload=w&instance=inst-2"}
-	if !reflect.DeepEqual(paths, want) {
-		t.Fatalf("delta round requests = %q, want %q", paths, want)
+	if got := queries(calls); !reflect.DeepEqual(got, want) {
+		t.Fatalf("delta round requests = %q, want %q", got, want)
+	}
+
+	// The idle answer is the same size at 1 key and at 64.
+	sizes := map[int]int{}
+	for _, keys := range []int{1, 64} {
+		_, tsA, _ := newPeerServer(t, "daemon-0")
+		var calls []syncCall
+		srvB, _, _ := newPeerServer(t, "daemon-1", syncProxy(t, tsA.URL, &calls))
+		for k := 0; k < keys; k++ {
+			postEvidence(t, tsA.URL, "inst-0", evidence(fmt.Sprintf("App%02d", k), "w", site("A.a:1", 5))).Body.Close()
+		}
+		if n := srvB.SyncPeers(); n != keys {
+			t.Fatalf("%d keys: catch-up pulled %d", keys, n)
+		}
+		calls = nil
+		if n := srvB.SyncPeers(); n != 0 || len(calls) != 1 {
+			t.Fatalf("%d keys: idle round pulled %d in requests %q, want 0 in the summary alone", keys, n, queries(calls))
+		}
+		sizes[keys] = keylessAnswer(t, fmt.Sprintf("%d keys", keys), calls[0])
+	}
+	if sizes[1] != sizes[64] {
+		t.Fatalf("idle answer sizes by key count = %v, want one size", sizes)
+	}
+}
+
+// rolloutPeer builds a replication-enabled server with canary rollout on.
+func rolloutPeer(t *testing.T, id string, cfg rollout.Config, peers ...string) (*Server, *httptest.Server) {
+	t.Helper()
+	store, err := profilestore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(store, Options{Executor: inline, Rollout: &cfg, SelfID: id, Peers: peers})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	return srv, ts
+}
+
+// The root covers the quarantine sets: two real daemons with equal stamp
+// sets, a rollback on the peer only, and the puller still unions the
+// quarantined ETag in — then, converged, is answered by root alone.
+func TestSyncRootCoversQuarantine(t *testing.T) {
+	cfg := rollout.Config{CanaryFraction: 0.5, MinReports: 1, RegressionPct: 10, Seed: 42}
+	srvA, tsA := rolloutPeer(t, "daemon-0", cfg)
+	var calls []syncCall
+	srvB, tsB := rolloutPeer(t, "daemon-1", cfg, syncProxy(t, tsA.URL, &calls))
+
+	resp := postEvidence(t, tsA.URL, "inst-a", evidence("Cassandra", "WI", site("Main.run:10;Db.put:5", 5, 95)))
+	stable := resp.Header.Get("ETag")
+	resp.Body.Close()
+	postEvidence(t, tsA.URL, "inst-b", evidence("Cassandra", "WI", site("Main.run:10;Leak.grow:3", 0, 0, 100))).Body.Close()
+	if n := srvB.SyncPeers(); n != 2 {
+		t.Fatalf("catch-up pulled %d, want 2", n)
+	}
+	snap, _ := srvA.RolloutSnapshot("Cassandra", "WI")
+	cand := snap.CandidateETag
+	member, outsider := splitCohort(cfg, "inst-a", "inst-b")
+	postFeedback(t, tsA.URL, outsider, feedbackReport(stable, 10*time.Millisecond))
+	postFeedback(t, tsA.URL, member, feedbackReport(cand, 50*time.Millisecond))
+	if snap, _ := srvA.RolloutSnapshot("Cassandra", "WI"); len(snap.Quarantined) != 1 {
+		t.Fatalf("peer quarantine = %v, want the rolled-back candidate", snap.Quarantined)
+	}
+
+	a, b := fetchSummary(t, tsA.URL), fetchSummary(t, tsB.URL)
+	if len(a.Keys) != 1 || len(b.Keys) != 1 || a.Keys[0].Sum != b.Keys[0].Sum || a.Keys[0].Docs != b.Keys[0].Docs {
+		t.Fatalf("stamp sets differ before the quarantine round:\n a: %+v\n b: %+v", a.Keys, b.Keys)
+	}
+	if a.Root == b.Root {
+		t.Fatalf("roots %s equal with the quarantine on one side only", a.Root)
+	}
+
+	if n := srvB.SyncPeers(); n != 0 {
+		t.Fatalf("quarantine round pulled %d, want 0", n)
+	}
+	snap, _ = srvB.RolloutSnapshot("Cassandra", "WI")
+	if len(snap.Quarantined) != 1 || snap.Quarantined[0] != cand {
+		t.Fatalf("puller quarantine = %v, want [%s]", snap.Quarantined, cand)
+	}
+	calls = nil
+	srvB.SyncPeers()
+	if len(calls) != 1 {
+		t.Fatalf("converged round requests = %q, want the summary alone", queries(calls))
+	}
+	keylessAnswer(t, "converged round", calls[0])
+}
+
+// A puller ahead of its peer gets the full summary — the roots differ —
+// walks into the key it holds more of, and pulls nothing.
+func TestSyncPullerAheadGetsFullSummary(t *testing.T) {
+	_, tsA, _ := newPeerServer(t, "daemon-0")
+	var calls []syncCall
+	srvB, tsB, _ := newPeerServer(t, "daemon-1", syncProxy(t, tsA.URL, &calls))
+	postEvidence(t, tsA.URL, "inst-0", evidence("App0", "w", site("A.a:1", 5))).Body.Close()
+	postEvidence(t, tsA.URL, "inst-0", evidence("App1", "w", site("A.a:1", 5))).Body.Close()
+	if n := srvB.SyncPeers(); n != 2 {
+		t.Fatalf("catch-up pulled %d, want 2", n)
+	}
+	postEvidence(t, tsB.URL, "inst-1", evidence("App1", "w", site("A.a:1", 7))).Body.Close()
+
+	for round := 0; round < 2; round++ {
+		calls = nil
+		if n := srvB.SyncPeers(); n != 0 {
+			t.Fatalf("round %d: puller ahead pulled %d, want 0", round, n)
+		}
+		want := []string{"", "app=App1&workload=w"}
+		if got := queries(calls); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: requests = %q, want %q", round, got, want)
+		}
+		var sum syncSummary
+		if err := json.Unmarshal(calls[0].answer, &sum); err != nil || len(sum.Keys) != 2 {
+			t.Fatalf("round %d: summary answer %s, want both keys", round, calls[0].answer)
+		}
+	}
+	if v := srvB.Metrics().Counter("peer_sync_root_match_total").Value(); v != 0 {
+		t.Fatalf("peer_sync_root_match_total = %d, want 0", v)
+	}
+}
+
+// A cold-restarted puller whose evidence is only on disk reaches the
+// keyless answer by its second round, pulling nothing on the way.
+func TestSyncRootAfterColdRestart(t *testing.T) {
+	_, tsA, _ := newPeerServer(t, "daemon-0")
+	var calls []syncCall
+	peer := syncProxy(t, tsA.URL, &calls)
+	srvB, _, storeB := newPeerServer(t, "daemon-1", peer)
+	for k := 0; k < 3; k++ {
+		postEvidence(t, tsA.URL, "inst-0", evidence(fmt.Sprintf("App%d", k), "w", site("A.a:1", 5))).Body.Close()
+	}
+	if n := srvB.SyncPeers(); n != 3 {
+		t.Fatalf("catch-up pulled %d, want 3", n)
+	}
+	srvB.Flush()
+
+	restarted := New(storeB, Options{Executor: inline, SelfID: "daemon-1", Peers: []string{peer}})
+	for round := 1; round <= 2; round++ {
+		calls = nil
+		if n := restarted.SyncPeers(); n != 0 {
+			t.Fatalf("round %d after restart pulled %d, want 0", round, n)
+		}
+	}
+	if len(calls) != 1 {
+		t.Fatalf("second round requests = %q, want the summary alone", queries(calls))
+	}
+	keylessAnswer(t, "second round after restart", calls[0])
+}
+
+// The root is a function of the entries alone: the daemon id stays out,
+// every field is length-prefixed so shifting bytes between fields moves
+// it, and the quarantine set is part of it.
+func TestSummaryRoot(t *testing.T) {
+	var sum profilestore.KeySum
+	sum.Toggle("inst-0", profilestore.Stamp{Seq: 1, Origin: "daemon-0"})
+	entry := func(app, workload string, quarantined ...string) []syncKeySummary {
+		return []syncKeySummary{{App: app, Workload: workload, Docs: 1, Sum: sum, Quarantined: quarantined}}
+	}
+	base := summaryRoot(entry("ab", "c"))
+	if len(base) != 32 {
+		t.Fatalf("root %q is not 32 hex digits", base)
+	}
+	if summaryRoot(entry("ab", "c")) != base {
+		t.Fatal("root is not deterministic")
+	}
+	for what, other := range map[string][]syncKeySummary{
+		"field boundary moved":   entry("a", "bc"),
+		"quarantined ETag added": entry("ab", "c", "e1"),
+		"no entries":             nil,
+	} {
+		if summaryRoot(other) == base {
+			t.Errorf("%s: root unchanged", what)
+		}
+	}
+	if summaryRoot(entry("ab", "c", "e1", "e2")) == summaryRoot(entry("ab", "c", "e1e2")) {
+		t.Error("quarantined ETags share an encoding")
+	}
+}
+
+// Two real daemons whose keys differ only in where the app/workload
+// boundary falls hold different roots, so the puller still pulls.
+func TestSyncRootSeparatesKeyLabels(t *testing.T) {
+	_, tsA, _ := newPeerServer(t, "daemon-0")
+	postEvidence(t, tsA.URL, "inst-0", evidence("ab", "c", site("A.a:1", 5))).Body.Close()
+	stamp := fetchStamps(t, tsA.URL, "ab", "c")[0].Stamp
+	store, err := profilestore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.PutEvidenceStamped("inst-0", stamp, evidence("a", "bc", site("A.a:1", 5))); err != nil {
+		t.Fatal(err)
+	}
+	srvB := New(store, Options{Executor: inline, SelfID: "daemon-1", Peers: []string{tsA.URL}})
+	if n := srvB.SyncPeers(); n != 1 {
+		t.Fatalf("puller holding a/bc pulled %d of ab/c, want 1", n)
 	}
 }
 
@@ -707,7 +950,7 @@ func TestSyncQuarantinePropagates(t *testing.T) {
 // Peer metrics exist only on a server configured with peers; an
 // unreplicated server's exposition stays byte-identical.
 func TestPeerMetricsGated(t *testing.T) {
-	names := []string{"peer_sync_total", "peer_sync_error_total", "peer_docs_applied_total", "peer_divergence_gauge"}
+	names := []string{"peer_sync_total", "peer_sync_error_total", "peer_docs_applied_total", "peer_divergence_gauge", "peer_sync_root_match_total"}
 	plain, _, _ := newTestServer(t)
 	out := metricsText(t, plain)
 	for _, name := range names {

@@ -284,6 +284,11 @@ sumsA=$(curl -s "$urlA/v1/sync" | jq -c '[.keys[] | {app, workload, docs, sum}]'
 sumsB=$(curl -s "$urlB/v1/sync" | jq -c '[.keys[] | {app, workload, docs, sum}]')
 [ "$sumsA" = "$sumsB" ] && [ "$(jq '.[0].docs' <<<"$sumsA")" = "2" ] \
   || { log=$logA; fail "converged replicas advertise different key sums: A=$sumsA B=$sumsB"; }
+# ... and so the same root over those entries, the one value a puller sends.
+rootA=$(curl -s "$urlA/v1/sync" | jq -r .root)
+rootB=$(curl -s "$urlB/v1/sync" | jq -r .root)
+[ "${#rootA}" = 32 ] && [ "$rootA" = "$rootB" ] \
+  || { log=$logA; fail "converged replicas advertise different roots: A=$rootA B=$rootB"; }
 
 kill -TERM "$pidA" "$pidB"
 wait "$pidA" || { log=$logA; fail "daemon A exited non-zero after SIGTERM"; }
