@@ -13,7 +13,6 @@
 //	polm2-inspect sync ./profiles            # replication stamps per evidence doc
 //	polm2-inspect trace trace.jsonl          # summarize a trace file
 //	polm2-inspect verify ./artifacts         # integrity-check artifact dirs
-//	polm2-inspect --verify ./artifacts       # same, flag spelling
 //
 // verify exits 0 when every artifact is intact and 1 when damage was found
 // (the salvage readers report what survives either way).
@@ -45,12 +44,8 @@ func usage() int {
 }
 
 func run() int {
-	verifyFlag := flag.Bool("verify", false, "integrity-check the artifact directory argument (same as the verify subcommand)")
 	flag.Parse()
 	args := flag.Args()
-	if *verifyFlag {
-		args = append([]string{"verify"}, args...)
-	}
 	if len(args) < 2 {
 		return usage()
 	}

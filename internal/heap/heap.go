@@ -112,13 +112,12 @@ type Heap struct {
 	roots []*Object
 
 	nextRegion RegionID
-	idCounter  uint64
+	idCounter  uint64 // the newest object's serial: allocations ever made
 	epoch      uint64
 
 	committed    uint64
 	maxCommitted uint64
 	freedRegions int
-	totalObjects uint64
 	totalBytes   uint64
 
 	// objFree chains recycled Object structs through their next field;
@@ -164,7 +163,7 @@ func (h *Heap) Stats() Stats {
 		UsedBytes:             used,
 		LiveRegions:           len(h.active),
 		Objects:               h.objects.n,
-		TotalAllocatedObjects: h.totalObjects,
+		TotalAllocatedObjects: h.idCounter,
 		TotalAllocatedBytes:   h.totalBytes,
 		FreeObjects:           h.freeObjects,
 		FreedRegions:          h.freedRegions,
@@ -294,7 +293,6 @@ func (h *Heap) Allocate(r *Region, size uint32, site SiteID) (*Object, error) {
 	r.used += size
 	r.pushResident(obj)
 	h.objects.add(obj)
-	h.totalObjects++
 	h.totalBytes += uint64(size)
 	first, last := obj.pageSpan(h.cfg.PageSize)
 	r.pages.touch(first, last)

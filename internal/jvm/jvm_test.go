@@ -9,7 +9,7 @@ import (
 	"polm2/internal/simclock"
 )
 
-func newVM(t *testing.T) *VM {
+func newVM(t testing.TB) *VM {
 	t.Helper()
 	col, err := ng2c.New(simclock.New(), ng2c.Config{
 		Heap: heap.Config{

@@ -20,13 +20,9 @@ type frame struct {
 	// emits after an instrumented call site (§3.4, Listing 2).
 	restoreGen    heap.GenID
 	hasRestoreGen bool
-	// pinned holds the objects this frame's locals reference. Stack
-	// locals are GC roots on a real JVM; the engine pins every allocated
-	// object to the allocating frame and transfers the pins to the
-	// caller on return (a returned reference is conservatively assumed
-	// to escape). ReleaseLocals drops a frame's pins at operation
-	// boundaries.
-	pinned []*heap.Object
+	// base is the length of the thread's pin stack when this frame was
+	// pushed: the frame's locals are pins[base:].
+	base int
 	// pathHash fingerprints the ancestor call path up to and including
 	// this frame's (class, method) and the caller's call line; it lets
 	// Alloc intern allocation sites without rebuilding the stack trace.
@@ -39,6 +35,12 @@ type Thread struct {
 	vm    *VM
 	name  string
 	stack []frame
+	// pins holds the objects the stack's locals reference, oldest first.
+	// Stack locals are GC roots on a real JVM; every allocated object is
+	// pinned, and a frame's pins become its caller's on return (a returned
+	// reference is conservatively assumed to escape). ReleaseLocals drops
+	// a frame's pins at operation boundaries.
+	pins []*heap.Object
 	// targetGen is the thread-local current target generation of NG2C's
 	// API (§2.2).
 	targetGen heap.GenID
@@ -60,6 +62,7 @@ func (t *Thread) Enter(class, method string) {
 	t.stack = append(t.stack, frame{
 		class:    class,
 		method:   method,
+		base:     len(t.pins),
 		pathHash: hashFrame(fnvOffset, class, method),
 	})
 }
@@ -105,6 +108,7 @@ func (t *Thread) Call(line int, class, method string) {
 	f := frame{
 		class:    class,
 		method:   method,
+		base:     len(t.pins),
 		pathHash: hashFrame(hashLine(top.pathHash, line), class, method),
 	}
 	if t.vm.plan != nil {
@@ -122,7 +126,7 @@ func (t *Thread) Call(line int, class, method string) {
 
 // Return pops the current method invocation, restoring the caller's target
 // generation if the call site was instrumented. The frame's pinned locals
-// transfer to the caller; pins of the last frame are dropped.
+// become the caller's; pins of the last frame are dropped.
 func (t *Thread) Return() {
 	if len(t.stack) == 0 {
 		panic(fmt.Sprintf("jvm: thread %s: Return with empty stack", t.name))
@@ -132,11 +136,8 @@ func (t *Thread) Return() {
 	if top.hasRestoreGen {
 		t.targetGen = top.restoreGen
 	}
-	if len(t.stack) > 0 {
-		caller := &t.stack[len(t.stack)-1]
-		caller.pinned = append(caller.pinned, top.pinned...)
-	} else {
-		t.unpin(top.pinned)
+	if len(t.stack) == 0 {
+		t.release(top.base)
 	}
 }
 
@@ -148,16 +149,18 @@ func (t *Thread) ReleaseLocals() {
 	if len(t.stack) == 0 {
 		return
 	}
-	top := &t.stack[len(t.stack)-1]
-	t.unpin(top.pinned)
-	top.pinned = top.pinned[:0]
+	t.release(t.stack[len(t.stack)-1].base)
 }
 
-func (t *Thread) unpin(objs []*heap.Object) {
+// release unpins pins[base:] in pin order, which fixes the order of the
+// heap's root list, and truncates the pin stack to base.
+func (t *Thread) release(base int) {
 	h := t.vm.Heap()
-	for _, obj := range objs {
+	for _, obj := range t.pins[base:] {
 		h.UnpinRoot(obj)
 	}
+	clear(t.pins[base:])
+	t.pins = t.pins[:base]
 }
 
 // Alloc allocates size bytes at the given line of the current method. The
@@ -212,7 +215,7 @@ func (t *Thread) Alloc(line int, size uint32) (*heap.Object, error) {
 	// Pin the new object to the allocating frame: the local holding it
 	// is a GC root until the frame's locals are released.
 	t.vm.Heap().PinRoot(obj)
-	top.pinned = append(top.pinned, obj)
+	t.pins = append(t.pins, obj)
 	for _, hook := range t.vm.hooks {
 		hook(site, obj)
 	}

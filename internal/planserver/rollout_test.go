@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -291,6 +292,48 @@ func TestRolloutRestartRecovery(t *testing.T) {
 	snap, ok := srv3.RolloutSnapshot("Cassandra", "WI")
 	if !ok || snap.State != "rolled_back" || len(snap.Quarantined) != 1 {
 		t.Fatalf("post-restart snapshot %+v ok=%v, want durable rolled_back + quarantine", snap, ok)
+	}
+}
+
+// A restarted daemon advertises its quarantine set from its first sync
+// summary: the one evidence scan restores each loaded key's rollout state,
+// so the summary — and its root — match the daemon's before the restart
+// without any request touching the key first.
+func TestRestartAdvertisesQuarantine(t *testing.T) {
+	dir := t.TempDir()
+	cfg := rollout.Config{CanaryFraction: 0.5, MinReports: 1, RegressionPct: 10, Seed: 42}
+	open := func() (*Server, *httptest.Server) {
+		store, err := profilestore.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := New(store, Options{Executor: inline, SelfID: "d1", Rollout: &cfg})
+		ts := httptest.NewServer(srv)
+		t.Cleanup(ts.Close)
+		return srv, ts
+	}
+	srv, ts := open()
+	resp := postEvidence(t, ts.URL, "inst-a", evidence("Cassandra", "WI",
+		site("Main.run:10;Db.put:5", 5, 95)))
+	stable := resp.Header.Get("ETag")
+	resp.Body.Close()
+	resp = postEvidence(t, ts.URL, "inst-b", evidence("Cassandra", "WI",
+		site("Main.run:10;Leak.grow:3", 0, 0, 100)))
+	resp.Body.Close()
+	snap, _ := srv.RolloutSnapshot("Cassandra", "WI")
+	member, outsider := splitCohort(cfg, "inst-a", "inst-b")
+	postFeedback(t, ts.URL, outsider, feedbackReport(stable, 10*time.Millisecond))
+	postFeedback(t, ts.URL, member, feedbackReport(snap.CandidateETag, 50*time.Millisecond))
+	srv.Flush()
+	before := fetchSummary(t, ts.URL)
+	if len(before.Keys) != 1 || len(before.Keys[0].Quarantined) != 1 || before.Keys[0].Quarantined[0] != snap.CandidateETag {
+		t.Fatalf("summary before restart = %+v, want one key quarantining %s", before, snap.CandidateETag)
+	}
+
+	_, ts2 := open()
+	after := fetchSummary(t, ts2.URL)
+	if !reflect.DeepEqual(after.Keys, before.Keys) || after.Root != before.Root {
+		t.Fatalf("summary after restart = %+v, want %+v", after, before)
 	}
 }
 

@@ -227,8 +227,12 @@ func (s *Server) dropIfEmpty(sh *shard) {
 // loadEvidence fills the shards from the evidence log, once per daemon
 // lifetime: the first request that touches a shard scans the whole log in
 // one pass (EvidenceAll), and every later request finds it loaded. A
-// failed scan installs nothing and is retried by the next request. Called
-// with no shard lock held.
+// failed scan installs nothing and is retried by the next request. With
+// rollout on, each loaded key's rollout state is restored too, so a
+// restarted daemon's sync summary advertises its quarantine set before
+// any request touches the key; a key whose rollout document cannot be
+// read is left for its own requests to retry and report. Called with no
+// shard lock held.
 func (s *Server) loadEvidence() error {
 	if s.loaded.Load() {
 		return nil
@@ -251,6 +255,7 @@ func (s *Server) loadEvidence() error {
 				sh.setStamp(inst, d.Stamp)
 			}
 		}
+		_ = s.restoreRolloutLocked(sh) // inShard retries and reports a failure
 		sh.mu.Unlock()
 	}
 	s.loaded.Store(true)

@@ -84,11 +84,9 @@ type Recorder struct {
 	sites *jvm.SiteTable
 	sink  SnapshotSink
 
-	streams map[heap.SiteID]*streamWriter
-	// allocCounts tallies allocations per site (diagnostics + tests).
-	allocCounts map[heap.SiteID]uint64
-	firstErr    error
-	closed      bool
+	streams  map[heap.SiteID]*streamWriter
+	firstErr error
+	closed   bool
 }
 
 // New builds a Recorder writing into cfg.Dir.
@@ -107,12 +105,11 @@ func New(cfg Config, h *heap.Heap, sites *jvm.SiteTable, sink SnapshotSink) (*Re
 		return nil, fmt.Errorf("recorder: output path %q is not a directory", cfg.Dir)
 	}
 	return &Recorder{
-		cfg:         cfg,
-		h:           h,
-		sites:       sites,
-		sink:        sink,
-		streams:     make(map[heap.SiteID]*streamWriter),
-		allocCounts: make(map[heap.SiteID]uint64),
+		cfg:     cfg,
+		h:       h,
+		sites:   sites,
+		sink:    sink,
+		streams: make(map[heap.SiteID]*streamWriter),
 	}, nil
 }
 
@@ -146,9 +143,7 @@ func (r *Recorder) RecordAlloc(site heap.SiteID, obj *heap.Object) {
 	}
 	if err := s.appendID(obj.ID); err != nil {
 		r.firstErr = fmt.Errorf("recorder: writing id for site %d: %w", site, err)
-		return
 	}
-	r.allocCounts[site]++
 }
 
 // CycleEnd is the GC-cycle listener: on every k-th cycle it refreshes the
@@ -166,9 +161,6 @@ func (r *Recorder) CycleEnd(cycle uint64, live *heap.LiveSet) {
 		r.firstErr = fmt.Errorf("recorder: snapshot at cycle %d: %w", cycle, err)
 	}
 }
-
-// AllocCount returns the number of allocations recorded for a site.
-func (r *Recorder) AllocCount(site heap.SiteID) uint64 { return r.allocCounts[site] }
 
 // siteIDs returns the recorded sites in ascending order.
 func (r *Recorder) siteIDs() []heap.SiteID {
@@ -225,7 +217,7 @@ func (r *Recorder) Close() error {
 	return r.firstErr
 }
 
-// writeSiteTable persists only the sites that actually allocated: one line
+// writeSiteTable persists only the sites that have a stream: one line
 // per site, "id<TAB>frame;frame;...", framed by a version header and a
 // count footer, published by atomic rename.
 func (r *Recorder) writeSiteTable() error {
@@ -233,7 +225,7 @@ func (r *Recorder) writeSiteTable() error {
 	fmt.Fprintln(&buf, siteTableHeader)
 	lines := 0
 	for _, entry := range r.sites.All() {
-		if _, used := r.allocCounts[entry.ID]; !used {
+		if _, used := r.streams[entry.ID]; !used {
 			continue
 		}
 		fmt.Fprintf(&buf, "%d\t%s\n", entry.ID, entry.Trace.String())
