@@ -29,6 +29,13 @@ const (
 	// renumbering is safe and keeps the generation count meaningful
 	// (Table 1).
 	clusterGap = 4
+	// confidenceFloor is the minimum trusted fraction 1 - Tainted/Allocated
+	// of a site's evidence: a site below it is degraded to the safe
+	// young/dynamic fallback (generation zero) rather than instrumented
+	// from evidence that may be misleading. The salvage walk taints every
+	// allocation of a stream that decoded below the floor, and a fleet
+	// merge sums the taint, so one test decides for both.
+	confidenceFloor = 0.5
 )
 
 // Options tunes the Analyzer. The zero value selects the paper's behaviour.
@@ -45,12 +52,6 @@ type Options struct {
 	// (ablation): every instrumented site carries its own generation
 	// switch.
 	DisableHoisting bool
-	// ConfidenceFloor is the minimum fraction of a site's recorded stream
-	// that must decode for its evidence to be trusted during salvage
-	// analysis; a site below the floor is degraded to the safe
-	// young/dynamic fallback (generation zero). Default 0.5; negative
-	// disables degrading. Strict Analyze never degrades.
-	ConfidenceFloor float64
 	// App and Workload label the resulting profile.
 	App      string
 	Workload string
@@ -59,9 +60,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Estimator == 0 {
 		o.Estimator = EstimatorMode
-	}
-	if o.ConfidenceFloor == 0 {
-		o.ConfidenceFloor = 0.5
 	}
 	return o
 }
@@ -91,15 +89,15 @@ func strict(prof *Profile, rep *SalvageReport, err error) (*Profile, error) {
 }
 
 // synthesize runs the second half of §3.3 — estimation, STTree, conflict
-// resolution, directive emission — over gathered evidence. Sites in the
-// degraded set are forced to generation zero, the salvage-mode fallback for
-// evidence too damaged to trust.
-func synthesize(evidence map[heap.SiteID]*siteEvidence, opts Options, degraded map[heap.SiteID]bool) (*Profile, error) {
+// resolution, directive emission — over gathered evidence. Sites whose
+// trusted fraction falls below confidenceFloor are forced to generation
+// zero, the fallback for evidence too damaged to trust.
+func synthesize(evidence map[heap.SiteID]*siteEvidence, opts Options) (*Profile, error) {
 	traces := make(map[heap.SiteID]jvm.StackTrace, len(evidence))
 	gens := make(map[heap.SiteID]int, len(evidence))
 	for id, ev := range evidence {
 		traces[id] = ev.trace
-		if degraded[id] {
+		if ev.total > 0 && 1-float64(ev.tainted)/float64(ev.total) < confidenceFloor {
 			gens[id] = 0
 			continue
 		}

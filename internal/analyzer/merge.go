@@ -21,12 +21,12 @@ import (
 // profiles converge to the same fleet plan whether their evidence arrives
 // in one batch or drips in one upload at a time, in any order.
 //
-// opts.ConfidenceFloor is reapplied post-merge: a site whose merged
-// trusted fraction 1 - Tainted/Allocated falls below the floor is degraded
-// to the young/dynamic fallback (generation zero), exactly as
-// AnalyzeSalvage degrades a damaged stream. Tainted counts themselves stay
-// pure sums, so the degrade decision re-derives identically on every
-// subsequent merge.
+// The confidence floor is reapplied post-merge by the one rule synthesis
+// applies to every site: a site whose merged trusted fraction
+// 1 - Tainted/Allocated falls below the floor is degraded to the
+// young/dynamic fallback (generation zero), exactly as AnalyzeSalvage
+// degrades a damaged stream. Tainted counts themselves stay pure sums, so
+// the degrade decision re-derives identically on every subsequent merge.
 //
 // Profiles with empty App/Workload labels adopt the labels of the merge;
 // labeled profiles must all agree with each other (and with opts when it
@@ -107,11 +107,10 @@ type MergeAccumulator struct {
 	sites map[string]*mergeSite
 
 	// Per-merge scratch, reused to keep steady-state merges allocation-
-	// light: key list for deterministic id assignment, evidence and
-	// degraded maps handed to synthesize.
+	// light: key list for deterministic id assignment, evidence map
+	// handed to synthesize.
 	keys     []string
 	evidence map[heap.SiteID]*siteEvidence
-	degraded map[heap.SiteID]bool
 }
 
 // NewMergeAccumulator builds an accumulator. opts carries the analyzer
@@ -123,7 +122,6 @@ func NewMergeAccumulator(opts Options) *MergeAccumulator {
 		epoch:    1,
 		sites:    make(map[string]*mergeSite),
 		evidence: make(map[heap.SiteID]*siteEvidence),
-		degraded: make(map[heap.SiteID]bool),
 	}
 }
 
@@ -197,17 +195,11 @@ func (m *MergeAccumulator) Merge() (*Profile, error) {
 	}
 	sort.Strings(m.keys)
 	clear(m.evidence)
-	clear(m.degraded)
 	for i, k := range m.keys {
 		ms := m.sites[k]
 		id := heap.SiteID(i + 1)
 		ms.ev.id = id
 		m.evidence[id] = &ms.ev
-		if m.opts.ConfidenceFloor >= 0 && ms.ev.total > 0 {
-			if 1-float64(ms.ev.tainted)/float64(ms.ev.total) < m.opts.ConfidenceFloor {
-				m.degraded[id] = true
-			}
-		}
 	}
-	return synthesize(m.evidence, m.opts, m.degraded)
+	return synthesize(m.evidence, m.opts)
 }

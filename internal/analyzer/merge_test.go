@@ -166,12 +166,6 @@ func TestMergeConfidenceFloorReapplied(t *testing.T) {
 	if p2.Sites[0].Gen != 1 {
 		t.Fatalf("recovered site gen = %d, want 1", p2.Sites[0].Gen)
 	}
-
-	// A negative floor disables degrading.
-	p3 := mustMerge(t, Options{ConfidenceFloor: -1}, tainted, clean)
-	if p3.Sites[0].Gen != 1 {
-		t.Fatalf("floor-disabled merged site gen = %d, want 1", p3.Sites[0].Gen)
-	}
 }
 
 // TestMergeLabelRules checks label adoption and mismatch rejection.

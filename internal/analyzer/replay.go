@@ -101,7 +101,7 @@ func (r *Replay) Finish(recordsDir string, opts Options) (*Profile, error) {
 // listed before the 4 B-per-serial site index is allocated.
 func (r *Replay) FinishSalvage(recordsDir string, opts Options) (*Profile, *SalvageReport, error) {
 	opts = opts.withDefaults()
-	w, err := readEvidence(recordsDir, opts)
+	w, err := readEvidence(recordsDir)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -115,7 +115,7 @@ func (r *Replay) FinishSalvage(recordsDir string, opts Options) (*Profile, *Salv
 // synthesizes the profile.
 func (r *Replay) finish(w *evidenceWalk, opts Options) (*Profile, *SalvageReport, error) {
 	r.fill(&w.idx)
-	prof, err := synthesize(w.evidence, opts, w.degraded)
+	prof, err := synthesize(w.evidence, opts)
 	if err != nil {
 		return nil, w.rep, err
 	}

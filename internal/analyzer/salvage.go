@@ -98,18 +98,18 @@ func (r *SalvageReport) String() string {
 // order, moving every object found live into the next bucket. Instead of
 // refusing damaged artifacts it analyzes the longest trustworthy prefix of
 // each and reports what was lost; Analyze is this walk refusing any loss.
-// Sites whose surviving stream falls below opts.ConfidenceFloor are
-// degraded to the safe young/dynamic fallback rather than instrumented
-// from evidence that may be misleading. The error is non-nil only when no
-// analysis is possible at all: the site table file is unreadable, the
-// synthesis itself fails, or the surviving streams' serials span more than
-// 2(n + s) + 65 536 values for n recorded ids and s ids listed across snaps,
-// which no real recording produces and is refused with an error wrapping
-// recorder.ErrCorrupt before anything proportional to the span is
-// allocated.
+// A site whose surviving stream decoded below the confidence floor is
+// tainted in full, which degrades it to the safe young/dynamic fallback
+// rather than instrumenting it from evidence that may be misleading. The
+// error is non-nil only when no analysis is possible at all: the site
+// table file is unreadable, the synthesis itself fails, or the surviving
+// streams' serials span more than 2(n + s) + 65 536 values for n recorded
+// ids and s ids listed across snaps, which no real recording produces and
+// is refused with an error wrapping recorder.ErrCorrupt before anything
+// proportional to the span is allocated.
 func AnalyzeSalvage(recordsDir string, snaps []*snapshot.Snapshot, opts Options) (*Profile, *SalvageReport, error) {
 	opts = opts.withDefaults()
-	w, err := readEvidence(recordsDir, opts)
+	w, err := readEvidence(recordsDir)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -125,21 +125,19 @@ func AnalyzeSalvage(recordsDir string, snaps []*snapshot.Snapshot, opts Options)
 type evidenceWalk struct {
 	evidence map[heap.SiteID]*siteEvidence
 	idx      serialIndex
-	degraded map[heap.SiteID]bool
 	rep      *SalvageReport
 }
 
 // readEvidence loads the site table and every site's stream from
 // recordsDir, accounting for damage in the walk's report. Its error is
 // non-nil only when the site table file is unreadable.
-func readEvidence(recordsDir string, opts Options) (*evidenceWalk, error) {
+func readEvidence(recordsDir string) (*evidenceWalk, error) {
 	table, tsal, err := recorder.SalvageSiteTable(recordsDir)
 	if err != nil {
 		return nil, err
 	}
 	w := &evidenceWalk{
 		evidence: make(map[heap.SiteID]*siteEvidence, len(table)),
-		degraded: make(map[heap.SiteID]bool),
 		rep:      &SalvageReport{Table: tsal},
 	}
 	rep := w.rep
@@ -164,12 +162,12 @@ func readEvidence(recordsDir string, opts Options) (*evidenceWalk, error) {
 		}
 		loss := SiteLoss{Site: sid, Trace: table[sid].String(), Salvage: sal}
 		rep.LostBytes += sal.LostBytes
-		if opts.ConfidenceFloor >= 0 && sal.Confidence() < opts.ConfidenceFloor {
+		if sal.Confidence() < confidenceFloor {
 			loss.Degraded = true
-			w.degraded[sid] = true
 			rep.DegradedSites++
 			// The whole site's surviving evidence is untrusted: taint it
-			// all, so a later fleet merge weighs it correctly.
+			// all, which synthesize and a later fleet merge read as
+			// below the floor.
 			w.evidence[sid].tainted = w.evidence[sid].total
 		}
 		rep.Sites = append(rep.Sites, loss)

@@ -68,17 +68,17 @@ func TestAnalyzeSalvageCleanMatchesStrict(t *testing.T) {
 }
 
 // TestAnalyzeSalvageDamagedStreamDegrades truncates the biggest id stream
-// and checks the loss is accounted and, with a high confidence floor, the
-// site is degraded to the safe fallback instead of instrumented from a
-// misleading fraction of its evidence.
+// to a quarter and checks the loss is accounted and, below the confidence
+// floor, the site is degraded to the safe fallback instead of instrumented
+// from a misleading fraction of its evidence.
 func TestAnalyzeSalvageDamagedStreamDegrades(t *testing.T) {
 	dir, snaps := profileRun(t, 800)
 	victim, size := largestStream(t, dir)
-	if err := os.Truncate(streamPath(dir, victim), size/2); err != nil {
+	if err := os.Truncate(streamPath(dir, victim), size/4); err != nil {
 		t.Fatal(err)
 	}
 
-	prof, rep, err := AnalyzeSalvage(dir, snaps, Options{App: "mini", Workload: "test", ConfidenceFloor: 0.99})
+	prof, rep, err := AnalyzeSalvage(dir, snaps, Options{App: "mini", Workload: "test"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestAnalyzeSalvageDamagedStreamDegrades(t *testing.T) {
 		t.Fatal("no bytes accounted as lost")
 	}
 	if rep.DegradedSites == 0 {
-		t.Fatalf("half-truncated stream not degraded under a 0.99 floor: %s", rep)
+		t.Fatalf("quarter-truncated stream not degraded under the %v floor: %s", confidenceFloor, rep)
 	}
 	victimTrace := ""
 	for _, loss := range rep.Sites {
@@ -118,30 +118,80 @@ func TestAnalyzeSalvageDamagedStreamDegrades(t *testing.T) {
 	}
 }
 
-// TestAnalyzeSalvageConfidenceFloorDisabled checks a negative floor turns
-// the degrade heuristic off: the damage is still reported, but whatever
-// evidence survived is used as-is.
-func TestAnalyzeSalvageConfidenceFloorDisabled(t *testing.T) {
+// TestSalvageAndMergeDegradeAlike pins the one distrust rule: a stream
+// salvaged below the confidence floor is degraded by the salvage walk, and
+// a fleet merge of that profile alone, which sees only the site's Tainted
+// and Allocated sums, makes the same decision for every site and emits the
+// same directives.
+func TestSalvageAndMergeDegradeAlike(t *testing.T) {
 	dir, snaps := profileRun(t, 800)
-	victim, size := largestStream(t, dir)
-	if err := os.Truncate(streamPath(dir, victim), size/2); err != nil {
-		t.Fatal(err)
-	}
-
-	_, rep, err := AnalyzeSalvage(dir, snaps, Options{App: "mini", Workload: "test", ConfidenceFloor: -1})
+	clean, err := Analyze(dir, snaps, Options{App: "mini", Workload: "test"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Clean() {
-		t.Fatal("damage unreported with the floor disabled")
+	// The victim is the lowest pretenured site, so degrading it changes
+	// the plan.
+	table, err := recorder.LoadSiteTable(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rep.DegradedSites != 0 {
-		t.Fatalf("sites degraded despite a negative floor: %s", rep)
+	pretenured := make(map[string]bool)
+	for _, s := range clean.Sites {
+		pretenured[s.Trace] = s.Gen > 0
 	}
-	for _, loss := range rep.Sites {
-		if loss.Degraded {
-			t.Fatalf("loss marked degraded despite a negative floor: %+v", loss)
+	var victim heap.SiteID
+	for _, sid := range sortedSites(table) {
+		if pretenured[table[sid].String()] {
+			victim = sid
+			break
 		}
+	}
+	if victim == 0 {
+		t.Fatal("the clean run pretenures no site")
+	}
+	info, err := os.Stat(streamPath(dir, victim))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(streamPath(dir, victim), info.Size()/4); err != nil {
+		t.Fatal(err)
+	}
+	salvaged, rep, err := AnalyzeSalvage(dir, snaps, Options{App: "mini", Workload: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.DegradedSites != 1 {
+		t.Fatalf("DegradedSites = %d, want the victim alone: %s", rep.DegradedSites, rep)
+	}
+	if len(salvaged.Calls)+len(salvaged.Allocs) >= len(clean.Calls)+len(clean.Allocs) {
+		t.Fatalf("degrading the victim removed no directive: %+v %+v", salvaged.Calls, salvaged.Allocs)
+	}
+
+	merged, err := MergeProfiles(Options{}, salvaged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gens := make(map[string]int, len(salvaged.Sites))
+	for _, s := range salvaged.Sites {
+		gens[s.Trace] = s.Gen
+	}
+	if len(merged.Sites) != len(salvaged.Sites) {
+		t.Fatalf("merge lists %d sites, salvage %d", len(merged.Sites), len(salvaged.Sites))
+	}
+	for _, s := range merged.Sites {
+		if want, ok := gens[s.Trace]; !ok || s.Gen != want {
+			t.Errorf("site %s: merge gen %d, salvage gen %d (listed %v)", s.Trace, s.Gen, want, ok)
+		}
+	}
+	type directives struct {
+		Allocs      []AllocDirective
+		Calls       []CallDirective
+		Generations int
+	}
+	got, _ := json.Marshal(directives{merged.Allocs, merged.Calls, merged.Generations})
+	want, _ := json.Marshal(directives{salvaged.Allocs, salvaged.Calls, salvaged.Generations})
+	if !bytes.Equal(got, want) {
+		t.Fatalf("merge directives differ from salvage:\nmerge   %s\nsalvage %s", got, want)
 	}
 }
 

@@ -132,14 +132,13 @@ func (m CostModel) EvacuationCost(regions int, remsetEntries int, bytesCopied ui
 type CycleFunc func(cycle uint64, live *heap.LiveSet)
 
 // CycleLog is the bookkeeping every collector keeps the same way: its
-// clock, the pauses it charged, the cycles it completed and the listeners
+// clock, the pauses it charged (one per completed cycle) and the listeners
 // of each cycle's end. A collector embeds one, which implements Clock,
 // Pauses, Cycles and OnCycleEnd for it, and ends every collection with
 // EndCycle.
 type CycleLog struct {
 	clock     *simclock.Clock
 	pauses    []Pause
-	cycles    uint64
 	listeners []CycleFunc
 }
 
@@ -157,23 +156,22 @@ func (l *CycleLog) Pauses() []Pause {
 }
 
 // Cycles implements Collector.
-func (l *CycleLog) Cycles() uint64 { return l.cycles }
+func (l *CycleLog) Cycles() uint64 { return uint64(len(l.pauses)) }
 
 // OnCycleEnd implements Collector.
 func (l *CycleLog) OnCycleEnd(fn CycleFunc) {
 	l.listeners = append(l.listeners, fn)
 }
 
-// EndCycle closes a collection: it advances the clock by p.Duration, counts
-// the cycle, logs p under that cycle's number and hands the collection's
-// live set to every listener, in registration order.
+// EndCycle closes a collection: it advances the clock by p.Duration, logs
+// p numbered by its position in the log (the first cycle is 1) and hands
+// the collection's live set to every listener, in registration order.
 func (l *CycleLog) EndCycle(p Pause, live *heap.LiveSet) {
 	l.clock.Advance(p.Duration)
-	l.cycles++
-	p.Cycle = l.cycles
+	p.Cycle = uint64(len(l.pauses)) + 1
 	l.pauses = append(l.pauses, p)
 	for _, fn := range l.listeners {
-		fn(l.cycles, live)
+		fn(p.Cycle, live)
 	}
 }
 

@@ -29,6 +29,7 @@ package ng2c
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"polm2/internal/gc"
@@ -119,9 +120,6 @@ type Collector struct {
 	allocCur map[heap.GenID]*heap.Region
 
 	nextGen heap.GenID
-	// humongous marks dedicated single-object regions; they are never
-	// evacuated, only reclaimed whole when their object dies.
-	humongous map[heap.RegionID]bool
 
 	mixedPending bool
 	// pressureArmed allows one pressure-triggered collection per
@@ -133,7 +131,6 @@ type Collector struct {
 	csScratch    []*heap.Region
 	emptyScratch []*heap.Region
 	candScratch  []*heap.Region
-	inOldCS      map[*heap.Region]struct{}
 }
 
 var (
@@ -176,7 +173,6 @@ func build(clock *simclock.Clock, cfg Config, pretenuring bool) (*Collector, err
 		pretenuring: pretenuring,
 		allocCur:    make(map[heap.GenID]*heap.Region),
 		nextGen:     firstDynamicGen,
-		humongous:   make(map[heap.RegionID]bool),
 	}, nil
 }
 
@@ -240,7 +236,6 @@ func (c *Collector) Allocate(size uint32, site heap.SiteID, target heap.GenID) (
 		if err != nil {
 			return nil, err
 		}
-		c.humongous[r.ID()] = true
 		obj, err := c.h.Allocate(r, size, site)
 		if err != nil {
 			return nil, fmt.Errorf("ng2c: %w", err)
@@ -359,7 +354,7 @@ func (c *Collector) collect() error {
 		candidates := c.candScratch[:0]
 		regionSize := float64(c.h.Config().RegionSize)
 		for _, r := range source {
-			if c.humongous[r.ID()] {
+			if c.humongous(r) {
 				continue // humongous objects are never copied
 			}
 			garbage := float64(r.Used()) - float64(live.Region(r).Bytes)
@@ -393,20 +388,11 @@ func (c *Collector) collect() error {
 		compact[Old] = promoCursor
 	}
 
-	if c.inOldCS == nil {
-		c.inOldCS = make(map[*heap.Region]struct{}, len(oldCS))
-	} else {
-		clear(c.inOldCS)
-	}
-	inOldCS := c.inOldCS
-	for _, r := range oldCS {
-		inOldCS[r] = struct{}{}
-	}
-
 	var promotedBytes uint64
 	place := func(obj *heap.Object) error {
-		if _, ok := inOldCS[obj.Region()]; ok {
-			gen := obj.Gen()
+		// The collection set is young (eden and survivors) but for
+		// oldCS, so a mature object comes from a mixed region.
+		if gen := obj.Gen(); gen != heap.Young {
 			cur := compact[gen]
 			if cur == nil {
 				cur = gc.NewCursor(c.h, gen)
@@ -431,7 +417,7 @@ func (c *Collector) collect() error {
 		freed++
 	}
 	for _, r := range emptyCS {
-		c.freeDead(r, live)
+		gc.FreeDeadRegion(c.h, r, live)
 		freed++
 	}
 	// Dropped allocation cursors for freed/evacuated regions.
@@ -447,7 +433,7 @@ func (c *Collector) collect() error {
 	if len(oldCS) > 0 {
 		kept := c.mature[:0]
 		for _, r := range c.mature {
-			if _, ok := inOldCS[r]; !ok {
+			if !slices.Contains(oldCS, r) {
 				kept = append(kept, r)
 			}
 		}
@@ -523,12 +509,12 @@ func (c *Collector) fullCollect() error {
 	evacuate := regions[:0]
 	for _, r := range regions {
 		if live.Region(r).Objects == 0 {
-			c.freeDead(r, live)
+			gc.FreeDeadRegion(c.h, r, live)
 			freed++
 			continue
 		}
 		gc.SweepRegion(c.h, r, live)
-		if c.humongous[r.ID()] {
+		if c.humongous(r) {
 			keptHumongous = append(keptHumongous, r)
 		} else {
 			evacuate = append(evacuate, r)
@@ -581,11 +567,13 @@ func (c *Collector) armMixedIfNeeded() {
 	}
 }
 
-// freeDead reclaims a region with no live resident, which also ends its
-// life as a humongous region.
-func (c *Collector) freeDead(r *heap.Region, live *heap.LiveSet) {
-	gc.FreeDeadRegion(c.h, r, live)
-	delete(c.humongous, r.ID())
+// humongous reports whether r is a dedicated single-object region. Only
+// Allocate places an object larger than half a region, alone in a fresh
+// region, and no collection moves it, so such a region is never evacuated,
+// only reclaimed whole when its object dies.
+func (c *Collector) humongous(r *heap.Region) bool {
+	obj := r.FirstResident()
+	return obj != nil && obj.Size > c.h.Config().RegionSize/2
 }
 
 // MatureRegions returns the number of regions in generations >= Old (test

@@ -27,15 +27,22 @@ import (
 // Plan is an instrumentation plan with all abstract generations resolved to
 // collector generations. It implements jvm.Plan.
 type Plan struct {
-	calls   map[jvm.CodeLoc]heap.GenID
-	directs map[jvm.CodeLoc]heap.GenID
-	annots  map[jvm.CodeLoc]bool
+	calls  map[jvm.CodeLoc]heap.GenID
+	allocs map[jvm.CodeLoc]allocRule
 	// gens maps abstract generation index (1-based) to the collector
 	// generation created for it.
 	gens []heap.GenID
 }
 
 var _ jvm.Plan = (*Plan)(nil)
+
+// allocRule is the directive at one annotated allocation site: a direct
+// site switches to gen itself, any other allocates into the thread's
+// current target generation.
+type allocRule struct {
+	gen    heap.GenID
+	direct bool
+}
 
 // Apply resolves profile against the collector: it creates the required
 // generations and builds the executable plan. It fails on malformed
@@ -45,10 +52,9 @@ func Apply(p *analyzer.Profile, pret gc.Pretenuring) (*Plan, error) {
 		return nil, fmt.Errorf("instrument: %w", err)
 	}
 	plan := &Plan{
-		calls:   make(map[jvm.CodeLoc]heap.GenID, len(p.Calls)),
-		directs: make(map[jvm.CodeLoc]heap.GenID),
-		annots:  make(map[jvm.CodeLoc]bool),
-		gens:    make([]heap.GenID, p.Generations),
+		calls:  make(map[jvm.CodeLoc]heap.GenID, len(p.Calls)),
+		allocs: make(map[jvm.CodeLoc]allocRule, len(p.Allocs)),
+		gens:   make([]heap.GenID, p.Generations),
 	}
 	for i := range plan.gens {
 		plan.gens[i] = pret.NewGeneration()
@@ -70,16 +76,17 @@ func Apply(p *analyzer.Profile, pret gc.Pretenuring) (*Plan, error) {
 		if err != nil {
 			return nil, fmt.Errorf("instrument: alloc directive: %w", err)
 		}
+		rule := plan.allocs[loc]
 		if d.Direct {
 			if d.Gen < 1 {
 				return nil, fmt.Errorf("instrument: direct alloc directive at %v without generation", loc)
 			}
-			if existing, ok := plan.directs[loc]; ok && existing != resolve(d.Gen) {
+			if rule.direct && rule.gen != resolve(d.Gen) {
 				return nil, fmt.Errorf("instrument: conflicting direct directives at %v", loc)
 			}
-			plan.directs[loc] = resolve(d.Gen)
+			rule = allocRule{gen: resolve(d.Gen), direct: true}
 		}
-		plan.annots[loc] = true
+		plan.allocs[loc] = rule
 	}
 	return plan, nil
 }
@@ -92,10 +99,8 @@ func (pl *Plan) CallGen(loc jvm.CodeLoc) (heap.GenID, bool) {
 
 // AllocGen implements jvm.Plan.
 func (pl *Plan) AllocGen(loc jvm.CodeLoc) (heap.GenID, bool, bool) {
-	if g, ok := pl.directs[loc]; ok {
-		return g, true, true
-	}
-	return 0, false, pl.annots[loc]
+	r, ok := pl.allocs[loc]
+	return r.gen, r.direct, ok
 }
 
 // Generations returns the collector generations created at launch, indexed
@@ -109,5 +114,5 @@ func (pl *Plan) Generations() []heap.GenID {
 // RewrittenLocations returns how many code locations the plan touches —
 // the paper's instrumentation footprint.
 func (pl *Plan) RewrittenLocations() int {
-	return len(pl.calls) + len(pl.annots)
+	return len(pl.calls) + len(pl.allocs)
 }

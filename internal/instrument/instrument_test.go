@@ -109,6 +109,35 @@ func TestApplyRejectsConflictingDirectives(t *testing.T) {
 	}
 }
 
+// TestDirectAndAnnotatedDirectivesAtOneLocation pins the one rule per
+// allocation site: a direct directive wins over an annotate-only one at the
+// same location, in either order, and the location counts once.
+func TestDirectAndAnnotatedDirectivesAtOneLocation(t *testing.T) {
+	direct := analyzer.AllocDirective{Loc: "A.m:1", Gen: 2, Direct: true}
+	annotated := analyzer.AllocDirective{Loc: "A.m:1", Gen: 0}
+	loc := jvm.CodeLoc{Class: "A", Method: "m", Line: 1}
+	for _, allocs := range [][]analyzer.AllocDirective{{direct, annotated}, {annotated, direct}} {
+		plan, err := Apply(&analyzer.Profile{Generations: 2, Allocs: allocs}, newCollector(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := plan.Generations()[1]
+		if g, explicit, ok := plan.AllocGen(loc); !ok || !explicit || g != want {
+			t.Errorf("%+v: AllocGen = (%d,%v,%v), want (%d,true,true)", allocs, g, explicit, ok, want)
+		}
+		if got := plan.RewrittenLocations(); got != 1 {
+			t.Errorf("%+v: RewrittenLocations = %d, want 1", allocs, got)
+		}
+	}
+
+	conflicting := &analyzer.Profile{Generations: 2, Allocs: []analyzer.AllocDirective{
+		direct, annotated, {Loc: "A.m:1", Gen: 1, Direct: true},
+	}}
+	if _, err := Apply(conflicting, newCollector(t)); err == nil {
+		t.Fatal("direct directives with different generations at one location should be rejected")
+	}
+}
+
 // TestProductionRunPretenures closes the loop: a plan built from a profile
 // steers allocations into the right generations during execution.
 func TestProductionRunPretenures(t *testing.T) {

@@ -6,47 +6,52 @@ import "polm2/internal/heap"
 // persists the table once per profiling run (§3.2: "allocation stack traces
 // are only flushed to disk at the end of the application execution").
 type SiteTable struct {
-	byKey  map[string]heap.SiteID
 	traces []StackTrace // index = SiteID - 1
-	// byHash memoizes the engine's path-fingerprint lookups so the hot
-	// allocation path never rebuilds a stack trace. Fingerprints hash
-	// every frame and call line with FNV-1a; a 64-bit collision between
-	// distinct traces of one run is vanishingly unlikely and would only
-	// merge two profiling sites.
+	// byHash keys every site by its path fingerprint, which the engine
+	// keeps up to date on each frame so the hot allocation path never
+	// rebuilds a stack trace. Fingerprints hash every frame and call line
+	// with FNV-1a; a 64-bit collision between distinct traces of one run
+	// is vanishingly unlikely and would only merge two profiling sites.
 	byHash map[uint64]heap.SiteID
 }
 
 // NewSiteTable returns an empty site table.
 func NewSiteTable() *SiteTable {
-	return &SiteTable{
-		byKey:  make(map[string]heap.SiteID),
-		byHash: make(map[uint64]heap.SiteID),
+	return &SiteTable{byHash: make(map[uint64]heap.SiteID)}
+}
+
+// fingerprint hashes trace the way Thread.Call and Thread.Alloc build a
+// path fingerprint frame by frame: each frame's (class, method) after the
+// caller's call line, then the allocation line.
+func fingerprint(trace StackTrace) uint64 {
+	h := uint64(fnvOffset)
+	for i, loc := range trace {
+		if i > 0 {
+			h = hashLine(h, trace[i-1].Line)
+		}
+		h = hashFrame(h, loc.Class, loc.Method)
 	}
-}
-
-// lookupFast resolves a path fingerprint memoized by internSlow.
-func (t *SiteTable) lookupFast(key uint64) (heap.SiteID, bool) {
-	id, ok := t.byHash[key]
-	return id, ok
-}
-
-// internSlow interns the trace and memoizes its fingerprint.
-func (t *SiteTable) internSlow(key uint64, trace StackTrace) heap.SiteID {
-	id := t.Intern(trace)
-	t.byHash[key] = id
-	return id
+	if len(trace) > 0 {
+		h = hashLine(h, trace[len(trace)-1].Line)
+	}
+	return h
 }
 
 // Intern returns the id for the given trace, assigning a fresh one on first
 // sight. Ids start at 1; zero remains "unknown site".
 func (t *SiteTable) Intern(trace StackTrace) heap.SiteID {
-	key := trace.String()
-	if id, ok := t.byKey[key]; ok {
+	key := fingerprint(trace)
+	if id, ok := t.byHash[key]; ok {
 		return id
 	}
+	return t.intern(key, trace)
+}
+
+// intern assigns a fresh id to trace, whose fingerprint key has no id yet.
+func (t *SiteTable) intern(key uint64, trace StackTrace) heap.SiteID {
 	t.traces = append(t.traces, trace.Clone())
 	id := heap.SiteID(len(t.traces))
-	t.byKey[key] = id
+	t.byHash[key] = id
 	return id
 }
 

@@ -56,14 +56,21 @@ func (t *Thread) Depth() int { return len(t.stack) }
 // (System.getGeneration in NG2C's API).
 func (t *Thread) TargetGen() heap.GenID { return t.targetGen }
 
-// Enter pushes a method invocation frame with no caller context — the
-// thread's entry point (e.g. run()).
+// Enter pushes a method invocation frame with no call site — the thread's
+// entry point (e.g. run()). An entry point pushed on a non-empty stack
+// still follows the frames below it in every trace, so its path
+// fingerprint continues theirs from the line the running frame is at.
 func (t *Thread) Enter(class, method string) {
+	h := uint64(fnvOffset)
+	if len(t.stack) > 0 {
+		top := &t.stack[len(t.stack)-1]
+		h = hashLine(top.pathHash, top.line)
+	}
 	t.stack = append(t.stack, frame{
 		class:    class,
 		method:   method,
 		base:     len(t.pins),
-		pathHash: hashFrame(fnvOffset, class, method),
+		pathHash: hashFrame(h, class, method),
 	})
 }
 
@@ -178,13 +185,9 @@ func (t *Thread) Alloc(line int, size uint32) (*heap.Object, error) {
 	// Fast path: the (path hash, alloc line) pair has been interned
 	// before; the full trace is only materialized for new sites.
 	siteKey := hashLine(top.pathHash, line)
-	site, ok := t.vm.sites.lookupFast(siteKey)
+	site, ok := t.vm.sites.byHash[siteKey]
 	if !ok {
-		trace := make(StackTrace, len(t.stack))
-		for i, f := range t.stack {
-			trace[i] = CodeLoc{Class: f.class, Method: f.method, Line: f.line}
-		}
-		site = t.vm.sites.internSlow(siteKey, trace)
+		site = t.vm.sites.intern(siteKey, t.Trace())
 	}
 	leaf := CodeLoc{Class: top.class, Method: top.method, Line: line}
 

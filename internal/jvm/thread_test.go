@@ -22,27 +22,17 @@ func TestThreadPinsFollowFrames(t *testing.T) {
 		th := vm.NewThread("t")
 		var model [][]*heap.Object
 		for step := 0; step < 3000; step++ {
+			op, obj, err := scriptStep(rng, th)
+			if err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
 			var released []*heap.Object
-			var op string
-			switch r := rng.Intn(100); {
-			case len(model) == 0 || (r < 3 && len(model) < 8):
-				op = "Enter"
-				th.Enter("Main", "run")
+			switch op {
+			case "Enter", "Call":
 				model = append(model, nil)
-			case r < 25 && len(model) < 8:
-				op = "Call"
-				th.Call(1+rng.Intn(4), "C", "m")
-				model = append(model, nil)
-			case r < 65:
-				op = "Alloc"
-				obj, err := th.Alloc(1+rng.Intn(4), uint32(16+rng.Intn(240)))
-				if err != nil {
-					t.Fatalf("seed %d step %d: %v", seed, step, err)
-				}
+			case "Alloc":
 				model[len(model)-1] = append(model[len(model)-1], obj)
-			case r < 90:
-				op = "Return"
-				th.Return()
+			case "Return":
 				top := model[len(model)-1]
 				model = model[:len(model)-1]
 				if len(model) > 0 {
@@ -50,9 +40,7 @@ func TestThreadPinsFollowFrames(t *testing.T) {
 				} else {
 					released = top
 				}
-			default:
-				op = "ReleaseLocals"
-				th.ReleaseLocals()
+			case "ReleaseLocals":
 				released = model[len(model)-1]
 				model[len(model)-1] = nil
 			}
@@ -77,6 +65,74 @@ func TestThreadPinsFollowFrames(t *testing.T) {
 			if th.Depth() != len(model) {
 				t.Fatalf("seed %d step %d (%s): depth %d, model %d", seed, step, op, th.Depth(), len(model))
 			}
+		}
+	}
+}
+
+// scriptStep runs one step of a seeded script of nested Enter, Call,
+// Alloc, Return and ReleaseLocals on th, at most eight frames deep, and
+// returns the step's name and, for Alloc, the new object.
+func scriptStep(rng *rand.Rand, th *Thread) (string, *heap.Object, error) {
+	switch r := rng.Intn(100); {
+	case th.Depth() == 0 || (r < 3 && th.Depth() < 8):
+		th.Enter("Main", "run")
+		return "Enter", nil, nil
+	case r < 25 && th.Depth() < 8:
+		th.Call(1+rng.Intn(4), "C", "m")
+		return "Call", nil, nil
+	case r < 65:
+		obj, err := th.Alloc(1+rng.Intn(4), uint32(16+rng.Intn(240)))
+		return "Alloc", obj, err
+	case r < 90:
+		th.Return()
+		return "Return", nil, nil
+	default:
+		th.ReleaseLocals()
+		return "ReleaseLocals", nil, nil
+	}
+}
+
+// TestSiteKeyFollowsFrames drives the same script and checks that the
+// path fingerprint Call and Alloc build frame by frame is the one Intern
+// computes from a whole trace: at every Alloc, interning the thread's
+// trace returns the new object's site. Traces are also interned before
+// the thread first allocates at them, and the thread's Alloc must then
+// find the id Intern gave.
+func TestSiteKeyFollowsFrames(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		vm := newVM(t)
+		sites := vm.Sites()
+		th := vm.NewThread("t")
+		allocated := make(map[heap.SiteID]bool)
+		early := make(map[heap.SiteID]bool)
+		found := 0
+		for step := 0; step < 3000; step++ {
+			if th.Depth() > 0 && rng.Intn(4) == 0 {
+				// Intern a trace the thread may allocate at later.
+				tr := th.Trace()
+				tr[len(tr)-1].Line = 1 + rng.Intn(4)
+				if id := sites.Intern(tr); !allocated[id] {
+					early[id] = true
+				}
+			}
+			op, obj, err := scriptStep(rng, th)
+			if err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+			if op != "Alloc" {
+				continue
+			}
+			if got := sites.Intern(th.Trace()); got != obj.Site {
+				t.Fatalf("seed %d step %d: Intern(%v) = site %d, Alloc gave site %d", seed, step, th.Trace(), got, obj.Site)
+			}
+			if early[obj.Site] && !allocated[obj.Site] {
+				found++
+			}
+			allocated[obj.Site] = true
+		}
+		if found == 0 {
+			t.Fatalf("seed %d: no Alloc met a trace interned before it", seed)
 		}
 	}
 }

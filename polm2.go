@@ -52,8 +52,7 @@ type (
 	// directives.
 	AllocDirective = analyzer.AllocDirective
 	CallDirective  = analyzer.CallDirective
-	// AnalyzerOptions tunes the Analyzer (estimator, confidence floor,
-	// ablation toggles).
+	// AnalyzerOptions tunes the Analyzer (estimator, ablation toggles).
 	AnalyzerOptions = analyzer.Options
 	// App is a simulated application with evaluation workloads.
 	App = core.App
