@@ -2,9 +2,9 @@ package analyzer
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
-	"polm2/internal/heap"
 	"polm2/internal/jvm"
 	"polm2/internal/snapshot"
 )
@@ -89,31 +89,30 @@ func strict(prof *Profile, rep *SalvageReport, err error) (*Profile, error) {
 }
 
 // synthesize runs the second half of §3.3 — estimation, STTree, conflict
-// resolution, directive emission — over gathered evidence. Sites whose
-// trusted fraction falls below confidenceFloor are forced to generation
-// zero, the fallback for evidence too damaged to trust.
-func synthesize(evidence map[heap.SiteID]*siteEvidence, opts Options) (*Profile, error) {
-	traces := make(map[heap.SiteID]jvm.StackTrace, len(evidence))
-	gens := make(map[heap.SiteID]int, len(evidence))
-	for id, ev := range evidence {
-		traces[id] = ev.trace
+// resolution, directive emission — over gathered evidence, given in
+// ascending site id order. Sites whose trusted fraction falls below
+// confidenceFloor are forced to generation zero, the fallback for evidence
+// too damaged to trust.
+func synthesize(sites []*siteEvidence, opts Options) (*Profile, error) {
+	gens := make([]int, len(sites))
+	for i, ev := range sites {
 		if ev.total > 0 && 1-float64(ev.tainted)/float64(ev.total) < confidenceFloor {
-			gens[id] = 0
 			continue
 		}
-		gens[id] = ev.targetGen(opts.Estimator)
+		gens[i] = ev.targetGen(opts.Estimator)
 	}
 	clusterGenerations(gens)
 
-	tree := BuildTree(traces, gens)
+	tree := &Tree{}
+	for i, ev := range sites {
+		tree.add(ev.id, ev.trace, ev.traceString, gens[i])
+	}
 	groups := tree.DetectConflicts()
 
 	p := &Profile{App: opts.App, Workload: opts.Workload, Conflicts: len(groups)}
 
 	conflictedLeaf := make(map[*Node]bool)
-	conflictedLoc := make(map[jvm.CodeLoc]bool)
 	for _, g := range groups {
-		conflictedLoc[g.Loc] = true
 		for _, leaf := range g.Leaves {
 			conflictedLeaf[leaf] = true
 		}
@@ -157,9 +156,7 @@ func synthesize(evidence map[heap.SiteID]*siteEvidence, opts Options) (*Profile,
 	// subtrees per §4.4 unless disabled.
 	var cover func(n *Node)
 	cover = func(n *Node) {
-		gens, hasConflict := subtreeSummary(n, conflictedLeaf)
-		if !hasConflict && len(gens) == 1 && !opts.DisableHoisting {
-			g := gens[0]
+		if g := n.sub.gen; !n.sub.conflict && g > 0 && !opts.DisableHoisting {
 			if n.IsLeaf && len(n.children) == 0 {
 				mergeDirect(directGens, n.Loc, g)
 				return
@@ -182,6 +179,7 @@ func synthesize(evidence map[heap.SiteID]*siteEvidence, opts Options) (*Profile,
 		}
 	}
 	for _, root := range tree.Roots() {
+		summarize(root, conflictedLeaf)
 		cover(root)
 	}
 
@@ -210,18 +208,12 @@ func synthesize(evidence map[heap.SiteID]*siteEvidence, opts Options) (*Profile,
 	}
 
 	// Per-site evidence for diagnostics and Table 1.
-	ids := make([]heap.SiteID, 0, len(evidence))
-	for id := range evidence {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		ev := evidence[id]
+	for i, ev := range sites {
 		p.Sites = append(p.Sites, SiteStat{
 			Trace:     ev.traceString,
 			Allocated: ev.total,
 			Buckets:   trimBuckets(ev.survived),
-			Gen:       gens[id],
+			Gen:       gens[i],
 			Tainted:   ev.tainted,
 		})
 	}
@@ -233,30 +225,44 @@ func synthesize(evidence map[heap.SiteID]*siteEvidence, opts Options) (*Profile,
 	return p, nil
 }
 
-// subtreeSummary returns the distinct positive generations of
-// non-conflicted leaves under n (n included) and whether the subtree holds
-// any conflicted leaf.
-func subtreeSummary(n *Node, conflicted map[*Node]bool) (gens []int, hasConflict bool) {
-	set := make(map[int]struct{})
-	var walk func(m *Node)
-	walk = func(m *Node) {
-		if m.IsLeaf {
-			if conflicted[m] {
-				hasConflict = true
-			} else if m.Gen > 0 {
-				set[m.Gen] = struct{}{}
-			}
-		}
-		for _, c := range m.children {
-			walk(c)
+// subtree summarizes the leaves under a node for directive placement: gen
+// is their one positive generation among non-conflicted leaves (0 when
+// they have none, -1 when they have several), conflict whether any leaf
+// is conflicted.
+type subtree struct {
+	gen      int
+	conflict bool
+}
+
+// join combines two sibling summaries.
+func (a subtree) join(b subtree) subtree {
+	a.conflict = a.conflict || b.conflict
+	switch {
+	case b.gen == 0:
+	case a.gen == 0:
+		a.gen = b.gen
+	case a.gen != b.gen:
+		a.gen = -1
+	}
+	return a
+}
+
+// summarize fills in the subtree summary of n and of every node under it,
+// children first, and returns n's.
+func summarize(n *Node, conflicted map[*Node]bool) subtree {
+	var s subtree
+	if n.IsLeaf {
+		if conflicted[n] {
+			s.conflict = true
+		} else if n.Gen > 0 {
+			s.gen = n.Gen
 		}
 	}
-	walk(n)
-	for g := range set {
-		gens = append(gens, g)
+	for _, c := range n.children {
+		s = s.join(summarize(c, conflicted))
 	}
-	sort.Ints(gens)
-	return gens, hasConflict
+	n.sub = s
+	return s
 }
 
 // markAnnotated annotates every instrumentable leaf location under n.
@@ -282,21 +288,18 @@ func mergeDirect(directGens map[jvm.CodeLoc]int, loc jvm.CodeLoc, gen int) {
 // clusterGenerations merges raw survival-count generations separated by at
 // most clusterGap and renumbers the resulting lifetime clusters densely
 // from 1.
-func clusterGenerations(gens map[heap.SiteID]int) {
-	distinct := make(map[int]struct{})
+func clusterGenerations(gens []int) {
+	var sorted []int
 	for _, g := range gens {
 		if g > 0 {
-			distinct[g] = struct{}{}
+			sorted = append(sorted, g)
 		}
 	}
-	if len(distinct) == 0 {
+	if len(sorted) == 0 {
 		return
 	}
-	sorted := make([]int, 0, len(distinct))
-	for g := range distinct {
-		sorted = append(sorted, g)
-	}
 	sort.Ints(sorted)
+	sorted = slices.Compact(sorted)
 	remap := make(map[int]int, len(sorted))
 	cluster := 1
 	remap[sorted[0]] = cluster
@@ -306,9 +309,9 @@ func clusterGenerations(gens map[heap.SiteID]int) {
 		}
 		remap[sorted[i]] = cluster
 	}
-	for id, g := range gens {
+	for i, g := range gens {
 		if g > 0 {
-			gens[id] = remap[g]
+			gens[i] = remap[g]
 		}
 	}
 }

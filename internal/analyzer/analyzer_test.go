@@ -278,7 +278,7 @@ func TestUsedGenerationsAndInstrumentedSites(t *testing.T) {
 }
 
 func TestClusterGenerations(t *testing.T) {
-	gens := map[heap.SiteID]int{1: 0, 2: 3, 3: 4, 4: 9, 5: 10, 6: 20}
+	gens := []int{1: 0, 2: 3, 3: 4, 4: 9, 5: 10, 6: 20}
 	clusterGenerations(gens)
 	if gens[1] != 0 {
 		t.Fatal("young site must stay young")

@@ -47,11 +47,12 @@ func sortedSites(table map[heap.SiteID]jvm.StackTrace) []heap.SiteID {
 	return siteIDs
 }
 
-// addSiteEvidence registers one site's recorded stream.
-func addSiteEvidence(evidence map[heap.SiteID]*siteEvidence, idx *serialIndex, sid heap.SiteID, trace jvm.StackTrace, st recorder.Stream) {
+// addSiteEvidence registers one site's recorded stream and returns the
+// site's evidence.
+func addSiteEvidence(idx *serialIndex, sid heap.SiteID, trace jvm.StackTrace, st recorder.Stream) *siteEvidence {
 	ev := &siteEvidence{id: sid, trace: trace, traceString: trace.String(), total: uint64(st.Len())}
-	evidence[sid] = ev
 	idx.add(ev, st)
+	return ev
 }
 
 // serialIndex maps recorded allocation serials (the ids as uint64s) to
@@ -59,7 +60,8 @@ func addSiteEvidence(evidence map[heap.SiteID]*siteEvidence, idx *serialIndex, s
 // over their window [lo, hi] replaces an id-to-site map. The survival
 // counts live in the Replay.
 type serialIndex struct {
-	// sites lists the evidence in the order add saw it; streams holds each
+	// sites lists the evidence in the order add saw it (ascending site
+	// id: the evidence walk adds sites in that order); streams holds each
 	// site's recorded stream until build indexes it.
 	sites   []*siteEvidence
 	streams []recorder.Stream

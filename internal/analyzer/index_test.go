@@ -159,7 +159,7 @@ func TestSerialIndexMatchesMapModel(t *testing.T) {
 			evidence := make(map[heap.SiteID]*siteEvidence, len(sites))
 			var idx serialIndex
 			for _, sid := range sites {
-				addSiteEvidence(evidence, &idx, sid, jvm.StackTrace{{Class: "C", Method: "m", Line: int(sid)}}, recorded[sid])
+				evidence[sid] = addSiteEvidence(&idx, sid, jvm.StackTrace{{Class: "C", Method: "m", Line: int(sid)}}, recorded[sid])
 			}
 			if err := replayFeed(&idx, snaps, imageFeed); err != nil {
 				t.Fatalf("trial %d (image feed %v): %v", trial, imageFeed, err)
@@ -190,7 +190,7 @@ func TestReplayCapsRepeatedListings(t *testing.T) {
 	for _, imageFeed := range []bool{false, true} {
 		evidence := make(map[heap.SiteID]*siteEvidence)
 		var idx serialIndex
-		addSiteEvidence(evidence, &idx, 1, jvm.StackTrace{{Class: "C", Method: "m", Line: 1}}, recorded[1])
+		evidence[1] = addSiteEvidence(&idx, 1, jvm.StackTrace{{Class: "C", Method: "m", Line: 1}}, recorded[1])
 		if err := replayFeed(&idx, []*snapshot.Snapshot{snap}, imageFeed); err != nil {
 			t.Fatal(err)
 		}

@@ -31,12 +31,6 @@ import (
 // Profiles with empty App/Workload labels adopt the labels of the merge;
 // labeled profiles must all agree with each other (and with opts when it
 // is labeled).
-//
-// Callers that merge the same key repeatedly (the plan daemon recomputing
-// one fleet plan per evidence batch) should hold a MergeAccumulator and
-// reuse it: the accumulator caches parsed stack traces and its fold state
-// across merges, cutting the per-merge allocation cost to the synthesis
-// pass alone.
 func MergeProfiles(opts Options, profiles ...*Profile) (*Profile, error) {
 	inputs := make([]*Profile, 0, len(profiles))
 	for _, p := range profiles {
@@ -75,20 +69,10 @@ func MergeProfiles(opts Options, profiles ...*Profile) (*Profile, error) {
 	return acc.Merge()
 }
 
-// mergeSite is one allocation site's fold state inside a MergeAccumulator.
-// The parsed trace and its canonical rendering are kept across Reset calls
-// (parsing dominates the fold cost for a steady fleet whose site set barely
-// moves); the sums are re-zeroed lazily via the epoch stamp.
-type mergeSite struct {
-	epoch uint64
-	ev    siteEvidence
-}
-
 // MergeAccumulator folds profiles into per-site evidence sums and
-// synthesizes fleet plans from them, reusing its internal state across
-// merges. The intended lifecycle per merge is
+// synthesizes a fleet plan from them. The lifecycle of one merge is
 //
-//	acc.Reset()
+//	acc := NewMergeAccumulator(opts) // or acc.Reset() on a used one
 //	for _, p := range inputs { acc.Add(p) } // error attributable to p
 //	plan, err := acc.Merge()                // synthesis over the sums
 //
@@ -98,38 +82,29 @@ type mergeSite struct {
 // classify a merge failure as client-caused or store-caused without
 // re-merging anything.
 //
-// The accumulator is NOT safe for concurrent use; the daemon drives one
-// per (app, workload) key from that key's single merge worker.
+// Nothing the fold builds outlives it: Reset drops the fold, and the plan
+// daemon builds a new accumulator for every merge, so a key holds no
+// parsed traces between merges.
+//
+// The accumulator is NOT safe for concurrent use.
 type MergeAccumulator struct {
 	opts  Options
-	epoch uint64
 	added int
-	sites map[string]*mergeSite
-
-	// Per-merge scratch, reused to keep steady-state merges allocation-
-	// light: key list for deterministic id assignment, evidence map
-	// handed to synthesize.
-	keys     []string
-	evidence map[heap.SiteID]*siteEvidence
+	// sites is the fold, keyed by the uploaded trace string: two
+	// spellings of one trace (":010" beside ":10") stay two sites.
+	sites map[string]*siteEvidence
 }
 
 // NewMergeAccumulator builds an accumulator. opts carries the analyzer
 // tuning and the labels of the merged profile; profiles added later must
 // carry matching (or empty) labels when opts is labeled.
 func NewMergeAccumulator(opts Options) *MergeAccumulator {
-	return &MergeAccumulator{
-		opts:     opts.withDefaults(),
-		epoch:    1,
-		sites:    make(map[string]*mergeSite),
-		evidence: make(map[heap.SiteID]*siteEvidence),
-	}
+	return &MergeAccumulator{opts: opts.withDefaults()}
 }
 
-// Reset clears the fold for a new merge. Parsed traces are retained: a
-// site contributes to the next merge only if a profile added after the
-// Reset carries it again, but its trace needs no re-parse.
+// Reset drops the fold for a new merge.
 func (m *MergeAccumulator) Reset() {
-	m.epoch++
+	m.sites = nil
 	m.added = 0
 }
 
@@ -148,33 +123,49 @@ func (m *MergeAccumulator) Add(p *Profile) error {
 	if p.Workload != "" && m.opts.Workload != "" && p.Workload != m.opts.Workload {
 		return fmt.Errorf("analyzer: merging profiles of different workloads %q and %q", m.opts.Workload, p.Workload)
 	}
+	if m.sites == nil {
+		// A fleet's instances mostly share their sites, so the first
+		// profile's site count is the fold's likely size.
+		m.sites = make(map[string]*siteEvidence, len(p.Sites))
+	}
 	for i := range p.Sites {
 		s := &p.Sites[i]
-		ms := m.sites[s.Trace]
-		if ms == nil {
-			trace, err := jvm.ParseStackTrace(s.Trace)
+		ev := m.sites[s.Trace]
+		if ev == nil {
+			trace, rendered, err := parseTrace(s.Trace)
 			if err != nil {
 				return fmt.Errorf("analyzer: merging site evidence: %w", err)
 			}
-			ms = &mergeSite{ev: siteEvidence{trace: trace, traceString: trace.String()}}
-			m.sites[s.Trace] = ms
+			ev = &siteEvidence{trace: trace, traceString: rendered}
+			m.sites[s.Trace] = ev
 		}
-		if ms.epoch != m.epoch {
-			ms.epoch = m.epoch
-			ms.ev.total, ms.ev.tainted = 0, 0
-			ms.ev.survived = ms.ev.survived[:0]
-		}
-		ms.ev.total += s.Allocated
-		ms.ev.tainted += s.Tainted
-		for len(ms.ev.survived) < len(s.Buckets) {
-			ms.ev.survived = append(ms.ev.survived, 0)
+		ev.total += s.Allocated
+		ev.tainted += s.Tainted
+		if n := len(s.Buckets); len(ev.survived) < n {
+			ev.survived = append(ev.survived, make([]uint64, n-len(ev.survived))...)
 		}
 		for k, n := range s.Buckets {
-			ms.ev.survived[k] += n
+			ev.survived[k] += n
 		}
 	}
 	m.added++
 	return nil
+}
+
+// parseTrace parses an uploaded site trace and returns its canonical
+// rendering beside it: s itself when every line is spelled as
+// strconv.Itoa spells it, a fresh rendering only otherwise. Any other
+// spelling strconv.Atoi accepts adds a sign or leading zeros, so s is
+// canonical exactly when it is as long as its rendering.
+func parseTrace(s string) (jvm.StackTrace, string, error) {
+	trace, err := jvm.ParseStackTrace(s)
+	if err != nil {
+		return nil, "", err
+	}
+	if len(s) != renderedLen(trace) {
+		return trace, trace.String(), nil
+	}
+	return trace, s, nil
 }
 
 // Merge synthesizes the fleet profile from everything added since the
@@ -185,21 +176,18 @@ func (m *MergeAccumulator) Merge() (*Profile, error) {
 		return nil, fmt.Errorf("analyzer: merging zero profiles")
 	}
 	// Synthetic site ids are assigned in sorted-trace order, so the
-	// evidence map handed to synthesize is identical for every
-	// permutation of the inputs.
-	m.keys = m.keys[:0]
-	for k, ms := range m.sites {
-		if ms.epoch == m.epoch {
-			m.keys = append(m.keys, k)
-		}
+	// evidence handed to synthesize is identical for every permutation of
+	// the inputs.
+	keys := make([]string, 0, len(m.sites))
+	for k := range m.sites {
+		keys = append(keys, k)
 	}
-	sort.Strings(m.keys)
-	clear(m.evidence)
-	for i, k := range m.keys {
-		ms := m.sites[k]
-		id := heap.SiteID(i + 1)
-		ms.ev.id = id
-		m.evidence[id] = &ms.ev
+	sort.Strings(keys)
+	sites := make([]*siteEvidence, len(keys))
+	for i, k := range keys {
+		ev := m.sites[k]
+		ev.id = heap.SiteID(i + 1)
+		sites[i] = ev
 	}
-	return synthesize(m.evidence, m.opts)
+	return synthesize(sites, m.opts)
 }

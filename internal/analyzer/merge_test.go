@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -192,9 +193,9 @@ func TestMergeLabelRules(t *testing.T) {
 	}
 }
 
-// TestAccumulatorEquivalence: a reused MergeAccumulator produces byte-
-// identical plans to one-shot MergeProfiles calls, merge after merge —
-// the parse cache and scratch reuse change cost, never content.
+// TestAccumulatorEquivalence: a MergeAccumulator reused through Reset
+// produces byte-identical plans to one-shot MergeProfiles calls, merge
+// after merge — nothing of an earlier fold leaks into a later one.
 func TestAccumulatorEquivalence(t *testing.T) {
 	opts := Options{App: "Cassandra", Workload: "WI"}
 	acc := NewMergeAccumulator(opts)
@@ -338,9 +339,41 @@ func TestMergeFleetPinned(t *testing.T) {
 	}
 }
 
-// BenchmarkMergeFleet times one steady-state fleet merge the way the plan
-// daemon runs it: a reused accumulator, Reset, every instance's evidence
-// added, one synthesis.
+// mergeRespelledSHA256 pins the merged plan of a fleet in which two
+// instances spell the shared site's locations non-canonically.
+const mergeRespelledSHA256 = "a64b56740386b5115a1b199538ff4eba8190c34ad4bed28a9f30638794b50542"
+
+// TestMergeNonCanonicalSpellings: a location spelled ":010" or ":+1"
+// parses to the same frame as its canonical spelling, but the fold keys
+// sites by the uploaded string, so each spelling stays its own site. The
+// merged plan renders every trace canonically: the shared site appears as
+// three SiteStats with one trace, all ending at one STTree leaf.
+func TestMergeNonCanonicalSpellings(t *testing.T) {
+	const canonical = "app.Main.main:1;app.Handler.call:10"
+	fleet := fleetEvidence(8, 12)
+	fleet[1].Sites[0].Trace = "app.Main.main:1;app.Handler.call:010"
+	fleet[2].Sites[0].Trace = "app.Main.main:+1;app.Handler.call:10"
+	merged := mustMerge(t, Options{}, fleet...)
+	n := 0
+	for _, s := range merged.Sites {
+		if s.Trace == canonical {
+			n++
+		}
+		if strings.Contains(s.Trace, ":0") || strings.Contains(s.Trace, "+") {
+			t.Fatalf("merged trace %q is not canonical", s.Trace)
+		}
+	}
+	if n != 3 {
+		t.Fatalf("%d SiteStats carry %q, want 3 (one per uploaded spelling)", n, canonical)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(profileJSON(t, merged))); got != mergeRespelledSHA256 {
+		t.Fatalf("respelled fleet merge hash = %s, pinned %s", got, mergeRespelledSHA256)
+	}
+}
+
+// BenchmarkMergeFleet times one fleet merge the way the plan daemon runs
+// it: a cold fold (Reset keeps nothing), every instance's evidence added,
+// one synthesis.
 func BenchmarkMergeFleet(b *testing.B) {
 	for _, c := range []struct{ instances, sites int }{{16, 64}, {32, 24}, {64, 64}} {
 		b.Run(fmt.Sprintf("%dx%d", c.instances, c.sites), func(b *testing.B) {

@@ -115,7 +115,7 @@ func (r *Replay) FinishSalvage(recordsDir string, opts Options) (*Profile, *Salv
 // synthesizes the profile.
 func (r *Replay) finish(w *evidenceWalk, opts Options) (*Profile, *SalvageReport, error) {
 	r.fill(&w.idx)
-	prof, err := synthesize(w.evidence, opts)
+	prof, err := synthesize(w.idx.sites, opts)
 	if err != nil {
 		return nil, w.rep, err
 	}

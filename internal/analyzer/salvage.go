@@ -123,9 +123,8 @@ func AnalyzeSalvage(recordsDir string, snaps []*snapshot.Snapshot, opts Options)
 // evidenceWalk is the first half of the evidence walk: the site table and
 // every site's recorded stream, read and salvaged.
 type evidenceWalk struct {
-	evidence map[heap.SiteID]*siteEvidence
-	idx      serialIndex
-	rep      *SalvageReport
+	idx serialIndex
+	rep *SalvageReport
 }
 
 // readEvidence loads the site table and every site's stream from
@@ -136,10 +135,7 @@ func readEvidence(recordsDir string) (*evidenceWalk, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &evidenceWalk{
-		evidence: make(map[heap.SiteID]*siteEvidence, len(table)),
-		rep:      &SalvageReport{Table: tsal},
-	}
+	w := &evidenceWalk{rep: &SalvageReport{Table: tsal}}
 	rep := w.rep
 	rep.fail(tsal.Err())
 	for _, sid := range sortedSites(table) {
@@ -153,7 +149,7 @@ func readEvidence(recordsDir string) (*evidenceWalk, error) {
 			continue
 		}
 		rep.fail(sal.Err())
-		addSiteEvidence(w.evidence, &w.idx, sid, table[sid], st)
+		ev := addSiteEvidence(&w.idx, sid, table[sid], st)
 		if sal.LostBytes == 0 && (sal.Complete || sal.Frames > 0) {
 			// Fully decoded — a live stream missing only its commit
 			// trailer is not damage. One without a single verified frame
@@ -168,7 +164,7 @@ func readEvidence(recordsDir string) (*evidenceWalk, error) {
 			// The whole site's surviving evidence is untrusted: taint it
 			// all, which synthesize and a later fleet merge read as
 			// below the floor.
-			w.evidence[sid].tainted = w.evidence[sid].total
+			ev.tainted = ev.total
 		}
 		rep.Sites = append(rep.Sites, loss)
 	}

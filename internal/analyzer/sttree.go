@@ -1,7 +1,10 @@
 package analyzer
 
 import (
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	"polm2/internal/heap"
 	"polm2/internal/jvm"
@@ -14,13 +17,15 @@ import (
 type Node struct {
 	Loc    jvm.CodeLoc
 	Parent *Node
-	// children is keyed by the child's code location.
+	// children is keyed by the child's code location; nil until the first
+	// child arrives, so leaves carry none.
 	children map[jvm.CodeLoc]*Node
-	// key is Loc rendered once, when the node is created; path is a leaf's
-	// root path rendered once, when the node becomes a leaf. Every sort of
-	// nodes compares these instead of rendering locations per comparison.
-	key  string
-	path string
+	// key is Loc rendered, a substring of the canonical trace string that
+	// created the node; trace is a leaf's canonical trace string, its root
+	// path without the trailing ";". Every sort of nodes compares these
+	// instead of rendering locations per comparison.
+	key   string
+	trace string
 	// IsLeaf marks allocation sites. A node can be both an interior
 	// call site and a leaf if a method allocates and calls on the same
 	// line; the engine never produces that, but the tree tolerates it.
@@ -28,9 +33,13 @@ type Node struct {
 	// Gen is the leaf's estimated target generation (leaf nodes only).
 	Gen int
 	// Sites lists the allocation sites (interned traces) ending at this
-	// leaf. Exactly one site ends at any leaf node, since a leaf node's
-	// root path is the trace itself.
+	// leaf. A leaf node's root path is the trace itself, so one site ends
+	// at it unless several sites share a trace (a fleet merge keeps each
+	// uploaded spelling of a trace its own site).
 	Sites []heap.SiteID
+	// sub summarizes the subtree rooted here for directive placement
+	// (summarize).
+	sub subtree
 }
 
 // Children returns the node's children ordered by rendered code location.
@@ -45,7 +54,7 @@ func (n *Node) Children() []*Node {
 
 // sortByKey orders nodes by rendered code location.
 func sortByKey(nodes []*Node) {
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].key < nodes[j].key })
+	slices.SortFunc(nodes, func(a, b *Node) int { return strings.Compare(a.key, b.key) })
 }
 
 // Tree is the stack-trace tree (STTree) of §3.3.
@@ -57,52 +66,74 @@ type Tree struct {
 // BuildTree merges the given traces into an STTree, attaching each trace's
 // estimated target generation to its leaf.
 func BuildTree(traces map[heap.SiteID]jvm.StackTrace, gens map[heap.SiteID]int) *Tree {
-	t := &Tree{roots: make(map[jvm.CodeLoc]*Node)}
 	ids := make([]heap.SiteID, 0, len(traces))
 	for id := range traces {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	t := &Tree{}
 	for _, id := range ids {
 		trace := traces[id]
-		if len(trace) == 0 {
-			continue
-		}
-		node := t.root(trace[0])
-		for _, loc := range trace[1:] {
-			node = node.child(loc)
-		}
-		if !node.IsLeaf {
-			node.IsLeaf = true
-			node.path = pathString(node)
-		}
-		node.Gen = gens[id]
-		node.Sites = append(node.Sites, id)
-		t.leaves = append(t.leaves, node)
+		t.add(id, trace, trace.String(), gens[id])
 	}
 	return t
 }
 
-func (t *Tree) root(loc jvm.CodeLoc) *Node {
-	n, ok := t.roots[loc]
-	if !ok {
-		n = &Node{Loc: loc, key: loc.String(), children: make(map[jvm.CodeLoc]*Node)}
-		t.roots[loc] = n
+// add inserts site id, allocating through trace with target generation
+// gen. rendered is trace.String(); every node the insertion creates takes
+// its key as a substring of it. Sites are added in ascending id order.
+func (t *Tree) add(id heap.SiteID, trace jvm.StackTrace, rendered string, gen int) {
+	if len(trace) == 0 {
+		return
 	}
-	return n
+	siblings, node := &t.roots, (*Node)(nil)
+	rest := rendered
+	for _, loc := range trace {
+		n := locLen(loc)
+		node = child(siblings, node, loc, rest[:n])
+		siblings = &node.children
+		rest = rest[min(n+1, len(rest)):]
+	}
+	if !node.IsLeaf {
+		node.IsLeaf = true
+		node.trace = rendered
+	}
+	node.Gen = gen
+	node.Sites = append(node.Sites, id)
+	t.leaves = append(t.leaves, node)
 }
 
-func (n *Node) child(loc jvm.CodeLoc) *Node {
-	c, ok := n.children[loc]
+// child returns parent's child at loc from *siblings (parent's children
+// map, or the roots), creating the node, and the map, on first arrival.
+func child(siblings *map[jvm.CodeLoc]*Node, parent *Node, loc jvm.CodeLoc, key string) *Node {
+	c, ok := (*siblings)[loc]
 	if !ok {
-		c = &Node{Loc: loc, key: loc.String(), Parent: n, children: make(map[jvm.CodeLoc]*Node)}
-		n.children[loc] = c
+		if *siblings == nil {
+			*siblings = make(map[jvm.CodeLoc]*Node)
+		}
+		c = &Node{Loc: loc, Parent: parent, key: key}
+		(*siblings)[loc] = c
 	}
 	return c
 }
 
+// locLen is len(loc.String()), computed without rendering.
+func locLen(loc jvm.CodeLoc) int {
+	var line [20]byte
+	return len(loc.Class) + len(loc.Method) + 2 + len(strconv.AppendInt(line[:0], int64(loc.Line), 10))
+}
+
+// renderedLen is len(trace.String()), computed without rendering.
+func renderedLen(trace jvm.StackTrace) int {
+	n := len(trace) - 1
+	for _, loc := range trace {
+		n += locLen(loc)
+	}
+	return n
+}
+
 // Leaves returns all leaf nodes in deterministic order: by rendered code
-// location, then by rendered root path.
+// location, then by rendered root path ("root;...;leaf;").
 func (t *Tree) Leaves() []*Node {
 	out := make([]*Node, len(t.leaves))
 	copy(out, t.leaves)
@@ -110,9 +141,26 @@ func (t *Tree) Leaves() []*Node {
 		if out[i].Loc != out[j].Loc {
 			return out[i].key < out[j].key
 		}
-		return out[i].path < out[j].path
+		return pathLess(out[i].trace, out[j].trace)
 	})
 	return out
+}
+
+// pathLess reports whether root path a+";" sorts before b+";" without
+// building either: where one trace is a prefix of the other, the shorter
+// one's ";" meets the longer one's next byte.
+func pathLess(a, b string) bool {
+	n := min(len(a), len(b))
+	if a[:n] != b[:n] {
+		return a < b
+	}
+	next := func(s string) byte {
+		if len(s) == n {
+			return ';'
+		}
+		return s[n]
+	}
+	return next(a) < next(b)
 }
 
 // Roots returns the root nodes ordered by rendered code location.
@@ -123,23 +171,6 @@ func (t *Tree) Roots() []*Node {
 	}
 	sortByKey(out)
 	return out
-}
-
-// pathString renders n's root path as "root;...;n;", each location in its
-// Class.Method:Line form.
-func pathString(n *Node) string {
-	size := 0
-	for cur := n; cur != nil; cur = cur.Parent {
-		size += len(cur.key) + 1
-	}
-	b := make([]byte, size)
-	for cur := n; cur != nil; cur = cur.Parent {
-		size--
-		b[size] = ';'
-		size -= len(cur.key)
-		copy(b[size:], cur.key)
-	}
-	return string(b)
 }
 
 // ConflictGroup is a set of leaves sharing one code location but carrying

@@ -38,7 +38,7 @@ func randomTraces(rng *rand.Rand) (map[heap.SiteID]jvm.StackTrace, map[heap.Site
 func leafPaths(tr *Tree) []string {
 	var out []string
 	for _, l := range tr.Leaves() {
-		out = append(out, fmt.Sprintf("%s gen=%d sites=%v", pathString(l), l.Gen, l.Sites))
+		out = append(out, fmt.Sprintf("%s gen=%d sites=%v", l.trace, l.Gen, l.Sites))
 	}
 	return out
 }
@@ -126,7 +126,7 @@ func FuzzSTTreeConflicts(f *testing.F) {
 		for _, g := range groups {
 			for _, l := range g.Leaves {
 				if seen[l] != 1 {
-					t.Fatalf("leaf %s appears %d times in resolution output", pathString(l), seen[l])
+					t.Fatalf("leaf %s appears %d times in resolution output", l.trace, seen[l])
 				}
 				delete(seen, l)
 			}
@@ -147,7 +147,7 @@ func FuzzSTTreeConflicts(f *testing.F) {
 				}
 			}
 			if !found {
-				t.Fatalf("anchor %v is not an ancestor of leaf %s", r.Anchor.Loc, pathString(r.Leaf))
+				t.Fatalf("anchor %v is not an ancestor of leaf %s", r.Anchor.Loc, r.Leaf.trace)
 			}
 			if gen, ok := anchorGen[r.Anchor.Loc]; ok && gen != r.Leaf.Gen {
 				t.Fatalf("anchor location %v serves generations %d and %d", r.Anchor.Loc, gen, r.Leaf.Gen)

@@ -260,3 +260,35 @@ func TestTreeOrderMatchesRenderedOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestLeafOrderAtPathSeparator pins Leaves() to root-path order with the
+// trailing separator: the second trace's second frame parses as class
+// "L.l:1", method "z", so its path "P.p:1;L.l:1.z:2;L.l:1;" sorts before
+// "P.p:1;L.l:1;" ('.' < ';') although the first trace's bare string is a
+// prefix of the second's.
+func TestLeafOrderAtPathSeparator(t *testing.T) {
+	traces := make(map[heap.SiteID]jvm.StackTrace)
+	for i, s := range []string{"P.p:1;L.l:1", "P.p:1;L.l:1.z:2;L.l:1"} {
+		tr, err := jvm.ParseStackTrace(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces[heap.SiteID(i+1)] = tr
+	}
+	tree := BuildTree(traces, map[heap.SiteID]int{1: 1, 2: 2})
+	leaves := tree.Leaves()
+	if len(leaves) != 2 || leaves[0].Sites[0] != 2 || leaves[1].Sites[0] != 1 {
+		t.Fatalf("leaf order = %v, want site 2 then site 1", leafSites(leaves))
+	}
+	if n := len(tree.DetectConflicts()); n != 1 {
+		t.Fatalf("conflicts = %d, want 1", n)
+	}
+}
+
+func leafSites(leaves []*Node) [][]heap.SiteID {
+	out := make([][]heap.SiteID, len(leaves))
+	for i, l := range leaves {
+		out[i] = l.Sites
+	}
+	return out
+}

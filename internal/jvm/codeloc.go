@@ -91,14 +91,16 @@ func ParseStackTrace(s string) (StackTrace, error) {
 	if s == "" {
 		return nil, fmt.Errorf("jvm: empty stack trace")
 	}
-	parts := strings.Split(s, ";")
-	st := make(StackTrace, len(parts))
-	for i, p := range parts {
-		loc, err := ParseCodeLoc(p)
+	// The trace slice is the parse's one allocation: each frame's class
+	// and method are substrings of s.
+	st := make(StackTrace, strings.Count(s, ";")+1)
+	for i := range st {
+		frame, rest, _ := strings.Cut(s, ";")
+		loc, err := ParseCodeLoc(frame)
 		if err != nil {
 			return nil, fmt.Errorf("jvm: stack trace frame %d: %w", i, err)
 		}
-		st[i] = loc
+		st[i], s = loc, rest
 	}
 	return st, nil
 }

@@ -195,8 +195,8 @@ type Server struct {
 // precomputed so the conditional-fetch fast path can assign them into the
 // response header map without allocating.
 type cachedPlan struct {
-	etag       string   // quoted SHA-256 of file
-	file       []byte   // the plan file's bytes; a rollout document embeds them
+	etag       string   // quoted SHA-256 of the plan file
+	file       []byte   // the plan file's bytes, for a rollout document to embed; nil with rollout off
 	body       []byte   // the served projection: file's profile without Sites
 	etagHeader []string // {etag}
 	lenHeader  []string // {strconv.Itoa(len(body))}
@@ -306,6 +306,18 @@ func newCachedPlan(p *analyzer.Profile, file []byte) (*cachedPlan, error) {
 	}, nil
 }
 
+// cachePlan is newCachedPlan for a plan the daemon publishes. A rollout
+// document is the one reader of the plan file's bytes, so with rollout off
+// the plan keeps only what it serves: the body and the ETag computed over
+// the file.
+func (s *Server) cachePlan(p *analyzer.Profile, file []byte) (*cachedPlan, error) {
+	c, err := newCachedPlan(p, file)
+	if err == nil && s.ro == nil {
+		c.file = nil
+	}
+	return c, err
+}
+
 // queryParam extracts the first value of key from a raw query string
 // without materializing a url.Values map: the plan fetch path runs for
 // every poll of every fleet instance, and the generic parser's per-request
@@ -377,7 +389,7 @@ func (s *Server) loadPlanLocked(sh *shard) error {
 	if err != nil {
 		return err
 	}
-	c, err := newCachedPlan(p, nil)
+	c, err := s.cachePlan(p, nil)
 	if err != nil {
 		return err
 	}

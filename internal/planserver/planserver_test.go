@@ -712,3 +712,105 @@ func TestServedPlanIsProjection(t *testing.T) {
 		t.Fatalf("plan_load_total = %d after a cold fetch, want 1", got)
 	}
 }
+
+// TestPublishedPlanKeepsOnlyServedBody: with rollout off a published plan
+// holds its served body and ETag but not the plan file's bytes, and both
+// still derive from the file in the store; with rollout on, whose
+// documents embed plan files, a restart restores the stable and candidate
+// plans byte-identical.
+func TestPublishedPlanKeepsOnlyServedBody(t *testing.T) {
+	store, err := profilestore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(store, Options{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	for _, wl := range []string{"WI", "RI"} {
+		for i := 0; i < 4; i++ {
+			resp := postEvidence(t, ts.URL, fmt.Sprintf("inst-%d", i), evidence("Cassandra", wl,
+				site("Main.run:10;Db.put:5", 5, uint64(95+i)), site(fmt.Sprintf("Main.run:%d;Log.add:7", 11+i), 90, 10)))
+			resp.Body.Close()
+		}
+	}
+	srv.Flush()
+	published := 0
+	srv.eachShard(func(sh *shard) {
+		if sh.plan == nil {
+			t.Fatalf("%s: no plan published after Flush", sh.key)
+		}
+		published++
+		if sh.plan.file != nil {
+			t.Fatalf("%s: the published plan keeps %d plan file bytes with rollout off", sh.key, len(sh.plan.file))
+		}
+		files, err := filepath.Glob(filepath.Join(store.Dir(), sh.key.App+"__"+sh.key.Workload+"-*.profile.json"))
+		if err != nil || len(files) != 1 {
+			t.Fatalf("%s: plan files = %v, %v", sh.key, files, err)
+		}
+		file, err := os.ReadFile(files[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("%q", fmt.Sprintf("%x", sha256.Sum256(file))); sh.plan.etag != want {
+			t.Fatalf("%s: ETag %s, want the stored plan file's %s", sh.key, sh.plan.etag, want)
+		}
+		var p analyzer.Profile
+		if err := json.Unmarshal(file, &p); err != nil {
+			t.Fatal(err)
+		}
+		p.Sites = nil
+		want, err := profilestore.Encode(&p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sh.plan.body, want) {
+			t.Fatalf("%s: body is not the plan file's projection:\n%s\nwant\n%s", sh.key, sh.plan.body, want)
+		}
+	})
+	if published != 2 {
+		t.Fatalf("%d keys published, want 2", published)
+	}
+	resp, body := fetchPlan(t, ts.URL, "Cassandra", "RI", "")
+	srv.peekShard(profilestore.Key{App: "Cassandra", Workload: "RI"}, func(sh *shard) {
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(body, sh.plan.body) || resp.Header.Get("ETag") != sh.plan.etag {
+			t.Fatalf("fetch = %d %s %s, want 200 with the published body under %s", resp.StatusCode, resp.Header.Get("ETag"), body, sh.plan.etag)
+		}
+	})
+
+	// Rollout on: a second merge opens a canary, and a restarted daemon
+	// restores both plans from the rollout document.
+	rstore, err := profilestore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	withRollout := Options{Executor: inline, Rollout: &rollout.Config{}}
+	key := profilestore.Key{App: "Cassandra", Workload: "WI"}
+	first := New(rstore, withRollout)
+	ts1 := httptest.NewServer(first)
+	defer ts1.Close()
+	postEvidence(t, ts1.URL, "inst-1", evidence("Cassandra", "WI", site("Main.run:10;Db.put:5", 5, 95))).Body.Close()
+	postEvidence(t, ts1.URL, "inst-2", evidence("Cassandra", "WI", site("Main.run:10;Db.put:5", 90, 10))).Body.Close()
+	var stable, cand cachedPlan
+	first.peekShard(key, func(sh *shard) {
+		if sh.plan == nil || sh.cand == nil || len(sh.plan.file) == 0 || len(sh.cand.file) == 0 {
+			t.Fatal("rollout daemon holds no stable and candidate plan files after two merges")
+		}
+		stable, cand = *sh.plan, *sh.cand
+	})
+	restarted := New(rstore, withRollout)
+	ts2 := httptest.NewServer(restarted)
+	defer ts2.Close()
+	if resp, _ := fetchPlan(t, ts2.URL, "Cassandra", "WI", ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("restarted fetch = %d", resp.StatusCode)
+	}
+	restarted.peekShard(key, func(sh *shard) {
+		for _, c := range []struct {
+			what      string
+			got, want *cachedPlan
+		}{{"stable", sh.plan, &stable}, {"candidate", sh.cand, &cand}} {
+			if c.got == nil || c.got.etag != c.want.etag || !bytes.Equal(c.got.file, c.want.file) || !bytes.Equal(c.got.body, c.want.body) {
+				t.Fatalf("restored %s plan differs from the one published before the restart", c.what)
+			}
+		}
+	})
+}

@@ -62,7 +62,8 @@ type shard struct {
 	stamps map[string]profilestore.Stamp
 	sum    profilestore.KeySum
 
-	// plan is the encoded, content-addressed fleet plan being served. A
+	// plan is the encoded, content-addressed fleet plan being served: its
+	// body and ETag, and its plan file only with rollout on (cachePlan). A
 	// cold cache is filled from the store under mu (loadPlanLocked), so a
 	// merge publish can never interleave with a load.
 	plan *cachedPlan
@@ -77,13 +78,6 @@ type shard struct {
 	// lastErr is the most recent merge failure. A successful pass clears
 	// it, so while it is set it covered mergedGen: the latest backlog.
 	lastErr error
-
-	// acc is the reusable merge accumulator (parsed traces and fold
-	// state survive across merges of this key); inputs is the worker's
-	// snapshot scratch. Both are touched only by the shard's single
-	// worker, which never overlaps itself.
-	acc    *analyzer.MergeAccumulator
-	inputs []*analyzer.Profile
 
 	// instGauge is this key's evidence_instances gauge, resolved lazily on
 	// the first accepted document (so plan probes for unknown keys never
@@ -363,22 +357,20 @@ func (sh *shard) drain(s *Server) {
 	sh.mu.Lock()
 	for sh.mergedGen < sh.dirty {
 		target := sh.dirty
-		if sh.acc == nil {
-			sh.acc = analyzer.NewMergeAccumulator(analyzer.Options{App: sh.key.App, Workload: sh.key.Workload})
-		}
-		acc := sh.acc
 		// Snapshot the inputs: profiles are immutable once accepted, so
 		// the merge runs without the shard lock and uploads (including
 		// replacements of the very pointers being read) proceed freely.
-		sh.inputs = sh.inputs[:0]
+		inputs := make([]*analyzer.Profile, 0, len(sh.evidence))
 		for _, p := range sh.evidence {
-			sh.inputs = append(sh.inputs, p)
+			inputs = append(inputs, p)
 		}
-		inputs := sh.inputs
 		sh.mu.Unlock()
 
+		// Nothing the merge builds outlives this pass: the fold, its
+		// parsed traces and the merged profile are garbage once the plan
+		// is published.
 		start := s.opts.Now()
-		acc.Reset()
+		acc := analyzer.NewMergeAccumulator(analyzer.Options{App: sh.key.App, Workload: sh.key.Workload})
 		var err error
 		for _, p := range inputs {
 			if err = acc.Add(p); err != nil {
@@ -397,7 +389,7 @@ func (sh *shard) drain(s *Server) {
 			// without a rebuild. Its bytes are what the ETag addresses.
 			var file []byte
 			if file, err = s.store.PutBytes(merged); err == nil {
-				c, err = newCachedPlan(merged, file)
+				c, err = s.cachePlan(merged, file)
 			}
 		}
 		s.mergeLatency.Observe(s.opts.Now() - start)
