@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"polm2/internal/analyzer"
@@ -185,6 +188,69 @@ func TestProfilesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "profiles.golden", buf.Bytes())
+}
+
+// TestProfilesListsEvidenceOnlyKeys: a key a daemon only ever merged has
+// no seed file, and is listed from its evidence.
+func TestProfilesListsEvidenceOnlyKeys(t *testing.T) {
+	dir := t.TempDir()
+	store, err := profilestore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range []uint64{9000, 500} {
+		ev := &analyzer.Profile{App: "Cassandra", Workload: "WI", Sites: []analyzer.SiteStat{
+			{Trace: "S.serve:1;Memtable.put:10", Allocated: n, Buckets: []uint64{n / 10, n - n/10}},
+		}}
+		if err := store.PutEvidenceStamped(fmt.Sprintf("inst-%d", i), profilestore.Stamp{Seq: 1, Origin: "d"}, ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := showProfiles(&buf, dir); err != nil {
+		t.Fatal(err)
+	}
+	if out := buf.String(); !strings.Contains(out, "Cassandra/WI ") || !strings.Contains(out, " 9500 ") || !strings.HasSuffix(out, "1 profiles\n") {
+		t.Fatalf("listing misses the evidence-only key:\n%s", out)
+	}
+}
+
+// TestPlanPrintsStoredPlan: polm2-inspect plan prints the store's plan for
+// the key in the store's encoding, the bytes a daemon's ETag addresses.
+func TestPlanPrintsStoredPlan(t *testing.T) {
+	dir := t.TempDir()
+	store, err := profilestore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range []uint64{100, 50} {
+		ev := &analyzer.Profile{App: "Cassandra", Workload: "WI", Sites: []analyzer.SiteStat{
+			{Trace: "S.serve:1;Memtable.put:10", Allocated: n, Buckets: []uint64{n / 10, n - n/10}},
+		}}
+		if err := store.PutEvidenceStamped(fmt.Sprintf("inst-%d", i), profilestore.Stamp{}, ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := showPlan(&buf, dir, "Cassandra/WI"); err != nil {
+		t.Fatal(err)
+	}
+	p, err := store.Get("Cassandra", "WI")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := profilestore.Encode(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) || len(p.Sites) != 1 || p.Sites[0].Allocated != 150 {
+		t.Fatalf("plan printed\n%s\nwant the 150-allocation merge\n%s", buf.Bytes(), want)
+	}
+	for _, key := range []string{"Cassandra", "/WI", "Cassandra/RI"} {
+		if err := showPlan(io.Discard, dir, key); err == nil {
+			t.Errorf("plan %q printed a plan", key)
+		}
+	}
 }
 
 // TestRolloutGolden pins the rollout state view. The store is rebuilt from

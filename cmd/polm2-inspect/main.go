@@ -9,6 +9,7 @@
 //	polm2-inspect diff old.json new.json     # directive-level diff
 //	polm2-inspect snapshots ./images         # decode a snapshot image dir
 //	polm2-inspect profiles ./profiles        # list a profile repository
+//	polm2-inspect plan ./profiles Cassandra/WI  # one key's plan, as the daemon hashes it
 //	polm2-inspect rollout ./profiles         # canary rollout state per key
 //	polm2-inspect sync ./profiles            # replication stamps per evidence doc
 //	polm2-inspect trace trace.jsonl          # summarize a trace file
@@ -26,6 +27,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"polm2/internal/analyzer"
@@ -39,7 +41,7 @@ func main() {
 }
 
 func usage() int {
-	fmt.Fprintln(os.Stderr, "usage: polm2-inspect <profile|tree|dot|diff|snapshots|profiles|rollout|sync|trace|verify> <args...>")
+	fmt.Fprintln(os.Stderr, "usage: polm2-inspect <profile|tree|dot|diff|snapshots|profiles|plan|rollout|sync|trace|verify> <args...>")
 	return 2
 }
 
@@ -66,6 +68,11 @@ func run() int {
 		err = showSnapshots(os.Stdout, args[1])
 	case "profiles":
 		err = showProfiles(os.Stdout, args[1])
+	case "plan":
+		if len(args) < 3 {
+			return usage()
+		}
+		err = showPlan(os.Stdout, args[1], args[2])
 	case "rollout":
 		err = showRollout(os.Stdout, args[1])
 	case "sync":
@@ -184,8 +191,9 @@ func diffProfiles(oldPath, newPath string) error {
 }
 
 // showProfiles lists a profile repository (profilestore.Store): one line
-// per (app, workload) key with the plan shape and the evidence behind it —
-// the view an operator wants of a polm2d daemon's store.
+// per (app, workload) key with a seed or evidence, showing the key's plan
+// shape and the evidence behind it — the view an operator wants of a
+// polm2d daemon's store.
 func showProfiles(w io.Writer, dir string) error {
 	store, err := profilestore.Open(dir)
 	if err != nil {
@@ -216,6 +224,31 @@ func showProfiles(w io.Writer, dir string) error {
 	}
 	fmt.Fprintf(w, "%d profiles\n", len(keys))
 	return nil
+}
+
+// showPlan prints one key's plan as the store defines it — the merge of
+// its evidence, or its seed — in the store's encoding: compact JSON and a
+// newline, per-site evidence included. Its SHA-256 is the ETag a polm2d
+// daemon over the same store serves the plan under.
+func showPlan(w io.Writer, dir, key string) error {
+	app, workload, ok := strings.Cut(key, "/")
+	if !ok || app == "" || workload == "" {
+		return fmt.Errorf("plan: key %q is not app/workload", key)
+	}
+	store, err := profilestore.Open(dir)
+	if err != nil {
+		return err
+	}
+	p, err := store.Get(app, workload)
+	if err != nil {
+		return err
+	}
+	data, err := profilestore.Encode(p)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(data)
+	return err
 }
 
 // showRollout lists the persisted canary-rollout controller state for
@@ -286,10 +319,11 @@ func showSync(w io.Writer, dir string) error {
 	if err != nil {
 		return err
 	}
-	keys, err := store.EvidenceKeys()
-	if err != nil {
-		return err
+	keys := make([]profilestore.Key, 0, len(all))
+	for k := range all {
+		keys = append(keys, k)
 	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
 	if len(keys) == 0 {
 		fmt.Fprintln(w, "no evidence documents found")
 		return nil

@@ -9,7 +9,7 @@
 //
 //	polm2d -addr 127.0.0.1:7468 -store ./profiles
 //	polm2d -addr 127.0.0.1:0 -store ./profiles          # random port
-//	polm2d -store ./profiles -faults 'seed=7;missing:*.profile.json'
+//	polm2d -store ./profiles -faults 'seed=7;missing:*.evidence.json'
 //	polm2d -store ./profiles -trace trace.jsonl         # also log spans to disk
 //	polm2d -store ./profiles -rollout                   # canary new plans before publishing
 //
@@ -79,7 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		addr      = fs.String("addr", "127.0.0.1:7468", "TCP listen address (port 0 picks a free port)")
 		storeDir  = fs.String("store", "profiles", "profile repository directory (created if missing)")
-		faultSpec = fs.String("faults", "", "inject I/O faults into the store's writes (faultio spec, e.g. 'seed=7;missing:*.profile.json')")
+		faultSpec = fs.String("faults", "", "inject I/O faults into the store's writes (faultio spec, e.g. 'seed=7;missing:*.evidence.json')")
 		traceOut  = fs.String("trace", "", "append every trace record to this JSONL file (the in-memory /tracez ring is always on)")
 		ringSize  = fs.Int("trace-ring", 0, "trace ring capacity in records (default 4096)")
 
@@ -224,8 +224,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "polm2d: shutdown: %v\n", err)
 			return 1
 		}
-		// Merges coalesce asynchronously behind uploads; drain them so the
-		// store's plan files cover every upload the fleet got a 200 for.
+		// Merges coalesce asynchronously behind uploads; settle the pending
+		// ones so no merge is left in flight and, with -rollout, every
+		// key's rollout document records the last merge's verdict.
 		ps.Flush()
 	}
 	if flushTrace != nil {

@@ -372,11 +372,25 @@ func TestSteadyStateNoDiskReads(t *testing.T) {
 		t.Fatalf("steady-state new instance = %d", resp.StatusCode)
 	}
 
-	if resp2, _ := fetchPlan(t, ts.URL, "Cassandra", "WI", ""); resp2.StatusCode != http.StatusOK {
+	resp2, _ := fetchPlan(t, ts.URL, "Cassandra", "WI", "")
+	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("fetch = %d", resp2.StatusCode)
 	}
-	if total := storedAllocated(t, store, "Cassandra", "WI"); total != 300+200+50 {
-		t.Fatalf("merged allocated = %d, want 550 (inst-0 replaced + inst-1 cached + inst-2 new)", total)
+	// The store's log lost inst-1, so the served plan is checked against
+	// an independent merge: inst-0 replaced + inst-1 cached + inst-2 new.
+	want, err := profilestore.Plan(profilestore.Key{App: "Cassandra", Workload: "WI"},
+		evidence("Cassandra", "WI", site(trace, 75, 225)),
+		evidence("Cassandra", "WI", site(trace, 50, 150)),
+		evidence("Cassandra", "WI", site(trace, 10, 40)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := profilestore.Encode(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := resp2.Header.Get("ETag"); got != etagOf(full) {
+		t.Fatalf("served %s, want the merge of all three instances' latest evidence %s", got, etagOf(full))
 	}
 	if got := srv.Metrics().Counter("evidence_load_total").Value(); got != 1 {
 		t.Fatalf("evidence_load_total = %d, want 1 — steady-state uploads must not read the store's evidence log", got)
@@ -388,12 +402,12 @@ func TestSteadyStateNoDiskReads(t *testing.T) {
 	}
 }
 
-// TestPlanRebuildFromEvidence: the plan file is a convenience copy and the
-// evidence log the durable truth — with the plan file gone (lost publish,
-// partial restore), a cold fetch rebuilds the identical plan through the
-// merge pipeline and re-persists it.
+// TestPlanRebuildFromEvidence: a key's plan is the merge of its evidence,
+// so the daemon writes no plan file, and a fresh daemon's cold fetch
+// rebuilds the identical plan through the merge pipeline — the plan the
+// store's Get defines.
 func TestPlanRebuildFromEvidence(t *testing.T) {
-	_, ts, store := newTestServer(t)
+	srv, ts, store := newTestServer(t)
 	resp := postEvidence(t, ts.URL, "inst-1", evidence("Cassandra", "WI",
 		site("Main.run:10;Db.put:5", 5, 95)))
 	io.Copy(io.Discard, resp.Body)
@@ -402,29 +416,72 @@ func TestPlanRebuildFromEvidence(t *testing.T) {
 		site("Main.run:10;Db.put:5", 10, 40)))
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	wantTag := resp.Header.Get("ETag")
-	if wantTag == "" {
-		t.Fatal("upload response missing ETag")
+	srv.Flush()
+	noPlanFiles(t, store)
+	wantTag := etagOf(storedPlan(t, store, "Cassandra", "WI"))
+	if got := resp.Header.Get("ETag"); got != wantTag {
+		t.Fatalf("upload served %s, want the stored plan's %s", got, wantTag)
 	}
-	if err := store.Delete("Cassandra", "WI"); err != nil {
-		t.Fatal(err)
+	if got := storedSites(t, store, "Cassandra", "WI"); len(got) != 1 || got[0].Allocated != 150 {
+		t.Fatalf("stored plan = %+v, want the 150-allocation merge", got)
 	}
 
-	// A fresh daemon over the plan-less store: the cold fetch must serve
-	// the merge of the surviving evidence, not a 404.
+	// A fresh daemon over the same store: the cold fetch serves the merge
+	// of the evidence, not a 404.
 	srv2 := New(store, Options{Executor: inline})
 	ts2 := httptest.NewServer(srv2)
 	defer ts2.Close()
 	resp2, _ := fetchPlan(t, ts2.URL, "Cassandra", "WI", "")
 	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("cold fetch after plan loss = %d, want 200 (rebuild from evidence)", resp2.StatusCode)
+		t.Fatalf("cold fetch = %d, want 200 (rebuild from evidence)", resp2.StatusCode)
 	}
 	if got := resp2.Header.Get("ETag"); got != wantTag {
 		t.Fatalf("rebuilt plan ETag %s, want %s", got, wantTag)
 	}
-	// The rebuild re-persisted the plan file, evidence and all.
-	if got := storedSites(t, store, "Cassandra", "WI"); len(got) != 1 || got[0].Allocated != 150 {
-		t.Fatalf("rebuilt plan = %+v, want the 150-allocation merge", got)
+	srv2.Flush()
+	noPlanFiles(t, store)
+}
+
+// TestColdLoadPrefersEvidenceOverStalePlanFile: a store written by an
+// older daemon holds evidence beside a plan file that may be stale. A
+// fresh daemon serves the merge of the evidence and never the file.
+func TestColdLoadPrefersEvidenceOverStalePlanFile(t *testing.T) {
+	store, err := profilestore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := evidence("Cassandra", "WI", site("Main.run:10;Db.put:5", 5, 95))
+	b := evidence("Cassandra", "WI", site("Main.run:10;Db.put:5", 80, 20), site("Main.run:10;Log.add:7", 3, 7))
+	for i, p := range []*analyzer.Profile{a, b} {
+		if err := store.PutEvidenceStamped(fmt.Sprintf("inst-%d", i), profilestore.Stamp{Seq: 1, Origin: "old"}, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stale, err := analyzer.MergeProfiles(analyzer.Options{App: "Cassandra", Workload: "WI"}, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put(stale); err != nil {
+		t.Fatal(err)
+	}
+	both, err := analyzer.MergeProfiles(analyzer.Options{App: "Cassandra", Workload: "WI"}, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := profilestore.Encode(both)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	srv := New(store, Options{Executor: inline})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	resp, _ := fetchPlan(t, ts.URL, "Cassandra", "WI", "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cold fetch = %d", resp.StatusCode)
+	}
+	if got := resp.Header.Get("ETag"); got != etagOf(full) {
+		t.Fatalf("cold fetch served %s, want the merge of both instances %s", got, etagOf(full))
 	}
 }
 

@@ -5,10 +5,10 @@
 // evidence and folding it into one fleet-wide plan per (application,
 // workload).
 //
-// The store's plan file is the full merged profile, per-site evidence
-// included; the wire format is that profile's compact JSON without the
-// evidence (Sites), which is all an instance installs (§3.5). Plan
-// versions are content-addressed ETags — SHA-256 of the plan file, so one
+// A key's plan is the merge of its evidence (profilestore.Plan), per-site
+// evidence included; the wire format is its compact JSON without the
+// evidence (Sites), which is all an instance installs (§3.5). Plan versions
+// are content-addressed ETags — SHA-256 of the full plan's encoding, so one
 // version names one merge and one served body — and clients poll cheaply
 // with If-None-Match: a fleet of N instances converges on one plan without
 // the daemon tracking any per-client state.
@@ -195,9 +195,9 @@ type Server struct {
 // precomputed so the conditional-fetch fast path can assign them into the
 // response header map without allocating.
 type cachedPlan struct {
-	etag       string   // quoted SHA-256 of the plan file
-	file       []byte   // the plan file's bytes, for a rollout document to embed; nil with rollout off
-	body       []byte   // the served projection: file's profile without Sites
+	etag       string   // quoted SHA-256 of full
+	full       []byte   // the full plan's encoding, for a rollout document to embed; nil with rollout off
+	body       []byte   // the served projection: full's profile without Sites
 	etagHeader []string // {etag}
 	lenHeader  []string // {strconv.Itoa(len(body))}
 }
@@ -272,34 +272,34 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
 // Flush blocks until every accepted upload is covered by a published plan
-// (or by a recorded merge failure). The daemon calls it on shutdown so
-// the store's plan files reflect the last uploads the fleet delivered;
-// tests call it to quiesce the pipeline before asserting.
+// (or by a recorded merge failure): no merge is left pending and, with
+// rollout on, every key's rollout document records the last merge. The
+// daemon calls it on shutdown; tests call it to quiesce the pipeline.
 func (s *Server) Flush() {
 	s.eachShard(func(sh *shard) {
 		s.awaitCovered(sh, sh.dirty) //nolint:errcheck // merge failures are recorded per shard; Flush is best-effort
 	})
 }
 
-// newCachedPlan caches profile p, whose plan file bytes are file (nil:
-// p's encoding as profilestore.PutBytes writes it). The ETag
-// content-addresses the file, and the served body is p without its
-// per-site evidence, in the same compact-JSON-and-newline form.
-func newCachedPlan(p *analyzer.Profile, file []byte) (*cachedPlan, error) {
+// newCachedPlan caches profile p, whose full encoding is full (nil: p's
+// profilestore.Encode). The ETag content-addresses the full encoding, and
+// the served body is p without its per-site evidence, in the same
+// compact-JSON-and-newline form.
+func newCachedPlan(p *analyzer.Profile, full []byte) (*cachedPlan, error) {
 	wire := *p
 	wire.Sites = nil
 	body, err := profilestore.Encode(&wire)
-	if err == nil && file == nil {
-		file, err = profilestore.Encode(p)
+	if err == nil && full == nil {
+		full, err = profilestore.Encode(p)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("planserver: encoding plan: %w", err)
 	}
-	sum := sha256.Sum256(file)
+	sum := sha256.Sum256(full)
 	etag := fmt.Sprintf("%q", fmt.Sprintf("%x", sum))
 	return &cachedPlan{
 		etag:       etag,
-		file:       file,
+		full:       full,
 		body:       body,
 		etagHeader: []string{etag},
 		lenHeader:  []string{strconv.Itoa(len(body))},
@@ -307,13 +307,13 @@ func newCachedPlan(p *analyzer.Profile, file []byte) (*cachedPlan, error) {
 }
 
 // cachePlan is newCachedPlan for a plan the daemon publishes. A rollout
-// document is the one reader of the plan file's bytes, so with rollout off
-// the plan keeps only what it serves: the body and the ETag computed over
-// the file.
-func (s *Server) cachePlan(p *analyzer.Profile, file []byte) (*cachedPlan, error) {
-	c, err := newCachedPlan(p, file)
+// document is the one reader of the full encoding, so with rollout off the
+// plan keeps only what it serves: the body and the ETag computed over the
+// full encoding.
+func (s *Server) cachePlan(p *analyzer.Profile) (*cachedPlan, error) {
+	c, err := newCachedPlan(p, nil)
 	if err == nil && s.ro == nil {
-		c.file = nil
+		c.full = nil
 	}
 	return c, err
 }
@@ -366,36 +366,36 @@ func refuse(w http.ResponseWriter, rejected *metrics.Counter, msg string) string
 	return "rejected"
 }
 
-// loadPlanLocked fills the shard's empty plan cache from the store (caller
-// holds sh.mu, so concurrent cold fetches share one load and no merge can
-// publish between the read and the install). A store with no plan file
-// but surviving evidence — the async publish lost a race with a crash, or
-// an operator copied only the evidence log — rebuilds the plan instead of
-// reporting a miss: a synthetic generation goes through the merge pipeline
-// and the load waits for it to publish. The evidence log is authoritative,
-// the plan file a convenience copy. ErrNotFound means the key genuinely
-// has no plan.
+// loadPlanLocked fills the shard's empty plan cache (caller holds sh.mu,
+// so concurrent cold fetches share one load and no merge can publish
+// between the read and the install). A shard holding evidence rebuilds
+// its plan: a synthetic generation goes through the merge pipeline and the
+// load waits for it to publish. A shard without evidence serves the key's
+// seed through the store. ErrNotFound means there is no plan to serve.
 func (s *Server) loadPlanLocked(sh *shard) error {
 	s.loads.Inc()
-	p, err := s.store.Get(sh.key.App, sh.key.Workload)
-	if errors.Is(err, profilestore.ErrNotFound) && len(sh.evidence) > 0 {
+	if len(sh.evidence) > 0 {
 		if sh.dirty == sh.mergedGen {
 			sh.dirty++
 		}
-		if werr := s.awaitCovered(sh, sh.dirty); werr != nil || sh.plan != nil {
-			return werr
+		if err := s.awaitCovered(sh, sh.dirty); err != nil || sh.plan != nil {
+			return err
 		}
+		// Rollout mode staged the rebuild as a candidate beside a stable
+		// plan its rollout document no longer holds.
+		return fmt.Errorf("%w: %s has no stable plan to serve", profilestore.ErrNotFound, sh.key)
 	}
+	p, err := s.store.Get(sh.key.App, sh.key.Workload)
 	if err != nil {
 		return err
 	}
-	c, err := s.cachePlan(p, nil)
+	c, err := s.cachePlan(p)
 	if err != nil {
 		return err
 	}
 	sh.plan = c
 	if s.ro != nil && sh.roll.StableETag() == "" {
-		// Rollout mode, no prior rollout history: publishing the stored plan
+		// Rollout mode, no prior rollout history: publishing the seed
 		// adopts it as the stable baseline, so the next merge canaries
 		// against it rather than replacing it fleet-wide.
 		s.publishLocked(sh, c) //nolint:errcheck // healed by the next merge's persist

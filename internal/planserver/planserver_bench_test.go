@@ -155,8 +155,8 @@ func (t handlerTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 // key (16 instances' evidence, 64 sites each): the handler's answer and
 // the instance's decode and validation through fleetclient, each
 // iteration a fresh client so no If-None-Match turns it into a 304.
-// body_B/op is the served body; file_B/op is the plan file it projects,
-// whose SHA-256 is the ETag.
+// body_B/op is the served body; plan_B/op is the full plan it projects
+// (the store's Get, encoded), whose SHA-256 is the ETag.
 func BenchmarkPlanFetch200(b *testing.B) {
 	store, err := profilestore.Open(b.TempDir())
 	if err != nil {
@@ -178,7 +178,7 @@ func BenchmarkPlanFetch200(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	file, err := json.Marshal(stored)
+	full, err := json.Marshal(stored)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func BenchmarkPlanFetch200(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(body), "body_B/op")
-	b.ReportMetric(float64(len(file)+1), "file_B/op")
+	b.ReportMetric(float64(len(full)+1), "plan_B/op")
 }
 
 // countingTransport counts the response body bytes read through it.

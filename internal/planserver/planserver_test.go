@@ -105,7 +105,7 @@ func fetchPlan(t *testing.T, url, app, workload, etag string) (*http.Response, [
 	return resp, body
 }
 
-// storedSites reads the merged per-site evidence off the key's plan file:
+// storedSites reads the merged per-site evidence through the store's Get:
 // served plans carry only the directives.
 func storedSites(t *testing.T, store *profilestore.Store, app, workload string) []analyzer.SiteStat {
 	t.Helper()
@@ -116,7 +116,7 @@ func storedSites(t *testing.T, store *profilestore.Store, app, workload string) 
 	return p.Sites
 }
 
-// storedAllocated sums the plan file's per-site allocation counts.
+// storedAllocated sums the stored plan's per-site allocation counts.
 func storedAllocated(t *testing.T, store *profilestore.Store, app, workload string) uint64 {
 	t.Helper()
 	var total uint64
@@ -124,6 +124,36 @@ func storedAllocated(t *testing.T, store *profilestore.Store, app, workload stri
 		total += s.Allocated
 	}
 	return total
+}
+
+// storedPlan is the full encoding of the key's plan as the store defines
+// it (profilestore.Store.Get): the bytes the daemon's ETag addresses.
+func storedPlan(t *testing.T, store *profilestore.Store, app, workload string) []byte {
+	t.Helper()
+	p, err := store.Get(app, workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := profilestore.Encode(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return full
+}
+
+// etagOf is the ETag the daemon serves a plan's full encoding under.
+func etagOf(full []byte) string {
+	return fmt.Sprintf("%q", fmt.Sprintf("%x", sha256.Sum256(full)))
+}
+
+// noPlanFiles fails the test if the store holds any *.profile.json: the
+// daemon writes none.
+func noPlanFiles(t *testing.T, store *profilestore.Store) {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(store.Dir(), "*.profile.json"))
+	if err != nil || len(files) != 0 {
+		t.Fatalf("plan files %v (%v) in a store only the daemon wrote", files, err)
+	}
 }
 
 func TestPlanFetchNotFound(t *testing.T) {
@@ -335,7 +365,7 @@ func evidenceFiles(t *testing.T, store *profilestore.Store) map[string]string {
 	return out
 }
 
-// TestReadsNeverWriteSeed: a key whose store holds a plan (and a rollout
+// TestReadsNeverWriteSeed: a key whose store holds a seed (and a rollout
 // document mid-canary) but no evidence is only ever *read* by plan
 // fetches, feedback, sync stamp lists and a peer pull's summary compare —
 // none of them may write the __seed__ baseline into the evidence log. The
@@ -355,9 +385,17 @@ func TestReadsNeverWriteSeed(t *testing.T) {
 	if stable := planETagFor(t, ts.URL, outside); candidate == stable {
 		t.Fatalf("no canary staged: both instances see %s", stable)
 	}
-	// Lose the evidence log: the key is now plan-only (the plan file, plus
-	// the rollout document holding the open canary).
+	// Lose the evidence log and seed its last merge offline: the key is
+	// now seed-only (the seed, plus the rollout document holding the open
+	// canary).
+	seed, err := store.Get("Cassandra", "WI")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := os.RemoveAll(filepath.Join(dir, "evidence")); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put(seed); err != nil {
 		t.Fatal(err)
 	}
 
@@ -399,7 +437,7 @@ func TestReadsNeverWriteSeed(t *testing.T) {
 		t.Fatalf("reads changed the evidence log: %d files before, %d after", len(before), len(after))
 	}
 
-	// The first write adopts the stored plan as baseline evidence.
+	// The first write adopts the seed as baseline evidence.
 	postEvidence(t, ts2.URL, "inst-3", evidence("Cassandra", "WI", site("C.c:3", 4))).Body.Close()
 	ev, err := store2.Evidence("Cassandra", "WI")
 	if err != nil {
@@ -591,15 +629,15 @@ func TestSingleFlightLoads(t *testing.T) {
 }
 
 // rolloutDocSHA256 pins the rollout document TestServedPlanIsProjection
-// writes. It embeds plan files, whose bytes do not depend on what the
-// daemon serves, so the document must not move with the wire format.
+// writes. It embeds full plan encodings, whose bytes do not depend on what
+// the daemon serves, so the document must not move with the wire format.
 const rolloutDocSHA256 = "83b8ecfbb28e4d69b93195c2e29a68d6bcba7b36bfe65b875055bd439363a3be"
 
 // TestServedPlanIsProjection pins the wire plan: on every path that
-// publishes a plan — an upload's 200, a fetch's 200, a cold load from the
-// plan file, a restore from the rollout document — the body is the plan
-// file's profile without its per-site evidence (compact JSON and a
-// newline), and the ETag is the SHA-256 of the plan file itself.
+// publishes a plan — an upload's 200, a fetch's 200, a cold rebuild from
+// the evidence, a restore from the rollout document — the body is the
+// plan's profile without its per-site evidence (compact JSON and a
+// newline), and the ETag is the SHA-256 of the plan's full encoding.
 func TestServedPlanIsProjection(t *testing.T) {
 	store, err := profilestore.Open(t.TempDir())
 	if err != nil {
@@ -610,29 +648,21 @@ func TestServedPlanIsProjection(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	planFile := func() []byte {
+	plan := func() []byte {
 		t.Helper()
-		files, err := filepath.Glob(filepath.Join(store.Dir(), "*.profile.json"))
-		if err != nil || len(files) != 1 {
-			t.Fatalf("plan files = %v, %v", files, err)
-		}
-		data, err := os.ReadFile(files[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
+		return storedPlan(t, store, "Cassandra", "WI")
 	}
-	check := func(what string, file []byte, resp *http.Response, body []byte) {
+	check := func(what string, full []byte, resp *http.Response, body []byte) {
 		t.Helper()
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s = %d, want 200", what, resp.StatusCode)
 		}
 		var p analyzer.Profile
-		if err := json.Unmarshal(file, &p); err != nil {
+		if err := json.Unmarshal(full, &p); err != nil {
 			t.Fatal(err)
 		}
 		if len(p.Sites) == 0 {
-			t.Fatalf("%s: the plan file carries no per-site evidence; the check is vacuous", what)
+			t.Fatalf("%s: the plan carries no per-site evidence; the check is vacuous", what)
 		}
 		p.Sites = nil
 		want, err := json.Marshal(&p)
@@ -640,10 +670,10 @@ func TestServedPlanIsProjection(t *testing.T) {
 			t.Fatal(err)
 		}
 		if want = append(want, '\n'); !bytes.Equal(body, want) {
-			t.Fatalf("%s body is not the plan file's projection:\n%s\nwant\n%s", what, body, want)
+			t.Fatalf("%s body is not the plan's projection:\n%s\nwant\n%s", what, body, want)
 		}
-		if tag, want := resp.Header.Get("ETag"), fmt.Sprintf("%q", fmt.Sprintf("%x", sha256.Sum256(file))); tag != want {
-			t.Fatalf("%s ETag %s, want the plan file's %s", what, tag, want)
+		if tag, want := resp.Header.Get("ETag"), etagOf(full); tag != want {
+			t.Fatalf("%s ETag %s, want the plan's %s", what, tag, want)
 		}
 	}
 	upload := func(instance string, p *analyzer.Profile) (*http.Response, []byte) {
@@ -661,12 +691,12 @@ func TestServedPlanIsProjection(t *testing.T) {
 	// a fetch both serve it.
 	resp, body := upload("inst-1", evidence("Cassandra", "WI",
 		site("Main.run:10;Db.put:5", 5, 95), site("Main.run:10;Log.add:7", 90, 10)))
-	check("upload", planFile(), resp, body)
+	check("upload", plan(), resp, body)
 	resp, body = fetchPlan(t, ts.URL, "Cassandra", "WI", "")
-	check("fetch", planFile(), resp, body)
+	check("fetch", plan(), resp, body)
 
 	// A second merge opens a canary: the rollout document now embeds both
-	// plan files, and the plan file on disk is the candidate's.
+	// plans, and the evidence's merge is the candidate.
 	resp, _ = upload("inst-2", evidence("Cassandra", "WI", site("Main.run:10;Db.put:5", 1, 9)))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("second upload = %d", resp.StatusCode)
@@ -692,7 +722,7 @@ func TestServedPlanIsProjection(t *testing.T) {
 	}
 
 	// A restarted rollout daemon serves stable from the rollout document,
-	// without loading the plan file (which holds the candidate).
+	// without rebuilding the evidence's merge (the candidate).
 	restored := New(store, withRollout)
 	ts2 := httptest.NewServer(restored)
 	defer ts2.Close()
@@ -702,22 +732,22 @@ func TestServedPlanIsProjection(t *testing.T) {
 		t.Fatalf("plan_load_total = %d after a rollout restore, want 0", got)
 	}
 
-	// A restarted daemon without rollout loads the plan file cold.
+	// A restarted daemon without rollout rebuilds the plan cold.
 	cold := New(store, Options{Executor: inline})
 	ts3 := httptest.NewServer(cold)
 	defer ts3.Close()
 	resp, body = fetchPlan(t, ts3.URL, "Cassandra", "WI", "")
-	check("cold fetch", planFile(), resp, body)
+	check("cold fetch", plan(), resp, body)
 	if got := cold.Metrics().Counter("plan_load_total").Value(); got != 1 {
 		t.Fatalf("plan_load_total = %d after a cold fetch, want 1", got)
 	}
 }
 
 // TestPublishedPlanKeepsOnlyServedBody: with rollout off a published plan
-// holds its served body and ETag but not the plan file's bytes, and both
-// still derive from the file in the store; with rollout on, whose
-// documents embed plan files, a restart restores the stable and candidate
-// plans byte-identical.
+// holds its served body and ETag but not its full encoding, and both
+// derive from the plan the store defines (Get); with rollout on, whose
+// documents embed full encodings, a restart restores the stable and
+// candidate plans byte-identical. Neither daemon writes a plan file.
 func TestPublishedPlanKeepsOnlyServedBody(t *testing.T) {
 	store, err := profilestore.Open(t.TempDir())
 	if err != nil {
@@ -740,22 +770,15 @@ func TestPublishedPlanKeepsOnlyServedBody(t *testing.T) {
 			t.Fatalf("%s: no plan published after Flush", sh.key)
 		}
 		published++
-		if sh.plan.file != nil {
-			t.Fatalf("%s: the published plan keeps %d plan file bytes with rollout off", sh.key, len(sh.plan.file))
+		if sh.plan.full != nil {
+			t.Fatalf("%s: the published plan keeps %d bytes of its full encoding with rollout off", sh.key, len(sh.plan.full))
 		}
-		files, err := filepath.Glob(filepath.Join(store.Dir(), sh.key.App+"__"+sh.key.Workload+"-*.profile.json"))
-		if err != nil || len(files) != 1 {
-			t.Fatalf("%s: plan files = %v, %v", sh.key, files, err)
-		}
-		file, err := os.ReadFile(files[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := fmt.Sprintf("%q", fmt.Sprintf("%x", sha256.Sum256(file))); sh.plan.etag != want {
-			t.Fatalf("%s: ETag %s, want the stored plan file's %s", sh.key, sh.plan.etag, want)
+		full := storedPlan(t, store, sh.key.App, sh.key.Workload)
+		if want := etagOf(full); sh.plan.etag != want {
+			t.Fatalf("%s: ETag %s, want the stored plan's %s", sh.key, sh.plan.etag, want)
 		}
 		var p analyzer.Profile
-		if err := json.Unmarshal(file, &p); err != nil {
+		if err := json.Unmarshal(full, &p); err != nil {
 			t.Fatal(err)
 		}
 		p.Sites = nil
@@ -764,12 +787,13 @@ func TestPublishedPlanKeepsOnlyServedBody(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(sh.plan.body, want) {
-			t.Fatalf("%s: body is not the plan file's projection:\n%s\nwant\n%s", sh.key, sh.plan.body, want)
+			t.Fatalf("%s: body is not the stored plan's projection:\n%s\nwant\n%s", sh.key, sh.plan.body, want)
 		}
 	})
 	if published != 2 {
 		t.Fatalf("%d keys published, want 2", published)
 	}
+	noPlanFiles(t, store)
 	resp, body := fetchPlan(t, ts.URL, "Cassandra", "RI", "")
 	srv.peekShard(profilestore.Key{App: "Cassandra", Workload: "RI"}, func(sh *shard) {
 		if resp.StatusCode != http.StatusOK || !bytes.Equal(body, sh.plan.body) || resp.Header.Get("ETag") != sh.plan.etag {
@@ -790,13 +814,18 @@ func TestPublishedPlanKeepsOnlyServedBody(t *testing.T) {
 	defer ts1.Close()
 	postEvidence(t, ts1.URL, "inst-1", evidence("Cassandra", "WI", site("Main.run:10;Db.put:5", 5, 95))).Body.Close()
 	postEvidence(t, ts1.URL, "inst-2", evidence("Cassandra", "WI", site("Main.run:10;Db.put:5", 90, 10))).Body.Close()
+	first.Flush()
+	noPlanFiles(t, rstore)
 	var stable, cand cachedPlan
 	first.peekShard(key, func(sh *shard) {
-		if sh.plan == nil || sh.cand == nil || len(sh.plan.file) == 0 || len(sh.cand.file) == 0 {
-			t.Fatal("rollout daemon holds no stable and candidate plan files after two merges")
+		if sh.plan == nil || sh.cand == nil || len(sh.plan.full) == 0 || len(sh.cand.full) == 0 {
+			t.Fatal("rollout daemon holds no stable and candidate plan encodings after two merges")
 		}
 		stable, cand = *sh.plan, *sh.cand
 	})
+	if want := etagOf(storedPlan(t, rstore, key.App, key.Workload)); cand.etag != want {
+		t.Fatalf("candidate ETag %s, want the stored plan's %s", cand.etag, want)
+	}
 	restarted := New(rstore, withRollout)
 	ts2 := httptest.NewServer(restarted)
 	defer ts2.Close()
@@ -808,7 +837,7 @@ func TestPublishedPlanKeepsOnlyServedBody(t *testing.T) {
 			what      string
 			got, want *cachedPlan
 		}{{"stable", sh.plan, &stable}, {"candidate", sh.cand, &cand}} {
-			if c.got == nil || c.got.etag != c.want.etag || !bytes.Equal(c.got.file, c.want.file) || !bytes.Equal(c.got.body, c.want.body) {
+			if c.got == nil || c.got.etag != c.want.etag || !bytes.Equal(c.got.full, c.want.full) || !bytes.Equal(c.got.body, c.want.body) {
 				t.Fatalf("restored %s plan differs from the one published before the restart", c.what)
 			}
 		}

@@ -31,7 +31,7 @@ import (
 //   - POST /v1/feedback records plan-health reports; the tracker's
 //     decision promotes the candidate fleet-wide or rolls back to stable
 //     and quarantines the candidate ETag.
-//   - Tracker state plus the stable and candidate plan files persist as
+//   - Tracker state plus the stable and candidate plans persist as
 //     one rollout document per key through the store's atomic-rename
 //     path, so a restarted daemon resumes serving last-good — never a plan
 //     that regressed its canary.
@@ -50,9 +50,9 @@ const (
 )
 
 // rolloutDoc is the per-key persisted controller state: the tracker
-// snapshot plus the plan files the ETags address, so a restart can
-// re-serve stable (and resume a canary) without trusting the plan file —
-// which always holds the *latest* merge, candidate or not.
+// snapshot plus the full plan encodings the ETags address, so a restart
+// can re-serve stable (and resume a canary) without re-merging the
+// evidence — whose merge is always the *latest* plan, candidate or not.
 type rolloutDoc struct {
 	Snapshot  rollout.Snapshot `json:"snapshot"`
 	Stable    json.RawMessage  `json:"stable,omitempty"`
@@ -113,8 +113,8 @@ func shortETag(etag string) string {
 // plan caches) from the persisted rollout document, once per shard when
 // rollout is on (caller holds sh.mu; inShard calls it on every way in). A
 // missing document means a fresh key — or a store written with rollout
-// off, whose plan file will be adopted as stable by the next merge or cold
-// load. A corrupt document degrades the same way rather than taking the
+// off, whose plan (its evidence's merge, or its seed) will be adopted as
+// stable by the next merge or cold load. A corrupt document degrades the same way rather than taking the
 // key down.
 func (s *Server) restoreRolloutLocked(sh *shard) error {
 	if s.ro == nil || sh.roll != nil {
@@ -141,20 +141,20 @@ func (s *Server) restoreRolloutLocked(sh *shard) error {
 	return nil
 }
 
-// restoredPlan rebuilds a published plan from the plan file bytes embedded
-// in the rollout document, which indents them: the file is their compact
+// restoredPlan rebuilds a published plan from the full encoding embedded
+// in the rollout document, which indents it: the encoding is its compact
 // form plus a newline. Nil when the document holds no such plan.
 func restoredPlan(raw json.RawMessage) *cachedPlan {
-	var file bytes.Buffer
-	if len(raw) == 0 || json.Compact(&file, raw) != nil {
+	var full bytes.Buffer
+	if len(raw) == 0 || json.Compact(&full, raw) != nil {
 		return nil
 	}
-	file.WriteByte('\n')
+	full.WriteByte('\n')
 	var p analyzer.Profile
-	if json.Unmarshal(file.Bytes(), &p) != nil {
+	if json.Unmarshal(full.Bytes(), &p) != nil {
 		return nil
 	}
-	c, _ := newCachedPlan(&p, file.Bytes())
+	c, _ := newCachedPlan(&p, full.Bytes())
 	return c
 }
 
@@ -165,10 +165,10 @@ func restoredPlan(raw json.RawMessage) *cachedPlan {
 func (s *Server) persistRolloutLocked(sh *shard) error {
 	doc := rolloutDoc{Snapshot: sh.roll.Snapshot()}
 	if sh.plan != nil && sh.plan.etag == sh.roll.StableETag() {
-		doc.Stable = sh.plan.file
+		doc.Stable = sh.plan.full
 	}
 	if sh.cand != nil && sh.cand.etag == sh.roll.CandidateETag() {
-		doc.Candidate = sh.cand.file
+		doc.Candidate = sh.cand.full
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {

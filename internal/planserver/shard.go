@@ -24,11 +24,11 @@ import (
 // to the durable log, updates the cache in place, bumps dirty, and makes
 // sure a merge worker is scheduled. The worker drains: as long as dirty is
 // ahead of mergedGen it snapshots the full evidence set, recomputes the
-// fleet plan once for the whole backlog, persists and publishes it, then
-// re-checks. However many uploads land while one merge is in flight, they
-// are all covered by the next pass — a batch of N concurrent uploads costs
-// at most two merges (one in flight when the batch starts, one covering
-// the batch), not N.
+// fleet plan once for the whole backlog, publishes it, then re-checks.
+// However many uploads land while one merge is in flight, they are all
+// covered by the next pass — a batch of N concurrent uploads costs at most
+// two merges (one in flight when the batch starts, one covering the
+// batch), not N.
 //
 // Every request reaches its shard through one accessor, inShard; read-only
 // inspection (Flush, sync summaries, harness probes) goes through peekShard
@@ -63,8 +63,8 @@ type shard struct {
 	sum    profilestore.KeySum
 
 	// plan is the encoded, content-addressed fleet plan being served: its
-	// body and ETag, and its plan file only with rollout on (cachePlan). A
-	// cold cache is filled from the store under mu (loadPlanLocked), so a
+	// body and ETag, and its full encoding only with rollout on
+	// (cachePlan). A cold cache is filled under mu (loadPlanLocked), so a
 	// merge publish can never interleave with a load.
 	plan *cachedPlan
 
@@ -89,8 +89,8 @@ type shard struct {
 	// In rollout mode, plan above is the *stable* (last-good) plan and
 	// cand is the staged candidate a canary cohort is testing; roll is
 	// the key's state machine, nil until restored from the persisted
-	// rollout document on first use. The document embeds the plan files
-	// of both.
+	// rollout document on first use. The document embeds the full
+	// encodings of both.
 	roll       *rollout.Tracker
 	cand       *cachedPlan
 	cohort     map[string]bool // cached canary cohort over evidence instances
@@ -366,31 +366,14 @@ func (sh *shard) drain(s *Server) {
 		}
 		sh.mu.Unlock()
 
-		// Nothing the merge builds outlives this pass: the fold, its
-		// parsed traces and the merged profile are garbage once the plan
-		// is published.
+		// Nothing the merge builds outlives this pass, nor reaches the
+		// store: the fold, its parsed traces and the merged profile are
+		// garbage once the plan is published.
 		start := s.opts.Now()
-		acc := analyzer.NewMergeAccumulator(analyzer.Options{App: sh.key.App, Workload: sh.key.Workload})
-		var err error
-		for _, p := range inputs {
-			if err = acc.Add(p); err != nil {
-				break
-			}
-		}
-		var merged *analyzer.Profile
-		if err == nil {
-			merged, err = acc.Merge()
-		}
 		var c *cachedPlan
+		merged, err := profilestore.Plan(sh.key, inputs...)
 		if err == nil {
-			// The plan file is a convenience copy — the evidence log is
-			// the durable truth — but keeping it fresh per batch means a
-			// restarted daemon (or polm2-inspect) sees the fleet plan
-			// without a rebuild. Its bytes are what the ETag addresses.
-			var file []byte
-			if file, err = s.store.PutBytes(merged); err == nil {
-				c, err = s.cachePlan(merged, file)
-			}
+			c, err = s.cachePlan(merged)
 		}
 		s.mergeLatency.Observe(s.opts.Now() - start)
 

@@ -5,6 +5,9 @@
 // application is launched in the production phase, one allocation profile
 // can be chosen according to the estimated workload."
 //
+// A key's plan has one definition, Get: the merge of its evidence (Plan)
+// when it has any, otherwise its offline seed, the profile Put stored.
+//
 // A Store is safe for concurrent use: the plan-distribution daemon
 // (internal/planserver) fronts one store with many goroutines. Every file
 // publishes through faultio.(*Injector).Publish (temporary name, then
@@ -21,6 +24,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -40,11 +44,11 @@ type Key struct {
 
 func (k Key) String() string { return k.App + "/" + k.Workload }
 
-// Store is an on-disk profile repository. Profiles are stored as compact
-// JSON that analyzer.LoadProfile reads like Profile.Save's output, named
+// Store is an on-disk profile repository. A seed is stored as compact JSON
+// that analyzer.LoadProfile reads like Profile.Save's output, named
 // <app>__<workload>-<hash>.profile.json, where <hash> fingerprints the raw
 // key so two keys that sanitize to the same text cannot overwrite each
-// other. Each key has exactly one file name; no other name is read.
+// other. Each key has exactly one seed file name; no other name is read.
 type Store struct {
 	dir string
 
@@ -97,42 +101,37 @@ func keyHash(k Key) string {
 	return fmt.Sprintf("%08x", h.Sum32())
 }
 
+// stem is the file-name prefix every file of key k starts with.
+func stem(k Key) string {
+	return sanitize(k.App) + "__" + sanitize(k.Workload) + "-" + keyHash(k)
+}
+
 func (s *Store) path(k Key) string {
-	name := sanitize(k.App) + "__" + sanitize(k.Workload) + "-" + keyHash(k) + ".profile.json"
-	return filepath.Join(s.dir, name)
+	return filepath.Join(s.dir, stem(k)+".profile.json")
 }
 
-// Put stores a profile under its own App/Workload labels, replacing any
-// previous version.
+// Put stores a profile as its App/Workload key's offline seed, replacing
+// any previous seed. The seed is the key's plan only while the key has no
+// evidence (Get).
 func (s *Store) Put(p *analyzer.Profile) error {
-	_, err := s.PutBytes(p)
-	return err
-}
-
-// PutBytes is Put returning the bytes it wrote: the profile's compact JSON
-// and a newline. That is exactly the plan body the daemon serves and hashes
-// into its ETag, so one encode serves the file and the wire.
-func (s *Store) PutBytes(p *analyzer.Profile) ([]byte, error) {
 	if p.App == "" || p.Workload == "" {
-		return nil, fmt.Errorf("profilestore: profile must carry App and Workload labels")
+		return fmt.Errorf("profilestore: profile must carry App and Workload labels")
 	}
 	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("profilestore: %w", err)
+		return fmt.Errorf("profilestore: %w", err)
 	}
 	data, err := Encode(p)
 	if err != nil {
-		return nil, fmt.Errorf("profilestore: encoding profile: %w", err)
+		return fmt.Errorf("profilestore: encoding profile: %w", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.publish(s.path(Key{App: p.App, Workload: p.Workload}), data); err != nil {
-		return nil, err
-	}
-	return data, nil
+	return s.publish(s.path(Key{App: p.App, Workload: p.Workload}), data)
 }
 
 // Encode renders v in the store's on-disk form, which is also the daemon's
-// served plan body: compact JSON and a newline.
+// plan encoding: compact JSON and a newline. The SHA-256 of a plan's
+// encoding is the ETag the daemon serves it under.
 func Encode(v any) ([]byte, error) {
 	data, err := json.Marshal(v)
 	if err != nil {
@@ -154,25 +153,39 @@ func (s *Store) publish(path string, data []byte) error {
 	return nil
 }
 
-// Get loads the profile for the exact (app, workload) pair.
-func (s *Store) Get(app, workload string) (*analyzer.Profile, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.getLocked(app, workload)
+// Plan is key k's plan over its evidence documents: their merge, labeled
+// with k. The store's Get and the plan daemon's merge worker both derive a
+// plan through it.
+func Plan(k Key, evidence ...*analyzer.Profile) (*analyzer.Profile, error) {
+	return analyzer.MergeProfiles(analyzer.Options{App: k.App, Workload: k.Workload}, evidence...)
 }
 
-func (s *Store) getLocked(app, workload string) (*analyzer.Profile, error) {
-	p, err := analyzer.LoadProfile(s.path(Key{App: app, Workload: workload}))
+// Get returns the plan for the exact (app, workload) pair: the merge of the
+// key's evidence when it has any, otherwise its seed. ErrNotFound means the
+// key has neither; a stored seed is not read once the key has evidence.
+func (s *Store) Get(app, workload string) (*analyzer.Profile, error) {
+	k := Key{App: app, Workload: workload}
+	docs, err := s.Evidence(app, workload)
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, app, workload)
-		}
 		return nil, err
 	}
-	return p, nil
+	if len(docs) > 0 {
+		evidence := make([]*analyzer.Profile, 0, len(docs))
+		for _, p := range docs {
+			evidence = append(evidence, p)
+		}
+		return Plan(k, evidence...)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p, err := analyzer.LoadProfile(s.path(k))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, k)
+	}
+	return p, err
 }
 
-// Delete removes a stored profile. Deleting a missing profile returns
+// Delete removes a key's stored seed. Deleting a missing seed returns
 // ErrNotFound.
 func (s *Store) Delete(app, workload string) error {
 	s.mu.Lock()
@@ -184,27 +197,40 @@ func (s *Store) Delete(app, workload string) error {
 	return err
 }
 
-// List returns the keys of every stored profile, sorted.
-func (s *Store) List() ([]Key, error) {
+// List returns every key Get has a plan for — each seed's key and each key
+// with evidence — sorted and deduplicated. A corrupt seed or evidence
+// document fails the listing.
+func (s *Store) List() ([]Key, error) { return s.keys(false) }
+
+// keys is List; skipCorrupt leaves a corrupt seed out instead of failing.
+func (s *Store) keys(skipCorrupt bool) ([]Key, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	paths, err := filepath.Glob(filepath.Join(s.dir, "*.profile.json"))
+	audit, err := s.auditLocked()
 	if err != nil {
-		return nil, fmt.Errorf("profilestore: %w", err)
+		return nil, err
 	}
-	keys := make([]Key, 0, len(paths))
-	for _, path := range paths {
-		p, err := analyzer.LoadProfile(path)
-		if err != nil {
-			return nil, fmt.Errorf("profilestore: corrupt entry %s: %w", filepath.Base(path), err)
+	all, err := s.evidenceLocked("*.evidence.json")
+	if err != nil {
+		return nil, err
+	}
+	keys := make([]Key, 0, len(audit.Entries)+len(all))
+	for _, e := range audit.Entries {
+		switch {
+		case e.Err == "":
+			keys = append(keys, e.Key)
+		case !skipCorrupt:
+			return nil, fmt.Errorf("profilestore: corrupt entry %s: %s", e.File, e.Err)
 		}
-		keys = append(keys, Key{App: p.App, Workload: p.Workload})
+	}
+	for k := range all {
+		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
-	return keys, nil
+	return slices.Compact(keys), nil
 }
 
-// AuditEntry is one stored file's health as seen by Audit.
+// AuditEntry is one stored seed file's health as seen by Audit.
 type AuditEntry struct {
 	// File is the entry's base name.
 	File string
@@ -220,7 +246,7 @@ type AuditReport struct {
 	Corrupt int
 }
 
-// Audit loads every stored entry and reports its health instead of failing
+// Audit loads every stored seed and reports its health instead of failing
 // on the first corrupt one. The error is non-nil only when the store
 // directory itself cannot be scanned.
 func (s *Store) Audit() (*AuditReport, error) {
@@ -261,9 +287,8 @@ type evidenceEntry struct {
 	Profile  *analyzer.Profile `json:"profile"`
 }
 
-// evidenceDir holds per-instance evidence, separate from the merged
-// plans so *.profile.json globs (List, Audit, polm2-inspect) see only
-// plans.
+// evidenceDir holds per-instance evidence, separate from the seeds so
+// *.profile.json globs (Audit) see only seeds.
 func (s *Store) evidenceDir() string { return filepath.Join(s.dir, "evidence") }
 
 // evidenceHash fingerprints the raw (app, workload, instance) triple so
@@ -278,11 +303,10 @@ func evidenceHash(k Key, instance string) string {
 	return fmt.Sprintf("%08x", h.Sum32())
 }
 
-// evidencePath names one instance's evidence document: the key's plan
-// name stem, then the sanitized instance and the triple's fingerprint.
+// evidencePath names one instance's evidence document: the key's stem,
+// then the sanitized instance and the triple's fingerprint.
 func (s *Store) evidencePath(k Key, instance string) string {
-	name := sanitize(k.App) + "__" + sanitize(k.Workload) + "-" + keyHash(k) + "__" +
-		sanitize(instance) + "-" + evidenceHash(k, instance) + ".evidence.json"
+	name := stem(k) + "__" + sanitize(instance) + "-" + evidenceHash(k, instance) + ".evidence.json"
 	return filepath.Join(s.evidenceDir(), name)
 }
 
@@ -319,24 +343,28 @@ func (s *Store) PutEvidenceStamped(instance string, stamp Stamp, p *analyzer.Pro
 }
 
 // Evidence loads every instance's latest evidence for (app, workload),
-// keyed by instance id. A key with no evidence returns an empty map.
+// keyed by instance id. It reads only the documents named under the key's
+// stem, and of those only the ones labeled with the key: a longer key can
+// share the stem. A key with no evidence returns an empty map.
 func (s *Store) Evidence(app, workload string) (map[string]*analyzer.Profile, error) {
-	all, err := s.EvidenceAll()
+	k := Key{App: app, Workload: workload}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	grouped, err := s.evidenceLocked(stem(k) + "__*.evidence.json")
 	if err != nil {
 		return nil, err
 	}
-	docs := all[Key{App: app, Workload: workload}]
-	out := make(map[string]*analyzer.Profile, len(docs))
-	for instance, d := range docs {
+	out := make(map[string]*analyzer.Profile, len(grouped[k]))
+	for instance, d := range grouped[k] {
 		out[instance] = d.Profile
 	}
 	return out, nil
 }
 
-// evidenceAllLocked scans every evidence document, validating each, and
-// groups the latest per (key, instance).
-func (s *Store) evidenceAllLocked() (map[Key]map[string]EvidenceDoc, error) {
-	paths, err := filepath.Glob(filepath.Join(s.evidenceDir(), "*.evidence.json"))
+// evidenceLocked reads the evidence documents whose names match pattern,
+// validating each, and groups them per (key, instance) by their labels.
+func (s *Store) evidenceLocked(pattern string) (map[Key]map[string]EvidenceDoc, error) {
+	paths, err := filepath.Glob(filepath.Join(s.evidenceDir(), pattern))
 	if err != nil {
 		return nil, fmt.Errorf("profilestore: %w", err)
 	}
@@ -372,13 +400,12 @@ func (s *Store) evidenceAllLocked() (map[Key]map[string]EvidenceDoc, error) {
 // rolloutPath names the rollout-controller document for one key. The
 // suffix keeps it out of every *.profile.json glob.
 func (s *Store) rolloutPath(k Key) string {
-	name := sanitize(k.App) + "__" + sanitize(k.Workload) + "-" + keyHash(k) + ".rollout.json"
-	return filepath.Join(s.dir, name)
+	return filepath.Join(s.dir, stem(k)+".rollout.json")
 }
 
 // PutRollout stores the canary-rollout controller document for (app,
 // workload) — an opaque JSON payload owned by the planserver — through the
-// same publish as profiles, fault injector included, so a crash mid-write
+// same publish as seeds, fault injector included, so a crash mid-write
 // leaves the previous document intact.
 func (s *Store) PutRollout(app, workload string, doc []byte) error {
 	if app == "" || workload == "" {
@@ -411,29 +438,27 @@ func (s *Store) Rollout(app, workload string) ([]byte, error) {
 // the application's only profile when the estimate has none and exactly one
 // other is stored (launching with a related profile beats launching
 // uninstrumented; §3.5 leaves the selection policy to the operator).
-// Corrupt entries are skipped, not fatal: a damaged store degrades to
-// whatever healthy profiles remain.
+// The candidates are List's keys. Corrupt seeds are skipped, not fatal: a
+// damaged store degrades to whatever healthy profiles remain.
 func (s *Store) Select(app, estimatedWorkload string) (*analyzer.Profile, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, err := s.getLocked(app, estimatedWorkload)
+	p, err := s.Get(app, estimatedWorkload)
 	if err == nil {
 		return p, nil
 	}
 	// The exact entry is missing or corrupt: fall back over the healthy
 	// remainder.
-	audit, auditErr := s.auditLocked()
-	if auditErr != nil {
-		return nil, auditErr
+	keys, keysErr := s.keys(true)
+	if keysErr != nil {
+		return nil, keysErr
 	}
 	var candidates []Key
-	for _, e := range audit.Entries {
-		if e.Err == "" && e.Key.App == app {
-			candidates = append(candidates, e.Key)
+	for _, k := range keys {
+		if k.App == app {
+			candidates = append(candidates, k)
 		}
 	}
 	if len(candidates) == 1 {
-		return s.getLocked(candidates[0].App, candidates[0].Workload)
+		return s.Get(candidates[0].App, candidates[0].Workload)
 	}
 	if !errors.Is(err, ErrNotFound) {
 		// The exact entry exists but is corrupt and no unambiguous

@@ -2,9 +2,13 @@ package profilestore
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -39,32 +43,6 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 	if got.App != "Cassandra" || got.Workload != "WI" || len(got.Allocs) != 1 {
 		t.Fatalf("round trip lost data: %+v", got)
-	}
-}
-
-// TestPutBytesIsTheFile: PutBytes returns exactly the bytes it stored —
-// the profile's compact JSON and a newline, which the daemon serves as the
-// plan body without encoding again.
-func TestPutBytesIsTheFile(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := sampleProfile("Cassandra", "WI")
-	data, err := s.PutBytes(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compact, err := json.Marshal(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := append(compact, '\n'); !bytes.Equal(data, want) {
-		t.Fatalf("PutBytes = %s, want compact JSON and a newline %s", data, want)
-	}
-	onDisk, err := os.ReadFile(s.path(Key{App: "Cassandra", Workload: "WI"}))
-	if err != nil || !bytes.Equal(onDisk, data) {
-		t.Fatalf("stored file %q (%v) differs from the returned bytes %q", onDisk, err, data)
 	}
 }
 
@@ -278,8 +256,8 @@ func TestFaultedWriteKeepsPreviousVersion(t *testing.T) {
 
 // TestEvidenceRoundTripAndReplace: per-instance evidence is keyed by
 // (app, workload, instance); a re-upload replaces that instance's entry,
-// other keys and instances are untouched, and List/Audit (which feed the
-// plan-serving paths and polm2-inspect) never see evidence files.
+// other keys and instances are untouched, and an evidence-only key is
+// listed and read as the merge of its latest documents.
 func TestEvidenceRoundTripAndReplace(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -320,16 +298,106 @@ func TestEvidenceRoundTripAndReplace(t *testing.T) {
 	if none, err := s.Evidence("Lucene", "WI"); err != nil || len(none) != 0 {
 		t.Fatalf("unknown key evidence = %+v, %v, want empty", none, err)
 	}
-	// Evidence must not masquerade as stored plans.
 	keys, err := s.List()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(keys) != 0 {
-		t.Fatalf("List sees evidence entries as plans: %v", keys)
+	if want := []Key{{"Cassandra", "WI"}, {"Cassandra", "WR"}}; !slices.Equal(keys, want) {
+		t.Fatalf("List = %v, want the evidence keys %v", keys, want)
 	}
-	if _, err := s.Get("Cassandra", "WI"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Get found a plan where only evidence exists: %v", err)
+	plan, err := s.Get("Cassandra", "WI")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Sites) != 1 || plan.Sites[0].Allocated != 350 {
+		t.Fatalf("Get = %+v, want the merge of inst-1:300 and inst-2:50", plan.Sites)
+	}
+}
+
+// TestEvidenceReadsOnlyItsKey: Evidence and Get read only the key's own
+// documents. Another key's unreadable document does not fail them, and a
+// key whose longer name shares the stem contributes nothing.
+func TestEvidenceReadsOnlyItsKey(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := Key{App: "Cassandra", Workload: "WI"}
+	lookalike := Key{App: "Cassandra", Workload: "WI-" + keyHash(a) + "__x"}
+	if !strings.HasPrefix(stem(lookalike), stem(a)+"__") {
+		t.Fatalf("stem %s does not extend %s; the look-alike checks nothing", stem(lookalike), stem(a))
+	}
+	for i, n := range []uint64{100, 50} {
+		if err := s.PutEvidenceStamped(fmt.Sprintf("inst-%d", i), Stamp{}, evProfile(a.App, a.Workload, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.PutEvidenceStamped("inst-0", Stamp{}, evProfile(lookalike.App, lookalike.Workload, 7)); err != nil {
+		t.Fatal(err)
+	}
+	garbage := filepath.Join(s.Dir(), "evidence", "Lucene__default-00000000__inst-0-00000000.evidence.json")
+	if err := os.WriteFile(garbage, []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	ev, err := s.Evidence(a.App, a.Workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ev) != 2 || ev["inst-0"].Sites[0].Allocated != 100 || ev["inst-1"].Sites[0].Allocated != 50 {
+		t.Fatalf("Evidence = %+v, want inst-0:100 and inst-1:50", ev)
+	}
+	got, err := s.Get(a.App, a.Workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Plan(a, ev["inst-0"], ev["inst-1"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Get = %+v, want the merge of the key's two documents %+v", got, want)
+	}
+	// The whole-store scan does read the damaged document.
+	if _, err := s.EvidenceAll(); err == nil {
+		t.Fatal("EvidenceAll read past an unreadable document")
+	}
+}
+
+// TestGetPrefersEvidenceOverSeed: once a key has evidence its plan is the
+// evidence's merge, whatever seed lies beside it; List names every key
+// with a seed or evidence once, and Select falls back to an evidence-only
+// key.
+func TestGetPrefersEvidenceOverSeed(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(sampleProfile("Lucene", "default")); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []Key{{"Lucene", "default"}, {"Cassandra", "WI"}} {
+		if err := s.PutEvidenceStamped("inst-1", Stamp{}, evProfile(k.App, k.Workload, 40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := s.Get("Lucene", "default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := Plan(Key{"Lucene", "default"}, evProfile("Lucene", "default", 40)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Get = %+v, want the evidence's merge %+v, not the seed", got, want)
+	}
+	keys, err := s.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Key{{"Cassandra", "WI"}, {"Lucene", "default"}}; !slices.Equal(keys, want) {
+		t.Fatalf("List = %v, want %v", keys, want)
+	}
+	p, err := s.Select("Cassandra", "RI")
+	if err != nil || p.Workload != "WI" || len(p.Sites) != 1 {
+		t.Fatalf("Select fallback = %+v, %v, want the evidence-only Cassandra/WI plan", p, err)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"sort"
 
 	"polm2/internal/analyzer"
 )
@@ -58,22 +57,7 @@ type EvidenceDoc struct {
 func (s *Store) EvidenceAll() (map[Key]map[string]EvidenceDoc, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.evidenceAllLocked()
-}
-
-// EvidenceKeys lists every key with at least one evidence document,
-// sorted — the deterministic iteration order for inspectors.
-func (s *Store) EvidenceKeys() ([]Key, error) {
-	all, err := s.EvidenceAll()
-	if err != nil {
-		return nil, err
-	}
-	keys := make([]Key, 0, len(all))
-	for k := range all {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
-	return keys, nil
+	return s.evidenceLocked("*.evidence.json")
 }
 
 // KeySum is the order-independent 128-bit summary of one key's replicating

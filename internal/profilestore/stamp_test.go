@@ -157,16 +157,16 @@ func TestEvidenceAllGroupsByKey(t *testing.T) {
 	if got := all[k0]["inst-0"].Stamp.Seq; got != 1 {
 		t.Errorf("inst-0 under App0 has seq %d, want 1", got)
 	}
-	keys, err := s.EvidenceKeys()
+	keys, err := s.List()
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []Key{k0, k1}
 	if len(keys) != 2 || keys[0] != want[0] || keys[1] != want[1] {
-		t.Errorf("EvidenceKeys = %v, want %v", keys, want)
+		t.Errorf("List = %v, want the evidence keys %v", keys, want)
 	}
 	if !sort.SliceIsSorted(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() }) {
-		t.Error("EvidenceKeys not sorted")
+		t.Error("List not sorted")
 	}
 }
 

@@ -387,8 +387,9 @@ func (s *sim) rolledBack() map[profilestore.Key]map[string]time.Duration {
 //     delivered evidence (the stamp winners, on a replicated run) — no
 //     document lost to a partition, none double-counted by a duplicated
 //     or failed-over upload — serves under it the merge's directives
-//     without its per-site evidence, and keeps in its plan file exactly
-//     the tainted evidence delivered (no sticky degradation).
+//     without its per-site evidence, and its store's plan for the key
+//     carries exactly the tainted evidence delivered (no sticky
+//     degradation).
 //   - Gauge accounting: each daemon's evidence_instances gauge equals the
 //     key's distinct uploaders (on a replicated run: every replicated
 //     document arrived).
@@ -551,8 +552,9 @@ func (s *sim) checkKeys(r *Report, m *deliveredModel, regressed map[profilestore
 	}
 }
 
-// checkStoredTaint is the no-sticky-degradation invariant on daemon i's
-// plan file for key: tainted counts are pure sums under the merge, so the
+// checkStoredTaint is the no-sticky-degradation invariant on the plan
+// daemon i's store defines for key (Store.Get, the merge of the key's
+// evidence log): tainted counts are pure sums under the merge, so the
 // merged plan must carry exactly what the delivered evidence carries — in
 // particular, zero once every instance's latest upload is clean again.
 // The served plan carries no per-site evidence, so the stored plan is where
@@ -562,7 +564,7 @@ func (s *sim) checkStoredTaint(r *Report, i int, key profilestore.Key, want uint
 	name := s.daemonLabel(i)
 	p, err := s.stores[i].Get(key.App, key.Workload)
 	if err != nil {
-		s.violate(r, "sticky degradation: %s plan file for key %s unreadable: %v", name, key, err)
+		s.violate(r, "sticky degradation: %s stored plan for key %s unreadable: %v", name, key, err)
 		return
 	}
 	var got uint64
@@ -886,7 +888,7 @@ func parseStamp(s string) (profilestore.Stamp, bool) {
 }
 
 // etagOf computes the content-addressed version the daemon would assign a
-// plan: SHA-256 over the plan file's bytes, the canonical JSON,
+// plan: SHA-256 over the full plan's encoding, the canonical JSON,
 // newline-terminated — the same derivation planserver's encoder uses,
 // reproduced here so the checker never asks the daemon to version its own
 // expectation.

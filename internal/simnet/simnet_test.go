@@ -274,8 +274,8 @@ func (h rewriteBodies) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // TestCheckerCatchesWrongServedBody keeps the served-body invariants from
-// going vacuous: the ETag addresses the daemon's plan file, so nothing on
-// the wire ties a body to its tag. A daemon that ships its whole plan file
+// going vacuous: the ETag addresses the full plan's encoding, so nothing
+// on the wire ties a body to its tag. A daemon that ships its whole plan
 // (per-site evidence included) under the right ETags, or two different
 // bodies under one ETag, must be flagged on one daemon and on two alike.
 func TestCheckerCatchesWrongServedBody(t *testing.T) {
@@ -288,12 +288,12 @@ func TestCheckerCatchesWrongServedBody(t *testing.T) {
 			}
 			full, err := store.Get(p.App, p.Workload)
 			if err != nil {
-				t.Errorf("plan file: %v", err)
+				t.Errorf("stored plan: %v", err)
 				return body
 			}
 			out, err := json.Marshal(full)
 			if err != nil {
-				t.Errorf("encoding the plan file: %v", err)
+				t.Errorf("encoding the stored plan: %v", err)
 				return body
 			}
 			return append(out, '\n')

@@ -61,8 +61,8 @@ type delivery struct {
 	// the checker's proof the instance ran that plan version.
 	feedback *rollout.Report
 	// bodySum is the SHA-256 of a 200 response's body served under an
-	// ETag (zero without a body or tag). The ETag addresses the daemon's
-	// plan file, not the body, so the checker holds each daemon to one body
+	// ETag (zero without a body or tag). The ETag addresses the full
+	// plan's encoding, not the body, so the checker holds each daemon to one body
 	// per ETag and the converged version's body to the projection of the
 	// model merge.
 	bodySum [32]byte

@@ -4,9 +4,10 @@
 #
 # Scenario: start the daemon on a random port, confirm there is no plan,
 # upload profiling evidence from two simulated fleet instances, check the
-# store's plan file carries the merged evidence, that the served plan is
-# that file without its per-site evidence under the file's SHA-256 as a
-# stable ETag (304 on a conditional re-fetch), and that /metricsz accounts
+# store's plan (polm2-inspect plan: the merge of the stored evidence)
+# carries the merged evidence, that the served plan is that plan without
+# its per-site evidence under the plan's SHA-256 as a stable ETag (304 on a
+# conditional re-fetch), and that /metricsz accounts
 # for every upload
 # (merges + coalesced, no rejects or store errors), then shut down
 # cleanly with SIGTERM. A second
@@ -17,45 +18,55 @@
 # each daemon gets one instance's evidence, anti-entropy must carry the
 # missing document both ways, and both daemons must publish the same
 # merged plan and advertise the same key sums on GET /v1/sync — proven
-# again offline by polm2-inspect sync over the two stores.
+# again offline by polm2-inspect sync over the two stores. No phase's
+# daemon may write a plan file (*.profile.json) into its store.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 fail() { echo "polm2d-smoke: FAIL: $*" >&2; [ -f "${log:-}" ] && cat "$log" >&2; exit 1; }
 
 go build -o /tmp/polm2d-smoke-bin ./cmd/polm2d
+go build -o /tmp/polm2-inspect-smoke-bin ./cmd/polm2-inspect
 
 # await_merged URL STORE polls until the daemon at URL publishes the merge
-# of both smoke instances' evidence. The evidence lives in STORE's plan
-# file: the shared site summed (each instance counted exactly once, replays
-# included) and both instance-unique sites kept. The daemon serves that
-# file's profile without "sites", under the file's SHA-256 as the ETag.
-# The daemon merges asynchronously behind the uploads (coalescing
-# pipeline), so a first fetch may predate the merge. Leaves the response in
-# /tmp/polm2d-smoke-headers.txt and /tmp/polm2d-smoke-plan.json.
+# of both smoke instances' evidence. The evidence lives in STORE's plan,
+# which polm2-inspect plan prints: the shared site summed (each instance
+# counted exactly once, replays included) and both instance-unique sites
+# kept. The daemon serves that plan without "sites", under the plan's
+# SHA-256 as the ETag. The daemon merges asynchronously behind the uploads
+# (coalescing pipeline), so a first fetch may predate the merge. Leaves the
+# response in /tmp/polm2d-smoke-headers.txt and /tmp/polm2d-smoke-plan.json,
+# and the stored plan in /tmp/polm2d-smoke-stored.json.
 await_merged() {
-  local shared= nsites= etag= filetag= pf=
+  local shared= nsites= etag= plantag= pf=/tmp/polm2d-smoke-stored.json
   for _ in $(seq 150); do
     curl -s -D /tmp/polm2d-smoke-headers.txt -o /tmp/polm2d-smoke-plan.json \
       "$1/v1/plan?app=Cassandra&workload=WI"
     etag=$(tr -d '\r' </tmp/polm2d-smoke-headers.txt | sed -n 's/^[Ee][Tt][Aa][Gg]: //p')
-    pf=$(compgen -G "$2/Cassandra__WI-*.profile.json" || true)
-    if [ -n "$pf" ]; then
+    if /tmp/polm2-inspect-smoke-bin plan "$2" Cassandra/WI >"$pf" 2>/dev/null; then
       shared=$(jq '[.sites[]? | select(.trace=="S.serve:1;Memtable.put:10") | .allocated] | add' "$pf")
       nsites=$(jq '.sites | length' "$pf")
-      filetag="\"$(sha256sum "$pf" | cut -d' ' -f1)\""
+      plantag="\"$(sha256sum "$pf" | cut -d' ' -f1)\""
     fi
-    [ "$shared" = "150" ] && [ "$nsites" = "3" ] && [ "$etag" = "$filetag" ] && break
+    [ "$shared" = "150" ] && [ "$nsites" = "3" ] && [ "$etag" = "$plantag" ] && break
     sleep 0.1
   done
-  [ "$shared" = "150" ] || fail "$1: plan file's shared site evidence $shared, want 100+50=150"
-  [ "$nsites" = "3" ] || fail "$1: plan file has $nsites sites, want 3"
+  [ "$shared" = "150" ] || fail "$1: stored plan's shared site evidence $shared, want 100+50=150"
+  [ "$nsites" = "3" ] || fail "$1: stored plan has $nsites sites, want 3"
   [ -n "$etag" ] || fail "$1: plan response carried no ETag"
-  [ "$etag" = "$filetag" ] || fail "$1: served ETag $etag is not the plan file's SHA-256 $filetag"
+  [ "$etag" = "$plantag" ] || fail "$1: served ETag $etag is not the stored plan's SHA-256 $plantag"
   [ "$(jq 'has("sites")' /tmp/polm2d-smoke-plan.json)" = "false" ] \
     || fail "$1: served plan carries per-site evidence"
   [ "$(jq -c 'del(.sites)' "$pf")" = "$(jq -c . /tmp/polm2d-smoke-plan.json)" ] \
-    || fail "$1: served plan is not the plan file without its sites: $(cat /tmp/polm2d-smoke-plan.json)"
+    || fail "$1: served plan is not the stored plan without its sites: $(cat /tmp/polm2d-smoke-plan.json)"
+}
+
+# no_plan_files STORE fails if a daemon wrote a plan file into STORE: a
+# key's plan is the merge of its evidence, never a stored copy.
+no_plan_files() {
+  local pf
+  pf=$(compgen -G "$1/*.profile.json" || true)
+  [ -z "$pf" ] || fail "daemon wrote plan files into $1: $pf"
 }
 
 store=$(mktemp -d)
@@ -151,6 +162,7 @@ code=$(curl -s -o /dev/null -w '%{http_code}' \
 kill -TERM "$pid"
 wait "$pid" || fail "daemon exited non-zero after SIGTERM"
 grep -q 'shutdown complete' "$log" || fail "daemon did not report a clean shutdown"
+no_plan_files "$store"
 
 # --- canary rollout phase: fresh store, daemon restarted with -rollout ---
 store=$(mktemp -d)
@@ -218,6 +230,7 @@ curl -s "$url/metricsz" | grep -q '^rollout_canary_total 1' \
 kill -TERM "$pid"
 wait "$pid" || fail "rollout daemon exited non-zero after SIGTERM"
 grep -q 'shutdown complete' "$log" || fail "rollout daemon did not report a clean shutdown"
+no_plan_files "$store"
 
 # --- replication phase: a pair of daemons pulling each other by anti-entropy ---
 storeA=$(mktemp -d); storeB=$(mktemp -d)
@@ -293,10 +306,11 @@ rootB=$(curl -s "$urlB/v1/sync" | jq -r .root)
 kill -TERM "$pidA" "$pidB"
 wait "$pidA" || { log=$logA; fail "daemon A exited non-zero after SIGTERM"; }
 wait "$pidB" || { log=$logB; fail "daemon B exited non-zero after SIGTERM"; }
+no_plan_files "$storeA"
+no_plan_files "$storeB"
 
 # Offline proof of convergence: both stores list the same stamped
 # evidence documents.
-go build -o /tmp/polm2-inspect-smoke-bin ./cmd/polm2-inspect
 /tmp/polm2-inspect-smoke-bin sync "$storeA" >/tmp/polm2d-smoke-sync-a.txt \
   || fail "polm2-inspect sync failed on store A"
 /tmp/polm2-inspect-smoke-bin sync "$storeB" >/tmp/polm2d-smoke-sync-b.txt \
