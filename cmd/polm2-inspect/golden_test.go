@@ -150,9 +150,11 @@ func TestSnapshotsGolden(t *testing.T) {
 }
 
 // TestProfilesGolden pins the repository listing. The store is rebuilt in
-// a temporary directory from fixed profiles on every run, so the listing
-// exercises the full store write/read path and must still come out
-// byte-identical.
+// a temporary directory from fixed offline seeds on every run, so the
+// listing exercises the full store write/read path and must still come out
+// byte-identical. Each row shows the seed's plan, re-derived from its site
+// evidence: Cassandra/WI lists the one generation its sites derive, not
+// the two its hand-written directives claim.
 func TestProfilesGolden(t *testing.T) {
 	dir := t.TempDir()
 	store, err := profilestore.Open(dir)
@@ -191,7 +193,7 @@ func TestProfilesGolden(t *testing.T) {
 }
 
 // TestProfilesListsEvidenceOnlyKeys: a key a daemon only ever merged has
-// no seed file, and is listed from its evidence.
+// no seed, and is listed from its instances' evidence.
 func TestProfilesListsEvidenceOnlyKeys(t *testing.T) {
 	dir := t.TempDir()
 	store, err := profilestore.Open(dir)
@@ -263,14 +265,10 @@ func TestRolloutGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []*analyzer.Profile{
-		{App: "Cassandra", Workload: "WI", Generations: 2,
-			Allocs: []analyzer.AllocDirective{{Loc: "Memtable.put:10", Gen: 2, Direct: true}}},
-		{App: "Cassandra", Workload: "RO", Generations: 1,
-			Allocs: []analyzer.AllocDirective{{Loc: "Cache.get:3", Gen: 1, Direct: true}}},
-		{App: "Lucene", Workload: "default", Generations: 1,
-			Allocs: []analyzer.AllocDirective{{Loc: "Index.add:7", Gen: 1, Direct: true}}},
-	} {
+	for _, k := range []profilestore.Key{{App: "Cassandra", Workload: "WI"}, {App: "Cassandra", Workload: "RO"}, {App: "Lucene", Workload: "default"}} {
+		p := &analyzer.Profile{App: k.App, Workload: k.Workload, Sites: []analyzer.SiteStat{
+			{Trace: "Main.run:1;Index.add:7", Allocated: 500, Buckets: []uint64{100, 400}},
+		}}
 		if err := store.Put(p); err != nil {
 			t.Fatal(err)
 		}

@@ -191,9 +191,9 @@ func diffProfiles(oldPath, newPath string) error {
 }
 
 // showProfiles lists a profile repository (profilestore.Store): one line
-// per (app, workload) key with a seed or evidence, showing the key's plan
-// shape and the evidence behind it — the view an operator wants of a
-// polm2d daemon's store.
+// per (app, workload) key with evidence (an offline seed included),
+// showing the key's plan shape and the evidence behind it — the view an
+// operator wants of a polm2d daemon's store.
 func showProfiles(w io.Writer, dir string) error {
 	store, err := profilestore.Open(dir)
 	if err != nil {
@@ -227,9 +227,9 @@ func showProfiles(w io.Writer, dir string) error {
 }
 
 // showPlan prints one key's plan as the store defines it — the merge of
-// its evidence, or its seed — in the store's encoding: compact JSON and a
-// newline, per-site evidence included. Its SHA-256 is the ETag a polm2d
-// daemon over the same store serves the plan under.
+// its evidence, an offline seed included — in the store's encoding:
+// compact JSON and a newline, per-site evidence included. Its SHA-256 is
+// the ETag a polm2d daemon over the same store serves the plan under.
 func showPlan(w io.Writer, dir, key string) error {
 	app, workload, ok := strings.Cut(key, "/")
 	if !ok || app == "" || workload == "" {
@@ -309,13 +309,14 @@ func showRollout(w io.Writer, dir string) error {
 // (DESIGN.md §15). Comparing two replicas' listings shows exactly which
 // documents still differ; identical listings mean the pair has converged.
 // Documents written before replication carry no stamp, show "-" and stay
-// out of the key sum.
+// out of the key sum. A document that does not decode is left out, as the
+// daemon leaves it out; polm2-run's store audit names it.
 func showSync(w io.Writer, dir string) error {
 	store, err := profilestore.Open(dir)
 	if err != nil {
 		return err
 	}
-	all, err := store.EvidenceAll()
+	all, _, err := store.EvidenceAll()
 	if err != nil {
 		return err
 	}

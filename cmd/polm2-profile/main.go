@@ -31,7 +31,7 @@ func run() int {
 		appName  = flag.String("app", "Cassandra", "application model: Cassandra, Lucene or GraphChi")
 		workload = flag.String("workload", "WI", "workload name (Cassandra: WI/WR/RI, Lucene: default, GraphChi: CC/PR)")
 		out      = flag.String("o", "profile.json", "output path for the allocation profile")
-		storeDir = flag.String("store", "", "also store the profile in this repository (keyed by app/workload)")
+		storeDir = flag.String("store", "", "also store the profile in this repository as its app/workload key's offline seed (__seed__ evidence, read by a polm2d at its next start)")
 		snapDir  = flag.String("snapshots", "", "persist heap snapshot images into this directory")
 		duration = flag.Duration("duration", 0, "simulated profiling duration (default: 15m)")
 		scale    = flag.Uint64("scale", 0, "heap scale divisor vs the paper's 12 GB setup (default 64)")

@@ -141,7 +141,7 @@ func run() int {
 		if audit, err := store.Audit(); err == nil && audit.Corrupt > 0 {
 			for _, e := range audit.Entries {
 				if e.Err != "" {
-					fmt.Fprintf(os.Stderr, "polm2-run: warning: skipping corrupt profile %s: %s\n", e.File, e.Err)
+					fmt.Fprintf(os.Stderr, "polm2-run: warning: skipping corrupt evidence document %s: %s\n", e.File, e.Err)
 				}
 			}
 		}

@@ -61,7 +61,6 @@ import (
 	"time"
 
 	"polm2/internal/analyzer"
-	"polm2/internal/jvm"
 	"polm2/internal/metrics"
 	"polm2/internal/profilestore"
 	"polm2/internal/rollout"
@@ -370,37 +369,22 @@ func refuse(w http.ResponseWriter, rejected *metrics.Counter, msg string) string
 // so concurrent cold fetches share one load and no merge can publish
 // between the read and the install). A shard holding evidence rebuilds
 // its plan: a synthetic generation goes through the merge pipeline and the
-// load waits for it to publish. A shard without evidence serves the key's
-// seed through the store. ErrNotFound means there is no plan to serve.
+// load waits for it to publish. ErrNotFound means there is no plan to
+// serve: the key has no evidence.
 func (s *Server) loadPlanLocked(sh *shard) error {
 	s.loads.Inc()
-	if len(sh.evidence) > 0 {
-		if sh.dirty == sh.mergedGen {
-			sh.dirty++
-		}
-		if err := s.awaitCovered(sh, sh.dirty); err != nil || sh.plan != nil {
-			return err
-		}
-		// Rollout mode staged the rebuild as a candidate beside a stable
-		// plan its rollout document no longer holds.
-		return fmt.Errorf("%w: %s has no stable plan to serve", profilestore.ErrNotFound, sh.key)
+	if len(sh.evidence) == 0 {
+		return fmt.Errorf("%w: %s", profilestore.ErrNotFound, sh.key)
 	}
-	p, err := s.store.Get(sh.key.App, sh.key.Workload)
-	if err != nil {
+	if sh.dirty == sh.mergedGen {
+		sh.dirty++
+	}
+	if err := s.awaitCovered(sh, sh.dirty); err != nil || sh.plan != nil {
 		return err
 	}
-	c, err := s.cachePlan(p)
-	if err != nil {
-		return err
-	}
-	sh.plan = c
-	if s.ro != nil && sh.roll.StableETag() == "" {
-		// Rollout mode, no prior rollout history: publishing the seed
-		// adopts it as the stable baseline, so the next merge canaries
-		// against it rather than replacing it fleet-wide.
-		s.publishLocked(sh, c) //nolint:errcheck // healed by the next merge's persist
-	}
-	return nil
+	// Rollout mode staged the rebuild as a candidate beside a stable plan
+	// its rollout document no longer holds.
+	return fmt.Errorf("%w: %s has no stable plan to serve", profilestore.ErrNotFound, sh.key)
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
@@ -466,8 +450,8 @@ func validInstance(id string) bool { return id != "" && len(id) <= 128 }
 
 // admitEvidence is the one admission rule for an evidence document, an
 // upload or a document pulled from a peer alike: the instance id, then
-// Validate, then checkEvidence. A peer is trusted no further than a fleet
-// instance.
+// Validate, then profilestore.CheckEvidence (which an offline seed passes
+// too, in Store.Put). A peer is trusted no further than a fleet instance.
 func admitEvidence(instance string, p *analyzer.Profile) error {
 	if !validInstance(instance) {
 		return fmt.Errorf("evidence must carry a non-empty %s header of at most 128 bytes", InstanceHeader)
@@ -475,46 +459,11 @@ func admitEvidence(instance string, p *analyzer.Profile) error {
 	if err := p.Validate(); err != nil {
 		return fmt.Errorf("invalid evidence: %w", err)
 	}
-	if err := checkEvidence(p); err != nil {
+	if err := profilestore.CheckEvidence(p); err != nil {
 		return fmt.Errorf("rejected evidence: %w", err)
 	}
 	return nil
 }
-
-// checkEvidence salvage-checks an uploaded profile beyond Validate: every
-// site's evidence must be internally consistent, so a mangled or
-// hand-damaged upload cannot poison the fleet merge. This is the full
-// upload-side precondition for mergeability — labels present, every trace
-// parseable, tainted within allocated, buckets summing to the allocation
-// total — which is what lets the merge pipeline classify any later merge
-// failure as server-side without re-merging anything: an upload that
-// passes here cannot be the profile a fold chokes on.
-func checkEvidence(p *analyzer.Profile) error {
-	if p.App == "" || p.Workload == "" {
-		return fmt.Errorf("evidence must carry app and workload labels")
-	}
-	for _, site := range p.Sites {
-		if _, err := jvm.ParseStackTrace(site.Trace); err != nil {
-			return fmt.Errorf("site %q: %w", site.Trace, err)
-		}
-		if site.Tainted > site.Allocated {
-			return fmt.Errorf("site %q: tainted %d exceeds allocated %d", site.Trace, site.Tainted, site.Allocated)
-		}
-		var sum uint64
-		for _, n := range site.Buckets {
-			sum += n
-		}
-		if sum != site.Allocated {
-			return fmt.Errorf("site %q: survival buckets sum to %d, allocated %d", site.Trace, sum, site.Allocated)
-		}
-	}
-	return nil
-}
-
-// seedInstance is the reserved instance id under which a pre-fleet plan
-// (seeded offline by polm2-profile) is adopted as baseline evidence when
-// the key's first document is accepted (acceptLocked).
-const seedInstance = "__seed__"
 
 // InstanceHeader names the request header carrying the uploader's stable
 // instance id. The daemon keeps only each instance's latest evidence, so

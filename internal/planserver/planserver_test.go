@@ -313,9 +313,9 @@ func TestUploadReplacesPerInstance(t *testing.T) {
 	}
 }
 
-// TestSeedPlanCountsOnce: a plan seeded into the store offline (no
-// evidence files) is adopted as baseline evidence exactly once, then
-// instance uploads merge around it.
+// TestSeedPlanCountsOnce: a plan seeded into the store offline is the
+// key's __seed__ evidence, counted once however many instance uploads
+// merge around it.
 func TestSeedPlanCountsOnce(t *testing.T) {
 	_, ts, store := newTestServer(t)
 	seeded, err := analyzer.MergeProfiles(analyzer.Options{},
@@ -365,11 +365,11 @@ func evidenceFiles(t *testing.T, store *profilestore.Store) map[string]string {
 	return out
 }
 
-// TestReadsNeverWriteSeed: a key whose store holds a seed (and a rollout
-// document mid-canary) but no evidence is only ever *read* by plan
-// fetches, feedback, sync stamp lists and a peer pull's summary compare —
-// none of them may write the __seed__ baseline into the evidence log. The
-// key's first accepted upload is what adopts it.
+// TestReadsNeverWriteSeed: a key whose store holds only a seed (and a
+// rollout document mid-canary) is only ever *read* by plan fetches,
+// feedback, sync stamp lists and a peer pull's summary compare — none of
+// them may write to the evidence log. The key's first accepted upload
+// joins the __seed__ document already there.
 func TestReadsNeverWriteSeed(t *testing.T) {
 	dir := t.TempDir()
 	cfg := rollout.Config{CanaryFraction: 0.5, MinReports: 4, Seed: 42}
@@ -437,13 +437,13 @@ func TestReadsNeverWriteSeed(t *testing.T) {
 		t.Fatalf("reads changed the evidence log: %d files before, %d after", len(before), len(after))
 	}
 
-	// The first write adopts the seed as baseline evidence.
+	// The first write joins the seed.
 	postEvidence(t, ts2.URL, "inst-3", evidence("Cassandra", "WI", site("C.c:3", 4))).Body.Close()
 	ev, err := store2.Evidence("Cassandra", "WI")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ev) != 2 || ev[seedInstance] == nil || ev["inst-3"] == nil {
+	if len(ev) != 2 || ev[profilestore.SeedInstance] == nil || ev["inst-3"] == nil {
 		t.Fatalf("after the first upload the log holds %d documents, want __seed__ and inst-3", len(ev))
 	}
 }

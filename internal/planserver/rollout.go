@@ -113,9 +113,9 @@ func shortETag(etag string) string {
 // plan caches) from the persisted rollout document, once per shard when
 // rollout is on (caller holds sh.mu; inShard calls it on every way in). A
 // missing document means a fresh key — or a store written with rollout
-// off, whose plan (its evidence's merge, or its seed) will be adopted as
-// stable by the next merge or cold load. A corrupt document degrades the same way rather than taking the
-// key down.
+// off, whose plan (its evidence's merge) the next merge or cold load
+// publishes, and the tracker's first observation adopts as stable. A
+// corrupt document degrades the same way rather than taking the key down.
 func (s *Server) restoreRolloutLocked(sh *shard) error {
 	if s.ro == nil || sh.roll != nil {
 		return nil
@@ -188,7 +188,7 @@ func (s *Server) cohortLocked(sh *shard) map[string]bool {
 	}
 	ids := make([]string, 0, n)
 	for id := range sh.evidence {
-		if id != seedInstance {
+		if id != profilestore.SeedInstance {
 			ids = append(ids, id)
 		}
 	}
@@ -240,7 +240,7 @@ func (s *Server) recordTransition(sh *shard, tr RolloutTransition, attrs ...trac
 // it feeds c through the key's state machine, syncs the shard's
 // stable/candidate caches to the tracker's verdict and persists the
 // rollout document; a persistence failure is returned (a merge failure,
-// to drain). A cold load adopting a stored plan calls it too.
+// to drain).
 func (s *Server) publishLocked(sh *shard, c *cachedPlan) error {
 	if s.ro == nil {
 		sh.plan = c

@@ -337,9 +337,12 @@ func TestRestartAdvertisesQuarantine(t *testing.T) {
 	}
 }
 
-// A store written by a rollout-disabled daemon has a plan file but no
-// rollout document; the first rollout-enabled fetch adopts it as stable
-// instead of treating the fleet's current plan as an unvetted candidate.
+// A store written by a rollout-disabled daemon has evidence but no rollout
+// document, and a key stored offline has only its seed; the first
+// rollout-enabled fetch of either adopts its plan as stable instead of
+// treating the fleet's current plan as an unvetted candidate. A seed-only
+// key takes no special path: its cold load merges the seed, and the
+// tracker's first observation adopts the result.
 func TestRolloutAdoptsLegacyPlanFile(t *testing.T) {
 	dir := t.TempDir()
 	store, err := profilestore.Open(dir)
@@ -356,22 +359,43 @@ func TestRolloutAdoptsLegacyPlanFile(t *testing.T) {
 		site("Main.run:10;Db.put:5", 5, 95)))
 	legacy := resp.Header.Get("ETag")
 	resp.Body.Close()
+	seed, err := profilestore.Plan(profilestore.Key{App: "Lucene", Workload: "default"},
+		evidence("Lucene", "default", site("Main.run:1;Index.add:7", 10, 30)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put(seed); err != nil {
+		t.Fatal(err)
+	}
+	seedFull, err := profilestore.Encode(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	store2, err := profilestore.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv2, ts2 := rolloutServer(t, store2, rollout.Config{MinReports: 1, Seed: 42})
-	if got := planETagFor(t, ts2.URL, "inst-a"); got != legacy {
-		t.Fatalf("rollout-enabled daemon served %s, want the legacy plan %s", got, legacy)
-	}
-	snap, ok := srv2.RolloutSnapshot("Cassandra", "WI")
-	if !ok || snap.State != "stable" || snap.StableETag != legacy {
-		t.Fatalf("legacy adoption snapshot %+v ok=%v, want stable %s", snap, ok, legacy)
+	for _, c := range []struct {
+		key  profilestore.Key
+		etag string
+	}{
+		{profilestore.Key{App: "Cassandra", Workload: "WI"}, legacy},
+		{profilestore.Key{App: "Lucene", Workload: "default"}, etagOf(seedFull)},
+	} {
+		resp, _ := fetchPlan(t, ts2.URL, c.key.App, c.key.Workload, "")
+		if got := resp.Header.Get("ETag"); resp.StatusCode != http.StatusOK || got != c.etag {
+			t.Fatalf("rollout-enabled daemon served %s %d %s, want the stored plan %s", c.key, resp.StatusCode, got, c.etag)
+		}
+		snap, ok := srv2.RolloutSnapshot(c.key.App, c.key.Workload)
+		if !ok || snap.State != "stable" || snap.StableETag != c.etag {
+			t.Fatalf("%s adoption snapshot %+v ok=%v, want stable %s", c.key, snap, ok, c.etag)
+		}
 	}
 	trs := srv2.RolloutTransitions()
-	if len(trs) != 1 || trs[0].Kind != "adopt" {
-		t.Fatalf("legacy adoption transitions = %+v, want one adopt", trs)
+	if len(trs) != 2 || trs[0].Kind != "adopt" || trs[1].Kind != "adopt" {
+		t.Fatalf("adoption transitions = %+v, want one adopt per key", trs)
 	}
 }
 

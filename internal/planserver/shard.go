@@ -1,7 +1,6 @@
 package planserver
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -55,10 +54,11 @@ type shard struct {
 	// stamps holds each evidence document's replication stamp (sync.go),
 	// maintained in lockstep with evidence: advanced on every accepted
 	// upload, adopted verbatim on every peer pull, advertised in sync
-	// stamp lists. Instances absent here (the unstamped __seed__) carry
-	// the zero stamp and lose every comparison. sum is the running KeySum
-	// over stamps — what the sync summary advertises and the puller
-	// compares — which is why every write to stamps goes through setStamp.
+	// stamp lists. Instances absent here (an unstamped seed, under
+	// profilestore.SeedInstance) carry the zero stamp and lose every
+	// comparison. sum is the running KeySum over stamps — what the sync
+	// summary advertises and the puller compares — which is why every
+	// write to stamps goes through setStamp.
 	stamps map[string]profilestore.Stamp
 	sum    profilestore.KeySum
 
@@ -221,12 +221,14 @@ func (s *Server) dropIfEmpty(sh *shard) {
 // loadEvidence fills the shards from the evidence log, once per daemon
 // lifetime: the first request that touches a shard scans the whole log in
 // one pass (EvidenceAll), and every later request finds it loaded. A
-// failed scan installs nothing and is retried by the next request. With
-// rollout on, each loaded key's rollout state is restored too, so a
-// restarted daemon's sync summary advertises its quarantine set before
-// any request touches the key; a key whose rollout document cannot be
-// read is left for its own requests to retry and report. Called with no
-// shard lock held.
+// document that does not decode is left out — its key serves from its
+// other documents — and counted once in store_error_total; the store's
+// Audit names it. A failed scan (the log cannot be read) installs nothing
+// and is retried by the next request. With rollout on, each loaded key's
+// rollout state is restored too, so a restarted daemon's sync summary
+// advertises its quarantine set before any request touches the key; a key
+// whose rollout document cannot be read is left for its own requests to
+// retry and report. Called with no shard lock held.
 func (s *Server) loadEvidence() error {
 	if s.loaded.Load() {
 		return nil
@@ -237,10 +239,11 @@ func (s *Server) loadEvidence() error {
 		return nil
 	}
 	s.evidenceLoads.Inc()
-	all, err := s.store.EvidenceAll()
+	all, audit, err := s.store.EvidenceAll()
 	if err != nil {
 		return err
 	}
+	s.storeErrs.Add(uint64(audit.Corrupt))
 	for k, docs := range all {
 		sh := s.lockShard(k)
 		for inst, d := range docs {
@@ -264,24 +267,7 @@ func (s *Server) loadEvidence() error {
 // a replayed write is harmless), takes its stamp, and bumps the backlog
 // generation the next merge covers; the caller then hands the worker over
 // (handOverLocked).
-//
-// A key's first accepted document also adopts a plan the store holds
-// without any evidence — seeded offline by polm2-profile — as baseline
-// evidence under seedInstance, exactly once. Only writes adopt it: reads
-// of a plan-only key leave the evidence log untouched.
 func (s *Server) acceptLocked(sh *shard, instance string, stamp profilestore.Stamp, p *analyzer.Profile) error {
-	if len(sh.evidence) == 0 {
-		seed, err := s.store.Get(sh.key.App, sh.key.Workload)
-		if err != nil && !errors.Is(err, profilestore.ErrNotFound) {
-			return err
-		}
-		if seed != nil && checkEvidence(seed) == nil {
-			if err := s.store.PutEvidenceStamped(seedInstance, profilestore.Stamp{}, seed); err != nil {
-				return err
-			}
-			sh.evidence[seedInstance] = seed
-		}
-	}
 	if err := s.store.PutEvidenceStamped(instance, stamp, p); err != nil {
 		return err
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"polm2/internal/analyzer"
 	"polm2/internal/profilestore"
 	"polm2/internal/rollout"
 	"polm2/internal/trace"
@@ -40,12 +41,11 @@ func replaceStoreFile(t *testing.T, store *profilestore.Store, glob string, mk f
 // paths, which are untraced.
 func TestStoreErrorAccounting(t *testing.T) {
 	garbage := func(path string) error { return os.WriteFile(path, []byte("{"), 0o644) }
+	// A directory where an evidence document goes: the scan cannot read
+	// it. (A document that reads but does not decode is skipped instead:
+	// TestCorruptEvidenceFailsOnlyItsDocument.)
 	scanFails := func(t *testing.T, store *profilestore.Store) {
-		dir := filepath.Join(store.Dir(), "evidence")
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := garbage(filepath.Join(dir, "bad.evidence.json")); err != nil {
+		if err := os.MkdirAll(filepath.Join(store.Dir(), "evidence", "bad.evidence.json"), 0o755); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -76,13 +76,9 @@ func TestStoreErrorAccounting(t *testing.T) {
 		breakStore func(t *testing.T, store *profilestore.Store)
 		request    func(t *testing.T, url string) *http.Response
 	}{{
-		name: "fetch",
-		breakStore: func(t *testing.T, store *profilestore.Store) {
-			if err := store.Put(evidence("Cassandra", "WI", site("Main.run:10;Db.put:5", 5, 95))); err != nil {
-				t.Fatal(err)
-			}
-			replaceStoreFile(t, store, "*.profile.json", garbage)
-		},
+		name:       "fetch",
+		rollout:    true,
+		breakStore: rolloutUnreadable,
 		request: func(t *testing.T, url string) *http.Response {
 			resp, _ := fetchPlan(t, url, "Cassandra", "WI", "")
 			return resp
@@ -157,6 +153,74 @@ func TestStoreErrorAccounting(t *testing.T) {
 				t.Errorf("%d trace events with outcome store_error, want %d:\n%s", got, want, events.String())
 			}
 		})
+	}
+}
+
+// TestCorruptEvidenceFailsOnlyItsDocument: the daemon's one scan of the
+// evidence log skips a document that does not decode and counts it once
+// in store_error_total. Its key serves from its remaining documents, every
+// other key serves as before, and the store's Audit names the file.
+func TestCorruptEvidenceFailsOnlyItsDocument(t *testing.T) {
+	store, err := profilestore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := evidence("Cassandra", "WI", site("Main.run:10;Db.put:5", 5, 95))
+	for _, p := range []struct {
+		instance string
+		profile  *analyzer.Profile
+	}{
+		{"inst-1", good},
+		{"inst-2", evidence("Cassandra", "WI", site("Main.run:10;Db.put:5", 50, 50))},
+		{"inst-1", evidence("Lucene", "default", site("Main.run:1;Index.add:7", 10, 30))},
+	} {
+		if err := store.PutEvidenceStamped(p.instance, profilestore.Stamp{}, p.profile); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var victim string
+	replaceStoreFile(t, store, filepath.Join("evidence", "Cassandra__WI-*__inst-2-*.evidence.json"), func(path string) error {
+		victim = filepath.Base(path)
+		return os.WriteFile(path, []byte(`{"instance":"inst-2","profile":{"app":`), 0o644)
+	})
+	want, err := profilestore.Plan(profilestore.Key{App: "Cassandra", Workload: "WI"}, good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := profilestore.Encode(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	srv := New(store, Options{Executor: inline})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	for i := 0; i < 2; i++ {
+		resp, _ := fetchPlan(t, ts.URL, "Cassandra", "WI", "")
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("ETag") != etagOf(full) {
+			t.Fatalf("fetch %d of the damaged key = %d %s, want 200 %s (inst-1 alone)", i, resp.StatusCode, resp.Header.Get("ETag"), etagOf(full))
+		}
+		if resp, _ := fetchPlan(t, ts.URL, "Lucene", "default", ""); resp.StatusCode != http.StatusOK {
+			t.Fatalf("fetch %d of another key = %d, want 200", i, resp.StatusCode)
+		}
+	}
+	if got := srv.Metrics().Counter("store_error_total").Value(); got != 1 {
+		t.Errorf("store_error_total = %d, want 1 (the skipped document, counted once)", got)
+	}
+	if got := srv.Metrics().Counter("evidence_load_total").Value(); got != 1 {
+		t.Errorf("evidence_load_total = %d, want 1: a skipped document is no reason to re-scan", got)
+	}
+	audit, err := store.Audit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if audit.Corrupt != 1 || len(audit.Entries) != 3 {
+		t.Fatalf("Audit = %+v, want 3 documents with 1 corrupt", audit)
+	}
+	for _, e := range audit.Entries {
+		if (e.Err != "") != (e.File == victim) {
+			t.Errorf("Audit entry %+v: want exactly %s flagged", e, victim)
+		}
 	}
 }
 

@@ -36,9 +36,10 @@ import (
 // identical plans.
 //
 // Pulled documents enter through the same accept path as uploads
-// (acceptLocked: persist, cache, stamp, dirty bump, worker), so replication
-// inherits the pipeline's batching, publication and rollout semantics
-// instead of growing a second write path. The rollout quarantine set replicates as a
+// (acceptLocked: persist, cache, stamp, dirty bump), one key's batch in one
+// shard visit with one worker hand-over, so replication inherits the
+// pipeline's batching, publication and rollout semantics instead of
+// growing a second write path. The rollout quarantine set replicates as a
 // grow-only union — a rollback decision anywhere propagates everywhere
 // and no stale peer can resurrect a quarantined plan.
 //
@@ -307,29 +308,65 @@ func (s *Server) syncPeer(peer string) (pulled int, err error) {
 		if err := s.peerGet(peer, keyQuery(k), "", &list); err != nil {
 			return pulled, err
 		}
+		// Fetch every document whose stamp beats ours first, then apply
+		// them together, so the key's catch-up is one merge. Equal stamps
+		// identify the same write (origin disambiguates daemons, and each
+		// daemon's sequence strictly advances), so only a strictly newer
+		// stamp pulls; a zero stamp beats nothing, so unstamped documents
+		// never replicate. A failed fetch still applies what came before it.
+		var docs []*syncDoc
+		var fetchErr error
 		for _, ds := range list.Docs {
-			// Equal stamps identify the same write (origin disambiguates
-			// daemons, and each daemon's sequence strictly advances), so
-			// only a strictly newer stamp pulls; a zero stamp beats
-			// nothing, so unstamped documents never replicate.
 			if !own[ds.Instance].Less(ds.Stamp) {
 				continue
 			}
 			doc, err := s.fetchDoc(peer, k, ds.Instance)
 			if err != nil {
-				return pulled, err
+				fetchErr = err
+				break
 			}
-			if doc == nil {
-				continue // the document vanished on the peer between list and fetch
+			if doc != nil { // nil: the document vanished on the peer between list and fetch
+				docs = append(docs, doc)
 			}
-			n, err := s.applySyncDoc(k, doc)
-			if err != nil {
-				return pulled, err
-			}
-			pulled += n
+		}
+		n, err := s.applySyncDocs(k, docs)
+		pulled += n
+		if err == nil {
+			err = fetchErr
+		}
+		if err != nil {
+			return pulled, err
 		}
 	}
 	return pulled, nil
+}
+
+// applySyncDocs accepts one key's pulled documents through the upload
+// write path (acceptLocked) in one visit, and hands the merge over once
+// for all of them. Each stamp comparison re-runs under the shard lock — a
+// direct upload or another pull may have advanced the local document
+// since the stamp list — and the remote stamp is adopted verbatim:
+// replication moves documents, it never re-versions them.
+func (s *Server) applySyncDocs(k profilestore.Key, docs []*syncDoc) (applied int, err error) {
+	if len(docs) == 0 {
+		return 0, nil
+	}
+	err = s.inShard(k, func(sh *shard) error {
+		var err error
+		for _, doc := range docs {
+			if !sh.stamps[doc.Instance].Less(doc.Stamp) {
+				continue
+			}
+			if err = s.acceptLocked(sh, doc.Instance, doc.Stamp, doc.Profile); err != nil {
+				break
+			}
+			s.peerDocsApplied.Inc()
+			applied++
+		}
+		s.handOverLocked(sh)
+		return err
+	})
+	return applied, err
 }
 
 // keyQuery is the raw query naming one key on a peer's /v1/sync.
@@ -396,27 +433,6 @@ func (s *Server) fetchDoc(peer string, k profilestore.Key, instance string) (*sy
 		return nil, fmt.Errorf("planserver: peer document from %s: %w", peer, err)
 	}
 	return &doc, nil
-}
-
-// applySyncDoc accepts a pulled document through the upload write path
-// (acceptLocked). The stamp comparison re-runs under the shard lock — a
-// direct upload or another pull may have advanced the local document since
-// the stamp list — and the remote stamp is adopted verbatim: replication
-// moves documents, it never re-versions them.
-func (s *Server) applySyncDoc(k profilestore.Key, doc *syncDoc) (applied int, err error) {
-	err = s.inShard(k, func(sh *shard) error {
-		if !sh.stamps[doc.Instance].Less(doc.Stamp) {
-			return nil
-		}
-		if err := s.acceptLocked(sh, doc.Instance, doc.Stamp, doc.Profile); err != nil {
-			return err
-		}
-		s.peerDocsApplied.Inc()
-		applied = 1
-		s.handOverLocked(sh)
-		return nil
-	})
-	return applied, err
 }
 
 // quarantineLocked unions a peer's quarantined ETags into the key's

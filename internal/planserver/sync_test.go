@@ -303,6 +303,51 @@ func TestSyncPeersConverge(t *testing.T) {
 	}
 }
 
+// TestSyncPullMergesKeyOnce: a pass fetches every winning document of a
+// key before it applies any, then applies them in one shard visit, so a
+// key's catch-up is one merge however many documents it pulls. A fetch
+// that fails partway still applies the documents fetched before it.
+func TestSyncPullMergesKeyOnce(t *testing.T) {
+	srvA, tsA, _ := newPeerServer(t, "daemon-0")
+	for i := 0; i < 8; i++ {
+		postEvidence(t, tsA.URL, fmt.Sprintf("inst-%d", i), evidence("Cassandra", "WI", site("A.a:1", uint64(5+i)))).Body.Close()
+	}
+	srvB, _, _ := newPeerServer(t, "daemon-1", tsA.URL)
+	if n := srvB.SyncPeers(); n != 8 {
+		t.Fatalf("pulled %d documents, want 8", n)
+	}
+	if got := srvB.Metrics().Counter("evidence_merge_total").Value(); got != 1 {
+		t.Fatalf("evidence_merge_total = %d after pulling 8 documents of one key, want 1", got)
+	}
+	if a, b := srvA.PlanETag("Cassandra", "WI"), srvB.PlanETag("Cassandra", "WI"); a == "" || a != b {
+		t.Fatalf("plans diverge after the pull: A=%s B=%s", a, b)
+	}
+
+	// The sixth document's fetch fails: the five before it are applied,
+	// in one merge, and the pass counts one sync error.
+	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Get("instance") == "inst-5" {
+			http.Error(w, "unavailable", http.StatusServiceUnavailable)
+			return
+		}
+		srvA.ServeHTTP(w, r)
+	}))
+	defer flaky.Close()
+	srvC, _, storeC := newPeerServer(t, "daemon-2", flaky.URL)
+	if n := srvC.SyncPeers(); n != 5 {
+		t.Fatalf("pulled %d documents past a failed fetch, want the 5 before it", n)
+	}
+	if got := srvC.Metrics().Counter("peer_sync_error_total").Value(); got != 1 {
+		t.Fatalf("peer_sync_error_total = %d, want 1", got)
+	}
+	if got := srvC.Metrics().Counter("evidence_merge_total").Value(); got != 1 {
+		t.Fatalf("evidence_merge_total = %d, want 1", got)
+	}
+	if ev, err := storeC.Evidence("Cassandra", "WI"); err != nil || len(ev) != 5 || ev["inst-4"] == nil || ev["inst-5"] != nil {
+		t.Fatalf("applied evidence = %d documents (%v), want inst-0..inst-4", len(ev), err)
+	}
+}
+
 // A conflicting instance (same id written on both daemons) resolves to the
 // stamp-order winner on both sides — last write wins, deterministically.
 func TestSyncPeersLastWriteWins(t *testing.T) {

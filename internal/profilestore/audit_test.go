@@ -7,22 +7,22 @@ import (
 	"testing"
 )
 
-// corrupt overwrites the stored file for (app, workload) with broken JSON.
+// corrupt overwrites the stored seed for (app, workload) with broken JSON.
 func corrupt(t *testing.T, s *Store, app, workload string) string {
 	t.Helper()
-	path := s.path(Key{App: app, Workload: workload})
+	path := s.evidencePath(Key{App: app, Workload: workload}, SeedInstance)
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("entry to corrupt is missing: %v", err)
 	}
-	if err := os.WriteFile(path, []byte(`{"app":"Cassandra","generations":`), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(`{"instance":"__seed__","profile":{"app":"Cassandra","generations":`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return filepath.Base(path)
 }
 
 // TestAuditFlagsCorruptEntry checks Audit scans past damage: the corrupt
-// file is reported with its load error while healthy entries keep their
-// keys, and the scan itself never fails.
+// document is reported with its decode error while healthy entries keep
+// their keys, and the scan itself never fails.
 func TestAuditFlagsCorruptEntry(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {

@@ -17,7 +17,7 @@ import (
 func storeFiles(t *testing.T, dir string) map[string][]byte {
 	t.Helper()
 	out := make(map[string][]byte)
-	for _, glob := range []string{"*.profile.json", "*.rollout.json", filepath.Join("evidence", "*.evidence.json")} {
+	for _, glob := range []string{"*.rollout.json", filepath.Join("evidence", "*.evidence.json")} {
 		paths, err := filepath.Glob(filepath.Join(dir, glob))
 		if err != nil {
 			t.Fatal(err)
@@ -45,11 +45,8 @@ func storeFiles(t *testing.T, dir string) map[string][]byte {
 // path succeeds: a lost write leaves the previous version, never an empty
 // file.
 func TestCrashSweepKeepsEveryFileWhole(t *testing.T) {
-	plan := func(gens int) *analyzer.Profile {
-		p := sampleProfile("Cassandra", "WI")
-		p.Generations = gens
-		p.Allocs[0].Gen = gens
-		return p
+	plan := func(version uint64) *analyzer.Profile {
+		return seedProfile("Cassandra", "WI", 100*version)
 	}
 	seed := func(s *Store) error {
 		if err := s.Put(plan(2)); err != nil {
@@ -128,8 +125,8 @@ func TestCrashSweepKeepsEveryFileWhole(t *testing.T) {
 					t.Fatalf("%s = %q, want %q", name, got[name], data)
 				}
 			}
-			if _, err := s.EvidenceAll(); err != nil {
-				t.Fatalf("EvidenceAll after crash#%d: %v", k, err)
+			if _, audit, err := s.EvidenceAll(); err != nil || audit.Corrupt != 0 {
+				t.Fatalf("EvidenceAll after crash#%d: %v, audit %+v", k, err, audit)
 			}
 			if _, err := s.Get("Cassandra", "WI"); err != nil {
 				t.Fatalf("Get after crash#%d: %v", k, err)

@@ -5,8 +5,11 @@
 // application is launched in the production phase, one allocation profile
 // can be chosen according to the estimated workload."
 //
-// A key's plan has one definition, Get: the merge of its evidence (Plan)
-// when it has any, otherwise its offline seed, the profile Put stored.
+// A store holds one kind of profile record, an evidence document per
+// (application, workload, instance), and a key's plan has one definition,
+// Get: the merge of the key's evidence (Plan). An offline seed — the
+// profile polm2-profile stores with Put — is the key's SeedInstance
+// document, merged like any instance's.
 //
 // A Store is safe for concurrent use: the plan-distribution daemon
 // (internal/planserver) fronts one store with many goroutines. Every file
@@ -24,13 +27,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
 
 	"polm2/internal/analyzer"
 	"polm2/internal/faultio"
+	"polm2/internal/jvm"
 )
 
 // ErrNotFound reports a missing profile.
@@ -44,11 +47,11 @@ type Key struct {
 
 func (k Key) String() string { return k.App + "/" + k.Workload }
 
-// Store is an on-disk profile repository. A seed is stored as compact JSON
-// that analyzer.LoadProfile reads like Profile.Save's output, named
-// <app>__<workload>-<hash>.profile.json, where <hash> fingerprints the raw
-// key so two keys that sanitize to the same text cannot overwrite each
-// other. Each key has exactly one seed file name; no other name is read.
+// Store is an on-disk profile repository: evidence documents under
+// <dir>/evidence and one rollout document per key beside them. Every file
+// of a key is named from its stem, <app>__<workload>-<hash>, where <hash>
+// fingerprints the raw key so two keys that sanitize to the same text
+// cannot overwrite each other.
 type Store struct {
 	dir string
 
@@ -58,10 +61,30 @@ type Store struct {
 	fault *faultio.Injector
 }
 
-// Open opens (creating if needed) a store rooted at dir.
+// PlanFileError is Open's refusal of a directory that holds a plan file
+// (*.profile.json). The store reads no such file: an offline seed is
+// stored as its key's SeedInstance evidence, and a daemon derives every
+// plan from the evidence, so serving beside a plan file would silently
+// ignore it.
+type PlanFileError struct {
+	// File is the path of the first plan file found.
+	File string
+}
+
+func (e *PlanFileError) Error() string {
+	return fmt.Sprintf("profilestore: %s is a plan file, which this store does not read: "+
+		"re-store the profile with polm2-profile -store, or delete the file if an older polm2d "+
+		"left it (the key's plan is the merge of its evidence)", e.File)
+}
+
+// Open opens (creating if needed) a store rooted at dir. A directory
+// holding a plan file is refused with a *PlanFileError.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("profilestore: %w", err)
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "*.profile.json")); len(files) > 0 {
+		return nil, &PlanFileError{File: files[0]}
 	}
 	return &Store{dir: dir}, nil
 }
@@ -106,27 +129,56 @@ func stem(k Key) string {
 	return sanitize(k.App) + "__" + sanitize(k.Workload) + "-" + keyHash(k)
 }
 
-func (s *Store) path(k Key) string {
-	return filepath.Join(s.dir, stem(k)+".profile.json")
-}
+// SeedInstance is the reserved instance id of a key's offline seed. Put
+// stores a profile as this instance's unstamped evidence, so the seed
+// merges into the key's plan like any instance's document and never
+// replicates (an unstamped document loses every stamp comparison).
+const SeedInstance = "__seed__"
 
-// Put stores a profile as its App/Workload key's offline seed, replacing
-// any previous seed. The seed is the key's plan only while the key has no
-// evidence (Get).
+// Put stores a profile as its App/Workload key's offline seed: the
+// unstamped evidence document of SeedInstance, replacing the key's
+// previous seed and nothing else. A profile without site evidence is
+// refused, since its plan would re-derive empty, and so is one the plan
+// daemon would not admit as an upload (CheckEvidence).
 func (s *Store) Put(p *analyzer.Profile) error {
-	if p.App == "" || p.Workload == "" {
-		return fmt.Errorf("profilestore: profile must carry App and Workload labels")
+	if len(p.Sites) == 0 {
+		return fmt.Errorf("profilestore: profile %s/%s carries no site evidence to derive a plan from", p.App, p.Workload)
 	}
-	if err := p.Validate(); err != nil {
+	if err := CheckEvidence(p); err != nil {
 		return fmt.Errorf("profilestore: %w", err)
 	}
-	data, err := Encode(p)
-	if err != nil {
-		return fmt.Errorf("profilestore: encoding profile: %w", err)
+	return s.PutEvidenceStamped(SeedInstance, Stamp{}, p)
+}
+
+// CheckEvidence salvage-checks an evidence document beyond Validate:
+// every site's evidence must be internally consistent, so a mangled or
+// hand-damaged document cannot poison the fleet merge. This is the full
+// precondition for mergeability — labels present, every trace parseable,
+// tainted within allocated, buckets summing to the allocation total —
+// which the plan daemon applies to every upload and pulled document, and
+// Put to every seed. It is what lets the merge pipeline classify any
+// later merge failure as server-side without re-merging anything: a
+// document that passes here cannot be the profile a fold chokes on.
+func CheckEvidence(p *analyzer.Profile) error {
+	if p.App == "" || p.Workload == "" {
+		return fmt.Errorf("evidence must carry app and workload labels")
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.publish(s.path(Key{App: p.App, Workload: p.Workload}), data)
+	for _, site := range p.Sites {
+		if _, err := jvm.ParseStackTrace(site.Trace); err != nil {
+			return fmt.Errorf("site %q: %w", site.Trace, err)
+		}
+		if site.Tainted > site.Allocated {
+			return fmt.Errorf("site %q: tainted %d exceeds allocated %d", site.Trace, site.Tainted, site.Allocated)
+		}
+		var sum uint64
+		for _, n := range site.Buckets {
+			sum += n
+		}
+		if sum != site.Allocated {
+			return fmt.Errorf("site %q: survival buckets sum to %d, allocated %d", site.Trace, sum, site.Allocated)
+		}
+	}
+	return nil
 }
 
 // Encode renders v in the store's on-disk form, which is also the daemon's
@@ -155,125 +207,91 @@ func (s *Store) publish(path string, data []byte) error {
 
 // Plan is key k's plan over its evidence documents: their merge, labeled
 // with k. The store's Get and the plan daemon's merge worker both derive a
-// plan through it.
+// plan through it. For a profile core.ProfileApp writes, Plan(k, p) encodes
+// to p's own bytes, so a seed alone is served as it was stored.
 func Plan(k Key, evidence ...*analyzer.Profile) (*analyzer.Profile, error) {
 	return analyzer.MergeProfiles(analyzer.Options{App: k.App, Workload: k.Workload}, evidence...)
 }
 
 // Get returns the plan for the exact (app, workload) pair: the merge of the
-// key's evidence when it has any, otherwise its seed. ErrNotFound means the
-// key has neither; a stored seed is not read once the key has evidence.
+// key's evidence. ErrNotFound means the key has none; a document of the
+// key that does not decode fails the read.
 func (s *Store) Get(app, workload string) (*analyzer.Profile, error) {
-	k := Key{App: app, Workload: workload}
 	docs, err := s.Evidence(app, workload)
 	if err != nil {
 		return nil, err
 	}
-	if len(docs) > 0 {
-		evidence := make([]*analyzer.Profile, 0, len(docs))
-		for _, p := range docs {
-			evidence = append(evidence, p)
-		}
-		return Plan(k, evidence...)
+	if len(docs) == 0 {
+		return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, app, workload)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, err := analyzer.LoadProfile(s.path(k))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, k)
+	evidence := make([]*analyzer.Profile, 0, len(docs))
+	for _, p := range docs {
+		evidence = append(evidence, p)
 	}
-	return p, err
+	return Plan(Key{App: app, Workload: workload}, evidence...)
 }
 
-// Delete removes a key's stored seed. Deleting a missing seed returns
-// ErrNotFound.
-func (s *Store) Delete(app, workload string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	err := os.Remove(s.path(Key{App: app, Workload: workload}))
-	if errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("%w: %s/%s", ErrNotFound, app, workload)
-	}
-	return err
-}
-
-// List returns every key Get has a plan for — each seed's key and each key
-// with evidence — sorted and deduplicated. A corrupt seed or evidence
-// document fails the listing.
+// List returns every key Get has a plan for — each key with evidence —
+// sorted. A document that does not decode fails the listing.
 func (s *Store) List() ([]Key, error) { return s.keys(false) }
 
-// keys is List; skipCorrupt leaves a corrupt seed out instead of failing.
+// keys is List; skipCorrupt leaves a document that does not decode out
+// instead of failing.
 func (s *Store) keys(skipCorrupt bool) ([]Key, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	audit, err := s.auditLocked()
+	all, audit, err := s.evidenceLocked("*.evidence.json")
 	if err != nil {
 		return nil, err
 	}
-	all, err := s.evidenceLocked("*.evidence.json")
-	if err != nil {
-		return nil, err
-	}
-	keys := make([]Key, 0, len(audit.Entries)+len(all))
-	for _, e := range audit.Entries {
-		switch {
-		case e.Err == "":
-			keys = append(keys, e.Key)
-		case !skipCorrupt:
-			return nil, fmt.Errorf("profilestore: corrupt entry %s: %s", e.File, e.Err)
+	if !skipCorrupt {
+		if err := audit.err(); err != nil {
+			return nil, err
 		}
 	}
+	keys := make([]Key, 0, len(all))
 	for k := range all {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
-	return slices.Compact(keys), nil
+	return keys, nil
 }
 
-// AuditEntry is one stored seed file's health as seen by Audit.
+// AuditEntry is one stored evidence document's health as seen by Audit.
 type AuditEntry struct {
-	// File is the entry's base name.
+	// File is the document's base name.
 	File string
-	// Key identifies the profile; zero when the entry is corrupt.
+	// Key identifies the document's key; zero when the entry is corrupt.
 	Key Key
-	// Err is the load failure, empty for a healthy entry.
+	// Err is the decode failure, empty for a healthy entry.
 	Err string
 }
 
-// AuditReport is the result of scanning a store.
+// AuditReport is the result of scanning a store's evidence documents.
 type AuditReport struct {
 	Entries []AuditEntry
 	Corrupt int
 }
 
-// Audit loads every stored seed and reports its health instead of failing
-// on the first corrupt one. The error is non-nil only when the store
-// directory itself cannot be scanned.
+// err is the failure a strict read reports for the report's first corrupt
+// document; nil when every document decoded.
+func (r *AuditReport) err() error {
+	for _, e := range r.Entries {
+		if e.Err != "" {
+			return fmt.Errorf("profilestore: corrupt evidence %s: %s", e.File, e.Err)
+		}
+	}
+	return nil
+}
+
+// Audit decodes every stored evidence document and reports its health
+// instead of failing on the first corrupt one. The error is non-nil only
+// when the store cannot be read.
 func (s *Store) Audit() (*AuditReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.auditLocked()
-}
-
-func (s *Store) auditLocked() (*AuditReport, error) {
-	paths, err := filepath.Glob(filepath.Join(s.dir, "*.profile.json"))
-	if err != nil {
-		return nil, fmt.Errorf("profilestore: %w", err)
-	}
-	sort.Strings(paths)
-	rep := &AuditReport{}
-	for _, path := range paths {
-		e := AuditEntry{File: filepath.Base(path)}
-		p, err := analyzer.LoadProfile(path)
-		if err != nil {
-			e.Err = err.Error()
-			rep.Corrupt++
-		} else {
-			e.Key = Key{App: p.App, Workload: p.Workload}
-		}
-		rep.Entries = append(rep.Entries, e)
-	}
-	return rep, nil
+	_, audit, err := s.evidenceLocked("*.evidence.json")
+	return audit, err
 }
 
 // evidenceEntry is the on-disk form of one instance's evidence: the
@@ -287,8 +305,7 @@ type evidenceEntry struct {
 	Profile  *analyzer.Profile `json:"profile"`
 }
 
-// evidenceDir holds per-instance evidence, separate from the seeds so
-// *.profile.json globs (Audit) see only seeds.
+// evidenceDir holds the per-instance evidence documents.
 func (s *Store) evidenceDir() string { return filepath.Join(s.dir, "evidence") }
 
 // evidenceHash fingerprints the raw (app, workload, instance) triple so
@@ -345,12 +362,16 @@ func (s *Store) PutEvidenceStamped(instance string, stamp Stamp, p *analyzer.Pro
 // Evidence loads every instance's latest evidence for (app, workload),
 // keyed by instance id. It reads only the documents named under the key's
 // stem, and of those only the ones labeled with the key: a longer key can
-// share the stem. A key with no evidence returns an empty map.
+// share the stem. A key with no evidence returns an empty map; a document
+// under the stem that does not decode fails the read.
 func (s *Store) Evidence(app, workload string) (map[string]*analyzer.Profile, error) {
 	k := Key{App: app, Workload: workload}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	grouped, err := s.evidenceLocked(stem(k) + "__*.evidence.json")
+	grouped, audit, err := s.evidenceLocked(stem(k) + "__*.evidence.json")
+	if err == nil {
+		err = audit.err()
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -361,30 +382,31 @@ func (s *Store) Evidence(app, workload string) (map[string]*analyzer.Profile, er
 	return out, nil
 }
 
-// evidenceLocked reads the evidence documents whose names match pattern,
-// validating each, and groups them per (key, instance) by their labels.
-func (s *Store) evidenceLocked(pattern string) (map[Key]map[string]EvidenceDoc, error) {
+// evidenceLocked reads the evidence documents whose names match pattern
+// and groups the ones that decode and validate per (key, instance) by
+// their labels. Every document is audited: one that does not decode is
+// left out of the groups and reported corrupt in the audit. Only a
+// failure to read the store fails the scan.
+func (s *Store) evidenceLocked(pattern string) (map[Key]map[string]EvidenceDoc, *AuditReport, error) {
 	paths, err := filepath.Glob(filepath.Join(s.evidenceDir(), pattern))
 	if err != nil {
-		return nil, fmt.Errorf("profilestore: %w", err)
+		return nil, nil, fmt.Errorf("profilestore: %w", err)
 	}
 	out := make(map[Key]map[string]EvidenceDoc)
+	audit := &AuditReport{}
 	for _, path := range paths {
 		data, err := os.ReadFile(path)
 		if err != nil {
-			return nil, fmt.Errorf("profilestore: reading evidence: %w", err)
+			return nil, nil, fmt.Errorf("profilestore: reading evidence: %w", err)
 		}
-		var e evidenceEntry
-		if err := json.Unmarshal(data, &e); err != nil {
-			return nil, fmt.Errorf("profilestore: corrupt evidence %s: %w", filepath.Base(path), err)
-		}
-		if e.Instance == "" || e.Profile == nil {
-			return nil, fmt.Errorf("profilestore: corrupt evidence %s: missing instance or profile", filepath.Base(path))
-		}
-		if err := e.Profile.Validate(); err != nil {
-			return nil, fmt.Errorf("profilestore: corrupt evidence %s: %w", filepath.Base(path), err)
+		e, err := decodeEvidence(data)
+		if err != nil {
+			audit.Entries = append(audit.Entries, AuditEntry{File: filepath.Base(path), Err: err.Error()})
+			audit.Corrupt++
+			continue
 		}
 		k := Key{App: e.Profile.App, Workload: e.Profile.Workload}
+		audit.Entries = append(audit.Entries, AuditEntry{File: filepath.Base(path), Key: k})
 		if out[k] == nil {
 			out[k] = make(map[string]EvidenceDoc)
 		}
@@ -394,18 +416,32 @@ func (s *Store) evidenceLocked(pattern string) (map[Key]map[string]EvidenceDoc, 
 		}
 		out[k][e.Instance] = EvidenceDoc{Profile: e.Profile, Stamp: st}
 	}
-	return out, nil
+	return out, audit, nil
 }
 
-// rolloutPath names the rollout-controller document for one key. The
-// suffix keeps it out of every *.profile.json glob.
+// decodeEvidence decodes and validates one evidence document.
+func decodeEvidence(data []byte) (*evidenceEntry, error) {
+	var e evidenceEntry
+	if err := json.Unmarshal(data, &e); err != nil {
+		return nil, err
+	}
+	if e.Instance == "" || e.Profile == nil {
+		return nil, errors.New("missing instance or profile")
+	}
+	if err := e.Profile.Validate(); err != nil {
+		return nil, err
+	}
+	return &e, nil
+}
+
+// rolloutPath names the rollout-controller document for one key.
 func (s *Store) rolloutPath(k Key) string {
 	return filepath.Join(s.dir, stem(k)+".rollout.json")
 }
 
 // PutRollout stores the canary-rollout controller document for (app,
 // workload) — an opaque JSON payload owned by the planserver — through the
-// same publish as seeds, fault injector included, so a crash mid-write
+// same publish as evidence, fault injector included, so a crash mid-write
 // leaves the previous document intact.
 func (s *Store) PutRollout(app, workload string, doc []byte) error {
 	if app == "" || workload == "" {
@@ -438,8 +474,8 @@ func (s *Store) Rollout(app, workload string) ([]byte, error) {
 // the application's only profile when the estimate has none and exactly one
 // other is stored (launching with a related profile beats launching
 // uninstrumented; §3.5 leaves the selection policy to the operator).
-// The candidates are List's keys. Corrupt seeds are skipped, not fatal: a
-// damaged store degrades to whatever healthy profiles remain.
+// The candidates are List's keys. Corrupt evidence documents are skipped,
+// not fatal: a damaged store degrades to whatever healthy profiles remain.
 func (s *Store) Select(app, estimatedWorkload string) (*analyzer.Profile, error) {
 	p, err := s.Get(app, estimatedWorkload)
 	if err == nil {

@@ -16,7 +16,13 @@ import (
 	"polm2/internal/faultio"
 )
 
+// sampleProfile is an offline seed as Put stores it: directives plus the
+// site evidence they derive from. allocated tells versions apart.
 func sampleProfile(app, workload string) *analyzer.Profile {
+	return seedProfile(app, workload, 100)
+}
+
+func seedProfile(app, workload string, allocated uint64) *analyzer.Profile {
 	return &analyzer.Profile{
 		App:         app,
 		Workload:    workload,
@@ -25,24 +31,49 @@ func sampleProfile(app, workload string) *analyzer.Profile {
 			{Loc: "A.m:1", Gen: 2, Direct: true},
 		},
 		Calls: []analyzer.CallDirective{{Loc: "B.n:2", Gen: 1}},
+		Sites: []analyzer.SiteStat{
+			{Trace: "B.n:2;A.m:1", Allocated: allocated, Buckets: []uint64{allocated / 10, 0, allocated - allocated/10}, Gen: 2},
+		},
 	}
 }
 
+// allocatedOf is the single site's allocation count of a sample plan.
+func allocatedOf(t *testing.T, p *analyzer.Profile) uint64 {
+	t.Helper()
+	if len(p.Sites) != 1 {
+		t.Fatalf("plan has %d sites, want 1", len(p.Sites))
+	}
+	return p.Sites[0].Allocated
+}
+
+// TestPutGetRoundTrip: a stored seed is its key's only evidence document,
+// under SeedInstance, and Get returns its plan.
 func TestPutGetRoundTrip(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := sampleProfile("Cassandra", "WI")
-	if err := s.Put(want); err != nil {
+	seed := sampleProfile("Cassandra", "WI")
+	if err := s.Put(seed); err != nil {
 		t.Fatal(err)
 	}
 	got, err := s.Get("Cassandra", "WI")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.App != "Cassandra" || got.Workload != "WI" || len(got.Allocs) != 1 {
-		t.Fatalf("round trip lost data: %+v", got)
+	want, err := Plan(Key{"Cassandra", "WI"}, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || len(got.Allocs) != 1 {
+		t.Fatalf("Get = %+v, want the seed's plan %+v", got, want)
+	}
+	ev, err := s.Evidence("Cassandra", "WI")
+	if err != nil || len(ev) != 1 || !reflect.DeepEqual(ev[SeedInstance], seed) {
+		t.Fatalf("Evidence = %+v, %v; want the seed alone under %s", ev, err, SeedInstance)
+	}
+	if files, _ := filepath.Glob(filepath.Join(s.Dir(), "*.profile.json")); len(files) != 0 {
+		t.Fatalf("Put wrote plan files %v", files)
 	}
 }
 
@@ -57,6 +88,62 @@ func TestPutRequiresLabels(t *testing.T) {
 	}
 }
 
+// TestPutRefusesUnmergeableSeed: a seed is admitted by the plan daemon's
+// upload rule. A profile carrying only directives would re-derive an empty
+// plan, and a site the merge cannot fold (an unparseable trace) or that
+// contradicts itself would fail or skew every merge of its key.
+func TestPutRefusesUnmergeableSeed(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mangle := range map[string]func(p *analyzer.Profile){
+		"no sites":        func(p *analyzer.Profile) { p.Sites = nil },
+		"bad trace":       func(p *analyzer.Profile) { p.Sites[0].Trace = "not a trace" },
+		"bucket mismatch": func(p *analyzer.Profile) { p.Sites[0].Buckets[0]++ },
+		"tainted overflow": func(p *analyzer.Profile) {
+			p.Sites[0].Tainted = p.Sites[0].Allocated + 1
+		},
+	} {
+		p := sampleProfile("Cassandra", "WI")
+		mangle(p)
+		if err := s.Put(p); err == nil {
+			t.Errorf("%s: seed accepted", name)
+		}
+	}
+	if keys, err := s.List(); err != nil || len(keys) != 0 {
+		t.Fatalf("List after refused Puts = %v, %v", keys, err)
+	}
+}
+
+// TestOpenRefusesPlanFile: the store reads no *.profile.json, so a
+// directory holding one (an older daemon's plan file, or a seed stored
+// before seeds were evidence) is refused, naming the file and the fix.
+func TestOpenRefusesPlanFile(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	plan := filepath.Join(dir, "Cassandra__WI-0123abcd.profile.json")
+	if err := os.WriteFile(plan, []byte("{}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(dir)
+	var refusal *PlanFileError
+	if !errors.As(err, &refusal) || refusal.File != plan {
+		t.Fatalf("Open = %v, want a *PlanFileError naming %s", err, plan)
+	}
+	if !strings.Contains(err.Error(), "polm2-profile -store") {
+		t.Fatalf("refusal %q does not say how to re-store the profile", err)
+	}
+	if err := os.Remove(plan); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir); err != nil {
+		t.Fatalf("Open after removing the plan file: %v", err)
+	}
+}
+
 func TestGetMissing(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -67,7 +154,7 @@ func TestGetMissing(t *testing.T) {
 	}
 }
 
-func TestListAndDelete(t *testing.T) {
+func TestListSortsKeys(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -81,24 +168,8 @@ func TestListAndDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(keys) != 3 {
-		t.Fatalf("List = %v", keys)
-	}
-	if keys[0].String() != "Cassandra/RI" {
-		t.Fatalf("List not sorted: %v", keys)
-	}
-	if err := s.Delete("Cassandra", "WI"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Delete("Cassandra", "WI"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("double delete error = %v", err)
-	}
-	keys, err = s.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 2 {
-		t.Fatalf("after delete List = %v", keys)
+	if want := []Key{{"Cassandra", "RI"}, {"Cassandra", "WI"}, {"Lucene", "default"}}; !slices.Equal(keys, want) {
+		t.Fatalf("List = %v, want %v", keys, want)
 	}
 }
 
@@ -147,16 +218,10 @@ func TestSanitizeCollisionKeepsBothKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := sampleProfile("app v1", "WI")
-	b := sampleProfile("app_v1", "WI")
-	a.Generations, b.Generations = 2, 1
-	a.Calls, b.Calls = nil, nil
-	a.Allocs = []analyzer.AllocDirective{{Loc: "A.m:1", Gen: 2, Direct: true}}
-	b.Allocs = []analyzer.AllocDirective{{Loc: "B.n:2", Gen: 1, Direct: true}}
-	if err := s.Put(a); err != nil {
+	if err := s.Put(seedProfile("app v1", "WI", 100)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(b); err != nil {
+	if err := s.Put(seedProfile("app_v1", "WI", 7)); err != nil {
 		t.Fatal(err)
 	}
 	gotA, err := s.Get("app v1", "WI")
@@ -167,10 +232,10 @@ func TestSanitizeCollisionKeepsBothKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotA.App != "app v1" || gotA.Generations != 2 {
+	if gotA.App != "app v1" || allocatedOf(t, gotA) != 100 {
 		t.Fatalf("first colliding key overwritten: %+v", gotA)
 	}
-	if gotB.App != "app_v1" || gotB.Generations != 1 {
+	if gotB.App != "app_v1" || allocatedOf(t, gotB) != 7 {
 		t.Fatalf("second colliding key wrong: %+v", gotB)
 	}
 	keys, err := s.List()
@@ -228,20 +293,15 @@ func TestFaultedWriteKeepsPreviousVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := sampleProfile("Cassandra", "WI")
-	if err := s.Put(first); err != nil {
+	if err := s.Put(seedProfile("Cassandra", "WI", 100)); err != nil {
 		t.Fatal(err)
 	}
-	plan, err := faultio.ParseSpec("missing:*.profile.json")
+	plan, err := faultio.ParseSpec("missing:*.evidence.json")
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.SetFault(faultio.New(plan))
-	second := sampleProfile("Cassandra", "WI")
-	second.Generations = 3
-	second.Allocs = []analyzer.AllocDirective{{Loc: "A.m:1", Gen: 3, Direct: true}}
-	second.Calls = nil
-	if err := s.Put(second); err != nil {
+	if err := s.Put(seedProfile("Cassandra", "WI", 300)); err != nil {
 		t.Fatalf("faulted Put surfaced an error the process could not observe: %v", err)
 	}
 	s.SetFault(nil)
@@ -249,8 +309,8 @@ func TestFaultedWriteKeepsPreviousVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Generations != 2 {
-		t.Fatalf("faulted write half-applied: generations = %d, want the previous 2", got.Generations)
+	if n := allocatedOf(t, got); n != 100 {
+		t.Fatalf("faulted write half-applied: allocated = %d, want the previous 100", n)
 	}
 }
 
@@ -358,41 +418,58 @@ func TestEvidenceReadsOnlyItsKey(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Get = %+v, want the merge of the key's two documents %+v", got, want)
 	}
-	// The whole-store scan does read the damaged document.
-	if _, err := s.EvidenceAll(); err == nil {
-		t.Fatal("EvidenceAll read past an unreadable document")
+	// The whole-store scan reads the damaged document too, and leaves it
+	// out as corrupt instead of failing every key.
+	all, audit, err := s.EvidenceAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != 2 || len(all[a]) != 2 || len(all[lookalike]) != 1 {
+		t.Fatalf("EvidenceAll = %v, want both keys' documents", all)
+	}
+	if audit.Corrupt != 1 || len(audit.Entries) != 4 || audit.err() == nil ||
+		!strings.Contains(audit.err().Error(), filepath.Base(garbage)) {
+		t.Fatalf("EvidenceAll audit = %+v, want %s reported corrupt", audit, filepath.Base(garbage))
 	}
 }
 
-// TestGetPrefersEvidenceOverSeed: once a key has evidence its plan is the
-// evidence's merge, whatever seed lies beside it; List names every key
-// with a seed or evidence once, and Select falls back to an evidence-only
-// key.
-func TestGetPrefersEvidenceOverSeed(t *testing.T) {
+// TestGetMergesSeedWithEvidence: a seed is its key's SeedInstance
+// document, so the key's plan is the merge of the seed and the fleet's
+// evidence; List names every key with evidence once, and Select falls
+// back to an evidence-only key. A second Put replaces only the seed.
+func TestGetMergesSeedWithEvidence(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(sampleProfile("Lucene", "default")); err != nil {
+	k := Key{"Lucene", "default"}
+	if err := s.Put(seedProfile(k.App, k.Workload, 100)); err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []Key{{"Lucene", "default"}, {"Cassandra", "WI"}} {
+	for _, k := range []Key{k, {"Cassandra", "WI"}} {
 		if err := s.PutEvidenceStamped("inst-1", Stamp{}, evProfile(k.App, k.Workload, 40)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, err := s.Get("Lucene", "default")
+	if err := s.Put(seedProfile(k.App, k.Workload, 60)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Get(k.App, k.Workload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want, _ := Plan(Key{"Lucene", "default"}, evProfile("Lucene", "default", 40)); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Get = %+v, want the evidence's merge %+v, not the seed", got, want)
+	want, err := Plan(k, seedProfile(k.App, k.Workload, 60), evProfile(k.App, k.Workload, 40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Get = %+v, want the merge of the second seed and inst-1 %+v", got, want)
 	}
 	keys, err := s.List()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []Key{{"Cassandra", "WI"}, {"Lucene", "default"}}; !slices.Equal(keys, want) {
+	if want := []Key{{"Cassandra", "WI"}, k}; !slices.Equal(keys, want) {
 		t.Fatalf("List = %v, want %v", keys, want)
 	}
 	p, err := s.Select("Cassandra", "RI")
@@ -444,9 +521,9 @@ func TestPutEvidenceValidates(t *testing.T) {
 	}
 }
 
-// Rollout documents ride the same atomic-rename path as profiles: they
-// round-trip byte-for-byte, stay invisible to *.profile.json consumers
-// (List), and a missing document reports ErrNotFound.
+// Rollout documents ride the same atomic-rename path as evidence: they
+// round-trip byte-for-byte, never surface as a profile (List), and a
+// missing document reports ErrNotFound.
 func TestRolloutDocRoundTrip(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {

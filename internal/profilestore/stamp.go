@@ -17,8 +17,8 @@ import (
 )
 
 // Stamp is the logical version of one evidence document. The zero Stamp
-// marks an unstamped document (the planserver's __seed__ baseline), which
-// never replicates and orders before every stamped write.
+// marks an unstamped document (a key's SeedInstance seed), which never
+// replicates and orders before every stamped write.
 type Stamp struct {
 	// Seq is the daemon-assigned sequence. Every accepted direct upload
 	// strictly advances it past the previous document's stamp, so the
@@ -54,7 +54,9 @@ type EvidenceDoc struct {
 // EvidenceAll scans the whole evidence directory and returns every stored
 // document grouped by key, with stamps (unstamped documents carry the zero
 // stamp) — the planserver's one read of its evidence log per lifetime.
-func (s *Store) EvidenceAll() (map[Key]map[string]EvidenceDoc, error) {
+// A document that does not decode is left out, so one damaged file fails
+// no key, and is reported corrupt in the scan's audit.
+func (s *Store) EvidenceAll() (map[Key]map[string]EvidenceDoc, *AuditReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.evidenceLocked("*.evidence.json")

@@ -55,7 +55,7 @@ func TestPutEvidenceStampedRoundTrip(t *testing.T) {
 	if err := s.PutEvidenceStamped("inst-2", Stamp{}, evProfile("App", "w", 20)); err != nil {
 		t.Fatal(err)
 	}
-	all, err := s.EvidenceAll()
+	all, _, err := s.EvidenceAll()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestEvidenceAllGroupsByKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Before any evidence: empty maps, no error.
-	all, err := s.EvidenceAll()
+	all, _, err := s.EvidenceAll()
 	if err != nil || len(all) != 0 {
 		t.Fatalf("empty store EvidenceAll = %v, %v", all, err)
 	}
@@ -139,7 +139,7 @@ func TestEvidenceAllGroupsByKey(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	all, err = s.EvidenceAll()
+	all, _, err = s.EvidenceAll()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,8 +18,11 @@
 # each daemon gets one instance's evidence, anti-entropy must carry the
 # missing document both ways, and both daemons must publish the same
 # merged plan and advertise the same key sums on GET /v1/sync — proven
-# again offline by polm2-inspect sync over the two stores. No phase's
-# daemon may write a plan file (*.profile.json) into its store.
+# again offline by polm2-inspect sync over the two stores. A fourth phase
+# stores an offline seed with polm2-profile -store: the store holds it as
+# the key's __seed__ evidence, a daemon serves its plan under the SHA-256
+# of polm2-inspect plan's bytes, and a daemon refuses a store holding a
+# *.profile.json. No phase may leave a plan file in its store.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,6 +30,7 @@ fail() { echo "polm2d-smoke: FAIL: $*" >&2; [ -f "${log:-}" ] && cat "$log" >&2;
 
 go build -o /tmp/polm2d-smoke-bin ./cmd/polm2d
 go build -o /tmp/polm2-inspect-smoke-bin ./cmd/polm2-inspect
+go build -o /tmp/polm2-profile-smoke-bin ./cmd/polm2-profile
 
 # await_merged URL STORE polls until the daemon at URL publishes the merge
 # of both smoke instances' evidence. The evidence lives in STORE's plan,
@@ -61,12 +65,12 @@ await_merged() {
     || fail "$1: served plan is not the stored plan without its sites: $(cat /tmp/polm2d-smoke-plan.json)"
 }
 
-# no_plan_files STORE fails if a daemon wrote a plan file into STORE: a
-# key's plan is the merge of its evidence, never a stored copy.
+# no_plan_files STORE fails if STORE holds a plan file: a key's plan is the
+# merge of its evidence, never a stored copy.
 no_plan_files() {
   local pf
   pf=$(compgen -G "$1/*.profile.json" || true)
-  [ -z "$pf" ] || fail "daemon wrote plan files into $1: $pf"
+  [ -z "$pf" ] || fail "plan files in $1: $pf"
 }
 
 store=$(mktemp -d)
@@ -319,5 +323,43 @@ diff /tmp/polm2d-smoke-sync-a.txt /tmp/polm2d-smoke-sync-b.txt \
   || fail "replica stores diverge after convergence (see diff above)"
 grep -q '@smoke-' /tmp/polm2d-smoke-sync-a.txt \
   || fail "converged store carries no replication stamps: $(cat /tmp/polm2d-smoke-sync-a.txt)"
+
+# --- seeded phase: an offline profile stored with polm2-profile -store ---
+store=$(mktemp -d)
+work=$(mktemp -d)
+log=$(mktemp)
+/tmp/polm2-profile-smoke-bin -app Lucene -workload default -duration 2m \
+  -o "$work/profile.json" -store "$store" >"$log" 2>&1 || fail "polm2-profile -store failed"
+no_plan_files "$store"
+compgen -G "$store/evidence/*__seed__-*.evidence.json" >/dev/null \
+  || fail "polm2-profile -store left no __seed__ evidence document in $store"
+/tmp/polm2-inspect-smoke-bin plan "$store" Lucene/default >/tmp/polm2d-smoke-stored.json \
+  || fail "polm2-inspect plan failed on the seeded store"
+plantag="\"$(sha256sum /tmp/polm2d-smoke-stored.json | cut -d' ' -f1)\""
+
+/tmp/polm2d-smoke-bin -addr 127.0.0.1:0 -store "$store" >"$log" 2>&1 &
+pid=$!
+trap 'kill "$pid" 2>/dev/null || true' EXIT
+url=$(await_url "$log")
+[ -n "$url" ] || fail "seeded daemon never printed its listen address"
+code=$(curl -s -D /tmp/polm2d-smoke-headers.txt -o /tmp/polm2d-smoke-plan.json -w '%{http_code}' \
+  "$url/v1/plan?app=Lucene&workload=default")
+[ "$code" = "200" ] || fail "seeded key fetch status $code, want 200"
+etag=$(tr -d '\r' </tmp/polm2d-smoke-headers.txt | sed -n 's/^[Ee][Tt][Aa][Gg]: //p')
+[ "$etag" = "$plantag" ] || fail "seeded key served ETag $etag, want the stored plan's SHA-256 $plantag"
+# The seed is a fixed point of the merge: the served body is the profile
+# polm2-profile wrote, without its per-site evidence.
+[ "$(jq -c 'del(.sites)' "$work/profile.json")" = "$(jq -c . /tmp/polm2d-smoke-plan.json)" ] \
+  || fail "seeded key's served plan is not the stored profile without its sites"
+kill -TERM "$pid"
+wait "$pid" || fail "seeded daemon exited non-zero after SIGTERM"
+no_plan_files "$store"
+
+# A store holding a plan file is refused at start, naming the fix.
+cp "$work/profile.json" "$store/Lucene__default.profile.json"
+if timeout 10 /tmp/polm2d-smoke-bin -addr 127.0.0.1:0 -store "$store" >"$log" 2>&1; then
+  fail "daemon served a store holding a plan file"
+fi
+grep -q 'polm2-profile -store' "$log" || fail "plan-file refusal does not name the fix: $(cat "$log")"
 
 echo "polm2d-smoke: PASS"
